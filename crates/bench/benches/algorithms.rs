@@ -108,7 +108,8 @@ fn bench_algorithms(c: &mut Criterion) {
             let mut session = engine.session();
             b.iter(|| {
                 for q in &queries {
-                    black_box(session.answer_compiled(q, Algorithm::Auto, &opts).answer);
+                    let out = session.answer_compiled(q, Algorithm::Auto, &opts);
+                    black_box(out.expect("compiled for this graph").answer);
                 }
             })
         });

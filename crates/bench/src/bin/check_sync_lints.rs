@@ -24,10 +24,10 @@
 //!   happens-before edge is needed and gives the reviewer something to
 //!   falsify.
 //! * **R4 — no `Instant::now()` in search kernels** (`uis.rs`,
-//!   `uis_star.rs`, `ins.rs`, `oracle.rs`). Kernel time reads go through
-//!   `SearchClock` so deadline policy lives in one place and the hot
-//!   loops stay syscall-free; a stray clock read is a perf bug waiting
-//!   to happen.
+//!   `uis_star.rs`, `ins.rs`, `kernel.rs`, `oracle.rs`). Kernel time
+//!   reads go through `SearchClock` so deadline policy lives in one
+//!   place and the hot loops stay syscall-free; a stray clock read is a
+//!   perf bug waiting to happen.
 //!
 //! Comment-only lines are skipped for R1/R2/R4 so prose may *discuss*
 //! the banned constructs; R3 is the one rule that reads comments.
@@ -48,6 +48,7 @@ const KERNEL_FILES: &[&str] = &[
     "crates/core/src/uis.rs",
     "crates/core/src/uis_star.rs",
     "crates/core/src/ins.rs",
+    "crates/core/src/kernel.rs",
     "crates/core/src/oracle.rs",
 ];
 
@@ -300,8 +301,12 @@ mod tests {
 
     #[test]
     fn instant_now_in_kernel_is_r4() {
-        let offenses = lint_source("crates/core/src/uis.rs", "let t = Instant::now();\n");
-        assert!(offenses.iter().any(|o| o.contains("[R4]")), "{offenses:?}");
+        // `kernel.rs` holds the candidate loop, the bidirectional race and
+        // both cleanups of UIS*/INS: the ban follows the loops.
+        for file in ["crates/core/src/uis.rs", "crates/core/src/kernel.rs"] {
+            let offenses = lint_source(file, "let t = Instant::now();\n");
+            assert!(offenses.iter().any(|o| o.contains("[R4]")), "{file}: {offenses:?}");
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! [`kgreach_graph::delta`]), swaps the new graph in atomically, and
 //! maintains the index incrementally. Every content-changing batch bumps
 //! the graph **epoch**; compiled constraint plans, their embedded `SCck`
-//! memo caches, and [`PreparedQuery`] `V(S,G)` memos all record the
-//! epoch they bind to and rebind transparently on mismatch. Queries pin
+//! and `V(S,G)` memos all record the epoch they bind to, and a held
+//! [`CompiledLscrQuery`] rebinds transparently on mismatch. Queries pin
 //! one `(graph, index)` snapshot per execution, so an update never
 //! changes the graph under a running search — in-flight queries finish
 //! against the pre-update state, subsequent ones see the new one.
@@ -42,9 +42,7 @@
 
 use crate::constraint::{CompiledConstraint, SubstructureConstraint};
 use crate::local_index::{LocalIndex, LocalIndexConfig};
-use crate::query::{
-    CompiledLscrQuery, LscrQuery, PreparedQuery, QueryError, QueryOptions, QueryOutcome,
-};
+use crate::query::{CompiledLscrQuery, LscrQuery, QueryError, QueryOptions, QueryOutcome};
 use crate::session::{SearchScratch, Session};
 use kgreach_graph::fxhash::FxHashMap;
 use kgreach_graph::snapshot::{
@@ -121,9 +119,9 @@ const PLAN_CACHE_CAP: usize = 4096;
 ///   — one-shot, grabs pooled scratch per call;
 /// * [`session`](Self::session) — a per-thread [`Session`] that reuses
 ///   one scratch set across many queries (the hot-loop API);
-/// * [`prepare`](Self::prepare) — compile/validate once, reuse the
-///   compiled constraint and the materialized `V(S,G)` across repeated
-///   executions;
+/// * [`compile`](Self::compile) + [`answer_compiled`](Self::answer_compiled)
+///   — compile/validate once, reuse the compiled constraint and the
+///   materialized `V(S,G)` across repeated executions;
 /// * [`answer_batch`](Self::answer_batch) — fan a slice of queries across
 ///   scoped threads.
 #[derive(Debug)]
@@ -295,10 +293,6 @@ impl LscrEngine {
         }
     }
 
-    pub(crate) fn local_index_arc(&self) -> Arc<LocalIndex> {
-        self.local_index()
-    }
-
     /// The local index if some caller has already built or installed it —
     /// what the `Auto` planner consults (it never triggers a build).
     pub fn local_index_if_built(&self) -> Option<Arc<LocalIndex>> {
@@ -328,8 +322,8 @@ impl LscrEngine {
     /// Applies an [`UpdateBatch`] to the served graph: the overlay-merged
     /// graph is swapped in atomically, the content epoch advances, every
     /// content-derived cache (constraint-plan cache with its embedded
-    /// `SCck` memos, [`PreparedQuery`] plans and `V(S,G)` memos) is
-    /// invalidated, and the local index — when one exists — is repaired
+    /// `SCck` and `V(S,G)` memos) is invalidated, and the local index —
+    /// when one exists — is repaired
     /// partition-locally or rebuilt past the staleness budget (see
     /// [`LocalIndex::patched`]).
     ///
@@ -525,12 +519,6 @@ impl LscrEngine {
         self.plan_cache.read().expect("plan cache lock").len()
     }
 
-    /// Compiles and validates `query` once for repeated execution; see
-    /// [`PreparedQuery`].
-    pub fn prepare(&self, query: &LscrQuery) -> Result<PreparedQuery, QueryError> {
-        Ok(PreparedQuery::new(query.clone(), self.compile(query)?))
-    }
-
     /// Compiles and answers `query` with `algorithm`, using pooled
     /// scratch. For query loops, prefer holding a [`session`](Self::session).
     pub fn answer(
@@ -551,19 +539,15 @@ impl LscrEngine {
         self.session().answer_with_options(query, algorithm, opts)
     }
 
-    /// Answers an already-compiled query with pooled scratch.
-    pub fn answer_compiled(&self, query: &CompiledLscrQuery, algorithm: Algorithm) -> QueryOutcome {
-        self.session().answer_compiled(query, algorithm, &QueryOptions::default())
-    }
-
-    /// Executes a [`PreparedQuery`] with pooled scratch.
-    pub fn answer_prepared(
+    /// Answers an already-compiled query with pooled scratch; see
+    /// [`Session::answer_compiled`].
+    pub fn answer_compiled(
         &self,
-        prepared: &PreparedQuery,
+        query: &CompiledLscrQuery,
         algorithm: Algorithm,
         opts: &QueryOptions,
-    ) -> QueryOutcome {
-        self.session().answer_prepared(prepared, algorithm, opts)
+    ) -> Result<QueryOutcome, QueryError> {
+        self.session().answer_compiled(query, algorithm, opts)
     }
 
     /// Answers a batch of `(query, algorithm)` pairs, fanning them across
@@ -715,9 +699,11 @@ impl LscrEngine {
     /// current state untouched. The reloaded graph's content epoch is
     /// advanced strictly past the replaced graph's
     /// ([`Graph::advance_epoch_to`]), so every epoch-stamped cache bound
-    /// to the old content — compiled plans, `SCck` memos, prepared
-    /// `V(S,G)` sets held by callers — observes a mismatch and rebinds
-    /// instead of serving answers computed against the old graph.
+    /// to the old content — compiled plans with their `SCck` and `V(S,G)`
+    /// memos, including compiled queries held by callers — observes a
+    /// mismatch and rebinds instead of serving answers computed against
+    /// the old graph. A held query whose vertex ids do not fit the new
+    /// graph fails its rebind with a typed [`QueryError`].
     ///
     /// Returns the fresh content epoch.
     pub fn reload_from_snapshot<R: Read>(&self, reader: R) -> Result<u64, QueryError> {
@@ -782,8 +768,8 @@ impl LscrEngine {
     /// The adaptive planner behind [`Algorithm::Auto`]: picks a concrete
     /// algorithm for `query` from cheap statistics — estimated constraint
     /// selectivity (schema class sizes, adjacency degrees, per-label edge
-    /// counts; or the exact `|V(S,G)|` via `vsg_hint` when a prepared
-    /// query already materialized it), the label-mask-derived expansion
+    /// counts; or the exact `|V(S,G)|` via `vsg_hint` when an earlier
+    /// execution already materialized it), the label-mask-derived expansion
     /// region (how many vertices have *any* out-edge usable under `L` —
     /// see [`Graph::label_vertex_counts`]), and whether the local index is
     /// already available (planning never triggers an index build).
@@ -793,9 +779,27 @@ impl LscrEngine {
     /// unselective (satisfying vertices are met early) or the label
     /// constraint confines the search to a small region; UIS\* handles
     /// the degenerate empty-`V(S,G)` case for free.
+    ///
+    /// `query` must be bound to the served graph's current epoch (sessions
+    /// rebind held queries before planning); a stale plan's constants and
+    /// statistics describe other content, so it plans as plain UIS.
     pub fn plan_algorithm(&self, query: &CompiledLscrQuery, vsg_hint: Option<usize>) -> Algorithm {
         let (graph, index) = self.state_snapshot();
-        let g: &Graph = &graph;
+        if query.constraint.graph_epoch() != graph.epoch() {
+            return Algorithm::Uis;
+        }
+        Self::plan_on(&graph, index.is_some(), query, vsg_hint)
+    }
+
+    /// [`plan_algorithm`](Self::plan_algorithm) against one pinned state:
+    /// `query` is bound to `g`'s epoch, and `index_built` says whether a
+    /// local index is installed for `g`.
+    pub(crate) fn plan_on(
+        g: &Graph,
+        index_built: bool,
+        query: &CompiledLscrQuery,
+        vsg_hint: Option<usize>,
+    ) -> Algorithm {
         let n = g.num_vertices().max(1);
         // Provably empty V(S,G): UIS* inspects the empty candidate list
         // and answers false immediately — no traversal at all.
@@ -819,7 +823,7 @@ impl LscrEngine {
         // pruning surface is too thin to justify its V(S,G)-driven setup
         // — plan as if no index existed. (The entries themselves are
         // repaired and always *correct*; this is purely a cost call.)
-        let index_ready = index.is_some()
+        let index_ready = index_built
             && g.delta_stats().map_or(true, |d| {
                 d.delta_fraction(g.num_edges()) <= 0.3
                     && d.added_vertices * 10 <= g.num_vertices().max(10)
@@ -900,16 +904,16 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_prepared_queries_recover_the_truth() {
-        // Same invariant through the prepared path: the V(S,G) memo a
+    fn interrupted_compiled_queries_recover_the_truth() {
+        // Same invariant for a held compiled query: the V(S,G) memo a
         // truncated run leaves behind is content-derived (the SPARQL
         // evaluation never consults budgets), so the re-answer must
         // succeed — and reuse the memo rather than recompute around it.
         let engine = LscrEngine::new(figure3());
         engine.local_index();
         let g = engine.graph();
-        let prepared = engine
-            .prepare(&LscrQuery::new(
+        let compiled = engine
+            .compile(&LscrQuery::new(
                 g.vertex_id("v3").unwrap(),
                 g.vertex_id("v4").unwrap(),
                 g.label_set(&["likes", "hates", "friendOf"]),
@@ -918,10 +922,11 @@ mod tests {
             .unwrap();
         let zero = QueryOptions::default().with_step_budget(0);
         for alg in [Algorithm::UisStar, Algorithm::Ins] {
-            let truncated = engine.answer_prepared(&prepared, alg, &zero);
+            let truncated = engine.answer_compiled(&compiled, alg, &zero).unwrap();
             assert!(truncated.interrupted && !truncated.answer, "{alg}");
-            let full = engine.answer_prepared(&prepared, alg, &QueryOptions::default());
-            assert!(full.answer, "{alg}: truncated negative stuck in the prepared memo");
+            assert_eq!(compiled.constraint.vsg_len_if_materialized(), Some(2), "{alg}");
+            let full = engine.answer_compiled(&compiled, alg, &QueryOptions::default()).unwrap();
+            assert!(full.answer, "{alg}: truncated negative stuck in the shared memo");
             assert!(!full.interrupted);
         }
     }
@@ -1046,18 +1051,22 @@ mod tests {
     }
 
     #[test]
-    fn prepared_query_memoizes_vsg() {
+    fn compiled_query_memoizes_vsg_across_algorithms() {
         let engine = LscrEngine::new(figure3());
         let g = engine.graph();
-        let prepared = engine.prepare(&all_labels_query(&g, "v0", "v4")).unwrap();
-        assert_eq!(prepared.vsg_len_if_materialized(), None);
-        let out = engine.answer_prepared(&prepared, Algorithm::UisStar, &QueryOptions::default());
+        let compiled = engine.compile(&all_labels_query(&g, "v0", "v4")).unwrap();
+        assert_eq!(compiled.constraint.vsg_len_if_materialized(), None);
+        let opts = QueryOptions::default();
+        let out = engine.answer_compiled(&compiled, Algorithm::UisStar, &opts).unwrap();
         assert!(out.answer);
         // First UIS* execution materialized V(S0,G0) = {v1, v2}.
-        assert_eq!(prepared.vsg_len_if_materialized(), Some(2));
-        let again = engine.answer_prepared(&prepared, Algorithm::Ins, &QueryOptions::default());
+        assert_eq!(compiled.constraint.vsg_len_if_materialized(), Some(2));
+        // INS runs over the same plan and the same memo.
+        let again = engine.answer_compiled(&compiled, Algorithm::Ins, &opts).unwrap();
         assert!(again.answer);
         assert_eq!(again.stats.vsg_size, Some(2));
+        let shared = engine.compile(&all_labels_query(&g, "v3", "v4")).unwrap();
+        assert!(Arc::ptr_eq(&shared.constraint, &compiled.constraint));
     }
 
     #[test]
@@ -1239,7 +1248,8 @@ mod tests {
             assert!(engine.answer(&q, alg).unwrap().answer, "{alg} must see the insert");
         }
         // Stale compiled query (epoch 1) against epoch-2 graph.
-        assert!(engine.answer_compiled(&compiled, Algorithm::Uis).answer);
+        let out = engine.answer_compiled(&compiled, Algorithm::Uis, &QueryOptions::default());
+        assert!(out.unwrap().answer);
     }
 
     #[test]
@@ -1335,7 +1345,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_queries_track_updates() {
+    fn held_compiled_queries_track_updates() {
         let engine = LscrEngine::new(figure3());
         let q = {
             let g = engine.graph();
@@ -1346,26 +1356,27 @@ mod tests {
                 s0(),
             )
         };
-        let prepared = engine.prepare(&q).unwrap();
-        let out = engine.answer_prepared(&prepared, Algorithm::UisStar, &QueryOptions::default());
+        let opts = QueryOptions::default();
+        let held = engine.compile(&q).unwrap();
+        let out = engine.answer_compiled(&held, Algorithm::UisStar, &opts).unwrap();
         assert!(out.answer);
-        assert_eq!(prepared.vsg_len_if_materialized(), Some(2));
+        assert_eq!(held.constraint.vsg_len_if_materialized(), Some(2));
 
         // Delete one of the two satisfying vertices' qualifying edges:
-        // V(S0,G) shrinks, the memo re-materializes, answers update.
+        // V(S0,G) shrinks, the held query rebinds to a plan for the new
+        // epoch, V(S,G) re-materializes, answers update.
         let mut batch = kgreach_graph::UpdateBatch::new();
         batch.delete("v1", "friendOf", "v3");
         engine.apply_update(&batch).unwrap();
-        let out = engine.answer_prepared(&prepared, Algorithm::UisStar, &QueryOptions::default());
+        let out = engine.answer_compiled(&held, Algorithm::UisStar, &opts).unwrap();
         assert!(out.answer, "v2 still satisfies S0 and routes v0 to v4");
-        assert_eq!(
-            prepared.vsg_len_if_materialized(),
-            Some(1),
-            "stale memo re-materialized against the updated graph"
-        );
-        assert_eq!(out.stats.vsg_size, Some(1));
-        // INS re-executes against the same refreshed memo.
-        let out = engine.answer_prepared(&prepared, Algorithm::Ins, &QueryOptions::default());
+        assert_eq!(out.stats.vsg_size, Some(1), "stale plan rebound to the updated graph");
+        // The rebound plan lives in the plan cache, so the fresh memo is
+        // materialized once and shared — INS re-executes against it.
+        let rebound = engine.compile(&q).unwrap();
+        assert_eq!(rebound.constraint.graph_epoch(), engine.graph_epoch());
+        assert_eq!(rebound.constraint.vsg_len_if_materialized(), Some(1));
+        let out = engine.answer_compiled(&held, Algorithm::Ins, &opts).unwrap();
         assert!(out.answer);
         assert_eq!(out.stats.vsg_size, Some(1));
     }

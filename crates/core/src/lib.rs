@@ -25,8 +25,9 @@
 //! shared index, constraint-plan cache — every entry point takes `&self`)
 //! and per-thread [`Session`]s owning the mutable search scratch, so many
 //! threads answer queries against one engine with no locking on the hot
-//! path. [`PreparedQuery`] amortizes compilation and `V(S,G)`
-//! materialization across repeated executions, [`QueryOptions`] selects
+//! path. A [`CompiledLscrQuery`] ([`LscrEngine::compile`]) amortizes
+//! compilation and `V(S,G)` materialization across repeated executions
+//! ([`LscrEngine::answer_compiled`]), [`QueryOptions`] selects
 //! witnesses/stats/budgets per execution, and [`Algorithm::Auto`] lets
 //! the engine pick UIS/UIS\*/INS adaptively.
 //!
@@ -65,9 +66,9 @@
 //!
 //! // Repeated query: compile once, reuse the compiled constraint and
 //! // the materialized V(S,G).
-//! let prepared = engine.prepare(&q).unwrap();
+//! let compiled = engine.compile(&q).unwrap();
 //! let opts = kgreach::QueryOptions::default().with_witness(true);
-//! let out = engine.answer_prepared(&prepared, Algorithm::UisStar, &opts);
+//! let out = engine.answer_compiled(&compiled, Algorithm::UisStar, &opts).unwrap();
 //! assert_eq!(out.witness.unwrap().via, g.vertex_id("mule1").unwrap());
 //! ```
 
@@ -80,6 +81,7 @@ pub mod durable;
 pub mod engine;
 pub mod fixtures;
 pub mod ins;
+mod kernel;
 pub mod local_index;
 pub mod oracle;
 pub mod partition;
@@ -104,8 +106,8 @@ pub use partition::{
     default_num_landmarks, select_landmarks, select_landmarks_by_degree, Partition,
 };
 pub use query::{
-    CompiledLscrQuery, LscrQuery, PreparedQuery, QueryError, QueryOptions, QueryOutcome,
-    SearchStats, VsgOrder, DEFAULT_BIDI_MIN_CANDIDATES,
+    CompiledLscrQuery, LscrQuery, QueryError, QueryOptions, QueryOutcome, SearchStats, VsgOrder,
+    DEFAULT_BIDI_MIN_CANDIDATES,
 };
 pub use session::{SearchScratch, Session};
 pub use witness::{find_witness, Witness};

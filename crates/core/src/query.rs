@@ -107,7 +107,7 @@ impl LscrQuery {
 
     /// Validates the query against `g` and compiles the constraint.
     ///
-    /// [`LscrEngine::prepare`](crate::LscrEngine::prepare) is the cached
+    /// [`LscrEngine::compile`](crate::LscrEngine::compile) is the cached
     /// equivalent: it reuses compiled constraints across queries with the
     /// same SPARQL text.
     pub fn compile(&self, g: &Graph) -> Result<CompiledLscrQuery, QueryError> {
@@ -132,9 +132,13 @@ impl LscrQuery {
 
 /// A query validated and resolved against one graph.
 ///
-/// The compiled constraint is behind an [`Arc`] so engine-level plan
-/// caches and [`PreparedQuery`] can share one
-/// compiled plan across many queries and threads without cloning it.
+/// The compiled constraint is behind an [`Arc`], so the engine's plan
+/// cache and every clone of a compiled query share one plan — and the
+/// `V(S,G)` and `SCck` memos it carries — across queries and threads.
+/// Hold one and re-execute it with
+/// [`Session::answer_compiled`](crate::Session::answer_compiled) to
+/// amortize compilation and `V(S,G)` materialization over a workload;
+/// after a graph update it is rebound transparently.
 #[derive(Clone, Debug)]
 pub struct CompiledLscrQuery {
     /// Source vertex `s`.
@@ -145,115 +149,6 @@ pub struct CompiledLscrQuery {
     pub label_constraint: LabelSet,
     /// Compiled substructure constraint.
     pub constraint: Arc<CompiledConstraint>,
-}
-
-/// A query compiled and validated once for repeated execution.
-///
-/// Created by [`LscrEngine::prepare`](crate::LscrEngine::prepare). Beyond
-/// the compiled constraint (shared through the engine's plan cache), a
-/// prepared query memoizes the materialized `V(S,G)` on its first
-/// UIS\*/INS execution, so re-running it skips the SPARQL evaluation
-/// entirely — the BitPath-style amortization of per-query compilation
-/// across a workload. The type is `Sync`: one prepared query can be
-/// executed concurrently by many sessions.
-///
-/// Both memos — the compiled plan and `V(S,G)` — are **epoch-stamped**:
-/// after the engine's graph is updated
-/// ([`LscrEngine::apply_update`](crate::LscrEngine::apply_update)), the
-/// next execution observes the epoch mismatch, recompiles the plan and
-/// re-materializes `V(S,G)` against the new graph, transparently.
-#[derive(Debug)]
-pub struct PreparedQuery {
-    query: LscrQuery,
-    memo: kgreach_sync::RwLock<Option<PreparedMemo>>,
-}
-
-/// The epoch-stamped memoized state of one [`PreparedQuery`].
-#[derive(Debug, Clone)]
-struct PreparedMemo {
-    /// The [`Graph::epoch`] the plan (and `vsg`, when present) binds to.
-    epoch: u64,
-    compiled: CompiledLscrQuery,
-    vsg: Option<Arc<Vec<VertexId>>>,
-}
-
-impl PreparedQuery {
-    pub(crate) fn new(query: LscrQuery, compiled: CompiledLscrQuery) -> Self {
-        let epoch = compiled.constraint.graph_epoch();
-        PreparedQuery {
-            query,
-            memo: kgreach_sync::RwLock::new(Some(PreparedMemo { epoch, compiled, vsg: None })),
-        }
-    }
-
-    /// The source query this was prepared from.
-    pub fn query(&self) -> &LscrQuery {
-        &self.query
-    }
-
-    /// The compiled plan bound to `epoch`, re-preparing through the
-    /// engine's plan cache when the memo predates a graph update.
-    pub(crate) fn plan_for_epoch(
-        &self,
-        engine: &crate::LscrEngine,
-        epoch: u64,
-    ) -> CompiledLscrQuery {
-        if let Some(memo) = self.memo.read().expect("prepared memo lock").as_ref() {
-            if memo.epoch == epoch {
-                return memo.compiled.clone();
-            }
-        }
-        let compiled = engine
-            .compile(&self.query)
-            .expect("a query that prepared once re-prepares (ids are stable across updates)");
-        let fresh_epoch = compiled.constraint.graph_epoch();
-        let mut memo = self.memo.write().expect("prepared memo lock");
-        let stale = memo.as_ref().map_or(true, |m| m.epoch != fresh_epoch);
-        if stale {
-            *memo =
-                Some(PreparedMemo { epoch: fresh_epoch, compiled: compiled.clone(), vsg: None });
-        }
-        compiled
-    }
-
-    /// The materialized `V(S,G)` over `g`, memoized per epoch. `compiled`
-    /// must be the plan returned by
-    /// [`plan_for_epoch`](Self::plan_for_epoch) for `g`'s epoch.
-    pub(crate) fn vsg_for_epoch(
-        &self,
-        g: &Graph,
-        compiled: &CompiledLscrQuery,
-    ) -> Arc<Vec<VertexId>> {
-        let epoch = g.epoch();
-        if let Some(memo) = self.memo.read().expect("prepared memo lock").as_ref() {
-            if memo.epoch == epoch {
-                if let Some(vsg) = &memo.vsg {
-                    return Arc::clone(vsg);
-                }
-            }
-        }
-        let vsg = Arc::new(compiled.constraint.satisfying_vertices(g));
-        let mut memo = self.memo.write().expect("prepared memo lock");
-        if let Some(m) = memo.as_mut() {
-            if m.epoch == epoch && m.vsg.is_none() {
-                m.vsg = Some(Arc::clone(&vsg));
-            }
-        }
-        vsg
-    }
-
-    /// `|V(S,G)|` if some execution has already materialized it — a free
-    /// exact selectivity figure for the `Auto` planner. After a graph
-    /// update this may briefly report the pre-update size (a planner
-    /// *hint*, never a correctness input); the next execution
-    /// re-materializes and refreshes it.
-    pub fn vsg_len_if_materialized(&self) -> Option<usize> {
-        self.memo
-            .read()
-            .expect("prepared memo lock")
-            .as_ref()
-            .and_then(|m| m.vsg.as_ref().map(|v| v.len()))
-    }
 }
 
 /// How the `V(S,G)` candidate set is ordered before UIS\* processes it.

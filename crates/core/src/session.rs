@@ -30,8 +30,7 @@ use crate::engine::{Algorithm, LscrEngine};
 use crate::local_index::LocalIndex;
 use crate::priority::GlobalQueue;
 use crate::query::{
-    CompiledLscrQuery, LscrQuery, PreparedQuery, QueryError, QueryOptions, QueryOutcome,
-    SearchStats,
+    CompiledLscrQuery, LscrQuery, QueryError, QueryOptions, QueryOutcome, SearchStats,
 };
 use crate::witness::find_witness;
 use crate::{ins, oracle, uis, uis_star};
@@ -87,28 +86,30 @@ impl SearchScratch {
         self.cand.ensure_len(n);
     }
 
-    /// Split borrow for the stack-based algorithms (UIS, UIS\*).
-    pub(crate) fn close_and_stack(&mut self) -> (&mut CloseMap, &mut Vec<VertexId>) {
-        (&mut self.close, &mut self.stack)
+    /// The scratch as disjoint mutable parts, for a search to borrow the
+    /// ones its algorithm uses.
+    pub(crate) fn parts(&mut self) -> ScratchParts<'_> {
+        ScratchParts {
+            close: &mut self.close,
+            stack: &mut self.stack,
+            queue: &mut self.queue,
+            back: &mut self.back,
+            back_stack: &mut self.back_stack,
+            cand: &mut self.cand,
+        }
     }
+}
 
-    /// Split borrow for the bidirectional UIS\* kernel: forward close +
-    /// stack, backward close + stack, and the candidate set.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn bidirectional_parts(
-        &mut self,
-    ) -> (&mut CloseMap, &mut Vec<VertexId>, &mut CloseMap, &mut Vec<VertexId>, &mut CloseMap) {
-        (&mut self.close, &mut self.stack, &mut self.back, &mut self.back_stack, &mut self.cand)
-    }
-
-    /// Split borrow for the bidirectional INS kernel: forward close +
-    /// global queue, backward close + stack, and the candidate set.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn bidirectional_queue_parts(
-        &mut self,
-    ) -> (&mut CloseMap, &mut GlobalQueue, &mut CloseMap, &mut Vec<VertexId>, &mut CloseMap) {
-        (&mut self.close, &mut self.queue, &mut self.back, &mut self.back_stack, &mut self.cand)
-    }
+/// Split borrow of a [`SearchScratch`]: forward `close` with the UIS/UIS\*
+/// stack and INS's global queue, backward `close` with its stack, and the
+/// candidate set.
+pub(crate) struct ScratchParts<'a> {
+    pub(crate) close: &'a mut CloseMap,
+    pub(crate) stack: &'a mut Vec<VertexId>,
+    pub(crate) queue: &'a mut GlobalQueue,
+    pub(crate) back: &'a mut CloseMap,
+    pub(crate) back_stack: &'a mut Vec<VertexId>,
+    pub(crate) cand: &'a mut CloseMap,
 }
 
 /// A per-thread handle for answering queries against a shared
@@ -159,127 +160,62 @@ impl<'e> Session<'e> {
         opts: &QueryOptions,
     ) -> Result<QueryOutcome, QueryError> {
         let compiled = self.engine.compile(query)?;
-        Ok(self.answer_compiled(&compiled, algorithm, opts))
+        self.answer_compiled(&compiled, algorithm, opts)
     }
 
-    /// Answers an already-compiled query.
+    /// Answers an already-compiled query. A [`CompiledLscrQuery`] is
+    /// `Clone + Send + Sync`, so one compiled query can be held and
+    /// re-executed by many sessions; its plan and memoized `V(S,G)` are
+    /// the ones the engine's plan cache shares.
     ///
     /// A compiled query is bound to the graph content epoch it was
     /// compiled at; if the engine's graph has been updated since, the
     /// plan is transparently recompiled from its retained SPARQL text
-    /// (through the engine's plan cache) before the search runs.
+    /// (through the engine's plan cache) before the search runs. The
+    /// rebind can fail — a snapshot reload may have replaced the graph
+    /// with one the query's vertex ids do not fit — and that comes back
+    /// as the same [`QueryError`] a fresh `compile` would raise.
     pub fn answer_compiled(
         &mut self,
         query: &CompiledLscrQuery,
         algorithm: Algorithm,
         opts: &QueryOptions,
-    ) -> QueryOutcome {
+    ) -> Result<QueryOutcome, QueryError> {
         let mut recompiled: Option<CompiledLscrQuery> = None;
         loop {
             let query = recompiled.as_ref().unwrap_or(query);
+            // One consistent `(graph, index)` snapshot for the whole query.
+            let (g, index) = self.engine.state_snapshot();
+            if query.constraint.graph_epoch() != g.epoch() {
+                // Stale plan (caller-held query from before an update or a
+                // reload, or one of them raced the snapshot): rebind and
+                // retry. Nothing may read the stale plan against `g` —
+                // its constants are ids of the old graph.
+                recompiled = Some(self.engine.recompile(query)?);
+                continue;
+            }
             // The constraint's V(S,G) memo is shared through the engine's
             // plan cache, so a repeated query plans from the *exact*
             // candidate count instead of the schema estimate.
-            let resolved =
-                self.resolve(query, algorithm, query.constraint.vsg_len_if_materialized());
-            let (g, index) = self.pin(resolved);
-            if query.constraint.graph_epoch() != g.epoch() {
-                // Stale plan (caller-held query from before an update, or
-                // an update raced the pin): rebind and retry.
-                recompiled = Some(
-                    self.engine
-                        .recompile(query)
-                        .expect("canonical SPARQL text recompiles against the updated graph"),
-                );
+            let resolved = if algorithm == Algorithm::Auto {
+                let hint = query.constraint.vsg_len_if_materialized();
+                LscrEngine::plan_on(&g, index.is_some(), query, hint)
+            } else {
+                algorithm
+            };
+            if resolved == Algorithm::Ins && index.is_none() {
+                // Build installs the index for the *current* graph; retry
+                // the snapshot so the pair is consistent.
+                let _ = self.engine.local_index();
                 continue;
             }
-            let outcome = self.dispatch(&g, &index, query, resolved, opts, None);
-            return self.finalize(&g, query, resolved, outcome, opts);
+            // Dynamic graphs grow |V| between queries.
+            self.scratch.as_mut().expect("scratch present until drop").ensure(g.num_vertices());
+            let outcome = self.dispatch(&g, &index, query, resolved, opts);
+            return Ok(self.finalize(&g, query, resolved, outcome, opts));
         }
     }
 
-    /// Executes a [`PreparedQuery`], reusing its memoized plan and
-    /// `V(S,G)` across repeated executions (materialized on the first
-    /// UIS\*/INS execution and shared — including across threads —
-    /// afterwards). After an engine
-    /// [`apply_update`](crate::LscrEngine::apply_update), the memo is
-    /// stale and is transparently re-prepared against the new graph on
-    /// the next execution.
-    ///
-    /// [`QueryOptions::vsg_order`] is honored: a shuffled order copies
-    /// the memoized set and permutes it (O(|V(S,G)|), still skipping the
-    /// SPARQL evaluation).
-    pub fn answer_prepared(
-        &mut self,
-        prepared: &PreparedQuery,
-        algorithm: Algorithm,
-        opts: &QueryOptions,
-    ) -> QueryOutcome {
-        loop {
-            let query = prepared.plan_for_epoch(self.engine, self.engine.graph_epoch());
-            let resolved = self.resolve(&query, algorithm, prepared.vsg_len_if_materialized());
-            let (g, index) = self.pin(resolved);
-            if query.constraint.graph_epoch() != g.epoch() {
-                continue; // an update raced the pin; re-prepare and retry
-            }
-            let vsg = matches!(resolved, Algorithm::UisStar | Algorithm::Ins)
-                .then(|| prepared.vsg_for_epoch(&g, &query));
-            // The paper's "disordered" semantics only affect UIS* (INS's
-            // heap imposes its own order): shuffle a copy of the memoized
-            // set.
-            let shuffled;
-            let vsg: Option<&[VertexId]> = match (resolved, opts.vsg_order, &vsg) {
-                (Algorithm::UisStar, crate::query::VsgOrder::Shuffled(seed), Some(v)) => {
-                    use rand::seq::SliceRandom;
-                    use rand::SeedableRng;
-                    let mut copy = v.to_vec();
-                    copy.shuffle(&mut rand::rngs::SmallRng::seed_from_u64(seed));
-                    shuffled = copy;
-                    Some(shuffled.as_slice())
-                }
-                (_, _, v) => v.as_ref().map(|v| v.as_slice()),
-            };
-            let outcome = self.dispatch(&g, &index, &query, resolved, opts, vsg);
-            return self.finalize(&g, &query, resolved, outcome, opts);
-        }
-    }
-
-    /// Pins one consistent `(graph, index)` snapshot for a query, builds
-    /// the index when the resolved algorithm needs one, and grows the
-    /// scratch to the snapshot's `|V|`.
-    fn pin(
-        &mut self,
-        algorithm: Algorithm,
-    ) -> (Arc<kgreach_graph::Graph>, Option<Arc<LocalIndex>>) {
-        let (g, index) = loop {
-            let (g, index) = self.engine.state_snapshot();
-            if algorithm != Algorithm::Ins || index.is_some() {
-                break (g, index);
-            }
-            // Build installs the index for the *current* graph; retry the
-            // snapshot so the pair is consistent.
-            let _ = self.engine.local_index_arc();
-        };
-        self.scratch.as_mut().expect("scratch present until drop").ensure(g.num_vertices());
-        (g, index)
-    }
-
-    /// Resolves `Auto` through the engine's planner; manual choices pass
-    /// through.
-    fn resolve(
-        &self,
-        query: &CompiledLscrQuery,
-        algorithm: Algorithm,
-        vsg_hint: Option<usize>,
-    ) -> Algorithm {
-        if algorithm == Algorithm::Auto {
-            self.engine.plan_algorithm(query, vsg_hint)
-        } else {
-            algorithm
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &mut self,
         g: &kgreach_graph::Graph,
@@ -287,22 +223,15 @@ impl<'e> Session<'e> {
         query: &CompiledLscrQuery,
         algorithm: Algorithm,
         opts: &QueryOptions,
-        vsg: Option<&[VertexId]>,
     ) -> QueryOutcome {
         debug_assert!(algorithm != Algorithm::Auto, "Auto resolved before dispatch");
         let scratch = self.scratch.as_mut().expect("scratch present until drop");
         match algorithm {
             Algorithm::Uis => uis::answer_with(g, query, scratch, opts),
-            Algorithm::UisStar => match vsg {
-                Some(vsg) => uis_star::answer_with_order(g, query, scratch, vsg, opts),
-                None => uis_star::answer_with(g, query, scratch, opts),
-            },
+            Algorithm::UisStar => uis_star::answer_with(g, query, scratch, opts),
             Algorithm::Ins => {
                 let index = index.as_ref().expect("index pinned for INS");
-                match vsg {
-                    Some(vsg) => ins::answer_with_vsg(g, query, index, scratch, vsg, opts),
-                    None => ins::answer_with(g, query, index, scratch, opts),
-                }
+                ins::answer_with(g, query, index, scratch, opts)
             }
             Algorithm::Oracle | Algorithm::Auto => oracle::answer(g, query),
         }
@@ -351,7 +280,8 @@ mod tests {
         assert_send::<Session<'static>>();
         assert_send_sync::<LscrEngine>();
         assert_send_sync::<SearchScratch>();
-        assert_send_sync::<PreparedQuery>();
+        // One compiled query is held and executed by many sessions.
+        assert_send_sync::<CompiledLscrQuery>();
     }
 
     #[test]
@@ -402,22 +332,62 @@ mod tests {
     }
 
     #[test]
-    fn prepared_queries_honor_shuffled_vsg_order() {
+    fn compiled_queries_honor_shuffled_vsg_order() {
         let engine = LscrEngine::new(figure3());
         let g = engine.graph();
-        let prepared = engine.prepare(&q(&g, "v3", "v4", &["likes", "hates", "friendOf"])).unwrap();
+        let compiled = engine.compile(&q(&g, "v3", "v4", &["likes", "hates", "friendOf"])).unwrap();
         let mut session = engine.session();
-        let reference =
-            session.answer_prepared(&prepared, Algorithm::UisStar, &QueryOptions::default());
+        let reference = session
+            .answer_compiled(&compiled, Algorithm::UisStar, &QueryOptions::default())
+            .unwrap();
         assert!(reference.answer);
-        assert!(prepared.vsg_len_if_materialized().is_some(), "memoized on first run");
+        assert!(compiled.constraint.vsg_len_if_materialized().is_some(), "memoized on first run");
         for seed in 0..8 {
             let opts =
                 QueryOptions::default().with_vsg_order(crate::query::VsgOrder::Shuffled(seed));
-            let out = session.answer_prepared(&prepared, Algorithm::UisStar, &opts);
+            let out = session.answer_compiled(&compiled, Algorithm::UisStar, &opts).unwrap();
             assert_eq!(out.answer, reference.answer, "seed {seed} changed the answer");
             assert_eq!(out.stats.vsg_size, reference.stats.vsg_size);
         }
+    }
+
+    #[test]
+    fn compiled_query_held_across_a_shrinking_reload_is_a_typed_error() {
+        // Regression: the stale-plan rebind used to `expect` the
+        // recompile, so a compiled query whose vertex ids no longer fit
+        // the reloaded graph panicked the calling thread (a kg-worker,
+        // when a hot reload lands between compile and pin).
+        let engine = LscrEngine::new(figure3());
+        let g = engine.graph();
+        let compiled = engine.compile(&q(&g, "v4", "v0", &["likes"])).unwrap();
+        assert_eq!(compiled.source, VertexId(4));
+
+        let mut b = kgreach_graph::GraphBuilder::new();
+        b.add_triple("a", "likes", "b");
+        let mut bytes = Vec::new();
+        LscrEngine::new(b.build().unwrap()).save_snapshot(&mut bytes).unwrap();
+        engine.reload_from_snapshot(&bytes[..]).unwrap();
+        assert_eq!(engine.graph().num_vertices(), 2);
+
+        let mut session = engine.session();
+        for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
+            match session.answer_compiled(&compiled, alg, &QueryOptions::default()) {
+                Err(QueryError::Graph(kgreach_graph::GraphError::VertexOutOfRange {
+                    id: 4,
+                    num_vertices: 2,
+                })) => {}
+                other => panic!("{alg}: expected VertexOutOfRange, got {other:?}"),
+            }
+        }
+        // The session (and its scratch) stays usable afterwards.
+        let g = engine.graph();
+        let ok = LscrQuery::new(
+            g.vertex_id("a").unwrap(),
+            g.vertex_id("b").unwrap(),
+            g.all_labels(),
+            crate::SubstructureConstraint::parse("SELECT ?x WHERE { ?x <likes> <b> . }").unwrap(),
+        );
+        assert!(session.answer(&ok, Algorithm::Auto).unwrap().answer);
     }
 
     #[test]

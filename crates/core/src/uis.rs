@@ -28,9 +28,10 @@
 //! assert!(out.stats.scck_calls > 0); // per-vertex SCck, no V(S,G)
 //! ```
 
-use crate::close::{CloseMap, CloseState};
+use crate::close::CloseState;
+use crate::kernel::finish;
 use crate::query::{CompiledLscrQuery, QueryOptions, QueryOutcome, SearchClock, SearchStats};
-use crate::session::SearchScratch;
+use crate::session::{ScratchParts, SearchScratch};
 use kgreach_graph::Graph;
 
 /// Answers `q` with Algorithm 1, reusing the session scratch across calls
@@ -44,7 +45,7 @@ pub fn answer_with(
     let clock = SearchClock::start_now();
     let limits = clock.limits(opts);
     let mut stats = SearchStats { algorithm: Some(crate::Algorithm::Uis), ..Default::default() };
-    let (close, stack) = scratch.close_and_stack();
+    let ScratchParts { close, stack, .. } = scratch.parts();
     close.reset();
     stack.clear();
 
@@ -67,7 +68,7 @@ pub fn answer_with(
     // s = t: the zero-edge path answers immediately when s satisfies S;
     // otherwise a cycle back to t must be found by the normal search.
     if s == t && s_state == CloseState::T {
-        return finish(true, stats, close, clock);
+        return finish(true, false, stats, close, clock);
     }
 
     // Lines 3-11, expanding by candidate label runs: vertices with no
@@ -75,9 +76,7 @@ pub fn answer_with(
     // runs; the per-edge test below only filters whole-slice runs.
     while let Some(u) = stack.pop() {
         if limits.exceeded(stats.edges_scanned) {
-            let mut out = finish(false, stats, close, clock);
-            out.interrupted = true;
-            return out;
+            return finish(false, true, stats, close, clock);
         }
         let u_is_t = close.is_t(u);
         // Flat expansion: one slice scan; under a selective L the
@@ -114,28 +113,18 @@ pub fn answer_with(
             };
             // Lines 10-11: report as soon as t is proved in state T.
             if explored && v == t && close.is_t(v) {
-                return finish(true, stats, close, clock);
+                return finish(true, false, stats, close, clock);
             }
         }
     }
 
-    finish(false, stats, close, clock)
+    finish(false, false, stats, close, clock)
 }
 
 /// Answers `q` with freshly allocated scratch and default options.
 pub fn answer(g: &Graph, q: &CompiledLscrQuery) -> QueryOutcome {
     let mut scratch = SearchScratch::new(g.num_vertices());
     answer_with(g, q, &mut scratch, &QueryOptions::default())
-}
-
-fn finish(
-    answer: bool,
-    mut stats: SearchStats,
-    close: &CloseMap,
-    clock: SearchClock,
-) -> QueryOutcome {
-    stats.passed_vertices = close.passed_vertices();
-    QueryOutcome::finished(answer, stats, clock.elapsed())
 }
 
 #[cfg(test)]

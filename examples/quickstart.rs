@@ -1,5 +1,5 @@
 //! Quickstart: build a small knowledge graph, pose an LSCR query, answer
-//! it through the shared engine — one-shot, via a session, and prepared.
+//! it through the shared engine — one-shot, via a session, and compiled once.
 //!
 //! Run with: `cargo run -p kgreach-examples --example quickstart`
 
@@ -58,11 +58,13 @@ pub(crate) fn main() {
         assert!(outcome.answer, "ada → grace → alan(leads lab) → kurt exists");
     }
 
-    // Prepared queries compile once and reuse the materialized V(S,G);
-    // options select extras like the witness path.
-    let prepared = engine.prepare(&query).unwrap();
+    // A compiled query is validated and planned once and reuses the
+    // materialized V(S,G) on every execution; options select extras like
+    // the witness path.
+    let compiled = engine.compile(&query).unwrap();
     let witness = engine
-        .answer_prepared(&prepared, Algorithm::UisStar, &QueryOptions::default().with_witness(true))
+        .answer_compiled(&compiled, Algorithm::UisStar, &QueryOptions::default().with_witness(true))
+        .unwrap()
         .witness
         .expect("true answers yield a witness when requested");
     let names: Vec<&str> = witness.vertices().iter().map(|&v| graph.vertex_name(v)).collect();

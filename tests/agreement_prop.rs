@@ -4,7 +4,7 @@
 
 use kgreach::{
     Algorithm, LocalIndex, LocalIndexConfig, LscrQuery, QueryOptions, SearchScratch,
-    SubstructureConstraint,
+    SubstructureConstraint, VsgOrder,
 };
 use kgreach_graph::{LabelSet, VertexId};
 use kgreach_integration::random_typed_graph;
@@ -43,6 +43,7 @@ proptest! {
         let expected = kgreach::oracle::answer(&g, &cq).answer;
         let mut scratch = SearchScratch::new(g.num_vertices());
         let opts = QueryOptions::default();
+        let shuffled = QueryOptions::default().with_vsg_order(VsgOrder::Shuffled(seed));
         prop_assert_eq!(
             kgreach::uis::answer_with(&g, &cq, &mut scratch, &opts).answer,
             expected, "UIS"
@@ -52,7 +53,7 @@ proptest! {
             expected, "UIS*"
         );
         prop_assert_eq!(
-            kgreach::uis_star::answer_seeded(&g, &cq, &mut scratch, seed).answer,
+            kgreach::uis_star::answer_with(&g, &cq, &mut scratch, &shuffled).answer,
             expected, "UIS* shuffled"
         );
         for k in [1usize, 4, 16] {

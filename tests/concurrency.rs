@@ -1,10 +1,10 @@
 //! Concurrency tests for the shared-engine API: one `LscrEngine` across
 //! many threads must answer a mixed UIS/UIS*/INS/Auto workload exactly
 //! like the single-threaded oracle — via raw `std::thread::scope`
-//! sessions, via `answer_batch`, and via concurrently shared
-//! `PreparedQuery`s.
+//! sessions, via `answer_batch`, and via compiled queries shared by
+//! reference across threads.
 
-use kgreach::{Algorithm, LscrEngine, LscrQuery, PreparedQuery, QueryOptions};
+use kgreach::{Algorithm, CompiledLscrQuery, LscrEngine, LscrQuery, QueryOptions};
 use kgreach_datagen::constraints::{s1, s3};
 use kgreach_integration::small_lubm;
 use rand::rngs::SmallRng;
@@ -94,42 +94,42 @@ fn answer_batch_eight_threads_matches_sequential_oracle() {
 }
 
 #[test]
-fn prepared_queries_shared_across_threads() {
+fn compiled_queries_shared_across_threads() {
     let engine = LscrEngine::new(small_lubm(42));
     let _ = engine.local_index();
     let g = engine.graph();
     let mut rng = SmallRng::seed_from_u64(7);
-    let prepared: Vec<(PreparedQuery, bool)> = (0..12)
+    let compiled: Vec<(CompiledLscrQuery, bool)> = (0..12)
         .map(|i| {
             let s = kgreach_graph::VertexId(rng.gen_range(0..g.num_vertices() as u32));
             let t = kgreach_graph::VertexId(rng.gen_range(0..g.num_vertices() as u32));
             let c = if i % 2 == 0 { s1() } else { s3() };
             let q = LscrQuery::new(s, t, g.all_labels(), c);
             let expected = engine.answer(&q, Algorithm::Oracle).unwrap().answer;
-            (engine.prepare(&q).unwrap(), expected)
+            (engine.compile(&q).unwrap(), expected)
         })
         .collect();
 
     std::thread::scope(|scope| {
         for worker in 0..THREADS {
-            let prepared = &prepared;
+            let compiled = &compiled;
             let engine = &engine;
             scope.spawn(move || {
                 let mut session = engine.session();
                 let algs = [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto];
                 let opts = QueryOptions::default();
-                for (i, (p, expected)) in prepared.iter().enumerate() {
+                for (i, (cq, expected)) in compiled.iter().enumerate() {
                     let alg = algs[(worker + i) % algs.len()];
-                    let out = session.answer_prepared(p, alg, &opts);
-                    assert_eq!(out.answer, *expected, "prepared query {i} via {alg}");
+                    let out = session.answer_compiled(cq, alg, &opts).unwrap();
+                    assert_eq!(out.answer, *expected, "compiled query {i} via {alg}");
                 }
             });
         }
     });
-    // Every prepared query's V(S,G) was materialized exactly once and is
-    // now shared.
-    for (p, _) in &prepared {
-        assert!(p.vsg_len_if_materialized().is_some());
+    // Every plan's V(S,G) was materialized exactly once (the memo is a
+    // `OnceLock` on the compiled constraint) and is now shared.
+    for (cq, _) in &compiled {
+        assert!(cq.constraint.vsg_len_if_materialized().is_some());
     }
 }
 

@@ -173,7 +173,7 @@ fn narrow_label_lubm_queries_skip_edges() {
     for (&s, t) in sources.iter().take(4).zip([7u32, 950, 402, 88]) {
         let q = LscrQuery::new(s, VertexId(t), narrow, c.clone());
         let cq = engine.compile(&q).unwrap();
-        let out = session.answer_compiled(&cq, Algorithm::Uis, &QueryOptions::default());
+        let out = session.answer_compiled(&cq, Algorithm::Uis, &QueryOptions::default()).unwrap();
         assert_eq!(out.answer, kgreach::oracle::answer(&g, &cq).answer, "{s}->{t}");
         skipped_total += out.stats.edges_skipped;
     }

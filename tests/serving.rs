@@ -12,7 +12,8 @@
 //!    hang, never a torn response, and the server keeps serving afterward.
 //! 3. **Reload-during-query**: hammering queries while the served
 //!    snapshot is hot-swapped stays correct (same-content swap) and
-//!    stays *typed* (content-changing swap), with the epoch advancing.
+//!    stays *typed* (content-changing swap, shrinking swap), with the
+//!    epoch advancing and every worker surviving.
 //! 4. **Overload**: past the admission high water the server sheds with
 //!    `429` + `Retry-After`, and shutdown drains admitted work with
 //!    `503`.
@@ -477,6 +478,100 @@ fn hot_reload_under_concurrent_query_load_stays_correct() {
         assert_eq!(resp.status, 200, "{}", resp.body);
         let answer = resp.json().unwrap().get("answer").and_then(Json::as_bool);
         assert_eq!(answer, Some(*expected), "wrong answer after reload round-trip");
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reload to a graph with *fewer* vertices racing in-flight queries:
+/// a query resolved or compiled against the large graph carries vertex
+/// ids the small one does not have. The rebind inside the engine must
+/// surface that as a typed error the batcher retries on — a panic there
+/// kills the worker thread (`500 worker dropped the query`, and with it
+/// every later query of a one-worker server).
+#[test]
+fn shrinking_reload_under_query_load_never_loses_a_worker() {
+    // Large enough that a local-index build takes milliseconds.
+    let lubm = kgreach_datagen::LubmConfig::sized(12_000, 42);
+    let engine = Arc::new(LscrEngine::new(kgreach_datagen::lubm::generate(&lubm).unwrap()));
+    let graph = engine.graph();
+
+    let dir = std::env::temp_dir().join(format!("kgreach-serving-shrink-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Saved without a local index: after every reload of `big` the first
+    // INS query builds one, and a reload arriving meanwhile queues on
+    // the engine's update lock and lands the moment the build ends —
+    // between that query's compile and its search, every time.
+    let big = dir.join("big.kgsnap");
+    engine.save_snapshot_file(&big).unwrap();
+    let tiny = dir.join("tiny.kgsnap");
+    let mut b = kgreach_graph::GraphBuilder::new();
+    b.add_triple("a", "p", "b");
+    LscrEngine::new(b.build().unwrap()).save_snapshot_file(&tiny).unwrap();
+
+    let config = ServerConfig {
+        batch: BatchConfig { workers: 1, ..BatchConfig::default() },
+        ..ServerConfig::default()
+    };
+    let server = serve(Arc::clone(&engine), config).unwrap();
+    let addr = server.addr();
+
+    // Endpoints from the top of the id range, so every id is out of range
+    // in the two-vertex graph; S1 keeps each search short.
+    let n = graph.num_vertices() as u32;
+    let c = constraints::s1();
+    let bodies: Vec<String> = (1..=8)
+        .flat_map(|i| ["ins", "uis*", "ins", "auto"].map(|alg| (i, alg)))
+        .map(|(i, alg)| {
+            let (s, t) = (kgreach_graph::VertexId(n - i), kgreach_graph::VertexId(n - 8 - i));
+            let q = LscrQuery::new(s, t, graph.all_labels(), c.clone());
+            wire_body(&graph, &q, alg, false)
+        })
+        .collect();
+
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let mut client = HttpClient::connect(addr).unwrap();
+                // relaxed: a pure stop flag — thread::scope joins provide
+                // the synchronization.
+                while !stop.load(Ordering::Relaxed) {
+                    for body in &bodies {
+                        let resp = client.post_json("/query", body).unwrap();
+                        assert!(
+                            matches!(resp.status, 200 | 404 | 422 | 503),
+                            "untyped response while the graph shrinks: {} {}",
+                            resp.status,
+                            resp.body
+                        );
+                    }
+                }
+            });
+        }
+        let mut admin = HttpClient::connect(addr).unwrap();
+        for i in 0..60 {
+            let path = if i % 2 == 0 { &tiny } else { &big };
+            let resp = admin
+                .post_json(
+                    "/snapshot/reload",
+                    &format!("{{\"path\":{}}}", Json::str(path.display().to_string())),
+                )
+                .unwrap();
+            assert_eq!(resp.status, 200, "reload {i}: {}", resp.body);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // relaxed: stop flag, see above.
+        stop.store(true, Ordering::Relaxed);
+    });
+
+    // The large graph is back (60 reloads, the last one `big`), and the
+    // one worker is still there to answer.
+    assert_eq!(engine.graph().fingerprint(), graph.fingerprint());
+    let mut client = HttpClient::connect(addr).unwrap();
+    for body in &bodies {
+        let resp = client.post_json("/query", body).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
     }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

@@ -13,7 +13,10 @@
 //! same queries; a 4-orders-of-magnitude gap between them (the old
 //! `S3-narrowL` rows sat at ~15 000× the best) means one kernel is
 //! missing a structural optimization, and the committed artifact should
-//! not be allowed to normalize that. `*.before.json` snapshots are
+//! not be allowed to normalize that. Groups whose middle segment is not an
+//! algorithm are registered in [`NO_ALGORITHM_SEGMENT`] and skip the check
+//! (`sparql/<constraint>/<operation>`: `V(S,G)` of S3 has 22k results, of
+//! S5 one). `*.before.json` snapshots are
 //! exempt from the spread check (shape is still enforced): they are
 //! frozen baselines whose whole purpose is to record the pathological
 //! state a later commit fixed.
@@ -88,11 +91,17 @@ fn check_file(path: &str) -> Result<usize, String> {
 /// enough to reject a kernel that has fallen off its fast path.
 const MAX_WORKLOAD_SPREAD: f64 = 100.0;
 
+/// Benchmark groups (first name segment) whose second-to-last segment
+/// names an input rather than an algorithm, so rows that share the rest
+/// of the name do *not* answer the same question and their spread means
+/// nothing: `BENCH_sparql.json`'s `sparql/<constraint>/<operation>`.
+const NO_ALGORITHM_SEGMENT: &[&str] = &["sparql"];
+
 /// Groups rows by workload — the benchmark name with its algorithm
 /// segment (second-to-last `/` component) removed — and rejects any
 /// group whose slowest median exceeds [`MAX_WORKLOAD_SPREAD`]× its
 /// fastest. Names with fewer than three segments carry no algorithm
-/// dimension and are exempt.
+/// dimension and are exempt, as are the [`NO_ALGORITHM_SEGMENT`] groups.
 fn check_workload_spread(entries: &[Json]) -> Result<(), String> {
     // A named row: (full benchmark name, median_ns).
     type Row = (String, f64);
@@ -114,7 +123,7 @@ fn check_workload_spread(entries: &[Json]) -> Result<(), String> {
             continue;
         };
         let segments: Vec<&str> = name.split('/').collect();
-        if segments.len() < 3 {
+        if segments.len() < 3 || NO_ALGORITHM_SEGMENT.contains(&segments[0]) {
             continue;
         }
         let mut key_parts = segments.clone();

@@ -8,7 +8,11 @@
 //! 1. `href`s in the generated HTML that point at files which were never
 //!    emitted (classic causes: items referenced across crates that are
 //!    not documented together, stale `--no-deps` seams, hand-written
-//!    anchors in doc comments).
+//!    anchors in doc comments). One cause is order-dependent: an explicit
+//!    cross-crate destination (`[WAL](other_crate::wal)`) is emitted
+//!    verbatim when `other_crate`'s pages do not exist yet, and
+//!    `cargo doc --no-deps --workspace` documents members in no fixed
+//!    order — name the item in code font instead of linking it.
 //! 2. Relative links in hand-written markdown (`README.md`,
 //!    `ARCHITECTURE.md`, `docs/*.md`) whose target file moved or was
 //!    never committed — nothing else in the build reads those files, so

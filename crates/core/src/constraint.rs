@@ -27,9 +27,13 @@
 //! same SPARQL text, repeated *and* concurrent queries with the same `S`
 //! never re-run the pattern embedding for a vertex twice — the dominant
 //! cost of UIS (Theorem 3.3) drops to one array probe after warm-up. The
-//! cache allocates lazily (5 bytes per vertex) on the first
+//! cache allocates lazily twice over: nothing before the first
 //! [`satisfies_cached`](CompiledConstraint::satisfies_cached) call, so
-//! constraints that only ever materialize `V(S,G)` pay nothing. Dynamic
+//! constraints that only ever materialize `V(S,G)` pay nothing, and then
+//! 5 bytes per vertex one [`PAGE_SLOTS`]-vertex page at a time, so a
+//! narrow search that probes eight vertices of a 50k-vertex graph holds a
+//! few pages, not a quarter of a megabyte (the engine keeps up to 4,096
+//! such memos alive). Dynamic
 //! updates never poison the memo: a compiled constraint records the
 //! [`Graph::epoch`] it was bound to, `satisfies_cached` falls back to
 //! direct evaluation on mismatch, and the engine recompiles stale plans
@@ -145,37 +149,49 @@ impl fmt::Display for SubstructureConstraint {
 /// (stamp = epoch, state byte 1 or 0). [`invalidate`](Self::invalidate)
 /// bumps the epoch, turning every slot back to *unknown* in O(1) — the
 /// same design as `CloseMap`, including the wraparound fallback that
-/// clears the stamps for real once every `u32::MAX` invalidations.
+/// discards the stamps for real once every `u32::MAX` invalidations.
 /// Reads and writes are atomic (`Acquire`/`Release` on the stamp orders
 /// the state byte), so many sessions populate one cache concurrently;
 /// conflicting writes are harmless because `SCck` is deterministic.
 #[derive(Debug)]
 pub struct ScckCache {
-    stamps: Vec<AtomicU32>,
-    states: Vec<AtomicU8>, // valid only when the stamp matches; 0 = unsat, 1 = sat
+    /// Slot `v` lives in `pages[v / PAGE_SLOTS]`; a page is allocated by
+    /// the first [`set`](Self::set) that lands in it, and every slot of an
+    /// unallocated page is *unknown*.
+    pages: Vec<OnceLock<Box<Page>>>,
+    len: usize,
     epoch: u32,
+}
+
+/// Vertices per lazily allocated [`ScckCache`] page (5 KiB of slots).
+pub const PAGE_SLOTS: usize = 1024;
+
+#[derive(Debug)]
+struct Page {
+    stamps: [AtomicU32; PAGE_SLOTS],
+    states: [AtomicU8; PAGE_SLOTS], // valid only when the stamp matches; 0 = unsat, 1 = sat
 }
 
 impl ScckCache {
     /// Creates a cache over `n` vertices, all *unknown*.
     pub fn new(n: usize) -> Self {
-        let mut stamps = Vec::with_capacity(n);
-        stamps.resize_with(n, || AtomicU32::new(0));
-        let mut states = Vec::with_capacity(n);
-        states.resize_with(n, || AtomicU8::new(0));
-        ScckCache { stamps, states, epoch: 1 }
+        let mut pages = Vec::new();
+        pages.resize_with(n.div_ceil(PAGE_SLOTS), OnceLock::new);
+        ScckCache { pages, len: n, epoch: 1 }
     }
 
     /// The memoized `SCck(v, S)`, or `None` while *unknown*.
     #[inline(always)]
     pub fn get(&self, v: VertexId) -> Option<bool> {
+        let page = self.pages[v.index() / PAGE_SLOTS].get()?;
+        let slot = v.index() % PAGE_SLOTS;
         // The Acquire load pairs with the Release store in `set`: a stamp
         // matching the epoch proves the writer's state byte is visible.
-        if self.stamps[v.index()].load(Ordering::Acquire) == self.epoch {
+        if page.stamps[slot].load(Ordering::Acquire) == self.epoch {
             // relaxed: ordered by the Acquire on the stamp above — the
             // stamp's acquire/release pair is the only publication edge
             // this byte needs.
-            Some(self.states[v.index()].load(Ordering::Relaxed) == 1)
+            Some(page.states[slot].load(Ordering::Relaxed) == 1)
         } else {
             None
         }
@@ -186,11 +202,18 @@ impl ScckCache {
     /// slot with a stale state.
     #[inline(always)]
     pub fn set(&self, v: VertexId, sat: bool) {
+        let page = self.pages[v.index() / PAGE_SLOTS].get_or_init(|| {
+            Box::new(Page {
+                stamps: std::array::from_fn(|_| AtomicU32::new(0)),
+                states: std::array::from_fn(|_| AtomicU8::new(0)),
+            })
+        });
+        let slot = v.index() % PAGE_SLOTS;
         // relaxed: the Release store on the stamp below publishes this
         // byte; readers only look at it after an Acquire load of the
         // stamp observes the matching epoch.
-        self.states[v.index()].store(u8::from(sat), Ordering::Relaxed);
-        self.stamps[v.index()].store(self.epoch, Ordering::Release);
+        page.states[slot].store(u8::from(sat), Ordering::Relaxed);
+        page.stamps[slot].store(self.epoch, Ordering::Release);
     }
 
     /// Resets every slot to *unknown* in O(1). Requires exclusive access —
@@ -200,21 +223,20 @@ impl ScckCache {
     pub fn invalidate(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            for s in &mut self.stamps {
-                s.set_mut(0);
-            }
-            self.epoch = 1;
+            // Stamps written under recycled epochs would alias the
+            // restarted counter: drop the pages that hold them.
+            *self = ScckCache::new(self.len);
         }
     }
 
     /// Number of vertices covered.
     pub fn len(&self) -> usize {
-        self.stamps.len()
+        self.len
     }
 
     /// Whether the cache covers zero vertices.
     pub fn is_empty(&self) -> bool {
-        self.stamps.is_empty()
+        self.len == 0
     }
 
     /// Forces the epoch counter (wraparound regression tests only).
@@ -694,6 +716,24 @@ mod tests {
         assert_eq!(cache.get(VertexId(1)), None);
         cache.set(VertexId(1), false);
         assert_eq!(cache.get(VertexId(1)), Some(false));
+    }
+
+    #[test]
+    fn scck_cache_pages_do_not_alias() {
+        // Slots either side of a page boundary, and a last page shorter
+        // than PAGE_SLOTS; pages nobody wrote to read as unknown.
+        let n = 2 * PAGE_SLOTS + 7;
+        let cache = ScckCache::new(n);
+        let at = |i: usize| VertexId(i as u32);
+        cache.set(at(PAGE_SLOTS - 1), true);
+        cache.set(at(PAGE_SLOTS), false);
+        cache.set(at(n - 1), true);
+        assert_eq!(cache.get(at(PAGE_SLOTS - 1)), Some(true));
+        assert_eq!(cache.get(at(PAGE_SLOTS)), Some(false));
+        assert_eq!(cache.get(at(n - 1)), Some(true));
+        assert_eq!(cache.get(at(0)), None, "same page as a written slot");
+        assert_eq!(cache.get(at(2 * PAGE_SLOTS)), None);
+        assert_eq!(cache.len(), n);
     }
 
     #[test]

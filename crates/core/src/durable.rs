@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Every content-changing [`UpdateBatch`] is applied to the engine and
-//! then appended to the [WAL](kgreach_graph::wal) **before**
+//! then appended to the write-ahead log (`kgreach_graph::wal`) **before**
 //! [`DurableEngine::apply_update`] returns — callers that acknowledge
 //! after that return therefore never acknowledge an update a restart can
 //! lose (modulo the chosen [`FsyncPolicy`]'s power-failure window). When

@@ -299,6 +299,16 @@ pub(crate) fn label_run_in(slice: &[LabeledTarget], l: LabelId) -> &[LabeledTarg
     &slice[lo..hi]
 }
 
+/// Whether a `(label, vertex)`-sorted adjacency slice holds the edge
+/// `(l, v)`: one binary search on the composite key, O(log d). The only
+/// edge-existence search in the tree — `Graph::has_edge` (and through it
+/// the SPARQL evaluator's bound–bound probe) and the delta overlay's
+/// base lookup both come here.
+#[inline]
+pub(crate) fn slice_has_edge(slice: &[LabeledTarget], l: LabelId, v: VertexId) -> bool {
+    slice.binary_search_by_key(&(l, v), |t| (t.label, t.vertex)).is_ok()
+}
+
 /// One vertex's adjacency as the search hot loops consume it; created by
 /// [`Csr::expansion`]. `edges` is either the full adjacency slice (the
 /// caller's per-edge label test filters) or empty when the incident-label

@@ -47,7 +47,7 @@
 //! ));
 //! ```
 
-use crate::csr::{Csr, LabeledTarget};
+use crate::csr::{slice_has_edge, Csr, LabeledTarget};
 use crate::fxhash::FxHashMap;
 use crate::ids::VertexId;
 use crate::labelset::LabelSet;
@@ -198,6 +198,15 @@ impl PatchedAdjacency {
     }
 }
 
+/// The incident-label mask transitions `(old, new)` one edge change
+/// caused: the source's out-mask and the target's in-mask. The graph
+/// folds them into its per-label vertex counts.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct MaskChange {
+    pub(crate) out: (LabelSet, LabelSet),
+    pub(crate) inn: (LabelSet, LabelSet),
+}
+
 /// The delta layered over one frozen CSR pair: per-vertex patched
 /// adjacencies in both directions, plus the counters the compaction
 /// policy and the adaptive planner read. See the [module docs](self).
@@ -279,18 +288,18 @@ impl DeltaOverlay {
     /// change needs to know which side of the base it lands on.
     fn base_has_edge(base_out: &Csr, src: VertexId, t: LabeledTarget) -> bool {
         src.index() < base_out.num_vertices()
-            && base_out.neighbors_with_label(src, t.label).iter().any(|e| e.vertex == t.vertex)
+            && slice_has_edge(base_out.neighbors(src), t.label, t.vertex)
     }
 
-    /// Applies one edge insertion; returns the out-mask transition
-    /// `(old, new)` of the source if the edge was actually new.
+    /// Applies one edge insertion; returns the mask transitions of the
+    /// source and the target if the edge was actually new.
     pub(crate) fn insert_edge(
         &mut self,
         base_out: &Csr,
         base_in: &Csr,
         src: VertexId,
         t: LabeledTarget,
-    ) -> Option<(LabelSet, LabelSet)> {
+    ) -> Option<MaskChange> {
         let patch =
             self.out.entry(src.0).or_insert_with(|| PatchedAdjacency::from_base(base_out, src));
         let old_mask = patch.mask;
@@ -303,8 +312,10 @@ impl DeltaOverlay {
             .inn
             .entry(t.vertex.0)
             .or_insert_with(|| PatchedAdjacency::from_base(base_in, t.vertex));
+        let old_in_mask = in_patch.mask;
         let fresh = in_patch.insert(back);
         debug_assert!(fresh, "out/in patches disagree on edge presence");
+        let change = MaskChange { out: (old_mask, new_mask), inn: (old_in_mask, in_patch.mask) };
         // Net drift: re-asserting a base edge cancels its earlier delete
         // instead of counting as new divergence, so churn that returns to
         // base content cannot creep toward the compaction threshold.
@@ -313,18 +324,18 @@ impl DeltaOverlay {
         } else {
             self.inserted += 1;
         }
-        Some((old_mask, new_mask))
+        Some(change)
     }
 
-    /// Applies one edge deletion; returns the out-mask transition
-    /// `(old, new)` of the source if the edge was actually present.
+    /// Applies one edge deletion; returns the mask transitions of the
+    /// source and the target if the edge was actually present.
     pub(crate) fn delete_edge(
         &mut self,
         base_out: &Csr,
         base_in: &Csr,
         src: VertexId,
         t: LabeledTarget,
-    ) -> Option<(LabelSet, LabelSet)> {
+    ) -> Option<MaskChange> {
         let patch =
             self.out.entry(src.0).or_insert_with(|| PatchedAdjacency::from_base(base_out, src));
         let old_mask = patch.mask;
@@ -337,8 +348,10 @@ impl DeltaOverlay {
             .inn
             .entry(t.vertex.0)
             .or_insert_with(|| PatchedAdjacency::from_base(base_in, t.vertex));
+        let old_in_mask = in_patch.mask;
         let removed = in_patch.remove(back);
         debug_assert!(removed, "out/in patches disagree on edge presence");
+        let change = MaskChange { out: (old_mask, new_mask), inn: (old_in_mask, in_patch.mask) };
         // Net drift: removing an overlay-only insert cancels it rather
         // than counting as a base deletion.
         if Self::base_has_edge(base_out, src, t) {
@@ -346,7 +359,7 @@ impl DeltaOverlay {
         } else {
             self.inserted -= 1;
         }
-        Some((old_mask, new_mask))
+        Some(change)
     }
 
     /// Summary counters for the compaction policy and the planner.

@@ -16,8 +16,10 @@
 //! [`epoch`](Graph::epoch), the invalidation signal for every cache
 //! derived from graph content.
 
-use crate::csr::{label_run_in, Csr, Expansion, LabelRuns, LabeledTarget, PerLabelRuns};
-use crate::delta::{DeltaOverlay, DeltaStats, UpdateBatch, UpdateOp, UpdateSummary};
+use crate::csr::{
+    label_run_in, slice_has_edge, Csr, Expansion, LabelRuns, LabeledTarget, PerLabelRuns,
+};
+use crate::delta::{DeltaOverlay, DeltaStats, MaskChange, UpdateBatch, UpdateOp, UpdateSummary};
 use crate::dict::Dict;
 use crate::error::{GraphError, Result};
 use crate::fxhash::fx_set_with_capacity;
@@ -93,6 +95,12 @@ pub struct Graph {
     /// and on snapshot load (never persisted), consumed by the `Auto`
     /// planner's expansion-region estimate.
     label_vertex_counts: Vec<usize>,
+    /// The in-direction mirror of `label_vertex_counts`: per label, the
+    /// number of vertices with at least one *in*-edge carrying it. With
+    /// the histogram it gives the SPARQL planner a label's average
+    /// fan-in (`histogram[l] / label_in_vertex_counts[l]`); derived and
+    /// maintained exactly like its out-direction twin.
+    label_in_vertex_counts: Vec<usize>,
     /// Vertices with a non-empty out-adjacency (non-sinks) — the baseline
     /// the expansion-selectivity test compares the expandable region
     /// against (KGs are full of sink literals that no constraint could
@@ -119,14 +127,16 @@ impl Graph {
         // subsequent clones copy only update-interned names.
         vertex_dict.freeze();
         label_dict.freeze();
-        let mut label_vertex_counts = vec![0usize; label_dict.len()];
-        let mut non_sink_vertices = 0usize;
-        for mask in out.label_masks() {
-            non_sink_vertices += usize::from(!mask.is_empty());
-            for l in mask.iter() {
-                label_vertex_counts[l.index()] += 1;
+        let vertices_per_label = |masks: &[LabelSet]| {
+            let mut counts = vec![0usize; label_dict.len()];
+            for l in masks.iter().flat_map(|mask| mask.iter()) {
+                counts[l.index()] += 1;
             }
-        }
+            counts
+        };
+        let label_vertex_counts = vertices_per_label(out.label_masks());
+        let label_in_vertex_counts = vertices_per_label(inn.label_masks());
+        let non_sink_vertices = out.label_masks().iter().filter(|m| !m.is_empty()).count();
         let num_edges = out.num_edges();
         Graph {
             vertex_dict,
@@ -139,6 +149,7 @@ impl Graph {
             schema,
             label_histogram,
             label_vertex_counts,
+            label_in_vertex_counts,
             non_sink_vertices,
         }
     }
@@ -430,9 +441,18 @@ impl Graph {
         self.out_degree(v) + self.in_degree(v)
     }
 
-    /// Whether the concrete edge `(s, l, t)` exists.
+    /// Whether the concrete edge `(s, l, t)` exists: one binary search
+    /// on the `(label, vertex)`-sorted adjacency of whichever endpoint
+    /// has the shorter one (`s`'s out-edges or `t`'s in-edges), so a
+    /// probe against a hub costs O(log d) of the *other* side's degree.
+    /// Merged view while an overlay is active.
     pub fn has_edge(&self, s: VertexId, l: LabelId, t: VertexId) -> bool {
-        self.out_neighbors_with_label(s, l).iter().any(|n| n.vertex == t)
+        let (out, inn) = (self.out_neighbors(s), self.in_neighbors(t));
+        if out.len() <= inn.len() {
+            slice_has_edge(out, l, t)
+        } else {
+            slice_has_edge(inn, l, s)
+        }
     }
 
     /// Iterates every edge of the graph in source order.
@@ -462,6 +482,17 @@ impl Graph {
     /// selectivity signal than `|L| / |𝓛|`.
     pub fn label_vertex_counts(&self) -> &[usize] {
         &self.label_vertex_counts
+    }
+
+    /// Per-label count of vertices with at least one *in*-edge carrying
+    /// that label — the mirror of
+    /// [`label_vertex_counts`](Self::label_vertex_counts). A label's
+    /// average fan-out is `label_histogram[l] / label_vertex_counts[l]`
+    /// and its average fan-in `label_histogram[l] /
+    /// label_in_vertex_counts[l]`: what the SPARQL planner charges a
+    /// pattern it enters through an already-bound variable.
+    pub fn label_in_vertex_counts(&self) -> &[usize] {
+        &self.label_in_vertex_counts
     }
 
     /// Resolves a vertex name to its id.
@@ -543,6 +574,7 @@ impl Graph {
             + self.schema.heap_bytes()
             + self.label_histogram.capacity() * std::mem::size_of::<usize>()
             + self.label_vertex_counts.capacity() * std::mem::size_of::<usize>()
+            + self.label_in_vertex_counts.capacity() * std::mem::size_of::<usize>()
             + self.overlay.as_deref().map_or(0, DeltaOverlay::heap_bytes)
     }
 
@@ -656,10 +688,10 @@ impl Graph {
                         .expect("overlay installed above")
                         .insert_edge(&self.out, &self.inn, s, target);
                     match change {
-                        Some((old_mask, new_mask)) => {
+                        Some(masks) => {
                             self.label_histogram[p.index()] += 1;
                             self.num_edges += 1;
-                            self.note_out_mask_change(old_mask, new_mask);
+                            self.note_mask_change(masks);
                             summary.edges_inserted += 1;
                             touched.insert(s);
                             if self.schema.type_label == Some(p) {
@@ -691,10 +723,10 @@ impl Graph {
                         .expect("overlay installed above")
                         .delete_edge(&self.out, &self.inn, s, target);
                     match change {
-                        Some((old_mask, new_mask)) => {
+                        Some(masks) => {
                             self.label_histogram[p.index()] -= 1;
                             self.num_edges -= 1;
-                            self.note_out_mask_change(old_mask, new_mask);
+                            self.note_mask_change(masks);
                             summary.edges_deleted += 1;
                             touched.insert(s);
                             if self.schema.type_label == Some(p) {
@@ -778,6 +810,7 @@ impl Graph {
         debug_assert!(id <= u16::MAX as u32, "label id overflows u16");
         self.label_histogram.push(0);
         self.label_vertex_counts.push(0);
+        self.label_in_vertex_counts.push(0);
         let l = LabelId(id as u16);
         if vocab::is_type(name) {
             self.schema.type_label.get_or_insert(l);
@@ -791,18 +824,21 @@ impl Graph {
         l
     }
 
-    /// Folds an out-mask transition of one vertex into the mask-derived
-    /// statistics (`label_vertex_counts`, `non_sink_vertices`).
-    fn note_out_mask_change(&mut self, old: LabelSet, new: LabelSet) {
-        if old == new {
-            return;
+    /// Folds the mask transitions of one edge change into the
+    /// mask-derived statistics (`label_vertex_counts`,
+    /// `label_in_vertex_counts`, `non_sink_vertices`).
+    fn note_mask_change(&mut self, masks: MaskChange) {
+        fn fold(counts: &mut [usize], (old, new): (LabelSet, LabelSet)) {
+            for l in new.difference(old).iter() {
+                counts[l.index()] += 1;
+            }
+            for l in old.difference(new).iter() {
+                counts[l.index()] -= 1;
+            }
         }
-        for l in new.difference(old).iter() {
-            self.label_vertex_counts[l.index()] += 1;
-        }
-        for l in old.difference(new).iter() {
-            self.label_vertex_counts[l.index()] -= 1;
-        }
+        fold(&mut self.label_vertex_counts, masks.out);
+        fold(&mut self.label_in_vertex_counts, masks.inn);
+        let (old, new) = masks.out;
         match (old.is_empty(), new.is_empty()) {
             (true, false) => self.non_sink_vertices += 1,
             (false, true) => self.non_sink_vertices -= 1,
@@ -1299,6 +1335,8 @@ mod tests {
         // friendOf is on the out-edges of v0, v1 and v2.
         let friend = g.label_id("friendOf").unwrap();
         assert_eq!(g.label_vertex_counts()[friend.index()], 3);
+        // ... and on the in-edges of v1 and v3 (v3 twice, counted once).
+        assert_eq!(g.label_in_vertex_counts()[friend.index()], 2);
         // Each count is bounded by the histogram (a vertex counts once per
         // label however many such edges it has).
         for (c, h) in g.label_vertex_counts().iter().zip(g.label_histogram()) {
@@ -1367,8 +1405,11 @@ mod tests {
         // Mask-derived statistics must be maintained exactly.
         for (id, name) in (0..live.num_labels() as u16).map(|i| (i, live.label_name(LabelId(i)))) {
             let l = LabelId(id);
-            let (hist, counts) =
-                (live.label_histogram()[l.index()], live.label_vertex_counts()[l.index()]);
+            let (hist, counts, in_counts) = (
+                live.label_histogram()[l.index()],
+                live.label_vertex_counts()[l.index()],
+                live.label_in_vertex_counts()[l.index()],
+            );
             match reference.label_id(name) {
                 Some(rl) => {
                     assert_eq!(hist, reference.label_histogram()[rl.index()], "hist[{name}]");
@@ -1377,10 +1418,15 @@ mod tests {
                         reference.label_vertex_counts()[rl.index()],
                         "vertex_counts[{name}]"
                     );
+                    assert_eq!(
+                        in_counts,
+                        reference.label_in_vertex_counts()[rl.index()],
+                        "in_vertex_counts[{name}]"
+                    );
                 }
                 None => {
                     assert_eq!(hist, 0, "label {name} has no edges in the reference");
-                    assert_eq!(counts, 0);
+                    assert_eq!((counts, in_counts), (0, 0));
                 }
             }
         }
@@ -1453,6 +1499,37 @@ mod tests {
         assert_equivalent(&g, &rebuilt(&g));
         // touched_sources: v0 (insert) and v4 (delete), deduped + sorted.
         assert_eq!(s.touched_sources, vec![v0, v4]);
+    }
+
+    #[test]
+    fn has_edge_searches_the_merged_view() {
+        // A hub with enough same-label edges that the probe is a real
+        // binary search, not a one-element slice.
+        let mut b = GraphBuilder::new();
+        for i in 0..40 {
+            b.add_triple("hub", "p", &format!("t{i}"));
+            b.add_triple("hub", "q", &format!("t{i}"));
+        }
+        let mut g = b.build().unwrap();
+        let mut batch = UpdateBatch::new();
+        batch.insert("hub", "p", "fresh").delete("hub", "p", "t7");
+        g.apply_update(&batch).unwrap();
+        assert!(g.has_overlay());
+        let id = |n: &str| g.vertex_id(n).unwrap();
+        let (p, q) = (g.label_id("p").unwrap(), g.label_id("q").unwrap());
+        assert!(g.has_edge(id("hub"), p, id("fresh")), "added edge");
+        assert!(!g.has_edge(id("hub"), p, id("t7")), "removed edge");
+        assert!(g.has_edge(id("hub"), q, id("t7")), "same endpoints, other label");
+        assert!(!g.has_edge(id("hub"), q, id("fresh")));
+        assert!(!g.has_edge(id("t7"), p, id("hub")), "direction matters");
+        // Every edge of the merged view is found from either side, on
+        // the live graph and after compaction.
+        for live in [g.clone(), g.compacted()] {
+            for e in live.edges() {
+                assert!(live.has_edge(e.src, e.label, e.dst));
+                assert!(!live.has_edge(e.dst, e.label, e.src));
+            }
+        }
     }
 
     #[test]

@@ -188,9 +188,7 @@ impl ServerHandle {
 
     /// Installs the durability wrapper — every subsequent `/update` is
     /// write-ahead logged through it — and opens the data endpoints.
-    /// Call once, after [`DurableRecovery::replay`] finishes.
-    ///
-    /// [`DurableRecovery::replay`]: kgreach::DurableRecovery::replay
+    /// Call once, after `kgreach::DurableRecovery::replay` finishes.
     pub fn install_durable(&self, durable: Arc<DurableEngine>) {
         *self.shared.durable.lock().expect("durable handle lock") = Some(durable);
         self.mark_ready();

@@ -1,45 +1,97 @@
 //! Backtracking evaluation of resolved plans.
 //!
 //! The evaluator enumerates embeddings of a basic graph pattern into the
-//! graph by depth-first join: each plan pattern extends the current partial
-//! binding with every compatible edge. Three entry points cover everything
-//! the LSCR algorithms need:
+//! graph by depth-first join: each pattern of the walked order extends the
+//! current partial binding with every compatible edge. Three entry points
+//! cover everything the LSCR algorithms need, and each walks the order the
+//! planner computed for its binding state (see [`crate::plan`]):
 //!
 //! * [`satisfies`] — the paper's `SCck(v, S)`: does binding the projection
-//!   variable `?x := v` extend to a full embedding?
+//!   variable `?x := v` extend to a full embedding? Walks
+//!   [`Plan::scck_order`]. Allocation-free for plans within the inline
+//!   [`Bindings`] capacity.
 //! * [`select_distinct`] — the paper's `V(S,G)`: all distinct values of
-//!   `?x`. Prunes any branch whose `?x` is already in the result set, so
-//!   the cost is bounded by embeddings *per distinct* `?x` prefix rather
-//!   than total embeddings.
+//!   `?x`. Walks [`Plan::vsg_order`] and prunes any branch whose `?x` is
+//!   already in the result set, so the cost is bounded by embeddings *per
+//!   distinct* `?x` prefix rather than total embeddings.
 //! * [`count_embeddings`] — total embedding count (tests/diagnostics).
+//!
+//! How a pattern is matched depends on what is bound when the join reaches
+//! it. One bound endpoint: its label run is enumerated (a binary-searched
+//! sub-slice of the adjacency). Both endpoints and the predicate bound: no
+//! enumeration at all, one [`Graph::has_edge`] probe — a binary search of
+//! the shorter endpoint's adjacency, so `<dept> hasMember ?x` under a bound
+//! `?x` costs O(log d) of the student's degree, not a walk over the
+//! department's members. Nothing bound: every edge carrying the label is
+//! scanned; the cost model ranks that last, so it is reached first only by
+//! patterns no constant and no earlier pattern connects to.
 
 use crate::plan::{NodeRef, Plan, PredRef, ResolvedPattern};
 use kgreach_graph::fxhash::FxHashSet;
 use kgreach_graph::{Graph, LabelId, VertexId};
 
-/// A partial assignment of node and predicate variables.
+/// Node variables a [`Bindings`] holds without touching the heap (the
+/// paper's largest constraint, S4, has eight).
+const INLINE_NODE_VARS: usize = 8;
+/// Predicate variables a [`Bindings`] holds without touching the heap.
+const INLINE_PRED_VARS: usize = 2;
+
+/// A partial assignment of node and predicate variables: fixed inline
+/// arrays, with a heap fallback only for plans with more variables than
+/// those hold.
 #[derive(Clone, Debug)]
 pub struct Bindings {
-    nodes: Vec<Option<VertexId>>,
-    preds: Vec<Option<LabelId>>,
+    nodes: Slots<VertexId, INLINE_NODE_VARS>,
+    preds: Slots<LabelId, INLINE_PRED_VARS>,
+}
+
+/// `len` optional values: inline when `len <= N`, spilled otherwise.
+#[derive(Clone, Debug)]
+struct Slots<T, const N: usize> {
+    inline: [Option<T>; N],
+    spill: Vec<Option<T>>,
+    len: usize,
+}
+
+impl<T: Copy, const N: usize> Slots<T, N> {
+    fn new(len: usize) -> Self {
+        let spill = if len > N { vec![None; len] } else { Vec::new() };
+        Slots { inline: [None; N], spill, len }
+    }
+
+    fn as_slice(&self) -> &[Option<T>] {
+        if self.len > N {
+            &self.spill
+        } else {
+            &self.inline[..self.len]
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Option<T>] {
+        if self.len > N {
+            &mut self.spill
+        } else {
+            &mut self.inline[..self.len]
+        }
+    }
 }
 
 impl Bindings {
     /// Fresh all-unbound bindings sized for `plan`.
     pub fn for_plan(plan: &Plan) -> Self {
-        Bindings { nodes: vec![None; plan.num_node_vars], preds: vec![None; plan.num_pred_vars] }
+        Bindings { nodes: Slots::new(plan.num_node_vars), preds: Slots::new(plan.num_pred_vars) }
     }
 
     /// Value of node variable `v`, if bound.
     #[inline]
     pub fn node(&self, v: u16) -> Option<VertexId> {
-        self.nodes[v as usize]
+        self.nodes.as_slice()[v as usize]
     }
 
     /// Value of predicate variable `v`, if bound.
     #[inline]
     pub fn pred(&self, v: u16) -> Option<LabelId> {
-        self.preds[v as usize]
+        self.preds.as_slice()[v as usize]
     }
 }
 
@@ -63,13 +115,10 @@ pub fn satisfies(g: &Graph, plan: &Plan, x: VertexId) -> bool {
         None => return false,
     };
     let mut b = Bindings::for_plan(plan);
-    b.nodes[var as usize] = Some(x);
-    let mut found = false;
-    solve(g, plan, 0, &mut b, &mut |_| {
-        found = true;
-        Control::Stop
-    });
-    found
+    b.nodes.as_mut_slice()[var as usize] = Some(x);
+    let mut exists = Exists(false);
+    Join::new(g, &plan.scck_order, &mut b, &mut exists).solve(0);
+    exists.0
 }
 
 /// `V(S,G)`: all distinct values of the first projected variable, in
@@ -83,10 +132,10 @@ pub fn select_distinct(g: &Graph, plan: &Plan) -> Vec<VertexId> {
         Some(&v) => v,
         None => return Vec::new(),
     };
-    let mut found: FxHashSet<VertexId> = FxHashSet::default();
+    let mut distinct = Distinct { var, found: FxHashSet::default() };
     let mut b = Bindings::for_plan(plan);
-    solve_dedup(g, plan, 0, &mut b, var, &mut found);
-    let mut out: Vec<VertexId> = found.into_iter().collect();
+    Join::new(g, &plan.vsg_order, &mut b, &mut distinct).solve(0);
+    let mut out: Vec<VertexId> = distinct.found.into_iter().collect();
     out.sort_unstable();
     out
 }
@@ -96,205 +145,234 @@ pub fn count_embeddings(g: &Graph, plan: &Plan, limit: usize) -> usize {
     if plan.unsatisfiable || limit == 0 {
         return 0;
     }
-    let mut count = 0usize;
+    let mut count = Count { count: 0, limit };
     let mut b = Bindings::for_plan(plan);
-    solve(g, plan, 0, &mut b, &mut |_| {
-        count += 1;
-        if count >= limit {
+    Join::new(g, &plan.vsg_order, &mut b, &mut count).solve(0);
+    count.count
+}
+
+/// What a join does with the embeddings it finds. Static dispatch: each
+/// entry point instantiates its own copy of the recursion.
+trait Visitor {
+    /// Whether the subtree under the partial binding `nodes` is known to
+    /// add nothing.
+    fn prune(&self, _nodes: &[Option<VertexId>]) -> bool {
+        false
+    }
+
+    /// Called with every full embedding.
+    fn solution(&mut self, nodes: &[Option<VertexId>]) -> Control;
+}
+
+/// [`satisfies`]: the first embedding settles it.
+struct Exists(bool);
+
+impl Visitor for Exists {
+    fn solution(&mut self, _nodes: &[Option<VertexId>]) -> Control {
+        self.0 = true;
+        Control::Stop
+    }
+}
+
+/// [`count_embeddings`].
+struct Count {
+    count: usize,
+    limit: usize,
+}
+
+impl Visitor for Count {
+    fn solution(&mut self, _nodes: &[Option<VertexId>]) -> Control {
+        self.count += 1;
+        if self.count >= self.limit {
             Control::Stop
         } else {
             Control::Continue
         }
-    });
-    count
-}
-
-/// Depth-first join over `plan.patterns[depth..]`, invoking `visit` for
-/// every full embedding.
-fn solve(
-    g: &Graph,
-    plan: &Plan,
-    depth: usize,
-    b: &mut Bindings,
-    visit: &mut dyn FnMut(&Bindings) -> Control,
-) -> Control {
-    if depth == plan.patterns.len() {
-        return visit(b);
     }
-    let pat = plan.patterns[depth];
-    each_match(g, pat, b, &mut |b| solve(g, plan, depth + 1, b, visit))
 }
 
-/// Like [`solve`], but prunes branches whose distinguished variable `var`
-/// is bound to an already-collected value, and records values on success.
-fn solve_dedup(
-    g: &Graph,
-    plan: &Plan,
-    depth: usize,
-    b: &mut Bindings,
+/// [`select_distinct`]: collects the values of `var`, and prunes branches
+/// whose `var` is bound to an already-collected value (the subtree can only
+/// repeat it).
+struct Distinct {
     var: u16,
-    found: &mut FxHashSet<VertexId>,
-) -> Control {
-    if let Some(x) = b.nodes[var as usize] {
-        if found.contains(&x) {
-            return Control::Continue; // subtree can only repeat x
-        }
-    }
-    if depth == plan.patterns.len() {
-        if let Some(x) = b.nodes[var as usize] {
-            found.insert(x);
-        }
-        return Control::Continue;
-    }
-    let pat = plan.patterns[depth];
-    each_match(g, pat, b, &mut |b| solve_dedup(g, plan, depth + 1, b, var, found))
+    found: FxHashSet<VertexId>,
 }
 
-/// Enumerates every edge matching `pat` under the current bindings,
-/// extending the bindings for each and invoking `k`; restores the bindings
-/// afterwards. Returns `Stop` as soon as `k` does.
-fn each_match(
-    g: &Graph,
-    pat: ResolvedPattern,
-    b: &mut Bindings,
-    k: &mut dyn FnMut(&mut Bindings) -> Control,
-) -> Control {
-    #[derive(Copy, Clone)]
-    enum Slot {
-        Bound(VertexId),
-        Free(u16),
+impl Visitor for Distinct {
+    fn prune(&self, nodes: &[Option<VertexId>]) -> bool {
+        nodes[self.var as usize].is_some_and(|x| self.found.contains(&x))
     }
-    let resolve = |n: NodeRef, b: &Bindings| match n {
-        NodeRef::Const(v) => Slot::Bound(v),
-        NodeRef::Var(i) => match b.nodes[i as usize] {
-            Some(v) => Slot::Bound(v),
-            None => Slot::Free(i),
-        },
-    };
-    let s = resolve(pat.s, b);
-    let o = resolve(pat.o, b);
-    let p: Option<LabelId> = match pat.p {
-        PredRef::Const(l) => Some(l),
-        PredRef::Var(i) => b.preds[i as usize],
-    };
 
-    // Per-edge continuation: binds whatever is free, calls k, restores.
-    let mut try_edge =
-        |src: VertexId, label: LabelId, dst: VertexId, b: &mut Bindings| -> Control {
-            // Check/bind subject.
-            let mut bound_s = None;
-            match s {
-                Slot::Bound(v) => {
-                    if v != src {
-                        return Control::Continue;
-                    }
-                }
-                Slot::Free(i) => {
-                    b.nodes[i as usize] = Some(src);
-                    bound_s = Some(i);
-                }
-            }
-            // Check/bind object. Note: if s and o are the *same* free variable,
-            // s's binding above makes o Bound-checked here via the re-resolve.
-            let o_now = match pat.o {
-                NodeRef::Const(v) => Slot::Bound(v),
-                NodeRef::Var(i) => match b.nodes[i as usize] {
-                    Some(v) => Slot::Bound(v),
-                    None => Slot::Free(i),
-                },
-            };
-            let mut bound_o = None;
-            match o_now {
-                Slot::Bound(v) => {
-                    if v != dst {
-                        if let Some(i) = bound_s {
-                            b.nodes[i as usize] = None;
-                        }
-                        return Control::Continue;
-                    }
-                }
-                Slot::Free(i) => {
-                    b.nodes[i as usize] = Some(dst);
-                    bound_o = Some(i);
-                }
-            }
-            // Check/bind predicate.
-            let mut bound_p = None;
-            let pred_ok = match pat.p {
-                PredRef::Const(l) => l == label,
-                PredRef::Var(i) => match b.preds[i as usize] {
-                    Some(l) => l == label,
-                    None => {
-                        b.preds[i as usize] = Some(label);
-                        bound_p = Some(i);
-                        true
-                    }
-                },
-            };
-            let flow = if pred_ok { k(b) } else { Control::Continue };
-            if let Some(i) = bound_p {
-                b.preds[i as usize] = None;
-            }
-            if let Some(i) = bound_o {
-                b.nodes[i as usize] = None;
-            }
-            if let Some(i) = bound_s {
-                b.nodes[i as usize] = None;
-            }
-            flow
+    fn solution(&mut self, nodes: &[Option<VertexId>]) -> Control {
+        if let Some(x) = nodes[self.var as usize] {
+            self.found.insert(x);
+        }
+        Control::Continue
+    }
+}
+
+/// A subject/object slot under the current bindings.
+#[derive(Copy, Clone)]
+enum Slot {
+    Bound(VertexId),
+    Free(u16),
+}
+
+/// One depth-first join over `order`.
+struct Join<'a, V> {
+    g: &'a Graph,
+    order: &'a [ResolvedPattern],
+    nodes: &'a mut [Option<VertexId>],
+    preds: &'a mut [Option<LabelId>],
+    visitor: &'a mut V,
+}
+
+impl<'a, V: Visitor> Join<'a, V> {
+    fn new(
+        g: &'a Graph,
+        order: &'a [ResolvedPattern],
+        b: &'a mut Bindings,
+        visitor: &'a mut V,
+    ) -> Self {
+        Join { g, order, nodes: b.nodes.as_mut_slice(), preds: b.preds.as_mut_slice(), visitor }
+    }
+
+    fn slot(&self, n: NodeRef) -> Slot {
+        match n {
+            NodeRef::Const(v) => Slot::Bound(v),
+            NodeRef::Var(i) => match self.nodes[i as usize] {
+                Some(v) => Slot::Bound(v),
+                None => Slot::Free(i),
+            },
+        }
+    }
+
+    /// Joins `order[depth..]` under the current bindings, reporting every
+    /// full embedding to the visitor; leaves the bindings as it found
+    /// them. Returns `Stop` as soon as the visitor does.
+    fn solve(&mut self, depth: usize) -> Control {
+        if self.visitor.prune(self.nodes) {
+            return Control::Continue;
+        }
+        let Some(&pat) = self.order.get(depth) else {
+            return self.visitor.solution(self.nodes);
         };
-
-    match (s, o, p) {
-        // Subject known: scan its out-edges (label-filtered when possible).
-        (Slot::Bound(sv), _, Some(l)) => {
-            for t in g.out_neighbors_with_label(sv, l) {
-                if try_edge(sv, t.label, t.vertex, b) == Control::Stop {
-                    return Control::Stop;
+        let g = self.g;
+        let p: Option<LabelId> = match pat.p {
+            PredRef::Const(l) => Some(l),
+            PredRef::Var(i) => self.preds[i as usize],
+        };
+        match (self.slot(pat.s), self.slot(pat.o), p) {
+            // Everything known: an existence probe, nothing to bind.
+            (Slot::Bound(sv), Slot::Bound(ov), Some(l)) => {
+                if g.has_edge(sv, l, ov) {
+                    self.solve(depth + 1)
+                } else {
+                    Control::Continue
                 }
             }
-            Control::Continue
-        }
-        (Slot::Bound(sv), _, None) => {
-            for t in g.out_neighbors(sv) {
-                if try_edge(sv, t.label, t.vertex, b) == Control::Stop {
-                    return Control::Stop;
-                }
-            }
-            Control::Continue
-        }
-        // Object known: scan its in-edges.
-        (Slot::Free(_), Slot::Bound(ov), Some(l)) => {
-            for t in g.in_neighbors_with_label(ov, l) {
-                if try_edge(t.vertex, t.label, ov, b) == Control::Stop {
-                    return Control::Stop;
-                }
-            }
-            Control::Continue
-        }
-        (Slot::Free(_), Slot::Bound(ov), None) => {
-            for t in g.in_neighbors(ov) {
-                if try_edge(t.vertex, t.label, ov, b) == Control::Stop {
-                    return Control::Stop;
-                }
-            }
-            Control::Continue
-        }
-        // Nothing known: full edge scan (the planner avoids this unless the
-        // pattern graph is disconnected).
-        (Slot::Free(_), Slot::Free(_), _) => {
-            for sv in g.vertices() {
+            // Subject known: scan its out-edges (label-filtered when possible).
+            (Slot::Bound(sv), _, _) => {
                 let edges = match p {
                     Some(l) => g.out_neighbors_with_label(sv, l),
                     None => g.out_neighbors(sv),
                 };
                 for t in edges {
-                    if try_edge(sv, t.label, t.vertex, b) == Control::Stop {
+                    if self.extend(depth, pat, sv, t.label, t.vertex) == Control::Stop {
                         return Control::Stop;
                     }
                 }
+                Control::Continue
             }
-            Control::Continue
+            // Object known: scan its in-edges.
+            (Slot::Free(_), Slot::Bound(ov), _) => {
+                let edges = match p {
+                    Some(l) => g.in_neighbors_with_label(ov, l),
+                    None => g.in_neighbors(ov),
+                };
+                for t in edges {
+                    if self.extend(depth, pat, t.vertex, t.label, ov) == Control::Stop {
+                        return Control::Stop;
+                    }
+                }
+                Control::Continue
+            }
+            // Nothing known: full edge scan (ordered last by the planner;
+            // first only when no constant or earlier pattern connects).
+            (Slot::Free(_), Slot::Free(_), _) => {
+                for sv in g.vertices() {
+                    let edges = match p {
+                        Some(l) => g.out_neighbors_with_label(sv, l),
+                        None => g.out_neighbors(sv),
+                    };
+                    for t in edges {
+                        if self.extend(depth, pat, sv, t.label, t.vertex) == Control::Stop {
+                            return Control::Stop;
+                        }
+                    }
+                }
+                Control::Continue
+            }
         }
+    }
+
+    /// Unifies `pat` with the edge `(src, label, dst)`: checks what is
+    /// bound, binds what is free, joins the rest of the order, and
+    /// restores the bindings.
+    fn extend(
+        &mut self,
+        depth: usize,
+        pat: ResolvedPattern,
+        src: VertexId,
+        label: LabelId,
+        dst: VertexId,
+    ) -> Control {
+        let mut bound_s = None;
+        match self.slot(pat.s) {
+            Slot::Bound(v) if v != src => return Control::Continue,
+            Slot::Bound(_) => {}
+            Slot::Free(i) => {
+                self.nodes[i as usize] = Some(src);
+                bound_s = Some(i);
+            }
+        }
+        // Resolved after the subject is bound: when both slots are the
+        // *same* free variable (`?x <p> ?x`) the object is checked against
+        // the value the subject just took.
+        let mut bound_o = None;
+        let mut matches = true;
+        match self.slot(pat.o) {
+            Slot::Bound(v) => matches = v == dst,
+            Slot::Free(i) => {
+                self.nodes[i as usize] = Some(dst);
+                bound_o = Some(i);
+            }
+        }
+        let mut bound_p = None;
+        if matches {
+            match pat.p {
+                PredRef::Const(l) => matches = l == label,
+                PredRef::Var(i) => match self.preds[i as usize] {
+                    Some(l) => matches = l == label,
+                    None => {
+                        self.preds[i as usize] = Some(label);
+                        bound_p = Some(i);
+                    }
+                },
+            }
+        }
+        let flow = if matches { self.solve(depth + 1) } else { Control::Continue };
+        if let Some(i) = bound_p {
+            self.preds[i as usize] = None;
+        }
+        if let Some(i) = bound_o {
+            self.nodes[i as usize] = None;
+        }
+        if let Some(i) = bound_s {
+            self.nodes[i as usize] = None;
+        }
+        flow
     }
 }
 

@@ -1,12 +1,42 @@
-//! Query planning: name resolution and greedy join ordering.
+//! Query planning: name resolution and cost-based join ordering.
 //!
 //! A parsed [`SelectQuery`] refers to vertices and predicates by string;
 //! a [`Plan`] resolves them against a concrete [`Graph`] into dense ids and
-//! fixes a pattern evaluation order. Ordering is the classic greedy
-//! heuristic: repeatedly pick the cheapest pattern *connected* to the
-//! already-bound variables (constants and previously placed patterns), so
-//! the backtracking evaluator always joins against at least one bound
-//! endpoint when the pattern graph is connected.
+//! fixes the order the backtracking evaluator joins the patterns in.
+//!
+//! # Two orders, one rule
+//!
+//! The evaluator is entered in two binding states, and the cheapest order
+//! differs between them: `SCck(v, S)` ([`eval::satisfies`]) starts with
+//! `?x` bound, `V(S,G)` ([`eval::select_distinct`]) starts with nothing
+//! bound. [`Plan::compile`] therefore runs the same greedy ordering twice
+//! — [`Plan::scck_order`] with `?x` in the bound set, [`Plan::vsg_order`]
+//! with the bound set empty — and each entry point walks the order its real
+//! binding state calls for. For the paper's S3,
+//! `?x rdf:type Undergrad . ?x takesCourse ?y . ?y rdf:type Course`, the
+//! difference is a join that enumerates every `Course` per undergraduate
+//! against one that follows the student's handful of `takesCourse` edges
+//! and probes each target's type.
+//!
+//! # The cost model
+//!
+//! Each greedy step places the pending pattern that enumerates the fewest
+//! edges under the variables bound so far, estimated from statistics the
+//! graph already holds (O(1) or one O(log d) run lookup each):
+//!
+//! | endpoints of the pattern | charged |
+//! |---|---|
+//! | both bound (constants or placed variables) | nothing — a filter, placed at once |
+//! | one constant, other unbound | the exact label-run length at that vertex (`rdf:type <C>` is `C`'s in-run); its degree under a predicate variable |
+//! | one placed variable, other unbound | the label's average fan-out `histogram[l] / label_vertex_counts[l]` (fan-in through the object); `|E| / |V|` under a predicate variable |
+//! | nothing bound | `histogram[l]` (`|E|` under a predicate variable) — a full scan, the last resort |
+//!
+//! Connectivity dominates cost: a pattern with a bound endpoint always
+//! precedes one without. Ties keep query order, so equal text compiles to
+//! an equal `Plan`.
+//!
+//! [`eval::satisfies`]: crate::eval::satisfies
+//! [`eval::select_distinct`]: crate::eval::select_distinct
 
 use crate::ast::{SelectQuery, Term};
 use crate::error::{Result, SparqlError};
@@ -42,11 +72,18 @@ pub struct ResolvedPattern {
     pub o: NodeRef,
 }
 
-/// An executable plan: resolved patterns in evaluation order.
+/// An executable plan: the resolved patterns and the two join orders the
+/// evaluator walks (see the [module docs](self)).
 #[derive(Clone, Debug)]
 pub struct Plan {
-    /// Patterns in the order the evaluator joins them.
+    /// The resolved patterns, in query order.
     pub patterns: Vec<ResolvedPattern>,
+    /// The patterns in the order `SCck` joins them: the first projected
+    /// variable starts bound.
+    pub scck_order: Vec<ResolvedPattern>,
+    /// The patterns in the order `V(S,G)` (and embedding counting) joins
+    /// them: nothing starts bound.
+    pub vsg_order: Vec<ResolvedPattern>,
     /// Number of node variables.
     pub num_node_vars: usize,
     /// Number of predicate variables.
@@ -148,9 +185,25 @@ impl Plan {
             }
         }
 
-        let ordered = order_patterns(patterns, &projection);
+        // An unsatisfiable plan is never evaluated, and its placeholder
+        // ids must not reach the graph's statistics: keep query order. A
+        // single pattern has nothing to order.
+        let (scck_order, vsg_order) = if unsatisfiable || patterns.len() == 1 {
+            (patterns.clone(), patterns.clone())
+        } else {
+            // One scratch buffer for both runs: which node variables are
+            // bound, then which patterns are placed.
+            let mut scratch = vec![false; node_var_names.len() + patterns.len()];
+            let vsg_order = order_patterns(graph, &patterns, &mut scratch, None);
+            scratch.fill(false);
+            let scck_order =
+                order_patterns(graph, &patterns, &mut scratch, projection.first().copied());
+            (scck_order, vsg_order)
+        };
         Ok(Plan {
-            patterns: ordered,
+            patterns,
+            scck_order,
+            vsg_order,
             num_node_vars: node_var_names.len(),
             num_pred_vars: pred_var_names.len(),
             projection,
@@ -160,58 +213,96 @@ impl Plan {
     }
 }
 
-/// Greedy connected ordering.
-///
-/// The bound-variable set starts with the projected variables: the hot
-/// caller (`SCck`) evaluates the plan with `?x` pre-bound, and the
-/// `V(S,G)` enumerator benefits from binding `?x` early too (its distinct-
-/// value pruning cuts entire subtrees once a value is known).
-fn order_patterns(mut pending: Vec<ResolvedPattern>, projection: &[u16]) -> Vec<ResolvedPattern> {
-    let mut bound: Vec<bool> = Vec::new();
-    let bind = |v: u16, bound: &mut Vec<bool>| {
-        if bound.len() <= v as usize {
-            bound.resize(v as usize + 1, false);
-        }
-        bound[v as usize] = true;
-    };
-    for &v in projection {
-        bind(v, &mut bound);
+/// Greedy cost-based ordering of `patterns` with the node variable
+/// `pre_bound` (if any) bound from the start. Each step places the
+/// unplaced pattern with the smallest [`Cost`] (the first such in query
+/// order) and binds its variables. `scratch` holds one all-false flag per node variable followed by
+/// one per pattern.
+fn order_patterns(
+    g: &Graph,
+    patterns: &[ResolvedPattern],
+    scratch: &mut [bool],
+    pre_bound: Option<u16>,
+) -> Vec<ResolvedPattern> {
+    let (bound, placed) = scratch.split_at_mut(scratch.len() - patterns.len());
+    if let Some(x) = pre_bound {
+        bound[x as usize] = true;
     }
-
-    let is_bound = |n: NodeRef, bound: &[bool]| match n {
-        NodeRef::Const(_) => true,
-        NodeRef::Var(v) => bound.get(v as usize).copied().unwrap_or(false),
-    };
-
-    let mut ordered = Vec::with_capacity(pending.len());
-    while !pending.is_empty() {
-        // Cost: fewer unbound node slots is better; a constant predicate is
-        // better than a variable one; connectivity (≥1 bound node slot)
-        // dominates everything.
-        let mut best = 0usize;
-        let mut best_key = (usize::MAX, usize::MAX, usize::MAX);
-        for (i, p) in pending.iter().enumerate() {
-            let s_bound = is_bound(p.s, &bound);
-            let o_bound = is_bound(p.o, &bound);
-            let connected = usize::from(!(s_bound || o_bound));
-            let unbound_nodes = usize::from(!s_bound) + usize::from(!o_bound);
-            let pred_var = usize::from(matches!(p.p, PredRef::Var(_)));
-            let key = (connected, unbound_nodes, pred_var);
-            if key < best_key {
-                best_key = key;
-                best = i;
+    let mut ordered = Vec::with_capacity(patterns.len());
+    for _ in 0..patterns.len() {
+        // A strict comparison in query order: ties keep query order.
+        let mut best: Option<(usize, Cost)> = None;
+        for (i, &p) in patterns.iter().enumerate() {
+            if !placed[i] {
+                let c = cost(g, p, bound);
+                if best.map_or(true, |(_, b)| c < b) {
+                    best = Some((i, c));
+                }
             }
         }
-        let chosen = pending.swap_remove(best);
-        if let NodeRef::Var(v) = chosen.s {
-            bind(v, &mut bound);
+        let (i, _) = best.expect("an unplaced pattern per round");
+        placed[i] = true;
+        for n in [patterns[i].s, patterns[i].o] {
+            if let NodeRef::Var(v) = n {
+                bound[v as usize] = true;
+            }
         }
-        if let NodeRef::Var(v) = chosen.o {
-            bind(v, &mut bound);
-        }
-        ordered.push(chosen);
+        ordered.push(patterns[i]);
     }
     ordered
+}
+
+/// What placing a pattern next would cost, compared in declaration order
+/// of the variants first (connectivity dominates), then by the estimated
+/// number of edges the evaluator enumerates.
+#[derive(Copy, Clone, PartialEq, PartialOrd, Debug)]
+enum Cost {
+    /// Both endpoints bound: an existence probe.
+    Filter,
+    /// One endpoint bound: its label run (exact for a constant, the
+    /// label's average fan-out for a variable).
+    Connected(f64),
+    /// Neither endpoint bound: a scan of every edge carrying the label.
+    Scan(f64),
+}
+
+fn cost(g: &Graph, p: ResolvedPattern, bound: &[bool]) -> Cost {
+    /// An endpoint as the ordering sees it.
+    enum End {
+        Const(VertexId),
+        BoundVar,
+        Free,
+    }
+    let end = |n: NodeRef| match n {
+        NodeRef::Const(v) => End::Const(v),
+        NodeRef::Var(v) if bound[v as usize] => End::BoundVar,
+        NodeRef::Var(_) => End::Free,
+    };
+    let label = match p.p {
+        PredRef::Const(l) => Some(l),
+        PredRef::Var(_) => None,
+    };
+    // Edges carrying the label, and the average number of them per vertex
+    // that has any, in the direction given by `per_vertex`.
+    let edges = label.map_or(g.num_edges(), |l| g.label_histogram()[l.index()]) as f64;
+    let fan = |per_vertex: &[usize]| match label {
+        Some(l) => edges / per_vertex[l.index()].max(1) as f64,
+        None => edges / g.num_vertices().max(1) as f64,
+    };
+    match (end(p.s), end(p.o)) {
+        (End::Free, End::Free) => Cost::Scan(edges),
+        (End::Const(s), End::Free) => Cost::Connected(match label {
+            Some(l) => g.out_neighbors_with_label(s, l).len(),
+            None => g.out_degree(s),
+        } as f64),
+        (End::Free, End::Const(o)) => Cost::Connected(match label {
+            Some(l) => g.in_neighbors_with_label(o, l).len(),
+            None => g.in_degree(o),
+        } as f64),
+        (End::BoundVar, End::Free) => Cost::Connected(fan(g.label_vertex_counts())),
+        (End::Free, End::BoundVar) => Cost::Connected(fan(g.label_in_vertex_counts())),
+        _ => Cost::Filter,
+    }
 }
 
 #[cfg(test)]
@@ -261,13 +352,99 @@ mod tests {
         // ?y <q> ?z is disconnected from ?x until ?x <p> ?y runs.
         let q = parse("SELECT ?x WHERE { ?y <q> ?z . ?x <p> ?y . }").unwrap();
         let plan = Plan::compile(&g, &q).unwrap();
-        // First pattern must touch ?x (projection pre-bound).
-        match plan.patterns[0] {
+        assert_eq!(plan.patterns, [plan.scck_order[1], plan.scck_order[0]], "query order kept");
+        // With ?x bound the first pattern must touch ?x.
+        match plan.scck_order[0] {
             ResolvedPattern { s: NodeRef::Var(v), .. } => {
                 assert_eq!(plan.node_var_names[v as usize], "x");
             }
             ref other => panic!("unexpected first pattern {other:?}"),
         }
+    }
+
+    /// A LUBM-shaped fixture: two departments of 20 undergraduates and 4
+    /// graduate students each, 6 courses, every student taking two.
+    fn campus() -> Graph {
+        let mut b = GraphBuilder::new();
+        for c in 0..6 {
+            b.add_triple(&format!("course{c}"), "rdf:type", "Course");
+        }
+        for d in 0..2 {
+            for i in 0..24 {
+                let (name, class) = if i < 20 {
+                    (format!("ug{i}.dept{d}"), "UndergraduateStudent")
+                } else {
+                    (format!("grad{i}.dept{d}"), "GraduateStudent")
+                };
+                b.add_triple(&name, "rdf:type", class);
+                b.add_triple(&format!("dept{d}"), "hasMember", &name);
+                b.add_triple(&name, "takesCourse", &format!("course{}", i % 6));
+                b.add_triple(&name, "takesCourse", &format!("course{}", (i + 1) % 6));
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// The patterns of `order`, as their positions in the query text.
+    fn positions(plan: &Plan, order: &[ResolvedPattern]) -> Vec<usize> {
+        order.iter().map(|p| plan.patterns.iter().position(|q| q == p).unwrap()).collect()
+    }
+
+    #[test]
+    fn s3_scck_follows_the_students_courses() {
+        let g = campus();
+        let q = parse(
+            "SELECT ?x WHERE { ?x <rdf:type> <UndergraduateStudent> . \
+             ?y <rdf:type> <Course> . ?x <takesCourse> ?y . }",
+        )
+        .unwrap();
+        let plan = Plan::compile(&g, &q).unwrap();
+        // ?x bound: the type test is a probe, then the student's two
+        // takesCourse edges (fan-out 2) beat Course's in-run (6), which
+        // then is a probe as well.
+        assert_eq!(positions(&plan, &plan.scck_order), [0, 2, 1]);
+        // Nothing bound: the smallest constant run first, and never the
+        // per-undergraduate enumeration of every Course.
+        assert_eq!(positions(&plan, &plan.vsg_order), [1, 2, 0]);
+    }
+
+    #[test]
+    fn vsg_starts_from_the_smaller_constant_run() {
+        let g = campus();
+        let q = parse(
+            "SELECT ?x WHERE { ?x <rdf:type> <UndergraduateStudent> . <dept1> <hasMember> ?x . }",
+        )
+        .unwrap();
+        let plan = Plan::compile(&g, &q).unwrap();
+        // 24 members against 40 undergraduates.
+        assert_eq!(positions(&plan, &plan.vsg_order), [1, 0]);
+        // With ?x bound both are probes: query order.
+        assert_eq!(positions(&plan, &plan.scck_order), [0, 1]);
+    }
+
+    #[test]
+    fn equal_costs_keep_query_order() {
+        let g = campus();
+        let text = "SELECT ?x WHERE { ?x <takesCourse> ?a . ?x <takesCourse> ?b . \
+                    ?x <takesCourse> ?c . ?x <takesCourse> ?d . }";
+        let plan = Plan::compile(&g, &parse(text).unwrap()).unwrap();
+        assert_eq!(plan.scck_order, plan.patterns);
+        // Nothing bound: the first pattern is a scan, the rest tie behind it.
+        assert_eq!(plan.vsg_order, plan.patterns);
+        let again = Plan::compile(&g, &parse(text).unwrap()).unwrap();
+        assert_eq!((again.scck_order, again.vsg_order), (plan.scck_order, plan.vsg_order));
+    }
+
+    #[test]
+    fn unsatisfiable_plans_skip_the_statistics() {
+        // The placeholder ids of unresolved constants never index the
+        // graph — not even an empty one.
+        let g = GraphBuilder::new().build().unwrap();
+        let q = parse("SELECT ?x WHERE { ?x <p> <nowhere> . <nobody> ?q ?x . }").unwrap();
+        let plan = Plan::compile(&g, &q).unwrap();
+        assert!(plan.unsatisfiable);
+        assert_eq!(plan.scck_order, plan.patterns);
+        assert_eq!(plan.vsg_order, plan.patterns);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! - `cold_start/5M/text_parse_and_rebuild` — parse the N-Triples file,
 //!   re-intern everything, rebuild the local index.
 //! - `cold_start/5M/snapshot_load` — restore graph + index from the
-//!   binary engine snapshot through the borrowed-slice bulk reader.
+//!   binary engine snapshot (one bulk read, decoded in place).
 //!   Contract (asserted by CI on the committed JSON): ≥ 3× faster than
 //!   the text path.
 //! - `index_build/5M/landmarks64` — the landmark index build alone, at
@@ -26,7 +26,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use kgreach::{LocalIndex, LocalIndexConfig, LscrEngine};
 use kgreach_datagen::lubm::{self, LubmConfig};
-use kgreach_graph::{io, StreamingGraphBuilder};
+use kgreach_graph::{io, GraphBuilder};
 
 /// Target edge count: `KG_SCALE_EDGES`, else a CI-sized default.
 fn edge_target() -> usize {
@@ -53,9 +53,9 @@ fn bench_scale(c: &mut Criterion) {
     let seed = 0x5CA1E;
     let config = LubmConfig::sized_edges(target, seed);
     let g = kgreach_bench::cached_graph(&format!("lubm-scale-{target}-{seed}"), || {
-        let mut b = StreamingGraphBuilder::new();
+        let mut b = GraphBuilder::new();
         lubm::emit(&config, &mut b);
-        b.finish().expect("LUBM generation fits the label bitset")
+        b.build().expect("LUBM generation fits the label bitset")
     });
     println!(
         "# scale bench: |V| = {}, |E| = {} (target {target})",
@@ -82,7 +82,7 @@ fn bench_scale(c: &mut Criterion) {
     group.sample_size(samples);
     group.bench_function(format!("{label}/text_parse_and_rebuild"), |b| {
         b.iter(|| {
-            let g = io::load_graph_streaming(&text_path).expect("parse text triples");
+            let g = io::load_graph(&text_path).expect("parse text triples");
             let index = LocalIndex::build(&g, &index_config);
             black_box((g.num_edges(), index.stats().num_landmarks))
         })

@@ -59,7 +59,7 @@ fn main() {
         );
     }
     let engine = engine_with_index(g, index);
-    let g = engine.shared_graph();
+    let g = engine.graph();
 
     println!("\n# Figure 15 — random constraints by |V(S,G)| magnitude\n");
     print_header(&[

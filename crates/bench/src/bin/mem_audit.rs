@@ -1,5 +1,5 @@
 //! Per-edge memory audit: builds a LUBM-shaped graph of a target edge
-//! count through the streaming path, then the local index, and reports
+//! count through the chunked builder, then the local index, and reports
 //! bytes/edge for both — measured by the counting global allocator (real
 //! footprint including allocator slack) alongside each structure's own
 //! `heap_bytes`-style accounting.
@@ -14,7 +14,7 @@
 
 use kgreach::{LocalIndex, LocalIndexConfig};
 use kgreach_datagen::{lubm, LubmConfig};
-use kgreach_graph::StreamingGraphBuilder;
+use kgreach_graph::GraphBuilder;
 use kgreach_sync::alloc::CountingAlloc;
 use std::time::Instant;
 
@@ -35,10 +35,10 @@ fn main() {
     let live_before = ALLOC.live_bytes();
     ALLOC.reset_peak();
     let t = Instant::now();
-    let mut b = StreamingGraphBuilder::new();
+    let mut b = GraphBuilder::new();
     lubm::emit(&config, &mut b);
     let buffer_peak = b.peak_buffer_bytes();
-    let g = b.finish().expect("LUBM fits");
+    let g = b.build().expect("LUBM fits");
     let build_time = t.elapsed();
     let graph_live = ALLOC.live_bytes().saturating_sub(live_before);
     let graph_peak = ALLOC.peak_bytes().saturating_sub(live_before);

@@ -51,7 +51,7 @@ use kgreach_graph::snapshot::{
 use kgreach_graph::{Graph, UpdateBatch, UpdateSummary};
 use kgreach_sync::{Arc, Mutex, RwLock};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// The LSCR algorithms implemented by this crate.
@@ -242,12 +242,6 @@ impl LscrEngine {
     /// a running search — it swaps a new one in for *subsequent* queries.
     pub fn graph(&self) -> Arc<Graph> {
         Arc::clone(&self.state.read().expect("state lock").graph)
-    }
-
-    /// A shared handle to the graph (alias of [`graph`](Self::graph),
-    /// kept for source compatibility with the pre-dynamic API).
-    pub fn shared_graph(&self) -> Arc<Graph> {
-        self.graph()
     }
 
     /// The current graph's content epoch — bumped by every
@@ -559,17 +553,6 @@ impl LscrEngine {
         queries: &[(LscrQuery, Algorithm)],
         threads: usize,
     ) -> Vec<Result<QueryOutcome, QueryError>> {
-        self.answer_batch_with_options(queries, threads, &QueryOptions::default())
-    }
-
-    /// [`answer_batch`](Self::answer_batch) with explicit options applied
-    /// to every query.
-    pub fn answer_batch_with_options(
-        &self,
-        queries: &[(LscrQuery, Algorithm)],
-        threads: usize,
-        opts: &QueryOptions,
-    ) -> Vec<Result<QueryOutcome, QueryError>> {
         if queries.is_empty() {
             return Vec::new();
         }
@@ -585,10 +568,7 @@ impl LscrEngine {
         }
         if threads <= 1 {
             let mut session = self.session();
-            return queries
-                .iter()
-                .map(|(q, alg)| session.answer_with_options(q, *alg, opts))
-                .collect();
+            return queries.iter().map(|(q, alg)| session.answer(q, *alg)).collect();
         }
         let chunk = queries.len().div_ceil(threads);
         let mut results: Vec<Option<Result<QueryOutcome, QueryError>>> = Vec::new();
@@ -598,7 +578,7 @@ impl LscrEngine {
                 scope.spawn(move || {
                     let mut session = self.session();
                     for ((query, alg), slot) in qs.iter().zip(rs) {
-                        *slot = Some(session.answer_with_options(query, *alg, opts));
+                        *slot = Some(session.answer(query, *alg));
                     }
                 });
             }
@@ -639,47 +619,22 @@ impl LscrEngine {
     /// [`set_local_index`](Self::set_local_index) fingerprint check
     /// ([`QueryError::IndexGraphMismatch`]). The restored engine uses the
     /// default [`LocalIndexConfig`] for any future lazy build.
-    pub fn from_snapshot<R: Read>(reader: R) -> Result<LscrEngine, QueryError> {
-        let mut r = SectionReader::new(BufReader::new(reader)).map_err(QueryError::from)?;
+    pub fn from_snapshot(bytes: &[u8]) -> Result<LscrEngine, QueryError> {
+        let mut r = SectionReader::new(bytes)?;
         r.expect_kind(ArtifactKind::Engine)?;
         let graph = snapshot::read_graph_sections(&mut r)?;
-        let has_index =
-            Self::decode_index_flag(&r.section(TAG_ENGINE_HAS_INDEX, "engine-index-flag")?)?;
-        let index = if has_index { Some(LocalIndex::read_sections(&mut r)?) } else { None };
-        r.end().map_err(QueryError::from)?;
-        Self::assemble_restored(graph, index)
-    }
-
-    /// [`from_snapshot`](Self::from_snapshot) over an in-memory buffer,
-    /// borrowing section payloads instead of copying them — the bulk
-    /// cold-start path for multi-million-edge engine snapshots. Same
-    /// result and same typed errors as the streaming reader.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<LscrEngine, QueryError> {
-        let mut r = snapshot::SliceSectionReader::new(bytes).map_err(QueryError::from)?;
-        r.expect_kind(ArtifactKind::Engine)?;
-        let graph = snapshot::read_graph_sections_slice(&mut r)?;
-        let has_index =
-            Self::decode_index_flag(r.section(TAG_ENGINE_HAS_INDEX, "engine-index-flag")?)?;
-        let index = if has_index { Some(LocalIndex::read_sections_slice(&mut r)?) } else { None };
-        r.end().map_err(QueryError::from)?;
-        Self::assemble_restored(graph, index)
-    }
-
-    fn decode_index_flag(payload: &[u8]) -> Result<bool, QueryError> {
-        let mut flag = PayloadCursor::new(payload, "engine-index-flag");
+        let mut flag = PayloadCursor::new(
+            r.section(TAG_ENGINE_HAS_INDEX, "engine-index-flag")?,
+            "engine-index-flag",
+        );
         let has_index = match flag.get_u8()? {
             0 => false,
             1 => true,
             byte => return Err(flag.corrupt(format!("index flag byte is {byte}")).into()),
         };
         flag.finish()?;
-        Ok(has_index)
-    }
-
-    fn assemble_restored(
-        graph: Graph,
-        index: Option<LocalIndex>,
-    ) -> Result<LscrEngine, QueryError> {
+        let index = if has_index { Some(LocalIndex::read_sections(&mut r)?) } else { None };
+        r.end()?;
         let engine = LscrEngine::new(graph);
         if let Some(index) = index {
             engine.set_local_index(index)?;
@@ -694,9 +649,9 @@ impl LscrEngine {
     /// same atomic-swap discipline as
     /// [`apply_update`](Self::apply_update).
     ///
-    /// On any error (unreadable stream, corrupt snapshot, embedded index
-    /// built for a different graph) the engine is left serving its
-    /// current state untouched. The reloaded graph's content epoch is
+    /// On any error (corrupt snapshot, embedded index built for a
+    /// different graph) the engine is left serving its current state
+    /// untouched. The reloaded graph's content epoch is
     /// advanced strictly past the replaced graph's
     /// ([`Graph::advance_epoch_to`]), so every epoch-stamped cache bound
     /// to the old content — compiled plans with their `SCck` and `V(S,G)`
@@ -706,10 +661,10 @@ impl LscrEngine {
     /// graph fails its rebind with a typed [`QueryError`].
     ///
     /// Returns the fresh content epoch.
-    pub fn reload_from_snapshot<R: Read>(&self, reader: R) -> Result<u64, QueryError> {
+    pub fn reload_from_snapshot(&self, bytes: &[u8]) -> Result<u64, QueryError> {
         // Decode fully before taking any lock: a corrupt snapshot must
         // not stall or damage serving.
-        let staged = LscrEngine::from_snapshot(reader)?;
+        let staged = LscrEngine::from_snapshot(bytes)?;
         let _updates = self.update_lock.lock().expect("update lock");
         let (graph, index) = staged.state_snapshot();
         let mut graph = (*graph).clone();
@@ -728,8 +683,8 @@ impl LscrEngine {
     /// [`reload_from_snapshot`](Self::reload_from_snapshot) from a file
     /// path.
     pub fn reload_from_snapshot_file(&self, path: impl AsRef<Path>) -> Result<u64, QueryError> {
-        let file = File::open(path).map_err(kgreach_graph::GraphError::from)?;
-        self.reload_from_snapshot(file)
+        let bytes = std::fs::read(path).map_err(kgreach_graph::GraphError::from)?;
+        self.reload_from_snapshot(&bytes)
     }
 
     /// A point-in-time summary of the served state — the cheap
@@ -756,13 +711,11 @@ impl LscrEngine {
         self.save_snapshot(file)
     }
 
-    /// Restores an engine snapshot from a file path.
-    ///
-    /// Reads the whole file into memory and decodes sections from the
-    /// borrowed buffer — one bulk read plus in-place validation.
+    /// Restores an engine snapshot from a file path: one bulk read, then
+    /// [`from_snapshot`](Self::from_snapshot) over the buffer.
     pub fn from_snapshot_file(path: impl AsRef<Path>) -> Result<LscrEngine, QueryError> {
         let bytes = std::fs::read(path).map_err(kgreach_graph::GraphError::from)?;
-        Self::from_snapshot_bytes(&bytes)
+        Self::from_snapshot(&bytes)
     }
 
     /// The adaptive planner behind [`Algorithm::Auto`]: picks a concrete
@@ -979,7 +932,7 @@ mod tests {
         let g = Arc::new(figure3());
         let engine = LscrEngine::new(Arc::clone(&g));
         assert_eq!(engine.graph().num_vertices(), g.num_vertices());
-        assert_eq!(engine.shared_graph().num_edges(), g.num_edges());
+        assert_eq!(engine.graph().num_edges(), g.num_edges());
         let q = all_labels_query(&g, "v0", "v4");
         assert!(engine.answer(&q, Algorithm::Uis).unwrap().answer);
     }

@@ -48,14 +48,14 @@ use crate::partition::{
 };
 use kgreach_graph::fxhash::FxHashMap;
 use kgreach_graph::snapshot::{
-    ArtifactKind, PayloadBuf, PayloadCursor, SectionReader, SectionWriter, SliceSectionReader,
+    ArtifactKind, PayloadBuf, PayloadCursor, SectionReader, SectionWriter,
 };
 use kgreach_graph::{Cms, Graph, GraphFingerprint, LabelSet, VertexId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -210,7 +210,7 @@ impl LocalIndex {
     /// [`with_elapsed`](Self::with_elapsed) normalizes the wall time —
     /// for every `threads` value: workers take static contiguous ordinal
     /// chunks and results merge back in ordinal order.
-    pub fn build_with_landmarks_threaded(
+    fn build_with_landmarks_threaded(
         g: &Graph,
         landmarks: Vec<VertexId>,
         threads: usize,
@@ -336,7 +336,7 @@ impl LocalIndex {
     /// [`save`](Self::save) persists, so normalizing it (e.g. to zero)
     /// makes snapshots byte-comparable across runs and thread counts —
     /// the determinism contract of
-    /// [`build_with_landmarks_threaded`](Self::build_with_landmarks_threaded).
+    /// [`LocalIndexConfig::build_threads`].
     pub fn with_elapsed(mut self, elapsed: Duration) -> LocalIndex {
         self.stats.elapsed = elapsed;
         self
@@ -496,26 +496,8 @@ impl LocalIndex {
     /// Reads the index sections of snapshot format v1 from an open
     /// container, revalidating every structural invariant the INS search
     /// relies on. Counterpart of [`write_sections`](Self::write_sections).
-    pub fn read_sections<R: Read>(r: &mut SectionReader<R>) -> kgreach_graph::Result<LocalIndex> {
-        Self::read_sections_with(|tag, name| r.section(tag, name))
-    }
-
-    /// Reads the index sections from an in-memory container, decoding
-    /// each section straight out of the borrowed payload. Same
-    /// validation as [`read_sections`](Self::read_sections).
-    pub fn read_sections_slice(
-        r: &mut SliceSectionReader<'_>,
-    ) -> kgreach_graph::Result<LocalIndex> {
-        Self::read_sections_with(|tag, name| r.section(tag, name))
-    }
-
-    /// The decode loop shared by the streaming and in-memory readers:
-    /// `next` yields each expected section's payload.
-    fn read_sections_with<P: std::ops::Deref<Target = [u8]>>(
-        mut next: impl FnMut(u16, &'static str) -> kgreach_graph::Result<P>,
-    ) -> kgreach_graph::Result<LocalIndex> {
-        let meta_payload = next(TAG_INDEX_META, "index-meta")?;
-        let mut meta = PayloadCursor::new(&meta_payload, "index-meta");
+    pub fn read_sections(r: &mut SectionReader<'_>) -> kgreach_graph::Result<LocalIndex> {
+        let mut meta = PayloadCursor::new(r.section(TAG_INDEX_META, "index-meta")?, "index-meta");
         let fingerprint = GraphFingerprint {
             num_vertices: meta.get_usize()?,
             num_edges: meta.get_usize()?,
@@ -544,8 +526,10 @@ impl LocalIndex {
         meta.finish()?;
         let label_mask = LabelSet::all(num_labels).bits();
 
-        let part_payload = next(TAG_INDEX_PARTITION, "index-partition")?;
-        let mut part = PayloadCursor::new(&part_payload, "index-partition");
+        let mut part = PayloadCursor::new(
+            r.section(TAG_INDEX_PARTITION, "index-partition")?,
+            "index-partition",
+        );
         let mut landmarks = Vec::with_capacity(num_landmarks.min(1 << 20));
         for _ in 0..num_landmarks {
             let u = part.get_u32()?;
@@ -578,8 +562,8 @@ impl LocalIndex {
         part.finish()?;
         let partition = Partition::from_parts(landmarks, af).ok_or(err)?;
 
-        let entries_payload = next(TAG_INDEX_ENTRIES, "index-entries")?;
-        let mut cur = PayloadCursor::new(&entries_payload, "index-entries");
+        let mut cur =
+            PayloadCursor::new(r.section(TAG_INDEX_ENTRIES, "index-entries")?, "index-entries");
         let mut entries = Vec::with_capacity(num_landmarks.min(1 << 20));
         for _ in 0..num_landmarks {
             let ii_len = cur.get_usize()?;
@@ -631,8 +615,7 @@ impl LocalIndex {
         }
         cur.finish()?;
 
-        let d_payload = next(TAG_INDEX_D, "index-d")?;
-        let mut cur = PayloadCursor::new(&d_payload, "index-d");
+        let mut cur = PayloadCursor::new(r.section(TAG_INDEX_D, "index-d")?, "index-d");
         let mut d: Vec<FxHashMap<u32, u32>> = Vec::with_capacity(num_landmarks.min(1 << 20));
         for _ in 0..num_landmarks {
             let len = cur.get_usize()?;
@@ -683,9 +666,9 @@ impl LocalIndex {
     }
 
     /// Reads a complete local-index snapshot written by
-    /// [`save`](Self::save).
-    pub fn load<R: Read>(reader: R) -> kgreach_graph::Result<LocalIndex> {
-        let mut r = SectionReader::new(BufReader::new(reader))?;
+    /// [`save`](Self::save) from memory.
+    pub fn load(bytes: &[u8]) -> kgreach_graph::Result<LocalIndex> {
+        let mut r = SectionReader::new(bytes)?;
         r.expect_kind(ArtifactKind::LocalIndex)?;
         let index = Self::read_sections(&mut r)?;
         r.end()?;
@@ -697,23 +680,10 @@ impl LocalIndex {
         self.save(File::create(path)?)
     }
 
-    /// Reads a complete local-index snapshot held in memory, borrowing
-    /// section payloads instead of copying them. Equivalent to
-    /// [`load`](Self::load) on the same bytes.
-    pub fn load_bytes(bytes: &[u8]) -> kgreach_graph::Result<LocalIndex> {
-        let mut r = SliceSectionReader::new(bytes)?;
-        r.expect_kind(ArtifactKind::LocalIndex)?;
-        let index = Self::read_sections_slice(&mut r)?;
-        r.end()?;
-        Ok(index)
-    }
-
-    /// Loads a local-index snapshot from a file path.
-    ///
-    /// Reads the whole file into memory and decodes sections from the
-    /// borrowed buffer — the bulk cold-start path.
+    /// Loads a local-index snapshot from a file path: one bulk read, then
+    /// [`load`](Self::load) over the buffer.
     pub fn load_file(path: impl AsRef<Path>) -> kgreach_graph::Result<LocalIndex> {
-        Self::load_bytes(&std::fs::read(path)?)
+        Self::load(&std::fs::read(path)?)
     }
 }
 
@@ -976,6 +946,13 @@ mod tests {
         for len in 0..bytes.len() {
             assert!(LocalIndex::load(&bytes[..len]).is_err(), "truncation to {len} undetected");
         }
+        // So is anything after the end marker: a stray byte, a second index.
+        for tail in [&[0u8][..], &bytes[..]] {
+            assert!(matches!(
+                LocalIndex::load(&[&bytes[..], tail].concat()),
+                Err(GraphError::SnapshotCorrupt { section: "end", .. })
+            ));
+        }
         // A graph snapshot is not an index snapshot.
         let mut graph_bytes = Vec::new();
         kgreach_graph::snapshot::write_graph_snapshot(&g, &mut graph_bytes).unwrap();
@@ -1003,40 +980,6 @@ mod tests {
             assert_eq!(idx.stats().ii_pairs, reference.stats().ii_pairs);
             assert_eq!(idx.stats().eit_pairs, reference.stats().eit_pairs);
             assert_eq!(idx.stats().assigned_vertices, reference.stats().assigned_vertices);
-        }
-    }
-
-    #[test]
-    fn bytes_path_matches_stream_path() {
-        // The borrowed-slice loader agrees with the streaming loader on
-        // intact input (canonical re-encode is byte-identical) and on
-        // every single-byte flip and truncation (typed error both ways).
-        let g = figure3();
-        let idx = LocalIndex::build(
-            &g,
-            &LocalIndexConfig { num_landmarks: Some(2), seed: 42, ..Default::default() },
-        );
-        let mut bytes = Vec::new();
-        idx.save(&mut bytes).unwrap();
-        let loaded = LocalIndex::load_bytes(&bytes).unwrap();
-        let mut again = Vec::new();
-        loaded.save(&mut again).unwrap();
-        assert_eq!(again, bytes);
-        for i in 12..bytes.len() {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 0x01;
-            assert_eq!(
-                LocalIndex::load(&mutated[..]).is_err(),
-                LocalIndex::load_bytes(&mutated).is_err(),
-                "readers disagree on flip at byte {i}"
-            );
-            assert!(LocalIndex::load_bytes(&mutated).is_err(), "flip at byte {i} undetected");
-        }
-        for len in 0..bytes.len() {
-            assert!(
-                LocalIndex::load_bytes(&bytes[..len]).is_err(),
-                "truncation to {len} undetected on the bytes path"
-            );
         }
     }
 

@@ -25,7 +25,7 @@
 //! The generated graph's density is `|E|/|V| ≈ 3.5`, matching the paper's
 //! datasets (Table 2: 3.54–3.59).
 
-use kgreach_graph::{Graph, GraphBuilder, GraphSink, Result, StreamingGraphBuilder, VertexId};
+use kgreach_graph::{Graph, GraphBuilder, Result, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,8 +74,8 @@ impl LubmConfig {
     }
 }
 
-/// Generates a LUBM-style KG by collecting the whole [`emit`] stream into
-/// a [`GraphBuilder`].
+/// Generates a LUBM-style KG: the [`emit`] stream into a
+/// [`GraphBuilder`] sized for it.
 pub fn generate(config: &LubmConfig) -> Result<Graph> {
     // ~129 vertices and ~460 edges per department.
     let depts = config.universities * config.departments;
@@ -84,23 +84,22 @@ pub fn generate(config: &LubmConfig) -> Result<Graph> {
     b.build()
 }
 
-/// Generates the same graph as [`generate`] through the bounded-memory
-/// [`StreamingGraphBuilder`], compacting every `chunk_edges` emitted
-/// edges. The two paths are byte-identical at the snapshot level for any
-/// chunk size: [`emit`] drives both with one event stream, so intern
-/// order — and therefore every id — is the same.
+/// [`generate`] with an explicit builder chunk size instead of capacity
+/// hints — the same graph, byte for byte, for any `chunk_edges`. Former
+/// name, still called by the benchmark adapter
+/// (`crates/kgbench/src/api.rs`); the next benchmark PR retires it.
 pub fn generate_streaming(config: &LubmConfig, chunk_edges: usize) -> Result<Graph> {
-    let mut b = StreamingGraphBuilder::with_chunk_edges(chunk_edges);
+    let mut b = GraphBuilder::with_chunk_edges(chunk_edges);
     emit(config, &mut b);
-    b.finish()
+    b.build()
 }
 
-/// Emits the LUBM-style triple stream for `config` into any
-/// [`GraphSink`], one department at a time — the chunked source both
-/// construction paths share. Event order (and the single RNG's
-/// consumption sequence) is part of the generator's determinism contract:
-/// equal configs produce identical streams.
-pub fn emit(config: &LubmConfig, b: &mut impl GraphSink) {
+/// Emits the LUBM-style event stream for `config` into a
+/// [`GraphBuilder`], one department at a time. Event order (and the
+/// single RNG's consumption sequence) is part of the generator's
+/// determinism contract: equal configs produce identical streams, and so
+/// — intern order being id order — identical ids.
+pub fn emit(config: &LubmConfig, b: &mut GraphBuilder) {
     let mut rng = SmallRng::seed_from_u64(config.seed);
 
     // Shared literal vertices for research interests.

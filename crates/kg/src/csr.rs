@@ -57,19 +57,13 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Builds a CSR from an unsorted edge list given as
-    /// `(key_vertex, label, other_vertex)` triples, where `key_vertex` is
-    /// the vertex the adjacency is indexed by.
-    ///
-    /// The source iterator is consumed in a **single pass** (it may be
-    /// expensive — a parse stream, a mapped snapshot); counting-sort
-    /// placement then runs over the in-memory buffer: O(|V| + |E|) total,
-    /// no comparison sort across vertices. Within each vertex, edges are
-    /// ordered by `(label, vertex)` to make per-label runs contiguous and
-    /// deterministic; per-vertex slices that arrive already sorted (the
-    /// common case — `GraphBuilder` pre-sorts its edge list) skip the
-    /// sort entirely.
-    pub fn build(
+    /// Builds a CSR from an unsorted edge list of
+    /// `(key_vertex, label, other_vertex)` triples by counting-sort
+    /// placement plus a per-vertex `(label, vertex)` sort — the reference
+    /// [`from_key_sorted`](Self::from_key_sorted) is tested against, and a
+    /// way for unit tests to state fixtures in any order.
+    #[cfg(test)]
+    fn build(
         num_vertices: usize,
         edges: impl Iterator<Item = (VertexId, LabelId, VertexId)>,
     ) -> Self {
@@ -107,14 +101,13 @@ impl Csr {
     }
 
     /// Builds a CSR from an edge list already sorted by
-    /// `(key_vertex, label, other_vertex)` — the scale-path counterpart of
-    /// [`build`](Self::build). Sorted input makes counting-sort placement
+    /// `(key_vertex, label, other_vertex)` — the one production
+    /// constructor. Sorted input makes counting-sort placement
     /// unnecessary: the offsets come from one counting pass and the target
     /// array is filled by one sequential append, so nothing is staged
-    /// per edge (`build` stages a 16-byte `(key, target)` tuple per edge
-    /// before placement — a 16 B/edge transient that matters at
-    /// multi-million-edge scale). Per-vertex `(label, vertex)` runs are
-    /// sorted by construction, so the per-vertex sort is skipped too.
+    /// per edge (a 16 B/edge transient that matters at multi-million-edge
+    /// scale). Per-vertex `(label, vertex)` runs are sorted by
+    /// construction, so no per-vertex sort runs either.
     pub(crate) fn from_key_sorted(
         num_vertices: usize,
         num_edges: usize,

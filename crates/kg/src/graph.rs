@@ -752,8 +752,8 @@ impl Graph {
     }
 
     /// Re-freezes the overlay into a clean CSR pair: the merged adjacency
-    /// is rebuilt through the same construction path snapshot loading
-    /// validates (`Csr::build` + the `from_parts` derivation), and
+    /// is rebuilt through the constructor [`GraphBuilder::build`] ends in
+    /// (`Csr::from_key_sorted` + the `from_parts` derivation), and
     /// the overlay is dropped. Ids, dictionaries, schema, statistics and
     /// the [`epoch`](Self::epoch) are all preserved — compaction changes
     /// the representation, never the content. No-op on a compact graph.
@@ -847,19 +847,45 @@ impl Graph {
     }
 }
 
-/// Accumulates triples and freezes them into a [`Graph`].
+/// Accumulates a stream of intern and edge events and freezes it into a
+/// [`Graph`].
 ///
-/// The builder deduplicates *edges* (identical `(s,p,o)` triples are stored
-/// once) but not vertices — re-interning is cheap.
-#[derive(Default, Clone, Debug)]
+/// Names are interned on arrival, straight into the dictionaries the
+/// final graph keeps, so no string-level triple is ever buffered; id
+/// assignment is first-seen order, so equal event streams yield equal ids.
+/// Edges are staged as 12-byte [`Edge`] records and deduplicated
+/// (identical `(s,p,o)` triples are stored once). Whenever the unsorted
+/// tail of the staging buffer reaches `chunk_edges` the buffer is sorted
+/// and deduplicated in place, so at any instant it holds at most
+/// `|E_dedup| + chunk_edges` records however many duplicates arrive.
+///
+/// The chunk size bounds the construction transient and nothing else:
+/// the same event stream produces the same graph — same ids, same
+/// [`GraphFingerprint`], byte-identical canonical snapshot — for every
+/// chunk size.
+#[derive(Clone, Debug)]
 pub struct GraphBuilder {
     vertex_dict: Dict,
     label_dict: Dict,
+    /// `edges[..sorted_len]` is sorted + deduplicated; the tail is the
+    /// not-yet-compacted arrivals, never longer than `chunk_edges`.
     edges: Vec<Edge>,
+    sorted_len: usize,
+    chunk_edges: usize,
+    peak_buffer_bytes: usize,
+}
+
+/// Default compaction chunk: 1 Mi edges ≈ 12 MiB of unsorted tail.
+const DEFAULT_CHUNK_EDGES: usize = 1 << 20;
+
+impl Default for GraphBuilder {
+    fn default() -> Self {
+        GraphBuilder::with_chunk_edges(DEFAULT_CHUNK_EDGES)
+    }
 }
 
 impl GraphBuilder {
-    /// Creates an empty builder.
+    /// Creates an empty builder with the default chunk size.
     pub fn new() -> Self {
         GraphBuilder::default()
     }
@@ -870,6 +896,20 @@ impl GraphBuilder {
             vertex_dict: Dict::with_capacity(vertices),
             label_dict: Dict::with_capacity(32),
             edges: Vec::with_capacity(edges),
+            ..GraphBuilder::default()
+        }
+    }
+
+    /// Creates a builder that compacts its edge buffer whenever the
+    /// unsorted tail reaches `chunk_edges` (clamped to ≥ 1).
+    pub fn with_chunk_edges(chunk_edges: usize) -> Self {
+        GraphBuilder {
+            vertex_dict: Dict::default(),
+            label_dict: Dict::default(),
+            edges: Vec::new(),
+            sorted_len: 0,
+            chunk_edges: chunk_edges.max(1),
+            peak_buffer_bytes: 0,
         }
     }
 
@@ -901,191 +941,14 @@ impl GraphBuilder {
     /// Adds an edge between already-interned ids.
     pub fn add_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) {
         self.edges.push(Edge::new(src, label, dst));
-    }
-
-    /// Number of edges added so far (before dedup).
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Number of vertices interned so far.
-    pub fn num_vertices(&self) -> usize {
-        self.vertex_dict.len()
-    }
-
-    /// Freezes the builder into an immutable [`Graph`].
-    ///
-    /// Returns [`GraphError::TooManyLabels`] if more than
-    /// [`MAX_LABELS`] distinct predicates were interned.
-    pub fn build(self) -> Result<Graph> {
-        freeze_edges(self.vertex_dict, self.label_dict, self.edges)
-    }
-}
-
-/// The construction funnel shared by [`GraphBuilder::build`] and
-/// [`StreamingGraphBuilder::finish`]: sorts and deduplicates the edge
-/// list, builds both CSRs through the sorted-slice fast path, and derives
-/// the schema layer and label histogram. Identical dictionaries + edge
-/// multisets produce identical graphs regardless of which builder
-/// accumulated them.
-fn freeze_edges(vertex_dict: Dict, label_dict: Dict, mut edges: Vec<Edge>) -> Result<Graph> {
-    if label_dict.len() > MAX_LABELS {
-        return Err(GraphError::TooManyLabels { requested: label_dict.len(), max: MAX_LABELS });
-    }
-    // Deduplicate identical edges: CSR construction sorts per-vertex, but
-    // global dedup first keeps |E| honest for the evaluation metrics.
-    edges.sort_unstable();
-    edges.dedup();
-
-    let n = vertex_dict.len();
-    let num_edges = edges.len();
-    // `Edge`'s lexicographic (src, label, dst) order is exactly the
-    // out-CSR's key order, so the sorted list feeds the copy-free
-    // constructor directly.
-    let out = Csr::from_key_sorted(n, num_edges, edges.iter().map(|e| (e.src, e.label, e.dst)));
-
-    // Derive the RDFS schema layer from the frozen edges (while they are
-    // still in src-major order, keeping instance-list order stable).
-    let mut schema = Schema::default();
-    for (id, name) in label_dict.iter() {
-        let l = LabelId(id as u16);
-        if vocab::is_type(name) {
-            schema.type_label = Some(l);
-        } else if vocab::is_subclass_of(name) {
-            schema.subclass_label = Some(l);
-        } else if vocab::is_domain(name) {
-            schema.domain_label = Some(l);
-        } else if vocab::is_range(name) {
-            schema.range_label = Some(l);
-        }
-    }
-    if let Some(tl) = schema.type_label {
-        for e in &edges {
-            if e.label == tl {
-                schema.add_instance(e.dst, e.src);
-            }
-        }
-    }
-    if let Some(sc) = schema.subclass_label {
-        for e in &edges {
-            if e.label == sc {
-                schema.add_class(e.src);
-                schema.add_class(e.dst);
-            }
-        }
-    }
-
-    let mut label_histogram = vec![0usize; label_dict.len()];
-    for e in &edges {
-        label_histogram[e.label.index()] += 1;
-    }
-
-    // Re-key the same allocation dst-major for the in-CSR instead of
-    // staging a second per-edge buffer; the edge list is consumed anyway.
-    edges.sort_unstable_by_key(|e| (e.dst, e.label, e.src));
-    let inn = Csr::from_key_sorted(n, num_edges, edges.iter().map(|e| (e.dst, e.label, e.src)));
-    drop(edges);
-
-    Ok(Graph::from_parts(vertex_dict, label_dict, out, inn, schema, label_histogram))
-}
-
-/// The event-stream interface graph generators emit into: explicit intern
-/// events plus id-level edges.
-///
-/// Interning is part of the stream (rather than a side effect of
-/// string-level triples) because id assignment is first-seen order: two
-/// sinks fed the same event sequence assign identical ids, which is what
-/// makes a streaming-built graph *byte-identical* (snapshot-level) to an
-/// in-memory-built one. Both [`GraphBuilder`] and
-/// [`StreamingGraphBuilder`] implement it.
-pub trait GraphSink {
-    /// Interns a vertex name, returning its id.
-    fn intern_vertex(&mut self, name: &str) -> VertexId;
-    /// Interns a label name, returning its id.
-    fn intern_label(&mut self, name: &str) -> LabelId;
-    /// Adds an edge between already-interned ids.
-    fn add_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId);
-    /// Adds a string-level triple as an edge.
-    fn add_triple(&mut self, subject: &str, predicate: &str, object: &str) {
-        let s = self.intern_vertex(subject);
-        let p = self.intern_label(predicate);
-        let o = self.intern_vertex(object);
-        self.add_edge(s, p, o);
-    }
-}
-
-impl GraphSink for GraphBuilder {
-    fn intern_vertex(&mut self, name: &str) -> VertexId {
-        GraphBuilder::intern_vertex(self, name)
-    }
-    fn intern_label(&mut self, name: &str) -> LabelId {
-        GraphBuilder::intern_label(self, name)
-    }
-    fn add_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) {
-        GraphBuilder::add_edge(self, src, label, dst)
-    }
-}
-
-/// Builds a [`Graph`] from a [`GraphSink`] event stream with bounded peak
-/// memory — the multi-million-edge construction path.
-///
-/// [`GraphBuilder`] buffers every added edge and freezes once; its peak
-/// transient memory is fine at benchmark sizes but unbounded in the
-/// arrival-order duplicates it retains until [`build`](GraphBuilder::build).
-/// This builder compacts (sorts + deduplicates) its edge buffer whenever
-/// the unsorted tail reaches `chunk_edges`, so at any instant it holds at
-/// most `|E_dedup| + chunk_edges` 12-byte [`Edge`] records — no
-/// string-level triple is ever buffered (names are interned on arrival,
-/// straight into the dictionaries the final graph keeps).
-///
-/// Fed the same event stream, this builder and [`GraphBuilder`] produce
-/// identical graphs — same ids, same [`GraphFingerprint`], byte-identical
-/// canonical snapshots — because both freeze the same dictionaries and
-/// deduplicated edge list through one shared internal path.
-#[derive(Clone, Debug)]
-pub struct StreamingGraphBuilder {
-    vertex_dict: Dict,
-    label_dict: Dict,
-    /// `edges[..sorted_len]` is sorted + deduplicated; the tail is the
-    /// not-yet-compacted arrivals, never longer than `chunk_edges`.
-    edges: Vec<Edge>,
-    sorted_len: usize,
-    chunk_edges: usize,
-    peak_buffer_bytes: usize,
-}
-
-/// Default compaction chunk: 1 Mi edges ≈ 12 MiB of unsorted tail.
-const DEFAULT_CHUNK_EDGES: usize = 1 << 20;
-
-impl Default for StreamingGraphBuilder {
-    fn default() -> Self {
-        StreamingGraphBuilder::with_chunk_edges(DEFAULT_CHUNK_EDGES)
-    }
-}
-
-impl StreamingGraphBuilder {
-    /// Creates a streaming builder with the default chunk size.
-    pub fn new() -> Self {
-        StreamingGraphBuilder::default()
-    }
-
-    /// Creates a streaming builder that compacts its edge buffer whenever
-    /// the unsorted tail reaches `chunk_edges` (clamped to ≥ 1).
-    pub fn with_chunk_edges(chunk_edges: usize) -> Self {
-        StreamingGraphBuilder {
-            vertex_dict: Dict::default(),
-            label_dict: Dict::default(),
-            edges: Vec::new(),
-            sorted_len: 0,
-            chunk_edges: chunk_edges.max(1),
-            peak_buffer_bytes: 0,
+        if self.edges.len() - self.sorted_len >= self.chunk_edges {
+            self.compact_buffer();
         }
     }
 
     /// Sorts and deduplicates the whole buffer, emptying the tail.
     fn compact_buffer(&mut self) {
-        self.peak_buffer_bytes =
-            self.peak_buffer_bytes.max(self.edges.capacity() * std::mem::size_of::<Edge>());
+        self.peak_buffer_bytes = self.peak_buffer_bytes();
         // The sorted prefix makes this a near-linear pattern-defeating
         // sort; dedup then folds the tail's repeats into the prefix.
         self.edges.sort_unstable();
@@ -1093,7 +956,8 @@ impl StreamingGraphBuilder {
         self.sorted_len = self.edges.len();
     }
 
-    /// Number of distinct edges accumulated so far (tail not yet deduped).
+    /// Number of edges buffered so far (the unsorted tail not yet
+    /// deduplicated).
     pub fn num_edges(&self) -> usize {
         self.edges.len()
     }
@@ -1104,37 +968,80 @@ impl StreamingGraphBuilder {
     }
 
     /// High-water mark of the edge buffer in bytes — the construction
-    /// transient the streaming path bounds (dictionaries and CSRs are
-    /// part of the final graph, not transients). At most
+    /// transient the chunk size bounds (dictionaries and CSRs are part of
+    /// the final graph, not transients). At most
     /// `12 × (|E_dedup| + chunk_edges)` plus `Vec` growth slack.
     pub fn peak_buffer_bytes(&self) -> usize {
         self.peak_buffer_bytes.max(self.edges.capacity() * std::mem::size_of::<Edge>())
     }
 
-    /// Freezes the accumulated stream into an immutable [`Graph`].
+    /// Freezes the builder into an immutable [`Graph`]: sorts and
+    /// deduplicates the edge list, builds both CSRs through the
+    /// sorted-slice constructor, and derives the schema layer and label
+    /// histogram.
     ///
-    /// Returns [`GraphError::TooManyLabels`] if more than [`MAX_LABELS`]
-    /// distinct predicates were interned.
-    pub fn finish(mut self) -> Result<Graph> {
-        self.compact_buffer();
-        freeze_edges(self.vertex_dict, self.label_dict, self.edges)
-    }
-}
-
-impl GraphSink for StreamingGraphBuilder {
-    fn intern_vertex(&mut self, name: &str) -> VertexId {
-        VertexId(self.vertex_dict.intern(name))
-    }
-    fn intern_label(&mut self, name: &str) -> LabelId {
-        let id = self.label_dict.intern(name);
-        debug_assert!(id <= u16::MAX as u32, "label id overflows u16");
-        LabelId(id as u16)
-    }
-    fn add_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) {
-        self.edges.push(Edge::new(src, label, dst));
-        if self.edges.len() - self.sorted_len >= self.chunk_edges {
-            self.compact_buffer();
+    /// Returns [`GraphError::TooManyLabels`] if more than
+    /// [`MAX_LABELS`] distinct predicates were interned.
+    pub fn build(self) -> Result<Graph> {
+        let GraphBuilder { vertex_dict, label_dict, mut edges, .. } = self;
+        if label_dict.len() > MAX_LABELS {
+            return Err(GraphError::TooManyLabels { requested: label_dict.len(), max: MAX_LABELS });
         }
+        // Global sort + dedup: the CSR constructor takes key-sorted input,
+        // and dedup keeps |E| honest for the evaluation metrics.
+        edges.sort_unstable();
+        edges.dedup();
+
+        let n = vertex_dict.len();
+        let num_edges = edges.len();
+        // `Edge`'s lexicographic (src, label, dst) order is exactly the
+        // out-CSR's key order, so the sorted list feeds the copy-free
+        // constructor directly.
+        let out = Csr::from_key_sorted(n, num_edges, edges.iter().map(|e| (e.src, e.label, e.dst)));
+
+        // Derive the RDFS schema layer from the frozen edges (while they are
+        // still in src-major order, keeping instance-list order stable).
+        let mut schema = Schema::default();
+        for (id, name) in label_dict.iter() {
+            let l = LabelId(id as u16);
+            if vocab::is_type(name) {
+                schema.type_label = Some(l);
+            } else if vocab::is_subclass_of(name) {
+                schema.subclass_label = Some(l);
+            } else if vocab::is_domain(name) {
+                schema.domain_label = Some(l);
+            } else if vocab::is_range(name) {
+                schema.range_label = Some(l);
+            }
+        }
+        if let Some(tl) = schema.type_label {
+            for e in &edges {
+                if e.label == tl {
+                    schema.add_instance(e.dst, e.src);
+                }
+            }
+        }
+        if let Some(sc) = schema.subclass_label {
+            for e in &edges {
+                if e.label == sc {
+                    schema.add_class(e.src);
+                    schema.add_class(e.dst);
+                }
+            }
+        }
+
+        let mut label_histogram = vec![0usize; label_dict.len()];
+        for e in &edges {
+            label_histogram[e.label.index()] += 1;
+        }
+
+        // Re-key the same allocation dst-major for the in-CSR instead of
+        // staging a second per-edge buffer; the edge list is consumed anyway.
+        edges.sort_unstable_by_key(|e| (e.dst, e.label, e.src));
+        let inn = Csr::from_key_sorted(n, num_edges, edges.iter().map(|e| (e.dst, e.label, e.src)));
+        drop(edges);
+
+        Ok(Graph::from_parts(vertex_dict, label_dict, out, inn, schema, label_histogram))
     }
 }
 
@@ -1214,6 +1121,57 @@ mod tests {
         assert_eq!(b.num_edges(), 2);
         let g = b.build().unwrap();
         assert_eq!(g.num_edges(), 1);
+    }
+
+    #[test]
+    fn chunk_size_never_changes_the_graph() {
+        // One event stream through both regimes of the builder: chunks
+        // small enough to compact mid-stream, and the default, which
+        // sorts only at `build`.
+        fn feed(b: &mut GraphBuilder) {
+            let mut peak = 0;
+            let mut grown = |b: &GraphBuilder| {
+                assert!(b.peak_buffer_bytes() >= peak, "peak_buffer_bytes went down");
+                peak = b.peak_buffer_bytes();
+            };
+            let p = b.intern_label("p");
+            let a = b.intern_vertex("a");
+            b.add_triple("x", "q", "y");
+            grown(b);
+            let v = b.intern_vertex("b");
+            b.add_edge(a, p, v);
+            grown(b);
+            b.add_edge(v, p, a); // chunk 3 compacts here
+            grown(b);
+            b.add_edge(v, p, a); // duplicate straddling that chunk boundary
+            grown(b);
+            b.add_triple("a", "q", "b");
+            grown(b);
+            b.add_triple("x", "q", "y"); // duplicate of an edge in the sorted prefix
+            grown(b);
+            b.add_triple("a", "q", "b");
+            grown(b);
+            b.add_triple("y", "q", "x"); // left in the tail for `build`
+            grown(b);
+            assert!(peak > 0);
+        }
+        let frozen = [
+            GraphBuilder::with_chunk_edges(1),
+            GraphBuilder::with_chunk_edges(3),
+            GraphBuilder::with_capacity(8, 8),
+            GraphBuilder::new(),
+        ]
+        .map(|mut b| {
+            feed(&mut b);
+            let g = b.build().unwrap();
+            let mut bytes = Vec::new();
+            crate::snapshot::write_graph_snapshot(&g, &mut bytes).unwrap();
+            (g.fingerprint(), bytes)
+        });
+        assert_eq!(frozen[0].0.num_edges, 5);
+        for other in &frozen[1..] {
+            assert_eq!(other, &frozen[0]);
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ mod graph;
 pub use csr::{Expansion, LabelRuns, LabeledTarget, PerLabelRuns};
 pub use delta::{DeltaOverlay, DeltaStats, UpdateBatch, UpdateOp, UpdateSummary};
 pub use error::{GraphError, Result};
-pub use graph::{Graph, GraphBuilder, GraphFingerprint, GraphSink, StreamingGraphBuilder};
+pub use graph::{Graph, GraphBuilder, GraphFingerprint};
 pub use ids::{Edge, LabelId, VertexId};
 pub use labelset::{Cms, LabelSet, MAX_LABELS};
 pub use schema::Schema;

@@ -75,7 +75,7 @@ use crate::ids::{LabelId, VertexId};
 use crate::labelset::MAX_LABELS;
 use crate::schema::Schema;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// First bytes of every snapshot file. The trailing `\r\n` catches
@@ -263,152 +263,26 @@ fn truncated(section: &'static str) -> GraphError {
     GraphError::SnapshotCorrupt { section, message: "file is truncated".into() }
 }
 
-fn read_exact_typed<R: Read>(r: &mut R, buf: &mut [u8], section: &'static str) -> Result<()> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            truncated(section)
-        } else {
-            GraphError::from(e)
-        }
-    })
-}
-
-/// Reads one snapshot container written by [`SectionWriter`], validating
-/// the header up front and each section's length and checksum as it is
-/// consumed. All failure modes are typed [`GraphError`]s; corrupt input
-/// never panics.
+/// Reads one snapshot container written by [`SectionWriter`] from an
+/// in-memory byte slice, validating the header up front and each
+/// section's length and chained checksum as it is consumed. Section
+/// payloads are borrowed from the buffer, never copied (one CSR section
+/// of a multi-million-edge snapshot is tens of MiB). All failure modes
+/// are typed [`GraphError`]s; corrupt input never panics. The usual way
+/// to obtain the slice is [`std::fs::read`] (see [`load_graph_snapshot`]);
+/// a caller holding a [`std::io::Read`] calls `read_to_end` first.
 #[derive(Debug)]
-pub struct SectionReader<R: Read> {
-    inner: R,
-    kind: ArtifactKind,
-    chain: u64,
-}
-
-impl<R: Read> SectionReader<R> {
-    /// Opens a container: validates magic, version, and the kind byte.
-    pub fn new(mut inner: R) -> Result<SectionReader<R>> {
-        let mut magic = [0u8; 8];
-        // A file too short to hold the magic is, a fortiori, not a
-        // snapshot — report bad magic, not truncation.
-        inner.read_exact(&mut magic).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                GraphError::SnapshotBadMagic
-            } else {
-                GraphError::from(e)
-            }
-        })?;
-        if magic != MAGIC {
-            return Err(GraphError::SnapshotBadMagic);
-        }
-        let mut rest = [0u8; 4];
-        read_exact_typed(&mut inner, &mut rest, "header")?;
-        let version = u16::from_le_bytes([rest[0], rest[1]]);
-        if version != FORMAT_VERSION {
-            return Err(GraphError::SnapshotVersion { found: version, supported: FORMAT_VERSION });
-        }
-        let kind = ArtifactKind::from_u8(rest[2]).ok_or(GraphError::SnapshotCorrupt {
-            section: "header",
-            message: format!("unknown artifact kind byte {}", rest[2]),
-        })?;
-        Ok(SectionReader { inner, kind, chain: CHAIN_INIT })
-    }
-
-    /// The artifact kind declared in the header.
-    pub fn kind(&self) -> ArtifactKind {
-        self.kind
-    }
-
-    /// Rejects the container unless it holds the expected artifact.
-    pub fn expect_kind(&self, expected: ArtifactKind) -> Result<()> {
-        if self.kind == expected {
-            Ok(())
-        } else {
-            Err(GraphError::SnapshotKind { expected: expected as u8, found: self.kind as u8 })
-        }
-    }
-
-    fn read_frame(&mut self, section: &'static str) -> Result<(u16, Vec<u8>)> {
-        let mut tag_bytes = [0u8; 2];
-        read_exact_typed(&mut self.inner, &mut tag_bytes, section)?;
-        let tag = u16::from_le_bytes(tag_bytes);
-        let mut len_bytes = [0u8; 8];
-        read_exact_typed(&mut self.inner, &mut len_bytes, section)?;
-        let len = u64::from_le_bytes(len_bytes);
-        // Preallocate the declared length exactly (no growth reallocs on
-        // multi-megabyte sections), but capped: a corrupted length field
-        // must surface as a truncation error, not an OOM.
-        let mut payload = Vec::with_capacity(len.min(1 << 26) as usize);
-        (&mut self.inner).take(len).read_to_end(&mut payload).map_err(GraphError::from)?;
-        if (payload.len() as u64) < len {
-            return Err(truncated(section));
-        }
-        let mut sum_bytes = [0u8; 8];
-        read_exact_typed(&mut self.inner, &mut sum_bytes, section)?;
-        let expected = u64::from_le_bytes(sum_bytes);
-        let actual = xxh64(&payload, chain_seed(self.chain, tag));
-        if expected != actual {
-            return Err(GraphError::SnapshotCorrupt {
-                section,
-                message: format!(
-                    "checksum mismatch (stored {expected:016x}, computed {actual:016x})"
-                ),
-            });
-        }
-        self.chain = actual;
-        Ok((tag, payload))
-    }
-
-    /// Reads the next section, requiring it to carry `expected_tag`.
-    /// Sections are position-dependent in format v1: each artifact
-    /// documents its fixed section order.
-    pub fn section(&mut self, expected_tag: u16, section: &'static str) -> Result<Vec<u8>> {
-        let (tag, payload) = self.read_frame(section)?;
-        if tag != expected_tag {
-            return Err(GraphError::SnapshotCorrupt {
-                section,
-                message: format!("expected section tag {expected_tag}, found {tag}"),
-            });
-        }
-        Ok(payload)
-    }
-
-    /// Consumes the end marker and returns the inner reader.
-    pub fn end(mut self) -> Result<R> {
-        let (tag, payload) = self.read_frame("end")?;
-        if tag != END_TAG || !payload.is_empty() {
-            return Err(GraphError::SnapshotCorrupt {
-                section: "end",
-                message: format!("expected end marker, found section tag {tag}"),
-            });
-        }
-        Ok(self.inner)
-    }
-}
-
-/// Reads one snapshot container from an in-memory byte slice, borrowing
-/// each section payload instead of copying it into a fresh `Vec` — the
-/// bulk cold-start path for multi-million-edge snapshots, where the
-/// [`SectionReader`] per-section copies (tens of MiB for one CSR) are
-/// pure overhead on top of the decode itself.
-///
-/// Validation is identical to [`SectionReader`]: header (magic, version,
-/// kind) up front, then per-section length and chained checksum as each
-/// section is consumed. All failure modes are the same typed
-/// [`GraphError`]s; corrupt input never panics. The usual way to obtain
-/// the slice is [`std::fs::read`] (see [`load_graph_snapshot`]); a
-/// memory-mapped file would work identically.
-#[derive(Debug)]
-pub struct SliceSectionReader<'a> {
+pub struct SectionReader<'a> {
     buf: &'a [u8],
     pos: usize,
     kind: ArtifactKind,
     chain: u64,
 }
 
-impl<'a> SliceSectionReader<'a> {
+impl<'a> SectionReader<'a> {
     /// Opens a container held in memory: validates magic, version, and
     /// the kind byte.
-    pub fn new(buf: &'a [u8]) -> Result<SliceSectionReader<'a>> {
+    pub fn new(buf: &'a [u8]) -> Result<SectionReader<'a>> {
         // A buffer too short to hold the magic is, a fortiori, not a
         // snapshot — report bad magic, not truncation.
         if buf.len() < MAGIC.len() || buf[..MAGIC.len()] != MAGIC {
@@ -425,7 +299,7 @@ impl<'a> SliceSectionReader<'a> {
             section: "header",
             message: format!("unknown artifact kind byte {}", buf[10]),
         })?;
-        Ok(SliceSectionReader { buf, pos: 12, kind, chain: CHAIN_INIT })
+        Ok(SectionReader { buf, pos: 12, kind, chain: CHAIN_INIT })
     }
 
     /// The artifact kind declared in the header.
@@ -455,7 +329,7 @@ impl<'a> SliceSectionReader<'a> {
         let tag = u16::from_le_bytes(self.take(2, section)?.try_into().expect("2-byte slice"));
         let len = u64::from_le_bytes(self.take(8, section)?.try_into().expect("8-byte slice"));
         // A corrupted length field that exceeds the remaining bytes is a
-        // truncation, exactly as on the streaming path.
+        // truncation.
         if len > (self.buf.len() - self.pos) as u64 {
             return Err(truncated(section));
         }
@@ -487,13 +361,21 @@ impl<'a> SliceSectionReader<'a> {
         Ok(payload)
     }
 
-    /// Consumes the end marker.
+    /// Consumes the end marker, which must be the last bytes of the
+    /// buffer (trailing garbage is corruption, not slack).
     pub fn end(mut self) -> Result<()> {
         let (tag, payload) = self.read_frame("end")?;
         if tag != END_TAG || !payload.is_empty() {
             return Err(GraphError::SnapshotCorrupt {
                 section: "end",
                 message: format!("expected end marker, found section tag {tag}"),
+            });
+        }
+        let trailing = self.buf.len() - self.pos;
+        if trailing != 0 {
+            return Err(GraphError::SnapshotCorrupt {
+                section: "end",
+                message: format!("{trailing} trailing bytes after the end marker"),
             });
         }
         Ok(())
@@ -861,25 +743,8 @@ pub fn write_graph_sections<W: Write>(g: &Graph, w: &mut SectionWriter<W>) -> Re
 /// Reads the graph sections of format v1 from an open container,
 /// revalidating every structural invariant and the fingerprint.
 /// Counterpart of [`write_graph_sections`].
-pub fn read_graph_sections<R: Read>(r: &mut SectionReader<R>) -> Result<Graph> {
-    read_graph_sections_with(|tag, name| r.section(tag, name))
-}
-
-/// Reads the graph sections from an in-memory container, decoding each
-/// section straight out of the borrowed payload. Same validation as
-/// [`read_graph_sections`].
-pub fn read_graph_sections_slice(r: &mut SliceSectionReader<'_>) -> Result<Graph> {
-    read_graph_sections_with(|tag, name| r.section(tag, name))
-}
-
-/// The decode loop shared by the streaming and in-memory readers: `next`
-/// yields each expected section's payload — owned `Vec<u8>`s from a
-/// [`SectionReader`], borrowed slices from a [`SliceSectionReader`].
-fn read_graph_sections_with<P: std::ops::Deref<Target = [u8]>>(
-    mut next: impl FnMut(u16, &'static str) -> Result<P>,
-) -> Result<Graph> {
-    let meta_payload = next(TAG_GRAPH_META, "meta")?;
-    let mut meta = PayloadCursor::new(&meta_payload, "meta");
+pub fn read_graph_sections(r: &mut SectionReader<'_>) -> Result<Graph> {
+    let mut meta = PayloadCursor::new(r.section(TAG_GRAPH_META, "meta")?, "meta");
     let num_vertices = meta.get_usize()?;
     let num_edges = meta.get_usize()?;
     let num_labels = meta.get_usize()?;
@@ -894,21 +759,25 @@ fn read_graph_sections_with<P: std::ops::Deref<Target = [u8]>>(
     let stored = GraphFingerprint { num_vertices, num_edges, num_labels, edge_hash };
 
     let vertex_dict =
-        decode_dict(&next(TAG_GRAPH_VERTICES, "vertices")?, "vertices", num_vertices)?;
-    let label_dict = decode_dict(&next(TAG_GRAPH_LABELS, "labels")?, "labels", num_labels)?;
+        decode_dict(r.section(TAG_GRAPH_VERTICES, "vertices")?, "vertices", num_vertices)?;
+    let label_dict = decode_dict(r.section(TAG_GRAPH_LABELS, "labels")?, "labels", num_labels)?;
     let out = decode_csr(
-        &next(TAG_GRAPH_OUT, "out-csr")?,
+        r.section(TAG_GRAPH_OUT, "out-csr")?,
         "out-csr",
         num_vertices,
         num_edges,
         num_labels,
     )?;
-    let inn =
-        decode_csr(&next(TAG_GRAPH_IN, "in-csr")?, "in-csr", num_vertices, num_edges, num_labels)?;
-    let schema = decode_schema(&next(TAG_GRAPH_SCHEMA, "schema")?, num_vertices, num_labels)?;
+    let inn = decode_csr(
+        r.section(TAG_GRAPH_IN, "in-csr")?,
+        "in-csr",
+        num_vertices,
+        num_edges,
+        num_labels,
+    )?;
+    let schema = decode_schema(r.section(TAG_GRAPH_SCHEMA, "schema")?, num_vertices, num_labels)?;
 
-    let hist_payload = next(TAG_GRAPH_HISTOGRAM, "histogram")?;
-    let mut hist = PayloadCursor::new(&hist_payload, "histogram");
+    let mut hist = PayloadCursor::new(r.section(TAG_GRAPH_HISTOGRAM, "histogram")?, "histogram");
     let hist_len = hist.get_usize()?;
     if hist_len != num_labels {
         return Err(
@@ -947,23 +816,12 @@ pub fn write_graph_snapshot<W: Write>(g: &Graph, writer: W) -> Result<()> {
     Ok(())
 }
 
-/// Reads a complete graph snapshot written by [`write_graph_snapshot`].
-pub fn read_graph_snapshot<R: Read>(reader: R) -> Result<Graph> {
-    let mut r = SectionReader::new(BufReader::new(reader))?;
+/// Reads a complete graph snapshot written by [`write_graph_snapshot`]
+/// from memory.
+pub fn read_graph_snapshot(bytes: &[u8]) -> Result<Graph> {
+    let mut r = SectionReader::new(bytes)?;
     r.expect_kind(ArtifactKind::Graph)?;
     let g = read_graph_sections(&mut r)?;
-    r.end()?;
-    Ok(g)
-}
-
-/// Reads a complete graph snapshot held in memory, borrowing section
-/// payloads instead of copying them. Equivalent to
-/// [`read_graph_snapshot`] on the same bytes (same graph, same errors),
-/// minus the per-section copies.
-pub fn read_graph_snapshot_bytes(bytes: &[u8]) -> Result<Graph> {
-    let mut r = SliceSectionReader::new(bytes)?;
-    r.expect_kind(ArtifactKind::Graph)?;
-    let g = read_graph_sections_slice(&mut r)?;
     r.end()?;
     Ok(g)
 }
@@ -973,13 +831,10 @@ pub fn save_graph_snapshot(g: &Graph, path: impl AsRef<Path>) -> Result<()> {
     write_graph_snapshot(g, File::create(path)?)
 }
 
-/// Loads a graph snapshot from a file path.
-///
-/// Reads the whole file into memory and decodes sections from the
-/// borrowed buffer — one bulk read plus in-place validation, the fast
-/// cold-start path for multi-million-edge snapshots.
+/// Loads a graph snapshot from a file path: one bulk read, then
+/// [`read_graph_snapshot`] over the buffer.
 pub fn load_graph_snapshot(path: impl AsRef<Path>) -> Result<Graph> {
-    read_graph_snapshot_bytes(&std::fs::read(path)?)
+    read_graph_snapshot(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -1226,119 +1081,20 @@ mod tests {
             Err(GraphError::SnapshotCorrupt { section, .. }) => assert_eq!(section, "meta"),
             other => panic!("expected SnapshotCorrupt, got {other:?}"),
         }
-    }
-
-    // -- The borrowed-slice bulk-load path must match the streaming
-    // -- reader bit for bit: same graphs on success, a typed error on
-    // -- every corruption the streaming reader rejects.
-
-    #[test]
-    fn bytes_path_matches_stream_path() {
-        let g = sample();
-        let bytes = snapshot_bytes(&g);
-        let g2 = read_graph_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(g2.fingerprint(), g.fingerprint());
-        for v in g.vertices() {
-            assert_eq!(g2.vertex_name(v), g.vertex_name(v));
-            assert_eq!(g2.out_neighbors(v), g.out_neighbors(v));
-            assert_eq!(g2.in_neighbors(v), g.in_neighbors(v));
-        }
-        // And the empty graph.
-        let empty = GraphBuilder::new().build().unwrap();
-        let e2 = read_graph_snapshot_bytes(&snapshot_bytes(&empty)).unwrap();
-        assert_eq!(e2.fingerprint(), empty.fingerprint());
-    }
-
-    #[test]
-    fn bytes_path_header_validation() {
+        // So are bytes after the end marker: one stray byte, or a whole
+        // second snapshot.
         let bytes = snapshot_bytes(&sample());
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] ^= 0xFF;
-        assert!(matches!(read_graph_snapshot_bytes(&bad_magic), Err(GraphError::SnapshotBadMagic)));
-        assert!(matches!(read_graph_snapshot_bytes(b"KG"), Err(GraphError::SnapshotBadMagic)));
-        let mut future = bytes.clone();
-        future[8] = 0xFF;
-        assert!(matches!(
-            read_graph_snapshot_bytes(&future),
-            Err(GraphError::SnapshotVersion { .. })
-        ));
-        let mut wrong_kind = bytes;
-        wrong_kind[10] = ArtifactKind::LocalIndex as u8;
-        // The kind byte is not covered by a section checksum, so this is
-        // the kind error itself, exactly as on the stream path.
-        assert!(matches!(
-            read_graph_snapshot_bytes(&wrong_kind),
-            Err(GraphError::SnapshotKind { .. })
-        ));
-    }
-
-    #[test]
-    fn bytes_path_every_flipped_byte_is_detected() {
-        let bytes = snapshot_bytes(&sample());
-        for i in 12..bytes.len() {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 0x01;
-            assert!(
-                read_graph_snapshot_bytes(&mutated).is_err(),
-                "flip at byte {i} went undetected on the bytes path"
-            );
-        }
-    }
-
-    #[test]
-    fn bytes_path_every_truncation_is_detected() {
-        let bytes = snapshot_bytes(&sample());
-        for len in 0..bytes.len() {
-            assert!(
-                read_graph_snapshot_bytes(&bytes[..len]).is_err(),
-                "truncation to {len} bytes went undetected on the bytes path"
-            );
-        }
-    }
-
-    #[test]
-    fn bytes_path_rejects_spliced_sections() {
-        let mut a = GraphBuilder::new();
-        a.add_triple("a", "p", "b");
-        a.add_triple("b", "p", "c");
-        let a = a.build().unwrap();
-        let mut b = GraphBuilder::new();
-        b.add_triple("a", "p", "b");
-        b.add_triple("c", "p", "b");
-        let b = b.build().unwrap();
-        let bytes_a = snapshot_bytes(&a);
-        let bytes_b = snapshot_bytes(&b);
-        for idx in 0..frame_ranges(&bytes_a).len() {
-            let chimera = splice_frame(&bytes_a, &bytes_b, idx);
-            assert!(
-                read_graph_snapshot_bytes(&chimera).is_err(),
-                "section {idx} spliced from a different snapshot was accepted (bytes path)"
-            );
-        }
-    }
-
-    #[test]
-    fn bytes_path_errors_match_stream_path() {
-        // Same corruption → same error variant and message, byte for
-        // byte, across both readers.
-        let bytes = snapshot_bytes(&sample());
-        let mut corruptions: Vec<Vec<u8>> = Vec::new();
-        for i in 12..bytes.len() {
-            let mut m = bytes.clone();
-            m[i] ^= 0x01;
-            corruptions.push(m);
-        }
-        for len in 0..bytes.len() {
-            corruptions.push(bytes[..len].to_vec());
-        }
-        for m in &corruptions {
-            let stream = read_graph_snapshot(&m[..]).map(|g| g.fingerprint());
-            let slice = read_graph_snapshot_bytes(m).map(|g| g.fingerprint());
-            assert_eq!(
-                format!("{stream:?}"),
-                format!("{slice:?}"),
-                "stream and bytes readers disagree on a corrupted snapshot"
-            );
+        for tail in [&[0u8][..], &bytes[..]] {
+            match read_graph_snapshot(&[&bytes[..], tail].concat()) {
+                Err(GraphError::SnapshotCorrupt { section, message }) => {
+                    assert_eq!(section, "end");
+                    assert_eq!(
+                        message,
+                        format!("{} trailing bytes after the end marker", tail.len())
+                    );
+                }
+                other => panic!("expected SnapshotCorrupt, got {other:?}"),
+            }
         }
     }
 }

@@ -156,7 +156,7 @@ fn snapshot_fixture() -> (Graph, Vec<u8>) {
     let _ = engine.local_index();
     let mut bytes = Vec::new();
     engine.save_snapshot(&mut bytes).unwrap();
-    (engine.shared_graph().as_ref().clone(), bytes)
+    (engine.graph().as_ref().clone(), bytes)
 }
 
 #[test]
@@ -221,6 +221,14 @@ fn snapshot_every_truncation_is_typed() {
             other => panic!("truncation to {len} bytes: expected a typed error, got {other:?}"),
         }
     }
+    // Too long is as corrupt as too short: one stray byte, or a whole
+    // second snapshot, after the end marker.
+    for tail in [&[0u8][..], &bytes[..]] {
+        match LscrEngine::from_snapshot(&[&bytes[..], tail].concat()) {
+            Err(QueryError::Graph(GraphError::SnapshotCorrupt { section: "end", .. })) => {}
+            other => panic!("{} trailing bytes: expected a typed error, got {other:?}", tail.len()),
+        }
+    }
 }
 
 #[test]
@@ -236,90 +244,6 @@ fn snapshot_every_bit_flip_is_typed() {
             assert!(
                 LscrEngine::from_snapshot(&mutated[..]).is_err(),
                 "flip of bit {bit} in byte {i} went undetected"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The bulk (borrowed-slice) snapshot load path — `from_snapshot_bytes`,
-// `read_graph_snapshot_bytes`, `LocalIndex::load_bytes`, and the file
-// loaders built on them — must uphold exactly the same corruption
-// contract as the streaming readers above: every truncation, bit flip
-// and splice is a typed error, never a panic, never silent acceptance.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn bulk_load_header_errors_are_typed() {
-    let (g, mut bytes) = snapshot_fixture();
-    let pristine = bytes.clone();
-    bytes[..8].copy_from_slice(b"NOTSNAP!");
-    assert!(matches!(
-        LscrEngine::from_snapshot_bytes(&bytes),
-        Err(QueryError::Graph(GraphError::SnapshotBadMagic))
-    ));
-    assert!(matches!(
-        snapshot::read_graph_snapshot_bytes(b"<a> <p> <b> .\n"),
-        Err(GraphError::SnapshotBadMagic)
-    ));
-    assert!(matches!(
-        snapshot::read_graph_snapshot_bytes(b"KG"),
-        Err(GraphError::SnapshotBadMagic)
-    ));
-
-    let mut future = pristine.clone();
-    future[8..10].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    match LscrEngine::from_snapshot_bytes(&future) {
-        Err(QueryError::Graph(GraphError::SnapshotVersion { found, supported })) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
-            assert_eq!(supported, FORMAT_VERSION);
-        }
-        other => panic!("expected SnapshotVersion, got {other:?}"),
-    }
-
-    // Kind mismatches, all three loaders.
-    let mut graph_bytes = Vec::new();
-    snapshot::write_graph_snapshot(&g, &mut graph_bytes).unwrap();
-    assert!(matches!(
-        LscrEngine::from_snapshot_bytes(&graph_bytes),
-        Err(QueryError::Graph(GraphError::SnapshotKind { .. }))
-    ));
-    assert!(matches!(
-        snapshot::read_graph_snapshot_bytes(&pristine),
-        Err(GraphError::SnapshotKind { expected, found })
-            if expected == ArtifactKind::Graph as u8 && found == ArtifactKind::Engine as u8
-    ));
-    assert!(matches!(LocalIndex::load_bytes(&pristine), Err(GraphError::SnapshotKind { .. })));
-}
-
-#[test]
-fn bulk_load_every_truncation_is_typed() {
-    let (_, bytes) = snapshot_fixture();
-    for len in 0..bytes.len() {
-        match LscrEngine::from_snapshot_bytes(&bytes[..len]) {
-            Err(QueryError::Graph(
-                GraphError::SnapshotBadMagic
-                | GraphError::SnapshotCorrupt { .. }
-                | GraphError::SnapshotVersion { .. },
-            )) => {}
-            other => panic!("truncation to {len} bytes: expected a typed error, got {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn bulk_load_every_bit_flip_is_typed_and_matches_stream_reader() {
-    let (_, bytes) = snapshot_fixture();
-    for i in 12..bytes.len() {
-        for bit in 0..8 {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 1 << bit;
-            let bulk = LscrEngine::from_snapshot_bytes(&mutated);
-            assert!(bulk.is_err(), "flip of bit {bit} in byte {i} went undetected (bulk path)");
-            // Differential: both readers must agree the snapshot is bad.
-            assert!(
-                LscrEngine::from_snapshot(&mutated[..]).is_err(),
-                "stream reader accepted what the bulk reader rejected (byte {i} bit {bit})"
             );
         }
     }
@@ -348,7 +272,7 @@ fn frame_ranges(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
 fn bulk_load_rejects_spliced_sections() {
     // Transplant each intact section frame from a second engine snapshot
     // (same shape, different seed) into the fixture: the checksum chain
-    // must reject every chimera on the bulk path too.
+    // must reject every chimera.
     let (_, bytes_a) = snapshot_fixture();
     let g = random_typed_graph(14, 30, 3, 2, 0xBEEF);
     let engine = LscrEngine::with_index_config(
@@ -368,8 +292,8 @@ fn bulk_load_rejects_spliced_sections() {
         chimera.extend_from_slice(&bytes_b[fb.clone()]);
         chimera.extend_from_slice(&bytes_a[fa.end..]);
         assert!(
-            LscrEngine::from_snapshot_bytes(&chimera).is_err(),
-            "section {idx} spliced from another snapshot was accepted (bulk path)"
+            LscrEngine::from_snapshot(&chimera).is_err(),
+            "section {idx} spliced from another snapshot was accepted"
         );
     }
 }

@@ -14,7 +14,7 @@
 use kgreach::{LocalIndex, LocalIndexConfig};
 use kgreach_datagen::lubm;
 use kgreach_datagen::LubmConfig;
-use kgreach_graph::StreamingGraphBuilder;
+use kgreach_graph::GraphBuilder;
 use kgreach_sync::alloc::CountingAlloc;
 
 #[global_allocator]
@@ -53,9 +53,9 @@ fn bytes_per_edge_stays_under_committed_budgets() {
     let live_before = ALLOC.live_bytes();
     ALLOC.reset_peak();
     let g = {
-        let mut b = StreamingGraphBuilder::with_chunk_edges(1 << 15);
+        let mut b = GraphBuilder::with_chunk_edges(1 << 15);
         lubm::emit(&config, &mut b);
-        b.finish().unwrap()
+        b.build().unwrap()
     };
     let graph_live = ALLOC.live_bytes().saturating_sub(live_before);
     let graph_peak = ALLOC.peak_bytes().saturating_sub(live_before);

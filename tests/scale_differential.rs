@@ -1,18 +1,19 @@
-//! Scale differential suite: the streaming (bounded-memory) construction
-//! path must be indistinguishable from the in-memory path — identical
-//! fingerprint, byte-identical canonical snapshot, identical query
-//! answers across all four algorithms — and the parallel index build
-//! must be byte-deterministic for every thread count. A capped scale
-//! smoke drives the same checks at a multi-ten-thousand-edge size
-//! (multi-hundred-thousand in release CI; `KG_SCALE_SMOKE_EDGES`
-//! overrides), through the bulk snapshot load path end to end.
+//! Scale differential suite: the builder's chunk size (how often it
+//! compacts its edge buffer to bound construction memory) must never
+//! change the graph — identical fingerprint, byte-identical canonical
+//! snapshot, identical query answers across all four algorithms — and
+//! the parallel index build must be byte-deterministic for every thread
+//! count. A capped scale smoke drives the same checks at a
+//! multi-ten-thousand-edge size (multi-hundred-thousand in release CI;
+//! `KG_SCALE_SMOKE_EDGES` overrides), through the snapshot file load end
+//! to end.
 
 use kgreach::{Algorithm, LocalIndex, LocalIndexConfig, LscrEngine, LscrQuery};
 use kgreach_datagen::constraints;
 use kgreach_datagen::lubm::{self, generate, generate_streaming};
 use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
 use kgreach_datagen::LubmConfig;
-use kgreach_graph::{io, snapshot, Graph, StreamingGraphBuilder};
+use kgreach_graph::{io, snapshot, Graph, GraphBuilder};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -32,7 +33,7 @@ fn smoke_edge_target() -> usize {
     }
 }
 
-/// Both construction paths must agree beyond semantics: byte-identical
+/// Two builds must agree beyond semantics: byte-identical
 /// canonical snapshots, which subsume dictionaries (names *and* id
 /// assignment), adjacency in both directions, schema and histogram.
 fn assert_byte_identical(a: &Graph, b: &Graph, what: &str) {
@@ -69,10 +70,7 @@ fn assert_query_agreement(a: &LscrEngine, b: &LscrEngine, queries_per_constraint
             for alg in ALGORITHMS {
                 let ra = a.answer(&gq.query, alg).unwrap();
                 let rb = b.answer(&gq.query, alg).unwrap();
-                assert_eq!(
-                    ra.answer, rb.answer,
-                    "{alg} diverges between construction paths on {name}"
-                );
+                assert_eq!(ra.answer, rb.answer, "{alg} diverges between chunk sizes on {name}");
             }
         }
     }
@@ -99,9 +97,8 @@ fn streaming_build_matches_in_memory_build() {
 
 #[test]
 fn streaming_text_load_matches_in_memory_load() {
-    // The text ingestion path: identical graphs whether the triple file
-    // is parsed into RAM wholesale or streamed through the bounded
-    // builder.
+    // The text ingestion path: one loader under both of its names (the
+    // benchmark adapter still calls the former one).
     let g = generate(&LubmConfig { universities: 1, departments: 5, seed: 0xF11E }).unwrap();
     let dir = std::env::temp_dir().join(format!("kgscale-io-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -118,8 +115,8 @@ proptest! {
 
     /// Property: for any generator shape, seed and chunk size — the range
     /// includes the degenerate 1-edge chunk that compacts on every
-    /// insertion — the streaming build is byte-identical to the
-    /// in-memory build.
+    /// insertion — the build is byte-identical to the default-chunk
+    /// build, which at these sizes never compacts before `build`.
     #[test]
     fn streaming_equivalence_prop(
         universities in 1usize..3,
@@ -163,34 +160,34 @@ fn scale_smoke_end_to_end() {
     let target = smoke_edge_target();
     let config = LubmConfig::sized_edges(target, 0x5CA1E);
 
-    // Streaming construction with an explicit builder, so the bounded-
+    // Chunked construction with an explicit builder, so the bounded-
     // buffer contract is checked against the analytical bound: the edge
     // buffer never exceeds capacity-doubling over (deduped edges so far +
     // one chunk), 12 bytes each.
     let chunk = 1 << 15;
-    let mut b = StreamingGraphBuilder::with_chunk_edges(chunk);
+    let mut b = GraphBuilder::with_chunk_edges(chunk);
     lubm::emit(&config, &mut b);
     let peak = b.peak_buffer_bytes();
-    let g = b.finish().unwrap();
+    let g = b.build().unwrap();
     assert!(g.num_edges() >= target, "sized_edges must be a floor: {} < {target}", g.num_edges());
     let bound = 2 * 12 * (g.num_edges() + chunk);
     assert!(
         peak <= bound,
-        "streaming edge buffer peaked at {peak} bytes, above the bound {bound} \
+        "builder edge buffer peaked at {peak} bytes, above the bound {bound} \
          ({:.1} B/edge over {} edges)",
         peak as f64 / g.num_edges() as f64,
         g.num_edges()
     );
 
-    // The equivalence checks at scale: same fingerprint as the in-memory
-    // build (byte-level equality is already covered exhaustively above —
-    // at this size one snapshot encode is enough).
+    // The equivalence checks at scale: same fingerprint as the
+    // default-chunk build (byte-level equality is already covered
+    // exhaustively above — at this size one snapshot encode is enough).
     let in_memory = generate(&config).unwrap();
-    assert_eq!(in_memory.fingerprint(), g.fingerprint(), "paths diverge at scale");
+    assert_eq!(in_memory.fingerprint(), g.fingerprint(), "chunk sizes diverge at scale");
 
-    // Parallel index build at scale, then the bulk load path end to end:
-    // engine snapshot written to disk, restored via the borrowed-slice
-    // reader, answers compared with the engine that built everything.
+    // Parallel index build at scale, then the file load path end to end:
+    // engine snapshot written to disk, restored, answers compared with
+    // the engine that built everything.
     let built = LscrEngine::with_index_config(
         g,
         LocalIndexConfig {
@@ -267,11 +264,10 @@ fn assert_sampled_agreement(a: &LscrEngine, b: &LscrEngine, queries: usize, seed
 
 #[test]
 fn streaming_builder_direct_use_matches_graph_builder() {
-    // The GraphSink trait contract, exercised without the LUBM generator:
+    // The builder's event contract, exercised without the LUBM generator:
     // interleaved intern/add_edge/add_triple event streams produce the
-    // same graph through both sinks.
-    use kgreach_graph::{GraphBuilder, GraphSink};
-    let events_on = |sink: &mut dyn GraphSink| {
+    // same graph at every chunk size.
+    let events_on = |sink: &mut GraphBuilder| {
         let p = sink.intern_label("p");
         let a = sink.intern_vertex("a");
         sink.add_triple("x", "q", "y");
@@ -286,10 +282,10 @@ fn streaming_builder_direct_use_matches_graph_builder() {
     events_on(&mut gb);
     let expected = gb.build().unwrap();
     for chunk in [1usize, 2, 1024] {
-        let mut sb = StreamingGraphBuilder::with_chunk_edges(chunk);
+        let mut sb = GraphBuilder::with_chunk_edges(chunk);
         events_on(&mut sb);
-        let got = sb.finish().unwrap();
-        assert_byte_identical(&expected, &got, "direct sink use");
+        let got = sb.build().unwrap();
+        assert_byte_identical(&expected, &got, "direct builder use");
     }
 
     let q = LscrQuery::new(

@@ -21,7 +21,7 @@ fn bench_algorithms(c: &mut Criterion) {
     // The three most frequent predicates — the label-selective `L` used by
     // the `-narrowL` groups below. High-frequency labels keep the search
     // region meaningful while the label filter rejects most of each
-    // vertex's adjacency, which is the workload label-run expansion
+    // vertex's adjacency, which is the workload mask-guided expansion
     // targets.
     let narrow = kgreach_datagen::top_label_set(g, 3);
 

@@ -2,7 +2,7 @@
 //!
 //! Clippy sees types; it cannot enforce *project policy* about which
 //! synchronization primitives are reachable from product code. This tool
-//! closes that gap with four rules, each motivated by a real hazard in
+//! closes that gap with five rules, each motivated by a real hazard in
 //! this codebase:
 //!
 //! * **R1 — no raw `std::sync` primitives.** Every atomic, mutex,
@@ -28,8 +28,13 @@
 //!   reads go through `SearchClock` so deadline policy lives in one
 //!   place and the hot loops stay syscall-free; a stray clock read is a
 //!   perf bug waiting to happen.
+//! * **R5 — no timed wait on the request path** (`crates/serve/src/`
+//!   `batch.rs` and `server.rs`): no `wait_timeout(`, `recv_timeout(` or
+//!   `thread::sleep(`. A worker or connection thread blocks on work or on
+//!   the socket, never on a timer — a timed wait there is latency every
+//!   client pays whenever the guess behind the timeout is wrong.
 //!
-//! Comment-only lines are skipped for R1/R2/R4 so prose may *discuss*
+//! Comment-only lines are skipped for R1/R2/R4/R5 so prose may *discuss*
 //! the banned constructs; R3 is the one rule that reads comments.
 //!
 //! Exempt from all rules: `target/`, `vendor/` (third-party stand-ins),
@@ -51,6 +56,12 @@ const KERNEL_FILES: &[&str] = &[
     "crates/core/src/kernel.rs",
     "crates/core/src/oracle.rs",
 ];
+
+/// Files on the serving request path, which must not wait on a timer (R5).
+const REQUEST_PATH_FILES: &[&str] = &["crates/serve/src/batch.rs", "crates/serve/src/server.rs"];
+
+/// The timed waits R5 bans there.
+const TIMED_WAITS: &[&str] = &["wait_timeout(", "recv_timeout(", "thread::sleep("];
 
 /// `std::sync` paths that must be reached through `kgreach-sync` (R1).
 /// `std::sync::Arc`, `Weak`, `LockResult` and `PoisonError` are absent
@@ -108,7 +119,7 @@ fn main() {
     }
 
     if offenses.is_empty() {
-        println!("check_sync_lints: {scanned} files clean (R1 shim-only sync, R2 no SeqCst, R3 relaxed justified, R4 kernels clock-free)");
+        println!("check_sync_lints: {scanned} files clean (R1 shim-only sync, R2 no SeqCst, R3 relaxed justified, R4 kernels clock-free, R5 request path timer-free)");
     } else {
         eprintln!("check_sync_lints: {} violations:", offenses.len());
         for o in &offenses {
@@ -178,10 +189,11 @@ fn code_part(line: &str) -> &str {
     }
 }
 
-/// Runs all four rules over one file and returns formatted offenses.
+/// Runs all five rules over one file and returns formatted offenses.
 fn lint_source(rel: &str, content: &str) -> Vec<String> {
     let lines: Vec<&str> = content.lines().collect();
     let is_kernel = KERNEL_FILES.contains(&rel);
+    let is_request_path = REQUEST_PATH_FILES.contains(&rel);
     let mut offenses = Vec::new();
     for (idx, raw) in lines.iter().enumerate() {
         let lineno = idx + 1;
@@ -210,6 +222,15 @@ fn lint_source(rel: &str, content: &str) -> Vec<String> {
             offenses.push(format!(
                 "{rel}:{lineno}: [R4] `Instant::now()` in a search kernel — route clock reads through SearchClock"
             ));
+        }
+        if is_request_path {
+            for wait in TIMED_WAITS {
+                if code.contains(wait) {
+                    offenses.push(format!(
+                        "{rel}:{lineno}: [R5] `{wait}…)` on the request path — block on work or on the socket, never on a timer"
+                    ));
+                }
+            }
         }
     }
     offenses
@@ -312,6 +333,24 @@ mod tests {
     #[test]
     fn instant_now_outside_kernel_is_fine() {
         assert!(lint_source("crates/core/src/query.rs", "let t = Instant::now();\n").is_empty());
+    }
+
+    #[test]
+    fn timed_wait_on_request_path_is_r5() {
+        for file in REQUEST_PATH_FILES {
+            for wait in ["cv.wait_timeout(st, d)", "rx.recv_timeout(d)", "std::thread::sleep(d)"] {
+                let offenses = lint_source(file, &format!("let _ = {wait};\n"));
+                assert!(offenses.iter().any(|o| o.contains("[R5]")), "{file} {wait}: {offenses:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn timed_wait_elsewhere_is_fine() {
+        let src = "let _ = rx.recv_timeout(d);\nstd::thread::sleep(d);\n";
+        assert!(lint_source("crates/serve/src/bin/kg_loadgen.rs", src).is_empty());
+        // Prose about the rule on the request path itself is not an offence.
+        assert!(lint_source("crates/serve/src/batch.rs", "// no wait_timeout( here\n").is_empty());
     }
 
     #[test]

@@ -18,26 +18,24 @@
 //!
 //! `SCck(v, S)` is a pure function of the graph *content at one epoch*,
 //! so its results are memoized per compiled constraint in an
-//! [`ScckCache`] — a
-//! tri-state (*unknown / sat / unsat*) array designed like
-//! [`CloseMap`](crate::close::CloseMap): per-slot epoch stamps give O(1)
-//! whole-cache invalidation, and the slots are atomics so the cache is
-//! populated lock-free by concurrent sessions. Because the engine's plan
-//! cache shares one [`CompiledConstraint`] across every query with the
-//! same SPARQL text, repeated *and* concurrent queries with the same `S`
-//! never re-run the pattern embedding for a vertex twice — the dominant
-//! cost of UIS (Theorem 3.3) drops to one array probe after warm-up. The
+//! [`ScckCache`] — a tri-state (*unknown / sat / unsat*) array of atomic
+//! bytes, so the cache is populated lock-free by concurrent sessions. It
+//! is never reset: a memo lives and dies with the compiled constraint
+//! that owns it. Because the engine's plan cache shares one
+//! [`CompiledConstraint`] across every query with the same SPARQL text,
+//! repeated *and* concurrent queries with the same `S` never re-run the
+//! pattern embedding for a vertex twice — the dominant cost of UIS
+//! (Theorem 3.3) drops to one array probe after warm-up. The
 //! cache allocates lazily twice over: nothing before the first
 //! [`satisfies_cached`](CompiledConstraint::satisfies_cached) call, so
 //! constraints that only ever materialize `V(S,G)` pay nothing, and then
-//! 5 bytes per vertex one [`PAGE_SLOTS`]-vertex page at a time, so a
+//! one byte per vertex one [`PAGE_SLOTS`]-vertex page at a time, so a
 //! narrow search that probes eight vertices of a 50k-vertex graph holds a
-//! few pages, not a quarter of a megabyte (the engine keeps up to 4,096
-//! such memos alive). Dynamic
-//! updates never poison the memo: a compiled constraint records the
-//! [`Graph::epoch`] it was bound to, `satisfies_cached` falls back to
-//! direct evaluation on mismatch, and the engine recompiles stale plans
-//! (see `LscrEngine::apply_update`).
+//! few 1 KiB pages, not the whole array (the engine keeps up to 4,096
+//! such memos alive). Dynamic updates never poison the memo: a compiled
+//! constraint records the [`Graph::epoch`] it was bound to,
+//! `satisfies_cached` falls back to direct evaluation on mismatch, and
+//! the engine recompiles stale plans (see `LscrEngine::apply_update`).
 //!
 //! ```
 //! use kgreach::SubstructureConstraint;
@@ -52,7 +50,7 @@
 
 use kgreach_graph::{Graph, VertexId};
 use kgreach_sparql::{eval, parse, Plan, SelectQuery, SparqlError, Term, TriplePattern};
-use kgreach_sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use kgreach_sync::atomic::{AtomicU8, Ordering};
 use kgreach_sync::{Arc, OnceLock};
 use std::fmt;
 
@@ -141,18 +139,17 @@ impl fmt::Display for SubstructureConstraint {
     }
 }
 
-/// An epoch-versioned, concurrency-safe memo of `SCck(v, S)` results for
-/// one `(constraint, graph)` pair — see the [module docs](self) for where
-/// it sits in the hot path.
+/// A concurrency-safe memo of `SCck(v, S)` results for one
+/// `(constraint, graph)` pair — see the [module docs](self) for where it
+/// sits in the hot path.
 ///
-/// Each slot is tri-state: *unknown* (stamp ≠ epoch), *sat* or *unsat*
-/// (stamp = epoch, state byte 1 or 0). [`invalidate`](Self::invalidate)
-/// bumps the epoch, turning every slot back to *unknown* in O(1) — the
-/// same design as `CloseMap`, including the wraparound fallback that
-/// discards the stamps for real once every `u32::MAX` invalidations.
-/// Reads and writes are atomic (`Acquire`/`Release` on the stamp orders
-/// the state byte), so many sessions populate one cache concurrently;
-/// conflicting writes are harmless because `SCck` is deterministic.
+/// Each slot is one atomic byte: 0 = *unknown*, 1 = *unsat*, 2 = *sat*.
+/// The byte is the whole entry — nothing else is published through it —
+/// and `SCck` is deterministic, so racing writers store the same value
+/// and `Relaxed` suffices on both sides. There is no reset: the only
+/// cache in the product sits inside a [`CompiledConstraint`] bound to one
+/// graph epoch and is dropped with its plan when an update purges the
+/// engine's plan cache.
 #[derive(Debug)]
 pub struct ScckCache {
     /// Slot `v` lives in `pages[v / PAGE_SLOTS]`; a page is allocated by
@@ -160,73 +157,46 @@ pub struct ScckCache {
     /// unallocated page is *unknown*.
     pages: Vec<OnceLock<Box<Page>>>,
     len: usize,
-    epoch: u32,
 }
 
-/// Vertices per lazily allocated [`ScckCache`] page (5 KiB of slots).
+/// Vertices per lazily allocated [`ScckCache`] page (1 KiB of slots).
 pub const PAGE_SLOTS: usize = 1024;
 
-#[derive(Debug)]
-struct Page {
-    stamps: [AtomicU32; PAGE_SLOTS],
-    states: [AtomicU8; PAGE_SLOTS], // valid only when the stamp matches; 0 = unsat, 1 = sat
-}
+type Page = [AtomicU8; PAGE_SLOTS];
+
+const UNKNOWN: u8 = 0;
+const UNSAT: u8 = 1;
+const SAT: u8 = 2;
 
 impl ScckCache {
     /// Creates a cache over `n` vertices, all *unknown*.
     pub fn new(n: usize) -> Self {
         let mut pages = Vec::new();
         pages.resize_with(n.div_ceil(PAGE_SLOTS), OnceLock::new);
-        ScckCache { pages, len: n, epoch: 1 }
+        ScckCache { pages, len: n }
     }
 
     /// The memoized `SCck(v, S)`, or `None` while *unknown*.
     #[inline(always)]
     pub fn get(&self, v: VertexId) -> Option<bool> {
         let page = self.pages[v.index() / PAGE_SLOTS].get()?;
-        let slot = v.index() % PAGE_SLOTS;
-        // The Acquire load pairs with the Release store in `set`: a stamp
-        // matching the epoch proves the writer's state byte is visible.
-        if page.stamps[slot].load(Ordering::Acquire) == self.epoch {
-            // relaxed: ordered by the Acquire on the stamp above — the
-            // stamp's acquire/release pair is the only publication edge
-            // this byte needs.
-            Some(page.states[slot].load(Ordering::Relaxed) == 1)
-        } else {
-            None
+        // relaxed: the byte is the whole entry, so there is nothing for
+        // an edge to publish; the page it lives in is ordered by its
+        // `OnceLock`.
+        match page[v.index() % PAGE_SLOTS].load(Ordering::Relaxed) {
+            UNKNOWN => None,
+            state => Some(state == SAT),
         }
     }
 
-    /// Records `SCck(v, S) = sat`. The state byte is published before the
-    /// stamp, so a concurrent [`get`](Self::get) never observes a stamped
-    /// slot with a stale state.
+    /// Records `SCck(v, S) = sat`.
     #[inline(always)]
     pub fn set(&self, v: VertexId, sat: bool) {
-        let page = self.pages[v.index() / PAGE_SLOTS].get_or_init(|| {
-            Box::new(Page {
-                stamps: std::array::from_fn(|_| AtomicU32::new(0)),
-                states: std::array::from_fn(|_| AtomicU8::new(0)),
-            })
-        });
-        let slot = v.index() % PAGE_SLOTS;
-        // relaxed: the Release store on the stamp below publishes this
-        // byte; readers only look at it after an Acquire load of the
-        // stamp observes the matching epoch.
-        page.states[slot].store(u8::from(sat), Ordering::Relaxed);
-        page.stamps[slot].store(self.epoch, Ordering::Release);
-    }
-
-    /// Resets every slot to *unknown* in O(1). Requires exclusive access —
-    /// shared caches (behind the engine's plan cache) are immutable-valid
-    /// for the graph's lifetime and never need this; it exists for owners
-    /// that rebind a cache to fresh data.
-    pub fn invalidate(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamps written under recycled epochs would alias the
-            // restarted counter: drop the pages that hold them.
-            *self = ScckCache::new(self.len);
-        }
+        let page = self.pages[v.index() / PAGE_SLOTS]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU8::new(UNKNOWN))));
+        // relaxed: see `get` — racing writers store the same value
+        // (`SCck` is deterministic) and readers need nothing but the byte.
+        page[v.index() % PAGE_SLOTS].store(if sat { SAT } else { UNSAT }, Ordering::Relaxed);
     }
 
     /// Number of vertices covered.
@@ -237,12 +207,6 @@ impl ScckCache {
     /// Whether the cache covers zero vertices.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Forces the epoch counter (wraparound regression tests only).
-    #[doc(hidden)]
-    pub fn force_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
     }
 }
 
@@ -691,31 +655,6 @@ mod tests {
         // bounds (never a hit, never a panic).
         let (_, hit) = c.satisfies_cached(&other, VertexId(7));
         assert!(!hit);
-    }
-
-    #[test]
-    fn scck_cache_invalidate_and_epoch_wraparound() {
-        let mut cache = ScckCache::new(3);
-        cache.set(VertexId(1), true);
-        cache.set(VertexId(2), false);
-        assert_eq!(cache.get(VertexId(0)), None);
-        assert_eq!(cache.get(VertexId(1)), Some(true));
-        assert_eq!(cache.get(VertexId(2)), Some(false));
-        cache.invalidate();
-        for i in 0..3 {
-            assert_eq!(cache.get(VertexId(i)), None, "slot {i} survived invalidate");
-        }
-        // Regression: at epoch u32::MAX the next invalidate wraps through
-        // 0, which would make every *stale* stamp-0 slot look freshly
-        // stamped if the wraparound did not clear the stamps for real.
-        cache.force_epoch(u32::MAX);
-        cache.set(VertexId(0), true);
-        assert_eq!(cache.get(VertexId(0)), Some(true));
-        cache.invalidate();
-        assert_eq!(cache.get(VertexId(0)), None, "wraparound resurrected a stale slot");
-        assert_eq!(cache.get(VertexId(1)), None);
-        cache.set(VertexId(1), false);
-        assert_eq!(cache.get(VertexId(1)), Some(false));
     }
 
     #[test]

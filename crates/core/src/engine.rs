@@ -802,8 +802,8 @@ impl LscrEngine {
             return Algorithm::Uis;
         }
         // Narrow label constraints confine the uninformed search to a
-        // small label-feasible region, and the label-run expansion skips
-        // the rest of each vertex's adjacency.
+        // small label-feasible region, and the incident-label masks skip
+        // every vertex outside it without touching its adjacency.
         if region_frac <= 0.25 {
             return Algorithm::Uis;
         }

@@ -62,15 +62,13 @@ fn directional_closure(g: &Graph, start: VertexId, l: LabelSet, dir: Direction) 
     mask.insert(start);
     queue.push_back(start);
     while let Some(u) = queue.pop_front() {
-        let runs = match dir {
-            Direction::Forward => g.labeled_out_neighbors(u, l),
-            Direction::Backward => g.labeled_in_neighbors(u, l),
+        let edges = match dir {
+            Direction::Forward => g.out_neighbors(u),
+            Direction::Backward => g.in_neighbors(u),
         };
-        for run in runs {
-            for e in run {
-                if l.contains(e.label) && mask.insert(e.vertex) {
-                    queue.push_back(e.vertex);
-                }
+        for e in edges {
+            if l.contains(e.label) && mask.insert(e.vertex) {
+                queue.push_back(e.vertex);
             }
         }
     }

@@ -187,10 +187,6 @@ pub enum VsgOrder {
 pub struct QueryOptions {
     /// Reconstruct a [`Witness`] path for true answers.
     pub witness: bool,
-    /// Omit [`SearchStats`] from the outcome (counters that are free to
-    /// collect are still collected; this zeroes the reported struct for
-    /// callers that serve answers only).
-    pub skip_stats: bool,
     /// Abort the search after this many scanned edges (the answer is then
     /// *unproven*, see [`QueryOutcome::interrupted`]).
     pub step_budget: Option<u64>,
@@ -218,12 +214,6 @@ impl QueryOptions {
     /// Toggles witness-path reconstruction for true answers.
     pub fn with_witness(mut self, witness: bool) -> Self {
         self.witness = witness;
-        self
-    }
-
-    /// Toggles omitting search statistics from the outcome.
-    pub fn with_skip_stats(mut self, skip: bool) -> Self {
-        self.skip_stats = skip;
         self
     }
 
@@ -373,7 +363,7 @@ pub struct SearchStats {
 pub struct QueryOutcome {
     /// The boolean answer of `Q`.
     pub answer: bool,
-    /// Search counters (zeroed when [`QueryOptions::skip_stats`] is set).
+    /// Search counters.
     pub stats: SearchStats,
     /// Wall-clock time spent answering.
     pub elapsed: Duration,
@@ -456,12 +446,10 @@ mod tests {
     fn options_builder_roundtrip() {
         let opts = QueryOptions::default()
             .with_witness(true)
-            .with_skip_stats(true)
             .with_step_budget(42)
             .with_timeout(Duration::from_secs(1))
             .with_vsg_order(VsgOrder::Shuffled(7));
         assert!(opts.witness);
-        assert!(opts.skip_stats);
         assert_eq!(opts.step_budget, Some(42));
         assert_eq!(opts.timeout, Some(Duration::from_secs(1)));
         assert_eq!(opts.vsg_order, VsgOrder::Shuffled(7));

@@ -29,9 +29,7 @@ use crate::close::CloseMap;
 use crate::engine::{Algorithm, LscrEngine};
 use crate::local_index::LocalIndex;
 use crate::priority::GlobalQueue;
-use crate::query::{
-    CompiledLscrQuery, LscrQuery, QueryError, QueryOptions, QueryOutcome, SearchStats,
-};
+use crate::query::{CompiledLscrQuery, LscrQuery, QueryError, QueryOptions, QueryOutcome};
 use crate::witness::find_witness;
 use crate::{ins, oracle, uis, uis_star};
 use kgreach_graph::VertexId;
@@ -249,9 +247,6 @@ impl<'e> Session<'e> {
         if opts.witness && outcome.answer {
             outcome.witness = find_witness(g, query);
         }
-        if opts.skip_stats {
-            outcome.stats = SearchStats { algorithm: Some(resolved), ..Default::default() };
-        }
         outcome
     }
 }
@@ -316,19 +311,6 @@ mod tests {
         let out = session.answer_with_options(&query, Algorithm::Uis, &opts).unwrap();
         assert!(!out.answer);
         assert!(out.witness.is_none());
-    }
-
-    #[test]
-    fn skip_stats_zeroes_counters_but_keeps_choice() {
-        let engine = LscrEngine::new(figure3());
-        let g = engine.graph();
-        let query = q(&g, "v0", "v4", &["likes", "follows"]);
-        let mut session = engine.session();
-        let opts = QueryOptions::default().with_skip_stats(true);
-        let out = session.answer_with_options(&query, Algorithm::Uis, &opts).unwrap();
-        assert!(out.answer);
-        assert_eq!(out.stats.passed_vertices, 0);
-        assert_eq!(out.stats.algorithm, Some(Algorithm::Uis));
     }
 
     #[test]

@@ -71,9 +71,7 @@ pub fn answer_with(
         return finish(true, false, stats, close, clock);
     }
 
-    // Lines 3-11, expanding by candidate label runs: vertices with no
-    // usable label are skipped in one mask test, hub adjacencies in whole
-    // runs; the per-edge test below only filters whole-slice runs.
+    // Lines 3-11.
     while let Some(u) = stack.pop() {
         if limits.exceeded(stats.edges_scanned) {
             return finish(false, true, stats, close, clock);

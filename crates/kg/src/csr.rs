@@ -1,4 +1,4 @@
-//! Compressed sparse row (CSR) adjacency storage with label-run cursors.
+//! Compressed sparse row (CSR) adjacency storage with incident-label masks.
 //!
 //! Every search algorithm in the paper is dominated by the inner loop
 //! "for each edge `(u, l, v)` with `l ∈ L` incident to `u`". CSR stores all
@@ -10,23 +10,25 @@
 //! # Hot-path layout: label runs and incident-label masks
 //!
 //! Within each vertex the targets are sorted by `(label, vertex)`, so the
-//! edges carrying one label form a contiguous **run**. Two derived arrays
-//! exploit that for label-constrained expansion (the standard lever in the
-//! reachability-indexing literature — BitPath's label-order bitmaps, the
-//! Zhang/Bonifati/Özsu survey):
+//! edges carrying one label form a contiguous **run**: a single label's
+//! edges are one binary search away
+//! ([`neighbors_with_label`](Csr::neighbors_with_label), what the SPARQL
+//! evaluator matches patterns with) and index construction walks the runs
+//! with the label hoisted out of the per-edge loop
+//! ([`label_runs`](Csr::label_runs)).
 //!
-//! * a per-vertex **incident-label mask** (`LabelSet` of the labels on the
-//!   vertex's edges) lets [`labeled_neighbors`](Csr::labeled_neighbors)
-//!   skip a whole vertex in one `u64` AND when none of its edges can match
-//!   the constraint — the dominant case under selective constraints;
-//! * vertices that cannot be skipped are yielded adaptively: short or
-//!   fully-matching adjacencies come back as one whole-slice run (the
-//!   caller's inline label test filters — on scale-free short slices that
-//!   beats any search), while hub-sized mixed adjacencies are
-//!   binary-searched per label in `mask ∩ L` so edges with labels outside
-//!   `L` are never touched (see [`LABEL_SEARCH_CUTOFF`]).
+//! Label-constrained search uses one derived array on top (the standard
+//! lever in the reachability-indexing literature — BitPath's label-order
+//! bitmaps, the Zhang/Bonifati/Özsu survey): a per-vertex
+//! **incident-label mask** (`LabelSet` of the labels on the vertex's
+//! edges) lets [`expansion`](Csr::expansion) skip a whole vertex in one
+//! `u64` AND when none of its edges can match the constraint — the
+//! dominant case under selective constraints. A vertex that cannot be
+//! skipped comes back as its whole adjacency slice and the caller's inline
+//! per-edge label test filters: a flat scan beats any per-label search on
+//! the short slices of scale-free graphs.
 //!
-//! Both arrays are derived from the targets, never persisted: snapshot
+//! The masks are derived from the targets, never persisted: snapshot
 //! decoding rebuilds them (in the crate-internal `Csr::from_parts`) with
 //! one pass over the already-validated adjacency (cheaper than the
 //! checksum pass that precedes it), so the snapshot format needs no bump
@@ -185,43 +187,11 @@ impl Csr {
         &self.masks
     }
 
-    /// The incident edges of `v` that can match `constraint`, yielded as
-    /// contiguous candidate runs — the hot-path replacement for always
-    /// scanning the full [`neighbors`](Self::neighbors) slice.
-    ///
-    /// Three regimes, picked per vertex from the incident-label mask and
-    /// the degree:
-    ///
-    /// * `mask ∩ L = ∅` — the vertex is skipped whole: the iterator is
-    ///   immediately empty, no edge is touched;
-    /// * small degree, or `mask ⊆ L` — one run covering the full slice.
-    ///   On the short adjacency lists that dominate scale-free KGs an
-    ///   inline per-edge label test is cheaper than any search, so the
-    ///   caller keeps filtering — which costs nothing extra in the
-    ///   `mask ⊆ L` case, where the test always passes;
-    /// * mixed labels and degree above [`LABEL_SEARCH_CUTOFF`] — one
-    ///   binary-searched run per label in `mask ∩ L`, each search
-    ///   confined to the yet-unvisited suffix (labels ascend within a
-    ///   vertex); on hub vertices this touches `O(|mask ∩ L| log deg)`
-    ///   entries instead of the whole slice.
-    ///
-    /// Contract: every incident edge with label in `constraint` appears
-    /// in exactly one yielded run; edges with labels outside `constraint`
-    /// appear **at most** once (full-slice regime) — callers apply the
-    /// per-edge label test to the runs. The iterator never yields any
-    /// edge twice and never allocates.
-    #[inline]
-    pub fn labeled_neighbors(&self, v: VertexId, constraint: LabelSet) -> LabelRuns<'_> {
-        LabelRuns::over(self.neighbors(v), self.masks[v.index()], constraint)
-    }
-
     /// The expansion view of `v` under `constraint` — the shape the
-    /// search hot loops consume. Unlike
-    /// [`labeled_neighbors`](Self::labeled_neighbors) this is not an
-    /// iterator: it returns one plain slice so the caller's loop stays a
-    /// flat, LLVM-friendly scan (measured: routing the same slice
-    /// through a stateful run iterator cost UIS\*'s broad-`L` searches
-    /// ~50%).
+    /// search hot loops consume. Not an iterator: it returns one plain
+    /// slice so the caller's loop stays a flat, LLVM-friendly scan
+    /// (measured: routing the same slice through a stateful run iterator
+    /// cost UIS\*'s broad-`L` searches ~50%).
     ///
     /// * `selective` and `mask ∩ L = ∅` — the whole vertex is skipped:
     ///   `edges` is empty while `degree` still reports the adjacency
@@ -315,104 +285,6 @@ pub struct Expansion<'a> {
     pub degree: usize,
 }
 
-/// Above this degree a mixed-label adjacency is binary-searched per label
-/// by [`Csr::labeled_neighbors`] instead of being yielded whole for the
-/// caller's inline filter. Short slices are cheaper to walk than to
-/// search (a well-predicted test per edge beats `log deg` probes per
-/// label); hub-sized slices are the other way around. 64 targets keep
-/// the walked case within a few cache lines.
-pub const LABEL_SEARCH_CUTOFF: usize = 64;
-
-/// How a [`LabelRuns`] iterator extracts the candidate edges.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum RunMode {
-    /// Exhausted (or nothing can match).
-    Done,
-    /// Yield the whole slice once; the caller's per-edge test filters.
-    Full,
-    /// Per-label binary search over a hub-sized slice.
-    Search,
-}
-
-/// Iterator over the candidate runs of one vertex's adjacency under a
-/// label constraint; created by [`Csr::labeled_neighbors`] — see its
-/// contract for what the runs contain per regime.
-#[derive(Debug)]
-pub struct LabelRuns<'a> {
-    /// Unvisited suffix of the vertex's adjacency slice.
-    slice: &'a [LabeledTarget],
-    /// Full degree of the vertex (for skip accounting).
-    degree: usize,
-    /// Labels still to extract in search mode, as raw bits of `mask ∩ L`.
-    pending: u64,
-    /// Extraction strategy, picked at construction.
-    mode: RunMode,
-}
-
-impl<'a> LabelRuns<'a> {
-    /// Builds the run iterator over one adjacency slice and its
-    /// incident-label mask — shared by the CSR path and the delta
-    /// overlay's patched adjacencies, so live and frozen vertices expand
-    /// through identical regimes.
-    #[inline]
-    pub(crate) fn over(
-        slice: &'a [LabeledTarget],
-        mask: LabelSet,
-        constraint: LabelSet,
-    ) -> LabelRuns<'a> {
-        let wanted = mask.intersection(constraint);
-        let mode = if wanted.is_empty() || slice.is_empty() {
-            RunMode::Done
-        } else if wanted == mask || slice.len() <= LABEL_SEARCH_CUTOFF {
-            RunMode::Full
-        } else {
-            RunMode::Search
-        };
-        LabelRuns { slice, degree: slice.len(), pending: wanted.bits(), mode }
-    }
-}
-
-impl LabelRuns<'_> {
-    /// The vertex's full degree in this direction — candidate edges plus
-    /// the ones the constraint skips outright. Callers that track a
-    /// skipped-edge counter charge this up front and credit back each
-    /// edge that passes their label test.
-    #[inline]
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-}
-
-impl<'a> Iterator for LabelRuns<'a> {
-    type Item = &'a [LabeledTarget];
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a [LabeledTarget]> {
-        match self.mode {
-            RunMode::Done => None,
-            RunMode::Full => {
-                self.mode = RunMode::Done;
-                Some(std::mem::take(&mut self.slice))
-            }
-            RunMode::Search => {
-                if self.pending == 0 {
-                    self.mode = RunMode::Done;
-                    return None;
-                }
-                let tz = self.pending.trailing_zeros();
-                self.pending &= self.pending - 1;
-                let l = LabelId(tz as u16);
-                let lo = self.slice.partition_point(|t| t.label < l);
-                let hi = lo + self.slice[lo..].partition_point(|t| t.label <= l);
-                let run = &self.slice[lo..hi];
-                self.slice = &self.slice[hi..];
-                debug_assert!(!run.is_empty(), "mask bit set without a matching run");
-                Some(run)
-            }
-        }
-    }
-}
-
 /// Iterator over all label runs of one vertex's adjacency (no
 /// constraint); created by [`Csr::label_runs`]. Yields `(label, run)`
 /// pairs in ascending label order by linear grouping — no searches.
@@ -502,81 +374,6 @@ mod tests {
         assert_eq!(csr.label_mask(VertexId(0)), ls(&[0, 1]));
         assert_eq!(csr.label_mask(VertexId(1)), ls(&[1]));
         assert_eq!(csr.label_mask(VertexId(2)), LabelSet::EMPTY);
-    }
-
-    /// Reference semantics for `labeled_neighbors`: the filtered full
-    /// scan.
-    fn filtered(csr: &Csr, v: VertexId, l: LabelSet) -> Vec<LabeledTarget> {
-        csr.neighbors(v).iter().copied().filter(|t| l.contains(t.label)).collect()
-    }
-
-    /// The caller-side view of `labeled_neighbors`: yielded runs with the
-    /// per-edge label test the contract prescribes.
-    fn via_runs(csr: &Csr, v: VertexId, l: LabelSet) -> Vec<LabeledTarget> {
-        csr.labeled_neighbors(v, l)
-            .flat_map(|run| run.iter().copied())
-            .filter(|t| l.contains(t.label))
-            .collect()
-    }
-
-    #[test]
-    fn labeled_neighbors_matches_filtered_scan() {
-        let csr = sample();
-        for v in 0..4 {
-            for bits in 0..8u64 {
-                let l = LabelSet::from_bits(bits);
-                assert_eq!(
-                    via_runs(&csr, VertexId(v), l),
-                    filtered(&csr, VertexId(v), l),
-                    "vertex {v}, constraint {l:?}"
-                );
-                // No edge is ever yielded twice, and candidates never
-                // exceed the degree.
-                let yielded: usize =
-                    csr.labeled_neighbors(VertexId(v), l).map(<[LabeledTarget]>::len).sum();
-                assert!(yielded <= csr.degree(VertexId(v)));
-            }
-        }
-    }
-
-    #[test]
-    fn labeled_neighbors_regimes() {
-        let csr = sample();
-        // Disjoint mask: whole vertex skipped, zero runs, no edge touched.
-        assert_eq!(csr.labeled_neighbors(VertexId(0), ls(&[5])).count(), 0);
-        // Full-cover: one run spanning the whole slice.
-        let runs: Vec<_> = csr.labeled_neighbors(VertexId(0), ls(&[0, 1, 5])).collect();
-        assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].len(), 2);
-        // Mixed + small degree: still one whole-slice run — the caller's
-        // inline test filters (cheaper than searching a 2-edge slice).
-        let runs: Vec<_> = csr.labeled_neighbors(VertexId(0), ls(&[1])).collect();
-        assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].len(), 2);
-        // Degree reports the full adjacency regardless of the constraint.
-        assert_eq!(csr.labeled_neighbors(VertexId(0), ls(&[1])).degree(), 2);
-        assert_eq!(csr.labeled_neighbors(VertexId(0), LabelSet::EMPTY).degree(), 2);
-    }
-
-    #[test]
-    fn labeled_neighbors_searches_hub_vertices() {
-        // A hub past the cutoff with interleaved labels: the mixed regime
-        // binary-searches one run per wanted label, skipping the rest.
-        let mut edges = Vec::new();
-        for i in 0..((LABEL_SEARCH_CUTOFF as u32) * 2) {
-            edges.push((VertexId(0), LabelId((i % 8) as u16), VertexId(i + 1)));
-        }
-        let n = edges.len() + 1;
-        let csr = Csr::build(n, edges.into_iter());
-        let l = ls(&[2, 5]);
-        let runs: Vec<_> = csr.labeled_neighbors(VertexId(0), l).collect();
-        assert_eq!(runs.len(), 2, "one searched run per wanted label");
-        for run in &runs {
-            assert!(run.iter().all(|t| l.contains(t.label)), "searched runs are pre-filtered");
-        }
-        assert_eq!(via_runs(&csr, VertexId(0), l), filtered(&csr, VertexId(0), l));
-        // Whole-vertex skip still applies to hubs.
-        assert_eq!(csr.labeled_neighbors(VertexId(0), ls(&[9])).count(), 0);
     }
 
     #[test]

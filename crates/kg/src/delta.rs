@@ -20,7 +20,7 @@
 //!
 //! Because a patched vertex exposes the same *flat slice + mask* shape as
 //! a frozen one, the whole traversal surface — `out_expansion`,
-//! `LabelRuns`, per-label binary search, mask statistics — works
+//! per-label runs and binary search, mask statistics — works
 //! identically over a live graph; search algorithms cannot tell the
 //! difference. Once the delta grows past a threshold,
 //! [`Graph::compact`](crate::Graph::compact) re-freezes the merged view

@@ -16,9 +16,7 @@
 //! [`epoch`](Graph::epoch), the invalidation signal for every cache
 //! derived from graph content.
 
-use crate::csr::{
-    label_run_in, slice_has_edge, Csr, Expansion, LabelRuns, LabeledTarget, PerLabelRuns,
-};
+use crate::csr::{label_run_in, slice_has_edge, Csr, Expansion, LabeledTarget, PerLabelRuns};
 use crate::delta::{DeltaOverlay, DeltaStats, MaskChange, UpdateBatch, UpdateOp, UpdateSummary};
 use crate::dict::Dict;
 use crate::error::{GraphError, Result};
@@ -247,19 +245,6 @@ impl Graph {
         self.overlay.as_ref().expect("live path").in_slice(v, &self.inn)
     }
 
-    /// Out-edges of `v` whose label is in `constraint`, as contiguous
-    /// label runs — the allocation-free hot path of every label-
-    /// constrained search (see [`Csr::labeled_neighbors`] for the
-    /// per-vertex skip/full/mixed regimes).
-    #[inline(always)]
-    pub fn labeled_out_neighbors(&self, v: VertexId, constraint: LabelSet) -> LabelRuns<'_> {
-        if self.overlay.is_none() {
-            return self.out.labeled_neighbors(v, constraint);
-        }
-        let (slice, mask) = self.out_view_live(v);
-        LabelRuns::over(slice, mask, constraint)
-    }
-
     #[cold]
     fn out_view_live(&self, v: VertexId) -> (&[LabeledTarget], LabelSet) {
         self.overlay.as_ref().expect("live path").out_view(v, &self.out)
@@ -268,17 +253,6 @@ impl Graph {
     #[cold]
     fn in_view_live(&self, v: VertexId) -> (&[LabeledTarget], LabelSet) {
         self.overlay.as_ref().expect("live path").in_view(v, &self.inn)
-    }
-
-    /// In-edges of `v` whose label is in `constraint`, as contiguous
-    /// label runs.
-    #[inline(always)]
-    pub fn labeled_in_neighbors(&self, v: VertexId, constraint: LabelSet) -> LabelRuns<'_> {
-        if self.overlay.is_none() {
-            return self.inn.labeled_neighbors(v, constraint);
-        }
-        let (slice, mask) = self.in_view_live(v);
-        LabelRuns::over(slice, mask, constraint)
     }
 
     /// The out-expansion of `v` under `constraint` — the flat-slice view
@@ -347,8 +321,8 @@ impl Graph {
     }
 
     /// Whether `constraint` is selective enough that mask-guided
-    /// expansion (whole-vertex skips, hub binary search) is expected to
-    /// pay for its extra per-vertex mask load: either the
+    /// expansion (whole-vertex skips) is expected to pay for its extra
+    /// per-vertex mask load: either the
     /// [`expandable_region`](Self::expandable_region) covers at most half
     /// of the *non-sink* vertices — the only ones a search can expand —
     /// or `L` uses at most a quarter of the alphabet.
@@ -1251,40 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn labeled_neighbors_equal_filtered_scan() {
-        let g = figure3_graph();
-        let sets = [
-            g.label_set(&["likes"]),
-            g.label_set(&["likes", "follows"]),
-            g.all_labels(),
-            crate::LabelSet::EMPTY,
-        ];
-        for v in g.vertices() {
-            for &l in &sets {
-                // Candidate runs plus the caller-side label test — the
-                // contract of `labeled_neighbors` — reproduce the
-                // filtered scan exactly.
-                let via_runs: Vec<_> = g
-                    .labeled_out_neighbors(v, l)
-                    .flat_map(|run| run.iter().copied())
-                    .filter(|t| l.contains(t.label))
-                    .collect();
-                let filtered: Vec<_> =
-                    g.out_neighbors(v).iter().copied().filter(|t| l.contains(t.label)).collect();
-                assert_eq!(via_runs, filtered, "out of {v} under {l:?}");
-                let via_runs: Vec<_> = g
-                    .labeled_in_neighbors(v, l)
-                    .flat_map(|run| run.iter().copied())
-                    .filter(|t| l.contains(t.label))
-                    .collect();
-                let filtered: Vec<_> =
-                    g.in_neighbors(v).iter().copied().filter(|t| l.contains(t.label)).collect();
-                assert_eq!(via_runs, filtered, "in of {v} under {l:?}");
-            }
-        }
-    }
-
-    #[test]
     fn label_masks_and_vertex_counts() {
         let g = figure3_graph();
         let v0 = g.vertex_id("v0").unwrap();
@@ -1509,9 +1449,8 @@ mod tests {
         assert_eq!(g.label_vertex_counts()[mentors.index()], 2);
         assert!(g.has_edge(newbie, mentors, g.vertex_id("v0").unwrap()));
         assert_equivalent(&g, &rebuilt(&g));
-        // Label-run and expansion views work on the new vertex.
-        let runs: Vec<_> = g.labeled_out_neighbors(newbie, LabelSet::singleton(mentors)).collect();
-        assert_eq!(runs.len(), 1);
+        // Per-label and expansion views work on the new vertex.
+        assert_eq!(g.out_neighbors_with_label(newbie, mentors).len(), 1);
         assert_eq!(g.out_expansion(newbie, LabelSet::singleton(mentors), true).edges.len(), 1);
     }
 

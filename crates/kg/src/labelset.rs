@@ -230,11 +230,6 @@ impl Cms {
         Cms { sets: Vec::new() }
     }
 
-    /// Creates a collection holding exactly one set.
-    pub fn from_single(set: LabelSet) -> Self {
-        Cms { sets: vec![set] }
-    }
-
     /// Reassembles a collection from its canonical serialized order —
     /// ascending `(len, bits)`, exactly what [`iter`](Self::iter) yields —
     /// without paying per-set [`insert`](Self::insert) scans (snapshot

@@ -63,7 +63,7 @@ pub mod wal;
 
 mod graph;
 
-pub use csr::{Expansion, LabelRuns, LabeledTarget, PerLabelRuns};
+pub use csr::{Expansion, LabeledTarget, PerLabelRuns};
 pub use delta::{DeltaOverlay, DeltaStats, UpdateBatch, UpdateOp, UpdateSummary};
 pub use error::{GraphError, Result};
 pub use graph::{Graph, GraphBuilder, GraphFingerprint};

@@ -99,9 +99,8 @@ pub fn reachable_set(g: &Graph, s: VertexId) -> Vec<VertexId> {
 
 /// Label-constrained BFS reachability: does `s ⇝ t` hold using only edges
 /// labeled within `constraint`? This is the classic online LCR check
-/// (paper §3, `O(|V| + |E|)`). Frontier expansion goes through the
-/// label-run iterator, so vertices with no usable label are skipped from
-/// their incident-label mask alone.
+/// (paper §3, `O(|V| + |E|)`) — a reference implementation that depends
+/// on nothing but the adjacency slices.
 pub fn lcr_reachable(g: &Graph, s: VertexId, t: VertexId, constraint: LabelSet) -> bool {
     if s == t {
         return true;
@@ -111,66 +110,16 @@ pub fn lcr_reachable(g: &Graph, s: VertexId, t: VertexId, constraint: LabelSet) 
     mask.insert(s);
     queue.push_back(s);
     while let Some(u) = queue.pop_front() {
-        for run in g.labeled_out_neighbors(u, constraint) {
-            for e in run {
-                if constraint.contains(e.label) && mask.insert(e.vertex) {
-                    if e.vertex == t {
-                        return true;
-                    }
-                    queue.push_back(e.vertex);
+        for e in g.out_neighbors(u) {
+            if constraint.contains(e.label) && mask.insert(e.vertex) {
+                if e.vertex == t {
+                    return true;
                 }
+                queue.push_back(e.vertex);
             }
         }
     }
     false
-}
-
-/// All vertices reachable from `s` under `constraint` (including `s`).
-pub fn lcr_reachable_set(g: &Graph, s: VertexId, constraint: LabelSet) -> Vec<VertexId> {
-    let mut mask = EpochMask::new(g.num_vertices());
-    let mut queue = VecDeque::new();
-    let mut out = Vec::new();
-    mask.insert(s);
-    queue.push_back(s);
-    out.push(s);
-    while let Some(u) = queue.pop_front() {
-        for run in g.labeled_out_neighbors(u, constraint) {
-            for e in run {
-                if constraint.contains(e.label) && mask.insert(e.vertex) {
-                    queue.push_back(e.vertex);
-                    out.push(e.vertex);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// BFS from `s` limited to `max_rounds` frontier expansions; returns the
-/// visited set. Used by the evaluation-query generator (§6.1.1), which
-/// stops a BFS "after `log |V|` iterations" and picks targets *outside* the
-/// visited region so trivially-near targets are filtered out.
-pub fn bfs_within_rounds(g: &Graph, s: VertexId, max_rounds: usize) -> Vec<VertexId> {
-    let mut mask = EpochMask::new(g.num_vertices());
-    let mut frontier = vec![s];
-    let mut visited = vec![s];
-    mask.insert(s);
-    for _ in 0..max_rounds {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for e in g.out_neighbors(u) {
-                if mask.insert(e.vertex) {
-                    next.push(e.vertex);
-                    visited.push(e.vertex);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    visited
 }
 
 /// BFS from `s` that stops after `max_expansions` vertex dequeues; returns
@@ -197,29 +146,6 @@ pub fn bfs_first_expansions(g: &Graph, s: VertexId, max_expansions: usize) -> Ve
         }
     }
     visited
-}
-
-/// The length (in edges) of a shortest path `s → t` ignoring labels, or
-/// `None` if unreachable. Used by tests and workload diagnostics.
-pub fn shortest_path_len(g: &Graph, s: VertexId, t: VertexId) -> Option<usize> {
-    if s == t {
-        return Some(0);
-    }
-    let mut mask = EpochMask::new(g.num_vertices());
-    let mut queue = VecDeque::new();
-    mask.insert(s);
-    queue.push_back((s, 0usize));
-    while let Some((u, d)) = queue.pop_front() {
-        for e in g.out_neighbors(u) {
-            if mask.insert(e.vertex) {
-                if e.vertex == t {
-                    return Some(d + 1);
-                }
-                queue.push_back((e.vertex, d + 1));
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -286,25 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn lcr_reachable_set_contents() {
-        let g = chain_graph();
-        let a = g.vertex_id("a").unwrap();
-        let p = g.label_id("p").unwrap();
-        let set = lcr_reachable_set(&g, a, LabelSet::singleton(p));
-        // a -p-> b, then stuck (b's out-edge is labeled q).
-        assert_eq!(set.len(), 2);
-    }
-
-    #[test]
-    fn bounded_bfs_stops_early() {
-        let g = chain_graph();
-        let a = g.vertex_id("a").unwrap();
-        assert_eq!(bfs_within_rounds(&g, a, 0).len(), 1);
-        assert_eq!(bfs_within_rounds(&g, a, 1).len(), 2);
-        assert_eq!(bfs_within_rounds(&g, a, 10).len(), 4);
-    }
-
-    #[test]
     fn expansion_bounded_bfs() {
         let g = chain_graph();
         let a = g.vertex_id("a").unwrap();
@@ -314,16 +221,6 @@ mod tests {
         assert_eq!(bfs_first_expansions(&g, a, 1).len(), 2);
         // Unlimited: whole chain.
         assert_eq!(bfs_first_expansions(&g, a, 100).len(), 4);
-    }
-
-    #[test]
-    fn shortest_paths() {
-        let g = chain_graph();
-        let a = g.vertex_id("a").unwrap();
-        let d = g.vertex_id("d").unwrap();
-        assert_eq!(shortest_path_len(&g, a, d), Some(3));
-        assert_eq!(shortest_path_len(&g, d, a), None);
-        assert_eq!(shortest_path_len(&g, a, a), Some(0));
     }
 
     #[test]

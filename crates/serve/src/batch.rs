@@ -1,18 +1,17 @@
-//! Cross-request micro-batching, the worker pool and admission control.
+//! The admission queue and the worker pool.
 //!
-//! Queries from all connections funnel into one bounded queue. A fixed
+//! Queries from all connections funnel into one bounded FIFO. A fixed
 //! pool of workers — each owning a long-lived [`Session`] so its
-//! [`kgreach::SearchScratch`] allocations amortize across
-//! the process lifetime — drains the queue in *answer windows*: a worker
-//! takes the oldest waiting query, then keeps collecting up to
-//! [`BatchConfig::max_batch`] more for at most
-//! [`BatchConfig::batch_window`], and answers the whole window back to
-//! back. Coalescing is strictly backlog-driven: when the queue is empty
-//! behind the first query it is answered immediately (an idle-load query
-//! never waits on a speculative window), and under load the window fills
-//! from the backlog without sleeping. Consecutive
-//! queries sharing a constraint then hit the engine's plan cache and
-//! `SCck` memo warm, which is where the batching actually pays.
+//! [`kgreach::SearchScratch`] allocations amortize across the process
+//! lifetime — takes the oldest waiting query, answers it, and comes back
+//! for the next. A worker blocks on work and on nothing else: there is
+//! no answer window and no timed wait. Coalescing queries per worker
+//! could not pay — the plan cache and the `SCck` / `V(S,G)` memos belong
+//! to the engine, not to a worker, so which worker answers a query
+//! changes no hit rate — and holding replies back to wait for company
+//! stalls a closed loop whose clients are blocked on those very replies.
+//! The members of a `/query_batch` are queued one by one, so they spread
+//! over the idle workers.
 //!
 //! Admission control is depth-based: past
 //! [`BatchConfig::queue_high_water`] waiting queries, new work is shed
@@ -37,10 +36,6 @@ pub struct BatchConfig {
     /// Worker threads, each owning a long-lived session. `0` is allowed
     /// (nothing drains the queue) and only useful in tests.
     pub workers: usize,
-    /// How long a worker holds a window open to coalesce more queries.
-    pub batch_window: Duration,
-    /// Maximum queries answered per window.
-    pub max_batch: usize,
     /// Queue depth beyond which new queries are shed with `429`.
     pub queue_high_water: usize,
     /// Server-side ceiling on per-query scanned edges (clients may ask
@@ -54,8 +49,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get().min(8)),
-            batch_window: Duration::from_micros(500),
-            max_batch: 32,
             queue_high_water: 256,
             max_step_budget: Some(50_000_000),
             max_timeout: Some(Duration::from_secs(5)),
@@ -124,7 +117,10 @@ impl Batcher {
     /// Enqueues a batch atomically: either every query is admitted (in
     /// order) or the whole batch is shed — partial admission would turn
     /// one client batch into a mix of answers and `429`s that the client
-    /// can only retry wholesale anyway.
+    /// can only retry wholesale anyway. Refusals, in order: `503` while
+    /// draining, `413` for a batch that could not fit an empty queue
+    /// (no retry can succeed, so it must not be told to retry), `429`
+    /// when the queue is too full right now.
     pub fn submit_many(
         &self,
         reqs: Vec<QueryRequest>,
@@ -136,6 +132,20 @@ impl Batcher {
             if st.draining {
                 self.metrics.shed_draining_total.add(reqs.len() as u64);
                 return Err(ApiError::new(503, "draining", "server is shutting down"));
+            }
+            // A lone `/query` (`submit`) is never "too large": with a
+            // high water of 0 it is shed like any other.
+            if reqs.len() > 1 && reqs.len() > self.config.queue_high_water {
+                return Err(ApiError::new(
+                    413,
+                    "batch_too_large",
+                    format!(
+                        "a batch of {} queries can never fit the admission queue's high water \
+                         of {}; split it",
+                        reqs.len(),
+                        self.config.queue_high_water
+                    ),
+                ));
             }
             if st.jobs.len() + reqs.len() > self.config.queue_high_water {
                 self.metrics.shed_queue_full_total.add(reqs.len() as u64);
@@ -182,64 +192,33 @@ impl Batcher {
         self.metrics.queue_depth.set(0);
     }
 
-    /// Collects one answer window: blocks for the first job, then
-    /// coalesces more until the window closes or the batch fills.
-    /// Returns `None` when draining and the queue is empty.
-    fn next_window(&self) -> Option<Vec<Job>> {
+    /// Blocks for the oldest waiting job. Returns `None` when draining
+    /// and the queue is empty.
+    fn next_job(&self) -> Option<Job> {
         let mut st = self.state.lock().expect("queue lock");
-        let first = loop {
+        loop {
             if let Some(job) = st.jobs.pop_front() {
-                break job;
+                self.metrics.queue_depth.set(st.jobs.len() as u64);
+                return Some(job);
             }
             if st.draining {
                 return None;
             }
             st = self.available.wait(st).expect("queue lock");
-        };
-        let mut window = vec![first];
-        if st.jobs.is_empty() {
-            // No backlog: answer immediately. Holding a speculative
-            // window open here would tax every idle-load query with the
-            // full window wait for nothing — coalescing only pays when
-            // queries are actually queueing behind each other.
-            self.metrics.queue_depth.set(0);
-            return Some(window);
         }
-        let deadline = Instant::now() + self.config.batch_window;
-        loop {
-            while window.len() < self.config.max_batch {
-                match st.jobs.pop_front() {
-                    Some(job) => window.push(job),
-                    None => break,
-                }
-            }
-            let now = Instant::now();
-            if window.len() >= self.config.max_batch || st.draining || now >= deadline {
-                break;
-            }
-            let (next, timeout) =
-                self.available.wait_timeout(st, deadline - now).expect("queue lock");
-            st = next;
-            if timeout.timed_out() && st.jobs.is_empty() {
-                break;
-            }
-        }
-        self.metrics.queue_depth.set(st.jobs.len() as u64);
-        drop(st);
-        Some(window)
     }
 
     fn worker_loop(&self) {
         let mut session = self.engine.session();
-        while let Some(window) = self.next_window() {
+        while let Some(job) = self.next_job() {
+            // One job per wake: the two counters move together (see
+            // their docs in `metrics.rs`).
             self.metrics.batch_windows_total.add(1);
-            self.metrics.batched_queries_total.add(window.len() as u64);
-            for job in window {
-                let result = self.answer(&mut session, &job.req);
-                self.metrics.query_latency.record(job.enqueued.elapsed());
-                // A dropped receiver just means the client went away.
-                let _ = job.reply.send(result);
-            }
+            self.metrics.batched_queries_total.add(1);
+            let result = self.answer(&mut session, &job.req);
+            self.metrics.query_latency.record(job.enqueued.elapsed());
+            // A dropped receiver just means the client went away.
+            let _ = job.reply.send(result);
         }
     }
 
@@ -311,12 +290,8 @@ mod tests {
 
     fn start(workers: usize, high_water: usize) -> (Arc<Batcher>, Arc<ServerMetrics>) {
         let metrics = Arc::new(ServerMetrics::new());
-        let config = BatchConfig {
-            workers,
-            queue_high_water: high_water,
-            batch_window: Duration::from_micros(200),
-            ..BatchConfig::default()
-        };
+        let config =
+            BatchConfig { workers, queue_high_water: high_water, ..BatchConfig::default() };
         let engine = Arc::new(LscrEngine::new(figure3()));
         (Batcher::start(engine, Arc::clone(&metrics), config), metrics)
     }
@@ -331,7 +306,8 @@ mod tests {
             assert!(body.contains("\"answer\":true"), "{body}");
         }
         assert_eq!(metrics.queries_total.get(), 20);
-        assert!(metrics.batch_windows_total.get() >= 1);
+        // One job per wake: nothing coalesces.
+        assert_eq!(metrics.batch_windows_total.get(), 20);
         assert_eq!(metrics.batched_queries_total.get(), 20);
         assert_eq!(metrics.query_latency.count(), 20);
         batcher.shutdown();
@@ -351,17 +327,35 @@ mod tests {
     fn queue_past_high_water_sheds_with_429() {
         // Zero workers: nothing drains, so the queue depth is exact.
         let (batcher, metrics) = start(0, 2);
+        // A batch that could not fit an empty queue is refused for good,
+        // not shed: no retry could ever succeed.
+        let batch = |n: usize| (0..n).map(|_| req("v0", "v4")).collect::<Vec<_>>();
+        let err = batcher.submit_many(batch(3)).expect_err("can never fit");
+        assert_eq!((err.status, err.code), (413, "batch_too_large"));
+        assert_eq!(metrics.shed_queue_full_total.get(), 0);
         batcher.submit(req("v0", "v4")).expect("admitted");
+        // Batch admission is all-or-nothing: two do not fit behind one.
+        let err = batcher.submit_many(batch(2)).expect_err("no room for both");
+        assert_eq!((err.status, err.code), (429, "overloaded"));
+        assert_eq!(metrics.shed_queue_full_total.get(), 2);
         batcher.submit(req("v0", "v4")).expect("admitted");
         let err = batcher.submit(req("v0", "v4")).expect_err("past high water");
         assert_eq!((err.status, err.code), (429, "overloaded"));
-        // Batch admission is all-or-nothing.
         let err = batcher.submit_many(vec![req("v0", "v4")]).expect_err("still full");
         assert_eq!(err.status, 429);
-        assert_eq!(metrics.shed_queue_full_total.get(), 2);
+        assert_eq!(metrics.shed_queue_full_total.get(), 4);
         assert_eq!(batcher.queue_depth(), 2);
         batcher.shutdown();
         assert_eq!(metrics.shed_draining_total.get(), 2, "drained unanswered");
+        // Draining outranks the size check.
+        let err = batcher.submit_many(batch(3)).expect_err("draining");
+        assert_eq!((err.status, err.code), (503, "draining"));
+
+        // A lone query at high water 0 is shed, never told to split.
+        let (batcher, _metrics) = start(0, 0);
+        let err = batcher.submit(req("v0", "v4")).expect_err("nothing fits");
+        assert_eq!((err.status, err.code), (429, "overloaded"));
+        batcher.shutdown();
     }
 
     #[test]

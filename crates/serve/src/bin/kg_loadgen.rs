@@ -4,7 +4,7 @@
 //! By default the generator is self-contained: it builds a LUBM replica,
 //! spins up an in-process server on an ephemeral port, and drives
 //! ground-truth-checked query load at it over real sockets (so the
-//! measured path includes framing, batching and the worker pool — only
+//! measured path includes framing, admission and the worker pool — only
 //! true network latency is absent). Point `--addr` at an external
 //! `kg-serve` started with the *same* generator flags to measure over a
 //! real link.
@@ -483,11 +483,10 @@ fn main() {
     if let Some(server) = server {
         let m = server.metrics();
         eprintln!(
-            "\nserver counters: {} queries, {} windows ({:.1} queries/window), \
+            "\nserver counters: {} queries, {} jobs through the pool, \
              {} edges scanned, {} skipped",
             m.queries_total.get(),
-            m.batch_windows_total.get(),
-            m.batched_queries_total.get() as f64 / m.batch_windows_total.get().max(1) as f64,
+            m.batched_queries_total.get(),
             m.edges_scanned_total.get(),
             m.edges_skipped_total.get(),
         );

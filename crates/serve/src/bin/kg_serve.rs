@@ -24,9 +24,8 @@
 //!   once it exceeds `N` bytes (default 64 MiB; durable mode only).
 //! - `--build-index` — build the local index up front instead of lazily
 //!   on the first INS query.
-//! - `--workers N`, `--batch-window-us N`, `--max-batch N`,
-//!   `--queue-high-water N`, `--max-connections N` — pool and admission
-//!   tuning.
+//! - `--workers N`, `--queue-high-water N`, `--max-connections N` — pool
+//!   and admission tuning.
 //! - `--max-step-budget N`, `--max-timeout-ms N` — per-query work
 //!   ceilings (`0` disables the ceiling).
 //!
@@ -87,10 +86,6 @@ fn main() {
         addr: args.get_str("addr").unwrap_or("127.0.0.1:7468").to_owned(),
         batch: BatchConfig {
             workers: args.get("workers", defaults.workers),
-            batch_window: Duration::from_micros(
-                args.get("batch-window-us", defaults.batch_window.as_micros() as u64),
-            ),
-            max_batch: args.get("max-batch", defaults.max_batch),
             queue_high_water: args.get("queue-high-water", defaults.queue_high_water),
             max_step_budget,
             max_timeout,

@@ -16,8 +16,7 @@
 //! - [`protocol`] — request/response schemas, name↔id translation and
 //!   the typed error envelope (spec: `docs/PROTOCOL.md`).
 //! - [`metrics`] — lock-free counters/histograms behind `GET /metrics`.
-//! - [`batch`] — the admission queue, worker pool and micro-batch
-//!   windows.
+//! - [`batch`] — the admission queue and the worker pool.
 //! - [`server`] — the accept loop, dispatch and graceful shutdown.
 //! - [`client`] — a minimal keep-alive client for tests, the example and
 //!   `kg-loadgen`.

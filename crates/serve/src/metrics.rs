@@ -174,14 +174,17 @@ pub struct ServerMetrics {
     pub shed_connections_total: Counter,
     /// Current admission-queue depth (gauge).
     pub queue_depth: Counter,
-    /// Micro-batch windows executed by the worker pool.
+    /// Worker wake-ups that took a job off the queue. A worker takes one
+    /// job per wake-up, so this equals `batched_queries_total`; both are
+    /// kept because the benchmark adapter reads both.
     pub batch_windows_total: Counter,
-    /// Queries answered inside those windows (mean batch size =
-    /// `batched_queries_total / batch_windows_total`).
+    /// Jobs answered by the worker pool (bumped once per job, together
+    /// with `batch_windows_total`).
     pub batched_queries_total: Counter,
     /// Sum of per-query edges scanned (from `SearchStats`).
     pub edges_scanned_total: Counter,
-    /// Sum of per-query edges skipped by the label mask / run filter.
+    /// Sum of per-query edges skipped by the incident-label mask or the
+    /// per-edge label test.
     pub edges_skipped_total: Counter,
     /// Sum of `SCck` invocations.
     pub scck_calls_total: Counter,
@@ -344,13 +347,13 @@ impl ServerMetrics {
         counter(
             &mut out,
             "kg_batch_windows_total",
-            "Micro-batch windows executed by the worker pool.",
+            "Worker wake-ups that took a job off the queue (one job each).",
             load(&self.batch_windows_total),
         );
         counter(
             &mut out,
             "kg_batched_queries_total",
-            "Queries answered inside micro-batch windows.",
+            "Jobs answered by the worker pool.",
             load(&self.batched_queries_total),
         );
         counter(
@@ -362,7 +365,7 @@ impl ServerMetrics {
         counter(
             &mut out,
             "kg_edges_skipped_total",
-            "Edges skipped by label masks and run filters.",
+            "Edges skipped by incident-label masks and the per-edge label test.",
             load(&self.edges_skipped_total),
         );
         counter(

@@ -43,7 +43,7 @@ use std::time::Instant;
 pub struct ServerConfig {
     /// Bind address; port `0` picks an ephemeral port (tests).
     pub addr: String,
-    /// Worker-pool / micro-batch / admission tuning.
+    /// Worker-pool and admission tuning.
     pub batch: BatchConfig,
     /// Per-request HTTP byte caps and read timeout.
     pub http: HttpLimits,

@@ -1,8 +1,8 @@
 //! Synchronisation shim for the kgreach workspace.
 //!
-//! Every concurrent structure in the workspace (the `ScckCache` epoch
-//! stamps, the engine's state swap, the serve batcher, the metrics
-//! registry…) imports its primitives from this crate instead of `std::sync`
+//! Every concurrent structure in the workspace (the `ScckCache` slots,
+//! the engine's state swap, the serve batcher, the metrics registry…)
+//! imports its primitives from this crate instead of `std::sync`
 //! — a rule enforced statically by `check_sync_lints`. The shim compiles two
 //! ways:
 //!

@@ -1,9 +1,9 @@
-//! Properties of the label-run expansion hot path: on arbitrary random
-//! graphs and label constraints, `labeled_neighbors(v, L)` yields exactly
-//! the edges the filtered full-slice scan yields (in the same order), the
-//! incident-label masks agree with the adjacency, and the search-level
-//! counters (`edges_skipped`, `scck_cache_hits`) observe the machinery
-//! actually firing.
+//! Properties of the label-constrained expansion hot path: on arbitrary
+//! random graphs and label constraints the incident-label masks agree
+//! with the adjacency, a mask-guided expansion is empty exactly when no
+//! incident label is usable, and the search-level counters
+//! (`edges_skipped`, `scck_cache_hits`) observe the machinery actually
+//! firing.
 
 use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions, SearchScratch};
 use kgreach_graph::{LabelSet, VertexId};
@@ -13,46 +13,13 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
-    /// The tentpole equivalence: label-run iteration ≡ filtered scan, for
-    /// every vertex of a random graph under a random constraint, in both
-    /// directions.
-    #[test]
-    fn labeled_neighbors_equals_filtered_scan(
-        seed in 0u64..10_000,
-        n in 1usize..48,
-        density in 1usize..5,
-        labels in 1usize..12,
-        label_bits in 0u64..4096,
-    ) {
-        let g = random_graph(n, n * density, labels, seed);
-        let l = LabelSet::from_bits(label_bits).intersection(g.all_labels());
-        for v in g.vertices() {
-            // Candidate runs + the contract's caller-side label test.
-            let out_runs: Vec<_> = g
-                .labeled_out_neighbors(v, l)
-                .flat_map(|run| run.iter().copied())
-                .filter(|t| l.contains(t.label))
-                .collect();
-            let out_scan: Vec<_> =
-                g.out_neighbors(v).iter().copied().filter(|t| l.contains(t.label)).collect();
-            prop_assert_eq!(out_runs, out_scan, "out-edges of {} under {:?}", v, l);
-
-            let in_runs: Vec<_> = g
-                .labeled_in_neighbors(v, l)
-                .flat_map(|run| run.iter().copied())
-                .filter(|t| l.contains(t.label))
-                .collect();
-            let in_scan: Vec<_> =
-                g.in_neighbors(v).iter().copied().filter(|t| l.contains(t.label)).collect();
-            prop_assert_eq!(in_runs, in_scan, "in-edges of {} under {:?}", v, l);
-        }
-    }
-
-    /// Structural invariants of the candidate runs: the incident-label
+    /// Structural invariants of the expansion view of a vertex's
+    /// label-run-sorted adjacency, in both directions: the incident-label
     /// mask is exactly the union of adjacency labels, the degree reported
-    /// for skip accounting is the full degree, no edge is yielded twice,
-    /// every matching edge is yielded exactly once, and a vertex with no
-    /// usable label yields nothing at all.
+    /// for skip accounting is the full degree, and a selective expansion
+    /// is empty exactly when `mask ∩ L = ∅` and the whole adjacency slice
+    /// otherwise (the caller's per-edge label test filters it); a
+    /// non-selective expansion is always the whole slice.
     #[test]
     fn label_runs_structure(
         seed in 0u64..10_000,
@@ -64,23 +31,22 @@ proptest! {
         let g = random_graph(n, n * density, labels, seed);
         let l = LabelSet::from_bits(label_bits).intersection(g.all_labels());
         for v in g.vertices() {
-            let expected_mask: LabelSet = g.out_neighbors(v).iter().map(|t| t.label).collect();
-            prop_assert_eq!(g.out_label_mask(v), expected_mask);
-            let runs = g.labeled_out_neighbors(v, l);
-            prop_assert_eq!(runs.degree(), g.out_degree(v));
-            let mut yielded = 0usize;
-            let mut matched = 0usize;
-            for run in g.labeled_out_neighbors(v, l) {
-                prop_assert!(!run.is_empty());
-                yielded += run.len();
-                matched += run.iter().filter(|t| l.contains(t.label)).count();
+            let views = [
+                (g.out_neighbors(v), g.out_label_mask(v), g.out_expansion(v, l, true)),
+                (g.in_neighbors(v), g.in_label_mask(v), g.in_expansion(v, l, true)),
+            ];
+            for (slice, mask, selective) in views {
+                let expected_mask: LabelSet = slice.iter().map(|t| t.label).collect();
+                prop_assert_eq!(mask, expected_mask);
+                prop_assert_eq!(selective.degree, slice.len());
+                if expected_mask.intersection(l).is_empty() {
+                    prop_assert!(selective.edges.is_empty(), "skippable vertex yielded edges");
+                } else {
+                    prop_assert_eq!(selective.edges, slice);
+                }
             }
-            prop_assert!(yielded <= g.out_degree(v), "an edge was yielded twice");
-            let scan = g.out_neighbors(v).iter().filter(|t| l.contains(t.label)).count();
-            prop_assert_eq!(matched, scan);
-            if expected_mask.intersection(l).is_empty() {
-                prop_assert_eq!(yielded, 0, "skippable vertex still yielded edges");
-            }
+            prop_assert_eq!(g.out_expansion(v, l, false).edges, g.out_neighbors(v));
+            prop_assert_eq!(g.in_expansion(v, l, false).edges, g.in_neighbors(v));
         }
     }
 

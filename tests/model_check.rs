@@ -12,8 +12,8 @@
 //! The tests fall in three groups:
 //!
 //! 1. **Exhaustive DFS** over the nastiest two-thread windows: `ScckCache`
-//!    publication and epoch invalidation, engine update-during-query
-//!    pinning, batcher shutdown-vs-submit, histogram record-vs-read.
+//!    set-vs-get, engine update-during-query pinning, batcher
+//!    shutdown-vs-submit, histogram record-vs-read.
 //! 2. **Seeded shuttle runs** for state spaces too large to exhaust
 //!    (worker-pool drain with a live worker, snapshot hot reload).
 //! 3. **Seeded-bug demonstrations**: deliberately broken orderings that
@@ -53,11 +53,13 @@ fn tiny_query(engine: &LscrEngine) -> LscrQuery {
 // Group 1: exhaustive DFS over the production structures.
 // ---------------------------------------------------------------------------
 
-/// The `ScckCache` publication protocol: a concurrent `get` must see
-/// either *unknown* or the fully published entry — never a stamped slot
-/// with a stale state byte. This pins the Release(stamp)/Acquire(stamp)
-/// pair in `constraint.rs`; the seeded-bug tests below show the same
-/// window *without* the pair is caught.
+/// `ScckCache` set racing get: a concurrent `get` must see either
+/// *unknown* or the value being written — never a value nobody wrote —
+/// and the join must make the entry visible. A slot is one atomic byte,
+/// so there is no second cell to publish; the page it lives in is
+/// ordered by its `OnceLock`, which this explores too (the racing `set`
+/// allocates the page). The seeded-bug tests below show what the checker
+/// does to a protocol that *does* need a publication edge and lacks it.
 #[test]
 fn scck_cache_publication_is_exhaustively_safe() {
     let stats = Builder::new()
@@ -66,7 +68,7 @@ fn scck_cache_publication_is_exhaustively_safe() {
             let writer = Arc::clone(&cache);
             let t = thread::spawn(move || writer.set(VertexId(1), true));
             match cache.get(VertexId(1)) {
-                // Unknown (stamp not yet visible) or fully published.
+                // Unknown (store not yet visible) or the written value.
                 None | Some(true) => {}
                 Some(false) => panic!("stamped slot observed with a stale state byte"),
             }
@@ -75,32 +77,6 @@ fn scck_cache_publication_is_exhaustively_safe() {
         })
         .expect("scck publication model");
     assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
-}
-
-/// Epoch wraparound: after `u32::MAX` invalidations the stamp space is
-/// recycled. `invalidate` must zero every stamp (through exclusive
-/// access) so entries published under the old epoch `u32::MAX` can never
-/// alias the restarted epoch. Exercises `set_mut`/`with_mut` under loom.
-#[test]
-fn scck_epoch_wraparound_cannot_resurrect_entries() {
-    loom::model(|| {
-        let mut cache = ScckCache::new(2);
-        cache.force_epoch(u32::MAX);
-        let cache = Arc::new(cache);
-        let writer = Arc::clone(&cache);
-        // Concurrent fill at the wraparound epoch.
-        let t = thread::spawn(move || writer.set(VertexId(0), true));
-        t.join().unwrap();
-        assert_eq!(cache.get(VertexId(0)), Some(true));
-        // Exclusive invalidation (the engine holds &mut through its write
-        // lock at this point — Arc::try_unwrap models that exclusivity).
-        let mut cache = Arc::try_unwrap(cache).ok().expect("sole owner after join");
-        cache.invalidate();
-        let cache = Arc::new(cache);
-        // The old u32::MAX-stamped entry must not leak into epoch 1.
-        assert_eq!(cache.get(VertexId(0)), None, "wrapped epoch resurrected a stale entry");
-        assert_eq!(cache.get(VertexId(1)), None);
-    });
 }
 
 /// An update applied while a query is in flight: the query must pin one
@@ -143,8 +119,6 @@ fn batcher_shutdown_vs_submit_always_resolves() {
             let metrics = Arc::new(ServerMetrics::new());
             let config = BatchConfig {
                 workers: 0,
-                batch_window: Duration::ZERO,
-                max_batch: 4,
                 queue_high_water: 4,
                 max_step_budget: None,
                 max_timeout: None,
@@ -228,8 +202,6 @@ fn batcher_with_live_worker_drains_cleanly_under_shuttle() {
             let metrics = Arc::new(ServerMetrics::new());
             let config = BatchConfig {
                 workers: 1,
-                batch_window: Duration::ZERO,
-                max_batch: 4,
                 queue_high_water: 4,
                 max_step_budget: None,
                 max_timeout: None,
@@ -288,8 +260,9 @@ fn snapshot_reload_during_query_under_shuttle() {
 // Group 3: seeded ordering bugs the checker must catch.
 // ---------------------------------------------------------------------------
 
-/// An `ScckCache`-shaped cache whose publication protocol is broken in a
-/// configurable way. Split out so both bug tests share the probe logic.
+/// A two-cell publication protocol (a stamp guarding a state byte)
+/// broken in a configurable way. Split out so both bug tests share the
+/// probe logic.
 struct BadCache {
     stamp: AtomicU32,
     state: AtomicU8,
@@ -302,8 +275,8 @@ impl BadCache {
 
     /// Publication with no Release on the stamp.
     fn set_relaxed(&self) {
-        // relaxed: INTENTIONALLY WRONG — this is the seeded bug; the real
-        // ScckCache stores the stamp with Release.
+        // relaxed: INTENTIONALLY WRONG — this is the seeded bug; a stamp
+        // that guards another cell must be stored with Release.
         self.state.store(1, Ordering::Relaxed);
         // relaxed: INTENTIONALLY WRONG — see above.
         self.stamp.store(1, Ordering::Relaxed);
@@ -318,12 +291,12 @@ impl BadCache {
         self.state.store(1, Ordering::Relaxed);
     }
 
-    /// The reader side, shaped like `ScckCache::get`: panics when the
-    /// stamp is visible but the state byte is stale.
+    /// The reader side: panics when the stamp is visible but the state
+    /// byte is stale.
     fn probe(&self) {
         if self.stamp.load(Ordering::Acquire) == 1 {
-            // relaxed: mirrors ScckCache::get — sound only when the
-            // writer Release-stores the stamp *after* the state.
+            // relaxed: sound only when the writer Release-stores the
+            // stamp *after* the state.
             assert_eq!(self.state.load(Ordering::Relaxed), 1, "stamped but state is stale");
         }
     }

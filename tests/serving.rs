@@ -625,6 +625,15 @@ fn overload_sheds_with_retry_after_and_drains_on_shutdown() {
             Some("overloaded")
         );
 
+        // A batch larger than the high water could not fit an empty
+        // queue either: refused for good, with no invitation to retry.
+        let resp = c
+            .post_json("/query_batch", &format!("{{\"queries\":[{body},{body},{body}]}}"))
+            .unwrap();
+        assert_eq!(resp.status, 413, "{}", resp.body);
+        assert_eq!(resp.header("retry-after"), None);
+        assert!(resp.body.contains("\"batch_too_large\""), "{}", resp.body);
+
         // Shutdown drains the admitted-but-unanswered queries with 503.
         server.shutdown();
         for h in blocked {

@@ -1,40 +1,63 @@
-//! The admission queue and the worker pool.
+//! Admission, the search slots and the worker pool.
 //!
-//! Queries from all connections funnel into one bounded FIFO. A fixed
-//! pool of workers — each owning a long-lived [`Session`] so its
-//! [`kgreach::SearchScratch`] allocations amortize across the process
-//! lifetime — takes the oldest waiting query, answers it, and comes back
-//! for the next. A worker blocks on work and on nothing else: there is
-//! no answer window and no timed wait. Coalescing queries per worker
-//! could not pay — the plan cache and the `SCck` / `V(S,G)` memos belong
-//! to the engine, not to a worker, so which worker answers a query
-//! changes no hit rate — and holding replies back to wait for company
-//! stalls a closed loop whose clients are blocked on those very replies.
-//! The members of a `/query_batch` are queued one by one, so they spread
-//! over the idle workers.
+//! [`BatchConfig::workers`] is the number of searches that may run at
+//! once. A `/query` that finds one of those slots free, and nothing
+//! queued ahead of it, takes the slot and is answered **on the connection
+//! thread that parsed it** ([`Batcher::answer`]): resolve → compile →
+//! search → render with no queue push, no channel and no second thread.
+//! The request never leaves its thread, so the two thread wake-ups a
+//! hand-off costs (worker, then connection thread again) are not paid
+//! around a search that takes about a microsecond.
 //!
-//! Admission control is depth-based: past
+//! Everything else goes through one bounded FIFO that a fixed pool of
+//! `workers` threads drains: a `/query` that finds every slot taken, and
+//! the members of a `/query_batch`, which are queued one by one so they
+//! spread over the pool. A worker takes the oldest waiting query only
+//! while a slot is free — the slots are one count, `running`, shared by
+//! both routes — answers it, and comes back for the next. It blocks on
+//! work and on nothing else: there is no answer window and no timed
+//! wait. (Coalescing queries per worker could not pay: the plan cache and
+//! the `SCck` / `V(S,G)` memos belong to the engine, so which thread
+//! answers a query changes no hit rate.)
+//!
+//! A search borrows its [`kgreach::SearchScratch`] from the engine's pool
+//! **for the query**, not for the thread or the connection: an idle
+//! worker or connection holds none, so live scratches are bounded by
+//! `workers` however many connections are open. Borrowing costs two
+//! uncontended pool locks per query.
+//!
+//! A panic inside an answer costs that query a `500 internal` and one
+//! `kg_panics_total`; its slot is released by a drop guard and the thread
+//! — connection or worker — carries on.
+//!
+//! Admission is one code path for both routes: `503` while draining;
+//! then a lone query with a free slot and an empty queue is answered in
+//! place; otherwise depth-based shedding — past
 //! [`BatchConfig::queue_high_water`] waiting queries, new work is shed
 //! with `429` + `Retry-After` instead of growing the queue without bound
 //! (tail latency past the high water is already worse than a retry).
 //! During shutdown the queue drains gracefully: admitted queries are
-//! answered, new ones get `503`.
+//! answered, new ones get `503`, and [`Batcher::shutdown`] returns only
+//! once no search is running on either route.
 
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{render_outcome, ApiError, QueryRequest};
-use kgreach::{LscrEngine, Session};
+use kgreach::LscrEngine;
 use kgreach_sync::mpsc;
 use kgreach_sync::thread::JoinHandle;
-use kgreach_sync::{Arc, Condvar, Mutex};
+use kgreach_sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-/// Worker-pool and admission tuning (see `docs/OPERATIONS.md`).
+/// Search-slot, worker-pool and admission tuning (see
+/// `docs/OPERATIONS.md`).
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
-    /// Worker threads, each owning a long-lived session. `0` is allowed
-    /// (nothing drains the queue) and only useful in tests.
+    /// Searches that may run at once, and the size of the pool that
+    /// answers queued queries. `0` is allowed (nothing is ever answered)
+    /// and only useful in tests.
     pub workers: usize,
     /// Queue depth beyond which new queries are shed with `429`.
     pub queue_high_water: usize,
@@ -64,17 +87,53 @@ struct Job {
 
 struct QueueState {
     jobs: VecDeque<Job>,
+    /// Searches running right now, on connection threads and workers
+    /// alike; never above `workers`.
+    running: usize,
     draining: bool,
 }
 
-/// The shared queue + worker pool.
+/// Test seam: consulted at the top of every answer, on whichever route.
+/// `Some` is the answer (the engine is not asked); it may also block or
+/// panic.
+#[cfg(any(test, kg_loom))]
+type Probe = Box<dyn Fn(&QueryRequest) -> Option<Result<Json, ApiError>> + Send + Sync>;
+
+/// Admission, the search slots and the worker pool.
 pub struct Batcher {
     state: Mutex<QueueState>,
+    /// Signalled when a job is queued, when a slot frees with jobs
+    /// waiting, and when draining starts or its last search ends.
     available: Condvar,
     config: BatchConfig,
     engine: Arc<LscrEngine>,
     metrics: Arc<ServerMetrics>,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    #[cfg(any(test, kg_loom))]
+    probe: Option<Probe>,
+}
+
+/// One of the `workers` search slots, held for the length of one answer.
+/// Released on drop, so an unwinding thread cannot leak it.
+struct Slot<'a>(&'a Batcher);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // `Drop` must not panic, and every update under this lock leaves
+        // the state valid, so a poisoned guard is still good to use.
+        let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.running -= 1;
+        let (draining, waiting) = (st.draining, !st.jobs.is_empty());
+        drop(st);
+        if draining {
+            // `shutdown` may be waiting for the last search, workers for
+            // a slot or for leave to exit.
+            self.0.available.notify_all();
+        } else if waiting {
+            // Only workers wait before draining, and any one will do.
+            self.0.available.notify_one();
+        }
+    }
 }
 
 impl Batcher {
@@ -84,16 +143,43 @@ impl Batcher {
         metrics: Arc<ServerMetrics>,
         config: BatchConfig,
     ) -> Arc<Batcher> {
-        let batcher = Arc::new(Batcher {
-            state: Mutex::new(QueueState { jobs: VecDeque::new(), draining: false }),
+        Self::spawn_workers(Self::new(engine, metrics, config))
+    }
+
+    /// [`start`](Self::start) with a closure consulted at the top of
+    /// every answer: `Some` replaces the engine's answer, and the closure
+    /// may block or panic. Exists only for this crate's tests and the
+    /// `kg_loom` model check.
+    #[cfg(any(test, kg_loom))]
+    #[doc(hidden)]
+    pub fn start_probed(
+        engine: Arc<LscrEngine>,
+        metrics: Arc<ServerMetrics>,
+        config: BatchConfig,
+        probe: impl Fn(&QueryRequest) -> Option<Result<Json, ApiError>> + Send + Sync + 'static,
+    ) -> Arc<Batcher> {
+        let mut batcher = Self::new(engine, metrics, config);
+        batcher.probe = Some(Box::new(probe));
+        Self::spawn_workers(batcher)
+    }
+
+    fn new(engine: Arc<LscrEngine>, metrics: Arc<ServerMetrics>, config: BatchConfig) -> Batcher {
+        Batcher {
+            state: Mutex::new(QueueState { jobs: VecDeque::new(), running: 0, draining: false }),
             available: Condvar::new(),
-            config: config.clone(),
+            config,
             engine,
             metrics,
             workers: Mutex::new(Vec::new()),
-        });
-        let mut handles = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
+            #[cfg(any(test, kg_loom))]
+            probe: None,
+        }
+    }
+
+    fn spawn_workers(batcher: Batcher) -> Arc<Batcher> {
+        let batcher = Arc::new(batcher);
+        let mut handles = Vec::with_capacity(batcher.config.workers);
+        for i in 0..batcher.config.workers {
             let b = Arc::clone(&batcher);
             handles.push(
                 kgreach_sync::thread::Builder::new()
@@ -106,7 +192,29 @@ impl Batcher {
         batcher
     }
 
-    /// Enqueues one query; the receiver yields its answer (or error).
+    /// Answers one query, on the calling thread when it can: if a search
+    /// slot is free and nothing is queued ahead, the query takes the slot
+    /// and is resolved, searched and rendered right here. Otherwise it is
+    /// queued exactly as [`submit`](Self::submit) would and this call
+    /// blocks for the pool's reply. Refusals are those of
+    /// [`submit_many`](Self::submit_many).
+    pub fn answer(&self, req: QueryRequest) -> Result<Json, ApiError> {
+        let arrived = Instant::now();
+        let mut st = self.admitting(1)?;
+        if st.jobs.is_empty() && st.running < self.config.workers {
+            st.running += 1;
+            let _slot = Slot(self);
+            drop(st);
+            return self.run(&req, arrived);
+        }
+        let rx = self.enqueue(st, vec![req], arrived)?.pop().expect("one receiver per request");
+        // The pool answers every job it takes; only a worker that died
+        // outside the answer itself can drop the sender.
+        rx.recv().map_err(|_| ApiError::new(500, "internal", "worker dropped the query"))?
+    }
+
+    /// Enqueues one query for the pool; the receiver yields its answer
+    /// (or error).
     pub fn submit(
         &self,
         req: QueryRequest,
@@ -125,47 +233,70 @@ impl Batcher {
         &self,
         reqs: Vec<QueryRequest>,
     ) -> Result<Vec<mpsc::Receiver<Result<Json, ApiError>>>, ApiError> {
-        let now = Instant::now();
-        let mut receivers = Vec::with_capacity(reqs.len());
-        {
-            let mut st = self.state.lock().expect("queue lock");
-            if st.draining {
-                self.metrics.shed_draining_total.add(reqs.len() as u64);
-                return Err(ApiError::new(503, "draining", "server is shutting down"));
-            }
-            // A lone `/query` (`submit`) is never "too large": with a
-            // high water of 0 it is shed like any other.
-            if reqs.len() > 1 && reqs.len() > self.config.queue_high_water {
-                return Err(ApiError::new(
-                    413,
-                    "batch_too_large",
-                    format!(
-                        "a batch of {} queries can never fit the admission queue's high water \
-                         of {}; split it",
-                        reqs.len(),
-                        self.config.queue_high_water
-                    ),
-                ));
-            }
-            if st.jobs.len() + reqs.len() > self.config.queue_high_water {
-                self.metrics.shed_queue_full_total.add(reqs.len() as u64);
-                return Err(ApiError::new(
-                    429,
-                    "overloaded",
-                    format!(
-                        "admission queue is past its high water of {}; retry later",
-                        self.config.queue_high_water
-                    ),
-                ));
-            }
-            for req in reqs {
-                let (tx, rx) = mpsc::channel();
-                st.jobs.push_back(Job { req, enqueued: now, reply: tx });
-                receivers.push(rx);
-            }
-            self.metrics.queue_depth.set(st.jobs.len() as u64);
+        let arrived = Instant::now();
+        let st = self.admitting(reqs.len())?;
+        self.enqueue(st, reqs, arrived)
+    }
+
+    /// The first admission check, shared by both routes: locks the state
+    /// for `n` arriving queries, or refuses them with `503` while
+    /// draining.
+    fn admitting(&self, n: usize) -> Result<MutexGuard<'_, QueueState>, ApiError> {
+        let st = self.state.lock().expect("queue lock");
+        if st.draining {
+            self.metrics.shed_draining_total.add(n as u64);
+            return Err(ApiError::new(503, "draining", "server is shutting down"));
         }
-        self.available.notify_all();
+        Ok(st)
+    }
+
+    /// The rest of admission: queues all of `reqs` behind whatever is
+    /// waiting, or none of them (`413` / `429`).
+    fn enqueue(
+        &self,
+        mut st: MutexGuard<'_, QueueState>,
+        reqs: Vec<QueryRequest>,
+        arrived: Instant,
+    ) -> Result<Vec<mpsc::Receiver<Result<Json, ApiError>>>, ApiError> {
+        // A lone query is never "too large": with a high water of 0 it
+        // is shed like any other.
+        if reqs.len() > 1 && reqs.len() > self.config.queue_high_water {
+            return Err(ApiError::new(
+                413,
+                "batch_too_large",
+                format!(
+                    "a batch of {} queries can never fit the admission queue's high water \
+                     of {}; split it",
+                    reqs.len(),
+                    self.config.queue_high_water
+                ),
+            ));
+        }
+        if st.jobs.len() + reqs.len() > self.config.queue_high_water {
+            self.metrics.shed_queue_full_total.add(reqs.len() as u64);
+            return Err(ApiError::new(
+                429,
+                "overloaded",
+                format!(
+                    "admission queue is past its high water of {}; retry later",
+                    self.config.queue_high_water
+                ),
+            ));
+        }
+        let mut receivers = Vec::with_capacity(reqs.len());
+        for req in reqs {
+            let (tx, rx) = mpsc::channel();
+            st.jobs.push_back(Job { req, enqueued: arrived, reply: tx });
+            receivers.push(rx);
+        }
+        self.metrics.queue_depth.set(st.jobs.len() as u64);
+        drop(st);
+        // One job needs one worker; a batch wants every idle one.
+        if receivers.len() == 1 {
+            self.available.notify_one();
+        } else {
+            self.available.notify_all();
+        }
         Ok(receivers)
     }
 
@@ -175,8 +306,9 @@ impl Batcher {
     }
 
     /// Stops accepting work, answers everything already admitted, joins
-    /// the workers, and fails any stragglers with `503` (only possible
-    /// with a zero-worker pool).
+    /// the workers, waits for the searches still running on connection
+    /// threads, and fails any stragglers with `503` (only possible with a
+    /// zero-worker pool).
     pub fn shutdown(&self) {
         self.state.lock().expect("queue lock").draining = true;
         self.available.notify_all();
@@ -184,7 +316,12 @@ impl Batcher {
         for h in handles {
             let _ = h.join();
         }
-        let leftovers: Vec<Job> = self.state.lock().expect("queue lock").jobs.drain(..).collect();
+        let mut st = self.state.lock().expect("queue lock");
+        while st.running > 0 {
+            st = self.available.wait(st).expect("queue lock");
+        }
+        let leftovers: Vec<Job> = st.jobs.drain(..).collect();
+        drop(st);
         for job in leftovers {
             self.metrics.shed_draining_total.add(1);
             let _ = job.reply.send(Err(ApiError::new(503, "draining", "server is shutting down")));
@@ -192,16 +329,19 @@ impl Batcher {
         self.metrics.queue_depth.set(0);
     }
 
-    /// Blocks for the oldest waiting job. Returns `None` when draining
-    /// and the queue is empty.
-    fn next_job(&self) -> Option<Job> {
+    /// Blocks until there is a waiting job **and** a free slot, and takes
+    /// both. Returns `None` when draining and the queue is empty.
+    fn next_job(&self) -> Option<(Job, Slot<'_>)> {
         let mut st = self.state.lock().expect("queue lock");
         loop {
-            if let Some(job) = st.jobs.pop_front() {
-                self.metrics.queue_depth.set(st.jobs.len() as u64);
-                return Some(job);
+            if st.running < self.config.workers {
+                if let Some(job) = st.jobs.pop_front() {
+                    st.running += 1;
+                    self.metrics.queue_depth.set(st.jobs.len() as u64);
+                    return Some((job, Slot(self)));
+                }
             }
-            if st.draining {
+            if st.draining && st.jobs.is_empty() {
                 return None;
             }
             st = self.available.wait(st).expect("queue lock");
@@ -209,17 +349,45 @@ impl Batcher {
     }
 
     fn worker_loop(&self) {
-        let mut session = self.engine.session();
-        while let Some(job) = self.next_job() {
-            // One job per wake: the two counters move together (see
-            // their docs in `metrics.rs`).
-            self.metrics.batch_windows_total.add(1);
-            self.metrics.batched_queries_total.add(1);
-            let result = self.answer(&mut session, &job.req);
-            self.metrics.query_latency.record(job.enqueued.elapsed());
+        while let Some((job, slot)) = self.next_job() {
+            let result = self.run(&job.req, job.enqueued);
+            // Free the slot before waking the client, so that the query
+            // it sends next finds it and is answered in place.
+            drop(slot);
             // A dropped receiver just means the client went away.
             let _ = job.reply.send(result);
         }
+    }
+
+    /// Answers one admitted query in the slot its caller holds — the one
+    /// body both routes share, so each counter moves once per answered
+    /// query whichever thread runs it. A panic below is caught here and
+    /// costs this query a `500`, not the thread.
+    fn run(&self, req: &QueryRequest, since: Instant) -> Result<Json, ApiError> {
+        // One query per slot taken: the two counters move together (see
+        // their docs in `metrics.rs`).
+        self.metrics.batch_windows_total.add(1);
+        self.metrics.batched_queries_total.add(1);
+        // Unwind safety: the closure shares only the engine and the
+        // metrics. The unwound search's scratch is recycled, not
+        // discarded — `Session`'s drop returns it to the engine's pool,
+        // and every search starts by resetting the parts it uses, so a
+        // half-written scratch is as good as a fresh one. A lock the
+        // panic poisoned fails later queries with a panic of their own,
+        // each caught here the same way.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(any(test, kg_loom))]
+            if let Some(reply) = self.probe.as_ref().and_then(|probe| probe(req)) {
+                return reply;
+            }
+            self.search(req)
+        }))
+        .unwrap_or_else(|_| {
+            self.metrics.panics_total.add(1);
+            Err(ApiError::new(500, "internal", "the query panicked; see the server log"))
+        });
+        self.metrics.query_latency.record(since.elapsed());
+        result
     }
 
     /// Resolves and answers one query on a consistent graph snapshot.
@@ -231,7 +399,10 @@ impl Batcher {
     /// consistency is re-checked afterwards by Arc identity — if the
     /// served graph changed while this query was in flight, re-resolve
     /// and re-run against the new one.
-    fn answer(&self, session: &mut Session<'_>, req: &QueryRequest) -> Result<Json, ApiError> {
+    fn search(&self, req: &QueryRequest) -> Result<Json, ApiError> {
+        // The scratch is borrowed for this query and goes back to the
+        // engine's pool when it is answered, on a panic's unwind too.
+        let mut session = self.engine.session();
         for _ in 0..16 {
             let g = self.engine.graph();
             let query = match req.resolve(&g) {
@@ -371,5 +542,132 @@ mod tests {
         }
         let err = batcher.submit(req("v0", "v4")).expect_err("draining");
         assert_eq!((err.status, err.code), (503, "draining"));
+    }
+
+    impl Batcher {
+        fn running(&self) -> usize {
+            self.state.lock().expect("queue lock").running
+        }
+    }
+
+    /// One answer: the query's `source` and the name of the thread it ran on.
+    type RanOn = (String, Option<String>);
+
+    /// A batcher whose probe panics on source `boom`, parks on source
+    /// `block` (announcing itself on `entered` first) until `release`
+    /// fires, and logs which thread ran each query.
+    struct Probed {
+        batcher: Arc<Batcher>,
+        metrics: Arc<ServerMetrics>,
+        ran_on: Arc<Mutex<Vec<RanOn>>>,
+        release: mpsc::Sender<()>,
+        entered: mpsc::Receiver<()>,
+    }
+
+    fn start_probed(workers: usize) -> Probed {
+        let metrics = Arc::new(ServerMetrics::new());
+        let config = BatchConfig { workers, queue_high_water: 64, ..BatchConfig::default() };
+        let engine = Arc::new(LscrEngine::new(figure3()));
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let (release, release_rx) = mpsc::channel::<()>();
+        let (entered_tx, entered) = mpsc::channel::<()>();
+        let (release_rx, entered_tx) = (Mutex::new(release_rx), Mutex::new(entered_tx));
+        let log = Arc::clone(&ran_on);
+        let batcher = Batcher::start_probed(
+            engine,
+            Arc::clone(&metrics),
+            config,
+            move |req: &QueryRequest| {
+                let thread = std::thread::current().name().map(str::to_owned);
+                log.lock().unwrap().push((req.source.clone(), thread));
+                match req.source.as_str() {
+                    "boom" => panic!("seeded panic in an answer"),
+                    "block" => {
+                        entered_tx.lock().unwrap().send(()).unwrap();
+                        release_rx.lock().unwrap().recv().unwrap();
+                    }
+                    _ => {}
+                }
+                None
+            },
+        );
+        Probed { batcher, metrics, ran_on, release, entered }
+    }
+
+    #[test]
+    fn sequential_queries_are_answered_on_the_calling_thread() {
+        let Probed { batcher, metrics, ran_on, .. } = start_probed(2);
+        let me = std::thread::current().name().map(str::to_owned);
+        for _ in 0..20 {
+            let body = batcher.answer(req("v0", "v4")).expect("query ok").to_string();
+            assert!(body.contains("\"answer\":true"), "{body}");
+            assert_eq!((batcher.queue_depth(), batcher.running()), (0, 0));
+        }
+        assert!(ran_on.lock().unwrap().iter().all(|(_, thread)| *thread == me));
+        // Typed errors come back the same way.
+        let err = batcher.answer(req("nope", "v4")).expect_err("unknown vertex");
+        assert_eq!((err.status, err.code), (404, "unknown_vertex"));
+        assert_eq!(metrics.query_errors_total.get(), 1);
+        // Every counter moved once per query although no worker woke.
+        assert_eq!(metrics.queries_total.get(), 20);
+        assert_eq!(metrics.batch_windows_total.get(), 21);
+        assert_eq!(metrics.batched_queries_total.get(), 21);
+        assert_eq!(metrics.query_latency.count(), 21);
+        batcher.shutdown();
+        assert_eq!(batcher.answer(req("v0", "v4")).expect_err("draining").status, 503);
+        assert_eq!(metrics.shed_draining_total.get(), 1);
+    }
+
+    #[test]
+    fn a_query_that_finds_no_free_slot_is_answered_by_the_pool() {
+        let Probed { batcher, metrics, ran_on, release, entered } = start_probed(1);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| batcher.answer(req("block", "v4")));
+            entered.recv().expect("the blocker holds the only slot");
+            let queued = scope.spawn(|| batcher.answer(req("v0", "v4")));
+            while batcher.queue_depth() < 1 {
+                std::thread::yield_now();
+            }
+            // Queued behind a held slot: the idle worker must leave it be.
+            assert_eq!((batcher.queue_depth(), batcher.running()), (1, 1));
+            assert_eq!(metrics.batched_queries_total.get(), 1);
+            release.send(()).unwrap();
+            // (`block` names no vertex; once released it is a plain 404.)
+            assert_eq!(holder.join().unwrap().expect_err("no such vertex").status, 404);
+            let body = queued.join().unwrap().expect("queued query answered").to_string();
+            assert!(body.contains("\"answer\":true"), "{body}");
+        });
+        let ran_on = ran_on.lock().unwrap();
+        assert_eq!(ran_on.len(), 2);
+        assert_ne!(ran_on[0].1.as_deref(), Some("kg-worker-0"), "the blocker ran in place");
+        assert_eq!(ran_on[1], ("v0".to_owned(), Some("kg-worker-0".to_owned())));
+        assert_eq!((batcher.queue_depth(), batcher.running()), (0, 0));
+        assert_eq!(metrics.queue_depth.get(), 0);
+        assert_eq!(metrics.batched_queries_total.get(), 2);
+        batcher.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_answer_costs_one_500_and_neither_a_slot_nor_a_worker() {
+        let Probed { batcher, metrics, .. } = start_probed(1);
+        // In place: the calling thread gets the 500 and carries on.
+        let err = batcher.answer(req("boom", "v4")).expect_err("the answer panicked");
+        assert_eq!((err.status, err.code), (500, "internal"));
+        assert_eq!(metrics.panics_total.get(), 1);
+        assert_eq!(batcher.running(), 0, "the unwound answer gave its slot back");
+        let body = batcher.answer(req("v0", "v4")).expect("next query ok").to_string();
+        assert!(body.contains("\"answer\":true"), "{body}");
+        // Through the pool: the one worker gets the 500 out and survives.
+        let rx = batcher.submit(req("boom", "v4")).expect("admitted");
+        let err = rx.recv().expect("worker reply").expect_err("the answer panicked");
+        assert_eq!((err.status, err.code), (500, "internal"));
+        assert_eq!(metrics.panics_total.get(), 2);
+        assert_eq!(batcher.running(), 0);
+        let rx = batcher.submit(req("v0", "v4")).expect("admitted");
+        let body = rx.recv().expect("the worker is still there").expect("query ok").to_string();
+        assert!(body.contains("\"answer\":true"), "{body}");
+        assert_eq!(metrics.batched_queries_total.get(), 4);
+        assert_eq!(metrics.query_latency.count(), 4);
+        batcher.shutdown();
     }
 }

@@ -13,7 +13,9 @@
 //! with `--out` (default `bench-results/BENCH_serving.json`) the rows are
 //! written in the workspace bench JSON shape validated by
 //! `check_bench_json`. Any wire error or ground-truth mismatch fails the
-//! run — the load generator doubles as an end-to-end correctness check.
+//! run — the load generator doubles as an end-to-end correctness check —
+//! and so does a `/metrics` scrape, taken once after the load, that does
+//! not read `kg_panics_total 0`.
 //!
 //! Flags: `--universities`, `--departments`, `--seed` (dataset);
 //! `--queries N` per combination; `--concurrency "2,8"`; `--rate QPS`
@@ -480,10 +482,18 @@ fn main() {
         }
     }
 
+    // One scrape before shutdown, over the wire so it covers an external
+    // server too: a panicking answer is a `500` the rows above already
+    // count as a wire error, but the counter names the cause.
+    let panics =
+        HttpClient::connect(addr).and_then(|mut c| c.get("/metrics")).ok().and_then(|resp| {
+            resp.body.lines().find_map(|l| l.strip_prefix("kg_panics_total ")?.parse::<u64>().ok())
+        });
+
     if let Some(server) = server {
         let m = server.metrics();
         eprintln!(
-            "\nserver counters: {} queries, {} jobs through the pool, \
+            "\nserver counters: {} queries, {} search slots taken, \
              {} edges scanned, {} skipped",
             m.queries_total.get(),
             m.batched_queries_total.get(),
@@ -510,6 +520,10 @@ fn main() {
 
     if mismatches > 0 || wire_errors > 0 {
         eprintln!("FAILED: {mismatches} ground-truth mismatches, {wire_errors} wire errors");
+        std::process::exit(1);
+    }
+    if panics != Some(0) {
+        eprintln!("FAILED: /metrics reports kg_panics_total {panics:?}, expected 0");
         std::process::exit(1);
     }
 }

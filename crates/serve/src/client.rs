@@ -41,6 +41,26 @@ impl HttpResponse {
     }
 }
 
+/// Serializes one request and sends it as one buffer — head and body
+/// leave in a single `write`, so under `TCP_NODELAY` the server is woken
+/// once, with the whole request.
+fn write_request(
+    stream: &mut impl Write,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> std::io::Result<()> {
+    let mut message = Vec::with_capacity(128 + body.len());
+    write!(
+        message,
+        "{method} {path} HTTP/1.1\r\nHost: kg-serve\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )?;
+    stream.write_all(&message)?;
+    stream.flush()
+}
+
 impl HttpClient {
     /// Connects with a 30-second read timeout.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<HttpClient> {
@@ -68,15 +88,7 @@ impl HttpClient {
         path: &str,
         body: Option<&str>,
     ) -> std::io::Result<HttpResponse> {
-        let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: kg-serve\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n",
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
-        self.stream.flush()?;
+        write_request(&mut self.stream, method, path, body.unwrap_or(""))?;
         self.read_response()
     }
 
@@ -131,5 +143,32 @@ impl HttpClient {
             std::io::Error::new(std::io::ErrorKind::InvalidData, "response body is not UTF-8")
         })?;
         Ok(HttpResponse { status, headers, body })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::write_request;
+    use crate::http::tests::CountingWriter;
+
+    #[test]
+    fn a_request_is_one_write_of_the_same_bytes_as_ever() {
+        let mut out = CountingWriter::default();
+        write_request(&mut out, "POST", "/query", "{\"source\":\"v0\"}").unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "POST /query HTTP/1.1\r\nHost: kg-serve\r\nContent-Type: application/json\r\n\
+             Content-Length: 15\r\n\r\n{\"source\":\"v0\"}"
+        );
+
+        let mut out = CountingWriter::default();
+        write_request(&mut out, "GET", "/healthz", "").unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "GET /healthz HTTP/1.1\r\nHost: kg-serve\r\nContent-Type: application/json\r\n\
+             Content-Length: 0\r\n\r\n"
+        );
     }
 }

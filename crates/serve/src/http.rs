@@ -15,7 +15,7 @@
 //! body byte caps bound per-connection memory; read timeouts bound how
 //! long a half-sent ("slowloris") request can pin a connection thread.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -200,38 +200,16 @@ pub fn read_request(
 /// Reads up to and including the blank line terminating the header block,
 /// returning everything before it.
 ///
-/// Bytes are pulled one at a time so the scan can never overshoot into
-/// the body — `BufReader` makes single-byte reads a buffered memcpy, and
-/// the head is capped at [`HttpLimits::max_head_bytes`] anyway. Both
-/// `\r\n\r\n` and bare `\n\n` terminators are accepted (hand-typed
-/// clients); header lines are `\r`-stripped individually by the caller.
+/// The scan runs over the `BufReader`'s own buffer and consumes exactly
+/// the bytes up to the terminator, so it can never overshoot into the
+/// body however the peer fragmented the request. Both `\r\n\r\n` and
+/// bare `\n\n` terminators are accepted (hand-typed clients); header
+/// lines are `\r`-stripped individually by the caller.
 fn read_head(reader: &mut BufReader<TcpStream>, limits: &HttpLimits) -> Result<Vec<u8>, HttpError> {
     let mut head: Vec<u8> = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
     loop {
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                // EOF: clean between requests, truncation mid-request.
-                return Err(if head.is_empty() {
-                    HttpError::ConnectionClosed
-                } else {
-                    HttpError::BadRequest("connection closed mid-headers".into())
-                });
-            }
-            Ok(_) => {
-                head.push(byte[0]);
-                if head.ends_with(b"\r\n\r\n") {
-                    head.truncate(head.len() - 4);
-                    return Ok(head);
-                }
-                if head.ends_with(b"\n\n") {
-                    head.truncate(head.len() - 2);
-                    return Ok(head);
-                }
-                if head.len() >= limits.max_head_bytes {
-                    return Err(HttpError::HeadTooLarge);
-                }
-            }
+        let available = match reader.fill_buf() {
+            Ok(bytes) => bytes,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -247,26 +225,64 @@ fn read_head(reader: &mut BufReader<TcpStream>, limits: &HttpLimits) -> Result<V
                 });
             }
             Err(e) => return Err(HttpError::Io(e)),
+        };
+        if available.is_empty() {
+            // EOF: clean between requests, truncation mid-request.
+            return Err(if head.is_empty() {
+                HttpError::ConnectionClosed
+            } else {
+                HttpError::BadRequest("connection closed mid-headers".into())
+            });
+        }
+        // How many of `available`'s bytes belong to the head, and how
+        // long a terminator they end with (0: none yet).
+        let (mut taken, mut terminator) = (0, 0);
+        for &byte in available {
+            head.push(byte);
+            taken += 1;
+            if head.ends_with(b"\r\n\r\n") {
+                terminator = 4;
+                break;
+            }
+            if head.ends_with(b"\n\n") {
+                terminator = 2;
+                break;
+            }
+            if head.len() >= limits.max_head_bytes {
+                return Err(HttpError::HeadTooLarge);
+            }
+        }
+        reader.consume(taken);
+        if terminator > 0 {
+            head.truncate(head.len() - terminator);
+            return Ok(head);
         }
     }
 }
 
-/// Writes `resp` to `stream`.
-pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    let mut head = format!(
+/// Writes `resp` to `stream` as one buffer — head and body leave in a
+/// single `write`, so under `TCP_NODELAY` they are one segment and one
+/// wake-up for the peer.
+pub fn write_response(stream: &mut impl Write, resp: &Response) -> std::io::Result<()> {
+    let mut message = Vec::with_capacity(160 + resp.body.len());
+    write!(
+        message,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         resp.status,
         reason(resp.status),
         resp.content_type,
         resp.body.len()
-    );
+    )?;
     if let Some(secs) = resp.retry_after {
-        head.push_str(&format!("Retry-After: {secs}\r\n"));
+        write!(message, "Retry-After: {secs}\r\n")?;
     }
-    head.push_str(if resp.close { "Connection: close\r\n" } else { "Connection: keep-alive\r\n" });
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
+    message.extend_from_slice(if resp.close {
+        b"Connection: close\r\n\r\n"
+    } else {
+        b"Connection: keep-alive\r\n\r\n"
+    });
+    message.extend_from_slice(&resp.body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -332,4 +348,69 @@ pub fn reason(status: u16) -> &'static str {
 pub fn apply_read_timeout(stream: &TcpStream, limits: &HttpLimits) -> std::io::Result<()> {
     stream.set_read_timeout(Some(limits.read_timeout))?;
     stream.set_nodelay(true)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// Accepts every `write` whole, counting the calls.
+    #[derive(Default)]
+    pub(crate) struct CountingWriter {
+        pub(crate) writes: usize,
+        pub(crate) bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_the_same_bytes_as_ever() {
+        let mut out = CountingWriter::default();
+        write_response(&mut out, &Response::json(200, "{\"answer\":true}".into())).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 15\r\n\
+             Connection: keep-alive\r\n\r\n{\"answer\":true}"
+        );
+
+        let body = "{\"error\":{\"code\":\"overloaded\",\"message\":\"retry later\"}}";
+        let mut shed = Response::json(429, body.into());
+        shed.retry_after = Some(1);
+        let mut out = CountingWriter::default();
+        write_response(&mut out, &shed).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            format!(
+                "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nRetry-After: 1\r\nConnection: keep-alive\r\n\r\n{body}",
+                body.len()
+            )
+        );
+
+        // The refusal at the connection cap: `503`, `Retry-After`, close.
+        let mut full = Response::text(503, "busy".into());
+        full.retry_after = Some(1);
+        full.close = true;
+        let mut out = CountingWriter::default();
+        write_response(&mut out, &full).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\n\
+             Content-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: 4\r\n\
+             Retry-After: 1\r\nConnection: close\r\n\r\nbusy"
+        );
+    }
 }

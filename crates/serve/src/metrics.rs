@@ -174,13 +174,17 @@ pub struct ServerMetrics {
     pub shed_connections_total: Counter,
     /// Current admission-queue depth (gauge).
     pub queue_depth: Counter,
-    /// Worker wake-ups that took a job off the queue. A worker takes one
-    /// job per wake-up, so this equals `batched_queries_total`; both are
-    /// kept because the benchmark adapter reads both.
+    /// Search slots taken, by a connection thread answering in place or
+    /// by a pool worker. A slot serves one query, so this equals
+    /// `batched_queries_total`; both are kept because the benchmark
+    /// adapter reads both.
     pub batch_windows_total: Counter,
-    /// Jobs answered by the worker pool (bumped once per job, together
-    /// with `batch_windows_total`).
+    /// Queries answered in a slot, on either route (bumped once per
+    /// query, together with `batch_windows_total`).
     pub batched_queries_total: Counter,
+    /// Answers that panicked. Each cost its query a `500 internal`; the
+    /// thread that caught it carried on.
+    pub panics_total: Counter,
     /// Sum of per-query edges scanned (from `SearchStats`).
     pub edges_scanned_total: Counter,
     /// Sum of per-query edges skipped by the incident-label mask or the
@@ -197,7 +201,8 @@ pub struct ServerMetrics {
     /// Connections accepted.
     pub connections_total: Counter,
     /// Per-query latency (single queries and batch members alike),
-    /// measured enqueue → answered.
+    /// measured admission → answered (a query answered in place never
+    /// waits in the queue, so for it this is the answer alone).
     pub query_latency: LatencyHistogram,
     /// Whole-request latency on `/query` and `/query_batch`, measured
     /// parse → response ready.
@@ -226,6 +231,7 @@ impl Default for ServerMetrics {
             queue_depth: Counter::new(),
             batch_windows_total: Counter::new(),
             batched_queries_total: Counter::new(),
+            panics_total: Counter::new(),
             edges_scanned_total: Counter::new(),
             edges_skipped_total: Counter::new(),
             scck_calls_total: Counter::new(),
@@ -347,14 +353,20 @@ impl ServerMetrics {
         counter(
             &mut out,
             "kg_batch_windows_total",
-            "Worker wake-ups that took a job off the queue (one job each).",
+            "Search slots taken, in place or by the pool (one query each).",
             load(&self.batch_windows_total),
         );
         counter(
             &mut out,
             "kg_batched_queries_total",
-            "Jobs answered by the worker pool.",
+            "Queries answered in a search slot, on either route.",
             load(&self.batched_queries_total),
+        );
+        counter(
+            &mut out,
+            "kg_panics_total",
+            "Answers that panicked (each a 500; the thread survived).",
+            load(&self.panics_total),
         );
         counter(
             &mut out,
@@ -480,7 +492,7 @@ impl ServerMetrics {
         for (name, help, h) in [
             (
                 "kg_query_latency_seconds",
-                "Per-query latency, enqueue to answered.",
+                "Per-query latency, admission to answered.",
                 &self.query_latency,
             ),
             (

@@ -1,14 +1,18 @@
 //! The serving front door: TCP accept loop, per-connection threads and
 //! endpoint dispatch.
 //!
-//! The threading model is deliberately boring: one acceptor thread, one
-//! blocking thread per live connection (capped by
+//! The threading model is deliberately boring: one acceptor thread and
+//! one blocking thread per live connection (capped by
 //! [`ServerConfig::max_connections`]; excess connections get an immediate
-//! `503` and are closed), and the shared worker pool from
-//! [`batch`](crate::batch) doing the actual query work. Connection
-//! threads only parse, enqueue and serialize — a slow search never pins a
-//! connection thread beyond its own request, and a slow *client* never
-//! pins a worker.
+//! `503` and are closed). A connection thread reads a request, answers it
+//! and writes the response: a `/query` runs resolve → search → render
+//! right there whenever one of the [`BatchConfig::workers`] search slots
+//! is free, and waits on the shared pool from [`batch`](crate::batch)
+//! only when they are all taken; the members of a `/query_batch` always
+//! fan out over that pool. A slow search pins its connection thread for
+//! its own request and no longer — the thread was blocked on the pool's
+//! reply for exactly as long before — and a slow *client* holds no slot:
+//! the slot is released before the response is written.
 //!
 //! Endpoints (full schemas in `docs/PROTOCOL.md`):
 //!
@@ -378,8 +382,9 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
 fn handle_query(req: &Request, shared: &Shared) -> Result<Json, ApiError> {
     let body = parse_body(req)?;
     let query = QueryRequest::parse(&body)?;
-    let rx = shared.batcher.submit(query)?;
-    rx.recv().map_err(|_| ApiError::new(500, "internal", "worker dropped the query"))?
+    // Answered right here when a search slot is free; through the queue
+    // and the pool otherwise.
+    shared.batcher.answer(query)
 }
 
 fn handle_query_batch(req: &Request, shared: &Shared) -> Result<Json, ApiError> {

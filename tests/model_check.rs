@@ -13,21 +13,25 @@
 //!
 //! 1. **Exhaustive DFS** over the nastiest two-thread windows: `ScckCache`
 //!    set-vs-get, engine update-during-query pinning, batcher
-//!    shutdown-vs-submit, histogram record-vs-read.
+//!    shutdown-vs-submit, the in-place `/query` route against `submit`,
+//!    `shutdown` and a panicking answer, histogram record-vs-read.
 //! 2. **Seeded shuttle runs** for state spaces too large to exhaust
 //!    (worker-pool drain with a live worker, snapshot hot reload).
-//! 3. **Seeded-bug demonstrations**: deliberately broken orderings that
-//!    the checker must flag — regression tests for the checker itself and
-//!    living proof the passing tests above are not vacuous.
+//! 3. **Seeded-bug demonstrations**: deliberately broken orderings, and a
+//!    slot release that forgets its notify, that the checker must flag —
+//!    regression tests for the checker itself and living proof the
+//!    passing tests above are not vacuous.
 
 #![cfg(kg_loom)]
 
 use kgreach::constraint::{ScckCache, SubstructureConstraint};
 use kgreach::{Algorithm, LscrEngine, LscrQuery};
 use kgreach_graph::{GraphBuilder, UpdateBatch, VertexId};
-use kgreach_serve::{BatchConfig, Batcher, LatencyHistogram, ServerMetrics};
-use kgreach_sync::atomic::{AtomicU32, AtomicU8, Ordering};
-use kgreach_sync::{thread, Arc};
+use kgreach_serve::{
+    ApiError, BatchConfig, Batcher, Json, LatencyHistogram, QueryRequest, ServerMetrics,
+};
+use kgreach_sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use kgreach_sync::{thread, Arc, Condvar, Mutex};
 use loom::Builder;
 use std::time::Duration;
 
@@ -125,18 +129,7 @@ fn batcher_shutdown_vs_submit_always_resolves() {
             };
             let batcher = Batcher::start(engine, Arc::clone(&metrics), config);
             let submitter = Arc::clone(&batcher);
-            let t = thread::spawn(move || {
-                submitter.submit(kgreach_serve::QueryRequest {
-                    source: "a".into(),
-                    target: "b".into(),
-                    labels: None,
-                    constraint: "SELECT ?x WHERE { ?x <likes> <b> . }".into(),
-                    algorithm: Algorithm::Auto,
-                    witness: false,
-                    step_budget: None,
-                    timeout_ms: None,
-                })
-            });
+            let t = thread::spawn(move || submitter.submit(tiny_request("a")));
             batcher.shutdown();
             match t.join().unwrap() {
                 // Admitted before the drain flag: the drain must answer it.
@@ -152,6 +145,180 @@ fn batcher_shutdown_vs_submit_always_resolves() {
         })
         .expect("batcher shutdown model");
     assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
+}
+
+/// A wire query on the tiny graph; the slot models below key their probe
+/// on `source`.
+fn tiny_request(source: &str) -> QueryRequest {
+    QueryRequest {
+        source: source.into(),
+        target: "b".into(),
+        labels: None,
+        constraint: "SELECT ?x WHERE { ?x <likes> <b> . }".into(),
+        algorithm: Algorithm::Auto,
+        witness: false,
+        step_budget: None,
+        timeout_ms: None,
+    }
+}
+
+/// What the slot models watch from outside the `Batcher`.
+#[derive(Default)]
+struct SlotWatch {
+    /// Answers running right now — must never exceed `workers`.
+    in_flight: AtomicUsize,
+    /// Set once `shutdown` has returned: no answer may begin after it.
+    closed: AtomicBool,
+}
+
+/// A one-slot, one-worker `Batcher` whose answers are the probe's: they
+/// cost a few scheduling points instead of an engine search, which is
+/// what keeps a DFS over the admission / slot / wake-up protocol around
+/// them affordable. Source `boom` unwinds out of the answer; anything
+/// else answers `null`. The probe checks the slot invariant on the way
+/// in; how many answers ran is `batched_queries_total`.
+fn slot_model() -> (Arc<Batcher>, Arc<ServerMetrics>, Arc<SlotWatch>) {
+    const WORKERS: usize = 1;
+    let metrics = Arc::new(ServerMetrics::new());
+    let config = BatchConfig {
+        workers: WORKERS,
+        queue_high_water: 4,
+        max_step_budget: None,
+        max_timeout: None,
+    };
+    let watch = Arc::new(SlotWatch::default());
+    let w = Arc::clone(&watch);
+    let batcher = Batcher::start_probed(
+        Arc::new(tiny_engine()),
+        Arc::clone(&metrics),
+        config,
+        move |req: &QueryRequest| {
+            assert!(!w.closed.load(Ordering::Acquire), "an answer began after shutdown returned");
+            let running = w.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
+            assert!(running <= WORKERS, "{running} answers in flight on {WORKERS} slot(s)");
+            w.in_flight.fetch_sub(1, Ordering::AcqRel);
+            if req.source == "boom" {
+                // `resume_unwind` is a panic that skips the panic hook:
+                // the same unwind, without a message per explored schedule.
+                std::panic::resume_unwind(Box::new("seeded panic in an answer"));
+            }
+            Some(Ok(Json::Null))
+        },
+    );
+    (batcher, metrics, watch)
+}
+
+/// DFS over every schedule of the slot models with at most two
+/// preemptions. Three threads (in-place caller, submitter, worker) with a
+/// dozen scheduling points each put the unbounded space out of reach —
+/// bound 3 is already ~71 k executions and four minutes per model — and
+/// every protocol bug these models are after (a lost wake-up, a leaked
+/// slot, a reply sent twice) needs one ill-timed switch, not three. The
+/// protocol itself, shrunk to one mutex and one condvar, is explored
+/// without a bound in `seeded_release_without_notify_is_caught`.
+fn slot_model_builder() -> Builder {
+    Builder { preemption_bound: Some(2), ..Builder::new() }
+}
+
+/// Shuts the model down and checks what `shutdown` promises: no search
+/// running, nothing queued, and (through the probe) none begun later.
+fn shutdown_and_check(batcher: &Batcher, watch: &SlotWatch) {
+    batcher.shutdown();
+    assert_eq!(watch.in_flight.load(Ordering::Acquire), 0, "shutdown returned mid-search");
+    assert_eq!(batcher.queue_depth(), 0, "shutdown must leave the queue empty");
+    watch.closed.store(true, Ordering::Release);
+}
+
+/// Exactly one reply: the first `recv` yields it, the channel then ends.
+fn the_one_reply(
+    rx: kgreach_sync::mpsc::Receiver<Result<Json, ApiError>>,
+) -> Result<Json, ApiError> {
+    let reply = rx.recv().expect("an admitted query must be answered");
+    assert!(rx.recv().is_err(), "an admitted query was answered twice");
+    reply
+}
+
+/// The in-place route racing the queue route for the one slot: whoever
+/// wins, at most one answer runs at a time, both queries are answered
+/// exactly once, and the queued one is never left waiting beside a free
+/// slot (a lost wake-up would park the worker for good and the checker
+/// would report the deadlock).
+#[test]
+fn in_place_answer_vs_submit_shares_one_slot() {
+    let stats = slot_model_builder()
+        .check(|| {
+            let (batcher, metrics, watch) = slot_model();
+            let in_place = Arc::clone(&batcher);
+            let t = thread::spawn(move || in_place.answer(tiny_request("a")));
+            let rx = batcher.submit(tiny_request("a")).expect("nothing sheds at depth 1");
+            assert_eq!(the_one_reply(rx).expect("probe answer"), Json::Null);
+            assert_eq!(t.join().unwrap().expect("probe answer"), Json::Null);
+            shutdown_and_check(&batcher, &watch);
+            assert_eq!(metrics.batched_queries_total.get(), 2);
+            assert_eq!(metrics.panics_total.get(), 0);
+        })
+        .expect("in-place vs submit model");
+    assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
+}
+
+/// The in-place route racing `shutdown`: the query is answered or shed
+/// with `503`, never both and never neither; `shutdown` returns only once
+/// no search is running — also when the search runs on the caller's
+/// thread, which `shutdown` cannot join — and nothing begins after it.
+#[test]
+fn in_place_answer_vs_shutdown_drains_the_slot() {
+    let stats = slot_model_builder()
+        .check(|| {
+            let (batcher, metrics, watch) = slot_model();
+            let in_place = Arc::clone(&batcher);
+            let t = thread::spawn(move || in_place.answer(tiny_request("a")));
+            shutdown_and_check(&batcher, &watch);
+            let answered = match t.join().unwrap() {
+                Ok(body) => {
+                    assert_eq!(body, Json::Null);
+                    1
+                }
+                Err(err) => {
+                    assert_eq!(err.status, 503);
+                    0
+                }
+            };
+            assert_eq!(metrics.batched_queries_total.get(), answered);
+            assert_eq!(metrics.shed_draining_total.get(), 1 - answered);
+        })
+        .expect("in-place vs shutdown model");
+    assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
+}
+
+/// A panicking answer on either route racing a healthy query on the
+/// other: the panic costs its own query a `500` and nothing else — the
+/// slot comes back (or the healthy query would wait forever), the worker
+/// survives, and each query still gets exactly one reply.
+#[test]
+fn a_panicking_answer_releases_its_slot_on_either_route() {
+    for (in_place_source, queued_source) in [("boom", "a"), ("a", "boom")] {
+        let stats = slot_model_builder()
+            .check(move || {
+                let (batcher, metrics, watch) = slot_model();
+                let in_place = Arc::clone(&batcher);
+                let t = thread::spawn(move || in_place.answer(tiny_request(in_place_source)));
+                let rx = batcher.submit(tiny_request(queued_source)).expect("nothing sheds");
+                let replies =
+                    [(queued_source, the_one_reply(rx)), (in_place_source, t.join().unwrap())];
+                for (source, reply) in replies {
+                    match (source, reply) {
+                        ("boom", Err(err)) => assert_eq!((err.status, err.code), (500, "internal")),
+                        ("a", Ok(body)) => assert_eq!(body, Json::Null),
+                        (source, reply) => panic!("query '{source}' got {reply:?}"),
+                    }
+                }
+                shutdown_and_check(&batcher, &watch);
+                assert_eq!(metrics.batched_queries_total.get(), 2);
+                assert_eq!(metrics.panics_total.get(), 1);
+            })
+            .expect("panicking-answer model");
+        assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
+    }
 }
 
 /// Histogram record racing reads: counts are never lost and the reader
@@ -207,16 +374,8 @@ fn batcher_with_live_worker_drains_cleanly_under_shuttle() {
                 max_timeout: None,
             };
             let batcher = Batcher::start(engine, Arc::clone(&metrics), config);
-            let submitted = batcher.submit(kgreach_serve::QueryRequest {
-                source: "a".into(),
-                target: "b".into(),
-                labels: None,
-                constraint: "SELECT ?x WHERE { ?x <likes> <b> . }".into(),
-                algorithm: Algorithm::Uis,
-                witness: false,
-                step_budget: None,
-                timeout_ms: None,
-            });
+            let submitted =
+                batcher.submit(QueryRequest { algorithm: Algorithm::Uis, ..tiny_request("a") });
             batcher.shutdown();
             match submitted {
                 Ok(rx) => match rx.recv().expect("reply must arrive") {
@@ -348,4 +507,58 @@ fn seeded_bug_is_caught_by_shuttle_mode() {
         })
         .expect_err("shuttle must also find the relaxed-publication bug");
     assert!(err.message.contains("stale"), "unexpected diagnostic: {}", err.message);
+}
+
+/// The slot protocol of `serve::batch` in miniature — one slot, one queued
+/// job, one worker waiting for "a job **and** a free slot" — with the
+/// release's notify made optional.
+struct MiniSlots {
+    /// `(running, queued)`.
+    state: Mutex<(usize, bool)>,
+    available: Condvar,
+}
+
+impl MiniSlots {
+    /// The worker: blocks until the job is queued and the slot is free,
+    /// then takes both.
+    fn take_job(&self) {
+        let mut st = self.state.lock().unwrap();
+        while !(st.1 && st.0 == 0) {
+            st = self.available.wait(st).unwrap();
+        }
+        *st = (1, false);
+    }
+
+    /// The in-place route: holds the slot while a job is queued behind
+    /// it, then gives the slot back.
+    fn hold_enqueue_release(&self, notify_on_release: bool) {
+        self.state.lock().unwrap().0 = 1;
+        self.state.lock().unwrap().1 = true;
+        self.available.notify_one();
+        self.state.lock().unwrap().0 = 0;
+        if notify_on_release {
+            self.available.notify_one();
+        }
+    }
+}
+
+/// Release without notify: the worker that woke for the queued job while
+/// the slot was still held goes back to waiting, and a release that does
+/// not signal leaves it there beside a free slot. The checker must find
+/// that schedule — and must pass the same model with the notify in place.
+#[test]
+fn seeded_release_without_notify_is_caught() {
+    let model = |notify_on_release: bool| {
+        Builder::new().check(move || {
+            let slots =
+                Arc::new(MiniSlots { state: Mutex::new((0, false)), available: Condvar::new() });
+            let worker = Arc::clone(&slots);
+            let t = thread::spawn(move || worker.take_job());
+            slots.hold_enqueue_release(notify_on_release);
+            t.join().unwrap();
+        })
+    };
+    model(true).expect("a release that notifies loses no wake-up");
+    let err = model(false).expect_err("the lost wake-up must be flagged");
+    assert!(err.message.contains("deadlock"), "unexpected diagnostic: {}", err.message);
 }

@@ -577,6 +577,79 @@ fn shrinking_reload_under_query_load_never_loses_a_worker() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `/query` is answered on the connection thread that read it: with a
+/// free search slot nothing is ever queued, and every counter still
+/// moves once per query.
+#[test]
+fn sequential_queries_on_one_connection_never_touch_the_queue() {
+    let engine = Arc::new(LscrEngine::new(small_lubm(7)));
+    let g = engine.graph();
+    let config = ServerConfig {
+        batch: BatchConfig { workers: 2, ..BatchConfig::default() },
+        ..ServerConfig::default()
+    };
+    let server = serve(Arc::clone(&engine), config).unwrap();
+    let metrics = Arc::clone(server.metrics());
+    let vertex = g.vertex_name(kgreach_graph::VertexId(0)).to_owned();
+    let body = Json::Obj(vec![
+        ("source".into(), Json::str(&vertex)),
+        ("target".into(), Json::str(&vertex)),
+        ("constraint".into(), Json::str("SELECT ?x WHERE { ?x <rdf:type> <ub:Course> . }")),
+    ])
+    .to_string();
+    let mut c = HttpClient::connect(server.addr()).unwrap();
+    for i in 0..20 {
+        let resp = c.post_json("/query", &body).unwrap();
+        assert_eq!(resp.status, 200, "query {i}: {}", resp.body);
+        assert_eq!(metrics.queue_depth.get(), 0, "query {i} was queued");
+    }
+    assert_eq!(metrics.queries_total.get(), 20);
+    assert_eq!(metrics.batch_windows_total.get(), 20);
+    assert_eq!(metrics.batched_queries_total.get(), 20);
+    assert_eq!(metrics.query_latency.count(), 20);
+    let exposition = c.get("/metrics").unwrap().body;
+    for line in ["kg_queue_depth 0\n", "kg_panics_total 0\n", "kg_batched_queries_total 20\n"] {
+        assert!(exposition.contains(line), "missing {line:?}:\n{exposition}");
+    }
+    server.shutdown();
+}
+
+/// The head scan consumes exactly the head however the request is
+/// fragmented: a request cut inside its `\r\n\r\n` and again inside its
+/// body, then two whole requests in one segment, each get their answer.
+#[test]
+fn requests_split_or_joined_on_the_wire_are_framed_correctly() {
+    let engine = Arc::new(LscrEngine::new(small_lubm(7)));
+    let server = serve(engine, ServerConfig::default()).unwrap();
+    let mut c = HttpClient::connect(server.addr()).unwrap();
+    let body = r#"{"bad":"shape"}"#;
+    let request = format!(
+        "POST /query HTTP/1.1\r\nHost: kg-serve\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let head_end = request.find("\r\n\r\n").unwrap();
+    // Three fragments: …`\r\n\r` | `\n{"bad"` | `:"shape"}`. The pauses let
+    // the server's read return after each one.
+    let cuts = [0, head_end + 3, head_end + 4 + 6, request.len()];
+    for w in cuts.windows(2) {
+        c.send_raw(&request.as_bytes()[w[0]..w[1]]).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    let resp = c.read_response().unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("\"invalid_request\""), "{}", resp.body);
+
+    // Two requests in one segment on the same connection: the first
+    // head scan must leave the second request in the buffer untouched.
+    c.send_raw(format!("{request}GET /healthz HTTP/1.1\n\n").as_bytes()).unwrap();
+    let resp = c.read_response().unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    let resp = c.read_response().unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(resp.body.contains("\"status\""), "{}", resp.body);
+    server.shutdown();
+}
+
 #[test]
 fn overload_sheds_with_retry_after_and_drains_on_shutdown() {
     let engine = Arc::new(LscrEngine::new(small_lubm(7)));

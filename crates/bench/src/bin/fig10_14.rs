@@ -1,7 +1,9 @@
 //! Figures 10–14 — LSCR query performance on LUBM: for each substructure
 //! constraint S1–S5 (one figure each), the average running time and
 //! average passed-vertex number of UIS, UIS\* and INS over true- and
-//! false-query groups on datasets D1'–D5'.
+//! false-query groups on datasets D1'–D5'. The `UIS` row is the paper's
+//! Algorithm 1 (one frontier); `UIS (two frontiers)` is the library's
+//! default, shown beside it (see `kgreach_bench::figure_rows`).
 //!
 //! Expected shapes (paper §6.1.2):
 //! * all three algorithms grow ~linearly with the KG scale;
@@ -15,10 +17,9 @@
 //!         [--constraint s1|s2|s3|s4|s5|all] [--queries 15] [--scale 1.0]
 //!         [--datasets 5]`
 
-use kgreach::Algorithm;
 use kgreach_bench::{
-    build_local_index, build_workload, engine_with_index, lubm_datasets, ms, print_header,
-    print_row, run_group, Args,
+    build_local_index, build_workload, engine_with_index, figure_rows, lubm_datasets, ms,
+    print_header, print_row, run_group, Args,
 };
 use kgreach_datagen::constraints;
 
@@ -68,15 +69,15 @@ fn main() {
             let graph = engine.graph();
             let g = &*graph;
             for (group_name, group) in [("true", &w.true_queries), ("false", &w.false_queries)] {
-                for alg in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
-                    let r = run_group(&engine, group, alg);
+                for (row, alg, opts) in figure_rows() {
+                    let r = run_group(&engine, group, alg, &opts);
                     print_row(&[
                         spec.name.clone(),
                         format!("{}", g.num_vertices()),
                         format!("{}", g.num_edges()),
                         format!("{vsg}"),
                         group_name.into(),
-                        alg.name().into(),
+                        row.into(),
                         ms(r.avg_time),
                         format!("{:.0}", r.avg_passed),
                         format!("{}", r.queries),

@@ -12,9 +12,9 @@
 //!         [--entities 30000] [--queries 15] [--max-magnitude 4]
 //!         [--constraints-per-magnitude 4] [--index-stats]`
 
-use kgreach::Algorithm;
 use kgreach_bench::{
-    build_local_index, engine_with_index, mib, ms, print_header, print_row, run_group, Args,
+    build_local_index, engine_with_index, figure_rows, mib, ms, print_header, print_row, run_group,
+    Args,
 };
 use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
 use kgreach_datagen::{random_constraint_with_magnitude, yago::YagoConfig};
@@ -119,13 +119,13 @@ fn main() {
         false_queries.truncate(queries);
 
         for (group_name, group) in [("true", &true_queries), ("false", &false_queries)] {
-            for alg in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
-                let r = run_group(&engine, group, alg);
+            for (row, alg, opts) in figure_rows() {
+                let r = run_group(&engine, group, alg, &opts);
                 print_row(&[
                     format!("10^{mag}"),
                     format!("{avg_vsg:.0}"),
                     group_name.into(),
-                    alg.name().into(),
+                    row.into(),
                     ms(r.avg_time),
                     format!("{:.0}", r.avg_passed),
                     format!("{}", r.queries),

@@ -200,6 +200,12 @@ pub struct QueryOptions {
     /// to `|V(S,G)|` per-candidate `v ⇝ t` probes, so it only pays for
     /// itself on candidate sets at least this large — small sets answer
     /// faster through the classic chained/informed probes.
+    ///
+    /// UIS has no candidate set and races its two frontiers under every
+    /// value but one: `Some(usize::MAX)` — out of reach for UIS\*/INS
+    /// too — switches every backward frontier and mask precheck off, and
+    /// all three kernels run as the paper prints them (Algorithms 1, 2
+    /// and 4). The paper-facing harnesses run UIS that way.
     pub bidi_min_candidates: Option<usize>,
 }
 
@@ -237,7 +243,9 @@ impl QueryOptions {
 
     /// Overrides the candidate-set size gating the bidirectional phase
     /// (0 forces it on whenever `L` is selective — differential tests
-    /// use this to drive the meet-in-the-middle arms on small fixtures).
+    /// use this to drive the meet-in-the-middle arms on small fixtures;
+    /// `usize::MAX` is the paper-faithful switch, see
+    /// [`bidi_min_candidates`](Self::bidi_min_candidates)).
     pub fn with_bidi_min_candidates(mut self, min: usize) -> Self {
         self.bidi_min_candidates = Some(min);
         self
@@ -313,7 +321,12 @@ impl SearchClock {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct SearchStats {
-    /// Vertices with `close ≠ N` at termination.
+    /// Vertices with `close ≠ N` at termination. UIS counts both of its
+    /// maps — a vertex marked from `s` and from `t` counts twice — so the
+    /// figure is what the search passed; under the one-frontier switch
+    /// that is the paper's metric exactly. UIS\*/INS count the forward
+    /// map only, also when their bidirectional phase ran: the vertices
+    /// its backward frontier marked are missing from the figure.
     pub passed_vertices: usize,
     /// Invocations of `SCck` (UIS only; UIS\*/INS use `V(S,G)` instead).
     pub scck_calls: usize,
@@ -340,12 +353,15 @@ pub struct SearchStats {
     pub vsg_size: Option<usize>,
     /// Local-index landmark entries consulted (INS).
     pub index_hits: usize,
-    /// Edges scanned by the *backward* (reverse-expansion) frontier of
-    /// the bidirectional phase (UIS\*/INS; a subset of `edges_scanned`).
+    /// Edges scanned by the *backward* (reverse-expansion) frontier — of
+    /// UIS's second side, or of the UIS\*/INS bidirectional phase. A
+    /// subset of `edges_scanned`.
     pub backward_edges_scanned: usize,
     /// Early negative terminations: the search proved the answer `false`
-    /// from mask statistics or an exhausted frontier containing no
-    /// `V(S,G)` candidate, without running the per-candidate loop.
+    /// from the incident-label masks of `s` and `t` before expanding
+    /// anything, or from an exhausted backward frontier — for UIS\*/INS
+    /// an exhausted frontier of either side that holds no `V(S,G)`
+    /// candidate, which spares them the per-candidate loop.
     pub negative_terminations: usize,
     /// Forward pushes suppressed because the completed backward frontier
     /// proved the vertex cannot reach `t` under `L` (cone pruning), plus

@@ -47,8 +47,9 @@ pub struct SearchScratch {
     close: CloseMap,
     stack: Vec<VertexId>,
     queue: GlobalQueue,
-    /// Backward-frontier `close` for the bidirectional phase (UIS\*/INS):
-    /// marks the vertices known to reach `t` under `L`.
+    /// Backward-frontier `close` — UIS's second side, and the
+    /// bidirectional phase of UIS\*/INS: marks the vertices known to
+    /// reach `t` under `L`.
     back: CloseMap,
     back_stack: Vec<VertexId>,
     /// `V(S,G)` membership as an O(1)-resettable set (the `CloseMap`

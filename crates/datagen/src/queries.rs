@@ -10,9 +10,10 @@
 //!   sub-ranges `[0.2t,0.4t)`, `[0.4t,0.6t)`, `[0.6t,0.8t]`;
 //! * **distance filtering** — targets are drawn outside the `log|V|`-round
 //!   BFS ball of the source;
-//! * **difficulty filtering** — the candidate is answered with UIS and
-//!   discarded when its search tree `|T|` is smaller than a random
-//!   threshold in `[10·log|V|, |V|/(10·log|V|)]`;
+//! * **difficulty filtering** — the candidate is answered with UIS as
+//!   the paper prints it (one frontier) and discarded when its search tree
+//!   `|T|` is smaller than a random threshold in
+//!   `[10·log|V|, |V|/(10·log|V|)]`;
 //! * **false-type balancing** — false queries are kept in equal thirds of
 //!   the three failure shapes: `s ↛_L t ∧ s ⇝_S t`, `s ⇝_L t ∧ s ↛_S t`,
 //!   and `s ↛_L t ∧ s ↛_S t`.
@@ -114,6 +115,7 @@ pub fn generate_workload(
 
     let mut fwd_mask = EpochMask::new(n);
     let mut scratch = kgreach::SearchScratch::new(n);
+    let algorithm_1 = kgreach::QueryOptions::default().with_bidi_min_candidates(usize::MAX);
 
     while (true_queries.len() < config.num_true || false_queries.len() < config.num_false)
         && attempts < config.max_attempts
@@ -165,9 +167,9 @@ pub fn generate_workload(
             Err(_) => continue,
         };
 
-        // Classify with UIS and apply the difficulty filter.
-        let outcome =
-            kgreach::uis::answer_with(g, &cq, &mut scratch, &kgreach::QueryOptions::default());
+        // Classify with UIS and apply the difficulty filter. `|T|` is the
+        // search tree of Algorithm 1, so UIS runs as printed: one frontier.
+        let outcome = kgreach::uis::answer_with(g, &cq, &mut scratch, &algorithm_1);
         if config.enforce_difficulty {
             let min_lo = (10.0 * log_v) as usize;
             let min_hi = ((n as f64) / (10.0 * log_v)) as usize;

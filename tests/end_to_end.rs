@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: generators → constraints → workloads →
 //! all three algorithms → consistency with the oracle, across crates.
 
-use kgreach::{Algorithm, LocalIndexConfig, LscrEngine, LscrQuery};
+use kgreach::{Algorithm, LocalIndexConfig, LscrEngine, LscrQuery, QueryOptions};
 use kgreach_datagen::constraints::{all_lubm_constraints, s1, s3};
 use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
 use kgreach_integration::small_lubm;
@@ -161,11 +161,17 @@ fn passed_vertex_metric_ordering() {
     );
     let engine = LscrEngine::new(g);
     let mut session = engine.session();
+    // The paper's UIS is Algorithm 1 with its one frontier.
+    let one_frontier = QueryOptions::default().with_bidi_min_candidates(usize::MAX);
     let mut ins_total = 0usize;
     let mut uis_total = 0usize;
     for gq in &w.true_queries {
         ins_total += session.answer(&gq.query, Algorithm::Ins).unwrap().stats.passed_vertices;
-        uis_total += session.answer(&gq.query, Algorithm::Uis).unwrap().stats.passed_vertices;
+        uis_total += session
+            .answer_with_options(&gq.query, Algorithm::Uis, &one_frontier)
+            .unwrap()
+            .stats
+            .passed_vertices;
     }
     assert!(
         ins_total <= uis_total * 2,

@@ -13,6 +13,12 @@
 //! bidirectional race and both cleanups) and must never be edited to
 //! make a refactor pass. A deliberate change to traversal order or to a
 //! counter re-records them, and says so in CHANGES.md.
+//!
+//! Slot 0 is UIS under the one-frontier switch, run first on the cold
+//! memo, against the constants recorded for `UIS default` when UIS had a
+//! single frontier: Algorithm 1 as the paper prints it is still in the
+//! tree, mark for mark. Slot 1 is the two-frontier default, recorded
+//! when the second frontier was added (PR 23).
 
 use kgreach::fixtures::{figure3, s0};
 use kgreach::{
@@ -20,19 +26,17 @@ use kgreach::{
     SubstructureConstraint, VsgOrder,
 };
 use kgreach_datagen::funnel::{self, FunnelConfig};
-use kgreach_datagen::{all_lubm_constraints, top_label_set, LubmConfig};
+use kgreach_datagen::LubmConfig;
 use kgreach_graph::snapshot::xxh64;
-use kgreach_graph::{Graph, LabelId, LabelSet, VertexId};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use kgreach_graph::{Graph, VertexId};
+use kgreach_integration::{all_pairs, lubm_draws};
 use std::fmt::Write as _;
 
 /// The kernel × options grid of one fixture, in the order the expected
 /// hashes are listed.
 const RUNS: [&str; 9] = [
+    "UIS one frontier",
     "UIS default",
-    "UIS bidi0",
     "UIS* default",
     "UIS* bidi0",
     "UIS* shuffled",
@@ -52,6 +56,9 @@ fn render(log: &mut String, out: &QueryOutcome) {
 /// fixed order of the grid.
 fn hashes(g: &Graph, index: &LocalIndex, queries: &[LscrQuery], budget: u64) -> [u64; 9] {
     let defaults = QueryOptions::default();
+    // Algorithm 1 as printed: the switch that keeps UIS's backward side
+    // (and the UIS*/INS phase) from ever engaging.
+    let one_frontier = QueryOptions::default().with_bidi_min_candidates(usize::MAX);
     let bidi0 = QueryOptions::default().with_bidi_min_candidates(0);
     let shuffled = QueryOptions::default().with_vsg_order(VsgOrder::Shuffled(1));
     // `budget` is chosen per fixture to stop a good share of the
@@ -61,8 +68,8 @@ fn hashes(g: &Graph, index: &LocalIndex, queries: &[LscrQuery], budget: u64) -> 
     let mut logs: [String; 9] = Default::default();
     for q in queries {
         let cq = q.compile(g).unwrap();
-        render(&mut logs[0], &uis::answer_with(g, &cq, &mut scratch, &defaults));
-        render(&mut logs[1], &uis::answer_with(g, &cq, &mut scratch, &bidi0));
+        render(&mut logs[0], &uis::answer_with(g, &cq, &mut scratch, &one_frontier));
+        render(&mut logs[1], &uis::answer_with(g, &cq, &mut scratch, &defaults));
         render(&mut logs[2], &uis_star::answer_with(g, &cq, &mut scratch, &defaults));
         render(&mut logs[3], &uis_star::answer_with(g, &cq, &mut scratch, &bidi0));
         render(&mut logs[4], &uis_star::answer_with(g, &cq, &mut scratch, &shuffled));
@@ -85,19 +92,6 @@ fn assert_parity(fixture: &str, got: [u64; 9], want: [u64; 9]) {
         changed.is_empty(),
         "{fixture}: traversal changed for {changed:?}\n  got      {got:#018x?}\n  recorded {want:#018x?}"
     );
-}
-
-fn all_pairs(g: &Graph, label_sets: &[LabelSet], c: &SubstructureConstraint) -> Vec<LscrQuery> {
-    let n = g.num_vertices() as u32;
-    let mut queries = Vec::new();
-    for s in 0..n {
-        for t in 0..n {
-            for &labels in label_sets {
-                queries.push(LscrQuery::new(VertexId(s), VertexId(t), labels, c.clone()));
-            }
-        }
-    }
-    queries
 }
 
 #[test]
@@ -165,48 +159,13 @@ fn wide_funnel_engages_bidi_by_default() {
 fn lubm_fixed_draws() {
     let g = kgreach_datagen::lubm::generate(&LubmConfig::sized(2_000, 7)).unwrap();
     let index = LocalIndex::build_default(&g);
-    let constraints = all_lubm_constraints();
-    let narrow = top_label_set(&g, 3);
-    let num_labels = g.num_labels();
-    let mut rng = SmallRng::seed_from_u64(0x9A21_7E57);
-    let mut label_ids: Vec<u16> = (0..num_labels as u16).collect();
-    let queries: Vec<LscrQuery> = (0..200)
-        .map(|i| {
-            let s = VertexId(rng.gen_range(0..g.num_vertices()) as u32);
-            let mut t = VertexId(rng.gen_range(0..g.num_vertices()) as u32);
-            // 20–80 % of the labels (the paper's §6.1.1 range); every
-            // fourth draw uses the narrow top-3 set instead, which is
-            // what makes `L` mask-selective on LUBM.
-            let share = rng.gen_range(20..=80usize);
-            label_ids.shuffle(&mut rng);
-            let mut labels: LabelSet = if i % 4 == 3 {
-                narrow
-            } else {
-                label_ids[..(num_labels * share).div_ceil(100)]
-                    .iter()
-                    .map(|&l| LabelId(l))
-                    .collect()
-            };
-            // Uniform pairs are almost never connected: every other draw
-            // takes `t` from a random walk out of `s` and admits the
-            // walk's labels, so `s ⇝_L t` holds and `S` decides.
-            if i % 2 == 0 {
-                t = s;
-                for _ in 0..rng.gen_range(1..=8usize) {
-                    let Some(e) = g.out_neighbors(t).choose(&mut rng) else { break };
-                    labels.insert(e.label);
-                    t = e.vertex;
-                }
-            }
-            LscrQuery::new(s, t, labels, constraints[i % constraints.len()].1.clone())
-        })
-        .collect();
+    let queries = lubm_draws(&g, 200, 0x9A21_7E57);
     assert_parity("lubm", hashes(&g, &index, &queries, 12), LUBM);
 }
 
 const FIGURE3: [u64; 9] = [
     0x8fcb719d963927d9,
-    0xa16da052110c6dec,
+    0x3907c588a87362cd,
     0x9614a2aa8f227035,
     0x387b05a826e1989d,
     0x9614a2aa8f227035,
@@ -217,7 +176,7 @@ const FIGURE3: [u64; 9] = [
 ];
 const FUNNEL: [u64; 9] = [
     0x44cc7470ae161bf7,
-    0xcfb1848294806401,
+    0xba6be63608993637,
     0x4912c3dfe3c2fc72,
     0x594da80bee592851,
     0x4f6dc62f5f181822,
@@ -228,7 +187,7 @@ const FUNNEL: [u64; 9] = [
 ];
 const FUNNEL_MIRRORED: [u64; 9] = [
     0x584a925601b66ae2,
-    0xed3c9b22cc00f75a,
+    0xd7c18ddf8f8bc464,
     0x5e89617317909517,
     0x0a94a39eae01d71f,
     0xa05e66716b2cb92a,
@@ -239,7 +198,7 @@ const FUNNEL_MIRRORED: [u64; 9] = [
 ];
 const WIDE_FUNNEL: [u64; 9] = [
     0x4fcfbf3935c94196,
-    0xa32cabc11e9d0fd5,
+    0x8c78fdd84c22461f,
     0x0db0b160cae8c995,
     0x0db0b160cae8c995,
     0xed15a625bceee763,
@@ -250,7 +209,7 @@ const WIDE_FUNNEL: [u64; 9] = [
 ];
 const WIDE_FUNNEL_MIRRORED: [u64; 9] = [
     0x114f7a270fb565ea,
-    0x3b6ee0ac160292ce,
+    0x11144b0baed1e089,
     0x2d305c14da00bc50,
     0x2d305c14da00bc50,
     0x54596a9e26e96b84,
@@ -261,7 +220,7 @@ const WIDE_FUNNEL_MIRRORED: [u64; 9] = [
 ];
 const LUBM: [u64; 9] = [
     0x17fae65585e51603,
-    0x8723021c45cb471f,
+    0x3c0fc5af61b7244a,
     0xd3bd3d91abaf1197,
     0x99e9445ef662e603,
     0xe063533734a53849,

@@ -11,10 +11,8 @@
 use kgreach::{Algorithm, LocalIndexConfig, LscrEngine, LscrQuery, SubstructureConstraint};
 use kgreach_datagen::updates::{update_workload, UpdateWorkloadConfig};
 use kgreach_graph::{Graph, GraphBuilder, LabelSet, Triple, UpdateBatch};
-use kgreach_integration::random_typed_graph;
+use kgreach_integration::{random_batches, random_typed_graph};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Builds a graph from a triple list.
 fn graph_from(triples: &[Triple]) -> Graph {
@@ -114,29 +112,6 @@ fn assert_engines_agree(
 
 fn prop_assert_eq_plain(a: bool, b: bool, msg: &str) {
     assert_eq!(a, b, "{msg}");
-}
-
-/// The random edit script: seeded ops over a bounded name universe, so
-/// inserts collide with existing edges, deletes hit absent edges, and
-/// vertices interned mid-script get reused — all the overlay edge cases.
-fn random_batches(seed: u64, rounds: usize) -> Vec<UpdateBatch> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut batches = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let mut batch = UpdateBatch::new();
-        for _ in 0..rng.gen_range(1..6) {
-            let s = format!("n{}", rng.gen_range(0..16));
-            let p = format!("l{}", rng.gen_range(0..4));
-            let o = format!("n{}", rng.gen_range(0..16));
-            if rng.gen_range(0..3) == 0 {
-                batch.delete(&s, &p, &o);
-            } else {
-                batch.insert(&s, &p, &o);
-            }
-        }
-        batches.push(batch);
-    }
-    batches
 }
 
 proptest! {

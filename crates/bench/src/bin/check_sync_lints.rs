@@ -322,8 +322,8 @@ mod tests {
 
     #[test]
     fn instant_now_in_kernel_is_r4() {
-        // `kernel.rs` holds the candidate loop, the bidirectional race and
-        // both cleanups of UIS*/INS: the ban follows the loops.
+        // `kernel.rs` holds the candidate loop of UIS*/INS: the ban
+        // follows the loops.
         for file in ["crates/core/src/uis.rs", "crates/core/src/kernel.rs"] {
             let offenses = lint_source(file, "let t = Instant::now();\n");
             assert!(offenses.iter().any(|o| o.contains("[R4]")), "{file}: {offenses:?}");

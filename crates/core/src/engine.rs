@@ -95,6 +95,14 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
+/// Candidate count from which a selective `L` is planned onto UIS — the
+/// one search that meets in the middle. A backward closure stands in for
+/// up to `|V(S,G)|` per-candidate `v ⇝_L t` probes, so below this the
+/// chained / informed probes of UIS\* and INS answer faster. Calibrated
+/// on the LUBM bench: S1's `|V(S,G)| ≈ 6` stays under it, S3's 576 is
+/// well over.
+const MEET_IN_THE_MIDDLE_MIN_CANDIDATES: usize = 64;
+
 /// Scratch sets retained in the engine pool. Sessions beyond this many
 /// concurrent ones still work — their scratch is simply dropped instead
 /// of recycled.
@@ -729,9 +737,12 @@ impl LscrEngine {
     ///
     /// Heuristics follow the paper's §6 findings: INS dominates when
     /// `V(S,G)` is small and selective; UIS wins when the constraint is
-    /// unselective (satisfying vertices are met early) or the label
-    /// constraint confines the search to a small region; UIS\* handles
-    /// the degenerate empty-`V(S,G)` case for free.
+    /// unselective (satisfying vertices are met early), when the label
+    /// constraint confines the search to a small region, or when `L` is
+    /// mask-selective ([`Graph::expansion_selective`]) over 64 or more
+    /// candidates — the regime a meet-in-the-middle search pays for, and
+    /// UIS is the one kernel that runs one; UIS\* handles the degenerate
+    /// empty-`V(S,G)` case for free.
     ///
     /// `query` must be bound to the served graph's current epoch (sessions
     /// rebind held queries before planning); a stale plan's constants and
@@ -768,6 +779,14 @@ impl LscrEngine {
         // uninformed search inspects s and stops — nothing can beat that
         // (UIS*/INS would still pay the V(S,G) materialization).
         if g.out_label_mask(query.source).intersection(query.label_constraint).is_empty() {
+            return Algorithm::Uis;
+        }
+        // Selective L over many candidates: UIS's two frontiers meet in
+        // the middle under the incident-label masks and need no V(S,G);
+        // UIS*/INS would chain up to `estimate` one-frontier probes.
+        if estimate >= MEET_IN_THE_MIDDLE_MIN_CANDIDATES
+            && g.expansion_selective(query.label_constraint)
+        {
             return Algorithm::Uis;
         }
         // Overlay drift discounts the index: updates applied since the
@@ -1050,6 +1069,30 @@ mod tests {
 
         // Huge V(S,G) → UIS regardless of index.
         assert_eq!(engine.plan_algorithm(&q, Some(g.num_vertices())), Algorithm::Uis);
+
+        // Selective L over ≥ 64 candidates → UIS, the search that meets in
+        // the middle — also where the candidates are under 2 % of |V| and
+        // the index is built. One candidate fewer, or a broad L, and the
+        // older rules decide as before.
+        let mut b = kgreach_graph::GraphBuilder::new();
+        for i in 0..4_000 {
+            b.add_triple(&format!("c{i}"), "p", &format!("c{}", i + 1));
+        }
+        for (i, l) in ["x", "y", "z"].into_iter().enumerate() {
+            b.add_triple(&format!("c{i}"), l, "hub");
+        }
+        let chain = b.build().unwrap();
+        let (narrow, broad) = (chain.label_set(&["p"]), chain.all_labels());
+        assert!(chain.expansion_selective(narrow) && !chain.expansion_selective(broad));
+        let plan = |labels, hint| {
+            let c = SubstructureConstraint::parse("SELECT ?x WHERE { ?x <x> <hub> . }").unwrap();
+            let (s, t) = (chain.vertex_id("c0").unwrap(), chain.vertex_id("c9").unwrap());
+            let q = LscrQuery::new(s, t, labels, c).compile(&chain).unwrap();
+            LscrEngine::plan_on(&chain, true, &q, Some(hint))
+        };
+        assert_eq!(plan(narrow, 64), Algorithm::Uis);
+        assert_eq!(plan(narrow, 63), Algorithm::Ins);
+        assert_eq!(plan(broad, 64), Algorithm::Ins);
 
         // Whatever Auto picks, the recorded choice is a concrete
         // algorithm and the answer matches the oracle.

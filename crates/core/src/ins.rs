@@ -21,15 +21,9 @@
 //!
 //! Only what these three changes touch lives in this module: the queue
 //! frontier, the candidate heap, the `LCS` body and `Cut`/`Push`. The
-//! skeleton itself — seeding, prechecks, candidate loop, bidirectional
-//! phase and cleanups — is the one UIS\* runs (the crate-private `kernel`
-//! module, `crates/core/src/kernel.rs`). INS adds two twists to the
-//! bidirectional phase there: its forward step runs the full landmark
-//! machinery (`Check`/`Cut`/`Push`) over the global priority queue, and a
-//! `Check(II[w], t)` hit *feeds the backward map* — the landmark entry
-//! proves `w ⇝_L t`, so `w` joins `R_t` as if the backward frontier had
-//! discovered it. Once the backward frontier completes, both ordinary
-//! pushes and partition-exit pushes are pruned to `R_t`.
+//! skeleton itself — seeding, prechecks and the candidate loop — is the
+//! one UIS\* runs (the crate-private `kernel` module,
+//! `crates/core/src/kernel.rs`).
 //!
 //! ```
 //! use kgreach::{LocalIndex, LscrQuery};
@@ -84,21 +78,12 @@ pub fn answer_with(
 /// by the local index, with `V(S,G)` handed out by the heap `H`.
 struct QueueFrontier<'a> {
     index: &'a LocalIndex,
-    /// `H`, built on the first candidate request: the mask prechecks and
-    /// the bidirectional phase can decide the query without ever ordering
-    /// the candidates.
+    /// `H`, built on the first candidate request: the mask precheck can
+    /// decide the query without ever ordering the candidates.
     heap: Option<CandidateHeap>,
 }
 
 impl Frontier for QueueFrontier<'_> {
-    fn is_empty(&self, search: &Search<'_>) -> bool {
-        search.queue.is_empty()
-    }
-
-    fn len(&self, search: &Search<'_>) -> usize {
-        search.queue.raw_len()
-    }
-
     #[inline]
     fn push(&mut self, search: &mut Search<'_>, v: VertexId, t_star: VertexId) {
         let ctx =
@@ -115,56 +100,6 @@ impl Frontier for QueueFrontier<'_> {
             target: search.t,
         };
         self.heap.get_or_insert_with(|| CandidateHeap::new(vsg, &ctx)).pop(&ctx)
-    }
-
-    /// One forward `B = F` expansion step over the global queue, with the
-    /// classic landmark treatment (`t* = t`): a `Check` hit proves
-    /// `w ⇝_L t` and seeds the backward map instead of returning (the
-    /// phase only concludes on a candidate), `Cut`/`Push` prune `F(w)` as
-    /// usual, and every fresh forward mark is tested for a meet.
-    fn forward_step(&mut self, search: &mut Search<'_>) -> bool {
-        let t = search.t;
-        let ctx =
-            PriorityContext { close: &*search.close, index: self.index, source: t, target: t };
-        let Some(u) = search.queue.pop(&ctx) else { return false };
-        let exp = search.g.out_expansion(u, search.labels, true);
-        search.stats.edges_skipped += exp.degree;
-        for e in exp.edges {
-            if !search.labels.contains(e.label) {
-                continue;
-            }
-            search.stats.edges_scanned += 1;
-            search.stats.edges_skipped -= 1;
-            let w = e.vertex;
-            if self.index.partition().is_landmark(w) {
-                if self.index.partition().af(t) == self.index.partition().af(w) {
-                    search.stats.index_hits += 1;
-                    if self.index.entry_of(w).is_some_and(|entry| entry.check(t, search.labels)) {
-                        // The landmark entry proves w ⇝_L t: w joins the
-                        // backward map as a proven R_t member.
-                        if search.back.is_n(w) {
-                            search.reach_back(w);
-                        }
-                        if !search.cand.is_n(w) {
-                            return true; // s ⇝ w ∈ V(S,G) and w ⇝ t
-                        }
-                    }
-                }
-                if search.close.is_n(w) {
-                    search.close.set(w, CloseState::F);
-                    if search.note_forward(w) || self.bidi_cut_and_push(search, w) {
-                        return true;
-                    }
-                }
-            } else if search.close.is_n(w) {
-                search.close.set(w, CloseState::F);
-                self.push(search, w, t);
-                if search.note_forward(w) {
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// Algorithm 4's `LCS(s*, t*, L, B)` (lines 16-30).
@@ -247,16 +182,6 @@ impl Frontier for QueueFrontier<'_> {
                     return true;
                 }
 
-                // Cone pruning (see `kernel`'s module docs): with R_t complete,
-                // an unexplored w outside it can neither be part of a
-                // witness path nor — landmark or not — lead the traversal
-                // to any t* that is in R_t (w ⇝ t* ⇝ t would put w in
-                // R_t), so its Check could never fire either.
-                if !b && search.prune_to_back && search.close.is_n(w) && search.back.is_n(w) {
-                    search.stats.frontier_prunes += 1;
-                    continue;
-                }
-
                 if self.index.partition().is_landmark(w) {
                     // Line 22: t* lives in w's partition and w is its
                     // landmark — the precomputed CMS answers w ⇝_L t*.
@@ -305,38 +230,6 @@ impl Frontier for QueueFrontier<'_> {
 }
 
 impl QueueFrontier<'_> {
-    /// `Cut`/`Push` for the bidirectional phase (`B = F`, `t* = t`): same
-    /// marking as [`cut_and_push`](Self::cut_and_push), plus candidate
-    /// and meet accounting on every fresh mark; `true` on a meet.
-    fn bidi_cut_and_push(&mut self, search: &mut Search<'_>, w: VertexId) -> bool {
-        search.stats.index_hits += 1;
-        let Some(ord) = self.index.partition().af(w) else { return false };
-        let entry = self.index.entry(ord);
-        for (x, cms) in entry.ii_pairs() {
-            if search.close.is_n(x) && cms.covers(search.labels) {
-                search.close.set(x, CloseState::F);
-                if search.note_forward(x) {
-                    return true;
-                }
-            }
-        }
-        for (lx, exits) in entry.eit_pairs() {
-            if !lx.is_subset_of(search.labels) {
-                continue;
-            }
-            for &x in exits {
-                if search.close.is_n(x) {
-                    search.close.set(x, CloseState::F);
-                    self.push(search, x, search.t);
-                    if search.note_forward(x) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
     /// `Cut(II[w])` and `Push(EIT[w])` (line 25): mark the intra-partition
     /// region reachable under `L` and enqueue its exit frontier.
     fn cut_and_push(&mut self, search: &mut Search<'_>, w: VertexId, t_star: VertexId, b: bool) {
@@ -359,13 +252,6 @@ impl QueueFrontier<'_> {
                 continue;
             }
             for &x in exits {
-                // The landmark entry names x as an exit, but the complete
-                // backward map proves no path from x reaches t — the
-                // partition has no usable way out toward the target.
-                if !b && search.prune_to_back && search.close.is_n(x) && search.back.is_n(x) {
-                    search.stats.frontier_prunes += 1;
-                    continue;
-                }
                 let eligible = if b { !search.close.is_t(x) } else { search.close.is_n(x) };
                 if eligible {
                     Self::mark(search, x, b);

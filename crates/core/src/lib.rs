@@ -107,7 +107,6 @@ pub use partition::{
 };
 pub use query::{
     CompiledLscrQuery, LscrQuery, QueryError, QueryOptions, QueryOutcome, SearchStats, VsgOrder,
-    DEFAULT_BIDI_MIN_CANDIDATES,
 };
 pub use session::{SearchScratch, Session};
 pub use witness::{find_witness, Witness};

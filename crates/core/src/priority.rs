@@ -241,11 +241,6 @@ impl GlobalQueue {
         // token check keeps this exact despite superseded entries.
         self.heap.iter().all(|Reverse((_, seq, raw))| self.token[VertexId(*raw).index()] != *seq)
     }
-
-    /// Number of heap entries (including superseded ones).
-    pub fn raw_len(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 #[cfg(test)]
@@ -368,7 +363,6 @@ mod tests {
         let mut q = GlobalQueue::new(g.num_vertices());
         q.push(a, &ctx);
         q.push(a, &ctx); // duplicate
-        assert_eq!(q.raw_len(), 2);
         assert_eq!(q.pop(&ctx), Some(a));
         assert_eq!(q.pop(&ctx), None); // stale entry dropped
         assert!(q.is_empty());

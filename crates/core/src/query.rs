@@ -194,27 +194,11 @@ pub struct QueryOptions {
     pub timeout: Option<Duration>,
     /// `V(S,G)` processing order for UIS\*.
     pub vsg_order: VsgOrder,
-    /// Minimum `|V(S,G)|` for the UIS\*/INS bidirectional phase to
-    /// engage under a selective `L`; `None` means
-    /// [`DEFAULT_BIDI_MIN_CANDIDATES`]. The backward closure replaces up
-    /// to `|V(S,G)|` per-candidate `v ⇝ t` probes, so it only pays for
-    /// itself on candidate sets at least this large — small sets answer
-    /// faster through the classic chained/informed probes.
-    ///
-    /// UIS has no candidate set and races its two frontiers under every
-    /// value but one: `Some(usize::MAX)` — out of reach for UIS\*/INS
-    /// too — switches every backward frontier and mask precheck off, and
-    /// all three kernels run as the paper prints them (Algorithms 1, 2
-    /// and 4). The paper-facing harnesses run UIS that way.
-    pub bidi_min_candidates: Option<usize>,
+    /// UIS only: mask prechecks and backward side off — Algorithm 1 as the
+    /// paper prints it, mark for mark. UIS\* and INS have one frontier to
+    /// begin with and ignore it; the paper-facing harnesses set it.
+    pub one_frontier: bool,
 }
-
-/// Default candidate-set size at which the bidirectional phase engages
-/// (see [`QueryOptions::bidi_min_candidates`]). Calibrated on the LUBM
-/// bench: S1's `|V(S,G)| ≈ 6` stays on the classic path it already
-/// answers in microseconds, S3's 576 routes through the backward
-/// closure that replaces its hundreds of per-candidate probes.
-pub const DEFAULT_BIDI_MIN_CANDIDATES: usize = 64;
 
 impl QueryOptions {
     /// Toggles witness-path reconstruction for true answers.
@@ -241,13 +225,10 @@ impl QueryOptions {
         self
     }
 
-    /// Overrides the candidate-set size gating the bidirectional phase
-    /// (0 forces it on whenever `L` is selective — differential tests
-    /// use this to drive the meet-in-the-middle arms on small fixtures;
-    /// `usize::MAX` is the paper-faithful switch, see
-    /// [`bidi_min_candidates`](Self::bidi_min_candidates)).
-    pub fn with_bidi_min_candidates(mut self, min: usize) -> Self {
-        self.bidi_min_candidates = Some(min);
+    /// Runs UIS as Algorithm 1 prints it (see
+    /// [`one_frontier`](Self::one_frontier)).
+    pub fn with_one_frontier(mut self, one_frontier: bool) -> Self {
+        self.one_frontier = one_frontier;
         self
     }
 }
@@ -259,8 +240,6 @@ impl QueryOptions {
 pub(crate) struct RunLimits {
     max_edges: u64,
     deadline: Option<Instant>,
-    /// Resolved [`QueryOptions::bidi_min_candidates`].
-    pub(crate) bidi_min_candidates: usize,
 }
 
 impl RunLimits {
@@ -268,7 +247,6 @@ impl RunLimits {
         RunLimits {
             max_edges: opts.step_budget.unwrap_or(u64::MAX),
             deadline: opts.timeout.map(|t| start + t),
-            bidi_min_candidates: opts.bidi_min_candidates.unwrap_or(DEFAULT_BIDI_MIN_CANDIDATES),
         }
     }
 
@@ -324,9 +302,7 @@ pub struct SearchStats {
     /// Vertices with `close ≠ N` at termination. UIS counts both of its
     /// maps — a vertex marked from `s` and from `t` counts twice — so the
     /// figure is what the search passed; under the one-frontier switch
-    /// that is the paper's metric exactly. UIS\*/INS count the forward
-    /// map only, also when their bidirectional phase ran: the vertices
-    /// its backward frontier marked are missing from the figure.
+    /// that is the paper's metric exactly, as it is for UIS\*/INS.
     pub passed_vertices: usize,
     /// Invocations of `SCck` (UIS only; UIS\*/INS use `V(S,G)` instead).
     pub scck_calls: usize,
@@ -353,20 +329,13 @@ pub struct SearchStats {
     pub vsg_size: Option<usize>,
     /// Local-index landmark entries consulted (INS).
     pub index_hits: usize,
-    /// Edges scanned by the *backward* (reverse-expansion) frontier — of
-    /// UIS's second side, or of the UIS\*/INS bidirectional phase. A
-    /// subset of `edges_scanned`.
+    /// Edges scanned by the *backward* (reverse-expansion) frontier, UIS's
+    /// second side. A subset of `edges_scanned`.
     pub backward_edges_scanned: usize,
     /// Early negative terminations: the search proved the answer `false`
     /// from the incident-label masks of `s` and `t` before expanding
-    /// anything, or from an exhausted backward frontier — for UIS\*/INS
-    /// an exhausted frontier of either side that holds no `V(S,G)`
-    /// candidate, which spares them the per-candidate loop.
+    /// anything, or — UIS — from its emptied backward stack.
     pub negative_terminations: usize,
-    /// Forward pushes suppressed because the completed backward frontier
-    /// proved the vertex cannot reach `t` under `L` (cone pruning), plus
-    /// INS partition exits pruned the same way.
-    pub frontier_prunes: usize,
     /// The algorithm that actually executed — for
     /// [`Algorithm::Auto`] this records the
     /// planner's choice.
@@ -464,13 +433,14 @@ mod tests {
             .with_witness(true)
             .with_step_budget(42)
             .with_timeout(Duration::from_secs(1))
-            .with_vsg_order(VsgOrder::Shuffled(7));
-        assert!(opts.witness);
+            .with_vsg_order(VsgOrder::Shuffled(7))
+            .with_one_frontier(true);
+        assert!(opts.witness && opts.one_frontier);
         assert_eq!(opts.step_budget, Some(42));
         assert_eq!(opts.timeout, Some(Duration::from_secs(1)));
         assert_eq!(opts.vsg_order, VsgOrder::Shuffled(7));
         let defaults = QueryOptions::default();
-        assert!(!defaults.witness && defaults.step_budget.is_none());
+        assert!(!defaults.witness && !defaults.one_frontier && defaults.step_budget.is_none());
         assert_eq!(defaults.vsg_order, VsgOrder::Ascending);
     }
 

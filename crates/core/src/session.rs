@@ -36,8 +36,9 @@ use kgreach_graph::VertexId;
 use std::sync::Arc;
 
 /// The reusable mutable workspace of one search thread: the epoch-reset
-/// [`CloseMap`], the UIS/UIS\* traversal stack, and INS's global priority
-/// queue. One allocation set serves thousands of queries.
+/// [`CloseMap`] and traversal stack of the forward side (UIS, UIS\*), the
+/// same pair for UIS's backward side, and INS's global priority queue.
+/// One allocation set serves thousands of queries.
 ///
 /// Most callers never touch this type directly — [`Session`] owns one —
 /// but the algorithm modules ([`uis`], [`uis_star`], [`ins`]) accept it
@@ -47,14 +48,10 @@ pub struct SearchScratch {
     close: CloseMap,
     stack: Vec<VertexId>,
     queue: GlobalQueue,
-    /// Backward-frontier `close` — UIS's second side, and the
-    /// bidirectional phase of UIS\*/INS: marks the vertices known to
-    /// reach `t` under `L`.
+    /// Backward-frontier `close` — UIS's second side: marks the vertices
+    /// known to reach `t` under `L`.
     back: CloseMap,
     back_stack: Vec<VertexId>,
-    /// `V(S,G)` membership as an O(1)-resettable set (the `CloseMap`
-    /// stamp machinery doubles as a bitmap; only `N`/non-`N` is used).
-    cand: CloseMap,
 }
 
 impl SearchScratch {
@@ -66,7 +63,6 @@ impl SearchScratch {
             queue: GlobalQueue::new(num_vertices),
             back: CloseMap::new(num_vertices),
             back_stack: Vec::with_capacity(64),
-            cand: CloseMap::new(num_vertices),
         }
     }
 
@@ -82,7 +78,6 @@ impl SearchScratch {
         self.close.ensure_len(n);
         self.queue.ensure_len(n);
         self.back.ensure_len(n);
-        self.cand.ensure_len(n);
     }
 
     /// The scratch as disjoint mutable parts, for a search to borrow the
@@ -94,21 +89,18 @@ impl SearchScratch {
             queue: &mut self.queue,
             back: &mut self.back,
             back_stack: &mut self.back_stack,
-            cand: &mut self.cand,
         }
     }
 }
 
 /// Split borrow of a [`SearchScratch`]: forward `close` with the UIS/UIS\*
-/// stack and INS's global queue, backward `close` with its stack, and the
-/// candidate set.
+/// stack and INS's global queue, and UIS's backward `close` with its stack.
 pub(crate) struct ScratchParts<'a> {
     pub(crate) close: &'a mut CloseMap,
     pub(crate) stack: &'a mut Vec<VertexId>,
     pub(crate) queue: &'a mut GlobalQueue,
     pub(crate) back: &'a mut CloseMap,
     pub(crate) back_stack: &'a mut Vec<VertexId>,
-    pub(crate) cand: &'a mut CloseMap,
 }
 
 /// A per-thread handle for answering queries against a shared

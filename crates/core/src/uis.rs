@@ -60,12 +60,10 @@
 //! degree). Theorem 3.3's bound holds with the constant doubled:
 //! `pushes ≤ 2|V|` per side.
 //!
-//! **The switch.** [`QueryOptions::bidi_min_candidates`] set to
-//! `usize::MAX` — the value under which the UIS\*/INS bidirectional phase
-//! never engages either — keeps the backward side from ever stepping, and
-//! skips the mask prechecks: what runs is Algorithm 1 as printed, same
-//! marks in the same order. The paper-facing harnesses (Figs. 10–15, the
-//! §6.1.1 difficulty filter) run UIS that way.
+//! **The switch.** [`QueryOptions::one_frontier`] keeps the backward side
+//! from ever stepping and skips the mask prechecks: what runs is
+//! Algorithm 1 as printed, same marks in the same order. The paper-facing
+//! harnesses (Figs. 10–15, the §6.1.1 difficulty filter) run UIS that way.
 //!
 //! ```
 //! use kgreach::LscrQuery;
@@ -84,7 +82,7 @@
 //! ```
 
 use crate::close::{CloseMap, CloseState};
-use crate::kernel::finish;
+use crate::kernel::{finish, label_starved};
 use crate::query::{
     CompiledLscrQuery, QueryOptions, QueryOutcome, RunLimits, SearchClock, SearchStats,
 };
@@ -196,19 +194,16 @@ impl Uis<'_> {
     /// the inlined steps as arguments the optimizer may assume distinct:
     /// behind `&mut Side` the one-frontier loop read 7 % slower than the
     /// single loop it replaces, and with `step` left out of line 20 %.
-    fn run(&mut self, mut fwd: Side<'_>, mut bwd: Side<'_>, limits: RunLimits) -> Option<bool> {
+    fn run(
+        &mut self,
+        mut fwd: Side<'_>,
+        mut bwd: Side<'_>,
+        limits: RunLimits,
+        two_frontiers: bool,
+    ) -> Option<bool> {
         let (s, t) = (self.q.source, self.q.target);
-        let labels = self.q.label_constraint;
-        let two_frontiers = limits.bidi_min_candidates != usize::MAX;
 
-        // O(1) mask prechecks: with no out-label of s (or no in-label of t)
-        // usable under L, no path with ≥ 1 edge can leave s (or enter t) —
-        // only the zero-edge s = t witness remains, and s ≠ t rules it out.
-        if two_frontiers
-            && s != t
-            && (self.g.out_label_mask(s).intersection(labels).is_empty()
-                || self.g.in_label_mask(t).intersection(labels).is_empty())
-        {
+        if two_frontiers && label_starved(self.g, s, t, self.q.label_constraint) {
             self.stats.negative_terminations += 1;
             return Some(false);
         }
@@ -257,8 +252,8 @@ impl Uis<'_> {
 
 /// Answers `q` with Algorithm 1 run from both ends (see the module docs),
 /// reusing the session scratch across calls (reset here). Honors the step
-/// budget / timeout in `opts`; `opts.bidi_min_candidates == Some(usize::MAX)`
-/// selects the paper's single frontier.
+/// budget / timeout in `opts`; `opts.one_frontier` selects the paper's
+/// single frontier.
 pub fn answer_with(
     g: &Graph,
     q: &CompiledLscrQuery,
@@ -282,6 +277,7 @@ pub fn answer_with(
         Side { close: &mut *close, stack },
         Side { close: &mut *back, stack: back_stack },
         clock.limits(opts),
+        !opts.one_frontier,
     );
     let mut out = finish(answer == Some(true), answer.is_none(), search.stats, close, clock);
     // `finish` counts the forward map; an unseeded backward map adds 0.
@@ -376,7 +372,7 @@ mod tests {
         // Theorem 3.3: pushes ≤ 2|V| — the search-tree bound — per side:
         // one side under the one-frontier switch, two by default.
         let g = figure3();
-        let one_frontier = QueryOptions::default().with_bidi_min_candidates(usize::MAX);
+        let one_frontier = QueryOptions::default().with_one_frontier(true);
         let mut scratch = SearchScratch::new(g.num_vertices());
         for s in ["v0", "v1", "v2", "v3", "v4"] {
             for t in ["v0", "v1", "v2", "v3", "v4"] {

@@ -19,11 +19,8 @@
 //! exactly this). [`VsgOrder::Shuffled`] reproduces that unordered behaviour.
 //!
 //! Only the global stack and the `LCS` body live in this module. The
-//! skeleton around them — seeding, the mask prechecks, the candidate
-//! loop, and the bidirectional phase with early negative termination
-//! that selective label constraints over large candidate sets
-//! ([`QueryOptions::bidi_min_candidates`](crate::QueryOptions)) route
-//! through — is shared with INS and documented in the crate-private
+//! skeleton around them — seeding, the mask precheck and the candidate
+//! loop — is shared with INS and documented in the crate-private
 //! `kernel` module (`crates/core/src/kernel.rs`; see also
 //! ARCHITECTURE.md, "Query lifecycle").
 //!
@@ -103,14 +100,6 @@ struct StackFrontier {
 }
 
 impl Frontier for StackFrontier {
-    fn is_empty(&self, search: &Search<'_>) -> bool {
-        search.stack.is_empty()
-    }
-
-    fn len(&self, search: &Search<'_>) -> usize {
-        search.stack.len()
-    }
-
     fn push(&mut self, search: &mut Search<'_>, v: VertexId, _t_star: VertexId) {
         search.stack.push(v);
         search.stats.pushes += 1;
@@ -120,29 +109,6 @@ impl Frontier for StackFrontier {
         let v = vsg.get(self.next).copied();
         self.next += 1;
         v
-    }
-
-    fn forward_step(&mut self, search: &mut Search<'_>) -> bool {
-        let u = search.stack.pop().expect("forward frontier non-empty");
-        let exp = search.g.out_expansion(u, search.labels, true);
-        search.stats.edges_skipped += exp.degree;
-        for e in exp.edges {
-            if !search.labels.contains(e.label) {
-                continue;
-            }
-            search.stats.edges_scanned += 1;
-            search.stats.edges_skipped -= 1;
-            let w = e.vertex;
-            if search.close.is_n(w) {
-                search.close.set(w, CloseState::F);
-                search.stack.push(w);
-                search.stats.pushes += 1;
-                if search.note_forward(w) {
-                    return true; // meet at candidate w
-                }
-            }
-        }
-        false
     }
 
     /// The paper's `LCS(s*, t*, L, B)` (Algorithm 2, lines 14-24),
@@ -196,13 +162,6 @@ impl Frontier for StackFrontier {
                 let w = e.vertex;
                 // Line 20: case 1 (B=T ∧ close[w]≠T), case 2 (B=F ∧ close[w]=N).
                 let explore = if b { !search.close.is_t(w) } else { search.close.is_n(w) };
-                if explore && search.prune_to_back && search.back.is_n(w) {
-                    // Cone pruning: the complete backward region proves w
-                    // cannot reach t, so no path through w can serve any
-                    // remaining candidate (all of them sit in R_t).
-                    search.stats.frontier_prunes += 1;
-                    continue;
-                }
                 if explore {
                     search.close.set(w, if b { CloseState::T } else { CloseState::F });
                     search.stack.push(w);

@@ -1,10 +1,10 @@
-//! Deterministic funnel fixtures for the bidirectional-search kernels.
+//! Deterministic funnel fixtures for the meet-in-the-middle search.
 //!
-//! The meet-in-the-middle phase pays exactly when the two ends of a query
+//! Searching from both ends pays exactly when the two ends of a query
 //! have wildly different frontier growth: a source that fans out into a
 //! wide region while the target is fed through a narrow chain (or the
 //! mirror image). A unidirectional search from the wide end must touch
-//! the whole spray region before it finds the funnel; the bidirectional
+//! the whole spray region before it finds the funnel; UIS's two-frontier
 //! race explores the narrow end at one vertex per step and meets (or
 //! exhausts, proving a negative) after a handful of edges.
 //!
@@ -14,18 +14,17 @@
 //! * `src` sprays over `fan` vertices `fan{i}` (label `spray`), each with
 //!   `leaves_per_fan` leaves `leaf{i}_{j}` connected both ways under
 //!   `chaff` — a label the canonical queries never use, so `{spray,
-//!   needle}` stays mask-selective (in both orientations) and routes the
-//!   kernels into their bidirectional phase;
+//!   needle}` stays mask-selective (in both orientations);
 //! * only `fan0` enters the funnel: a `depth`-long chain `gate0 → … →
 //!   gate{depth-1} → dst`, every edge labeled `needle`; the default
-//!   `depth` makes the gate chain — which is also `V(S,G)` — larger than
-//!   `DEFAULT_BIDI_MIN_CANDIDATES`, so the bidirectional phase engages
-//!   under default query options, not just when a test forces it;
+//!   `depth` makes the gate chain — which is also `V(S,G)` — longer than
+//!   the 64 candidates from which the `Auto` planner sends a selective
+//!   `L` to UIS, so the canonical queries meet in the middle as served;
 //! * every gate carries a `marker → anchor` edge, so the constraint
 //!   `SELECT ?x WHERE { ?x <marker> <anchor> . }` materializes `V(S,G)`
 //!   = the gates — candidates that sit *on* the witness path;
 //! * `leaf0_0` also carries the marker: a decoy candidate in the spray
-//!   region that reaches nothing, forcing cleanup loops to reject it.
+//!   region that reaches nothing and must not flip an answer.
 //!
 //! Canonical queries over the forward fixture (`mirrored: false`):
 //!
@@ -54,7 +53,7 @@ pub struct FunnelConfig {
     pub leaves_per_fan: usize,
     /// Funnel length: number of `gate{d}` vertices between the wide
     /// region and `dst`. Also `|V(S,G)| - 1` — the default exceeds the
-    /// kernels' bidirectional candidate-count gate.
+    /// planner's meet-in-the-middle candidate count.
     pub depth: usize,
     /// Reverse every edge and swap `src`/`dst`, putting the narrow
     /// funnel on the source side instead.
@@ -133,8 +132,9 @@ mod tests {
         let spray = g.label_id("spray").unwrap();
         assert!(!g.out_label_mask(src).contains(needle));
         assert!(!g.in_label_mask(dst).contains(spray));
-        // The whole point of the fixture: the canonical label set routes
-        // mask-guided kernels into their bidirectional phase.
+        // The whole point of the fixture: the canonical label set is
+        // mask-selective, the half of the planner rule that sends it to
+        // the two-frontier search.
         assert!(g.expansion_selective(g.label_set(&["spray", "needle"])));
     }
 

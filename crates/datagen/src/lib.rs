@@ -20,7 +20,7 @@
 //!   replayed as insert/delete/churn batches whose final state equals
 //!   the original triple set (the differential-testing invariant);
 //! * [`funnel`] — deterministic wide-source/narrow-target fixtures (and
-//!   their mirrors) targeting the bidirectional-search and negative-
+//!   their mirrors) targeting the meet-in-the-middle and negative-
 //!   termination paths of the query kernels.
 
 #![warn(missing_docs)]

@@ -115,7 +115,7 @@ pub fn generate_workload(
 
     let mut fwd_mask = EpochMask::new(n);
     let mut scratch = kgreach::SearchScratch::new(n);
-    let algorithm_1 = kgreach::QueryOptions::default().with_bidi_min_candidates(usize::MAX);
+    let algorithm_1 = kgreach::QueryOptions::default().with_one_frontier(true);
 
     while (true_queries.len() < config.num_true || false_queries.len() < config.num_false)
         && attempts < config.max_attempts

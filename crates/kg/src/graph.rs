@@ -283,8 +283,8 @@ impl Graph {
     }
 
     /// The in-expansion of `v` under `constraint` — the reverse-direction
-    /// mirror of [`out_expansion`](Self::out_expansion), consumed by the
-    /// bidirectional search kernels' backward frontier. Same contract:
+    /// mirror of [`out_expansion`](Self::out_expansion), consumed by
+    /// UIS's backward frontier. Same contract:
     /// `selective` lets the in-incident-label mask skip the whole vertex
     /// (with `degree` still exact for skipped-edge accounting), and the
     /// overlay-merged view is presented when delta edits are live.

@@ -302,11 +302,6 @@ impl<'a> SectionReader<'a> {
         Ok(SectionReader { buf, pos: 12, kind, chain: CHAIN_INIT })
     }
 
-    /// The artifact kind declared in the header.
-    pub fn kind(&self) -> ArtifactKind {
-        self.kind
-    }
-
     /// Rejects the container unless it holds the expected artifact.
     pub fn expect_kind(&self, expected: ArtifactKind) -> Result<()> {
         if self.kind == expected {

@@ -275,7 +275,6 @@ pub fn render_outcome(g: &Graph, out: &QueryOutcome) -> Json {
         ("index_hits".into(), Json::usize(out.stats.index_hits)),
         ("backward_edges_scanned".into(), Json::usize(out.stats.backward_edges_scanned)),
         ("negative_terminations".into(), Json::usize(out.stats.negative_terminations)),
-        ("frontier_prunes".into(), Json::usize(out.stats.frontier_prunes)),
     ]);
     Json::Obj(vec![
         ("answer".into(), Json::Bool(out.answer)),

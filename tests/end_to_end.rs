@@ -162,7 +162,7 @@ fn passed_vertex_metric_ordering() {
     let engine = LscrEngine::new(g);
     let mut session = engine.session();
     // The paper's UIS is Algorithm 1 with its one frontier.
-    let one_frontier = QueryOptions::default().with_bidi_min_candidates(usize::MAX);
+    let one_frontier = QueryOptions::default().with_one_frontier(true);
     let mut ins_total = 0usize;
     let mut uis_total = 0usize;
     for gq in &w.true_queries {

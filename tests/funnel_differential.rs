@@ -1,4 +1,4 @@
-//! Differential coverage for the bidirectional / negative-termination
+//! Differential coverage for the meet-in-the-middle / negative-termination
 //! query paths on the deterministic funnel fixtures.
 //!
 //! The funnel family (see `kgreach_datagen::funnel`) pairs a wide spray
@@ -7,16 +7,18 @@
 //!
 //! 1. **Agreement** — every algorithm (including `Auto`'s planner
 //!    choices) answers exactly like the brute-force oracle for *every*
-//!    `(s, t)` pair under the canonical label sets, so the bidirectional
-//!    race, its completion cleanups and the mask prechecks can't disagree
-//!    with the classic semantics anywhere on the fixture.
-//! 2. **Coverage** — the new `SearchStats` counters prove the intended
-//!    paths actually ran: the true query walks the backward frontier
-//!    (`backward_edges_scanned > 0`) and the label-starved queries die in
-//!    the O(1) mask precheck (`negative_terminations > 0` with zero edges
-//!    scanned), rather than silently falling back to forward-only search.
+//!    `(s, t)` pair under the canonical label sets, so UIS's two
+//!    frontiers, the planner rule that routes to them and the mask
+//!    prechecks can't disagree with the classic semantics anywhere on the
+//!    fixture.
+//! 2. **Coverage** — the `SearchStats` counters prove the intended paths
+//!    actually ran: under `Uis` and under `Auto` the true query walks the
+//!    backward frontier (`backward_edges_scanned > 0`), and the
+//!    label-starved queries die in the O(1) mask precheck
+//!    (`negative_terminations > 0` with zero edges scanned), rather than
+//!    silently falling back to forward-only search.
 
-use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions, SubstructureConstraint};
+use kgreach::{Algorithm, LscrEngine, LscrQuery, SubstructureConstraint};
 use kgreach_datagen::funnel::{self, FunnelConfig};
 use kgreach_graph::VertexId;
 
@@ -30,18 +32,13 @@ fn engine_for(mirrored: bool, cfg: &FunnelConfig) -> LscrEngine {
 }
 
 /// Every `(s, t)` pair × label set × algorithm agrees with the oracle,
-/// on the forward and the mirrored fixture — once under default options
-/// (small fixture, classic paths) and once with the bidirectional
-/// candidate gate forced open, so the meet-in-the-middle race, its
-/// cleanup loops and the prune arms are all swept differentially.
+/// on the forward and the mirrored fixture.
 #[test]
 fn all_algorithms_agree_with_oracle_on_both_orientations() {
     // Small enough that the full |V|² sweep against the oracle is cheap,
     // large enough that the spray region dwarfs the funnel.
     let cfg = FunnelConfig { fan: 5, leaves_per_fan: 2, depth: 3, mirrored: false };
     let c = gate_constraint();
-    let defaults = QueryOptions::default();
-    let forced_bidi = QueryOptions::default().with_bidi_min_candidates(0);
     for mirrored in [false, true] {
         let engine = engine_for(mirrored, &cfg);
         let g = engine.graph();
@@ -49,8 +46,7 @@ fn all_algorithms_agree_with_oracle_on_both_orientations() {
             g.label_set(&["spray", "needle"]),
             g.label_set(&["spray"]),
             g.label_set(&["needle"]),
-            // Broad L is never mask-selective: pins the classic arms
-            // even when the gate below is forced open.
+            // Broad L is never mask-selective.
             g.all_labels(),
         ];
         for s in 0..g.num_vertices() as u32 {
@@ -60,17 +56,13 @@ fn all_algorithms_agree_with_oracle_on_both_orientations() {
                     let want = engine.answer(&q, Algorithm::Oracle).unwrap().answer;
                     for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto]
                     {
-                        for opts in [&defaults, &forced_bidi] {
-                            let out = engine.answer_with_options(&q, alg, opts).unwrap();
-                            assert_eq!(
-                                out.answer,
-                                want,
-                                "mirrored={mirrored} {alg:?} (forced_bidi={}) disagrees \
-                                 with oracle on ({s}, {t}, {labels:?})",
-                                opts.bidi_min_candidates.is_some(),
-                            );
-                            assert!(!out.interrupted, "unbudgeted search got interrupted");
-                        }
+                        let out = engine.answer(&q, alg).unwrap();
+                        assert_eq!(
+                            out.answer, want,
+                            "mirrored={mirrored} {alg:?} disagrees with oracle on \
+                             ({s}, {t}, {labels:?})",
+                        );
+                        assert!(!out.interrupted, "unbudgeted search got interrupted");
                     }
                 }
             }
@@ -78,9 +70,12 @@ fn all_algorithms_agree_with_oracle_on_both_orientations() {
     }
 }
 
-/// The canonical true query actually runs the meet-in-the-middle race
-/// *under default options* — the default fixture's gate chain exceeds
-/// the candidate-count gate — and the backward frontier scans edges.
+/// The canonical true query actually meets in the middle — under `Uis`,
+/// and under `Auto`, whose planner sends a selective `L` over the default
+/// fixture's gate chain (more than 64 candidates) to UIS — and the
+/// backward frontier scans edges wherever the narrow end is the target's.
+/// Mirrored, the narrow end hangs off the source: the forward stack is
+/// the shorter one throughout and answers alone.
 #[test]
 fn true_query_exercises_the_backward_frontier() {
     let cfg = FunnelConfig::default();
@@ -94,13 +89,14 @@ fn true_query_exercises_the_backward_frontier() {
             g.label_set(&["spray", "needle"]),
             c.clone(),
         );
-        for alg in [Algorithm::UisStar, Algorithm::Ins] {
+        for alg in [Algorithm::Uis, Algorithm::Auto] {
             let out = engine.answer(&q, alg).unwrap();
             assert!(out.answer, "mirrored={mirrored} {alg:?}: src ⇝ dst must hold");
-            assert!(
+            assert_eq!(out.stats.algorithm, Some(Algorithm::Uis), "mirrored={mirrored} {alg:?}");
+            assert_eq!(
                 out.stats.backward_edges_scanned > 0,
-                "mirrored={mirrored} {alg:?}: bidirectional phase never ran \
-                 (stats: {:?})",
+                !mirrored,
+                "mirrored={mirrored} {alg:?}: the wrong end searched (stats: {:?})",
                 out.stats
             );
         }
@@ -126,7 +122,7 @@ fn label_starved_queries_terminate_negatively_without_expansion() {
                 g.label_set(&[starving]),
                 c.clone(),
             );
-            for alg in [Algorithm::UisStar, Algorithm::Ins] {
+            for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
                 let out = engine.answer(&q, alg).unwrap();
                 assert!(!out.answer, "mirrored={mirrored} {alg:?} {starving}: must be false");
                 assert!(!out.interrupted, "proven negatives are answers, not timeouts");
@@ -148,7 +144,7 @@ fn label_starved_queries_terminate_negatively_without_expansion() {
 
 /// The decoy candidate in the spray region never flips an answer: drop
 /// the needle labels and the gates become unreachable, so the only
-/// remaining candidate (`leaf0_0`) must be rejected by the cleanup arms.
+/// remaining candidate (`leaf0_0`) decides the query.
 #[test]
 fn decoy_candidate_is_rejected_by_cleanup() {
     let cfg = FunnelConfig::default();

@@ -3,22 +3,26 @@
 //! Every `(answer, interrupted, SearchStats)` triple a kernel produces
 //! over a fixed set of queries is rendered with `Debug`, concatenated and
 //! hashed (XXH64, seed 0); the hashes are committed below. The stats
-//! count marks, pushes, scanned and skipped edges, `LCS` invocations,
-//! index hits and prunes, so an equal hash means the kernel did the same
+//! count marks, pushes, scanned and skipped edges, `LCS` invocations
+//! and index hits, so an equal hash means the kernel did the same
 //! work in the same order — a refactor of the search loops either keeps
 //! every constant or has changed what the search does.
 //!
-//! The constants were recorded before `core::kernel` existed (UIS\* and
-//! INS each carrying their own copy of the candidate loop, the
-//! bidirectional race and both cleanups) and must never be edited to
-//! make a refactor pass. A deliberate change to traversal order or to a
-//! counter re-records them, and says so in CHANGES.md.
+//! The constants must never be edited to make a refactor pass. A
+//! deliberate change to traversal order or to a counter re-records them,
+//! and says so in CHANGES.md. They were last re-recorded when the
+//! cone-prune counter left `SearchStats` (PR 24), in two steps: with the
+//! bidirectional phase of UIS\*/INS deleted and the struct unchanged,
+//! every UIS constant and the `UIS* default`, `UIS* shuffled` and
+//! `INS default` constants of the three small fixtures held unedited
+//! (recorded before `core::kernel` existed); then the field went, and
+//! each slot's rendered log differed from the one before by that field's
+//! `name: 0, ` token and nothing else.
 //!
 //! Slot 0 is UIS under the one-frontier switch, run first on the cold
-//! memo, against the constants recorded for `UIS default` when UIS had a
-//! single frontier: Algorithm 1 as the paper prints it is still in the
-//! tree, mark for mark. Slot 1 is the two-frontier default, recorded
-//! when the second frontier was added (PR 23).
+//! memo: Algorithm 1 as the paper prints it is still in the tree, mark
+//! for mark. Slot 1 is the two-frontier default (PR 23). The UIS\* and
+//! INS slots are Algorithms 2 and 4 plus the mask precheck.
 
 use kgreach::fixtures::{figure3, s0};
 use kgreach::{
@@ -34,14 +38,12 @@ use std::fmt::Write as _;
 
 /// The kernel × options grid of one fixture, in the order the expected
 /// hashes are listed.
-const RUNS: [&str; 9] = [
+const RUNS: [&str; 7] = [
     "UIS one frontier",
     "UIS default",
     "UIS* default",
-    "UIS* bidi0",
     "UIS* shuffled",
     "INS default",
-    "INS bidi0",
     "INS budget",
     "UIS* budget",
 ];
@@ -54,34 +56,31 @@ fn render(log: &mut String, out: &QueryOutcome) {
 /// per entry. Each query is compiled afresh, so the per-constraint memos
 /// (`SCck` cache, `V(S,G)`) start empty for every query and fill in the
 /// fixed order of the grid.
-fn hashes(g: &Graph, index: &LocalIndex, queries: &[LscrQuery], budget: u64) -> [u64; 9] {
+fn hashes(g: &Graph, index: &LocalIndex, queries: &[LscrQuery], budget: u64) -> [u64; 7] {
     let defaults = QueryOptions::default();
     // Algorithm 1 as printed: the switch that keeps UIS's backward side
-    // (and the UIS*/INS phase) from ever engaging.
-    let one_frontier = QueryOptions::default().with_bidi_min_candidates(usize::MAX);
-    let bidi0 = QueryOptions::default().with_bidi_min_candidates(0);
+    // and prechecks off.
+    let one_frontier = QueryOptions::default().with_one_frontier(true);
     let shuffled = QueryOptions::default().with_vsg_order(VsgOrder::Shuffled(1));
     // `budget` is chosen per fixture to stop a good share of the
     // searches part-way through.
-    let budget = QueryOptions::default().with_bidi_min_candidates(0).with_step_budget(budget);
+    let budget = QueryOptions::default().with_step_budget(budget);
     let mut scratch = SearchScratch::new(g.num_vertices());
-    let mut logs: [String; 9] = Default::default();
+    let mut logs: [String; 7] = Default::default();
     for q in queries {
         let cq = q.compile(g).unwrap();
         render(&mut logs[0], &uis::answer_with(g, &cq, &mut scratch, &one_frontier));
         render(&mut logs[1], &uis::answer_with(g, &cq, &mut scratch, &defaults));
         render(&mut logs[2], &uis_star::answer_with(g, &cq, &mut scratch, &defaults));
-        render(&mut logs[3], &uis_star::answer_with(g, &cq, &mut scratch, &bidi0));
-        render(&mut logs[4], &uis_star::answer_with(g, &cq, &mut scratch, &shuffled));
-        render(&mut logs[5], &ins::answer_with(g, &cq, index, &mut scratch, &defaults));
-        render(&mut logs[6], &ins::answer_with(g, &cq, index, &mut scratch, &bidi0));
-        render(&mut logs[7], &ins::answer_with(g, &cq, index, &mut scratch, &budget));
-        render(&mut logs[8], &uis_star::answer_with(g, &cq, &mut scratch, &budget));
+        render(&mut logs[3], &uis_star::answer_with(g, &cq, &mut scratch, &shuffled));
+        render(&mut logs[4], &ins::answer_with(g, &cq, index, &mut scratch, &defaults));
+        render(&mut logs[5], &ins::answer_with(g, &cq, index, &mut scratch, &budget));
+        render(&mut logs[6], &uis_star::answer_with(g, &cq, &mut scratch, &budget));
     }
     logs.map(|log| xxh64(log.as_bytes(), 0))
 }
 
-fn assert_parity(fixture: &str, got: [u64; 9], want: [u64; 9]) {
+fn assert_parity(fixture: &str, got: [u64; 7], want: [u64; 7]) {
     let changed: Vec<&str> = RUNS
         .iter()
         .zip(got.iter().zip(&want))
@@ -110,7 +109,7 @@ fn figure3_all_pairs() {
     assert_parity("figure3", got, FIGURE3);
 }
 
-fn funnel_hashes(mirrored: bool) -> [u64; 9] {
+fn funnel_hashes(mirrored: bool) -> [u64; 7] {
     let cfg = FunnelConfig { fan: 5, leaves_per_fan: 2, depth: 3, mirrored };
     let g = funnel::generate(&cfg).unwrap();
     let label_sets = [
@@ -130,11 +129,12 @@ fn funnel_all_pairs_both_orientations() {
     assert_parity("funnel mirrored", funnel_hashes(true), FUNNEL_MIRRORED);
 }
 
-/// The default-sized funnel: its gate chain exceeds the bidirectional
-/// candidate gate, so the meet-in-the-middle phase runs under *default*
-/// options too. Every 7th source against every 5th target.
+/// The default-sized funnel: a selective `L` over a gate chain of more
+/// than 64 candidates — the regime `Auto` plans onto UIS — so the UIS\*
+/// and INS slots pin what the classic candidate loop does when it is
+/// forced there anyway. Every 7th source against every 5th target.
 #[test]
-fn wide_funnel_engages_bidi_by_default() {
+fn wide_funnel_classic_loop() {
     for (mirrored, want) in [(false, WIDE_FUNNEL), (true, WIDE_FUNNEL_MIRRORED)] {
         let g = funnel::generate(&FunnelConfig { mirrored, ..Default::default() }).unwrap();
         let labels = g.label_set(&["spray", "needle"]);
@@ -163,69 +163,57 @@ fn lubm_fixed_draws() {
     assert_parity("lubm", hashes(&g, &index, &queries, 12), LUBM);
 }
 
-const FIGURE3: [u64; 9] = [
-    0x8fcb719d963927d9,
-    0x3907c588a87362cd,
-    0x9614a2aa8f227035,
-    0x387b05a826e1989d,
-    0x9614a2aa8f227035,
-    0x91c55aa538cc33c1,
-    0xcea1298f5865d203,
-    0x23ceac7c7ef4351d,
-    0x31a8de1bb1f079c3,
+const FIGURE3: [u64; 7] = [
+    0x065114e6492460ee,
+    0xdbc967fdfd3686ac,
+    0x301ff2e7f3dc3fce,
+    0x301ff2e7f3dc3fce,
+    0x52430e13be0828a4,
+    0xcd66b62cdd06b362,
+    0xf9d1058f616a3193,
 ];
-const FUNNEL: [u64; 9] = [
-    0x44cc7470ae161bf7,
-    0xba6be63608993637,
-    0x4912c3dfe3c2fc72,
-    0x594da80bee592851,
-    0x4f6dc62f5f181822,
-    0x97eb94150910a8d2,
-    0xf5024be66555bb0e,
-    0x7821044f6d7e1f80,
-    0x0cf84dd31bc55d1e,
+const FUNNEL: [u64; 7] = [
+    0xb733609a400e63c6,
+    0x05b308a439aff2d9,
+    0x0cef0da5f7788217,
+    0x7f6a53b3e85cac9c,
+    0x9e2569ec0c7a9b55,
+    0xb9e9f80cd2c6f4bf,
+    0x81782bfba273a845,
 ];
-const FUNNEL_MIRRORED: [u64; 9] = [
-    0x584a925601b66ae2,
-    0xd7c18ddf8f8bc464,
-    0x5e89617317909517,
-    0x0a94a39eae01d71f,
-    0xa05e66716b2cb92a,
-    0x14e46e26c03fce57,
-    0xc71eca1b03ba55ea,
-    0x081dd9445cd5c122,
-    0xa3a9071f86908397,
+const FUNNEL_MIRRORED: [u64; 7] = [
+    0x7f1e44c824c08891,
+    0xc493fb56d899fa5f,
+    0x8774eced3a78a7e5,
+    0xa73ffc7bd18da250,
+    0xf0d010f63fdbcab0,
+    0x411213580ef42708,
+    0x0f4a892956beb2f3,
 ];
-const WIDE_FUNNEL: [u64; 9] = [
-    0x4fcfbf3935c94196,
-    0x8c78fdd84c22461f,
-    0x0db0b160cae8c995,
-    0x0db0b160cae8c995,
-    0xed15a625bceee763,
-    0xc2057c5bd18bd169,
-    0xc2057c5bd18bd169,
-    0x845892a78c402937,
-    0x68b65d6be6aaac19,
+const WIDE_FUNNEL: [u64; 7] = [
+    0xca4a69f8c0a5e376,
+    0xe22982ffa3d3a7ae,
+    0x3815dde43a6b1f18,
+    0x021dd1e304f30ddd,
+    0x69188fd5581a1fa1,
+    0x4dfa1f7f38182b08,
+    0x960d1173d7f3e425,
 ];
-const WIDE_FUNNEL_MIRRORED: [u64; 9] = [
-    0x114f7a270fb565ea,
-    0x11144b0baed1e089,
-    0x2d305c14da00bc50,
-    0x2d305c14da00bc50,
-    0x54596a9e26e96b84,
-    0x2a7a712575a297bf,
-    0x2a7a712575a297bf,
-    0xc8c1d440399a5d8d,
-    0x5b99736190af3d1e,
+const WIDE_FUNNEL_MIRRORED: [u64; 7] = [
+    0x945f4e607bf5ed0e,
+    0xd20ae1c203f6cfd1,
+    0xf71a7c09ffeadd23,
+    0x810670db23727961,
+    0xbbd0275771f82735,
+    0x9cb0705d0e3990f2,
+    0x0086b347c84b0c15,
 ];
-const LUBM: [u64; 9] = [
-    0x17fae65585e51603,
-    0x3c0fc5af61b7244a,
-    0xd3bd3d91abaf1197,
-    0x99e9445ef662e603,
-    0xe063533734a53849,
-    0x6928204a3b37117b,
-    0x5cfea076109ebc99,
-    0xdb0ae42b51198330,
-    0x650c651d3be4c41c,
+const LUBM: [u64; 7] = [
+    0x95d58f9d6e968381,
+    0x478b9f54f6aa2c30,
+    0x982953bb4cdf2c89,
+    0x278afe8218746854,
+    0x219b34757db99578,
+    0x00686c748f41c77d,
+    0x5c56c957688a7301,
 ];

@@ -1,5 +1,5 @@
 //! UIS from both ends: the default two-frontier search, Algorithm 1 under
-//! the one-frontier switch (`bidi_min_candidates = usize::MAX`) and the
+//! the one-frontier switch (`QueryOptions::one_frontier`) and the
 //! brute-force oracle must answer every query alike — on the paper's
 //! figure, the funnel fixtures, seeded LUBM draws and an overlay graph in
 //! mid-update — and a search cut short must say so rather than answer
@@ -11,8 +11,9 @@ use kgreach::{
     oracle, uis, Algorithm, LscrEngine, LscrQuery, QueryOptions, QueryOutcome, SearchScratch,
     SubstructureConstraint,
 };
-use kgreach_datagen::constraints::s3;
+use kgreach_datagen::constraints::{s1, s2, s3, s4};
 use kgreach_datagen::funnel::{self, FunnelConfig};
+use kgreach_datagen::{lubm, top_label_set, LubmConfig};
 use kgreach_graph::{Graph, GraphBuilder, LabelId, VertexId};
 use kgreach_integration::{all_pairs, lubm_draws, random_batches, random_typed_graph, small_lubm};
 use rand::rngs::SmallRng;
@@ -21,7 +22,7 @@ use rand::{Rng, SeedableRng};
 
 /// Algorithm 1 as printed.
 fn one_frontier() -> QueryOptions {
-    QueryOptions::default().with_bidi_min_candidates(usize::MAX)
+    QueryOptions::default().with_one_frontier(true)
 }
 
 /// Runs `q` with two frontiers and with one, holds both against the
@@ -303,4 +304,82 @@ fn s3_work_guard() {
         "two frontiers scanned {two_edges} edges, one frontier {one_edges}"
     );
     assert!(two_scck <= one_scck, "two frontiers made {two_scck} SCck calls, one {one_scck}");
+}
+
+/// The planner's side of the meet in the middle: under a selective `L`,
+/// a query with 64 or more candidates is `Auto`'s to send to UIS, which
+/// answers it like the oracle and for no more work than the kernels
+/// `Auto` used to pick. 400 fixed draws, a third each under S1, S2 and
+/// S4, all under the three most frequent labels.
+#[test]
+fn narrow_l_routes_to_uis() {
+    /// `edges_scanned + index_hits` summed over the draws at the parent
+    /// commit (PR 23), where the same queries ran the bidirectional phase
+    /// inside UIS*/INS. Counts repeat exactly; CI can hold them.
+    const PARENT_WORK: usize = 151_121;
+    // 28 universities: the smallest replica on which the planner reads 64
+    // or more candidates for all three constraints (67 / 67 / 70).
+    let g = lubm::generate(&LubmConfig { universities: 28, departments: 6, seed: 26 }).unwrap();
+    let narrow = top_label_set(&g, 3);
+    assert!(g.expansion_selective(narrow), "top-3 labels are no longer mask-selective");
+    let constraints = [s1(), s2(), s4()];
+    let satisfying: Vec<Vec<VertexId>> =
+        constraints.iter().map(|c| c.compile(&g).unwrap().satisfying_vertices(&g)).collect();
+    let mut rng = SmallRng::seed_from_u64(0x24_0A17_0015);
+    // Up to `steps` edges of `L` away from `v`, along or against them.
+    let walk = |mut v: VertexId, against: bool, steps: usize, rng: &mut SmallRng| {
+        for _ in 0..steps {
+            let edges = if against { g.in_neighbors(v) } else { g.out_neighbors(v) };
+            let usable: Vec<_> = edges.iter().filter(|e| narrow.contains(e.label)).collect();
+            let Some(e) = usable.choose(rng) else { break };
+            v = e.vertex;
+        }
+        v
+    };
+    let queries: Vec<LscrQuery> = (0..400)
+        .map(|i| {
+            // Uniform pairs are almost never connected under three labels:
+            // every other draw walks away from a satisfying vertex in both
+            // directions, so `s ⇝_L v ⇝_L t` holds.
+            let (s, t) = if i % 2 == 0 {
+                let v = *satisfying[i % 3].choose(&mut rng).unwrap();
+                let (back, forth) = (rng.gen_range(0..=2), rng.gen_range(0..=3));
+                (walk(v, true, back, &mut rng), walk(v, false, forth, &mut rng))
+            } else {
+                let n = g.num_vertices() as u32;
+                (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n)))
+            };
+            LscrQuery::new(s, t, narrow, constraints[i % 3].clone())
+        })
+        .collect();
+
+    let engine = LscrEngine::new(g);
+    let g = engine.graph();
+    let _ = engine.local_index();
+    let mut session = engine.session();
+    let opts = QueryOptions::default();
+    let (mut gated, mut trues, mut work) = (0, 0, 0);
+    for q in &queries {
+        let plan = engine.compile(q).unwrap();
+        // What `plan_on` sees: the exact count once some search has
+        // materialized V(S,G), the schema estimate until then.
+        let candidates = plan
+            .constraint
+            .vsg_len_if_materialized()
+            .unwrap_or_else(|| plan.constraint.estimate_candidates(&g, g.label_histogram()));
+        let out = session.answer_with_options(q, Algorithm::Auto, &opts).unwrap();
+        assert_eq!(out.answer, oracle::answer(&g, &plan).answer, "{q:?}");
+        assert!(!out.interrupted);
+        if candidates >= 64 {
+            gated += 1;
+            assert_eq!(out.stats.algorithm, Some(Algorithm::Uis), "{candidates} candidates: {q:?}");
+        }
+        trues += usize::from(out.answer);
+        work += out.stats.edges_scanned + out.stats.index_hits;
+    }
+    assert!(gated >= 200 && trues >= 40, "the draws guard nothing: {gated} gated, {trues} true");
+    assert!(
+        work <= PARENT_WORK,
+        "Auto did {work} edge scans + index hits, the parent {PARENT_WORK}"
+    );
 }

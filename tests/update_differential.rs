@@ -69,7 +69,7 @@ fn assert_engines_agree(
         },
         {
             // One narrow label: |L| ≪ alphabet is always mask-selective,
-            // so UIS*/INS route through the bidirectional phase and the
+            // so both of UIS's frontiers expand through the masks and the
             // overlay's *reverse* expansion view (`in_expansion`) gets
             // differentially tested against the rebuilt CSR too.
             let mut one = LabelSet::EMPTY;
@@ -79,10 +79,7 @@ fn assert_engines_agree(
             one
         },
     ];
-    // These fixtures are far smaller than the production candidate-count
-    // gate: force the bidirectional phase open so every selective label
-    // set above actually drives the backward frontier over the overlay.
-    let opts = kgreach::QueryOptions::default().with_bidi_min_candidates(0);
+    let mut backward_over_live = 0;
     for s in rg.vertices() {
         for t in rg.vertices() {
             for &labels in &label_sets {
@@ -92,10 +89,11 @@ fn assert_engines_agree(
                 };
                 let expected = rebuilt.answer(&rq, Algorithm::Oracle).unwrap().answer;
                 for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-                    let live_ans = live.answer_with_options(&lq, alg, &opts).unwrap().answer;
-                    let rebuilt_ans = rebuilt.answer_with_options(&rq, alg, &opts).unwrap().answer;
+                    let live_out = live.answer(&lq, alg).unwrap();
+                    backward_over_live += live_out.stats.backward_edges_scanned;
+                    let rebuilt_ans = rebuilt.answer(&rq, alg).unwrap().answer;
                     prop_assert_eq_plain(
-                        live_ans,
+                        live_out.answer,
                         expected,
                         &format!("{context}: live {alg} vs oracle on {s}->{t}"),
                     );
@@ -108,6 +106,9 @@ fn assert_engines_agree(
             }
         }
     }
+    // The sweep reached `in_expansion` on the live side — over the
+    // overlay, whenever the live graph carries one.
+    assert!(backward_over_live > 0, "{context}: UIS's backward frontier never stepped");
 }
 
 fn prop_assert_eq_plain(a: bool, b: bool, msg: &str) {

@@ -19,9 +19,10 @@
 
 use kgreach_bench::{
     build_local_index, build_workload, engine_with_index, figure_rows, lubm_datasets, ms,
-    print_header, print_row, run_group, Args,
+    print_header, print_row, run_group,
 };
 use kgreach_datagen::constraints;
+use kgreach_serve::cli::Args;
 
 fn main() {
     let args = Args::parse();

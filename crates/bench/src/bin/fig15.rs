@@ -14,10 +14,10 @@
 
 use kgreach_bench::{
     build_local_index, engine_with_index, figure_rows, mib, ms, print_header, print_row, run_group,
-    Args,
 };
 use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
 use kgreach_datagen::{random_constraint_with_magnitude, yago::YagoConfig};
+use kgreach_serve::cli::Args;
 
 fn main() {
     let args = Args::parse();

@@ -9,9 +9,10 @@
 //! Usage: `cargo run -p kgreach-bench --release --bin fig5 --
 //!         [--vertices 4000] [--labels 8] [--budget-secs 120]`
 
-use kgreach_bench::{print_header, print_row, Args};
+use kgreach_bench::{print_header, print_row};
 use kgreach_datagen::yago::{self, YagoConfig};
 use kgreach_lcr::{Budget, SamplingTreeIndex};
+use kgreach_serve::cli::Args;
 use std::time::Duration;
 
 fn main() {

@@ -11,8 +11,9 @@
 //! Usage: `cargo run -p kgreach-bench --release --bin table2 --
 //!         [--scale 1.0] [--budget-secs 30]`
 
-use kgreach_bench::{build_local_index, lubm_datasets, mib, print_header, print_row, Args};
+use kgreach_bench::{build_local_index, lubm_datasets, mib, print_header, print_row};
 use kgreach_lcr::{Budget, LandmarkConfig, LandmarkIndex};
+use kgreach_serve::cli::Args;
 use std::time::Duration;
 
 fn main() {

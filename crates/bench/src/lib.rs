@@ -220,45 +220,6 @@ pub fn mib(bytes: usize) -> String {
     format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
 }
 
-/// Parses `--flag value` style options from the command line.
-pub struct Args {
-    raw: Vec<String>,
-}
-
-impl Args {
-    /// Captures the process arguments.
-    pub fn parse() -> Self {
-        Args { raw: std::env::args().skip(1).collect() }
-    }
-
-    /// The value after `--name`, parsed, or `default`.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        let flag = format!("--{name}");
-        self.raw
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Whether the bare flag `--name` is present.
-    pub fn has(&self, name: &str) -> bool {
-        let flag = format!("--{name}");
-        self.raw.iter().any(|a| a == &flag)
-    }
-
-    /// The value after `--name` as a string, if present.
-    pub fn get_str(&self, name: &str) -> Option<&str> {
-        let flag = format!("--{name}");
-        self.raw
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.raw.get(i + 1))
-            .map(|s| s.as_str())
-    }
-}
-
 /// Prints a markdown-style table row.
 pub fn print_row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));

@@ -15,7 +15,9 @@
 //! after that return therefore never acknowledge an update a restart can
 //! lose (modulo the chosen [`FsyncPolicy`]'s power-failure window). When
 //! the log outgrows [`WalConfig::checkpoint_bytes`], a checkpoint rolls
-//! the engine state into a fresh snapshot and rotates the log.
+//! the engine state into a fresh snapshot and rotates the log. A hot
+//! reload ([`DurableEngine::reload_from_snapshot`]) is a checkpoint too:
+//! the reloaded state is written as the checkpoint before it is served.
 //!
 //! Recovery is two-phase so a server can bind its socket early and gate
 //! readiness: [`DurableEngine::recover`] loads the newest checkpoint
@@ -326,6 +328,25 @@ impl DurableEngine {
         Ok(DurableOutcome { outcome, seq: Some(append.seq), durable: append.synced })
     }
 
+    /// [`LscrEngine::reload_from_snapshot`], made durable: the decoded
+    /// snapshot is written as the checkpoint at the current sequence
+    /// number before it is swapped in, and the log is rotated after. A
+    /// restart recovers the reloaded state plus the updates applied after
+    /// it. If the snapshot does not decode or its checkpoint cannot be
+    /// written, the old state is still both served and what a restart
+    /// recovers.
+    pub fn reload_from_snapshot(&self, bytes: &[u8]) -> Result<u64, QueryError> {
+        let staged = LscrEngine::from_snapshot(bytes)?;
+        let mut st = self.inner.lock().expect("durable state lock");
+        let started = Instant::now();
+        write_checkpoint(&self.dir, &staged, st.applied_seq)?;
+        // The newest checkpoint is the reloaded state now, rotated log or
+        // not: replay skips every record the old log holds.
+        let epoch = self.engine.install(staged);
+        self.rotate_locked(&mut st, started)?;
+        Ok(epoch)
+    }
+
     /// Fsyncs any unsynced log records (regardless of policy). Returns
     /// whether a sync was actually issued.
     pub fn flush(&self) -> Result<bool, QueryError> {
@@ -375,9 +396,19 @@ impl DurableEngine {
 
     fn checkpoint_locked(&self, st: &mut DurableState) -> Result<CheckpointReport, QueryError> {
         let started = Instant::now();
+        write_checkpoint(&self.dir, &self.engine, st.applied_seq)?;
+        self.rotate_locked(st, started)
+    }
+
+    /// Roots a fresh log at `st.applied_seq`, which the checkpoint just
+    /// written covers, and retires the older checkpoints.
+    fn rotate_locked(
+        &self,
+        st: &mut DurableState,
+        started: Instant,
+    ) -> Result<CheckpointReport, QueryError> {
         let seq = st.applied_seq;
         let retired_wal_bytes = st.wal.len_bytes();
-        write_checkpoint(&self.dir, &self.engine, seq)?;
         // The new checkpoint is durable; now rotate the log under a temp
         // name + rename so a crash at any point leaves either the old
         // complete log (prefix re-replay is a sequence-number no-op) or
@@ -643,6 +674,39 @@ mod tests {
         let (d, report) = recovery.replay().expect("phase 2");
         assert_eq!(report.replayed, 1);
         assert!(d.engine().graph().vertex_id("wal-s0").is_some());
+    }
+
+    /// Every triple of the served graph, by name, sorted.
+    fn triples(engine: &LscrEngine) -> Vec<(String, String, String)> {
+        let g = engine.graph();
+        let name = |v| g.vertex_name(v).to_owned();
+        let mut out: Vec<_> = g
+            .edges()
+            .map(|e| (name(e.src), g.label_name(e.label).to_owned(), name(e.dst)))
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn reload_survives_restart_with_later_updates() {
+        let dir = tmp_dir("reload");
+        let (d, _) = DurableEngine::open(&dir, small_config(), || Ok(LscrEngine::new(figure3())))
+            .expect("init");
+        d.apply_update(&batch(0)).expect("pre-reload update");
+        let mut b = kgreach_graph::GraphBuilder::new();
+        b.add_triple("reloaded-a", "p", "reloaded-b");
+        let mut snapshot = Vec::new();
+        LscrEngine::new(b.build().unwrap()).save_snapshot(&mut snapshot).expect("save");
+        d.reload_from_snapshot(&snapshot).expect("reload");
+        d.apply_update(&batch(1)).expect("post-reload update");
+        let served = triples(&d.engine());
+        assert_eq!(served.len(), 2, "the reloaded edge and the later update: {served:?}");
+        drop(d); // simulated crash: no flush, no checkpoint
+
+        let (d, _) = DurableEngine::open(&dir, small_config(), || panic!("init must not rerun"))
+            .expect("recover");
+        assert_eq!(triples(&d.engine()), served, "recovered a state that was never served");
     }
 
     #[test]

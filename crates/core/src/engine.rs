@@ -63,7 +63,8 @@ pub enum Algorithm {
     UisStar,
     /// Algorithm 4 — informed search over the local index.
     Ins,
-    /// The brute-force three-pass reference (tests/diagnostics).
+    /// The brute-force reference, one BFS over `(vertex, seen)`
+    /// (tests/diagnostics).
     Oracle,
     /// Adaptive: the engine picks UIS, UIS\* or INS per query from cheap
     /// statistics (constraint selectivity, `|L|` relative to `𝓛`, index
@@ -668,11 +669,19 @@ impl LscrEngine {
     /// the old graph. A held query whose vertex ids do not fit the new
     /// graph fails its rebind with a typed [`QueryError`].
     ///
-    /// Returns the fresh content epoch.
+    /// Returns the fresh content epoch. On a durable engine, reload
+    /// through [`DurableEngine::reload_from_snapshot`](crate::DurableEngine::reload_from_snapshot)
+    /// instead, or a restart recovers the replaced state.
     pub fn reload_from_snapshot(&self, bytes: &[u8]) -> Result<u64, QueryError> {
         // Decode fully before taking any lock: a corrupt snapshot must
         // not stall or damage serving.
-        let staged = LscrEngine::from_snapshot(bytes)?;
+        Ok(self.install(LscrEngine::from_snapshot(bytes)?))
+    }
+
+    /// Swaps in the state of `staged`, an engine decoded from a snapshot,
+    /// as [`reload_from_snapshot`](Self::reload_from_snapshot) describes.
+    /// Returns the fresh content epoch.
+    pub(crate) fn install(&self, staged: LscrEngine) -> u64 {
         let _updates = self.update_lock.lock().expect("update lock");
         let (graph, index) = staged.state_snapshot();
         let mut graph = (*graph).clone();
@@ -685,14 +694,7 @@ impl LscrEngine {
             st.index = index;
         }
         self.plan_cache.write().expect("plan cache lock").clear();
-        Ok(epoch)
-    }
-
-    /// [`reload_from_snapshot`](Self::reload_from_snapshot) from a file
-    /// path.
-    pub fn reload_from_snapshot_file(&self, path: impl AsRef<Path>) -> Result<u64, QueryError> {
-        let bytes = std::fs::read(path).map_err(kgreach_graph::GraphError::from)?;
-        self.reload_from_snapshot(&bytes)
+        epoch
     }
 
     /// A point-in-time summary of the served state — the cheap

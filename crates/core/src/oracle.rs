@@ -1,11 +1,21 @@
 //! A brute-force LSCR oracle used as the correctness reference.
 //!
-//! Decomposes Theorem 2.1 literally: `s ⇝_{L,S} t` iff some vertex `u`
-//! satisfying `S` has `s ⇝_L u` and `u ⇝_L t`. It computes the full
-//! forward label-reachable set of `s`, the full *backward* label-reachable
-//! set of `t`, and `V(S,G)` by brute force, then intersects. Three linear
-//! passes — independent of the search machinery under test, which is what
-//! makes it a trustworthy oracle for UIS/UIS\*/INS.
+//! Theorem 2.1: `s ⇝_{L,S} t` iff some vertex `u` satisfying `S` has
+//! `s ⇝_L u` and `u ⇝_L t`. The oracle decides it with one breadth-first
+//! search over the product of `G` with one bit, `seen` — "the path so far
+//! passed a vertex satisfying `S`". It starts at `(s, SCck(s))`; an edge
+//! `(u, l, w)` with `l ∈ L` leads from `(u, b)` to `(w, b ∨ SCck(w))`; the
+//! answer is whether the goal `(t, true)` is reached. The BFS tree that
+//! reaches it is the [`find_witness`](crate::find_witness) path, so the
+//! answer and its certificate come from the same search.
+//!
+//! That search is independent of the machinery it checks, which is what
+//! makes it a trustworthy oracle for UIS/UIS\*/INS: it calls plain
+//! [`CompiledConstraint::satisfies`](crate::CompiledConstraint::satisfies)
+//! with no `SCck` memo, reads no incident-label mask, runs no precheck,
+//! never materializes `V(S,G)`, consults no local index and shares no
+//! frontier, close map or scratch with the kernels — only `out_neighbors`
+//! and two dense arrays of `2·|V|` slots.
 //!
 //! ```
 //! use kgreach::LscrQuery;
@@ -22,57 +32,65 @@
 //! ```
 
 use crate::query::{CompiledLscrQuery, QueryOutcome, SearchClock, SearchStats};
-use kgreach_graph::traverse::EpochMask;
-use kgreach_graph::{Graph, LabelSet, VertexId};
+use crate::witness::Witness;
+use kgreach_graph::{Edge, Graph, LabelId, VertexId};
 use std::collections::VecDeque;
 
-/// Answers `q` by the three-pass decomposition.
+/// Answers `q` by one BFS over `(vertex, seen)`.
 pub fn answer(g: &Graph, q: &CompiledLscrQuery) -> QueryOutcome {
     let clock = SearchClock::start_now();
     let mut stats = SearchStats { algorithm: Some(crate::Algorithm::Oracle), ..Default::default() };
-
-    let forward = directional_closure(g, q.source, q.label_constraint, Direction::Forward);
-    let backward = directional_closure(g, q.target, q.label_constraint, Direction::Backward);
-
-    let mut answer = false;
-    for v in g.vertices() {
-        if forward.contains(v) && backward.contains(v) {
-            stats.scck_calls += 1;
-            if q.constraint.satisfies(g, v) {
-                answer = true;
-                break;
-            }
-        }
-    }
-
+    let answer = search(g, q, &mut stats.scck_calls).is_some();
     QueryOutcome::finished(answer, stats, clock.elapsed())
 }
 
-enum Direction {
-    Forward,
-    Backward,
-}
-
-/// Label-constrained closure of `start` in the given direction (contains
-/// `start` itself, matching the reflexive-path convention used across the
-/// crate: the zero-edge path satisfies any label constraint).
-fn directional_closure(g: &Graph, start: VertexId, l: LabelSet, dir: Direction) -> EpochMask {
-    let mut mask = EpochMask::new(g.num_vertices());
-    let mut queue = VecDeque::new();
-    mask.insert(start);
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        let edges = match dir {
-            Direction::Forward => g.out_neighbors(u),
-            Direction::Backward => g.in_neighbors(u),
-        };
-        for e in edges {
-            if l.contains(e.label) && mask.insert(e.vertex) {
-                queue.push_back(e.vertex);
+/// The oracle's search: BFS from `(s, SCck(s))` until `(t, true)` is
+/// reached, then the tree path back to the root. `via` is the vertex where
+/// `seen` turned true. Counts `SCck` calls into `scck_calls`.
+pub(crate) fn search(g: &Graph, q: &CompiledLscrQuery, scck_calls: &mut usize) -> Option<Witness> {
+    let mut scck = |v: VertexId| {
+        *scck_calls += 1;
+        q.constraint.satisfies(g, v)
+    };
+    // State `2·v + seen`. `parent[state]` is the state it was first reached
+    // from (`UNREACHED` before that; the root is its own parent) and
+    // `label[state]` the label of that edge.
+    const UNREACHED: usize = usize::MAX;
+    let state = |v: VertexId, seen: bool| 2 * v.index() + usize::from(seen);
+    let vertex = |state: usize| VertexId::from_index(state / 2);
+    let mut parent = vec![UNREACHED; 2 * g.num_vertices()];
+    let mut label = vec![LabelId(0); 2 * g.num_vertices()];
+    let root = state(q.source, scck(q.source));
+    let goal = state(q.target, true);
+    parent[root] = root;
+    let mut queue = VecDeque::from([root]);
+    while parent[goal] == UNREACHED {
+        let from = queue.pop_front()?;
+        let seen = from % 2 == 1;
+        for e in g.out_neighbors(vertex(from)) {
+            if !q.label_constraint.contains(e.label) {
+                continue;
+            }
+            // A reached `(w, false)` means `SCck(w)` is false: no call.
+            let w = e.vertex;
+            let to = state(w, seen || (parent[state(w, false)] == UNREACHED && scck(w)));
+            if parent[to] == UNREACHED {
+                (parent[to], label[to]) = (from, e.label);
+                queue.push_back(to);
             }
         }
     }
-    mask
+    let (mut path, mut via, mut to) = (Vec::new(), q.source, goal);
+    while to != root {
+        let from = parent[to];
+        path.push(Edge::new(vertex(from), label[to], vertex(to)));
+        if from % 2 < to % 2 {
+            via = vertex(to);
+        }
+        to = from;
+    }
+    path.reverse();
+    Some(Witness { path, via })
 }
 
 #[cfg(test)]

@@ -3,14 +3,15 @@
 //! The paper's motivating scenarios (criminal link analysis, suspicious
 //! transaction detection — §1) need more than a boolean: investigators
 //! want the *path* — the transaction chain and the middleman who satisfies
-//! the substructure constraint. This extension module reconstructs one:
-//! a path `s → u → t` where every edge label is in `L` and `u` satisfies
-//! `S`, built from two parent-tracking label-constrained BFS passes around
-//! the best satisfying vertex.
+//! the substructure constraint. A witness is the path the
+//! [`oracle`](crate::oracle) found: the branch of its breadth-first tree
+//! over `(vertex, seen)` that reached `(t, true)`. Every edge label is in
+//! `L`, and `via` is the first vertex on the path that satisfies `S`.
 //!
-//! The returned witness is *a* shortest such path through *some*
-//! satisfying vertex (minimizing `dist(s,u) + dist(u,t)`), not the global
-//! lexicographic minimum — ties are broken by vertex id for determinism.
+//! The path is a shortest `L`-path from `s` to `t` through a satisfying
+//! vertex. Among equally short ones, the BFS picks by discovery order: each
+//! vertex's out-edges are scanned in label-sorted order, and the first
+//! edge to reach a state wins. A satisfying `s = t` is the empty path.
 //!
 //! ```
 //! use kgreach::{find_witness, LscrQuery};
@@ -29,14 +30,13 @@
 
 use crate::query::CompiledLscrQuery;
 use kgreach_graph::{Edge, Graph, LabelSet, VertexId};
-use std::collections::VecDeque;
 
 /// A witness for a true LSCR query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Witness {
     /// The full edge sequence from `s` to `t`.
     pub path: Vec<Edge>,
-    /// The satisfying vertex the path passes through.
+    /// The first vertex on the path that satisfies the constraint.
     pub via: VertexId,
 }
 
@@ -59,92 +59,7 @@ impl Witness {
 
 /// Finds a witness path for `q`, or `None` when the query is false.
 pub fn find_witness(g: &Graph, q: &CompiledLscrQuery) -> Option<Witness> {
-    let n = g.num_vertices();
-    let labels = q.label_constraint;
-
-    // Forward parents from s, backward parents from t, both L-constrained.
-    let fwd = parent_bfs(g, q.source, labels, Direction::Forward);
-    let bwd = parent_bfs(g, q.target, labels, Direction::Backward);
-
-    // Best satisfying vertex by combined distance.
-    let mut best: Option<(u32, VertexId)> = None;
-    for v in g.vertices() {
-        let (Some(df), Some(db)) = (fwd.dist(v), bwd.dist(v)) else { continue };
-        let total = df + db;
-        if best.is_some_and(|(b, bv)| (b, bv) < (total, v)) {
-            continue;
-        }
-        if q.constraint.satisfies(g, v) {
-            match best {
-                Some((b, bv)) if (b, bv) <= (total, v) => {}
-                _ => best = Some((total, v)),
-            }
-        }
-    }
-    let (_, via) = best?;
-    debug_assert!(via.index() < n);
-
-    // Stitch: s → via (walk fwd parents backwards), via → t (walk bwd).
-    let mut path = Vec::new();
-    let mut cur = via;
-    let mut prefix = Vec::new();
-    while cur != q.source {
-        let (parent, label) = fwd.parent(cur)?;
-        prefix.push(Edge::new(parent, label, cur));
-        cur = parent;
-    }
-    prefix.reverse();
-    path.extend(prefix);
-    let mut cur = via;
-    while cur != q.target {
-        let (next, label) = bwd.parent(cur)?;
-        path.push(Edge::new(cur, label, next));
-        cur = next;
-    }
-    Some(Witness { path, via })
-}
-
-enum Direction {
-    Forward,
-    Backward,
-}
-
-struct ParentMap {
-    /// `(parent, label, dist+1)` per vertex; dist 0 slot marks the root.
-    entries: Vec<Option<(VertexId, kgreach_graph::LabelId, u32)>>,
-    root: VertexId,
-}
-
-impl ParentMap {
-    fn dist(&self, v: VertexId) -> Option<u32> {
-        if v == self.root {
-            return Some(0);
-        }
-        self.entries[v.index()].map(|(_, _, d)| d)
-    }
-
-    fn parent(&self, v: VertexId) -> Option<(VertexId, kgreach_graph::LabelId)> {
-        self.entries[v.index()].map(|(p, l, _)| (p, l))
-    }
-}
-
-fn parent_bfs(g: &Graph, root: VertexId, labels: LabelSet, dir: Direction) -> ParentMap {
-    let mut map = ParentMap { entries: vec![None; g.num_vertices()], root };
-    let mut queue = VecDeque::from([(root, 0u32)]);
-    while let Some((u, d)) = queue.pop_front() {
-        let edges = match dir {
-            Direction::Forward => g.out_neighbors(u),
-            Direction::Backward => g.in_neighbors(u),
-        };
-        for e in edges {
-            let w = e.vertex;
-            if labels.contains(e.label) && w != root && map.entries[w.index()].is_none() {
-                map.entries[w.index()] = Some((u, e.label, d + 1));
-                queue.push_back((w, d + 1));
-            }
-        }
-    }
-    map
+    crate::oracle::search(g, q, &mut 0)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //!   the three failure shapes: `s ↛_L t ∧ s ⇝_S t`, `s ⇝_L t ∧ s ↛_S t`,
 //!   and `s ↛_L t ∧ s ↛_S t`.
 
-use kgreach::{LscrQuery, SubstructureConstraint};
+use kgreach::{CompiledLscrQuery, LscrQuery, SubstructureConstraint};
 use kgreach_graph::traverse::{bfs_first_expansions, lcr_reachable, EpochMask};
 use kgreach_graph::{Graph, LabelSet, VertexId};
 use rand::rngs::SmallRng;
@@ -100,11 +100,7 @@ pub fn generate_workload(
     assert!(n >= 2 && t >= 1, "graph too small for query generation");
     let log_v = (n as f64).log2().max(1.0);
 
-    let compiled = constraint.compile(g).expect("constraint compiles");
-    // Substructure-only reachability oracle pieces (s ⇝_S t under full 𝓛):
-    // computed per attempt with two BFS passes.
     let all_labels = g.all_labels();
-    let satisfying = compiled.satisfying_vertices(g);
 
     let mut true_queries = Vec::with_capacity(config.num_true);
     let mut false_queries: Vec<GeneratedQuery> = Vec::with_capacity(config.num_false);
@@ -188,7 +184,9 @@ pub fn generate_workload(
         } else if false_queries.len() < config.num_false {
             // Determine the failure shape for balancing.
             let l_reaches = lcr_reachable(g, s, t_vertex, labels);
-            let s_reaches = substructure_reaches(g, s, t_vertex, all_labels, &satisfying);
+            // `s ⇝_S t`: the LSCR query itself under the full label set.
+            let s_query = CompiledLscrQuery { label_constraint: all_labels, ..cq };
+            let s_reaches = kgreach::oracle::answer(g, &s_query).answer;
             let kind = match (l_reaches, s_reaches) {
                 (false, true) => FalseKind::LabelBlocked,
                 (true, false) => FalseKind::SubstructureBlocked,
@@ -216,43 +214,6 @@ pub fn generate_workload(
     }
 
     Workload { true_queries, false_queries, attempts }
-}
-
-/// `s ⇝_S t` under the full label alphabet: some satisfying vertex lies in
-/// `forward(s) ∩ backward(t)`.
-fn substructure_reaches(
-    g: &Graph,
-    s: VertexId,
-    t: VertexId,
-    all: LabelSet,
-    satisfying: &[VertexId],
-) -> bool {
-    if satisfying.is_empty() {
-        return false;
-    }
-    // forward closure of s
-    let mut fwd = EpochMask::new(g.num_vertices());
-    let mut queue = std::collections::VecDeque::from([s]);
-    fwd.insert(s);
-    while let Some(u) = queue.pop_front() {
-        for e in g.out_neighbors(u) {
-            if all.contains(e.label) && fwd.insert(e.vertex) {
-                queue.push_back(e.vertex);
-            }
-        }
-    }
-    // backward closure of t
-    let mut bwd = EpochMask::new(g.num_vertices());
-    let mut queue = std::collections::VecDeque::from([t]);
-    bwd.insert(t);
-    while let Some(u) = queue.pop_front() {
-        for e in g.in_neighbors(u) {
-            if all.contains(e.label) && bwd.insert(e.vertex) {
-                queue.push_back(e.vertex);
-            }
-        }
-    }
-    satisfying.iter().any(|&v| fwd.contains(v) && bwd.contains(v))
 }
 
 #[cfg(test)]

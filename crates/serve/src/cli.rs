@@ -1,6 +1,7 @@
-//! Tiny `--flag value` argument parsing shared by `kg-serve` and
-//! `kg-loadgen` (same conventions as the bench harness: no external
-//! parser crate, unknown flags are ignored).
+//! Tiny `--flag value` argument parsing shared by `kg-serve`,
+//! `kg-loadgen` and the bench harness's experiment binaries (no external
+//! parser crate; unknown flags are ignored, and a malformed value falls
+//! back to the default).
 
 /// Captured process arguments.
 pub struct Args {

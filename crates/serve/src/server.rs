@@ -34,7 +34,7 @@ use crate::metrics::ServerMetrics;
 use crate::protocol::{
     parse_update, render_health, render_health_recovering, render_update, ApiError, QueryRequest,
 };
-use kgreach::{DurableEngine, LscrEngine};
+use kgreach::{DurableEngine, GraphError, LscrEngine, QueryError};
 use kgreach_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use kgreach_sync::thread::JoinHandle;
 use kgreach_sync::{Arc, Mutex};
@@ -103,9 +103,9 @@ pub fn serve(engine: Arc<LscrEngine>, config: ServerConfig) -> std::io::Result<S
 
 /// Binds `config.addr` but starts **not ready**: data endpoints answer
 /// `503 recovering` (and `/healthz` reports `"recovering"`) until
-/// [`ServerHandle::install_durable`] or [`ServerHandle::mark_ready`] is
-/// called. This is the durable startup path — bind early, replay the
-/// write-ahead log, then open the doors.
+/// [`ServerHandle::install_durable`] is called. This is the durable
+/// startup path — bind early, replay the write-ahead log, then open the
+/// doors.
 pub fn serve_gated(engine: Arc<LscrEngine>, config: ServerConfig) -> std::io::Result<ServerHandle> {
     serve_inner(engine, config, false)
 }
@@ -195,18 +195,7 @@ impl ServerHandle {
     /// Call once, after `kgreach::DurableRecovery::replay` finishes.
     pub fn install_durable(&self, durable: Arc<DurableEngine>) {
         *self.shared.durable.lock().expect("durable handle lock") = Some(durable);
-        self.mark_ready();
-    }
-
-    /// Opens the data endpoints of a [`serve_gated`] server without
-    /// durability (e.g. after some other warm-up).
-    pub fn mark_ready(&self) {
         self.shared.ready.store(true, Ordering::Release);
-    }
-
-    /// The durability wrapper, if one was installed.
-    pub fn durable(&self) -> Option<Arc<DurableEngine>> {
-        self.shared.durable()
     }
 
     /// Stops accepting connections, answers every admitted query, and
@@ -437,9 +426,14 @@ fn handle_reload(req: &Request, shared: &Shared) -> Result<Json, ApiError> {
         .get("path")
         .and_then(Json::as_str)
         .ok_or_else(|| ApiError::invalid("missing or non-string field 'path'"))?;
-    let epoch = shared
-        .engine
-        .reload_from_snapshot_file(path)
+    // On a durable server the reload goes through the checkpoint: a
+    // restart recovers the reloaded graph, not the one it replaced.
+    let epoch = std::fs::read(path)
+        .map_err(|e| QueryError::from(GraphError::from(e)))
+        .and_then(|bytes| match shared.durable() {
+            Some(durable) => durable.reload_from_snapshot(&bytes),
+            None => shared.engine.reload_from_snapshot(&bytes),
+        })
         .map_err(|e| ApiError::new(422, "bad_snapshot", e.to_string()))?;
     shared.metrics.reloads_total.add(1);
     let info = shared.engine.info();

@@ -8,7 +8,10 @@
 //! 3. the restarted server gates readiness while replaying and continues
 //!    the log's sequence numbering where the crash left off;
 //! 4. a graceful shutdown checkpoints, so the *next* start replays
-//!    nothing.
+//!    nothing;
+//! 5. an acknowledged `/snapshot/reload` survives the crash too: the
+//!    restart serves the reloaded graph plus the updates acknowledged
+//!    after it, and nothing of the graph it replaced.
 //!
 //! The single sent-but-unacknowledged in-flight update at kill time is
 //! exempt from 1 and 2 — it may legally land either way (the crash can
@@ -108,6 +111,53 @@ fn probe_present(client: &mut HttpClient, i: usize) -> bool {
     let inserted = body.get("edges_inserted").and_then(Json::as_u64).unwrap_or(0);
     assert_eq!(noop + inserted, 1, "probe must either no-op or insert: {}", resp.body);
     noop == 1
+}
+
+/// Whether the served graph has a vertex called `name`: a query from it
+/// answers `404 unknown_vertex` when it does not.
+fn has_vertex(client: &mut HttpClient, name: &str) -> bool {
+    let body = format!(
+        "{{\"source\":\"{name}\",\"target\":\"{name}\",\"labels\":[],\
+         \"constraint\":\"SELECT ?x WHERE {{ ?x <next> ?y . }}\"}}"
+    );
+    let resp = client.post_json("/query", &body).expect("query");
+    assert!(matches!(resp.status, 200 | 404), "{}", resp.body);
+    resp.status == 200
+}
+
+#[test]
+fn kill_nine_after_reload_recovers_the_reloaded_graph() {
+    let dir = std::env::temp_dir().join(format!("kgserve-reload-crash-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = spawn_server(&dir);
+    wait_ready(server.addr);
+    let mut client = HttpClient::connect(server.addr).expect("connect");
+    assert!(!probe_present(&mut client, 0), "an update before the reload");
+    assert!(has_vertex(&mut client, "University0"));
+
+    let mut b = kgreach::GraphBuilder::new();
+    b.add_triple("reloaded-a", "next", "reloaded-b");
+    let snapshot = dir.with_extension("kgsnap");
+    kgreach::LscrEngine::new(b.build().unwrap()).save_snapshot_file(&snapshot).expect("save");
+    let body = format!("{{\"path\":\"{}\"}}", snapshot.display());
+    let resp = client.post_json("/snapshot/reload", &body).expect("reload");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    // One acknowledged update on top of the reloaded graph, then SIGKILL.
+    assert!(!probe_present(&mut client, 100), "an update after the reload");
+    drop(server);
+
+    let server = spawn_server(&dir);
+    wait_ready(server.addr);
+    let mut client = HttpClient::connect(server.addr).expect("reconnect");
+    for name in ["reloaded-a", "reloaded-b", "crash-100", "crash-101"] {
+        assert!(has_vertex(&mut client, name), "{name} lost by the crash");
+    }
+    for name in ["University0", "crash-0", "crash-1"] {
+        assert!(!has_vertex(&mut client, name), "{name} of the replaced graph came back");
+    }
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&snapshot).ok();
 }
 
 #[test]

@@ -7,7 +7,7 @@ use kgreach::{
     SubstructureConstraint, VsgOrder,
 };
 use kgreach_graph::{LabelSet, VertexId};
-use kgreach_integration::random_typed_graph;
+use kgreach_integration::{assert_witness, random_typed_graph};
 use proptest::prelude::*;
 
 /// A constraint whose satisfying set is nontrivial on the random typed
@@ -41,6 +41,9 @@ proptest! {
         let cq = q.compile(&g).unwrap();
 
         let expected = kgreach::oracle::answer(&g, &cq).answer;
+        if expected {
+            assert_witness(&g, &cq, &kgreach::find_witness(&g, &cq).expect("true ⇒ a witness"));
+        }
         let mut scratch = SearchScratch::new(g.num_vertices());
         let opts = QueryOptions::default();
         let shuffled = QueryOptions::default().with_vsg_order(VsgOrder::Shuffled(seed));

@@ -4,7 +4,9 @@
 use kgreach::{Algorithm, LocalIndexConfig, LscrEngine, LscrQuery, QueryOptions};
 use kgreach_datagen::constraints::{all_lubm_constraints, s1, s3};
 use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
+use kgreach_graph::snapshot::xxh64;
 use kgreach_integration::small_lubm;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 #[test]
@@ -41,6 +43,35 @@ fn full_lubm_pipeline_s1_to_s5() {
             }
         }
     }
+}
+
+/// `generate_workload` for S1–S5 on one replica, pinned: every query's
+/// endpoints, labels, answer and failure shape and each workload's attempt
+/// count, hashed with XXH64 (seed 0). Recorded at PR 24, before the
+/// false-kind classifier became an oracle call; never edit it to make a
+/// change pass.
+#[test]
+fn generated_workloads_are_pinned() {
+    const WORKLOADS_HASH: u64 = 0xfa49_21b8_e083_458c;
+    let g = small_lubm(3);
+    let config = QueryGenConfig {
+        num_true: 20,
+        num_false: 20,
+        max_attempts: 30_000,
+        enforce_difficulty: false,
+        ..QueryGenConfig::default()
+    };
+    let mut log = String::new();
+    for (name, constraint) in all_lubm_constraints() {
+        let w = generate_workload(&g, &constraint, &config);
+        writeln!(log, "{name} {}", w.attempts).unwrap();
+        for gq in w.true_queries.iter().chain(&w.false_queries) {
+            let q = &gq.query;
+            let row = (q.source, q.target, q.label_constraint, gq.expected, gq.false_kind);
+            writeln!(log, "{row:?}").unwrap();
+        }
+    }
+    assert_eq!(xxh64(log.as_bytes(), 0), WORKLOADS_HASH, "generated workloads changed");
 }
 
 #[test]

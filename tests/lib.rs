@@ -1,6 +1,6 @@
 //! Shared fixtures and generators for the cross-crate integration tests.
 
-use kgreach::{LscrQuery, SubstructureConstraint};
+use kgreach::{CompiledLscrQuery, LscrQuery, SubstructureConstraint, Witness};
 use kgreach_datagen::{all_lubm_constraints, top_label_set};
 use kgreach_graph::{Graph, GraphBuilder, LabelId, LabelSet, UpdateBatch, VertexId};
 use rand::rngs::SmallRng;
@@ -113,6 +113,24 @@ pub fn lubm_draws(g: &Graph, n: usize, seed: u64) -> Vec<LscrQuery> {
             LscrQuery::new(s, t, labels, constraints[i % constraints.len()].1.clone())
         })
         .collect()
+}
+
+/// Checks that `w` certifies `q` on `g`: a path of existing edges with
+/// labels in `L` from `s` to `t` (empty only when `s = t`), and `via` is
+/// the first vertex on it that satisfies `S`.
+pub fn assert_witness(g: &Graph, q: &CompiledLscrQuery, w: &Witness) {
+    let vertices = if w.path.is_empty() { vec![q.source] } else { w.vertices() };
+    assert_eq!(vertices.first(), Some(&q.source), "witness does not start at s: {w:?}");
+    assert_eq!(vertices.last(), Some(&q.target), "witness does not end at t: {w:?}");
+    for pair in w.path.windows(2) {
+        assert_eq!(pair[0].dst, pair[1].src, "witness edges do not connect: {w:?}");
+    }
+    for e in &w.path {
+        assert!(g.has_edge(e.src, e.label, e.dst), "witness edge {e:?} is not in the graph");
+        assert!(q.label_constraint.contains(e.label), "witness edge {e:?} has a label outside L");
+    }
+    let first = vertices.into_iter().find(|&v| q.constraint.satisfies(g, v));
+    assert_eq!(first, Some(w.via), "via is not the first vertex satisfying S: {w:?}");
 }
 
 /// A random edit script: seeded ops over a bounded name universe, so

@@ -8,17 +8,21 @@
 
 use kgreach::fixtures::{figure3, s0};
 use kgreach::{
-    oracle, uis, Algorithm, LscrEngine, LscrQuery, QueryOptions, QueryOutcome, SearchScratch,
-    SubstructureConstraint,
+    find_witness, oracle, uis, Algorithm, LscrEngine, LscrQuery, QueryOptions, QueryOutcome,
+    SearchScratch, SubstructureConstraint,
 };
 use kgreach_datagen::constraints::{s1, s2, s3, s4};
 use kgreach_datagen::funnel::{self, FunnelConfig};
 use kgreach_datagen::{lubm, top_label_set, LubmConfig};
+use kgreach_graph::snapshot::xxh64;
 use kgreach_graph::{Graph, GraphBuilder, LabelId, VertexId};
-use kgreach_integration::{all_pairs, lubm_draws, random_batches, random_typed_graph, small_lubm};
+use kgreach_integration::{
+    all_pairs, assert_witness, lubm_draws, random_batches, random_typed_graph, small_lubm,
+};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
 
 /// Algorithm 1 as printed.
 fn one_frontier() -> QueryOptions {
@@ -35,6 +39,9 @@ fn agree(
 ) -> (QueryOutcome, QueryOutcome) {
     let cq = q.compile(g).unwrap();
     let want = oracle::answer(g, &cq).answer;
+    if want {
+        assert_witness(g, &cq, &find_witness(g, &cq).expect("a true answer has a witness"));
+    }
     let two = uis::answer_with(g, &cq, scratch, &QueryOptions::default());
     let one = uis::answer_with(g, &cq, scratch, &one_frontier());
     for (name, out) in [("two frontiers", &two), ("one frontier", &one)] {
@@ -172,6 +179,35 @@ fn lubm_seeded_draws_across_s1_to_s5() {
     // The draw is worth its name only if every path is taken often.
     assert!(trues > 200 && trues < 1_800, "{trues} true answers of 2000");
     assert!(backward > 200 && negative > 200, "{backward} backward, {negative} negative");
+}
+
+/// The witnesses of 2,000 seeded draws, pinned: how many answers are true,
+/// and the sum and XXH64 (seed 0) of their witness path lengths. Recorded
+/// at PR 24, where a witness was stitched from two parent maps around the
+/// best satisfying vertex; never edit them to make a change pass.
+#[test]
+fn lubm_witness_lengths_are_pinned() {
+    const TRUES: usize = 422;
+    const LENGTH_SUM: usize = 2_206;
+    const LENGTH_HASH: u64 = 0x80ec_5734_dbf0_8a29;
+    let g = small_lubm(26);
+    let (mut trues, mut sum, mut lengths) = (0, 0, String::new());
+    for q in lubm_draws(&g, 2_000, 7) {
+        let cq = q.compile(&g).unwrap();
+        let witness = find_witness(&g, &cq);
+        assert_eq!(witness.is_some(), oracle::answer(&g, &cq).answer, "{q:?}");
+        if let Some(w) = witness {
+            assert_witness(&g, &cq, &w);
+            trues += 1;
+            sum += w.path.len();
+            writeln!(lengths, "{}", w.path.len()).unwrap();
+        }
+    }
+    assert_eq!(
+        (trues, sum, xxh64(lengths.as_bytes(), 0)),
+        (TRUES, LENGTH_SUM, LENGTH_HASH),
+        "witnesses changed"
+    );
 }
 
 /// Both frontiers read the delta overlay (`out_expansion` and

@@ -314,6 +314,12 @@ impl DurableEngine {
     /// told succeeded. Failed batches (validation errors) are applied
     /// nowhere and logged never; all-no-op batches are acknowledged
     /// without logging (replaying them would change nothing).
+    ///
+    /// The append is the durable point. A size-triggered checkpoint that
+    /// fails after it does not fail the call: the batch is served and
+    /// recovered either way, and the log stays un-rotated for the next
+    /// trigger — visible as [`DurableStats::wal_bytes`] past the threshold
+    /// with [`DurableStats::checkpoints`] flat.
     pub fn apply_update(&self, batch: &UpdateBatch) -> Result<DurableOutcome, QueryError> {
         let mut st = self.inner.lock().expect("durable state lock");
         let outcome = self.engine.apply_update(batch)?;
@@ -323,7 +329,7 @@ impl DurableEngine {
         let append = st.wal.append(batch)?;
         st.applied_seq = append.seq;
         if st.wal.len_bytes() > self.config.checkpoint_bytes {
-            self.checkpoint_locked(&mut st)?;
+            let _ = self.checkpoint_locked(&mut st);
         }
         Ok(DurableOutcome { outcome, seq: Some(append.seq), durable: append.synced })
     }
@@ -334,7 +340,9 @@ impl DurableEngine {
     /// restart recovers the reloaded state plus the updates applied after
     /// it. If the snapshot does not decode or its checkpoint cannot be
     /// written, the old state is still both served and what a restart
-    /// recovers.
+    /// recovers. The written checkpoint is the durable point: a rotation
+    /// that fails after it leaves the old log for the next trigger, and
+    /// the reload still succeeds.
     pub fn reload_from_snapshot(&self, bytes: &[u8]) -> Result<u64, QueryError> {
         let staged = LscrEngine::from_snapshot(bytes)?;
         let mut st = self.inner.lock().expect("durable state lock");
@@ -343,7 +351,7 @@ impl DurableEngine {
         // The newest checkpoint is the reloaded state now, rotated log or
         // not: replay skips every record the old log holds.
         let epoch = self.engine.install(staged);
-        self.rotate_locked(&mut st, started)?;
+        let _ = self.rotate_locked(&mut st, started);
         Ok(epoch)
     }
 
@@ -416,8 +424,10 @@ impl DurableEngine {
         let tmp = self.dir.join("wal.log.tmp");
         let new_wal = Wal::create(&tmp, seq, self.config.fsync)?;
         fs::rename(&tmp, self.dir.join(WAL_FILE)).map_err(GraphError::from)?;
-        fsync_parent_dir(&self.dir.join(WAL_FILE))?;
+        // The new log is the one on disk from here: appends go to it even
+        // if the directory sync below fails.
         st.wal = new_wal;
+        fsync_parent_dir(&self.dir.join(WAL_FILE))?;
         st.checkpoint_seq = seq;
         st.checkpoints += 1;
         let elapsed = started.elapsed();
@@ -688,17 +698,22 @@ mod tests {
         out
     }
 
+    /// A snapshot of a one-edge graph, to reload.
+    fn one_edge_snapshot() -> Vec<u8> {
+        let mut b = kgreach_graph::GraphBuilder::new();
+        b.add_triple("reloaded-a", "p", "reloaded-b");
+        let mut snapshot = Vec::new();
+        LscrEngine::new(b.build().unwrap()).save_snapshot(&mut snapshot).expect("save");
+        snapshot
+    }
+
     #[test]
     fn reload_survives_restart_with_later_updates() {
         let dir = tmp_dir("reload");
         let (d, _) = DurableEngine::open(&dir, small_config(), || Ok(LscrEngine::new(figure3())))
             .expect("init");
         d.apply_update(&batch(0)).expect("pre-reload update");
-        let mut b = kgreach_graph::GraphBuilder::new();
-        b.add_triple("reloaded-a", "p", "reloaded-b");
-        let mut snapshot = Vec::new();
-        LscrEngine::new(b.build().unwrap()).save_snapshot(&mut snapshot).expect("save");
-        d.reload_from_snapshot(&snapshot).expect("reload");
+        d.reload_from_snapshot(&one_edge_snapshot()).expect("reload");
         d.apply_update(&batch(1)).expect("post-reload update");
         let served = triples(&d.engine());
         assert_eq!(served.len(), 2, "the reloaded edge and the later update: {served:?}");
@@ -707,6 +722,63 @@ mod tests {
         let (d, _) = DurableEngine::open(&dir, small_config(), || panic!("init must not rerun"))
             .expect("recover");
         assert_eq!(triples(&d.engine()), served, "recovered a state that was never served");
+    }
+
+    // A directory where the checkpoint's temp file goes fails its write
+    // (`EISDIR`, root included); one where the new log's goes fails the
+    // rotation after the checkpoint has landed.
+
+    #[test]
+    fn size_triggered_checkpoint_failure_still_acks_the_update() {
+        for blocked in ["checkpoint.tmp", "wal.log.tmp"] {
+            let dir = tmp_dir(&format!("ack-{blocked}"));
+            let config = WalConfig { fsync: FsyncPolicy::Off, checkpoint_bytes: 256 };
+            let (d, _) =
+                DurableEngine::open(&dir, config.clone(), || Ok(LscrEngine::new(figure3())))
+                    .expect("init");
+            fs::create_dir(dir.join(blocked)).expect("block");
+            for i in 0..16 {
+                let out = d.apply_update(&batch(i)).expect("logged, so acknowledged");
+                assert_eq!(out.seq, Some(i + 1), "{blocked}");
+            }
+            let stats = d.stats();
+            assert_eq!(stats.checkpoints, 0, "{blocked}");
+            assert!(stats.wal_bytes > 256, "{blocked}: the log waits for the next trigger");
+            let served = triples(&d.engine());
+            drop(d); // simulated crash, the log un-rotated
+            let (d, _) = DurableEngine::open(&dir, config, || panic!("init must not rerun"))
+                .expect("recover");
+            assert_eq!(triples(&d.engine()), served, "{blocked}: an acknowledged update was lost");
+            // Unblocked, the next trigger rotates.
+            fs::remove_dir(dir.join(blocked)).expect("unblock");
+            d.apply_update(&batch(16)).expect("apply");
+            assert_eq!(d.stats().checkpoints, 1, "{blocked}");
+        }
+    }
+
+    #[test]
+    fn reload_reports_success_past_its_checkpoint() {
+        // A failed checkpoint write fails the reload; a failed rotation
+        // after the checkpoint does not.
+        for (blocked, reloads) in [("checkpoint.tmp", false), ("wal.log.tmp", true)] {
+            let dir = tmp_dir(&format!("reload-{blocked}"));
+            let (d, _) =
+                DurableEngine::open(&dir, small_config(), || Ok(LscrEngine::new(figure3())))
+                    .expect("init");
+            d.apply_update(&batch(0)).expect("pre-reload update");
+            let before = triples(&d.engine());
+            fs::create_dir(dir.join(blocked)).expect("block");
+            assert_eq!(d.reload_from_snapshot(&one_edge_snapshot()).is_ok(), reloads, "{blocked}");
+            d.apply_update(&batch(1)).expect("post-reload update");
+            let served = triples(&d.engine());
+            let want = if reloads { 2 } else { before.len() + 1 };
+            assert_eq!(served.len(), want, "{blocked}: {served:?}");
+            drop(d); // simulated crash
+            let (d, _) =
+                DurableEngine::open(&dir, small_config(), || panic!("init must not rerun"))
+                    .expect("recover");
+            assert_eq!(triples(&d.engine()), served, "{blocked}: recovered a state never served");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Tokenizer for the SPARQL subset.
 //!
-//! Accepts the ASCII spelling of the paper's Table 3 queries, e.g.
+//! Accepts the spelling of the paper's Table 3 queries, e.g.
 //! `SELECT ?x WHERE { ?x <ub:researchInterest> "Research12" . }`.
 //! Angle-bracket IRIs, double- or single-quoted literals, `?var`s, bare
 //! prefixed names (`ub:takesCourse`), braces and dots.
@@ -28,15 +28,17 @@ pub enum Token {
     Dot,
 }
 
-/// Tokenizes `input` into a vector of tokens.
+/// Tokenizes `input` into a vector of tokens. Positions are byte offsets
+/// on `char` boundaries: an ASCII byte is its own `char`, anything else is
+/// decoded, so text outside ASCII lexes like any other.
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;
     while i < bytes.len() {
-        let c = bytes[i] as char;
+        let c = char_at(input, i);
         match c {
-            c if c.is_whitespace() => i += 1,
+            c if c.is_whitespace() => i += c.len_utf8(),
             '{' => {
                 tokens.push(Token::LBrace);
                 i += 1;
@@ -59,57 +61,48 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 i += end + 2;
             }
             '"' | '\'' => {
-                let quote = c;
+                // Quotes and backslashes are ASCII, and no byte of a
+                // multi-byte `char` is, so the scan can go byte by byte and
+                // copy each run between escapes whole.
                 let mut out = String::new();
-                let mut j = i + 1;
-                let mut escaped = false;
-                let mut closed = false;
-                while j < bytes.len() {
-                    let d = bytes[j] as char;
-                    if escaped {
-                        out.push(d);
-                        escaped = false;
-                    } else if d == '\\' {
-                        escaped = true;
-                    } else if d == quote {
-                        closed = true;
-                        break;
-                    } else {
-                        out.push(d);
+                let (mut j, mut run) = (i + 1, i + 1);
+                loop {
+                    match bytes.get(j) {
+                        Some(b'\\') if j + 1 < bytes.len() => {
+                            out.push_str(&input[run..j]);
+                            let escaped = char_at(input, j + 1);
+                            out.push(escaped);
+                            j += 1 + escaped.len_utf8();
+                            run = j;
+                        }
+                        Some(&b) if b == c as u8 => break,
+                        Some(_) => j += 1,
+                        None => {
+                            return Err(SparqlError::Lex {
+                                position: i,
+                                message: "unterminated literal".into(),
+                            })
+                        }
                     }
-                    j += 1;
                 }
-                if !closed {
-                    return Err(SparqlError::Lex {
-                        position: i,
-                        message: "unterminated literal".into(),
-                    });
-                }
+                out.push_str(&input[run..j]);
                 tokens.push(Token::Constant(out));
                 i = j + 1;
             }
             '?' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && is_name_char(bytes[j] as char) {
-                    j += 1;
-                }
-                if j == start {
+                let end = name_end(input, i + 1);
+                if end == i + 1 {
                     return Err(SparqlError::Lex {
                         position: i,
                         message: "'?' must be followed by a variable name".into(),
                     });
                 }
-                tokens.push(Token::Variable(input[start..j].to_string()));
-                i = j;
+                tokens.push(Token::Variable(input[i + 1..end].to_string()));
+                i = end;
             }
             c if is_name_char(c) => {
-                let start = i;
-                let mut j = i;
-                while j < bytes.len() && is_name_char(bytes[j] as char) {
-                    j += 1;
-                }
-                let word = &input[start..j];
+                let end = name_end(input, i);
+                let word = &input[i..end];
                 let token = match word.to_ascii_uppercase().as_str() {
                     "SELECT" => Token::Select,
                     "WHERE" => Token::Where,
@@ -117,7 +110,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     _ => Token::Constant(word.to_string()),
                 };
                 tokens.push(token);
-                i = j;
+                i = end;
             }
             other => {
                 return Err(SparqlError::Lex {
@@ -128,6 +121,27 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
         }
     }
     Ok(tokens)
+}
+
+/// The `char` starting at byte `i`, a `char` boundary of `s`.
+fn char_at(s: &str, i: usize) -> char {
+    match s.as_bytes()[i] {
+        b if b.is_ascii() => b as char,
+        _ => s[i..].chars().next().expect("i is a char boundary"),
+    }
+}
+
+/// The byte offset where the name starting at `start` ends.
+fn name_end(s: &str, start: usize) -> usize {
+    let mut j = start;
+    while j < s.len() {
+        let c = char_at(s, j);
+        if !is_name_char(c) {
+            break;
+        }
+        j += c.len_utf8();
+    }
+    j
 }
 
 /// Characters allowed in bare names, prefixed names and variable names.
@@ -192,6 +206,27 @@ mod tests {
         assert!(matches!(tokenize("\"oops"), Err(SparqlError::Lex { .. })));
         assert!(matches!(tokenize("? x"), Err(SparqlError::Lex { .. })));
         assert!(matches!(tokenize("|"), Err(SparqlError::Lex { .. })));
+    }
+
+    #[test]
+    fn non_ascii_literals_keep_their_text() {
+        let t = tokenize("\"Müller\" 'Zoë'").unwrap();
+        assert_eq!(t, vec![Token::Constant("Müller".into()), Token::Constant("Zoë".into())]);
+    }
+
+    #[test]
+    fn non_ascii_variables_lex() {
+        let t = tokenize("?é ?x").unwrap();
+        assert_eq!(t, vec![Token::Variable("é".into()), Token::Variable("x".into())]);
+    }
+
+    #[test]
+    fn non_ascii_bare_names_lex() {
+        let t = tokenize("ub:Zoë . Ünïcode").unwrap();
+        assert_eq!(
+            t,
+            vec![Token::Constant("ub:Zoë".into()), Token::Dot, Token::Constant("Ünïcode".into())]
+        );
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! constraints and queries, UIS ≡ UIS\* ≡ INS ≡ oracle, plus metamorphic
 //! monotonicity properties from the problem definition.
 
-use kgreach::{
-    Algorithm, LocalIndex, LocalIndexConfig, LscrQuery, QueryOptions, SearchScratch,
-    SubstructureConstraint, VsgOrder,
-};
+use kgreach::Algorithm::{Auto, Ins, Uis, UisStar};
+use kgreach::{LocalIndexConfig, LscrQuery, QueryOptions, SubstructureConstraint, VsgOrder};
 use kgreach_graph::{LabelSet, VertexId};
-use kgreach_integration::{assert_witness, random_typed_graph};
+use kgreach_integration::matrix::{Form, Matrix, Run};
+use kgreach_integration::random_typed_graph;
 use proptest::prelude::*;
 
 /// A constraint whose satisfying set is nontrivial on the random typed
@@ -38,34 +37,16 @@ proptest! {
         let t = VertexId(t_raw % n as u32);
         let labels = LabelSet::from_bits(label_bits).intersection(g.all_labels());
         let q = LscrQuery::new(s, t, labels, constraint(class, label));
-        let cq = q.compile(&g).unwrap();
-
-        let expected = kgreach::oracle::answer(&g, &cq).answer;
-        if expected {
-            assert_witness(&g, &cq, &kgreach::find_witness(&g, &cq).expect("true ⇒ a witness"));
-        }
-        let mut scratch = SearchScratch::new(g.num_vertices());
-        let opts = QueryOptions::default();
         let shuffled = QueryOptions::default().with_vsg_order(VsgOrder::Shuffled(seed));
-        prop_assert_eq!(
-            kgreach::uis::answer_with(&g, &cq, &mut scratch, &opts).answer,
-            expected, "UIS"
-        );
-        prop_assert_eq!(
-            kgreach::uis_star::answer_with(&g, &cq, &mut scratch, &opts).answer,
-            expected, "UIS*"
-        );
-        prop_assert_eq!(
-            kgreach::uis_star::answer_with(&g, &cq, &mut scratch, &shuffled).answer,
-            expected, "UIS* shuffled"
-        );
         for k in [1usize, 4, 16] {
-            let idx = LocalIndex::build(&g, &LocalIndexConfig { num_landmarks: Some(k), seed, ..Default::default() });
-            prop_assert_eq!(
-                kgreach::ins::answer_with(&g, &cq, &idx, &mut scratch, &opts).answer,
-                expected,
-                "INS k={}", k
-            );
+            let index = LocalIndexConfig { num_landmarks: Some(k), seed, ..Default::default() };
+            let mut runs = Run::each(&[Ins], &QueryOptions::default(), false);
+            if k == 1 {
+                runs.extend(Run::each(&[Uis, UisStar], &QueryOptions::default(), false));
+                runs.extend(Run::each(&[UisStar], &shuffled, false));
+            }
+            let m = Matrix::new(g.clone(), Vec::new(), index);
+            m.run(std::slice::from_ref(&q), &runs, &[Form::Kernels], |_, _| {});
         }
     }
 
@@ -82,29 +63,24 @@ proptest! {
         prebuild_raw in 0u8..2,
     ) {
         // The adaptive planner may pick any algorithm (varying with index
-        // availability) — the answer must always match the oracle, and
-        // the recorded choice must be a concrete algorithm.
+        // availability); the matrix holds its answer to the oracle's and
+        // its recorded choice to a concrete algorithm.
         let g = random_typed_graph(n, n * density, 4, 3, seed);
         let s = VertexId(s_raw % n as u32);
         let t = VertexId(t_raw % n as u32);
         let labels = LabelSet::from_bits(label_bits).intersection(g.all_labels());
         let q = LscrQuery::new(s, t, labels, constraint(class, label));
         let prebuild = prebuild_raw == 1;
-        let engine = kgreach::LscrEngine::new(g);
+        let m = Matrix::of(g);
         if prebuild {
-            let _ = engine.local_index();
+            m.engine.local_index();
         }
-        let expected = engine.answer(&q, Algorithm::Oracle).unwrap().answer;
-        let out = engine.answer(&q, Algorithm::Auto).unwrap();
-        prop_assert_eq!(out.answer, expected, "Auto disagrees with the oracle");
-        let ran = out.stats.algorithm.expect("Auto records its choice");
-        prop_assert!(
-            matches!(ran, Algorithm::Uis | Algorithm::UisStar | Algorithm::Ins),
-            "Auto resolved to {:?}", ran
-        );
+        let mut ran = None;
+        let auto = Run::each(&[Auto], &QueryOptions::default(), false);
+        m.run(&[q], &auto, &[Form::Engine], |_, out| ran = out.stats.algorithm);
         if !prebuild {
             prop_assert!(
-                engine.local_index_if_built().is_none() || ran == Algorithm::Ins,
+                m.engine.local_index_if_built().is_none() || ran == Some(Ins),
                 "planning alone must not build the index"
             );
         }
@@ -127,8 +103,8 @@ proptest! {
         let big = small.with(kgreach_graph::LabelId(extra_bit as u16)).intersection(g.all_labels());
         let c = constraint(0, 0);
         let engine = kgreach::LscrEngine::new(g);
-        let small_ans = engine.answer(&LscrQuery::new(s, t, small, c.clone()), Algorithm::Uis).unwrap().answer;
-        let big_ans = engine.answer(&LscrQuery::new(s, t, big, c), Algorithm::Uis).unwrap().answer;
+        let small_ans = engine.answer(&LscrQuery::new(s, t, small, c.clone()), Uis).unwrap().answer;
+        let big_ans = engine.answer(&LscrQuery::new(s, t, big, c), Uis).unwrap().answer;
         prop_assert!(!small_ans || big_ans, "true under {:?} but false under {:?}", small, big);
     }
 
@@ -185,9 +161,9 @@ proptest! {
             c,
         );
         let e1 = kgreach::LscrEngine::new(base);
-        let before = e1.answer(&q1, Algorithm::Uis).unwrap().answer;
+        let before = e1.answer(&q1, Uis).unwrap().answer;
         let e2 = kgreach::LscrEngine::new(bigger);
-        let after = e2.answer(&q2, Algorithm::Uis).unwrap().answer;
+        let after = e2.answer(&q2, Uis).unwrap().answer;
         prop_assert!(!before || after, "adding an edge turned a true query false");
     }
 

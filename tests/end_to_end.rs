@@ -5,44 +5,20 @@ use kgreach::{Algorithm, LocalIndexConfig, LscrEngine, LscrQuery, QueryOptions};
 use kgreach_datagen::constraints::{all_lubm_constraints, s1, s3};
 use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
 use kgreach_graph::snapshot::xxh64;
+use kgreach_integration::matrix::{workload, Form, Matrix, Run, ALGORITHMS};
 use kgreach_integration::small_lubm;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
+/// Every algorithm answers S1–S5 workloads like the oracle, and like the
+/// generator's own ground truth.
 #[test]
 fn full_lubm_pipeline_s1_to_s5() {
-    let engine = LscrEngine::new(small_lubm(21));
-    let g = engine.graph();
-    let mut session = engine.session();
-    for (name, constraint) in all_lubm_constraints() {
-        let w = generate_workload(
-            &g,
-            &constraint,
-            &QueryGenConfig {
-                num_true: 3,
-                num_false: 3,
-                seed: 5,
-                max_attempts: 30_000,
-                enforce_difficulty: false,
-            },
-        );
-        for gq in w.true_queries.iter().chain(&w.false_queries) {
-            for alg in [
-                Algorithm::Uis,
-                Algorithm::UisStar,
-                Algorithm::Ins,
-                Algorithm::Oracle,
-                Algorithm::Auto,
-            ] {
-                let out = session.answer(&gq.query, alg).unwrap();
-                assert_eq!(
-                    out.answer, gq.expected,
-                    "{name}: {alg} wrong on {} → {}",
-                    gq.query.source, gq.query.target
-                );
-            }
-        }
-    }
+    let m = Matrix::of(small_lubm(21));
+    let workloads =
+        all_lubm_constraints().into_iter().map(|(_, c)| workload(&m.graph, &c, 3, 5, 30_000));
+    let (queries, truth): (Vec<_>, Vec<_>) = workloads.flatten().unzip();
+    let runs = Run::each(&ALGORITHMS, &QueryOptions::default(), false);
+    m.run(&queries, &runs, &[Form::Engine], |case, out| assert_eq!(out.answer, truth[case.query]));
 }
 
 /// `generate_workload` for S1–S5 on one replica, pinned: every query's
@@ -74,63 +50,29 @@ fn generated_workloads_are_pinned() {
     assert_eq!(xxh64(log.as_bytes(), 0), WORKLOADS_HASH, "generated workloads changed");
 }
 
+/// One workload answered by INS over engines with different index layouts.
 #[test]
 fn workload_is_reusable_across_engines() {
-    let g = Arc::new(small_lubm(22));
-    let w = generate_workload(
-        &g,
-        &s3(),
-        &QueryGenConfig {
-            num_true: 4,
-            num_false: 4,
-            seed: 6,
-            max_attempts: 30_000,
-            enforce_difficulty: false,
-        },
-    );
-    // Two engines sharing one graph, with different index layouts, must
-    // agree.
-    let e1 = LscrEngine::with_index_config(
-        Arc::clone(&g),
-        LocalIndexConfig { num_landmarks: Some(32), seed: 1, ..Default::default() },
-    );
-    let e2 = LscrEngine::with_index_config(
-        Arc::clone(&g),
-        LocalIndexConfig { num_landmarks: Some(500), seed: 2, ..Default::default() },
-    );
-    for gq in w.true_queries.iter().chain(&w.false_queries) {
-        let a = e1.answer(&gq.query, Algorithm::Ins).unwrap().answer;
-        let b = e2.answer(&gq.query, Algorithm::Ins).unwrap().answer;
-        assert_eq!(a, gq.expected);
-        assert_eq!(b, gq.expected);
+    let g = small_lubm(22);
+    let queries: Vec<LscrQuery> =
+        workload(&g, &s3(), 4, 6, 30_000).into_iter().map(|(q, _)| q).collect();
+    for (landmarks, seed) in [(32, 1), (500, 2)] {
+        let index = LocalIndexConfig { num_landmarks: Some(landmarks), seed, ..Default::default() };
+        let ins = Run::each(&[Algorithm::Ins], &QueryOptions::default(), false);
+        Matrix::new(g.clone(), Vec::new(), index).run(&queries, &ins, &[Form::Engine], |_, _| {});
     }
 }
 
+/// The same queries by *name* answer alike on a graph and its text
+/// round-trip (ids may differ; names are the stable identity).
 #[test]
 fn graph_io_roundtrip_preserves_answers() {
-    let g = small_lubm(23);
-    let mut bytes = Vec::new();
-    kgreach_graph::io::write_graph(&g, &mut bytes).unwrap();
-    let g2 = kgreach_graph::io::read_graph(&bytes[..]).unwrap();
-    assert_eq!(g2.num_vertices(), g.num_vertices());
-    assert_eq!(g2.num_edges(), g.num_edges());
-
-    // Same query by *name* answers identically on both copies (ids may
-    // differ after a round-trip; names are the stable identity).
-    let c = s1();
-    let make = |g: &kgreach_graph::Graph| {
-        LscrQuery::new(
-            g.vertex_id("UndergraduateStudent0.Department0.University0").unwrap(),
-            g.vertex_id("University1").unwrap(),
-            g.all_labels(),
-            c.clone(),
-        )
-    };
-    let e1 = LscrEngine::new(g);
-    let e2 = LscrEngine::new(g2);
-    let a = e1.answer(&make(&e1.graph()), Algorithm::Uis).unwrap().answer;
-    let b = e2.answer(&make(&e2.graph()), Algorithm::Uis).unwrap().answer;
-    assert_eq!(a, b);
+    let m = Matrix::of(small_lubm(23));
+    let v = |name| m.graph.vertex_id(name).unwrap();
+    let source = v("UndergraduateStudent0.Department0.University0");
+    let q = LscrQuery::new(source, v("University1"), m.graph.all_labels(), s1());
+    let runs = Run::each(&ALGORITHMS, &QueryOptions::default(), false);
+    m.run(&[q], &runs, &[Form::Text], |_, _| {});
 }
 
 #[test]

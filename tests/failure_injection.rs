@@ -1,8 +1,9 @@
 //! Failure injection and edge cases: oversized alphabets, out-of-range
 //! ids, malformed SPARQL, unsatisfiable constraints, degenerate queries,
-//! and the binary-snapshot corruption battery — truncations, bit flips,
-//! wrong magic, future versions, mismatched artifacts. Every failure is
-//! a typed error; none panics, none yields a silently wrong artifact.
+//! the binary-snapshot and WAL corruption batteries — truncations, bit
+//! flips, wrong magic, future versions, mismatched artifacts — and the same
+//! sweeps over the request parsers. Every failure is a typed error; none
+//! panics, none yields a silently wrong artifact.
 
 use kgreach::{
     Algorithm, LocalIndex, LocalIndexConfig, LscrEngine, LscrQuery, QueryError,
@@ -62,59 +63,40 @@ fn malformed_sparql_is_rejected() {
 
 #[test]
 fn unsatisfiable_constraint_answers_false_everywhere() {
-    let engine = LscrEngine::new(small_lubm(32));
-    let c = SubstructureConstraint::parse(
-        "SELECT ?x WHERE { ?x <no:such:predicate> <no:such:vertex> . }",
-    )
-    .unwrap();
-    let q = LscrQuery::new(VertexId(0), VertexId(1), engine.graph().all_labels(), c);
-    for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Oracle] {
-        let out = engine.answer(&q, alg).unwrap();
-        assert!(!out.answer, "{alg} claimed an unsatisfiable constraint holds");
-    }
+    let m = Matrix::of(small_lubm(32));
+    let c = "SELECT ?x WHERE { ?x <no:such:predicate> <no:such:vertex> . }";
+    let c = SubstructureConstraint::parse(c).unwrap();
+    let q = LscrQuery::new(VertexId(0), VertexId(1), m.graph.all_labels(), c);
+    let runs = Run::each(&ALGORITHMS, &QueryOptions::default(), false);
+    m.run(&[q], &runs, &[Form::Engine], |_, out| assert!(!out.answer, "unsatisfiable, yet true"));
 }
 
 #[test]
 fn source_equals_target_is_consistent_across_algorithms() {
-    let engine = LscrEngine::new(small_lubm(33));
-    let g = engine.graph();
-    let c = SubstructureConstraint::parse(
-        "SELECT ?x WHERE { ?x <rdf:type> <ub:UndergraduateStudent> . }",
-    )
-    .unwrap();
-    for raw in [0u32, 7, 100, 500] {
-        let v = VertexId(raw % g.num_vertices() as u32);
-        let q = LscrQuery::new(v, v, g.all_labels(), c.clone());
-        let expected = engine.answer(&q, Algorithm::Oracle).unwrap().answer;
-        for alg in Algorithm::ALL {
-            assert_eq!(
-                engine.answer(&q, alg).unwrap().answer,
-                expected,
-                "{alg} inconsistent on s = t = {v}"
-            );
-        }
-    }
+    let m = Matrix::of(small_lubm(33));
+    let c = "SELECT ?x WHERE { ?x <rdf:type> <ub:UndergraduateStudent> . }";
+    let c = SubstructureConstraint::parse(c).unwrap();
+    let n = m.graph.num_vertices() as u32;
+    let on_loop =
+        |raw| LscrQuery::new(VertexId(raw % n), VertexId(raw % n), m.graph.all_labels(), c.clone());
+    let runs = Run::each(&ALGORITHMS, &QueryOptions::default(), false);
+    m.run(&[0, 7, 100, 500].map(on_loop), &runs, &[Form::Engine], |_, _| {});
 }
 
+/// An empty `L` admits only the zero-edge path: false between distinct
+/// endpoints, true for a satisfying `s = t`.
 #[test]
 fn empty_label_constraint_only_trivial_paths() {
-    let engine = LscrEngine::new(small_lubm(34));
-    let g = engine.graph();
-    let c = SubstructureConstraint::parse(
-        "SELECT ?x WHERE { ?x <rdf:type> <ub:UndergraduateStudent> . }",
-    )
-    .unwrap();
-    // Distinct endpoints, empty L: no path exists.
-    let q = LscrQuery::new(VertexId(0), VertexId(1), LabelSet::EMPTY, c.clone());
-    for alg in Algorithm::ALL {
-        assert!(!engine.answer(&q, alg).unwrap().answer, "{alg}");
-    }
-    // s = t where s satisfies S: the zero-edge path answers true.
-    let ug = g.vertex_id("UndergraduateStudent0.Department0.University0").unwrap();
-    let q = LscrQuery::new(ug, ug, LabelSet::EMPTY, c);
-    for alg in Algorithm::ALL {
-        assert!(engine.answer(&q, alg).unwrap().answer, "{alg}");
-    }
+    let m = Matrix::of(small_lubm(34));
+    let c = "SELECT ?x WHERE { ?x <rdf:type> <ub:UndergraduateStudent> . }";
+    let c = SubstructureConstraint::parse(c).unwrap();
+    let ug = m.graph.vertex_id("UndergraduateStudent0.Department0.University0").unwrap();
+    let queries = [
+        LscrQuery::new(VertexId(0), VertexId(1), LabelSet::EMPTY, c.clone()),
+        LscrQuery::new(ug, ug, LabelSet::EMPTY, c),
+    ];
+    let runs = Run::each(&ALGORITHMS, &QueryOptions::default(), false);
+    m.run(&queries, &runs, &[Form::Engine], |case, out| assert_eq!(out.answer, case.query == 1));
 }
 
 #[test]
@@ -123,12 +105,11 @@ fn graph_with_no_edges() {
     b.intern_vertex("lonely1");
     b.intern_vertex("lonely2");
     b.intern_label("p");
-    let engine = LscrEngine::new(b.build().unwrap());
+    let m = Matrix::of(b.build().unwrap());
     let c = SubstructureConstraint::parse("SELECT ?x WHERE { ?x <p> ?y . }").unwrap();
-    let q = LscrQuery::new(VertexId(0), VertexId(1), engine.graph().all_labels(), c);
-    for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Oracle] {
-        assert!(!engine.answer(&q, alg).unwrap().answer, "{alg}");
-    }
+    let q = LscrQuery::new(VertexId(0), VertexId(1), m.graph.all_labels(), c);
+    let runs = Run::each(&ALGORITHMS, &QueryOptions::default(), false);
+    m.run(&[q], &runs, &[Form::Engine], |_, out| assert!(!out.answer));
 }
 
 #[test]
@@ -147,11 +128,11 @@ fn triple_parser_rejects_garbage() {
 
 /// A small graph whose engine snapshot (graph + index) is a few KiB, so
 /// exhaustive per-byte corruption sweeps stay fast.
-fn snapshot_fixture() -> (Graph, Vec<u8>) {
-    let g = random_typed_graph(14, 30, 3, 2, 0xBAD);
+fn snapshot_fixture(seed: u64) -> (Graph, Vec<u8>) {
+    let g = random_typed_graph(14, 30, 3, 2, seed);
     let engine = LscrEngine::with_index_config(
         g,
-        LocalIndexConfig { num_landmarks: Some(3), seed: 0xBAD, ..Default::default() },
+        LocalIndexConfig { num_landmarks: Some(3), seed, ..Default::default() },
     );
     let _ = engine.local_index();
     let mut bytes = Vec::new();
@@ -161,7 +142,7 @@ fn snapshot_fixture() -> (Graph, Vec<u8>) {
 
 #[test]
 fn snapshot_wrong_magic_is_typed() {
-    let (_, mut bytes) = snapshot_fixture();
+    let (_, mut bytes) = snapshot_fixture(0xBAD);
     bytes[..8].copy_from_slice(b"NOTSNAP!");
     assert!(matches!(
         LscrEngine::from_snapshot(&bytes[..]),
@@ -177,7 +158,7 @@ fn snapshot_wrong_magic_is_typed() {
 
 #[test]
 fn snapshot_future_version_is_typed() {
-    let (_, mut bytes) = snapshot_fixture();
+    let (_, mut bytes) = snapshot_fixture(0xBAD);
     let future = (FORMAT_VERSION + 1).to_le_bytes();
     bytes[8..10].copy_from_slice(&future);
     match LscrEngine::from_snapshot(&bytes[..]) {
@@ -191,7 +172,7 @@ fn snapshot_future_version_is_typed() {
 
 #[test]
 fn snapshot_artifact_kind_mismatch_is_typed() {
-    let (g, engine_bytes) = snapshot_fixture();
+    let (g, engine_bytes) = snapshot_fixture(0xBAD);
     // A graph snapshot fed to the engine loader, and vice versa.
     let mut graph_bytes = Vec::new();
     snapshot::write_graph_snapshot(&g, &mut graph_bytes).unwrap();
@@ -209,7 +190,7 @@ fn snapshot_artifact_kind_mismatch_is_typed() {
 
 #[test]
 fn snapshot_every_truncation_is_typed() {
-    let (_, bytes) = snapshot_fixture();
+    let (_, bytes) = snapshot_fixture(0xBAD);
     assert_eq!(&bytes[..8], &MAGIC, "fixture sanity");
     for len in 0..bytes.len() {
         match LscrEngine::from_snapshot(&bytes[..len]) {
@@ -233,7 +214,7 @@ fn snapshot_every_truncation_is_typed() {
 
 #[test]
 fn snapshot_every_bit_flip_is_typed() {
-    let (_, bytes) = snapshot_fixture();
+    let (_, bytes) = snapshot_fixture(0xBAD);
     // Flip every bit of every byte past the 12-byte header (header flips
     // are covered by the magic/version/kind tests above). Checksums must
     // catch each one; no panic, no silent acceptance.
@@ -269,19 +250,11 @@ fn frame_ranges(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
 }
 
 #[test]
-fn bulk_load_rejects_spliced_sections() {
+fn snapshot_load_rejects_spliced_sections() {
     // Transplant each intact section frame from a second engine snapshot
     // (same shape, different seed) into the fixture: the checksum chain
     // must reject every chimera.
-    let (_, bytes_a) = snapshot_fixture();
-    let g = random_typed_graph(14, 30, 3, 2, 0xBEEF);
-    let engine = LscrEngine::with_index_config(
-        g,
-        LocalIndexConfig { num_landmarks: Some(3), seed: 0xBEEF, ..Default::default() },
-    );
-    let _ = engine.local_index();
-    let mut bytes_b = Vec::new();
-    engine.save_snapshot(&mut bytes_b).unwrap();
+    let ((_, bytes_a), (_, bytes_b)) = (snapshot_fixture(0xBAD), snapshot_fixture(0xBEEF));
 
     let frames_a = frame_ranges(&bytes_a);
     let frames_b = frame_ranges(&bytes_b);
@@ -299,7 +272,7 @@ fn bulk_load_rejects_spliced_sections() {
 }
 
 #[test]
-fn bulk_file_loaders_report_missing_files_as_io() {
+fn file_loaders_report_missing_files_as_io() {
     let missing = std::env::temp_dir().join("kgfail-no-such-snapshot.kgsnap");
     assert!(matches!(snapshot::load_graph_snapshot(&missing), Err(GraphError::Io(_))));
     assert!(matches!(LocalIndex::load_file(&missing), Err(GraphError::Io(_))));
@@ -359,9 +332,12 @@ fn budget_exceeded_surfaces_progress() {
 // ---------------------------------------------------------------------------
 
 use kgreach::durable::WAL_FILE;
-use kgreach::{DurableEngine, FsyncPolicy, GraphFingerprint, UpdateBatch, WalConfig};
-use kgreach_datagen::updates::{update_workload, UpdateWorkloadConfig};
-use kgreach_graph::Triple;
+use kgreach::{DurableEngine, FsyncPolicy, GraphFingerprint, QueryOptions, UpdateBatch, WalConfig};
+use kgreach_datagen::all_lubm_constraints;
+use kgreach_datagen::constraints::s1;
+use kgreach_datagen::updates::UpdateWorkloadConfig;
+use kgreach_integration::matrix::{holdout, wire_body, Form, Matrix, Run, ALGORITHMS};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 /// Fixed WAL file-header size (`crates/kg/src/wal.rs`):
@@ -562,81 +538,86 @@ fn wal_checkpoint_overlap_replay_is_idempotent() {
 /// End-to-end recovery differential: a realistic insert/delete/churn
 /// stream is applied through the durability layer, the process "crashes"
 /// (no checkpoint, no shutdown), and the recovered engine must hold
-/// exactly the final triple set and answer like an engine rebuilt from
-/// it — on all four algorithms, judged against the oracle.
+/// exactly the acknowledged triples and answer like the oracle on a grid
+/// of pairs — on all four algorithms.
 #[test]
 fn wal_recovery_matches_rebuilt_engine_on_every_algorithm() {
     let final_graph = small_lubm(17);
-    let final_triples: Vec<Triple> = final_graph.to_triples().collect();
-    let w = update_workload(
-        &final_triples,
-        &UpdateWorkloadConfig {
-            holdout_fraction: 0.08,
-            batch_size: 30,
-            churn_per_batch: 2,
-            seed: 0xd1ff,
-        },
-    );
-
-    let dir = wal_dir("differential");
-    let base = w.base.clone();
-    let (d, _) = DurableEngine::open(&dir, wal_config(), move || {
-        let mut b = GraphBuilder::new();
-        for t in &base {
-            b.add(t);
-        }
-        Ok(LscrEngine::new(b.build()?))
-    })
-    .expect("init");
-    for batch in &w.batches {
-        d.apply_update(batch).expect("apply");
-    }
-    let logged = d.stats().last_seq;
-    assert!(logged > 0, "workload must log something");
-    drop(d); // crash
-
-    let (d, report) =
-        DurableEngine::open(&dir, wal_config(), || panic!("init must not rerun")).expect("recover");
-    assert_eq!(report.replayed, logged);
-    assert_eq!(report.skipped, 0);
-    let recovered = d.engine();
-
-    // The workload contract says base + every batch reproduces the final
-    // triple set exactly; recovery must land on precisely that state.
-    let key = |t: &Triple| (t.subject.clone(), t.predicate.clone(), t.object.clone());
-    let mut got: Vec<Triple> = recovered.graph().to_triples().collect();
-    let mut want = final_triples.clone();
-    got.sort_by_key(key);
-    want.sort_by_key(key);
-    assert_eq!(got, want, "recovered triple set differs from the acknowledged one");
-
-    // Vertex/label ids differ (replay interns incrementally, the rebuild
-    // interns in triple order), so queries translate by name.
-    let rebuilt = LscrEngine::new(final_graph);
-    let rg = rebuilt.graph();
-    let kg = recovered.graph();
-    let constraint =
+    let config = UpdateWorkloadConfig {
+        holdout_fraction: 0.08,
+        batch_size: 30,
+        churn_per_batch: 2,
+        seed: 0xd1ff,
+    };
+    let (base, script) = holdout(&final_graph, &config);
+    assert!(!script.is_empty(), "workload must log something");
+    let m = Matrix::new(base, script, LocalIndexConfig::default());
+    assert_eq!(m.graph.num_edges(), final_graph.num_edges(), "the stream replays to the final set");
+    let c =
         SubstructureConstraint::parse("SELECT ?x WHERE { ?x <rdf:type> <ub:Course> . }").unwrap();
-    let vertices: Vec<VertexId> = rg.vertices().collect();
-    let step = (vertices.len() / 9).max(1);
-    for &s in vertices.iter().step_by(step) {
-        for &t in vertices.iter().step_by(step) {
-            let ks = kg.vertex_id(rg.vertex_name(s)).expect("same vertex set");
-            let kt = kg.vertex_id(rg.vertex_name(t)).expect("same vertex set");
-            let rq = LscrQuery::new(s, t, rg.all_labels(), constraint.clone());
-            let kq = LscrQuery::new(ks, kt, kg.all_labels(), constraint.clone());
-            let expected = rebuilt.answer(&rq, Algorithm::Oracle).unwrap().answer;
-            for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-                assert_eq!(
-                    recovered.answer(&kq, alg).unwrap().answer,
-                    expected,
-                    "recovered {alg:?} disagrees with the rebuilt oracle on {} -> {}",
-                    rg.vertex_name(s),
-                    rg.vertex_name(t),
-                );
+    let step = (m.graph.num_vertices() / 9).max(1);
+    let grid: Vec<VertexId> = m.graph.vertices().step_by(step).collect();
+    let queries: Vec<LscrQuery> = (grid.iter())
+        .flat_map(|&s| grid.iter().map(move |&t| (s, t)))
+        .map(|(s, t)| LscrQuery::new(s, t, m.graph.all_labels(), c.clone()))
+        .collect();
+    let runs = Run::each(&ALGORITHMS, &QueryOptions::default(), false);
+    m.run(&queries, &runs, &[Form::Wal], |_, _| {});
+}
+
+/// Every prefix and every single-bit flip of `text`, decoded as a request
+/// body would be: invalid UTF-8 becomes U+FFFD.
+fn mutations(text: &str) -> impl Iterator<Item = String> + '_ {
+    let bytes = text.as_bytes();
+    let prefixes = (0..bytes.len()).map(move |n| String::from_utf8_lossy(&bytes[..n]).into_owned());
+    let flips = (0..bytes.len() * 8).map(move |bit| {
+        let mut flipped = bytes.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        String::from_utf8_lossy(&flipped).into_owned()
+    });
+    prefixes.chain(flips)
+}
+
+/// The text decoders a request reaches, swept like the snapshot and WAL
+/// decoders above: `/query` bodies through JSON, request, name resolution
+/// and an `Auto` answer under a step budget; `/update` bodies; the S1–S5
+/// constraint texts and one outside ASCII through parse and compile; and
+/// escaped triple lines. Every variant is `Ok` or a typed error.
+#[test]
+fn parser_sweeps_never_panic() {
+    use kgreach_graph::triples::parse_line;
+    use kgreach_serve::protocol::parse_update;
+    use kgreach_serve::{Json, QueryRequest};
+    let engine = LscrEngine::new(small_lubm(7));
+    let g = engine.graph();
+    let q = LscrQuery::new(VertexId(0), VertexId(40), g.all_labels(), s1());
+    let query = wire_body(&g, &q, Algorithm::Auto, &QueryOptions::default());
+    let update =
+        r#"{"ops":[{"op":"insert","subject":"M\u00fcller","predicate":"p","object":"o"}]}"#;
+    let mut constraints: Vec<String> =
+        all_lubm_constraints().iter().map(|(_, c)| c.sparql_text().to_owned()).collect();
+    constraints.push(r#"SELECT ?é WHERE { ?é <ub:name> "Müller" . ?é ub:Zoë ?y . }"#.into());
+    let triples = [r#"<a b> "q \"é\" \\ \n" "Müller" ."#, "<s> <p> <o> ."];
+    let budget = QueryOptions::default().with_step_budget(64);
+    let mut panicked = Vec::new();
+    let mut sweep = |text: &str, decode: &dyn Fn(&str)| {
+        for variant in mutations(text) {
+            if catch_unwind(AssertUnwindSafe(|| decode(&variant))).is_err() {
+                panicked.push(variant);
             }
         }
+    };
+    sweep(&query, &|body| {
+        let request = Json::parse(body).ok().and_then(|j| QueryRequest::parse(&j).ok());
+        let q = request.and_then(|r| r.resolve(&g).ok());
+        drop(q.map(|q| engine.answer_with_options(&q, Algorithm::Auto, &budget)));
+    });
+    sweep(update, &|body| drop(Json::parse(body).map(|j| parse_update(&j))));
+    for text in &constraints {
+        sweep(text, &|text| drop(SubstructureConstraint::parse(text).map(|c| c.compile(&g))));
     }
-    drop(d);
-    std::fs::remove_dir_all(&dir).ok();
+    for line in triples {
+        sweep(line, &|line| drop(parse_line(line, 1)));
+    }
+    assert!(panicked.is_empty(), "{} variants panicked: {:?}", panicked.len(), panicked.first());
 }

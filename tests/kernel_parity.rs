@@ -22,18 +22,19 @@
 //! Slot 0 is UIS under the one-frontier switch, run first on the cold
 //! memo: Algorithm 1 as the paper prints it is still in the tree, mark
 //! for mark. Slot 1 is the two-frontier default (PR 23). The UIS\* and
-//! INS slots are Algorithms 2 and 4 plus the mask precheck.
+//! INS slots are Algorithms 2 and 4 plus the mask precheck. The grid runs
+//! as the matrix's raw-kernel form, which also holds every slot to the
+//! oracle.
 
-use kgreach::fixtures::{figure3, s0};
-use kgreach::{
-    ins, uis, uis_star, LocalIndex, LscrQuery, QueryOptions, QueryOutcome, SearchScratch,
-    SubstructureConstraint, VsgOrder,
-};
+use kgreach::Algorithm::{Ins, Uis, UisStar};
+use kgreach::{LscrQuery, QueryOptions, VsgOrder};
 use kgreach_datagen::funnel::{self, FunnelConfig};
 use kgreach_datagen::LubmConfig;
 use kgreach_graph::snapshot::xxh64;
-use kgreach_graph::{Graph, VertexId};
-use kgreach_integration::{all_pairs, lubm_draws};
+use kgreach_graph::VertexId;
+use kgreach_integration::matrix::{
+    figure3_pairs, gate, lubm_draws, small_funnel_pairs, Form, Matrix, Run,
+};
 use std::fmt::Write as _;
 
 /// The kernel × options grid of one fixture, in the order the expected
@@ -48,35 +49,30 @@ const RUNS: [&str; 7] = [
     "UIS* budget",
 ];
 
-fn render(log: &mut String, out: &QueryOutcome) {
-    writeln!(log, "{:?}", (out.answer, out.interrupted, &out.stats)).unwrap();
-}
-
-/// Runs every query through every entry of [`RUNS`] and returns one hash
-/// per entry. Each query is compiled afresh, so the per-constraint memos
-/// (`SCck` cache, `V(S,G)`) start empty for every query and fill in the
-/// fixed order of the grid.
-fn hashes(g: &Graph, index: &LocalIndex, queries: &[LscrQuery], budget: u64) -> [u64; 7] {
-    let defaults = QueryOptions::default();
-    // Algorithm 1 as printed: the switch that keeps UIS's backward side
-    // and prechecks off.
-    let one_frontier = QueryOptions::default().with_one_frontier(true);
-    let shuffled = QueryOptions::default().with_vsg_order(VsgOrder::Shuffled(1));
-    // `budget` is chosen per fixture to stop a good share of the
-    // searches part-way through.
-    let budget = QueryOptions::default().with_step_budget(budget);
-    let mut scratch = SearchScratch::new(g.num_vertices());
+/// Runs every query through every entry of [`RUNS`] on the raw kernels and
+/// returns one hash per entry. Each query is compiled once for its seven
+/// runs, so the per-constraint memos (`SCck` cache, `V(S,G)`) start empty
+/// for every query and fill in the fixed order of the grid. `budget` is
+/// chosen per fixture to stop a good share of the searches part-way
+/// through.
+fn hashes(m: &Matrix, queries: &[LscrQuery], budget: u64) -> [u64; 7] {
+    let opts = QueryOptions::default;
+    let run = |alg, opts| Run { alg, opts, sweep: false };
+    let grid = [
+        // Algorithm 1 as printed: the switch that keeps UIS's backward
+        // side and prechecks off.
+        run(Uis, opts().with_one_frontier(true)),
+        run(Uis, opts()),
+        run(UisStar, opts()),
+        run(UisStar, opts().with_vsg_order(VsgOrder::Shuffled(1))),
+        run(Ins, opts()),
+        run(Ins, opts().with_step_budget(budget)),
+        run(UisStar, opts().with_step_budget(budget)),
+    ];
     let mut logs: [String; 7] = Default::default();
-    for q in queries {
-        let cq = q.compile(g).unwrap();
-        render(&mut logs[0], &uis::answer_with(g, &cq, &mut scratch, &one_frontier));
-        render(&mut logs[1], &uis::answer_with(g, &cq, &mut scratch, &defaults));
-        render(&mut logs[2], &uis_star::answer_with(g, &cq, &mut scratch, &defaults));
-        render(&mut logs[3], &uis_star::answer_with(g, &cq, &mut scratch, &shuffled));
-        render(&mut logs[4], &ins::answer_with(g, &cq, index, &mut scratch, &defaults));
-        render(&mut logs[5], &ins::answer_with(g, &cq, index, &mut scratch, &budget));
-        render(&mut logs[6], &uis_star::answer_with(g, &cq, &mut scratch, &budget));
-    }
+    m.run(queries, &grid, &[Form::Kernels], |case, out| {
+        writeln!(logs[case.run], "{:?}", (out.answer, out.interrupted, &out.stats)).unwrap();
+    });
     logs.map(|log| xxh64(log.as_bytes(), 0))
 }
 
@@ -95,38 +91,18 @@ fn assert_parity(fixture: &str, got: [u64; 7], want: [u64; 7]) {
 
 #[test]
 fn figure3_all_pairs() {
-    let g = figure3();
-    let label_sets = [
-        g.all_labels(),
-        g.label_set(&["likes", "follows"]),
-        g.label_set(&["likes", "hates", "friendOf"]),
-        g.label_set(&["friendOf", "likes"]),
-        g.label_set(&["hates"]),
-        g.label_set(&[]),
-    ];
-    let index = LocalIndex::build_default(&g);
-    let got = hashes(&g, &index, &all_pairs(&g, &label_sets, &s0()), 2);
-    assert_parity("figure3", got, FIGURE3);
-}
-
-fn funnel_hashes(mirrored: bool) -> [u64; 7] {
-    let cfg = FunnelConfig { fan: 5, leaves_per_fan: 2, depth: 3, mirrored };
-    let g = funnel::generate(&cfg).unwrap();
-    let label_sets = [
-        g.label_set(&["spray", "needle"]),
-        g.label_set(&["spray"]),
-        g.label_set(&["needle"]),
-        g.all_labels(),
-    ];
-    let c = SubstructureConstraint::parse(funnel::GATE_CONSTRAINT).unwrap();
-    let index = LocalIndex::build_default(&g);
-    hashes(&g, &index, &all_pairs(&g, &label_sets, &c), 4)
+    let (g, queries) = figure3_pairs();
+    assert_parity("figure3", hashes(&Matrix::of(g), &queries, 2), FIGURE3);
 }
 
 #[test]
 fn funnel_all_pairs_both_orientations() {
-    assert_parity("funnel", funnel_hashes(false), FUNNEL);
-    assert_parity("funnel mirrored", funnel_hashes(true), FUNNEL_MIRRORED);
+    for (mirrored, fixture, want) in
+        [(false, "funnel", FUNNEL), (true, "funnel mirrored", FUNNEL_MIRRORED)]
+    {
+        let (g, queries) = small_funnel_pairs(mirrored);
+        assert_parity(fixture, hashes(&Matrix::of(g), &queries, 4), want);
+    }
 }
 
 /// The default-sized funnel: a selective `L` over a gate chain of more
@@ -138,18 +114,13 @@ fn wide_funnel_classic_loop() {
     for (mirrored, want) in [(false, WIDE_FUNNEL), (true, WIDE_FUNNEL_MIRRORED)] {
         let g = funnel::generate(&FunnelConfig { mirrored, ..Default::default() }).unwrap();
         let labels = g.label_set(&["spray", "needle"]);
-        let c = SubstructureConstraint::parse(funnel::GATE_CONSTRAINT).unwrap();
-        let index = LocalIndex::build_default(&g);
         let n = g.num_vertices() as u32;
-        let mut queries = Vec::new();
-        for s in (0..n).step_by(7) {
-            for t in (0..n).step_by(5) {
-                queries.push(LscrQuery::new(VertexId(s), VertexId(t), labels, c.clone()));
-            }
-        }
+        let pairs = (0..n).step_by(7).flat_map(|s| (0..n).step_by(5).map(move |t| (s, t)));
+        let pair = |(s, t)| LscrQuery::new(VertexId(s), VertexId(t), labels, gate());
+        let queries: Vec<LscrQuery> = pairs.map(pair).collect();
         assert_parity(
             if mirrored { "wide funnel mirrored" } else { "wide funnel" },
-            hashes(&g, &index, &queries, 12),
+            hashes(&Matrix::of(g), &queries, 12),
             want,
         );
     }
@@ -158,9 +129,8 @@ fn wide_funnel_classic_loop() {
 #[test]
 fn lubm_fixed_draws() {
     let g = kgreach_datagen::lubm::generate(&LubmConfig::sized(2_000, 7)).unwrap();
-    let index = LocalIndex::build_default(&g);
     let queries = lubm_draws(&g, 200, 0x9A21_7E57);
-    assert_parity("lubm", hashes(&g, &index, &queries, 12), LUBM);
+    assert_parity("lubm", hashes(&Matrix::of(g), &queries, 12), LUBM);
 }
 
 const FIGURE3: [u64; 7] = [

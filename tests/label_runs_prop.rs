@@ -5,8 +5,9 @@
 //! (`edges_skipped`, `scck_cache_hits`) observe the machinery actually
 //! firing.
 
-use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions, SearchScratch};
+use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions};
 use kgreach_graph::{LabelSet, VertexId};
+use kgreach_integration::matrix::{Form, Matrix, Run};
 use kgreach_integration::{random_graph, random_typed_graph};
 use proptest::prelude::*;
 
@@ -21,7 +22,7 @@ proptest! {
     /// otherwise (the caller's per-edge label test filters it); a
     /// non-selective expansion is always the whole slice.
     #[test]
-    fn label_runs_structure(
+    fn expansion_view_structure(
         seed in 0u64..10_000,
         n in 1usize..32,
         density in 1usize..5,
@@ -71,21 +72,19 @@ proptest! {
             "SELECT ?x WHERE { ?x <rdf:type> <C0> . }",
         ).unwrap();
         let q = LscrQuery::new(s, t, l, c);
-        let cq = q.compile(&g).unwrap();
-        let mut scratch = SearchScratch::new(g.num_vertices());
-        let out = kgreach::uis::answer_with(&g, &cq, &mut scratch, &QueryOptions::default());
-        // Every vertex carries an rdf:type out-edge the constraint
-        // excludes, so as soon as one vertex is *expanded* at least one
-        // edge is skipped; only the zero-expansion shortcuts (s = t with a
-        // satisfying s; a mask precheck that proves `false` before any
-        // vertex is expanded) report none.
-        let zero_edge_true = s == t && out.answer;
-        let prechecked = out.stats.negative_terminations > 0 && out.stats.pushes == 0;
-        if !zero_edge_true && !prechecked {
-            prop_assert!(out.stats.edges_skipped > 0, "no edges skipped: {:?}", out.stats);
-        }
-        // Sanity: UIS with the cached SCck path still matches the oracle.
-        prop_assert_eq!(out.answer, kgreach::oracle::answer(&g, &cq).answer);
+        // UIS on the raw kernel, which the matrix holds to the oracle.
+        let uis = Run::each(&[Algorithm::Uis], &QueryOptions::default(), false);
+        Matrix::of(g).run(&[q], &uis, &[Form::Kernels], |_, out| {
+            // Every vertex carries an rdf:type out-edge the constraint
+            // excludes, so as soon as one vertex is *expanded* at least one
+            // edge is skipped; only the zero-expansion shortcuts (s = t with
+            // a satisfying s; a mask precheck that proves `false` before any
+            // vertex is expanded) report none.
+            let zero_edge_true = s == t && out.answer;
+            let prechecked = out.stats.negative_terminations > 0 && out.stats.pushes == 0;
+            let skipped = out.stats.edges_skipped > 0;
+            assert!(zero_edge_true || prechecked || skipped, "no edges skipped: {:?}", out.stats);
+        });
     }
 }
 
@@ -128,23 +127,19 @@ fn scck_cache_hits_across_repeated_queries() {
 /// agree with the oracle.
 #[test]
 fn narrow_label_lubm_queries_skip_edges() {
-    let g = kgreach_integration::small_lubm(5);
-    let engine = LscrEngine::new(g);
-    let g = engine.graph();
+    let m = Matrix::of(kgreach_integration::small_lubm(5));
+    let g = &m.graph;
     // Same definition of "narrow" the `-narrowL` bench groups use.
-    let narrow = kgreach_datagen::top_label_set(&g, 3);
+    let narrow = kgreach_datagen::top_label_set(g, 3);
     let c = kgreach_datagen::constraints::s1();
     // Sources with real fan-out, so the search actually expands a region.
     let mut sources: Vec<VertexId> = g.vertices().collect();
     sources.sort_unstable_by_key(|&v| std::cmp::Reverse(g.out_degree(v)));
+    let pairs = sources.iter().take(4).zip([7u32, 950, 402, 88]);
+    let queries: Vec<_> =
+        pairs.map(|(&s, t)| LscrQuery::new(s, VertexId(t), narrow, c.clone())).collect();
     let mut skipped_total = 0usize;
-    let mut session = engine.session();
-    for (&s, t) in sources.iter().take(4).zip([7u32, 950, 402, 88]) {
-        let q = LscrQuery::new(s, VertexId(t), narrow, c.clone());
-        let cq = engine.compile(&q).unwrap();
-        let out = session.answer_compiled(&cq, Algorithm::Uis, &QueryOptions::default()).unwrap();
-        assert_eq!(out.answer, kgreach::oracle::answer(&g, &cq).answer, "{s}->{t}");
-        skipped_total += out.stats.edges_skipped;
-    }
+    let uis = Run::each(&[Algorithm::Uis], &QueryOptions::default(), false);
+    m.run(&queries, &uis, &[Form::Engine], |_, out| skipped_total += out.stats.edges_skipped);
     assert!(skipped_total > 0, "narrow-label workload skipped no edges");
 }

@@ -8,17 +8,13 @@
 //! `KG_SCALE_SMOKE_EDGES` overrides), through the snapshot file load end
 //! to end.
 
-use kgreach::{Algorithm, LocalIndex, LocalIndexConfig, LscrEngine, LscrQuery};
-use kgreach_datagen::constraints;
+use kgreach::{Algorithm, LocalIndex, LocalIndexConfig, LscrQuery, QueryOptions};
 use kgreach_datagen::lubm::{self, generate, generate_streaming};
-use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
 use kgreach_datagen::LubmConfig;
 use kgreach_graph::{io, snapshot, Graph, GraphBuilder};
+use kgreach_integration::matrix::{lubm_draws, s1_s3, Form, Matrix, Run, ALGORITHMS};
 use proptest::prelude::*;
 use std::time::Duration;
-
-const ALGORITHMS: [Algorithm; 4] =
-    [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto];
 
 /// The scale-smoke edge target: small under `cargo test` (debug), larger
 /// in the release CI job, explicit via `KG_SCALE_SMOKE_EDGES`.
@@ -45,37 +41,6 @@ fn assert_byte_identical(a: &Graph, b: &Graph, what: &str) {
     assert_eq!(sa, sb, "{what}: canonical snapshots differ");
 }
 
-/// S1–S3 workload queries answered by all four algorithms on both
-/// engines; the graphs are byte-identical so vertex ids transfer.
-fn assert_query_agreement(a: &LscrEngine, b: &LscrEngine, queries_per_constraint: usize) {
-    for (i, (name, constraint)) in
-        constraints::all_lubm_constraints().into_iter().take(3).enumerate()
-    {
-        let w = generate_workload(
-            &a.graph(),
-            &constraint,
-            &QueryGenConfig {
-                num_true: queries_per_constraint,
-                num_false: queries_per_constraint,
-                seed: 0x5CA1E + i as u64,
-                max_attempts: 60_000,
-                enforce_difficulty: false,
-            },
-        );
-        assert!(
-            !w.true_queries.is_empty() && !w.false_queries.is_empty(),
-            "workload generation produced nothing for {name}"
-        );
-        for gq in w.true_queries.iter().chain(&w.false_queries) {
-            for alg in ALGORITHMS {
-                let ra = a.answer(&gq.query, alg).unwrap();
-                let rb = b.answer(&gq.query, alg).unwrap();
-                assert_eq!(ra.answer, rb.answer, "{alg} diverges between chunk sizes on {name}");
-            }
-        }
-    }
-}
-
 #[test]
 fn streaming_build_matches_in_memory_build() {
     let config = LubmConfig { universities: 2, departments: 4, seed: 0x57AB1E };
@@ -84,15 +49,14 @@ fn streaming_build_matches_in_memory_build() {
     let streamed = generate_streaming(&config, 512).unwrap();
     assert_byte_identical(&in_memory, &streamed, "LUBM 2x4");
 
-    let a = LscrEngine::with_index_config(
-        in_memory,
-        LocalIndexConfig { num_landmarks: Some(24), seed: 3, ..Default::default() },
-    );
-    let b = LscrEngine::with_index_config(
-        streamed,
-        LocalIndexConfig { num_landmarks: Some(24), seed: 3, ..Default::default() },
-    );
-    assert_query_agreement(&a, &b, 4);
+    // Both builds answer S1–S3 workloads like the oracle on all four
+    // algorithms; the graphs are byte-identical, so the queries are too.
+    let runs = Run::each(&ALGORITHMS, &QueryOptions::default(), false);
+    for g in [in_memory, streamed] {
+        let index = LocalIndexConfig { num_landmarks: Some(24), seed: 3, ..Default::default() };
+        let m = Matrix::new(g, Vec::new(), index);
+        m.run(&s1_s3(&m.graph, 4, |i| 0x5CA1E + i), &runs, &[Form::Engine], |_, _| {});
+    }
 }
 
 #[test]
@@ -186,80 +150,34 @@ fn scale_smoke_end_to_end() {
     assert_eq!(in_memory.fingerprint(), g.fingerprint(), "chunk sizes diverge at scale");
 
     // Parallel index build at scale, then the file load path end to end:
-    // engine snapshot written to disk, restored, answers compared with
-    // the engine that built everything.
-    let built = LscrEngine::with_index_config(
-        g,
-        LocalIndexConfig {
-            num_landmarks: Some(64),
-            seed: 0x5CA1E,
-            build_threads: 4,
-            ..Default::default()
+    // engine snapshot written to disk and restored. Generated workloads
+    // pay an oracle search per attempt, minutes at this size, so the
+    // queries are seeded draws, under a fixed step budget. Both engines run
+    // the same deterministic search on byte-identical state, so even a
+    // budget-interrupted outcome must match exactly.
+    let index = LocalIndexConfig {
+        num_landmarks: Some(64),
+        seed: 0x5CA1E,
+        build_threads: 4,
+        ..Default::default()
+    };
+    let m = Matrix::new(g, Vec::new(), index);
+    m.live.local_index();
+    let runs = Run::each(&ALGORITHMS, &QueryOptions::default().with_step_budget(200_000), false);
+    let mut outcomes = [Vec::new(), Vec::new()];
+    m.run(
+        &lubm_draws(&m.graph, 24, 0x5CA1E),
+        &runs,
+        &[Form::Engine, Form::Snapshot],
+        |case, out| {
+            outcomes[usize::from(case.form == Form::Snapshot)].push((out.answer, out.interrupted));
         },
     );
-    let _ = built.local_index();
-    let dir = std::env::temp_dir().join(format!("kgscale-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("engine.kgsnap");
-    built.save_snapshot_file(&path).unwrap();
-    let restored = LscrEngine::from_snapshot_file(&path).unwrap();
-    assert!(restored.local_index_if_built().is_some(), "index must come back loaded");
-    assert_eq!(restored.graph().fingerprint(), built.graph().fingerprint());
-    assert_sampled_agreement(&built, &restored, 24, 0x5CA1E);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Query agreement sized for the scale smoke: generated workloads pay
-/// oracle-scale ground-truth costs (full constrained BFSes per attempt),
-/// which is minutes at hundreds of thousands of edges — so the at-scale
-/// differential samples deterministic queries instead, alternating
-/// short-forward-walk targets (reachable-leaning) with uniform ones
-/// (mostly false), under a fixed step budget. Both engines run the same
-/// deterministic search on byte-identical state, so the full
-/// `(answer, interrupted)` outcome must match exactly — even a
-/// budget-interrupted search is part of the contract.
-fn assert_sampled_agreement(a: &LscrEngine, b: &LscrEngine, queries: usize, seed: u64) {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    let opts = kgreach::QueryOptions::default().with_step_budget(200_000);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let cons = constraints::all_lubm_constraints();
-    let cons: Vec<_> = cons.into_iter().take(3).collect();
-    let g = a.graph();
-    let n = g.num_vertices() as u32;
-    let mut answered = [0usize; 2];
-    for i in 0..queries {
-        let (name, constraint) = &cons[i % cons.len()];
-        let s = kgreach_graph::VertexId(rng.gen_range(0..n));
-        let t = if i % 2 == 0 {
-            // A short forward walk lands on a vertex s can actually reach.
-            let mut v = s;
-            for _ in 0..4 {
-                let out = g.out_neighbors(v);
-                if out.is_empty() {
-                    break;
-                }
-                v = out[rng.gen_range(0..out.len())].vertex;
-            }
-            v
-        } else {
-            kgreach_graph::VertexId(rng.gen_range(0..n))
-        };
-        let q = LscrQuery::new(s, t, g.all_labels(), constraint.clone());
-        for alg in ALGORITHMS {
-            let ra = a.answer_with_options(&q, alg, &opts).unwrap();
-            let rb = b.answer_with_options(&q, alg, &opts).unwrap();
-            assert_eq!(
-                (ra.answer, ra.interrupted),
-                (rb.answer, rb.interrupted),
-                "{alg} diverges between built and restored engines on {name} (query {i})"
-            );
-            answered[usize::from(ra.answer)] += 1;
-        }
-    }
+    assert_eq!(outcomes[0], outcomes[1], "built and restored engines diverge");
     // The sample must exercise both outcomes, or the differential is
     // vacuous.
-    assert!(answered[0] > 0 && answered[1] > 0, "outcome mix degenerate: {answered:?}");
+    let trues = outcomes[0].iter().filter(|(answer, _)| *answer).count();
+    assert!(trues > 0 && trues < outcomes[0].len(), "outcome mix degenerate: {trues} true");
 }
 
 #[test]
@@ -294,6 +212,6 @@ fn streaming_builder_direct_use_matches_graph_builder() {
         expected.all_labels(),
         kgreach::SubstructureConstraint::parse("SELECT ?x WHERE { ?x <p> ?y . }").unwrap(),
     );
-    let engine = LscrEngine::new(expected);
-    assert!(engine.answer(&q, Algorithm::Oracle).unwrap().answer);
+    let runs = Run::each(&[Algorithm::Uis], &QueryOptions::default(), false);
+    Matrix::of(expected).run(&[q], &runs, &[Form::Engine], |_, out| assert!(out.answer));
 }

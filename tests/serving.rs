@@ -2,10 +2,10 @@
 //!
 //! Four batteries, mirroring the serving layer's promises:
 //!
-//! 1. **Differential**: answers served over the wire must equal the
-//!    in-process engine's answers (and the generator's ground truth) on
-//!    S1–S3 workloads across UIS, UIS\*, INS and Auto — including witness
-//!    paths, which are deterministic and must round-trip name-for-name.
+//! 1. **Differential** (a slice of the matrix): answers served over
+//!    `/query` and `/query_batch` must equal the oracle's on S1–S3
+//!    workloads across UIS, UIS\*, INS and Auto — including witness paths,
+//!    which are deterministic and must round-trip name-for-name.
 //! 2. **Fault injection**: malformed request lines, bad JSON, wrong
 //!    shapes, oversized bodies, truncated bodies, chunked encoding and
 //!    unknown routes each map to their documented typed error — never a
@@ -19,168 +19,32 @@
 //!    `503`.
 
 use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions};
-use kgreach_datagen::constraints;
-use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
-use kgreach_graph::Graph;
+use kgreach_datagen::constraints::{s1, s3};
+use kgreach_graph::VertexId;
+use kgreach_integration::matrix::{s1_s3, wire_body, workload, Form, Matrix, Run, ALGORITHMS};
 use kgreach_integration::small_lubm;
 use kgreach_serve::{serve, BatchConfig, HttpClient, HttpLimits, Json, ServerConfig};
 use kgreach_sync::atomic::{AtomicBool, Ordering};
 use kgreach_sync::Arc;
+use std::path::Path;
 use std::time::Duration;
-
-const ALGORITHMS: [(Algorithm, &str); 4] = [
-    (Algorithm::Uis, "uis"),
-    (Algorithm::UisStar, "uis*"),
-    (Algorithm::Ins, "ins"),
-    (Algorithm::Auto, "auto"),
-];
-
-/// Renders the wire body for `q` (names, not ids).
-fn wire_body(g: &Graph, q: &LscrQuery, algorithm: &str, witness: bool) -> String {
-    let labels: Vec<Json> = q.label_constraint.iter().map(|l| Json::str(g.label_name(l))).collect();
-    Json::Obj(vec![
-        ("source".into(), Json::str(g.vertex_name(q.source))),
-        ("target".into(), Json::str(g.vertex_name(q.target))),
-        ("labels".into(), Json::Arr(labels)),
-        ("constraint".into(), Json::str(q.constraint.sparql_text())),
-        ("algorithm".into(), Json::str(algorithm)),
-        ("witness".into(), Json::Bool(witness)),
-    ])
-    .to_string()
-}
-
-fn s1_s3_workload(g: &Graph, per_side: usize) -> Vec<(String, Vec<(LscrQuery, bool)>)> {
-    constraints::all_lubm_constraints()
-        .into_iter()
-        .take(3)
-        .enumerate()
-        .map(|(i, (name, constraint))| {
-            let w = generate_workload(
-                g,
-                &constraint,
-                &QueryGenConfig {
-                    num_true: per_side,
-                    num_false: per_side,
-                    seed: 0x5E4E + i as u64,
-                    max_attempts: 80_000,
-                    enforce_difficulty: false,
-                },
-            );
-            let queries = w
-                .true_queries
-                .iter()
-                .chain(&w.false_queries)
-                .map(|gq| (gq.query.clone(), gq.expected))
-                .collect();
-            (name.to_string(), queries)
-        })
-        .collect()
-}
 
 #[test]
 fn wire_answers_match_in_process_answers_on_s1_s3() {
-    let g = small_lubm(77);
-    let engine = Arc::new(LscrEngine::new(g));
-    engine.local_index(); // INS needs it; build once up front
-    let workloads = s1_s3_workload(&engine.graph(), 5);
-
-    let server = serve(Arc::clone(&engine), ServerConfig::default()).unwrap();
-    let mut client = HttpClient::connect(server.addr()).unwrap();
-    let graph = engine.graph();
-
-    let mut checked = 0usize;
-    for (wname, queries) in &workloads {
-        for (q, expected) in queries {
-            for (algo, wire_name) in ALGORITHMS {
-                let reference = engine
-                    .answer_with_options(q, algo, &QueryOptions::default().with_witness(true))
-                    .unwrap();
-                assert_eq!(
-                    reference.answer, *expected,
-                    "{wname}/{algo:?}: in-process answer disagrees with ground truth"
-                );
-                let resp =
-                    client.post_json("/query", &wire_body(&graph, q, wire_name, true)).unwrap();
-                assert_eq!(resp.status, 200, "{wname}/{algo:?}: {}", resp.body);
-                let body = resp.json().unwrap();
-                assert_eq!(
-                    body.get("answer").and_then(Json::as_bool),
-                    Some(*expected),
-                    "{wname}/{algo:?}: wire answer diverged: {}",
-                    resp.body
-                );
-                assert_eq!(body.get("interrupted").and_then(Json::as_bool), Some(false));
-                // Witness paths are deterministic: the wire must carry
-                // exactly the in-process path, translated to names.
-                match (&reference.witness, body.get("witness")) {
-                    (Some(w), Some(jw @ Json::Obj(_))) => {
-                        assert_eq!(
-                            jw.get("via").and_then(Json::as_str),
-                            Some(graph.vertex_name(w.via)),
-                            "{wname}/{algo:?}: witness via diverged"
-                        );
-                        let path = jw.get("path").and_then(Json::as_array).unwrap();
-                        assert_eq!(path.len(), w.path.len());
-                        for (je, e) in path.iter().zip(&w.path) {
-                            assert_eq!(
-                                je.get("src").and_then(Json::as_str),
-                                Some(graph.vertex_name(e.src))
-                            );
-                            assert_eq!(
-                                je.get("label").and_then(Json::as_str),
-                                Some(graph.label_name(e.label))
-                            );
-                            assert_eq!(
-                                je.get("dst").and_then(Json::as_str),
-                                Some(graph.vertex_name(e.dst))
-                            );
-                        }
-                    }
-                    (None, Some(Json::Null)) => {}
-                    (reference, wire) => {
-                        panic!("{wname}/{algo:?}: witness mismatch: {reference:?} vs {wire:?}")
-                    }
-                }
-                checked += 1;
-            }
+    let m = Matrix::of(small_lubm(77));
+    m.engine.local_index(); // INS needs it; build once up front
+    let queries = s1_s3(&m.graph, 5, |i| 0x5E4E + i);
+    let runs = Run::each(&ALGORITHMS, &QueryOptions::default().with_witness(true), false);
+    // Witness paths are deterministic: the wire must carry exactly the
+    // in-process path, translated to names and back.
+    let mut witnesses = [Vec::new(), Vec::new()];
+    m.run(&queries, &runs, &[Form::Engine, Form::Wire, Form::WireBatch], |case, out| {
+        if case.form != Form::WireBatch {
+            witnesses[usize::from(case.form == Form::Wire)].push(out.witness.clone());
         }
-    }
-    assert!(checked >= 3 * 10 * 4, "expected a full matrix, checked only {checked}");
-
-    // The same queries through /query_batch must agree as well.
-    for (wname, queries) in &workloads {
-        let items: Vec<String> =
-            queries.iter().map(|(q, _)| wire_body(&graph, q, "auto", false)).collect();
-        let resp = client
-            .post_json("/query_batch", &format!("{{\"queries\":[{}]}}", items.join(",")))
-            .unwrap();
-        assert_eq!(resp.status, 200);
-        let body = resp.json().unwrap();
-        let results = body.get("results").and_then(Json::as_array).unwrap();
-        assert_eq!(results.len(), queries.len());
-        for (r, (_, expected)) in results.iter().zip(queries) {
-            assert_eq!(
-                r.get("answer").and_then(Json::as_bool),
-                Some(*expected),
-                "{wname}: batch answer diverged"
-            );
-        }
-    }
-    server.shutdown();
-}
-
-/// Like [`wire_body`], with an explicit client `step_budget`.
-fn wire_body_with_budget(g: &Graph, q: &LscrQuery, algorithm: &str, budget: u64) -> String {
-    let labels: Vec<Json> = q.label_constraint.iter().map(|l| Json::str(g.label_name(l))).collect();
-    Json::Obj(vec![
-        ("source".into(), Json::str(g.vertex_name(q.source))),
-        ("target".into(), Json::str(g.vertex_name(q.target))),
-        ("labels".into(), Json::Arr(labels)),
-        ("constraint".into(), Json::str(q.constraint.sparql_text())),
-        ("algorithm".into(), Json::str(algorithm)),
-        ("step_budget".into(), Json::u64(budget)),
-    ])
-    .to_string()
+    });
+    assert_eq!(witnesses[0].len(), 3 * 10 * 4, "expected a full matrix");
+    assert_eq!(witnesses[0], witnesses[1], "witness paths diverged on the wire");
 }
 
 #[test]
@@ -196,15 +60,12 @@ fn batch_requests_honor_server_budget_ceilings() {
     let engine = Arc::new(LscrEngine::new(g));
     engine.local_index();
     let graph = engine.graph();
-    let workloads = s1_s3_workload(&graph, 2);
-    let (_, queries) = &workloads[0];
+    let queries = workload(&graph, &s1(), 2, 0x5E4E, 80_000);
     let true_queries: Vec<&LscrQuery> =
         queries.iter().filter(|(_, e)| *e).map(|(q, _)| q).collect();
-    assert!(!true_queries.is_empty(), "workload must contain true queries");
-    let items: Vec<String> = true_queries
-        .iter()
-        .map(|q| wire_body_with_budget(&graph, q, "auto", 9_999_999_999))
-        .collect();
+    let budget = QueryOptions::default().with_step_budget(9_999_999_999);
+    let items: Vec<String> =
+        true_queries.iter().map(|q| wire_body(&graph, q, Algorithm::Auto, &budget)).collect();
     let batch_body = format!("{{\"queries\":[{}]}}", items.join(","));
 
     // Server with a zero step-budget ceiling: every search is truncated
@@ -364,6 +225,13 @@ fn malformed_requests_get_typed_errors_and_the_server_keeps_serving() {
     server.shutdown();
 }
 
+/// Hot-swaps the served snapshot for the one at `path`, which must succeed.
+fn reload(admin: &mut HttpClient, path: &Path) {
+    let body = format!("{{\"path\":{}}}", Json::str(path.display().to_string()));
+    let resp = admin.post_json("/snapshot/reload", &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+}
+
 #[test]
 fn hot_reload_under_concurrent_query_load_stays_correct() {
     let g = small_lubm(42);
@@ -385,9 +253,9 @@ fn hot_reload_under_concurrent_query_load_stays_correct() {
     let server = serve(Arc::clone(&engine), ServerConfig::default()).unwrap();
     let addr = server.addr();
 
-    let (_, queries) = &s1_s3_workload(&graph, 4)[2]; // S3: the heaviest
-    let bodies: Vec<(String, bool)> =
-        queries.iter().map(|(q, e)| (wire_body(&graph, q, "auto", false), *e)).collect();
+    let queries = workload(&graph, &s3(), 4, 0x5E4E + 2, 80_000); // S3: the heaviest
+    let auto = |q| wire_body(&graph, q, Algorithm::Auto, &QueryOptions::default());
+    let bodies: Vec<(String, bool)> = queries.iter().map(|(q, e)| (auto(q), *e)).collect();
 
     // Phase 1: hammer queries while same-content reloads land. Every
     // single answer must stay correct.
@@ -410,14 +278,8 @@ fn hot_reload_under_concurrent_query_load_stays_correct() {
             });
         }
         let mut admin = HttpClient::connect(addr).unwrap();
-        for i in 0..10 {
-            let resp = admin
-                .post_json(
-                    "/snapshot/reload",
-                    &format!("{{\"path\":{}}}", Json::str(same.display().to_string())),
-                )
-                .unwrap();
-            assert_eq!(resp.status, 200, "reload {i}: {}", resp.body);
+        for _ in 0..10 {
+            reload(&mut admin, &same);
             std::thread::sleep(Duration::from_millis(5));
         }
         // relaxed: stop flag, see above.
@@ -449,13 +311,7 @@ fn hot_reload_under_concurrent_query_load_stays_correct() {
             });
         }
         let mut admin = HttpClient::connect(addr).unwrap();
-        let resp = admin
-            .post_json(
-                "/snapshot/reload",
-                &format!("{{\"path\":{}}}", Json::str(other.display().to_string())),
-            )
-            .unwrap();
-        assert_eq!(resp.status, 200, "{}", resp.body);
+        reload(&mut admin, &other);
         // relaxed: stop flag, see above.
         stop.store(true, Ordering::Relaxed);
     });
@@ -465,13 +321,7 @@ fn hot_reload_under_concurrent_query_load_stays_correct() {
     // Phase 3: swap back to the original content; the full differential
     // must hold again — stale plans/caches would surface here.
     let mut admin = HttpClient::connect(addr).unwrap();
-    let resp = admin
-        .post_json(
-            "/snapshot/reload",
-            &format!("{{\"path\":{}}}", Json::str(same.display().to_string())),
-        )
-        .unwrap();
-    assert_eq!(resp.status, 200);
+    reload(&mut admin, &same);
     let mut client = HttpClient::connect(addr).unwrap();
     for (body, expected) in &bodies {
         let resp = client.post_json("/query", body).unwrap();
@@ -519,13 +369,12 @@ fn shrinking_reload_under_query_load_never_loses_a_worker() {
     // Endpoints from the top of the id range, so every id is out of range
     // in the two-vertex graph; S1 keeps each search short.
     let n = graph.num_vertices() as u32;
-    let c = constraints::s1();
+    let (ins, uis_star, auto) = (Algorithm::Ins, Algorithm::UisStar, Algorithm::Auto);
     let bodies: Vec<String> = (1..=8)
-        .flat_map(|i| ["ins", "uis*", "ins", "auto"].map(|alg| (i, alg)))
+        .flat_map(|i| [ins, uis_star, ins, auto].map(|alg| (i, alg)))
         .map(|(i, alg)| {
-            let (s, t) = (kgreach_graph::VertexId(n - i), kgreach_graph::VertexId(n - 8 - i));
-            let q = LscrQuery::new(s, t, graph.all_labels(), c.clone());
-            wire_body(&graph, &q, alg, false)
+            let q = LscrQuery::new(VertexId(n - i), VertexId(n - 8 - i), graph.all_labels(), s1());
+            wire_body(&graph, &q, alg, &QueryOptions::default())
         })
         .collect();
 
@@ -551,14 +400,7 @@ fn shrinking_reload_under_query_load_never_loses_a_worker() {
         }
         let mut admin = HttpClient::connect(addr).unwrap();
         for i in 0..60 {
-            let path = if i % 2 == 0 { &tiny } else { &big };
-            let resp = admin
-                .post_json(
-                    "/snapshot/reload",
-                    &format!("{{\"path\":{}}}", Json::str(path.display().to_string())),
-                )
-                .unwrap();
-            assert_eq!(resp.status, 200, "reload {i}: {}", resp.body);
+            reload(&mut admin, if i % 2 == 0 { &tiny } else { &big });
             std::thread::sleep(Duration::from_millis(2));
         }
         // relaxed: stop flag, see above.
@@ -590,7 +432,7 @@ fn sequential_queries_on_one_connection_never_touch_the_queue() {
     };
     let server = serve(Arc::clone(&engine), config).unwrap();
     let metrics = Arc::clone(server.metrics());
-    let vertex = g.vertex_name(kgreach_graph::VertexId(0)).to_owned();
+    let vertex = g.vertex_name(VertexId(0)).to_owned();
     let body = Json::Obj(vec![
         ("source".into(), Json::str(&vertex)),
         ("target".into(), Json::str(&vertex)),
@@ -611,6 +453,23 @@ fn sequential_queries_on_one_connection_never_touch_the_queue() {
     for line in ["kg_queue_depth 0\n", "kg_panics_total 0\n", "kg_batched_queries_total 20\n"] {
         assert!(exposition.contains(line), "missing {line:?}:\n{exposition}");
     }
+    server.shutdown();
+}
+
+/// Constraint text outside ASCII — here a variable sent as JSON `\u`
+/// escapes, so the bytes on the wire are pure ASCII — is answered, not
+/// panicked on.
+#[test]
+fn non_ascii_constraint_text_is_answered() {
+    let engine = Arc::new(LscrEngine::new(small_lubm(7)));
+    let server = serve(Arc::clone(&engine), ServerConfig::default()).unwrap();
+    let vertex = Json::str(engine.graph().vertex_name(VertexId(0)));
+    let constraint = r#""SELECT ?\u00e9 WHERE { ?\u00e9 <rdf:type> <ub:Course> . }""#;
+    let body = format!(r#"{{"source":{vertex},"target":{vertex},"constraint":{constraint}}}"#);
+    let mut c = HttpClient::connect(server.addr()).unwrap();
+    let resp = c.post_json("/query", &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(c.get("/metrics").unwrap().body.contains("kg_panics_total 0\n"));
     server.shutdown();
 }
 
@@ -663,7 +522,7 @@ fn overload_sheds_with_retry_after_and_drains_on_shutdown() {
     let addr = server.addr();
     let g = engine.graph();
     let body = {
-        let some_vertex = g.vertex_name(kgreach_graph::VertexId(0)).to_owned();
+        let some_vertex = g.vertex_name(VertexId(0)).to_owned();
         Json::Obj(vec![
             ("source".into(), Json::str(&some_vertex)),
             ("target".into(), Json::str(&some_vertex)),

@@ -1,86 +1,46 @@
 //! Differential test for the snapshot cold-start path: an engine restored
 //! from a binary snapshot must answer S1–S3 workload queries *identically*
-//! to the engine built the expensive way — text triples parsed from disk,
-//! index rebuilt with Algorithm 3 — across UIS, UIS\*, INS and Auto, both
-//! sequentially and under an 8-thread `answer_batch`.
+//! to the engine built the expensive way — text triples parsed from disk —
+//! across UIS, UIS\*, INS and Auto, both sequentially and under an 8-thread
+//! `answer_batch`. Plus the matrix's negative control: every serving form
+//! that flips one answer fails it.
 
-use kgreach::{Algorithm, LocalIndexConfig, LscrEngine, LscrQuery};
-use kgreach_datagen::constraints;
-use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
-use kgreach_graph::io;
-use kgreach_integration::small_lubm;
-
-const ALGORITHMS: [Algorithm; 4] =
-    [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto];
+use kgreach::{LocalIndexConfig, QueryOptions, SubstructureConstraint};
+use kgreach_integration::matrix::Form::*;
+use kgreach_integration::matrix::{
+    all_pairs, random_batches, s1_s3, Form, Matrix, Run, ALGORITHMS,
+};
+use kgreach_integration::{random_typed_graph, small_lubm};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[test]
 fn snapshot_engine_matches_text_engine_on_s1_s3_workloads() {
-    let original = small_lubm(77);
+    let index = LocalIndexConfig { num_landmarks: Some(24), seed: 9, ..Default::default() };
+    let m = Matrix::new(small_lubm(77), Vec::new(), index);
+    m.live.local_index(); // the snapshot must bring it back loaded
+    let queries = s1_s3(&m.graph, 6, |i| 0xD1FF + i);
+    let runs = Run::each(&ALGORITHMS, &QueryOptions::default(), false);
+    m.run(&queries, &runs, &[Text, Snapshot, Batch8], |_, _| {});
+}
 
-    // The "expensive" engine: graph round-tripped through the on-disk
-    // text format, index rebuilt from scratch.
-    let mut text = Vec::new();
-    io::write_graph(&original, &mut text).unwrap();
-    let parsed = io::read_graph(&text[..]).unwrap();
-    let config = LocalIndexConfig { num_landmarks: Some(24), seed: 9, ..Default::default() };
-    let text_engine = LscrEngine::with_index_config(parsed, config);
-    let _ = text_engine.local_index();
-
-    // The "cheap" engine: everything restored from one binary snapshot.
-    let mut snapshot = Vec::new();
-    text_engine.save_snapshot(&mut snapshot).unwrap();
-    let snap_engine = LscrEngine::from_snapshot(&snapshot[..]).unwrap();
-    assert!(snap_engine.local_index_if_built().is_some(), "index must come back loaded");
-    assert_eq!(snap_engine.graph().fingerprint(), text_engine.graph().fingerprint());
-
-    // S1–S3 workloads on the text-built graph; vertex ids are shared
-    // because the snapshot restores dictionaries identically.
-    let mut queries: Vec<(LscrQuery, Algorithm)> = Vec::new();
-    for (i, (name, constraint)) in
-        constraints::all_lubm_constraints().into_iter().take(3).enumerate()
-    {
-        let w = generate_workload(
-            &text_engine.graph(),
-            &constraint,
-            &QueryGenConfig {
-                num_true: 6,
-                num_false: 6,
-                seed: 0xD1FF + i as u64,
-                max_attempts: 60_000,
-                enforce_difficulty: false,
-            },
-        );
-        assert!(
-            !w.true_queries.is_empty() && !w.false_queries.is_empty(),
-            "workload generation produced nothing for {name}"
-        );
-        for (j, gq) in w.true_queries.iter().chain(&w.false_queries).enumerate() {
-            queries.push((gq.query.clone(), ALGORITHMS[(i + j) % ALGORITHMS.len()]));
-        }
-    }
-
-    // Sequentially, every algorithm on every query.
-    for (query, _) in &queries {
-        for alg in ALGORITHMS {
-            let a = text_engine.answer(query, alg).unwrap();
-            let b = snap_engine.answer(query, alg).unwrap();
-            assert_eq!(
-                a.answer, b.answer,
-                "{alg} diverges between text-built and snapshot-restored engines"
-            );
-        }
-    }
-
-    // Under an 8-thread batch on both engines, in input order.
-    let from_text = text_engine.answer_batch(&queries, 8);
-    let from_snap = snap_engine.answer_batch(&queries, 8);
-    assert_eq!(from_text.len(), from_snap.len());
-    for (i, (a, b)) in from_text.iter().zip(&from_snap).enumerate() {
-        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-        assert_eq!(
-            a.answer, b.answer,
-            "batch query {i} ({}) diverges after snapshot restore",
-            queries[i].1
-        );
+/// One answer flipped by any serving form fails the matrix; the same cases
+/// unflipped pass in every form.
+#[test]
+fn every_form_that_flips_one_answer_fails_the_matrix() {
+    let matrix = || {
+        let index = LocalIndexConfig { num_landmarks: Some(3), seed: 3, ..Default::default() };
+        Matrix::new(random_typed_graph(10, 20, 3, 2, 3), random_batches(3, 3), index)
+    };
+    let m = matrix();
+    let c = SubstructureConstraint::parse("SELECT ?x WHERE { ?x <rdf:type> <C0> . }").unwrap();
+    let queries = all_pairs(&m.graph, &[m.graph.all_labels()], &c);
+    let runs = Run::each(&ALGORITHMS[..3], &QueryOptions::default(), false);
+    let forms: [Form; 9] = [Kernels, Engine, Text, Snapshot, Overlay, Wal, Wire, WireBatch, Batch8];
+    m.run(&queries, &runs, &forms, |_, _| {});
+    for form in forms {
+        let flipped = matrix().flipping(form);
+        let run =
+            catch_unwind(AssertUnwindSafe(|| flipped.run(&queries, &runs, &[form], |_, _| {})));
+        assert!(run.is_err(), "{form:?} flipped an answer and the matrix passed");
     }
 }

@@ -4,11 +4,10 @@
 //! like the oracle on the original graph. The text triple format gets the
 //! same treatment under hostile vertex/label names.
 
-use kgreach::{
-    Algorithm, LocalIndex, LocalIndexConfig, LscrEngine, LscrQuery, SubstructureConstraint,
-};
+use kgreach::{LocalIndex, LocalIndexConfig, LscrQuery, QueryOptions, SubstructureConstraint};
 use kgreach_graph::snapshot::{read_graph_snapshot, write_graph_snapshot};
 use kgreach_graph::{io, GraphBuilder, LabelId, LabelSet, VertexId};
+use kgreach_integration::matrix::{Form, Matrix, Run, ALGORITHMS};
 use kgreach_integration::random_typed_graph;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -124,27 +123,15 @@ proptest! {
         label in 0usize..4,
     ) {
         // Answers through a snapshot-restored engine (graph + index, no
-        // rebuild) must match the oracle on the *original* graph.
-        let g = random_typed_graph(n, n * density, 4, 3, seed);
-        let s = VertexId(s_raw % n as u32);
-        let t = VertexId(t_raw % n as u32);
-        let labels = LabelSet::from_bits(label_bits).intersection(g.all_labels());
+        // rebuild) must match the oracle on the *original* graph: the
+        // matrix's snapshot form, with the index built before the save.
+        let m = Matrix::of(random_typed_graph(n, n * density, 4, 3, seed));
+        m.live.local_index();
+        let (s, t) = (VertexId(s_raw % n as u32), VertexId(t_raw % n as u32));
+        let labels = LabelSet::from_bits(label_bits).intersection(m.graph.all_labels());
         let q = LscrQuery::new(s, t, labels, constraint(class, label));
-        let expected = kgreach::oracle::answer(&g, &q.compile(&g).unwrap()).answer;
-
-        let engine = LscrEngine::new(g);
-        let _ = engine.local_index();
-        let mut bytes = Vec::new();
-        engine.save_snapshot(&mut bytes).unwrap();
-        let restored = LscrEngine::from_snapshot(&bytes[..]).unwrap();
-        prop_assert!(restored.local_index_if_built().is_some(), "index must be restored");
-        for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-            prop_assert_eq!(
-                restored.answer(&q, alg).unwrap().answer,
-                expected,
-                "{} disagrees with the oracle after snapshot restore", alg
-            );
-        }
+        let runs = Run::each(&ALGORITHMS, &QueryOptions::default(), false);
+        m.run(&[q], &runs, &[Form::Snapshot], |_, _| {});
     }
 
     #[test]

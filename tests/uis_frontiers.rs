@@ -3,121 +3,78 @@
 //! brute-force oracle must answer every query alike — on the paper's
 //! figure, the funnel fixtures, seeded LUBM draws and an overlay graph in
 //! mid-update — and a search cut short must say so rather than answer
-//! `false`. The work counters repeat exactly on one thread, so the bounds
-//! on them below are exact and need no clock.
+//! `false` (on figure 3, under every budget for every algorithm). The work
+//! counters repeat exactly on one thread, so the bounds on them below are
+//! exact and need no clock.
 
 use kgreach::fixtures::{figure3, s0};
 use kgreach::{
-    find_witness, oracle, uis, Algorithm, LscrEngine, LscrQuery, QueryOptions, QueryOutcome,
-    SearchScratch, SubstructureConstraint,
+    find_witness, uis, Algorithm, LocalIndexConfig, LscrQuery, QueryOptions, SearchScratch,
+    SubstructureConstraint,
 };
 use kgreach_datagen::constraints::{s1, s2, s3, s4};
 use kgreach_datagen::funnel::{self, FunnelConfig};
 use kgreach_datagen::{lubm, top_label_set, LubmConfig};
 use kgreach_graph::snapshot::xxh64;
-use kgreach_graph::{Graph, GraphBuilder, LabelId, VertexId};
-use kgreach_integration::{
-    all_pairs, assert_witness, lubm_draws, random_batches, random_typed_graph, small_lubm,
+use kgreach_graph::{GraphBuilder, LabelId, VertexId};
+use kgreach_integration::matrix::{
+    all_pairs, assert_witness, figure3_pairs, gate, lubm_draws, random_batches, small_funnel_pairs,
+    Form, Matrix, Outcome, Run, ALGORITHMS,
 };
+use kgreach_integration::{random_typed_graph, small_lubm};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
-/// Algorithm 1 as printed.
-fn one_frontier() -> QueryOptions {
-    QueryOptions::default().with_one_frontier(true)
-}
-
-/// Runs `q` with two frontiers and with one, holds both against the
-/// oracle, and returns `(two, one)`.
-fn agree(
-    g: &Graph,
-    q: &LscrQuery,
-    scratch: &mut SearchScratch,
-    context: &str,
-) -> (QueryOutcome, QueryOutcome) {
-    let cq = q.compile(g).unwrap();
-    let want = oracle::answer(g, &cq).answer;
-    if want {
-        assert_witness(g, &cq, &find_witness(g, &cq).expect("a true answer has a witness"));
-    }
-    let two = uis::answer_with(g, &cq, scratch, &QueryOptions::default());
-    let one = uis::answer_with(g, &cq, scratch, &one_frontier());
-    for (name, out) in [("two frontiers", &two), ("one frontier", &one)] {
-        assert_eq!(out.answer, want, "{context}: {name} vs oracle on {q:?}");
-        assert!(!out.interrupted, "{context}: {name} interrupted without a limit");
-    }
-    assert_eq!(one.stats.backward_edges_scanned, 0, "{context}: one frontier stepped backward");
-    assert_eq!(one.stats.negative_terminations, 0, "{context}: one frontier ran a precheck");
-    (two, one)
-}
-
-/// "Interrupted ⇒ unknown, never false": under every step budget up to
-/// one that lets the search finish, the outcome is either `interrupted`
-/// (and then not `true`) or the oracle's answer.
-fn budgets_never_lie(g: &Graph, q: &LscrQuery, scratch: &mut SearchScratch, context: &str) {
-    let cq = q.compile(g).unwrap();
-    let want = oracle::answer(g, &cq).answer;
-    for opts in [QueryOptions::default(), one_frontier()] {
-        let enough = uis::answer_with(g, &cq, scratch, &opts).stats.edges_scanned as u64 + 1;
-        for budget in 0..=enough {
-            let out = uis::answer_with(g, &cq, scratch, &opts.clone().with_step_budget(budget));
-            if out.interrupted {
-                assert!(!out.answer, "{context}: interrupted yet true at budget {budget}");
-            } else {
-                assert_eq!(out.answer, want, "{context}: budget {budget} on {q:?} ({opts:?})");
-            }
+/// UIS with two frontiers and with one (Algorithm 1 as printed) in
+/// `form`, each under every step budget too when `sweep`: `(two, one)` per
+/// query. One frontier never steps backward and runs no precheck.
+fn uis_both_ways(
+    m: &Matrix,
+    queries: &[LscrQuery],
+    form: Form,
+    sweep: bool,
+) -> Vec<(Outcome, Outcome)> {
+    let one_frontier = QueryOptions::default().with_one_frontier(true);
+    let runs = [
+        Run { alg: Algorithm::Uis, opts: QueryOptions::default(), sweep },
+        Run { alg: Algorithm::Uis, opts: one_frontier, sweep },
+    ];
+    let (mut pairs, mut two) = (Vec::new(), None);
+    m.run(queries, &runs, &[form], |case, out| {
+        if case.run == 0 {
+            two = Some(out.clone());
+        } else {
+            assert_eq!(out.stats.backward_edges_scanned, 0, "one frontier stepped backward");
+            assert_eq!(out.stats.negative_terminations, 0, "one frontier ran a precheck");
+            pairs.push((two.take().unwrap(), out.clone()));
         }
-        let out = uis::answer_with(g, &cq, scratch, &opts.with_step_budget(enough));
-        assert!(!out.interrupted, "{context}: budget {enough} is enough, yet interrupted");
-    }
+    });
+    pairs
 }
 
 #[test]
 fn figure3_all_pairs_under_every_label_set_and_budget() {
-    let g = figure3();
-    let label_sets = [
-        g.all_labels(),
-        g.label_set(&["likes", "follows"]),
-        g.label_set(&["likes", "hates", "friendOf"]),
-        g.label_set(&["friendOf", "likes"]),
-        g.label_set(&["hates"]),
-        g.label_set(&[]),
-    ];
-    let mut scratch = SearchScratch::new(g.num_vertices());
-    let mut backward = 0;
-    for q in all_pairs(&g, &label_sets, &s0()) {
-        backward += agree(&g, &q, &mut scratch, "figure3").0.stats.backward_edges_scanned;
-        budgets_never_lie(&g, &q, &mut scratch, "figure3");
-    }
+    let (g, queries) = figure3_pairs();
+    let m = Matrix::of(g);
+    let outs = uis_both_ways(&m, &queries, Form::Kernels, true);
+    let backward: usize = outs.iter().map(|(two, _)| two.stats.backward_edges_scanned).sum();
     assert!(backward > 0, "the backward side never ran on figure 3");
+    let every_algorithm = Run::each(&ALGORITHMS, &QueryOptions::default(), true);
+    m.run(&queries, &every_algorithm, &[Form::Engine], |_, _| {});
 }
 
 #[test]
 fn funnel_all_pairs_both_orientations() {
-    let c = SubstructureConstraint::parse(funnel::GATE_CONSTRAINT).unwrap();
     for mirrored in [false, true] {
-        let cfg = FunnelConfig { fan: 5, leaves_per_fan: 2, depth: 3, mirrored };
-        let g = funnel::generate(&cfg).unwrap();
-        let label_sets = [
-            g.label_set(&["spray", "needle"]),
-            g.label_set(&["spray"]),
-            g.label_set(&["needle"]),
-            g.all_labels(),
-        ];
-        let context = format!("funnel mirrored={mirrored}");
-        let mut scratch = SearchScratch::new(g.num_vertices());
-        let (mut backward, mut negative) = (0, 0);
-        for q in all_pairs(&g, &label_sets, &c) {
-            let (two, _) = agree(&g, &q, &mut scratch, &context);
-            backward += two.stats.backward_edges_scanned;
-            negative += two.stats.negative_terminations;
-            budgets_never_lie(&g, &q, &mut scratch, &context);
-        }
+        let (g, queries) = small_funnel_pairs(mirrored);
+        let outs = uis_both_ways(&Matrix::of(g), &queries, Form::Kernels, true);
+        let backward: usize = outs.iter().map(|(two, _)| two.stats.backward_edges_scanned).sum();
+        let negative: usize = outs.iter().map(|(two, _)| two.stats.negative_terminations).sum();
         assert!(
             backward > 0 && negative > 0,
-            "{context}: {backward} backward, {negative} negative"
+            "mirrored={mirrored}: {backward} backward, {negative} negative"
         );
     }
 }
@@ -127,14 +84,14 @@ fn funnel_all_pairs_both_orientations() {
 /// vertex, and one whose cycle back passes a satisfying vertex.
 #[test]
 fn source_equals_target_cases() {
+    let answers = |g, queries: &[LscrQuery]| -> Vec<bool> {
+        let outs = uis_both_ways(&Matrix::of(g), queries, Form::Kernels, true);
+        outs.into_iter().map(|(two, _)| two.answer).collect()
+    };
     let g = figure3();
-    let mut scratch = SearchScratch::new(g.num_vertices());
-    for (v, want) in [("v1", true), ("v0", false), ("v4", true)] {
-        let v = g.vertex_id(v).unwrap();
-        let q = LscrQuery::new(v, v, g.all_labels(), s0());
-        assert_eq!(agree(&g, &q, &mut scratch, "figure3 s=t").0.answer, want);
-        budgets_never_lie(&g, &q, &mut scratch, "figure3 s=t");
-    }
+    let v = |name| g.vertex_id(name).unwrap();
+    let queries = ["v1", "v0", "v4"].map(|n| LscrQuery::new(v(n), v(n), g.all_labels(), s0()));
+    assert_eq!(answers(g, &queries), [true, false, true]);
 
     let mut b = GraphBuilder::new();
     b.add_triple("sat", "marked", "anchor");
@@ -143,42 +100,39 @@ fn source_equals_target_cases() {
     }
     let g = b.build().unwrap();
     let c = SubstructureConstraint::parse("SELECT ?x WHERE { ?x <marked> <anchor> . }").unwrap();
-    let mut scratch = SearchScratch::new(g.num_vertices());
+    let (mut queries, mut wants) = (Vec::new(), Vec::new());
     for labels in [g.label_set(&["p"]), g.all_labels(), g.label_set(&[])] {
         for (v, cycle_through_sat) in [("sat", true), ("a", false), ("c", true), ("e", false)] {
             let id = g.vertex_id(v).unwrap();
-            let q = LscrQuery::new(id, id, labels, c.clone());
-            let want = cycle_through_sat && (v == "sat" || !labels.is_empty());
-            assert_eq!(
-                agree(&g, &q, &mut scratch, "cycles").0.answer,
-                want,
-                "{v} under {labels:?}"
-            );
-            budgets_never_lie(&g, &q, &mut scratch, "cycles");
+            queries.push(LscrQuery::new(id, id, labels, c.clone()));
+            wants.push(cycle_through_sat && (v == "sat" || !labels.is_empty()));
         }
     }
+    assert_eq!(answers(g, &queries), wants);
 }
 
 /// 2,000 seeded draws on a small LUBM replica, 400 per S1–S5: `|L|` over
 /// 20–80 % of the labels with every fourth draw on the narrow top-3 set,
-/// and every other target taken from a random walk out of `s`.
+/// and every other target taken from a random walk out of `s`. Every
+/// 100th draw that scans under 400 edges also runs under every budget.
 #[test]
 fn lubm_seeded_draws_across_s1_to_s5() {
-    let g = small_lubm(26);
-    let mut scratch = SearchScratch::new(g.num_vertices());
-    let (mut trues, mut backward, mut negative) = (0, 0, 0);
-    for (i, q) in lubm_draws(&g, 2_000, 0x0F20_47E5).iter().enumerate() {
-        let (two, _) = agree(&g, q, &mut scratch, "lubm");
-        trues += usize::from(two.answer);
-        backward += usize::from(two.stats.backward_edges_scanned > 0);
-        negative += usize::from(two.stats.negative_terminations > 0);
-        if i % 100 == 0 && two.stats.edges_scanned < 400 {
-            budgets_never_lie(&g, q, &mut scratch, "lubm");
-        }
-    }
+    let m = Matrix::of(small_lubm(26));
+    let queries = lubm_draws(&m.graph, 2_000, 0x0F20_47E5);
+    let outs = uis_both_ways(&m, &queries, Form::Kernels, false);
+    let count = |f: fn(&Outcome) -> bool| outs.iter().filter(|(two, _)| f(two)).count();
+    let trues = count(|two| two.answer);
+    let backward = count(|two| two.stats.backward_edges_scanned > 0);
+    let negative = count(|two| two.stats.negative_terminations > 0);
     // The draw is worth its name only if every path is taken often.
     assert!(trues > 200 && trues < 1_800, "{trues} true answers of 2000");
     assert!(backward > 200 && negative > 200, "{backward} backward, {negative} negative");
+    let swept: Vec<LscrQuery> = (0..queries.len())
+        .step_by(100)
+        .filter(|&i| outs[i].0.stats.edges_scanned < 400)
+        .map(|i| queries[i].clone())
+        .collect();
+    uis_both_ways(&m, &swept, Form::Kernels, true);
 }
 
 /// The witnesses of 2,000 seeded draws, pinned: how many answers are true,
@@ -194,9 +148,7 @@ fn lubm_witness_lengths_are_pinned() {
     let (mut trues, mut sum, mut lengths) = (0, 0, String::new());
     for q in lubm_draws(&g, 2_000, 7) {
         let cq = q.compile(&g).unwrap();
-        let witness = find_witness(&g, &cq);
-        assert_eq!(witness.is_some(), oracle::answer(&g, &cq).answer, "{q:?}");
-        if let Some(w) = witness {
+        if let Some(w) = find_witness(&g, &cq) {
             assert_witness(&g, &cq, &w);
             trues += 1;
             sum += w.path.len();
@@ -215,21 +167,16 @@ fn lubm_witness_lengths_are_pinned() {
 /// half-applied.
 #[test]
 fn overlay_graph_mid_update_script() {
-    let engine = LscrEngine::new(random_typed_graph(14, 30, 4, 3, 0xD1FF));
+    let base = random_typed_graph(14, 30, 4, 3, 0xD1FF);
     let c = SubstructureConstraint::parse("SELECT ?x WHERE { ?x <rdf:type> <C0> . }").unwrap();
     let mut overlays = 0;
-    for (round, batch) in random_batches(0x005C_2197, 12).iter().enumerate() {
-        engine.apply_update(batch).unwrap();
-        let g = engine.graph();
-        overlays += usize::from(g.has_overlay());
+    for round in 1..=12 {
+        let script = random_batches(0x005C_2197, round);
+        let m = Matrix::new(base.clone(), script, LocalIndexConfig::default());
+        overlays += usize::from(m.live.graph().has_overlay());
+        let g = &m.graph;
         let label_sets = [g.all_labels(), g.label_set(&["l0", "l2"]), g.label_set(&["l1"])];
-        for q in all_pairs(&g, &label_sets, &c) {
-            let want = engine.answer(&q, Algorithm::Oracle).unwrap().answer;
-            for opts in [QueryOptions::default(), one_frontier()] {
-                let out = engine.answer_with_options(&q, Algorithm::Uis, &opts).unwrap();
-                assert_eq!(out.answer, want, "round {round}: {q:?} under {opts:?}");
-            }
-        }
+        uis_both_ways(&m, &all_pairs(g, &label_sets, &c), Form::Overlay, false);
     }
     assert!(overlays > 0, "no round was answered over a live overlay");
 }
@@ -253,14 +200,9 @@ fn one_hub_bounds_the_worst_case() {
     b.add_triple("a", "marked", "anchor");
     let g = b.build().unwrap();
     let c = SubstructureConstraint::parse("SELECT ?x WHERE { ?x <marked> <anchor> . }").unwrap();
-    let q = LscrQuery::new(
-        g.vertex_id("s").unwrap(),
-        g.vertex_id("t").unwrap(),
-        g.label_set(&["p"]),
-        c,
-    );
-    let mut scratch = SearchScratch::new(g.num_vertices());
-    let (two, one) = agree(&g, &q, &mut scratch, "hub");
+    let (s, t) = (g.vertex_id("s").unwrap(), g.vertex_id("t").unwrap());
+    let q = LscrQuery::new(s, t, g.label_set(&["p"]), c);
+    let (two, one) = uis_both_ways(&Matrix::of(g), &[q], Form::Kernels, false).remove(0);
     assert!(!two.answer);
     assert_eq!(one.stats.edges_scanned, 3, "the forward closure is s's three edges");
     assert!(two.stats.edges_scanned > HUB_IN_DEGREE, "the hub was not popped: {:?}", two.stats);
@@ -279,7 +221,7 @@ fn one_hub_bounds_the_worst_case() {
 #[test]
 fn scratch_reuse_across_direction_flips() {
     let g = funnel::generate(&FunnelConfig::default()).unwrap();
-    let c = SubstructureConstraint::parse(funnel::GATE_CONSTRAINT).unwrap();
+    let c = gate();
     let (src, dst) = (g.vertex_id("src").unwrap(), g.vertex_id("dst").unwrap());
     let labels = g.label_set(&["spray", "needle"]);
     let q1 = LscrQuery::new(src, dst, labels, c.clone()).compile(&g).unwrap();
@@ -292,7 +234,7 @@ fn scratch_reuse_across_direction_flips() {
     let reversed = uis::answer_with(&g, &q2, &mut scratch, &opts);
     let again = uis::answer_with(&g, &q1, &mut scratch, &opts);
     assert!(first.answer && first.stats.backward_edges_scanned > 0, "{:?}", first.stats);
-    assert_eq!(reversed.answer, oracle::answer(&g, &q2).answer);
+    assert!(!reversed.answer, "nothing flows back against the funnel: {:?}", reversed.stats);
     assert_eq!(again.stats, first.stats, "stale marks changed the third search");
     let fresh = uis::answer_with(&g, &q1, &mut SearchScratch::new(g.num_vertices()), &opts);
     assert_eq!(fresh.stats, first.stats, "a used scratch searched differently from a new one");
@@ -303,9 +245,8 @@ fn scratch_reuse_across_direction_flips() {
 /// often. Counts, not times: a build that breaks this fails everywhere.
 #[test]
 fn s3_work_guard() {
-    let g = small_lubm(26);
-    let mut scratch = SearchScratch::new(g.num_vertices());
-    let (mut two_edges, mut one_edges, mut two_scck, mut one_scck) = (0, 0, 0, 0);
+    let m = Matrix::of(small_lubm(26));
+    let g = &m.graph;
     // Uniform pairs under 20–80 % of the labels, as §6.1.1 draws them.
     let mut rng = SmallRng::seed_from_u64(0x0053_6A2D);
     let mut label_ids: Vec<u16> = (0..g.num_labels() as u16).collect();
@@ -322,9 +263,8 @@ fn s3_work_guard() {
             LscrQuery::new(s, t, labels, s3())
         })
         .collect();
-    let mut trues = 0;
-    for q in &queries {
-        let (two, one) = agree(&g, q, &mut scratch, "s3 guard");
+    let (mut two_edges, mut one_edges, mut two_scck, mut one_scck, mut trues) = (0, 0, 0, 0, 0);
+    for (two, one) in uis_both_ways(&m, &queries, Form::Kernels, false) {
         trues += usize::from(two.answer);
         two_edges += two.stats.edges_scanned;
         one_edges += one.stats.edges_scanned;
@@ -389,30 +329,26 @@ fn narrow_l_routes_to_uis() {
         })
         .collect();
 
-    let engine = LscrEngine::new(g);
-    let g = engine.graph();
-    let _ = engine.local_index();
-    let mut session = engine.session();
-    let opts = QueryOptions::default();
+    let m = Matrix::of(g);
+    m.engine.local_index();
+    let g = &m.graph;
     let (mut gated, mut trues, mut work) = (0, 0, 0);
-    for q in &queries {
-        let plan = engine.compile(q).unwrap();
+    let auto = [Run { alg: Algorithm::Auto, opts: QueryOptions::default(), sweep: false }];
+    m.run(&queries, &auto, &[Form::Engine], |case, out| {
         // What `plan_on` sees: the exact count once some search has
         // materialized V(S,G), the schema estimate until then.
-        let candidates = plan
-            .constraint
-            .vsg_len_if_materialized()
-            .unwrap_or_else(|| plan.constraint.estimate_candidates(&g, g.label_histogram()));
-        let out = session.answer_with_options(q, Algorithm::Auto, &opts).unwrap();
-        assert_eq!(out.answer, oracle::answer(&g, &plan).answer, "{q:?}");
-        assert!(!out.interrupted);
+        let candidates = case.vsg_hint.unwrap_or_else(|| {
+            let plan = queries[case.query].compile(g).unwrap();
+            plan.constraint.estimate_candidates(g, g.label_histogram())
+        });
         if candidates >= 64 {
             gated += 1;
+            let q = &queries[case.query];
             assert_eq!(out.stats.algorithm, Some(Algorithm::Uis), "{candidates} candidates: {q:?}");
         }
         trues += usize::from(out.answer);
         work += out.stats.edges_scanned + out.stats.index_hits;
-    }
+    });
     assert!(gated >= 200 && trues >= 40, "the draws guard nothing: {gated} gated, {trues} true");
     assert!(
         work <= PARENT_WORK,

@@ -1,5 +1,5 @@
-//! Functional benchmarks of the three LSCR algorithms (plus the adaptive
-//! `Auto` planner) on a fixed LUBM workload — the criterion view of the
+//! Functional benchmarks of the three LSCR algorithms (plus `Auto`, the
+//! served path) on a fixed LUBM workload — the criterion view of the
 //! Figures 10–14 experiment.
 
 use criterion::{black_box, criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
@@ -19,10 +19,10 @@ fn bench_algorithms(c: &mut Criterion) {
     let opts = QueryOptions::default();
     // The `UIS` rows are the paper's Algorithm 1 — one frontier — as they
     // have been since the first recorded run; the library's default runs
-    // beside them as `UIS (two frontiers)`.
+    // beside them as `UIS (default)`.
     let uis_rows = [
         ("UIS", QueryOptions::default().with_one_frontier(true)),
-        ("UIS (two frontiers)", QueryOptions::default()),
+        ("UIS (default)", QueryOptions::default()),
     ];
 
     // The three most frequent predicates — the label-selective `L` used by
@@ -122,7 +122,7 @@ fn bench_algorithms(c: &mut Criterion) {
     }
 }
 
-/// The adaptive planner through the full session path — what is served.
+/// `Auto` through the full session path — what is served.
 /// `check_bench_json` holds this row within 10× of its group's fastest;
 /// the forced-kernel rows beside it are reported, not bounded.
 fn auto<'a>(

@@ -15,7 +15,7 @@
 //! fastest and not bounded: UIS\*/INS are the paper's Algorithms 2 and 4
 //! as printed, and a forced INS that reads ~230× UIS on `S3-narrowL` is
 //! the paper's own §6 finding about candidate order, not a missing
-//! optimization — what must not happen is the planner *sending* queries
+//! optimization — what must not happen is `Auto` *sending* queries
 //! there (the old `S3-narrowL` rows sat at ~15 000× the best). Rows whose
 //! second-to-last component is not an algorithm name carry no algorithm
 //! dimension and are exempt. `*.before.json` snapshots are exempt too
@@ -83,13 +83,13 @@ fn check_file(path: &str) -> Result<usize, String> {
 }
 
 /// Maximum allowed ratio between the `Auto` row and the fastest row of
-/// the same workload: the planner may pay for planning and miss the best
-/// kernel by a constant, not fall off it.
+/// the same workload: the served path may pay for its session and miss
+/// the best kernel by a constant, not fall off it.
 const MAX_AUTO_SPREAD: f64 = 10.0;
 
 /// The algorithm segment's values, as `Algorithm::name` and
 /// `kgreach_bench::figure_rows` spell them.
-const ALGORITHM_ROWS: &[&str] = &["UIS", "UIS (two frontiers)", "UIS*", "INS", AUTO];
+const ALGORITHM_ROWS: &[&str] = &["UIS", "UIS (default)", "UIS*", "INS", AUTO];
 const AUTO: &str = "Auto";
 
 /// Groups rows by workload — the benchmark name with its algorithm

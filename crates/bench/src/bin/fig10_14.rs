@@ -2,7 +2,7 @@
 //! constraint S1–S5 (one figure each), the average running time and
 //! average passed-vertex number of UIS, UIS\* and INS over true- and
 //! false-query groups on datasets D1'–D5'. The `UIS` row is the paper's
-//! Algorithm 1 (one frontier); `UIS (two frontiers)` is the library's
+//! Algorithm 1 (one frontier); `UIS (default)` is the library's
 //! default, shown beside it (see `kgreach_bench::figure_rows`).
 //!
 //! Expected shapes (paper §6.1.2):

@@ -124,17 +124,16 @@ pub struct GroupResult {
 /// and the options it runs under.
 ///
 /// `UIS` is the paper's Algorithm 1 — the one-frontier switch
-/// (`QueryOptions::one_frontier`) keeps its backward side off, so
-/// the passed-vertex ordering of the figures is still the paper's
-/// experiment — and `UIS (two frontiers)` beside it is what the library
-/// runs by default, so the departure shows instead of hiding in the `UIS`
-/// row. UIS\* gets the paper's "disordered" `V(S,G)` semantics via a
+/// (`QueryOptions::one_frontier`) keeps its backward and candidate sides
+/// off, so the passed-vertex ordering of the figures is still the paper's
+/// experiment — and `UIS (default)` beside it is what the library runs by
+/// default, so the departure shows instead of hiding in the `UIS` row. UIS\* gets the paper's "disordered" `V(S,G)` semantics via a
 /// seeded shuffle; the rest run with default options.
 pub fn figure_rows() -> [(&'static str, Algorithm, QueryOptions); 5] {
     let defaults = QueryOptions::default;
     [
         ("UIS", Algorithm::Uis, defaults().with_one_frontier(true)),
-        ("UIS (two frontiers)", Algorithm::Uis, defaults()),
+        ("UIS (default)", Algorithm::Uis, defaults()),
         ("UIS*", Algorithm::UisStar, defaults().with_vsg_order(VsgOrder::Shuffled(0xD15C0))),
         ("INS", Algorithm::Ins, defaults()),
         ("Auto", Algorithm::Auto, defaults()),

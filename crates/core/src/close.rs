@@ -135,6 +135,65 @@ impl CloseMap {
     }
 }
 
+/// UIS's candidate-side map: for each vertex it holds, the `V(S,G)`
+/// vertex it was reached from. Epoch-versioned like [`CloseMap`] (the
+/// same O(1) reset and wraparound), 8 B per vertex: the stamp and the
+/// origin side by side, so a probe touches one cache line. It starts
+/// empty and is grown by the search that seeds it, so a session whose
+/// queries never seed the candidate sides allocates nothing for them.
+#[derive(Clone, Debug)]
+pub(crate) struct OriginMap {
+    /// `[stamp, origin]`; the origin is valid only when the stamp matches.
+    slots: Vec<[u32; 2]>,
+    epoch: u32,
+    touched: usize,
+}
+
+impl OriginMap {
+    /// A map over no vertices.
+    pub(crate) fn new() -> Self {
+        OriginMap { slots: Vec::new(), epoch: 1, touched: 0 }
+    }
+
+    /// Grows the map to cover at least `n` vertices; fresh slots hold
+    /// nothing. Never shrinks.
+    pub(crate) fn ensure_len(&mut self, n: usize) {
+        if n > self.slots.len() {
+            self.slots.resize(n, [0; 2]);
+        }
+    }
+
+    /// Forgets every vertex in O(1).
+    pub(crate) fn reset(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.fill([0; 2]);
+            self.epoch = 1;
+        }
+        self.touched = 0;
+    }
+
+    /// The origin recorded for `v`, if the map holds it.
+    #[inline(always)]
+    pub(crate) fn get(&self, v: VertexId) -> Option<VertexId> {
+        let [stamp, origin] = self.slots[v.index()];
+        (stamp == self.epoch).then_some(VertexId(origin))
+    }
+
+    /// Records `origin` for `v`.
+    #[inline(always)]
+    pub(crate) fn set(&mut self, v: VertexId, origin: VertexId) {
+        let slot = &mut self.slots[v.index()];
+        self.touched += usize::from(slot[0] != self.epoch);
+        *slot = [self.epoch, origin.0];
+    }
+
+    /// Vertices held.
+    pub(crate) fn passed_vertices(&self) -> usize {
+        self.touched
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +270,22 @@ mod tests {
         m.set(VertexId(0), CloseState::F);
         assert_eq!(m.get(VertexId(0)), CloseState::F);
         assert_eq!(m.passed_vertices(), 1);
+    }
+
+    #[test]
+    fn origin_map_records_and_resets() {
+        let mut m = OriginMap::new();
+        m.ensure_len(3);
+        assert_eq!(m.get(VertexId(1)), None);
+        m.set(VertexId(1), VertexId(2));
+        m.set(VertexId(2), VertexId(2));
+        assert_eq!(m.get(VertexId(1)), Some(VertexId(2)));
+        assert_eq!(m.passed_vertices(), 2);
+        m.ensure_len(5);
+        assert_eq!(m.get(VertexId(4)), None);
+        m.reset();
+        assert_eq!(m.get(VertexId(1)), None);
+        assert_eq!(m.passed_vertices(), 0);
     }
 
     #[test]

@@ -18,21 +18,23 @@
 //!
 //! `SCck(v, S)` is a pure function of the graph *content at one epoch*,
 //! so its results are memoized per compiled constraint in an
-//! [`ScckCache`] — a tri-state (*unknown / sat / unsat*) array of atomic
-//! bytes, so the cache is populated lock-free by concurrent sessions. It
+//! [`ScckCache`] — tri-state (*unknown / sat / unsat*) atomic slots, so
+//! the cache is populated lock-free by concurrent sessions. It
 //! is never reset: a memo lives and dies with the compiled constraint
 //! that owns it. Because the engine's plan cache shares one
 //! [`CompiledConstraint`] across every query with the same SPARQL text,
 //! repeated *and* concurrent queries with the same `S` never re-run the
 //! pattern embedding for a vertex twice — the dominant cost of UIS
 //! (Theorem 3.3) drops to one array probe after warm-up. The
-//! cache allocates lazily twice over: nothing before the first
+//! cache allocates lazily three times over: nothing before the first
 //! [`satisfies_cached`](CompiledConstraint::satisfies_cached) call, so
-//! constraints that only ever materialize `V(S,G)` pay nothing, and then
-//! one byte per vertex one [`PAGE_SLOTS`]-vertex page at a time, so a
-//! narrow search that probes eight vertices of a 50k-vertex graph holds a
-//! few 1 KiB pages, not the whole array (the engine keeps up to 4,096
-//! such memos alive). Dynamic updates never poison the memo: a compiled
+//! constraints that only ever materialize `V(S,G)` pay nothing; then the
+//! first [`INLINE_SLOTS`] results inline, all that most narrow searches
+//! ever record; then one byte per vertex one [`PAGE_SLOTS`]-vertex page
+//! at a time, so a broader search of a 50k-vertex graph holds a few
+//! 1 KiB pages, not the whole array (the engine keeps up to 4,096 such
+//! memos alive, and a table of page pointers alone would be 864 B each).
+//! Dynamic updates never poison the memo: a compiled
 //! constraint records the [`Graph::epoch`] it was bound to,
 //! `satisfies_cached` falls back to direct evaluation on mismatch, and
 //! the engine recompiles stale plans (see `LscrEngine::apply_update`).
@@ -50,7 +52,7 @@
 
 use kgreach_graph::{Graph, VertexId};
 use kgreach_sparql::{eval, parse, Plan, SelectQuery, SparqlError, Term, TriplePattern};
-use kgreach_sync::atomic::{AtomicU8, Ordering};
+use kgreach_sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use kgreach_sync::{Arc, OnceLock};
 use std::fmt;
 
@@ -143,21 +145,31 @@ impl fmt::Display for SubstructureConstraint {
 /// `(constraint, graph)` pair — see the [module docs](self) for where it
 /// sits in the hot path.
 ///
-/// Each slot is one atomic byte: 0 = *unknown*, 1 = *unsat*, 2 = *sat*.
-/// The byte is the whole entry — nothing else is published through it —
-/// and `SCck` is deterministic, so racing writers store the same value
-/// and `Relaxed` suffices on both sides. There is no reset: the only
-/// cache in the product sits inside a [`CompiledConstraint`] bound to one
-/// graph epoch and is dropped with its plan when an update purges the
-/// engine's plan cache.
+/// The first [`INLINE_SLOTS`] results are held inline, one atomic word
+/// each (`v << 2 | state`, 0 = free), claimed in order through a counter;
+/// the rest go to a page table of one atomic byte per vertex, allocated
+/// with the first result that does not fit inline: 0 = *unknown*,
+/// 1 = *unsat*, 2 = *sat*. A slot is never reused and each word or byte is
+/// the whole entry — nothing else is published through it — and `SCck` is
+/// deterministic, so racing writers store the same value and `Relaxed`
+/// suffices on both sides (a vertex two writers record at once may take
+/// two slots). There is no reset: the only cache in the product sits
+/// inside a [`CompiledConstraint`] bound to one graph epoch and is dropped
+/// with its plan when an update purges the engine's plan cache.
 #[derive(Debug)]
 pub struct ScckCache {
+    inline: [AtomicU64; INLINE_SLOTS],
+    /// Inline slots claimed; past [`INLINE_SLOTS`] results go to `pages`.
+    claimed: AtomicU32,
     /// Slot `v` lives in `pages[v / PAGE_SLOTS]`; a page is allocated by
     /// the first [`set`](Self::set) that lands in it, and every slot of an
     /// unallocated page is *unknown*.
-    pages: Vec<OnceLock<Box<Page>>>,
+    pages: OnceLock<Box<[OnceLock<Box<Page>>]>>,
     len: usize,
 }
+
+/// Results an [`ScckCache`] holds inline before it allocates its pages.
+pub const INLINE_SLOTS: usize = 8;
 
 /// Vertices per lazily allocated [`ScckCache`] page (1 KiB of slots).
 pub const PAGE_SLOTS: usize = 1024;
@@ -171,32 +183,54 @@ const SAT: u8 = 2;
 impl ScckCache {
     /// Creates a cache over `n` vertices, all *unknown*.
     pub fn new(n: usize) -> Self {
-        let mut pages = Vec::new();
-        pages.resize_with(n.div_ceil(PAGE_SLOTS), OnceLock::new);
-        ScckCache { pages, len: n }
+        ScckCache {
+            inline: std::array::from_fn(|_| AtomicU64::new(0)),
+            claimed: AtomicU32::new(0),
+            pages: OnceLock::new(),
+            len: n,
+        }
     }
 
     /// The memoized `SCck(v, S)`, or `None` while *unknown*.
     #[inline(always)]
     pub fn get(&self, v: VertexId) -> Option<bool> {
-        let page = self.pages[v.index() / PAGE_SLOTS].get()?;
-        // relaxed: the byte is the whole entry, so there is nothing for
-        // an edge to publish; the page it lives in is ordered by its
-        // `OnceLock`.
-        match page[v.index() % PAGE_SLOTS].load(Ordering::Relaxed) {
-            UNKNOWN => None,
-            state => Some(state == SAT),
+        // relaxed: a word or byte is the whole entry, so there is nothing
+        // for an edge to publish; a page is ordered by its `OnceLock`.
+        let paged = self.pages.get().and_then(|pages| pages[v.index() / PAGE_SLOTS].get());
+        if let Some(page) = paged {
+            match page[v.index() % PAGE_SLOTS].load(Ordering::Relaxed) {
+                UNKNOWN => {}
+                state => return Some(state == SAT),
+            }
         }
+        let key = u64::from(v.0) << 2;
+        self.inline.iter().find_map(|slot| {
+            let word = slot.load(Ordering::Relaxed);
+            (word != 0 && word & !0b11 == key).then_some(word & 0b11 == u64::from(SAT))
+        })
     }
 
     /// Records `SCck(v, S) = sat`.
     #[inline(always)]
     pub fn set(&self, v: VertexId, sat: bool) {
-        let page = self.pages[v.index() / PAGE_SLOTS]
+        let state = if sat { SAT } else { UNSAT };
+        // relaxed: see `get` — a claimed inline slot is this writer's
+        // alone, and racing writers of one page byte store the same value.
+        if self.claimed.load(Ordering::Relaxed) < INLINE_SLOTS as u32 {
+            let i = self.claimed.fetch_add(1, Ordering::Relaxed) as usize;
+            if let Some(slot) = self.inline.get(i) {
+                slot.store(u64::from(v.0) << 2 | u64::from(state), Ordering::Relaxed);
+                return;
+            }
+        }
+        let pages = self.pages.get_or_init(|| {
+            let mut pages = Vec::new();
+            pages.resize_with(self.len.div_ceil(PAGE_SLOTS), OnceLock::new);
+            pages.into_boxed_slice()
+        });
+        let page = pages[v.index() / PAGE_SLOTS]
             .get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU8::new(UNKNOWN))));
-        // relaxed: see `get` — racing writers store the same value
-        // (`SCck` is deterministic) and readers need nothing but the byte.
-        page[v.index() % PAGE_SLOTS].store(if sat { SAT } else { UNSAT }, Ordering::Relaxed);
+        page[v.index() % PAGE_SLOTS].store(state, Ordering::Relaxed);
     }
 
     /// Number of vertices covered.
@@ -313,7 +347,7 @@ impl CompiledConstraint {
     }
 
     /// `|V(S,G)|` if some query has already materialized the shared memo
-    /// (diagnostics/planner).
+    /// (diagnostics, and UIS's count of its unseeded candidate sides).
     pub fn vsg_len_if_materialized(&self) -> Option<usize> {
         self.vsg.get().map(|v| v.len())
     }
@@ -331,9 +365,9 @@ impl CompiledConstraint {
     /// (concrete endpoints), or `label_counts` (per-label edge counts,
     /// indexed by label id — typically `GraphStats::label_histogram`).
     ///
-    /// Used by the `Algorithm::Auto` planner to gauge constraint
-    /// selectivity in O(patterns) time. Returns `g.num_vertices()` when
-    /// nothing bounds `?x`.
+    /// UIS counts its unseeded candidate sides with it, in O(patterns)
+    /// time, until the memo holds the exact `|V(S,G)|`. Returns
+    /// `g.num_vertices()` when nothing bounds `?x`.
     pub fn estimate_candidates(&self, g: &Graph, label_counts: &[usize]) -> usize {
         use kgreach_sparql::{NodeRef, PredRef};
         if self.plan.unsatisfiable {
@@ -664,15 +698,42 @@ mod tests {
         let n = 2 * PAGE_SLOTS + 7;
         let cache = ScckCache::new(n);
         let at = |i: usize| VertexId(i as u32);
+        // These fill the inline slots, so the writes below land in pages.
+        for i in 1..=INLINE_SLOTS {
+            cache.set(at(PAGE_SLOTS + i), true);
+        }
+        assert!(cache.pages.get().is_none(), "the inline slots come first");
         cache.set(at(PAGE_SLOTS - 1), true);
         cache.set(at(PAGE_SLOTS), false);
         cache.set(at(n - 1), true);
+        assert_eq!(cache.get(at(PAGE_SLOTS + 1)), Some(true));
         assert_eq!(cache.get(at(PAGE_SLOTS - 1)), Some(true));
         assert_eq!(cache.get(at(PAGE_SLOTS)), Some(false));
         assert_eq!(cache.get(at(n - 1)), Some(true));
         assert_eq!(cache.get(at(0)), None, "same page as a written slot");
         assert_eq!(cache.get(at(2 * PAGE_SLOTS)), None);
         assert_eq!(cache.len(), n);
+    }
+
+    #[test]
+    fn scck_cache_racing_writers_keep_every_entry() {
+        // Four threads each write every fourth vertex, so they race for
+        // the inline slots and then for the page; no entry is lost or
+        // takes another's value.
+        let cache = ScckCache::new(64);
+        std::thread::scope(|scope| {
+            for lane in 0..4usize {
+                let cache = &cache;
+                scope.spawn(move || {
+                    for i in (lane..64).step_by(4) {
+                        cache.set(VertexId(i as u32), i % 3 == 0);
+                    }
+                });
+            }
+        });
+        for i in 0..64u32 {
+            assert_eq!(cache.get(VertexId(i)), Some(i % 3 == 0), "vertex {i}");
+        }
     }
 
     #[test]

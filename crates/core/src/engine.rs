@@ -35,9 +35,10 @@
 //! );
 //! let outcome = engine.answer(&q, Algorithm::Ins).unwrap();
 //! assert!(outcome.answer);
-//! // The adaptive planner picks UIS / UIS* / INS from cheap statistics:
+//! // Auto serves every query with UIS:
 //! let outcome = engine.answer(&q, Algorithm::Auto).unwrap();
 //! assert!(outcome.answer);
+//! assert_eq!(outcome.stats.algorithm, Some(Algorithm::Uis));
 //! ```
 
 use crate::constraint::{CompiledConstraint, SubstructureConstraint};
@@ -66,10 +67,9 @@ pub enum Algorithm {
     /// The brute-force reference, one BFS over `(vertex, seen)`
     /// (tests/diagnostics).
     Oracle,
-    /// Adaptive: the engine picks UIS, UIS\* or INS per query from cheap
-    /// statistics (constraint selectivity, `|L|` relative to `𝓛`, index
-    /// availability). The choice is recorded in
-    /// [`SearchStats::algorithm`](crate::SearchStats::algorithm).
+    /// The served default: the engine picks the algorithm, today UIS for
+    /// every query (see [`LscrEngine::plan_algorithm`]). The choice is
+    /// recorded in [`SearchStats::algorithm`](crate::SearchStats::algorithm).
     Auto,
 }
 
@@ -95,14 +95,6 @@ impl std::fmt::Display for Algorithm {
         f.write_str(self.name())
     }
 }
-
-/// Candidate count from which a selective `L` is planned onto UIS — the
-/// one search that meets in the middle. A backward closure stands in for
-/// up to `|V(S,G)|` per-candidate `v ⇝_L t` probes, so below this the
-/// chained / informed probes of UIS\* and INS answer faster. Calibrated
-/// on the LUBM bench: S1's `|V(S,G)| ≈ 6` stays under it, S3's 576 is
-/// well over.
-const MEET_IN_THE_MIDDLE_MIN_CANDIDATES: usize = 64;
 
 /// Scratch sets retained in the engine pool. Sessions beyond this many
 /// concurrent ones still work — their scratch is simply dropped instead
@@ -296,8 +288,8 @@ impl LscrEngine {
         }
     }
 
-    /// The local index if some caller has already built or installed it —
-    /// what the `Auto` planner consults (it never triggers a build).
+    /// The local index if some caller has already built or installed it
+    /// (never triggers a build).
     pub fn local_index_if_built(&self) -> Option<Arc<LocalIndex>> {
         self.state.read().expect("state lock").index.clone()
     }
@@ -728,114 +720,17 @@ impl LscrEngine {
         Self::from_snapshot(&bytes)
     }
 
-    /// The adaptive planner behind [`Algorithm::Auto`]: picks a concrete
-    /// algorithm for `query` from cheap statistics — estimated constraint
-    /// selectivity (schema class sizes, adjacency degrees, per-label edge
-    /// counts; or the exact `|V(S,G)|` via `vsg_hint` when an earlier
-    /// execution already materialized it), the label-mask-derived expansion
-    /// region (how many vertices have *any* out-edge usable under `L` —
-    /// see [`Graph::label_vertex_counts`]), and whether the local index is
-    /// already available (planning never triggers an index build).
-    ///
-    /// Heuristics follow the paper's §6 findings: INS dominates when
-    /// `V(S,G)` is small and selective; UIS wins when the constraint is
-    /// unselective (satisfying vertices are met early), when the label
-    /// constraint confines the search to a small region, or when `L` is
-    /// mask-selective ([`Graph::expansion_selective`]) over 64 or more
-    /// candidates — the regime a meet-in-the-middle search pays for, and
-    /// UIS is the one kernel that runs one; UIS\* handles the degenerate
-    /// empty-`V(S,G)` case for free.
-    ///
-    /// `query` must be bound to the served graph's current epoch (sessions
-    /// rebind held queries before planning); a stale plan's constants and
-    /// statistics describe other content, so it plans as plain UIS.
-    pub fn plan_algorithm(&self, query: &CompiledLscrQuery, vsg_hint: Option<usize>) -> Algorithm {
-        let (graph, index) = self.state_snapshot();
-        if query.constraint.graph_epoch() != graph.epoch() {
-            return Algorithm::Uis;
-        }
-        Self::plan_on(&graph, index.is_some(), query, vsg_hint)
-    }
-
-    /// [`plan_algorithm`](Self::plan_algorithm) against one pinned state:
-    /// `query` is bound to `g`'s epoch, and `index_built` says whether a
-    /// local index is installed for `g`.
-    pub(crate) fn plan_on(
-        g: &Graph,
-        index_built: bool,
-        query: &CompiledLscrQuery,
-        vsg_hint: Option<usize>,
+    /// The algorithm [`Algorithm::Auto`] resolves to: UIS, for every
+    /// query — its sides meet between `s`, `t` and `V(S,G)` (see the
+    /// [`uis`](crate::uis) module docs); UIS\* and INS run when forced.
+    /// The arguments are unused; the signature stays for callers that
+    /// time the planning step.
+    pub fn plan_algorithm(
+        &self,
+        _query: &CompiledLscrQuery,
+        _vsg_hint: Option<usize>,
     ) -> Algorithm {
-        let n = g.num_vertices().max(1);
-        // Provably empty V(S,G): UIS* inspects the empty candidate list
-        // and answers false immediately — no traversal at all.
-        if query.constraint.is_unsatisfiable() {
-            return Algorithm::UisStar;
-        }
-        let estimate = vsg_hint
-            .unwrap_or_else(|| query.constraint.estimate_candidates(g, g.label_histogram()));
-        if estimate == 0 {
-            return Algorithm::UisStar;
-        }
-        // The source's incident-label mask misses L entirely: the
-        // uninformed search inspects s and stops — nothing can beat that
-        // (UIS*/INS would still pay the V(S,G) materialization).
-        if g.out_label_mask(query.source).intersection(query.label_constraint).is_empty() {
-            return Algorithm::Uis;
-        }
-        // Selective L over many candidates: UIS's two frontiers meet in
-        // the middle under the incident-label masks and need no V(S,G);
-        // UIS*/INS would chain up to `estimate` one-frontier probes.
-        if estimate >= MEET_IN_THE_MIDDLE_MIN_CANDIDATES
-            && g.expansion_selective(query.label_constraint)
-        {
-            return Algorithm::Uis;
-        }
-        // Overlay drift discounts the index: updates applied since the
-        // index was patched leave freshly interned vertices unassigned
-        // and the partition shape stale, so past a drift threshold INS's
-        // pruning surface is too thin to justify its V(S,G)-driven setup
-        // — plan as if no index existed. (The entries themselves are
-        // repaired and always *correct*; this is purely a cost call.)
-        let index_ready = index_built
-            && g.delta_stats().map_or(true, |d| {
-                d.delta_fraction(g.num_edges()) <= 0.3
-                    && d.added_vertices * 10 <= g.num_vertices().max(10)
-            });
-        let selectivity = estimate as f64 / n as f64;
-        // Expansion-region bound from the label-mask summary: a vertex can
-        // only be *expanded* under L if some out-edge label is in L, so
-        // the mask-derived region bounds the label-feasible region far
-        // more sharply than the old |L| / |𝓛| alphabet fraction (a rare
-        // label inflates |L| without enlarging the region).
-        let region_frac = g.expandable_region(query.label_constraint) as f64 / n as f64;
-
-        // Tiny candidate sets: the V(S,G)-driven informed search touches
-        // almost nothing when the index can prune for it. The absolute
-        // bound only applies when the candidates are also a minority of
-        // the graph (on toy graphs "8 candidates" can be everything).
-        if index_ready && (selectivity <= 0.02 || (estimate <= 8 && estimate * 2 <= n)) {
-            return Algorithm::Ins;
-        }
-        // Unselective constraints: UIS meets a satisfying vertex early and
-        // SCck is cheap relative to V(S,G) materialization (paper S3).
-        if selectivity >= 0.05 {
-            return Algorithm::Uis;
-        }
-        // Narrow label constraints confine the uninformed search to a
-        // small label-feasible region, and the incident-label masks skip
-        // every vertex outside it without touching its adjacency.
-        if region_frac <= 0.25 {
-            return Algorithm::Uis;
-        }
-        // Mid-selectivity, broad labels: informed search if possible,
-        // otherwise the uninformed baseline (UIS* only wins its
-        // degenerate cases, per §6).
-        if index_ready {
-            Algorithm::Ins
-        } else {
-            Algorithm::Uis
-        }
+        Algorithm::Uis
     }
 }
 
@@ -1045,66 +940,38 @@ mod tests {
 
     #[test]
     fn auto_planner_decisions() {
+        // Every query resolves to UIS — an unsatisfiable constraint, any
+        // V(S,G) hint, with or without an index — and neither planning
+        // nor answering through Auto builds the index.
         let engine = LscrEngine::new(figure3());
         let g = engine.graph();
-
-        // Unsatisfiable constraint → UIS* (free false from empty V(S,G)).
         let unsat = LscrQuery::new(
             g.vertex_id("v0").unwrap(),
             g.vertex_id("v4").unwrap(),
             g.all_labels(),
             SubstructureConstraint::parse("SELECT ?x WHERE { ?x <likes> <ghost> . }").unwrap(),
         );
-        let compiled = engine.compile(&unsat).unwrap();
-        assert_eq!(engine.plan_algorithm(&compiled, None), Algorithm::UisStar);
-
-        // No index built: the planner must not pick INS (and must not
-        // trigger a build as a side effect).
-        let q = engine.compile(&all_labels_query(&g, "v0", "v4")).unwrap();
-        let chosen = engine.plan_algorithm(&q, None);
-        assert_ne!(chosen, Algorithm::Ins);
+        let unsat = engine.compile(&unsat).unwrap();
+        let names = ["v0", "v1", "v2", "v3", "v4"];
+        for s in names {
+            for t in names {
+                let q = all_labels_query(&g, s, t);
+                let compiled = engine.compile(&q).unwrap();
+                for hint in [None, Some(0), Some(1), Some(g.num_vertices())] {
+                    assert_eq!(engine.plan_algorithm(&compiled, hint), Algorithm::Uis);
+                    assert_eq!(engine.plan_algorithm(&unsat, hint), Algorithm::Uis);
+                }
+                let out = engine.answer(&q, Algorithm::Auto).unwrap();
+                let expected = engine.answer(&q, Algorithm::Oracle).unwrap();
+                assert_eq!(out.answer, expected.answer, "{s}->{t}");
+                assert_eq!(out.stats.algorithm, Some(Algorithm::Uis));
+            }
+        }
+        let out = engine.answer_compiled(&unsat, Algorithm::Auto, &QueryOptions::default());
+        assert!(!out.unwrap().answer);
         assert!(engine.local_index_if_built().is_none(), "planning must not build");
-
-        // Index available + tiny V(S,G) (exact hint) → INS.
         let _ = engine.local_index();
-        assert_eq!(engine.plan_algorithm(&q, Some(1)), Algorithm::Ins);
-
-        // Huge V(S,G) → UIS regardless of index.
-        assert_eq!(engine.plan_algorithm(&q, Some(g.num_vertices())), Algorithm::Uis);
-
-        // Selective L over ≥ 64 candidates → UIS, the search that meets in
-        // the middle — also where the candidates are under 2 % of |V| and
-        // the index is built. One candidate fewer, or a broad L, and the
-        // older rules decide as before.
-        let mut b = kgreach_graph::GraphBuilder::new();
-        for i in 0..4_000 {
-            b.add_triple(&format!("c{i}"), "p", &format!("c{}", i + 1));
-        }
-        for (i, l) in ["x", "y", "z"].into_iter().enumerate() {
-            b.add_triple(&format!("c{i}"), l, "hub");
-        }
-        let chain = b.build().unwrap();
-        let (narrow, broad) = (chain.label_set(&["p"]), chain.all_labels());
-        assert!(chain.expansion_selective(narrow) && !chain.expansion_selective(broad));
-        let plan = |labels, hint| {
-            let c = SubstructureConstraint::parse("SELECT ?x WHERE { ?x <x> <hub> . }").unwrap();
-            let (s, t) = (chain.vertex_id("c0").unwrap(), chain.vertex_id("c9").unwrap());
-            let q = LscrQuery::new(s, t, labels, c).compile(&chain).unwrap();
-            LscrEngine::plan_on(&chain, true, &q, Some(hint))
-        };
-        assert_eq!(plan(narrow, 64), Algorithm::Uis);
-        assert_eq!(plan(narrow, 63), Algorithm::Ins);
-        assert_eq!(plan(broad, 64), Algorithm::Ins);
-
-        // Whatever Auto picks, the recorded choice is a concrete
-        // algorithm and the answer matches the oracle.
-        let out = engine.answer(&all_labels_query(&g, "v0", "v4"), Algorithm::Auto).unwrap();
-        let expected = engine.answer(&all_labels_query(&g, "v0", "v4"), Algorithm::Oracle).unwrap();
-        assert_eq!(out.answer, expected.answer);
-        assert!(matches!(
-            out.stats.algorithm,
-            Some(Algorithm::Uis | Algorithm::UisStar | Algorithm::Ins)
-        ));
+        assert_eq!(engine.plan_algorithm(&unsat, Some(1)), Algorithm::Uis);
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //! O(1) precheck: when `s` has no usable out-label or `t` no usable
 //! in-label under `L`, no one-or-more-edge path can start or finish, and
 //! the query is `false` before anything is expanded. There is a single
-//! forward frontier and no meet-in-the-middle here: queries that want
-//! one (selective `L`, many candidates) are planned onto UIS, whose two
-//! frontiers need no candidate set — see `LscrEngine::plan_on`.
+//! forward frontier and no meet-in-the-middle here: the served search is
+//! UIS (`Algorithm::Auto` resolves to it, see
+//! `LscrEngine::plan_algorithm`), whose sides meet between `s`, `t` and
+//! `V(S,G)`; these two kernels run when forced, and in the paper's
+//! experiments.
 
 use crate::close::{CloseMap, CloseState};
 use crate::engine::Algorithm;

@@ -55,7 +55,7 @@
 //!     SubstructureConstraint::parse(
 //!         "SELECT ?x WHERE { ?x <marriedTo> <amy> . }").unwrap(),
 //! );
-//! // One-shot: let the adaptive planner pick the algorithm.
+//! // One-shot: let the engine pick the algorithm (UIS).
 //! assert!(engine.answer(&q, Algorithm::Auto).unwrap().answer);
 //!
 //! // Hot loop: a per-thread session reuses one scratch set.

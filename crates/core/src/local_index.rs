@@ -101,8 +101,12 @@ impl Default for LocalIndexConfig {
 pub struct LandmarkEntry {
     /// `(v, M(u,v|F(u)))` pairs, sorted by `v` for binary search.
     ii: Vec<(VertexId, Cms)>,
-    /// `(label set, exit vertices)` pairs, sorted by label-set bits.
-    eit: Vec<(LabelSet, Vec<VertexId>)>,
+    /// `(label set, end of its exit vertices in exits)` pairs, sorted by
+    /// label-set bits.
+    eit: Vec<(LabelSet, u32)>,
+    /// Every `EIT` pair's exit vertices, concatenated in pair order, each
+    /// pair's run sorted.
+    exits: Vec<VertexId>,
 }
 
 impl LandmarkEntry {
@@ -125,7 +129,19 @@ impl LandmarkEntry {
 
     /// Iterates `EIT[u]` pairs.
     pub fn eit_pairs(&self) -> impl Iterator<Item = (LabelSet, &[VertexId])> {
-        self.eit.iter().map(|(l, vs)| (*l, vs.as_slice()))
+        let mut start = 0;
+        self.eit.iter().map(move |&(l, end)| {
+            let exits = &self.exits[start..end as usize];
+            start = end as usize;
+            (l, exits)
+        })
+    }
+
+    /// Appends an `EIT` pair; pairs come in label-set order.
+    fn push_eit(&mut self, l: LabelSet, exits: &[VertexId]) {
+        self.exits.extend_from_slice(exits);
+        let end = u32::try_from(self.exits.len()).expect("an entry's exits fit u32 offsets");
+        self.eit.push((l, end));
     }
 
     /// Number of `II` pairs.
@@ -145,14 +161,8 @@ impl LandmarkEntry {
             .iter()
             .map(|(_, c)| std::mem::size_of::<(VertexId, Cms)>() + c.heap_bytes())
             .sum();
-        let eit: usize = self
-            .eit
-            .iter()
-            .map(|(_, vs)| {
-                std::mem::size_of::<(LabelSet, Vec<VertexId>)>()
-                    + vs.capacity() * std::mem::size_of::<VertexId>()
-            })
-            .sum();
+        let eit = self.eit.capacity() * std::mem::size_of::<(LabelSet, u32)>()
+            + self.exits.capacity() * std::mem::size_of::<VertexId>();
         ii + eit
     }
 }
@@ -468,7 +478,7 @@ impl LocalIndex {
                 }
             }
             entries.put_usize(entry.eit.len());
-            for (set, vs) in &entry.eit {
+            for (set, vs) in entry.eit_pairs() {
                 entries.put_u64(set.bits());
                 entries.put_usize(vs.len());
                 for v in vs {
@@ -565,6 +575,7 @@ impl LocalIndex {
         let mut cur =
             PayloadCursor::new(r.section(TAG_INDEX_ENTRIES, "index-entries")?, "index-entries");
         let mut entries = Vec::with_capacity(num_landmarks.min(1 << 20));
+        let (mut sets, mut exits) = (Vec::new(), Vec::new());
         for _ in 0..num_landmarks {
             let ii_len = cur.get_usize()?;
             let mut ii = Vec::with_capacity(ii_len.min(1 << 20));
@@ -581,7 +592,7 @@ impl LocalIndex {
                 }
                 prev = Some(v);
                 let num_sets = cur.get_u16()? as usize;
-                let mut sets = Vec::with_capacity(num_sets);
+                sets.clear();
                 for _ in 0..num_sets {
                     let bits = cur.get_u64()?;
                     if bits & !label_mask != 0 {
@@ -589,29 +600,34 @@ impl LocalIndex {
                     }
                     sets.push(LabelSet::from_bits(bits));
                 }
-                let cms = Cms::from_canonical_sets(sets)
+                let cms = Cms::from_canonical_sets(&sets)
                     .ok_or_else(|| cur.corrupt("stored CMS is not a canonical antichain"))?;
                 ii.push((v, cms));
             }
             let eit_len = cur.get_usize()?;
-            let mut eit = Vec::with_capacity(eit_len.min(1 << 20));
+            let mut entry = LandmarkEntry {
+                ii,
+                eit: Vec::with_capacity(eit_len.min(1 << 20)),
+                exits: Vec::new(),
+            };
             for _ in 0..eit_len {
                 let bits = cur.get_u64()?;
                 if bits & !label_mask != 0 {
                     return Err(cur.corrupt("EIT label set uses labels outside 𝓛"));
                 }
                 let num_vs = cur.get_usize()?;
-                let mut vs = Vec::with_capacity(num_vs.min(1 << 20));
+                exits.clear();
                 for _ in 0..num_vs {
                     let v = VertexId(cur.get_u32()?);
                     if v.index() >= num_vertices {
                         return Err(cur.corrupt(format!("EIT vertex id {v} out of range")));
                     }
-                    vs.push(v);
+                    exits.push(v);
                 }
-                eit.push((LabelSet::from_bits(bits), vs));
+                entry.push_eit(LabelSet::from_bits(bits), &exits);
             }
-            entries.push(Arc::new(LandmarkEntry { ii, eit }));
+            entry.exits.shrink_to_fit();
+            entries.push(Arc::new(entry));
         }
         cur.finish()?;
 
@@ -739,10 +755,16 @@ fn local_full_index(
     ii_vec.sort_unstable_by_key(|(v, _)| *v);
     let mut eit_vec: Vec<(LabelSet, Vec<VertexId>)> = eit.into_iter().collect();
     eit_vec.sort_unstable_by_key(|(l, _)| l.bits());
-    for (_, vs) in &mut eit_vec {
+    let mut entry = LandmarkEntry {
+        ii: ii_vec,
+        eit: Vec::with_capacity(eit_vec.len()),
+        exits: Vec::with_capacity(eit_vec.iter().map(|(_, vs)| vs.len()).sum()),
+    };
+    for (l, mut vs) in eit_vec {
         vs.sort_unstable();
+        entry.push_eit(l, &vs);
     }
-    (LandmarkEntry { ii: ii_vec, eit: eit_vec }, d)
+    (entry, d)
 }
 
 #[cfg(test)]

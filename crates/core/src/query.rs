@@ -299,12 +299,15 @@ impl SearchClock {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct SearchStats {
-    /// Vertices with `close ≠ N` at termination. UIS counts both of its
-    /// maps — a vertex marked from `s` and from `t` counts twice — so the
-    /// figure is what the search passed; under the one-frontier switch
-    /// that is the paper's metric exactly, as it is for UIS\*/INS.
+    /// Vertices with `close ≠ N` at termination. UIS counts every map of
+    /// its sides — a vertex marked from `s` and from `t`, or held by a
+    /// candidate side too, counts once per side — so the figure is what
+    /// the search passed; under the one-frontier switch that is the
+    /// paper's metric exactly, as it is for UIS\*/INS.
     pub passed_vertices: usize,
-    /// Invocations of `SCck` (UIS only; UIS\*/INS use `V(S,G)` instead).
+    /// Invocations of `SCck`, by UIS's endpoint sides only: UIS's
+    /// candidate sides start from `V(S,G)` and call none, nor do
+    /// UIS\*/INS.
     pub scck_calls: usize,
     /// `SCck` invocations answered from the per-constraint result cache
     /// without re-running the SPARQL-pattern embedding (a subset of
@@ -325,20 +328,22 @@ pub struct SearchStats {
     pub pushes: usize,
     /// `LCS` invocations (UIS\*/INS).
     pub lcs_invocations: usize,
-    /// `|V(S,G)|` when the algorithm materialized it.
+    /// `|V(S,G)|` when the algorithm materialized it: always for UIS\* and
+    /// INS, for UIS exactly when its candidate sides seeded.
     pub vsg_size: Option<usize>,
     /// Local-index landmark entries consulted (INS).
     pub index_hits: usize,
-    /// Edges scanned by the *backward* (reverse-expansion) frontier, UIS's
-    /// second side. A subset of `edges_scanned`.
+    /// Edges scanned against the edges' direction (over the reverse
+    /// expansion), by UIS's backward side and its backward candidate side.
+    /// A subset of `edges_scanned`.
     pub backward_edges_scanned: usize,
     /// Early negative terminations: the search proved the answer `false`
     /// from the incident-label masks of `s` and `t` before expanding
-    /// anything, or — UIS — from its emptied backward stack.
+    /// anything, or — UIS — from its emptied backward stack or an empty
+    /// `V(S,G)` once its candidate sides seeded.
     pub negative_terminations: usize,
     /// The algorithm that actually executed — for
-    /// [`Algorithm::Auto`] this records the
-    /// planner's choice.
+    /// [`Algorithm::Auto`] the one it resolved to (UIS).
     pub algorithm: Option<Algorithm>,
 }
 

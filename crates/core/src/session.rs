@@ -25,7 +25,7 @@
 //! assert!(session.answer(&q, Algorithm::Auto).unwrap().answer);
 //! ```
 
-use crate::close::CloseMap;
+use crate::close::{CloseMap, OriginMap};
 use crate::engine::{Algorithm, LscrEngine};
 use crate::local_index::LocalIndex;
 use crate::priority::GlobalQueue;
@@ -37,8 +37,9 @@ use std::sync::Arc;
 
 /// The reusable mutable workspace of one search thread: the epoch-reset
 /// [`CloseMap`] and traversal stack of the forward side (UIS, UIS\*), the
-/// same pair for UIS's backward side, and INS's global priority queue.
-/// One allocation set serves thousands of queries.
+/// same pair for UIS's backward side, UIS's two candidate sides, and
+/// INS's global priority queue. One allocation set serves thousands of
+/// queries.
 ///
 /// Most callers never touch this type directly — [`Session`] owns one —
 /// but the algorithm modules ([`uis`], [`uis_star`], [`ins`]) accept it
@@ -52,6 +53,15 @@ pub struct SearchScratch {
     /// known to reach `t` under `L`.
     back: CloseMap,
     back_stack: Vec<VertexId>,
+    /// UIS's backward candidate side: `x ⇝_L u` for the recorded
+    /// `u ∈ V(S,G)`. Both candidate maps are empty until a search seeds
+    /// them, which grows them to the graph.
+    vsg_back: OriginMap,
+    vsg_back_stack: Vec<VertexId>,
+    /// UIS's forward candidate side: `u ⇝_L x` for the recorded
+    /// `u ∈ V(S,G)`.
+    vsg_fwd: OriginMap,
+    vsg_fwd_stack: Vec<VertexId>,
 }
 
 impl SearchScratch {
@@ -63,6 +73,10 @@ impl SearchScratch {
             queue: GlobalQueue::new(num_vertices),
             back: CloseMap::new(num_vertices),
             back_stack: Vec::with_capacity(64),
+            vsg_back: OriginMap::new(),
+            vsg_back_stack: Vec::new(),
+            vsg_fwd: OriginMap::new(),
+            vsg_fwd_stack: Vec::new(),
         }
     }
 
@@ -89,18 +103,27 @@ impl SearchScratch {
             queue: &mut self.queue,
             back: &mut self.back,
             back_stack: &mut self.back_stack,
+            vsg_back: &mut self.vsg_back,
+            vsg_back_stack: &mut self.vsg_back_stack,
+            vsg_fwd: &mut self.vsg_fwd,
+            vsg_fwd_stack: &mut self.vsg_fwd_stack,
         }
     }
 }
 
 /// Split borrow of a [`SearchScratch`]: forward `close` with the UIS/UIS\*
-/// stack and INS's global queue, and UIS's backward `close` with its stack.
+/// stack and INS's global queue, UIS's backward `close` with its stack,
+/// and UIS's two candidate maps with theirs.
 pub(crate) struct ScratchParts<'a> {
     pub(crate) close: &'a mut CloseMap,
     pub(crate) stack: &'a mut Vec<VertexId>,
     pub(crate) queue: &'a mut GlobalQueue,
     pub(crate) back: &'a mut CloseMap,
     pub(crate) back_stack: &'a mut Vec<VertexId>,
+    pub(crate) vsg_back: &'a mut OriginMap,
+    pub(crate) vsg_back_stack: &'a mut Vec<VertexId>,
+    pub(crate) vsg_fwd: &'a mut OriginMap,
+    pub(crate) vsg_fwd_stack: &'a mut Vec<VertexId>,
 }
 
 /// A per-thread handle for answering queries against a shared
@@ -185,12 +208,8 @@ impl<'e> Session<'e> {
                 recompiled = Some(self.engine.recompile(query)?);
                 continue;
             }
-            // The constraint's V(S,G) memo is shared through the engine's
-            // plan cache, so a repeated query plans from the *exact*
-            // candidate count instead of the schema estimate.
             let resolved = if algorithm == Algorithm::Auto {
-                let hint = query.constraint.vsg_len_if_materialized();
-                LscrEngine::plan_on(&g, index.is_some(), query, hint)
+                self.engine.plan_algorithm(query, None)
             } else {
                 algorithm
             };

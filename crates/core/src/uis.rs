@@ -1,5 +1,5 @@
 //! UIS — the uninformed search baseline (paper Algorithm 1), run from
-//! both ends.
+//! both ends and from `V(S,G)`.
 //!
 //! A stack search over the label-feasible region of `s` with the three-state
 //! `close` surjection giving it *recall*: once a vertex `u` with
@@ -8,62 +8,93 @@
 //! so each vertex is expanded at most twice (Definition 3.2's search tree:
 //! each graph vertex maps to at most the two nodes `v_F` and `v_T`).
 //!
-//! Per-vertex substructure checks use `SCck` directly — no `V(S,G)`
-//! materialization and no index — which is what makes UIS applicable to
-//! arbitrary edge-labeled graphs, and also what its
-//! `O(|V|·(|V_S|+|E_S|+|E_?|) + |E|)` time bound (Theorem 3.3) pays for.
+//! Per-vertex substructure checks use `SCck` directly — no index — which
+//! is what makes UIS applicable to arbitrary edge-labeled graphs, and also
+//! what its `O(|V|·(|V_S|+|E_S|+|E_?|) + |E|)` time bound (Theorem 3.3)
+//! pays for.
 //!
-//! # Two frontiers
+//! # Four sides
 //!
 //! Algorithm 1 has no idea where `t` is: on a broad `L` it scans the
-//! label-feasible region of `s` until it stumbles on it. The surjection
-//! reads the same from `t` as from `s`, so a second side runs the same two
-//! cases over the reverse expansion ([`Graph::in_expansion`]) on the
-//! session's backward scratch:
+//! label-feasible region of `s` until it stumbles on it. The search runs
+//! up to four sides on the session scratch, each a stack:
 //!
-//! * `back[u] = F` — `u ⇝_L t` is proved;
-//! * `back[u] = T` — `u ⇝_L t` is proved through a vertex satisfying `S`
-//!   (`u` and `t` included): a `T` vertex re-marks every non-`T`
-//!   in-neighbour `T` and re-pushes it, first contact is `SCck`.
+//! * the **forward** side — Algorithm 1 itself, `close[u] = F` for
+//!   `s ⇝_L u`, `T` for `s ⇝_{L,S} u`;
+//! * the **backward** side — the same two cases over the reverse
+//!   expansion ([`Graph::in_expansion`]): `back[u] = F` for `u ⇝_L t`, `T`
+//!   for `u ⇝_L t` through a vertex satisfying `S` (`u` and `t` included);
+//! * the **backward candidate** side, seeded with every `u ∈ V(S,G)`: it
+//!   holds `x` with origin `u` once `x ⇝_L u` is proved;
+//! * the **forward candidate** side, seeded likewise: it holds `x` with
+//!   origin `u` once `u ⇝_L x` is proved.
 //!
-//! Each step pops from the shorter stack (ties go forward), and limits
-//! are checked once per expanded vertex on either side.
+//! Each step pops from the shortest stack (ties go forward, then backward,
+//! then to the candidate sides), and limits are checked once per expanded
+//! vertex on any side. Theorem 2.1 is what the candidate sides read
+//! directly: the answer is `true` iff `s ⇝_L u ⇝_L t` for some
+//! `u ∈ V(S,G)`.
 //!
 //! **Meeting rule.** The answer is `true` the moment a vertex is marked on
-//! one side that is non-`N` on the other with at least one of its two
-//! states `T`: `s ⇝_L u ⇝_L t` holds and a satisfying vertex lies on one
-//! of the halves. A meet with both states `F` proves nothing — the halves
-//! join into an `L`-path, but no satisfying vertex is known on it — and
-//! loses nothing either: whichever side later learns of one re-marks the
-//! vertex `T`, and that mark is checked like any other.
+//! one endpoint side that is non-`N` on the other with at least one of its
+//! two states `T`: `s ⇝_L u ⇝_L t` holds and a satisfying vertex lies on
+//! one of the halves. A meet with both states `F` proves nothing — the
+//! halves join into an `L`-path, but no satisfying vertex is known on it —
+//! and loses nothing either: whichever side later learns of one re-marks
+//! the vertex `T`, and that mark is checked like any other.
 //!
-//! **An emptied stack is a proof.** A side whose stack empties has
-//! computed its closure completely and exactly (`T` on that side is
-//! precisely "reachable through a satisfying vertex"), and it never met
+//! **Candidate rule.** A vertex `x` the forward side holds and the
+//! backward candidate side holds with origin `u` proves `s ⇝_L x ⇝_L u`,
+//! and `u` satisfies `S`: `s ⇝_{L,S} u`. So `u` is marked `T` on the
+//! forward side and pushed — whichever of the two marks of `x` comes
+//! second applies the rule. The backward side does the same with the
+//! forward candidate side (`u ⇝_L x ⇝_L t`, so `u ⇝_L t` through `u`
+//! itself). The mark is an ordinary mark, checked by the meeting rule; it
+//! only makes a side learn sooner what its own closure would prove.
+//!
+//! **An emptied endpoint stack is a proof.** An endpoint side whose stack
+//! empties has computed its closure completely and exactly: every mark it
+//! made, the candidate rule's included, is a true fact about that closure,
+//! and every pushed vertex was expanded in its final state, so `T` on that
+//! side is precisely "reachable through a satisfying vertex". It never met
 //! the other endpoint in state `T` — the forward side marks `t` on the
 //! way, and `s` is marked before the backward side starts, so either would
 //! have been a meet. The answer is `false` whichever side it is; when it
 //! is the backward one (`negative_terminations`), `R_t` is often a handful
-//! of vertices where the forward closure is thousands of edges. An
-//! interrupted search is reported as interrupted, never as `false`.
+//! of vertices where the forward closure is thousands of edges. A
+//! candidate side that empties just stops stepping. An interrupted search
+//! is reported as interrupted, never as `false`.
 //!
 //! **Lazy seeding.** Two O(1) mask prechecks run first — no out-label of
 //! `s` or no in-label of `t` in `L`, with `s ≠ t`, is `false` outright
 //! (`negative_terminations`). The backward side is then seeded
-//! (`SCck(t)`) only when it takes its first step, so a query the forward
-//! side settles while its stack holds one vertex pays a reset and the two
-//! mask loads for the second frontier, nothing more.
+//! (`SCck(t)`) only when it takes its first step: until then it counts as
+//! a stack of length 1. Each candidate side counts as `|V(S,G)|` long
+//! until seeded — exact from the plan's memo once some query materialised
+//! it, the schema estimate (`estimate_candidates`) until then — and both
+//! are seeded together, materialising `V(S,G)` through the plan's memo,
+//! when one would step. So the rule that seeds the backward side needs no
+//! threshold for the candidate sides: a constraint with tens of thousands
+//! of candidates never seeds them on a search that settles sooner, and one
+//! with a single candidate seeds them as soon as both endpoint stacks hold
+//! two vertices. A seeded empty `V(S,G)` is `false` at once
+//! (`negative_terminations`).
 //!
-//! **Cost.** Alternating by stack length keeps the two sides within one
-//! expansion of each other, so the worst case is twice the cheaper of the
-//! two closures plus one hub (the last vertex popped may carry any
-//! degree). Theorem 3.3's bound holds with the constant doubled:
-//! `pushes ≤ 2|V|` per side.
+//! **Cost.** Alternating by stack length keeps the sides within one
+//! expansion of each other, so the worst case is a small multiple of the
+//! cheapest closure plus one hub (the last vertex popped may carry any
+//! degree). Theorem 3.3's bound holds per side: `pushes ≤ 2|V|` on each
+//! endpoint side, and `≤ |V|` on each candidate side, which holds a vertex
+//! once. Candidate-side edges count in `edges_scanned` (the backward
+//! candidate side's in `backward_edges_scanned` too), candidate-held
+//! vertices in `passed_vertices`, and `vsg_size` is `Some` exactly when the
+//! candidate sides seeded; they call no `SCck`.
 //!
-//! **The switch.** [`QueryOptions::one_frontier`] keeps the backward side
-//! from ever stepping and skips the mask prechecks: what runs is
-//! Algorithm 1 as printed, same marks in the same order. The paper-facing
-//! harnesses (Figs. 10–15, the §6.1.1 difficulty filter) run UIS that way.
+//! **The switch.** [`QueryOptions::one_frontier`] keeps the backward and
+//! candidate sides from ever stepping and skips the mask prechecks: what
+//! runs is Algorithm 1 as printed, same marks in the same order. The
+//! paper-facing harnesses (Figs. 10–15, the §6.1.1 difficulty filter) run
+//! UIS that way.
 //!
 //! ```
 //! use kgreach::LscrQuery;
@@ -78,10 +109,11 @@
 //! );
 //! let out = kgreach::uis::answer(&g, &q.compile(&g).unwrap());
 //! assert!(out.answer);
-//! assert!(out.stats.scck_calls > 0); // per-vertex SCck, no V(S,G)
+//! assert!(out.stats.scck_calls > 0); // per-vertex SCck
+//! assert!(out.stats.vsg_size.is_none()); // settled before V(S,G) was due
 //! ```
 
-use crate::close::{CloseMap, CloseState};
+use crate::close::{CloseMap, CloseState, OriginMap};
 use crate::kernel::{finish, label_starved};
 use crate::query::{
     CompiledLscrQuery, QueryOptions, QueryOutcome, RunLimits, SearchClock, SearchStats,
@@ -89,13 +121,32 @@ use crate::query::{
 use crate::session::{ScratchParts, SearchScratch};
 use kgreach_graph::{Graph, VertexId};
 
-/// One direction of the search: its `close` surjection and its stack.
+/// One endpoint side of the search: its `close` surjection and its stack.
 struct Side<'a> {
     close: &'a mut CloseMap,
     stack: &'a mut Vec<VertexId>,
 }
 
-/// What the two directions share.
+/// One candidate side: the `V(S,G)` vertex each held vertex was reached
+/// from, and its stack.
+struct Candidates<'a> {
+    origin: &'a mut OriginMap,
+    stack: &'a mut Vec<VertexId>,
+}
+
+impl Candidates<'_> {
+    /// The stack length the shortest-stack rule reads: an emptied side is
+    /// done and never steps again.
+    fn stack_len(&self) -> usize {
+        if self.stack.is_empty() {
+            usize::MAX
+        } else {
+            self.stack.len()
+        }
+    }
+}
+
+/// What the four sides share.
 struct Uis<'a> {
     g: &'a Graph,
     q: &'a CompiledLscrQuery,
@@ -119,12 +170,13 @@ impl Uis<'_> {
         }
     }
 
-    /// Marks `v` with `state` on `this` side and pushes it; `true` when
-    /// the mark decides the query (the meeting rule of the module docs).
-    /// `goal` is the other side's endpoint, which counts as met in state
-    /// `T` even while that side is unseeded — Algorithm 1 lines 10-11.
+    /// Marks `v` with `state` on `this` endpoint side and pushes it; `true`
+    /// when the mark decides the query (the meeting rule of the module
+    /// docs). `goal` is the other side's endpoint, which counts as met in
+    /// state `T` even while that side is unseeded — Algorithm 1 lines
+    /// 10-11.
     #[inline(always)]
-    fn mark(
+    fn mark_one(
         &mut self,
         this: &mut Side<'_>,
         v: VertexId,
@@ -142,14 +194,39 @@ impl Uis<'_> {
         }
     }
 
-    /// Algorithm 1 lines 4-11 for one popped vertex of `this` side, over
-    /// the out-expansion or (`BACKWARD`) the in-expansion.
+    /// [`mark_one`](Self::mark_one), then — once the candidate sides are
+    /// seeded (`feeder` is the opposite one) — the candidate rule: when
+    /// `feeder` holds `v`, its origin `u` is joined to this side's endpoint
+    /// through `v`, and `u` satisfies `S`, so `u` is marked `T` and pushed.
+    #[inline(always)]
+    fn mark(
+        &mut self,
+        this: &mut Side<'_>,
+        v: VertexId,
+        state: CloseState,
+        other: &CloseMap,
+        goal: VertexId,
+        feeder: Option<&OriginMap>,
+    ) -> bool {
+        if self.mark_one(this, v, state, other, goal) {
+            return true;
+        }
+        match feeder.and_then(|f| f.get(v)) {
+            Some(u) if !this.close.is_t(u) => self.mark_one(this, u, CloseState::T, other, goal),
+            _ => false,
+        }
+    }
+
+    /// Algorithm 1 lines 4-11 for one popped vertex of `this` endpoint
+    /// side, over the out-expansion or (`BACKWARD`) the in-expansion; marks
+    /// as [`mark`](Self::mark) does.
     #[inline(always)]
     fn step<const BACKWARD: bool>(
         &mut self,
         this: &mut Side<'_>,
         other: &CloseMap,
         goal: VertexId,
+        feeder: Option<&OriginMap>,
     ) -> bool {
         let u = this.stack.pop().expect("the caller checked the stack is non-empty");
         let u_is_t = this.close.is_t(u);
@@ -182,11 +259,116 @@ impl Uis<'_> {
             } else {
                 continue;
             };
-            if self.mark(this, v, state, other, goal) {
+            if self.mark(this, v, state, other, goal, feeder) {
                 return true;
             }
         }
         false
+    }
+
+    /// One popped vertex of a candidate side: every unheld neighbour under
+    /// `L` — in-neighbours on the backward candidate side (`BACKWARD`),
+    /// out-neighbours on the forward one — inherits the popped vertex's
+    /// origin `u`. A neighbour `endpoint` already holds joins `u` to that
+    /// side's endpoint, and `u` is marked `T` there.
+    #[inline(always)]
+    fn candidate_step<const BACKWARD: bool>(
+        &mut self,
+        this: &mut Candidates<'_>,
+        endpoint: &mut Side<'_>,
+        other: &CloseMap,
+        goal: VertexId,
+    ) -> bool {
+        let x = this.stack.pop().expect("the caller checked the stack is non-empty");
+        let u = this.origin.get(x).expect("a stacked vertex has an origin");
+        let labels = self.q.label_constraint;
+        let exp = if BACKWARD {
+            self.g.in_expansion(x, labels, self.selective)
+        } else {
+            self.g.out_expansion(x, labels, self.selective)
+        };
+        self.stats.edges_skipped += exp.degree;
+        for e in exp.edges {
+            if !labels.contains(e.label) {
+                continue;
+            }
+            self.stats.edges_scanned += 1;
+            self.stats.backward_edges_scanned += usize::from(BACKWARD);
+            self.stats.edges_skipped -= 1;
+            let y = e.vertex;
+            if this.origin.get(y).is_some() {
+                continue;
+            }
+            this.origin.set(y, u);
+            this.stack.push(y);
+            self.stats.pushes += 1;
+            if !endpoint.close.is_n(y)
+                && !endpoint.close.is_t(u)
+                && self.mark_one(endpoint, u, CloseState::T, other, goal)
+            {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Seeds the backward side with `t` before its first step —
+    /// `back[t] ← SCck(t, S)`; `true` when that mark decides the query.
+    fn seed_backward(
+        &mut self,
+        bwd: &mut Side<'_>,
+        fwd: &CloseMap,
+        feeder: Option<&OriginMap>,
+    ) -> bool {
+        let (s, t) = (self.q.source, self.q.target);
+        let t_state = self.scck(t);
+        self.mark(bwd, t, t_state, fwd, s, feeder)
+    }
+
+    /// Seeds both candidate sides with every `u ∈ V(S,G)`, each its own
+    /// origin. An endpoint side that already holds a candidate holds it
+    /// `T` (its `SCck` is true), so seeding has no candidate rule to apply.
+    fn seed_candidates(&mut self, bc: &mut Candidates<'_>, fc: &mut Candidates<'_>) {
+        let vsg = self.q.constraint.satisfying_vertices_cached(self.g);
+        self.stats.vsg_size = Some(vsg.len());
+        bc.origin.ensure_len(self.g.num_vertices());
+        fc.origin.ensure_len(self.g.num_vertices());
+        for &u in vsg.iter() {
+            bc.origin.set(u, u);
+            fc.origin.set(u, u);
+        }
+        bc.stack.extend_from_slice(&vsg);
+        fc.stack.extend_from_slice(&vsg);
+        self.stats.pushes += 2 * vsg.len();
+    }
+
+    /// The stop rules, checked before each step: an emptied endpoint stack
+    /// is a proof of `false` (the backward one once seeded), an exceeded
+    /// limit an interruption. `None` while the search goes on.
+    #[inline(always)]
+    fn stopped(
+        &mut self,
+        fwd: &Side<'_>,
+        bwd: &Side<'_>,
+        back_seeded: bool,
+        limits: &RunLimits,
+    ) -> Option<Option<bool>> {
+        if fwd.stack.is_empty() {
+            return Some(Some(false));
+        }
+        if back_seeded && bwd.stack.is_empty() {
+            self.stats.negative_terminations += 1;
+            return Some(Some(false));
+        }
+        limits.exceeded(self.stats.edges_scanned).then_some(None)
+    }
+
+    /// `|V(S,G)|` as an unseeded candidate side's stack length: exact from
+    /// the plan's memo once materialised, the schema estimate until then.
+    fn unseeded_candidates_len(&self) -> usize {
+        let c = &self.q.constraint;
+        c.vsg_len_if_materialized()
+            .unwrap_or_else(|| c.estimate_candidates(self.g, self.g.label_histogram()))
     }
 
     /// The search proper: `Some(answer)`, or `None` when a limit cut it
@@ -198,6 +380,8 @@ impl Uis<'_> {
         &mut self,
         mut fwd: Side<'_>,
         mut bwd: Side<'_>,
+        mut bc: Candidates<'_>,
+        mut fc: Candidates<'_>,
         limits: RunLimits,
         two_frontiers: bool,
     ) -> Option<bool> {
@@ -212,36 +396,45 @@ impl Uis<'_> {
         // zero-edge path answers at once when s satisfies S; otherwise a
         // cycle back to t must be found by the normal search.
         let s_state = self.scck(s);
-        if self.mark(&mut fwd, s, s_state, bwd.close, t) {
+        if self.mark_one(&mut fwd, s, s_state, bwd.close, t) {
             return Some(true);
         }
 
-        // Lines 3-11, from whichever end has the shorter stack. Until its
-        // first step the backward side is the unseeded t: length 1.
-        let mut seeded = false;
+        // Lines 3-11, from whichever side has the shortest stack; ties go
+        // forward, then backward, then to the candidate sides (backward one
+        // first). Until its first step the backward side is the unseeded
+        // t, length 1, and until they seed the candidate sides are the
+        // unseeded V(S,G), `unseeded` long.
+        let (mut back_seeded, mut fed) = (false, false);
+        let unseeded = if two_frontiers { self.unseeded_candidates_len() } else { usize::MAX };
         loop {
-            if fwd.stack.is_empty() {
-                return Some(false);
+            if let Some(stop) = self.stopped(&fwd, &bwd, back_seeded, &limits) {
+                return stop;
             }
-            if seeded && bwd.stack.is_empty() {
-                self.stats.negative_terminations += 1;
-                return Some(false);
-            }
-            if limits.exceeded(self.stats.edges_scanned) {
-                return None;
-            }
-            let back_len = if seeded { bwd.stack.len() } else { 1 };
-            let met = if two_frontiers && back_len < fwd.stack.len() {
-                if !seeded {
-                    seeded = true;
-                    let t_state = self.scck(t);
-                    if self.mark(&mut bwd, t, t_state, fwd.close, s) {
-                        return Some(true);
-                    }
+            let back_len = if back_seeded { bwd.stack.len() } else { 1 };
+            let cand_len = if fed { bc.stack_len().min(fc.stack_len()) } else { unseeded };
+            let met = if !two_frontiers || fwd.stack.len() <= back_len.min(cand_len) {
+                self.step::<false>(&mut fwd, bwd.close, t, fed.then_some(&*bc.origin))
+            } else if back_len <= cand_len {
+                let feeder = fed.then_some(&*fc.origin);
+                if !std::mem::replace(&mut back_seeded, true)
+                    && self.seed_backward(&mut bwd, fwd.close, feeder)
+                {
+                    return Some(true);
                 }
-                self.step::<true>(&mut bwd, fwd.close, s)
+                self.step::<true>(&mut bwd, fwd.close, s, feeder)
+            } else if !std::mem::replace(&mut fed, true) {
+                self.seed_candidates(&mut bc, &mut fc);
+                if bc.stack.is_empty() {
+                    // V(S,G) = ∅: no path passes a satisfying vertex.
+                    self.stats.negative_terminations += 1;
+                    return Some(false);
+                }
+                false
+            } else if bc.stack_len() <= fc.stack_len() {
+                self.candidate_step::<true>(&mut bc, &mut fwd, bwd.close, t)
             } else {
-                self.step::<false>(&mut fwd, bwd.close, t)
+                self.candidate_step::<false>(&mut fc, &mut bwd, fwd.close, s)
             };
             if met {
                 return Some(true);
@@ -250,10 +443,10 @@ impl Uis<'_> {
     }
 }
 
-/// Answers `q` with Algorithm 1 run from both ends (see the module docs),
-/// reusing the session scratch across calls (reset here). Honors the step
-/// budget / timeout in `opts`; `opts.one_frontier` selects the paper's
-/// single frontier.
+/// Answers `q` with Algorithm 1 run from both ends and from `V(S,G)` (see
+/// the module docs), reusing the session scratch across calls (reset
+/// here). Honors the step budget / timeout in `opts`; `opts.one_frontier`
+/// selects the paper's single frontier.
 pub fn answer_with(
     g: &Graph,
     q: &CompiledLscrQuery,
@@ -261,11 +454,25 @@ pub fn answer_with(
     opts: &QueryOptions,
 ) -> QueryOutcome {
     let clock = SearchClock::start_now();
-    let ScratchParts { close, stack, back, back_stack, .. } = scratch.parts();
+    let ScratchParts {
+        close,
+        stack,
+        back,
+        back_stack,
+        vsg_back,
+        vsg_back_stack,
+        vsg_fwd,
+        vsg_fwd_stack,
+        ..
+    } = scratch.parts();
     close.reset();
     stack.clear();
     back.reset();
     back_stack.clear();
+    vsg_back.reset();
+    vsg_back_stack.clear();
+    vsg_fwd.reset();
+    vsg_fwd_stack.clear();
     let mut search = Uis {
         g,
         q,
@@ -276,12 +483,15 @@ pub fn answer_with(
     let answer = search.run(
         Side { close: &mut *close, stack },
         Side { close: &mut *back, stack: back_stack },
+        Candidates { origin: &mut *vsg_back, stack: vsg_back_stack },
+        Candidates { origin: &mut *vsg_fwd, stack: vsg_fwd_stack },
         clock.limits(opts),
         !opts.one_frontier,
     );
     let mut out = finish(answer == Some(true), answer.is_none(), search.stats, close, clock);
-    // `finish` counts the forward map; an unseeded backward map adds 0.
-    out.stats.passed_vertices += back.passed_vertices();
+    // `finish` counts the forward map; an unseeded map adds 0.
+    out.stats.passed_vertices +=
+        back.passed_vertices() + vsg_back.passed_vertices() + vsg_fwd.passed_vertices();
     out
 }
 
@@ -364,13 +574,14 @@ mod tests {
         assert!(out.stats.scck_calls > 0);
         assert!(out.stats.edges_scanned > 0);
         assert!(out.stats.pushes > 0);
-        assert!(out.stats.vsg_size.is_none()); // UIS never materializes V(S,G)
+        assert!(out.stats.vsg_size.is_none()); // settled before V(S,G) was due
     }
 
     #[test]
     fn each_vertex_expanded_at_most_twice() {
-        // Theorem 3.3: pushes ≤ 2|V| — the search-tree bound — per side:
-        // one side under the one-frontier switch, two by default.
+        // Theorem 3.3: pushes ≤ 2|V| — the search-tree bound — per
+        // endpoint side: one side under the one-frontier switch, two by
+        // default, plus ≤ |V| on each candidate side once they seed.
         let g = figure3();
         let one_frontier = QueryOptions::default().with_one_frontier(true);
         let mut scratch = SearchScratch::new(g.num_vertices());
@@ -388,7 +599,9 @@ mod tests {
                 assert!(out.stats.pushes <= 2 * g.num_vertices(), "{s}->{t} one frontier");
                 assert_eq!(out.stats.backward_edges_scanned, 0, "{s}->{t} one frontier");
                 let out = answer_with(&g, &q, &mut scratch, &QueryOptions::default());
-                assert!(out.stats.pushes <= 2 * 2 * g.num_vertices(), "{s}->{t}");
+                let candidates = if out.stats.vsg_size.is_some() { 2 } else { 0 };
+                let bound = (2 * 2 + candidates) * g.num_vertices();
+                assert!(out.stats.pushes <= bound, "{s}->{t}");
             }
         }
     }
@@ -449,6 +662,68 @@ mod tests {
         );
         let out = answer(&g, &q.compile(&g).unwrap());
         assert!(out.answer);
+    }
+
+    #[test]
+    fn candidate_sides_meet_at_a_midway_satisfying_vertex() {
+        // s = c0 → c1 → … → c20 = t, and only c10 satisfies S. Each end
+        // also carries three decoy chains (out of s, into t) that the
+        // endpoint sides explore before the path.
+        let mut b = GraphBuilder::new();
+        let c = |i: usize| format!("c{i}");
+        for i in 0..20 {
+            b.add_triple(&c(i), "p", &c(i + 1));
+        }
+        for d in 0..3 {
+            b.add_triple(&c(0), "p", &format!("out{d}_0"));
+            b.add_triple(&format!("in{d}_0"), "p", &c(20));
+            for j in 0..30 {
+                b.add_triple(&format!("out{d}_{j}"), "p", &format!("out{d}_{}", j + 1));
+                b.add_triple(&format!("in{d}_{}", j + 1), "p", &format!("in{d}_{j}"));
+            }
+        }
+        b.add_triple(&c(10), "mark", "h");
+        b.add_triple("h", "tag", "anchor");
+        let g = b.build().unwrap();
+        let (s, t) = (g.vertex_id("c0").unwrap(), g.vertex_id("c20").unwrap());
+        let answer = |sparql: &str| {
+            let constraint = SubstructureConstraint::parse(sparql).unwrap();
+            let q = LscrQuery::new(s, t, g.label_set(&["p"]), constraint);
+            answer(&g, &q.compile(&g).unwrap())
+        };
+        // One candidate, and the schema says so: the candidate sides seed.
+        let seeded = answer("SELECT ?x WHERE { ?x <mark> <h> . }");
+        // The same V(S,G) = {c10} under a pattern no statistic bounds: they
+        // count as |V| long and never step — two endpoint sides alone.
+        let endpoints = answer("SELECT ?x WHERE { ?x ?p ?y . ?y <tag> <anchor> . }");
+        assert!(seeded.answer && endpoints.answer);
+        assert_eq!(seeded.stats.vsg_size, Some(1));
+        assert_eq!(endpoints.stats.vsg_size, None);
+        assert!(
+            seeded.stats.edges_scanned < endpoints.stats.edges_scanned,
+            "{:?} against {:?}",
+            seeded.stats,
+            endpoints.stats
+        );
+    }
+
+    #[test]
+    fn empty_seeded_candidates_answer_false_at_once() {
+        // An unsatisfiable constraint estimates 0 candidates: the candidate
+        // sides seed before anything else steps, and V(S,G) = ∅ settles it.
+        let g = figure3();
+        let c = SubstructureConstraint::parse("SELECT ?x WHERE { ?x <likes> <ghost> . }").unwrap();
+        let q = LscrQuery::new(
+            g.vertex_id("v0").unwrap(),
+            g.vertex_id("v4").unwrap(),
+            g.all_labels(),
+            c,
+        );
+        let out = answer(&g, &q.compile(&g).unwrap());
+        assert!(!out.answer && !out.interrupted);
+        assert_eq!(out.stats.vsg_size, Some(0));
+        assert_eq!(out.stats.edges_scanned, 0);
+        assert_eq!(out.stats.negative_terminations, 1);
     }
 
     #[test]

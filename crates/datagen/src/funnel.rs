@@ -17,9 +17,9 @@
 //!   needle}` stays mask-selective (in both orientations);
 //! * only `fan0` enters the funnel: a `depth`-long chain `gate0 → … →
 //!   gate{depth-1} → dst`, every edge labeled `needle`; the default
-//!   `depth` makes the gate chain — which is also `V(S,G)` — longer than
-//!   the 64 candidates from which the `Auto` planner sends a selective
-//!   `L` to UIS, so the canonical queries meet in the middle as served;
+//!   `depth` makes the gate chain — which is also `V(S,G)` — long (81
+//!   candidates), so UIS's endpoint sides meet in the middle long before
+//!   its candidate sides would be short enough to seed;
 //! * every gate carries a `marker → anchor` edge, so the constraint
 //!   `SELECT ?x WHERE { ?x <marker> <anchor> . }` materializes `V(S,G)`
 //!   = the gates — candidates that sit *on* the witness path;
@@ -52,8 +52,7 @@ pub struct FunnelConfig {
     /// Leaves per fan vertex (connected both ways under `chaff`).
     pub leaves_per_fan: usize,
     /// Funnel length: number of `gate{d}` vertices between the wide
-    /// region and `dst`. Also `|V(S,G)| - 1` — the default exceeds the
-    /// planner's meet-in-the-middle candidate count.
+    /// region and `dst`. Also `|V(S,G)| - 1`.
     pub depth: usize,
     /// Reverse every edge and swap `src`/`dst`, putting the narrow
     /// funnel on the source side instead.
@@ -133,8 +132,8 @@ mod tests {
         assert!(!g.out_label_mask(src).contains(needle));
         assert!(!g.in_label_mask(dst).contains(spray));
         // The whole point of the fixture: the canonical label set is
-        // mask-selective, the half of the planner rule that sends it to
-        // the two-frontier search.
+        // mask-selective, so both of UIS's endpoint sides expand through
+        // the masks.
         assert!(g.expansion_selective(g.label_set(&["spray", "needle"])));
     }
 

@@ -209,7 +209,7 @@ pub(crate) struct MaskChange {
 
 /// The delta layered over one frozen CSR pair: per-vertex patched
 /// adjacencies in both directions, plus the counters the compaction
-/// policy and the adaptive planner read. See the [module docs](self).
+/// policy reads. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct DeltaOverlay {
     /// Patched out-adjacencies, keyed by raw vertex id.
@@ -362,7 +362,7 @@ impl DeltaOverlay {
         Some(change)
     }
 
-    /// Summary counters for the compaction policy and the planner.
+    /// Summary counters for the compaction policy.
     pub(crate) fn stats(&self, num_vertices: usize) -> DeltaStats {
         // Union of the two patch-key sets: a vertex counts once however
         // many directions touch it.
@@ -391,8 +391,8 @@ impl DeltaOverlay {
 }
 
 /// How far a live graph has drifted from its frozen base — the signal the
-/// compaction threshold and the `Auto` planner consume (a big delta means
-/// a prebuilt index covers less of the graph).
+/// compaction threshold consumes (a big delta means the overlay's read
+/// tax and a stale index partition).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct DeltaStats {

@@ -4,11 +4,12 @@
 //! repository works on dense integer ids. `Dict` provides the two-way
 //! mapping with O(1) amortized interning and O(1) reverse lookup.
 //!
-//! Both directions share one allocation per string (`Arc<str>`), so
-//! interning a fresh name costs a single allocation and rebuilding a
-//! dictionary from a binary snapshot costs one allocation plus a
-//! reference-count bump per name — the dictionary decode is the hottest
-//! part of a snapshot load.
+//! Each layer keeps its names in **one string**, with the end offset of
+//! every name beside it and an open-addressing table of ids keyed by the
+//! names' hash — three allocations however many names there are, so a
+//! snapshot load copies the dictionary section into place instead of
+//! allocating once per name, and a name costs its bytes plus 4 B of
+//! offset and at most 16 B of table.
 //!
 //! Internally a dictionary is **layered**: a frozen base (shared behind an
 //! `Arc` by every clone) plus a small owned tail of names interned since
@@ -34,14 +35,106 @@
 //! assert_eq!(d.get("missing"), None);
 //! ```
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::FxHasher;
+use std::hash::Hasher;
 use std::sync::Arc;
 
-/// The frozen, `Arc`-shared layer of a [`Dict`]: ids `0..by_id.len()`.
+/// A free slot of [`Names::slots`].
+const EMPTY: u32 = u32::MAX;
+
+fn hash(name: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(name.as_bytes());
+    h.finish()
+}
+
+/// One layer of a [`Dict`]: layer-local ids `0..len`.
 #[derive(Default, Clone, Debug)]
-struct DictBase {
-    by_name: FxHashMap<Arc<str>, u32>,
-    by_id: Vec<Arc<str>>,
+struct Names {
+    /// The names, concatenated in id order.
+    text: String,
+    /// `ends[i]` is where name `i` ends in `text`; it starts where name
+    /// `i - 1` ends.
+    ends: Vec<u32>,
+    /// Linear-probing table of ids, [`EMPTY`] where free; a power of two
+    /// at least twice the name count long, or empty while there are none.
+    slots: Vec<u32>,
+}
+
+impl Names {
+    fn with_capacity(names: usize, bytes: usize) -> Self {
+        let mut n = Names {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(names),
+            slots: Vec::new(),
+        };
+        n.resize_slots(names);
+        n
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn name(&self, id: usize) -> &str {
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        &self.text[start..self.ends[id] as usize]
+    }
+
+    /// The table slot a probe for hash `h` starts at: the hash's top bits
+    /// (Fx mixes its high bits best).
+    fn home(&self, h: u64) -> usize {
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    fn find(&self, name: &str, h: u64) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(h);
+        loop {
+            match self.slots[at] {
+                EMPTY => return None,
+                id if self.name(id as usize) == name => return Some(id),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    fn place(&mut self, id: u32, h: u64) {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(h);
+        while self.slots[at] != EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = id;
+    }
+
+    /// Re-tables every name for room for `names` of them.
+    fn resize_slots(&mut self, names: usize) {
+        self.slots = vec![EMPTY; (2 * names).next_power_of_two().max(8)];
+        for id in 0..self.len() {
+            self.place(id as u32, hash(self.name(id)));
+        }
+    }
+
+    /// Appends `name`, which this layer does not hold, as the next id.
+    fn push(&mut self, name: &str, h: u64) -> u32 {
+        let id = self.len() as u32;
+        self.text.push_str(name);
+        self.ends.push(u32::try_from(self.text.len()).expect("a dictionary holds under 4 GiB"));
+        if 2 * self.len() > self.slots.len() {
+            self.resize_slots(self.len());
+        } else {
+            self.place(id, h);
+        }
+        id
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.text.capacity() + 4 * (self.ends.capacity() + self.slots.len())
+    }
 }
 
 /// A two-way string ↔ dense-id dictionary.
@@ -51,10 +144,9 @@ struct DictBase {
 #[derive(Default, Clone, Debug)]
 pub struct Dict {
     /// Frozen shared prefix; never mutated once built.
-    base: Arc<DictBase>,
-    /// Names interned after the last freeze; `id = base len + tail index`.
-    tail_by_name: FxHashMap<Arc<str>, u32>,
-    tail_by_id: Vec<Arc<str>>,
+    base: Arc<Names>,
+    /// Names interned after the last freeze; `id = base len + tail id`.
+    tail: Names,
 }
 
 impl Dict {
@@ -65,70 +157,67 @@ impl Dict {
 
     /// Creates an empty dictionary with room for `cap` entries.
     pub fn with_capacity(cap: usize) -> Self {
-        Dict {
-            base: Arc::default(),
-            tail_by_name: crate::fxhash::fx_map_with_capacity(cap),
-            tail_by_id: Vec::with_capacity(cap),
-        }
+        Dict { base: Arc::default(), tail: Names::with_capacity(cap, 16 * cap) }
     }
 
-    /// Rebuilds a dictionary from its id-ordered name list (snapshot
+    /// Rebuilds a dictionary from its id-ordered names (snapshot
     /// decoding), already frozen. Returns `None` if the list holds
     /// duplicate names — a corrupt snapshot, since interning can never
     /// assign two ids to one name.
-    pub(crate) fn from_names(names: Vec<Arc<str>>) -> Option<Dict> {
-        let mut by_name = crate::fxhash::fx_map_with_capacity(names.len());
-        for (id, name) in names.iter().enumerate() {
-            if by_name.insert(Arc::clone(name), id as u32).is_some() {
+    pub(crate) fn from_names(names: &[&str]) -> Option<Dict> {
+        let bytes = names.iter().map(|n| n.len()).sum();
+        let mut base = Names::with_capacity(names.len(), bytes);
+        for name in names {
+            let h = hash(name);
+            if base.find(name, h).is_some() {
                 return None;
             }
+            base.push(name, h);
         }
-        Some(Dict {
-            base: Arc::new(DictBase { by_name, by_id: names }),
-            tail_by_name: FxHashMap::default(),
-            tail_by_id: Vec::new(),
-        })
+        Some(Dict { base: Arc::new(base), tail: Names::default() })
     }
 
     /// Merges the tail into a fresh shared base, leaving the tail empty.
-    /// Ids are unchanged. O(1) when the tail is already empty or the base
-    /// is (the builder path); otherwise O(total) — paid only at
-    /// build/compact/snapshot-load time, never per update batch.
+    /// Ids are unchanged. O(1) when the tail is already empty; otherwise
+    /// O(total) — paid only at build/compact/snapshot-load time, never per
+    /// update batch.
     pub(crate) fn freeze(&mut self) {
-        if self.tail_by_id.is_empty() {
+        if self.tail.len() == 0 {
             return;
         }
-        let tail_by_name = std::mem::take(&mut self.tail_by_name);
-        let tail_by_id = std::mem::take(&mut self.tail_by_id);
-        if self.base.by_id.is_empty() {
-            self.base = Arc::new(DictBase { by_name: tail_by_name, by_id: tail_by_id });
-            return;
-        }
-        let shared = std::mem::take(&mut self.base);
-        let mut merged = Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone());
-        merged.by_id.extend(tail_by_id);
-        merged.by_name.extend(tail_by_name);
+        let tail = std::mem::take(&mut self.tail);
+        let mut merged = if self.base.len() == 0 {
+            tail
+        } else {
+            let shared = std::mem::take(&mut self.base);
+            let mut merged = Arc::try_unwrap(shared).unwrap_or_else(|arc| (*arc).clone());
+            for id in 0..tail.len() {
+                let name = tail.name(id);
+                merged.push(name, hash(name));
+            }
+            merged
+        };
+        merged.text.shrink_to_fit();
+        merged.ends.shrink_to_fit();
         self.base = Arc::new(merged);
     }
 
     /// Interns `name`, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.base.by_name.get(name) {
+        let h = hash(name);
+        if let Some(id) = self.base.find(name, h) {
             return id;
         }
-        if let Some(&id) = self.tail_by_name.get(name) {
-            return id;
-        }
-        let id = (self.base.by_id.len() + self.tail_by_id.len()) as u32;
-        let shared: Arc<str> = name.into();
-        self.tail_by_id.push(Arc::clone(&shared));
-        self.tail_by_name.insert(shared, id);
-        id
+        let base = self.base.len() as u32;
+        base + self.tail.find(name, h).unwrap_or_else(|| self.tail.push(name, h))
     }
 
     /// Looks up the id of `name`, if interned.
     pub fn get(&self, name: &str) -> Option<u32> {
-        self.base.by_name.get(name).or_else(|| self.tail_by_name.get(name)).copied()
+        let h = hash(name);
+        self.base
+            .find(name, h)
+            .or_else(|| self.tail.find(name, h).map(|id| self.base.len() as u32 + id))
     }
 
     /// Returns the string for `id`.
@@ -136,26 +225,22 @@ impl Dict {
     /// # Panics
     /// Panics if `id` was never assigned.
     pub fn name(&self, id: u32) -> &str {
-        let id = id as usize;
-        match self.base.by_id.get(id) {
-            Some(s) => s,
-            None => &self.tail_by_id[id - self.base.by_id.len()],
-        }
+        self.try_name(id).unwrap_or_else(|| panic!("dictionary id {id} was never assigned"))
     }
 
     /// Returns the string for `id`, if assigned.
     pub fn try_name(&self, id: u32) -> Option<&str> {
         let id = id as usize;
-        self.base
-            .by_id
-            .get(id)
-            .or_else(|| self.tail_by_id.get(id.wrapping_sub(self.base.by_id.len())))
-            .map(|s| &**s)
+        match id.checked_sub(self.base.len()) {
+            None => Some(self.base.name(id)),
+            Some(i) if i < self.tail.len() => Some(self.tail.name(i)),
+            Some(_) => None,
+        }
     }
 
     /// Number of interned strings.
     pub fn len(&self) -> usize {
-        self.base.by_id.len() + self.tail_by_id.len()
+        self.base.len() + self.tail.len()
     }
 
     /// Whether the dictionary is empty.
@@ -165,28 +250,14 @@ impl Dict {
 
     /// Iterates over `(id, name)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.base
-            .by_id
-            .iter()
-            .chain(self.tail_by_id.iter())
-            .enumerate()
-            .map(|(i, s)| (i as u32, &**s))
+        (0..self.len() as u32).map(|id| (id, self.name(id)))
     }
 
-    /// Approximate heap footprint in bytes (for index-size reporting). The
-    /// frozen base is counted in full even though clones share it — the
-    /// figure models a standalone graph, not marginal cost.
+    /// Heap footprint in bytes (for index-size reporting). The frozen base
+    /// is counted in full even though clones share it — the figure models
+    /// a standalone graph, not marginal cost.
     pub fn heap_bytes(&self) -> usize {
-        // One shared allocation per string (plus the Arc's two refcounts),
-        // referenced from both the map key and the vec entry.
-        let entry = |v: &[Arc<str>], map_cap: usize, vec_cap: usize| -> usize {
-            let strings: usize = v.iter().map(|s| s.len() + 16).sum();
-            strings
-                + vec_cap * std::mem::size_of::<Arc<str>>()
-                + map_cap * (std::mem::size_of::<Arc<str>>() + std::mem::size_of::<u32>())
-        };
-        entry(&self.base.by_id, self.base.by_name.capacity(), self.base.by_id.capacity())
-            + entry(&self.tail_by_id, self.tail_by_name.capacity(), self.tail_by_id.capacity())
+        self.base.heap_bytes() + self.tail.heap_bytes()
     }
 }
 
@@ -232,13 +303,33 @@ mod tests {
 
     #[test]
     fn from_names_rebuilds_and_rejects_duplicates() {
-        let names: Vec<Arc<str>> = ["a", "b", "c"].into_iter().map(Arc::from).collect();
-        let d = Dict::from_names(names).unwrap();
+        let d = Dict::from_names(&["a", "b", "c"]).unwrap();
         assert_eq!(d.len(), 3);
         assert_eq!(d.get("b"), Some(1));
         assert_eq!(d.name(2), "c");
-        let dup: Vec<Arc<str>> = ["a", "b", "a"].into_iter().map(Arc::from).collect();
-        assert!(Dict::from_names(dup).is_none());
+        assert!(Dict::from_names(&["a", "b", "a"]).is_none());
+    }
+
+    #[test]
+    fn many_names_survive_every_table_growth() {
+        let mut d = Dict::new();
+        let names: Vec<String> = (0..5_000).map(|i| format!("n{i}")).collect();
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(d.intern(n), i as u32);
+            if i == 1_234 {
+                d.freeze(); // the rest lands in a tail over a base
+            }
+        }
+        d.intern(""); // the empty name is a name too
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(d.get(n), Some(i as u32));
+            assert_eq!(d.name(i as u32), n);
+        }
+        assert_eq!(d.get(""), Some(5_000));
+        assert_eq!(d.get("n5000"), None);
+        d.freeze();
+        assert_eq!(d.get("n4999"), Some(4_999));
+        assert_eq!(d.try_name(5_001), None);
     }
 
     #[test]
@@ -274,8 +365,8 @@ mod tests {
         d.intern("shared");
         d.freeze();
         let c = d.clone();
-        // The base layer is one allocation: both dictionaries resolve id 0
-        // to the very same string storage.
+        // The base layer is shared: both dictionaries resolve id 0 to the
+        // very same string storage.
         assert!(std::ptr::eq(d.name(0).as_ptr(), c.name(0).as_ptr()));
         // Divergent tails stay independent.
         let mut c = c;

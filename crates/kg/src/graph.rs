@@ -90,8 +90,8 @@ pub struct Graph {
     label_histogram: Vec<usize>,
     /// Per label, the number of vertices with at least one *out*-edge
     /// carrying it — derived from the CSR incident-label masks at freeze
-    /// and on snapshot load (never persisted), consumed by the `Auto`
-    /// planner's expansion-region estimate.
+    /// and on snapshot load (never persisted), consumed by the
+    /// expansion-region estimate.
     label_vertex_counts: Vec<usize>,
     /// The in-direction mirror of `label_vertex_counts`: per label, the
     /// number of vertices with at least one *in*-edge carrying it. With
@@ -309,9 +309,8 @@ impl Graph {
     /// Upper bound on the number of vertices a search can *expand* under
     /// `constraint`: Σ over `l ∈ L` of
     /// [`label_vertex_counts`](Self::label_vertex_counts)`[l]`, capped at
-    /// `|V|`. O(|L|), no per-vertex work — the shared estimate behind
-    /// [`expansion_selective`](Self::expansion_selective) and the query
-    /// engine's `Auto` planner.
+    /// `|V|`. O(|L|), no per-vertex work — the estimate behind
+    /// [`expansion_selective`](Self::expansion_selective).
     pub fn expandable_region(&self, constraint: LabelSet) -> usize {
         constraint
             .iter()
@@ -443,7 +442,8 @@ impl Graph {
 
     /// Per-label edge counts, indexed by label id — computed once when the
     /// graph freezes and persisted in binary snapshots, so selectivity
-    /// estimation (the `Auto` planner) never rescans the edge list.
+    /// estimation (the SPARQL planner, UIS's candidate count) never
+    /// rescans the edge list.
     pub fn label_histogram(&self) -> &[usize] {
         &self.label_histogram
     }
@@ -595,8 +595,7 @@ impl Graph {
     }
 
     /// Delta counters of the active overlay, or `None` for a compact
-    /// graph — the input to compaction policies and to the query
-    /// engine's planner.
+    /// graph — the input to compaction policies.
     pub fn delta_stats(&self) -> Option<DeltaStats> {
         self.overlay.as_deref().map(|ov| ov.stats(self.num_vertices()))
     }

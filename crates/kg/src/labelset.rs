@@ -219,15 +219,49 @@ impl ExactSizeIterator for LabelSetIter {}
 ///
 /// Sets are kept sorted by `(len, bits)` so that `covers` scans small sets
 /// first (they are the most likely to be subsets of a query constraint).
+/// A collection of one set — most local-index entries on LUBM — holds it
+/// inline, with no allocation of its own.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct Cms {
-    sets: Vec<LabelSet>,
+    sets: Sets,
+}
+
+/// The stored sets: inline when there is exactly one, so each collection
+/// has one representation and the derived equality holds.
+#[derive(Clone, PartialEq, Eq)]
+enum Sets {
+    One(LabelSet),
+    /// Zero, or two or more.
+    Many(Vec<LabelSet>),
+}
+
+impl Default for Sets {
+    fn default() -> Self {
+        Sets::Many(Vec::new())
+    }
+}
+
+impl Sets {
+    fn from_vec(mut sets: Vec<LabelSet>) -> Sets {
+        match sets.len() {
+            1 => Sets::One(sets.pop().expect("one set")),
+            _ => Sets::Many(sets),
+        }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[LabelSet] {
+        match self {
+            Sets::One(set) => std::slice::from_ref(set),
+            Sets::Many(sets) => sets,
+        }
+    }
 }
 
 impl Cms {
     /// Creates an empty collection.
     pub fn new() -> Self {
-        Cms { sets: Vec::new() }
+        Cms::default()
     }
 
     /// Reassembles a collection from its canonical serialized order —
@@ -236,13 +270,13 @@ impl Cms {
     /// decoding). Returns `None` unless the sets are canonically ordered
     /// and form an antichain, so corrupt data cannot smuggle in a
     /// non-minimal collection.
-    pub fn from_canonical_sets(sets: Vec<LabelSet>) -> Option<Cms> {
+    pub fn from_canonical_sets(sets: &[LabelSet]) -> Option<Cms> {
         let ordered =
             sets.windows(2).all(|w| (w[0].len(), w[0].bits()) < (w[1].len(), w[1].bits()));
         if !ordered {
             return None;
         }
-        let cms = Cms { sets };
+        let cms = Cms { sets: Sets::from_vec(sets.to_vec()) };
         cms.is_antichain().then_some(cms)
     }
 
@@ -252,15 +286,24 @@ impl Cms {
     /// * if some stored `L' ⊆ L`, the collection is unchanged → `false`;
     /// * otherwise every stored `L'' ⊃ L` is removed, `L` is added → `true`.
     pub fn insert(&mut self, set: LabelSet) -> bool {
-        for &s in &self.sets {
-            if s.is_subset_of(set) {
-                return false;
-            }
+        if self.covers(set) {
+            return false;
         }
         // No stored subset: evict strict supersets, then add.
-        self.sets.retain(|s| !set.is_proper_subset_of(*s));
-        let pos = self.sets.partition_point(|s| (s.len(), s.bits()) < (set.len(), set.bits()));
-        self.sets.insert(pos, set);
+        match &mut self.sets {
+            Sets::Many(sets) if sets.is_empty() => self.sets = Sets::One(set),
+            Sets::One(only) if set.is_proper_subset_of(*only) => *only = set,
+            _ => {
+                let mut sets = match std::mem::take(&mut self.sets) {
+                    Sets::One(only) => vec![only],
+                    Sets::Many(sets) => sets,
+                };
+                sets.retain(|s| !set.is_proper_subset_of(*s));
+                let pos = sets.partition_point(|s| (s.len(), s.bits()) < (set.len(), set.bits()));
+                sets.insert(pos, set);
+                self.sets = Sets::from_vec(sets);
+            }
+        }
         true
     }
 
@@ -270,14 +313,14 @@ impl Cms {
     /// then `u ⇝ v` under constraint `L`.
     #[inline]
     pub fn covers(&self, constraint: LabelSet) -> bool {
-        self.sets.iter().any(|s| s.is_subset_of(constraint))
+        self.sets.as_slice().iter().any(|s| s.is_subset_of(constraint))
     }
 
     /// Merges another collection into this one; returns `true` if anything
     /// changed.
     pub fn merge(&mut self, other: &Cms) -> bool {
         let mut changed = false;
-        for &s in &other.sets {
+        for s in other.iter() {
             changed |= self.insert(s);
         }
         changed
@@ -285,28 +328,32 @@ impl Cms {
 
     /// Number of minimal sets stored.
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.sets.as_slice().len()
     }
 
     /// Whether the collection is empty (vertex pair unreachable).
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over the minimal sets (sorted by size, then bits).
     pub fn iter(&self) -> impl Iterator<Item = LabelSet> + '_ {
-        self.sets.iter().copied()
+        self.sets.as_slice().iter().copied()
     }
 
     /// Approximate heap footprint in bytes (for index-size reporting).
     pub fn heap_bytes(&self) -> usize {
-        self.sets.capacity() * std::mem::size_of::<LabelSet>()
+        match &self.sets {
+            Sets::One(_) => 0,
+            Sets::Many(sets) => sets.capacity() * std::mem::size_of::<LabelSet>(),
+        }
     }
 
     /// Checks the antichain invariant (test / debug helper).
     pub fn is_antichain(&self) -> bool {
-        for (i, &a) in self.sets.iter().enumerate() {
-            for &b in &self.sets[i + 1..] {
+        let sets = self.sets.as_slice();
+        for (i, &a) in sets.iter().enumerate() {
+            for &b in &sets[i + 1..] {
                 if a.is_subset_of(b) || b.is_subset_of(a) {
                     return false;
                 }
@@ -318,7 +365,7 @@ impl Cms {
 
 impl fmt::Debug for Cms {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.sets.iter()).finish()
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -474,9 +521,27 @@ mod tests {
 
     #[test]
     fn heap_bytes_nonzero_after_insert() {
+        // One set is held inline; a second incomparable one allocates.
         let mut c = Cms::new();
         assert_eq!(c.heap_bytes(), 0);
         c.insert(ls(&[1]));
-        assert!(c.heap_bytes() >= std::mem::size_of::<LabelSet>());
+        assert_eq!(c.heap_bytes(), 0);
+        c.insert(ls(&[2]));
+        assert!(c.heap_bytes() >= 2 * std::mem::size_of::<LabelSet>());
+    }
+
+    #[test]
+    fn cms_representations_compare_by_content() {
+        // However a collection reached one set — inserted, evicted down to
+        // it, or decoded — it is the same value.
+        let mut evicted: Cms = [ls(&[1, 2]), ls(&[1, 3])].into_iter().collect();
+        evicted.insert(ls(&[1]));
+        let inserted: Cms = [ls(&[1])].into_iter().collect();
+        let decoded = Cms::from_canonical_sets(&[ls(&[1])]).unwrap();
+        assert_eq!(evicted, inserted);
+        assert_eq!(decoded, inserted);
+        assert_eq!(Cms::from_canonical_sets(&[]).unwrap(), Cms::new());
+        assert!(Cms::from_canonical_sets(&[ls(&[1]), ls(&[1, 2])]).is_none());
+        assert!(std::mem::size_of::<Cms>() <= 24, "the inline set rides in the Vec's niche");
     }
 }

@@ -550,18 +550,18 @@ fn decode_dict(payload: &[u8], section: &'static str, expected_len: usize) -> Re
     if count != expected_len {
         return Err(c.corrupt(format!("dictionary holds {count} names, meta says {expected_len}")));
     }
-    let mut names: Vec<std::sync::Arc<str>> = Vec::with_capacity(count.min(1 << 20));
+    let mut names: Vec<&str> = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
-        // Straight from the payload bytes into the shared allocation —
-        // no intermediate `String` (this loop dominates snapshot load).
+        // Borrowed from the payload; `from_names` copies them into the
+        // dictionary's one string.
         let len = c.get_u32()? as usize;
         let name = std::str::from_utf8(c.get_bytes(len)?)
             .map_err(|_| c.corrupt("dictionary name is not valid UTF-8"))?;
-        names.push(name.into());
+        names.push(name);
     }
     let err = c.corrupt("dictionary holds duplicate names");
     c.finish()?;
-    Dict::from_names(names).ok_or(err)
+    Dict::from_names(&names).ok_or(err)
 }
 
 fn encode_csr(csr: &Csr) -> PayloadBuf {

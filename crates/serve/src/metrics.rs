@@ -194,6 +194,14 @@ pub struct ServerMetrics {
     pub scck_calls_total: Counter,
     /// Sum of `SCck` cache hits.
     pub scck_cache_hits_total: Counter,
+    /// Sum of per-query negative terminations: `false` proved early, by a
+    /// mask precheck, an emptied backward stack or an empty `V(S,G)`.
+    pub negative_terminations_total: Counter,
+    /// Sum of per-query edges scanned by UIS's backward sides (a part of
+    /// `edges_scanned_total`).
+    pub backward_edges_scanned_total: Counter,
+    /// UIS answers whose candidate sides seeded (`vsg_size` set).
+    pub candidate_seeded_total: Counter,
     /// Successful `/update` batches applied.
     pub updates_total: Counter,
     /// Successful `/snapshot/reload` swaps.
@@ -236,6 +244,9 @@ impl Default for ServerMetrics {
             edges_skipped_total: Counter::new(),
             scck_calls_total: Counter::new(),
             scck_cache_hits_total: Counter::new(),
+            negative_terminations_total: Counter::new(),
+            backward_edges_scanned_total: Counter::new(),
+            candidate_seeded_total: Counter::new(),
             updates_total: Counter::new(),
             reloads_total: Counter::new(),
             connections_total: Counter::new(),
@@ -259,6 +270,10 @@ impl ServerMetrics {
         self.edges_skipped_total.add(stats.edges_skipped as u64);
         self.scck_calls_total.add(stats.scck_calls as u64);
         self.scck_cache_hits_total.add(stats.scck_cache_hits as u64);
+        self.negative_terminations_total.add(stats.negative_terminations as u64);
+        self.backward_edges_scanned_total.add(stats.backward_edges_scanned as u64);
+        let seeded = stats.algorithm == Some(kgreach::Algorithm::Uis) && stats.vsg_size.is_some();
+        self.candidate_seeded_total.add(u64::from(seeded));
         if interrupted {
             self.queries_interrupted_total.add(1);
         }
@@ -391,6 +406,24 @@ impl ServerMetrics {
             "kg_scck_cache_hits_total",
             "SCck checks answered from the result cache.",
             load(&self.scck_cache_hits_total),
+        );
+        counter(
+            &mut out,
+            "kg_negative_terminations_total",
+            "Searches that proved false early (mask precheck, emptied backward side, empty V(S,G)).",
+            load(&self.negative_terminations_total),
+        );
+        counter(
+            &mut out,
+            "kg_backward_edges_scanned_total",
+            "Edges scanned by UIS's backward sides (part of kg_edges_scanned_total).",
+            load(&self.backward_edges_scanned_total),
+        );
+        counter(
+            &mut out,
+            "kg_candidate_seeded_total",
+            "UIS searches whose candidate sides seeded from V(S,G).",
+            load(&self.candidate_seeded_total),
         );
         counter(&mut out, "kg_updates_total", "Update batches applied.", load(&self.updates_total));
         counter(
@@ -546,7 +579,16 @@ mod tests {
         let mut stats = kgreach::SearchStats::default();
         stats.edges_scanned = 7;
         stats.edges_skipped = 3;
+        stats.backward_edges_scanned = 2;
+        stats.negative_terminations = 1;
+        stats.vsg_size = Some(4);
+        stats.algorithm = Some(kgreach::Algorithm::Uis);
         m.record_outcome(&stats, true);
+        // UIS* and INS always report a V(S,G): only UIS's seeding counts.
+        stats.algorithm = Some(kgreach::Algorithm::Ins);
+        stats.backward_edges_scanned = 0;
+        stats.negative_terminations = 0;
+        m.record_outcome(&stats, false);
         let engine = kgreach::LscrEngine::new(kgreach::fixtures::figure3());
         let text = m.render(&engine.info(), None);
         assert!(!text.contains("kg_wal_appends_total"), "no WAL series without durability");
@@ -561,10 +603,13 @@ mod tests {
             assert!(text_durable.contains(needle), "missing {needle:?}:\n{text_durable}");
         }
         for needle in [
-            "kg_queries_total 1",
+            "kg_queries_total 2",
             "kg_queries_interrupted_total 1",
-            "kg_edges_scanned_total 7",
-            "kg_edges_skipped_total 3",
+            "kg_edges_scanned_total 14",
+            "kg_edges_skipped_total 6",
+            "kg_negative_terminations_total 1",
+            "kg_backward_edges_scanned_total 2",
+            "kg_candidate_seeded_total 1",
             "kg_responses_total{class=\"2xx\"} 1",
             "kg_responses_total{class=\"4xx\"} 1",
             "kg_responses_total{class=\"5xx\"} 1",

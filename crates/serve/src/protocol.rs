@@ -90,7 +90,7 @@ pub struct QueryRequest {
     pub labels: Option<Vec<String>>,
     /// SPARQL text of the substructure constraint.
     pub constraint: String,
-    /// Requested algorithm (defaults to the adaptive planner).
+    /// Requested algorithm (defaults to `Auto`, which serves UIS).
     pub algorithm: Algorithm,
     /// Whether to reconstruct a witness path for true answers.
     pub witness: bool,

@@ -62,9 +62,9 @@ proptest! {
         label in 0usize..4,
         prebuild_raw in 0u8..2,
     ) {
-        // The adaptive planner may pick any algorithm (varying with index
-        // availability); the matrix holds its answer to the oracle's and
-        // its recorded choice to a concrete algorithm.
+        // Auto resolves to UIS whether or not the index is prebuilt; the
+        // matrix holds its answer to the oracle's and its recorded choice
+        // to a concrete algorithm.
         let g = random_typed_graph(n, n * density, 4, 3, seed);
         let s = VertexId(s_raw % n as u32);
         let t = VertexId(t_raw % n as u32);

@@ -5,11 +5,11 @@
 //! region with a narrow gate chain, in both orientations. Over it we
 //! check two things:
 //!
-//! 1. **Agreement** — every algorithm (including `Auto`'s planner
-//!    choices) answers like the oracle for *every* `(s, t)` pair under the
-//!    canonical label sets and every step budget, so UIS's two frontiers,
-//!    the planner rule that routes to them and the mask prechecks can't
-//!    disagree with the classic semantics anywhere on the fixture.
+//! 1. **Agreement** — every algorithm (including `Auto`, which serves
+//!    UIS) answers like the oracle for *every* `(s, t)` pair under the
+//!    canonical label sets and every step budget, so UIS's sides and the
+//!    mask prechecks can't disagree with the classic semantics anywhere
+//!    on the fixture.
 //! 2. **Coverage** — the `SearchStats` counters prove the intended paths
 //!    actually ran: under `Uis` and under `Auto` the true query walks the
 //!    backward frontier (`backward_edges_scanned > 0`), and the
@@ -56,9 +56,8 @@ fn all_algorithms_agree_with_oracle_on_both_orientations() {
 }
 
 /// The canonical true query actually meets in the middle — under `Uis`,
-/// and under `Auto`, whose planner sends a selective `L` over the default
-/// fixture's gate chain (more than 64 candidates) to UIS — and the
-/// backward frontier scans edges wherever the narrow end is the target's.
+/// and under `Auto`, which serves UIS — and the backward frontier scans
+/// edges wherever the narrow end is the target's.
 /// Mirrored, the narrow end hangs off the source: the forward stack is
 /// the shorter one throughout and answers alone.
 #[test]

@@ -17,14 +17,18 @@
 //! `INS default` constants of the three small fixtures held unedited
 //! (recorded before `core::kernel` existed); then the field went, and
 //! each slot's rendered log differed from the one before by that field's
-//! `name: 0, ` token and nothing else.
+//! `name: 0, ` token and nothing else. Since then one slot moved: UIS
+//! gained candidate sides, which seed on some LUBM draws, so the LUBM
+//! `UIS default` constant was re-recorded; on figure 3 and the funnels
+//! they never seed, and every other constant held unedited.
 //!
 //! Slot 0 is UIS under the one-frontier switch, run first on the cold
 //! memo: Algorithm 1 as the paper prints it is still in the tree, mark
-//! for mark. Slot 1 is the two-frontier default (PR 23). The UIS\* and
-//! INS slots are Algorithms 2 and 4 plus the mask precheck. The grid runs
-//! as the matrix's raw-kernel form, which also holds every slot to the
-//! oracle.
+//! for mark. Slot 1 is the default: two endpoint sides and, once they
+//! seed, two candidate sides. The UIS\* and INS slots are
+//! Algorithms 2 and 4 plus the mask precheck — unmoved by a slot-1 run
+//! that materialised the `V(S,G)` memo before them. The grid runs as the
+//! matrix's raw-kernel form, which also holds every slot to the oracle.
 
 use kgreach::Algorithm::{Ins, Uis, UisStar};
 use kgreach::{LscrQuery, QueryOptions, VsgOrder};
@@ -106,9 +110,10 @@ fn funnel_all_pairs_both_orientations() {
 }
 
 /// The default-sized funnel: a selective `L` over a gate chain of more
-/// than 64 candidates — the regime `Auto` plans onto UIS — so the UIS\*
-/// and INS slots pin what the classic candidate loop does when it is
-/// forced there anyway. Every 7th source against every 5th target.
+/// than 64 candidates, where UIS's endpoint sides meet long before its
+/// candidate sides would seed, so the UIS\* and INS slots pin what the
+/// classic candidate loop does when it is forced there. Every 7th source
+/// against every 5th target.
 #[test]
 fn wide_funnel_classic_loop() {
     for (mirrored, want) in [(false, WIDE_FUNNEL), (true, WIDE_FUNNEL_MIRRORED)] {
@@ -180,7 +185,7 @@ const WIDE_FUNNEL_MIRRORED: [u64; 7] = [
 ];
 const LUBM: [u64; 7] = [
     0x95d58f9d6e968381,
-    0x478b9f54f6aa2c30,
+    0x4558728b6b457c2e,
     0x982953bb4cdf2c89,
     0x278afe8218746854,
     0x219b34757db99578,

@@ -16,8 +16,8 @@
 //! interrupted is never `true` (Dumbrava et al.'s "unknown, never false");
 //! it carries a witness exactly when asked and true, which passes
 //! [`assert_witness`], as the oracle's own does; UIS pushes stay within
-//! `2|V|` per side (Theorem 3.3, doubled for two frontiers); and `Auto`
-//! records a concrete algorithm. A suite adds only what its slice expects,
+//! `2|V|` per endpoint side and `|V|` per candidate side (Theorem 3.3, per
+//! side); and `Auto` records a concrete algorithm. A suite adds only what its slice expects,
 //! in the observer [`Matrix::run`] shows each [`Case`]. A new axis is one
 //! [`Form`] arm, one [`QueryOptions`] field, or one query source.
 
@@ -97,7 +97,7 @@ pub struct Case {
 }
 
 /// An answer, however it was served (over the wire, `stats` holds only
-/// `algorithm`, `pushes` and `edges_scanned`).
+/// `algorithm`, `pushes`, `edges_scanned` and `vsg_size`).
 #[derive(Clone, Debug)]
 pub struct Outcome {
     pub answer: bool,
@@ -253,8 +253,11 @@ impl Matrix {
                 let ran = out.stats.algorithm.unwrap_or(alg);
                 let concrete = matches!(ran, Algorithm::Uis | Algorithm::UisStar | Algorithm::Ins);
                 assert!(alg != Algorithm::Auto || concrete, "{}: Auto ran {ran:?}", ctx());
-                // Theorem 3.3: 2|V| pushes per side.
-                let bound = if opts.one_frontier { 2 } else { 4 } * fg.num_vertices();
+                // Theorem 3.3 per side: 2|V| pushes on each endpoint side,
+                // |V| on each candidate side once they seed.
+                let sides = if opts.one_frontier { 2 } else { 4 };
+                let candidates = if out.stats.vsg_size.is_some() { 2 } else { 0 };
+                let bound = (sides + candidates) * fg.num_vertices();
                 let pushes = out.stats.pushes;
                 assert!(ran != Algorithm::Uis || pushes <= bound, "{}: {pushes} pushes", ctx());
                 let asked = opts.witness && out.answer;
@@ -395,6 +398,7 @@ fn from_wire(g: &Graph, j: &Json) -> Outcome {
     let mut stats = SearchStats::default();
     stats.algorithm = field(j, "algorithm").as_str().and_then(parse_algorithm);
     (stats.pushes, stats.edges_scanned) = (count("pushes"), count("edges_scanned"));
+    stats.vsg_size = field(field(j, "stats"), "vsg_size").as_u64().map(|n| n as usize);
     let edge = |e: &Json| {
         let label = g.label_id(&name(e, "label")).expect("a served label");
         Edge::new(vertex(e, "src"), label, vertex(e, "dst"))

@@ -24,7 +24,7 @@
 
 #![cfg(kg_loom)]
 
-use kgreach::constraint::{ScckCache, SubstructureConstraint};
+use kgreach::constraint::{ScckCache, SubstructureConstraint, INLINE_SLOTS};
 use kgreach::{Algorithm, LscrEngine, LscrQuery};
 use kgreach_graph::{GraphBuilder, UpdateBatch, VertexId};
 use kgreach_serve::{
@@ -59,28 +59,42 @@ fn tiny_query(engine: &LscrEngine) -> LscrQuery {
 
 /// `ScckCache` set racing get: a concurrent `get` must see either
 /// *unknown* or the value being written — never a value nobody wrote —
-/// and the join must make the entry visible. A slot is one atomic byte,
-/// so there is no second cell to publish; the page it lives in is
-/// ordered by its `OnceLock`, which this explores too (the racing `set`
-/// allocates the page). The seeded-bug tests below show what the checker
-/// does to a protocol that *does* need a publication edge and lacks it.
+/// and the join must make the entry visible. Each entry is one atomic
+/// word or byte, so there is no second cell to publish. Both writes race
+/// for the inline slots, claimed through one counter; with the inline
+/// slots full (`paged`) they race to allocate the page table and the page,
+/// each ordered by its `OnceLock`, which this explores too. The seeded-bug
+/// tests below show what the checker does to a protocol that *does* need
+/// a publication edge and lacks it.
 #[test]
 fn scck_cache_publication_is_exhaustively_safe() {
-    let stats = Builder::new()
-        .check(|| {
-            let cache = Arc::new(ScckCache::new(4));
-            let writer = Arc::clone(&cache);
-            let t = thread::spawn(move || writer.set(VertexId(1), true));
-            match cache.get(VertexId(1)) {
-                // Unknown (store not yet visible) or the written value.
-                None | Some(true) => {}
-                Some(false) => panic!("stamped slot observed with a stale state byte"),
-            }
-            t.join().unwrap();
-            assert_eq!(cache.get(VertexId(1)), Some(true), "join must publish the entry");
-        })
-        .expect("scck publication model");
-    assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
+    // Each get scans the inline slots, one scheduling point apiece: bound
+    // the preemptions to keep the space exhaustible.
+    let builder = Builder { preemption_bound: Some(3), ..Builder::new() };
+    for paged in [false, true] {
+        let stats = builder
+            .check(move || {
+                let cache = Arc::new(ScckCache::new(4));
+                if paged {
+                    for _ in 0..INLINE_SLOTS {
+                        cache.set(VertexId(3), false);
+                    }
+                }
+                let writer = Arc::clone(&cache);
+                let t = thread::spawn(move || writer.set(VertexId(1), true));
+                cache.set(VertexId(2), false);
+                match cache.get(VertexId(1)) {
+                    // Unknown (store not yet visible) or the written value.
+                    None | Some(true) => {}
+                    Some(false) => panic!("stamped slot observed with a stale state"),
+                }
+                t.join().unwrap();
+                assert_eq!(cache.get(VertexId(1)), Some(true), "join must publish the entry");
+                assert_eq!(cache.get(VertexId(2)), Some(false), "a racing write lost the entry");
+            })
+            .expect("scck publication model");
+        assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
+    }
 }
 
 /// An update applied while a query is in flight: the query must pin one

@@ -1,4 +1,5 @@
-//! UIS from both ends: the default two-frontier search, Algorithm 1 under
+//! UIS from both ends and from `V(S,G)`: the default search (two endpoint
+//! sides, and two candidate sides once they seed), Algorithm 1 under
 //! the one-frontier switch (`QueryOptions::one_frontier`) and the
 //! brute-force oracle must answer every query alike — on the paper's
 //! figure, the funnel fixtures, seeded LUBM draws and an overlay graph in
@@ -9,10 +10,10 @@
 
 use kgreach::fixtures::{figure3, s0};
 use kgreach::{
-    find_witness, uis, Algorithm, LocalIndexConfig, LscrQuery, QueryOptions, SearchScratch,
+    find_witness, oracle, uis, Algorithm, LocalIndexConfig, LscrQuery, QueryOptions, SearchScratch,
     SubstructureConstraint,
 };
-use kgreach_datagen::constraints::{s1, s2, s3, s4};
+use kgreach_datagen::constraints::{s1, s2, s3, s4, s5};
 use kgreach_datagen::funnel::{self, FunnelConfig};
 use kgreach_datagen::{lubm, top_label_set, LubmConfig};
 use kgreach_graph::snapshot::xxh64;
@@ -27,9 +28,10 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
-/// UIS with two frontiers and with one (Algorithm 1 as printed) in
+/// Default UIS and UIS with one frontier (Algorithm 1 as printed) in
 /// `form`, each under every step budget too when `sweep`: `(two, one)` per
-/// query. One frontier never steps backward and runs no precheck.
+/// query. One frontier never steps backward, seeds no candidate side and
+/// runs no precheck.
 fn uis_both_ways(
     m: &Matrix,
     queries: &[LscrQuery],
@@ -48,6 +50,7 @@ fn uis_both_ways(
         } else {
             assert_eq!(out.stats.backward_edges_scanned, 0, "one frontier stepped backward");
             assert_eq!(out.stats.negative_terminations, 0, "one frontier ran a precheck");
+            assert_eq!(out.stats.vsg_size, None, "one frontier seeded candidate sides");
             pairs.push((two.take().unwrap(), out.clone()));
         }
     });
@@ -56,11 +59,17 @@ fn uis_both_ways(
 
 #[test]
 fn figure3_all_pairs_under_every_label_set_and_budget() {
-    let (g, queries) = figure3_pairs();
+    let (g, mut queries) = figure3_pairs();
+    // V(S,G) = {v4}, one candidate by the schema too: the candidate sides
+    // seed once both endpoint stacks hold two vertices.
+    let one = SubstructureConstraint::parse("SELECT ?x WHERE { ?x <hates> <v1> . }").unwrap();
+    queries.extend(all_pairs(&g, &[g.all_labels(), g.label_set(&["friendOf", "likes"])], &one));
     let m = Matrix::of(g);
     let outs = uis_both_ways(&m, &queries, Form::Kernels, true);
     let backward: usize = outs.iter().map(|(two, _)| two.stats.backward_edges_scanned).sum();
     assert!(backward > 0, "the backward side never ran on figure 3");
+    let seeded = outs.iter().filter(|(two, _)| two.stats.vsg_size.is_some()).count();
+    assert!(seeded > 0, "the budget sweep never reached seeded candidate sides");
     let every_algorithm = Run::each(&ALGORITHMS, &QueryOptions::default(), true);
     m.run(&queries, &every_algorithm, &[Form::Engine], |_, _| {});
 }
@@ -181,10 +190,12 @@ fn overlay_graph_mid_update_script() {
     assert!(overlays > 0, "no round was answered over a live overlay");
 }
 
-/// The worst case the module docs state: twice the cheaper closure plus
-/// one hub. `s` reaches three sinks, `t` sits behind a vertex with 5,000
-/// in-edges; the backward side pops that hub once — and none of the 5,000
-/// vertices behind it, each of which has an in-edge of its own.
+/// The worst case the module docs state: a small multiple of the cheapest
+/// closure plus one hub. `s` reaches three sinks, `t` sits behind a vertex
+/// with 5,000 in-edges; the backward side pops that hub once — and none of
+/// the 5,000 vertices behind it, each of which has an in-edge of its own.
+/// The one candidate, sink `a`, seeds the candidate sides, which add `a`'s
+/// one in-edge.
 #[test]
 fn one_hub_bounds_the_worst_case() {
     const HUB_IN_DEGREE: usize = 5_000;
@@ -211,8 +222,11 @@ fn one_hub_bounds_the_worst_case() {
         "worse than twice the cheaper closure plus one hub: {:?}",
         two.stats
     );
-    assert_eq!(two.stats.backward_edges_scanned, 1 + HUB_IN_DEGREE);
-    assert_eq!(two.stats.passed_vertices, 4 + 2 + HUB_IN_DEGREE, "both maps are counted");
+    assert_eq!(two.stats.vsg_size, Some(1));
+    assert_eq!(two.stats.backward_edges_scanned, 1 + HUB_IN_DEGREE + 1);
+    // Forward s, a, b, c; backward t, hub and the leaves; candidate sides
+    // a, and s behind it.
+    assert_eq!(two.stats.passed_vertices, 4 + 2 + HUB_IN_DEGREE + 3, "all four maps are counted");
 }
 
 /// `q1`, its reverse, `q1` again on one scratch: the second query's
@@ -240,7 +254,7 @@ fn scratch_reuse_across_direction_flips() {
     assert_eq!(fresh.stats, first.stats, "a used scratch searched differently from a new one");
 }
 
-/// The CI work guard: on fixed S3 draws the two-frontier search scans at
+/// The CI work guard: on fixed S3 draws the default search scans at
 /// most a third of the edges Algorithm 1 scans and calls `SCck` no more
 /// often. Counts, not times: a build that breaks this fails everywhere.
 #[test]
@@ -277,15 +291,64 @@ fn s3_work_guard() {
     );
     assert!(
         3 * two_edges <= one_edges,
-        "two frontiers scanned {two_edges} edges, one frontier {one_edges}"
+        "the default search scanned {two_edges} edges, one frontier {one_edges}"
     );
-    assert!(two_scck <= one_scck, "two frontiers made {two_scck} SCck calls, one {one_scck}");
+    assert!(
+        two_scck <= one_scck,
+        "the default made {two_scck} SCck calls, one frontier {one_scck}"
+    );
 }
 
-/// The planner's side of the meet in the middle: under a selective `L`,
-/// a query with 64 or more candidates is `Auto`'s to send to UIS, which
-/// answers it like the oracle and for no more work than the kernels
-/// `Auto` used to pick. 400 fixed draws, a third each under S1, S2 and
+/// The CI work guard for the candidate sides: on fixed true S2 and S5
+/// draws — a handful of candidates, far from both endpoints — default UIS
+/// scans at most half the edges the two-frontier UIS before them scanned,
+/// and calls `SCck` no more often.
+#[test]
+fn small_vsg_work_guard() {
+    /// `edges_scanned` and `scck_calls` summed over the draws by UIS at
+    /// the parent commit, whose two frontiers ran from `s` and `t` only.
+    /// Counts repeat exactly; CI can hold them.
+    const PARENT_EDGES: usize = 332_144;
+    const PARENT_SCCK: usize = 135_898;
+    let m = Matrix::of(small_lubm(26));
+    let g = &m.graph;
+    // Uniform pairs under 20–80 % of the labels, as §6.1.1 draws them,
+    // kept while true, until each constraint has 100.
+    let mut rng = SmallRng::seed_from_u64(0x0525_A11F);
+    let mut label_ids: Vec<u16> = (0..g.num_labels() as u16).collect();
+    let constraints = [s2(), s5()];
+    let (mut queries, mut kept) = (Vec::new(), [0usize; 2]);
+    while kept != [100, 100] {
+        let s = VertexId(rng.gen_range(0..g.num_vertices()) as u32);
+        let t = VertexId(rng.gen_range(0..g.num_vertices()) as u32);
+        label_ids.shuffle(&mut rng);
+        let share = rng.gen_range(20..=80usize);
+        let labels = label_ids[..(label_ids.len() * share).div_ceil(100)]
+            .iter()
+            .map(|&l| LabelId(l))
+            .collect();
+        let c: usize = rng.gen_range(0..2);
+        let q = LscrQuery::new(s, t, labels, constraints[c].clone());
+        if kept[c] < 100 && oracle::answer(g, &q.compile(g).unwrap()).answer {
+            kept[c] += 1;
+            queries.push(q);
+        }
+    }
+    let (mut edges, mut scck, mut seeded) = (0, 0, 0);
+    for (two, _) in uis_both_ways(&m, &queries, Form::Kernels, false) {
+        edges += two.stats.edges_scanned;
+        scck += two.stats.scck_calls;
+        seeded += usize::from(two.stats.vsg_size.is_some());
+    }
+    assert!(seeded >= 100, "the candidate sides seeded on {seeded} of 200 draws");
+    assert!(2 * edges <= PARENT_EDGES, "{edges} edges scanned, the parent {PARENT_EDGES}");
+    assert!(scck <= PARENT_SCCK, "{scck} SCck calls, the parent {PARENT_SCCK}");
+}
+
+/// The served side of the meet in the middle: under a selective `L`,
+/// `Auto` sends every query to UIS — those with 64 or more candidates
+/// included — and UIS answers them like the oracle for no more work than
+/// `PARENT_WORK` records. 400 fixed draws, a third each under S1, S2 and
 /// S4, all under the three most frequent labels.
 #[test]
 fn narrow_l_routes_to_uis() {
@@ -293,8 +356,8 @@ fn narrow_l_routes_to_uis() {
     /// commit (PR 23), where the same queries ran the bidirectional phase
     /// inside UIS*/INS. Counts repeat exactly; CI can hold them.
     const PARENT_WORK: usize = 151_121;
-    // 28 universities: the smallest replica on which the planner reads 64
-    // or more candidates for all three constraints (67 / 67 / 70).
+    // 28 universities: the smallest replica on which the schema estimate
+    // reads 64 or more candidates for all three constraints (67 / 67 / 70).
     let g = lubm::generate(&LubmConfig { universities: 28, departments: 6, seed: 26 }).unwrap();
     let narrow = top_label_set(&g, 3);
     assert!(g.expansion_selective(narrow), "top-3 labels are no longer mask-selective");
@@ -335,8 +398,9 @@ fn narrow_l_routes_to_uis() {
     let (mut gated, mut trues, mut work) = (0, 0, 0);
     let auto = [Run { alg: Algorithm::Auto, opts: QueryOptions::default(), sweep: false }];
     m.run(&queries, &auto, &[Form::Engine], |case, out| {
-        // What `plan_on` sees: the exact count once some search has
-        // materialized V(S,G), the schema estimate until then.
+        // The candidate count, as UIS reads it for its unseeded candidate
+        // sides: exact once some search has materialized V(S,G), the
+        // schema estimate until then.
         let candidates = case.vsg_hint.unwrap_or_else(|| {
             let plan = queries[case.query].compile(g).unwrap();
             plan.constraint.estimate_candidates(g, g.label_histogram())

@@ -48,12 +48,24 @@ proptest! {
         let constraint = SubstructureConstraint::parse(
             "SELECT ?x WHERE { ?x <rdf:type> <C0> . ?x <l0> ?y . }",
         ).unwrap();
-        let queries = all_pairs(g, &label_sets, &constraint);
+        // Every base vertex is typed and no batch deletes a type, so V(S,G)
+        // is never empty under `typed`: UIS's endpoint sides always step.
+        let typed = SubstructureConstraint::parse("SELECT ?x WHERE { ?x <rdf:type> ?c . }")
+            .unwrap();
+        let mut queries = all_pairs(g, &label_sets, &constraint);
+        queries.extend(all_pairs(g, &label_sets, &typed));
         let runs = Run::each(&ALGORITHMS, &QueryOptions::default(), false);
         let mut backward_over_live = 0;
         m.run(&queries, &runs, &[Form::Engine, Form::Overlay], |case, out| {
             if case.form == Form::Overlay {
                 backward_over_live += out.stats.backward_edges_scanned;
+            }
+            // An empty V(S,G) the plan already holds settles UIS (and
+            // `Auto`, which resolves to it) before any side steps.
+            if case.vsg_hint == Some(0) && out.stats.algorithm == Some(Algorithm::Uis) {
+                assert!(!out.answer, "query {}", case.query);
+                assert_eq!(out.stats.negative_terminations, 1, "query {}", case.query);
+                assert_eq!(out.stats.edges_scanned, 0, "query {}", case.query);
             }
         });
         // The sweep reached `in_expansion` on the live side — over the

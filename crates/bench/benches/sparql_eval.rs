@@ -1,7 +1,9 @@
 //! SPARQL-engine benchmarks on the D5' LUBM replica (`lubm-d5`, the graph
 //! `kgbench` runs on): the two operations the LSCR algorithms lean on —
 //! `SCck` (per-vertex satisfaction) and `V(S,G)` materialization — plus the
-//! plan compilation that decides what both cost. All three are *cold*:
+//! plan compilation that decides what both cost, and the parse of the
+//! constraint's text (lex, parse, canonical text) that every `/query`
+//! pays before the plan cache is even asked. All four are *cold*:
 //! nothing here touches the per-constraint memos, so the rows are what a
 //! plan-cache miss or a post-update query pays.
 //!
@@ -47,6 +49,10 @@ fn bench_sparql(c: &mut Criterion) {
             })
         });
         group.bench_function("compile", |b| b.iter(|| black_box(constraint.compile(&g)).is_ok()));
+        let text = constraint.sparql_text();
+        group.bench_function("parse", |b| {
+            b.iter(|| black_box(SubstructureConstraint::parse(black_box(text))).is_ok())
+        });
         group.finish();
     }
 }

@@ -85,7 +85,7 @@ impl SubstructureConstraint {
                 ),
             });
         }
-        let text = query.to_string();
+        let text = query.canonical_text();
         Ok(SubstructureConstraint { query, text })
     }
 
@@ -198,6 +198,7 @@ impl ScckCache {
         // for an edge to publish; a page is ordered by its `OnceLock`.
         let paged = self.pages.get().and_then(|pages| pages[v.index() / PAGE_SLOTS].get());
         if let Some(page) = paged {
+            // relaxed: the byte is the whole entry (see above).
             match page[v.index() % PAGE_SLOTS].load(Ordering::Relaxed) {
                 UNKNOWN => {}
                 state => return Some(state == SAT),
@@ -205,6 +206,7 @@ impl ScckCache {
         }
         let key = u64::from(v.0) << 2;
         self.inline.iter().find_map(|slot| {
+            // relaxed: the word is the whole entry (see above).
             let word = slot.load(Ordering::Relaxed);
             (word != 0 && word & !0b11 == key).then_some(word & 0b11 == u64::from(SAT))
         })
@@ -217,8 +219,10 @@ impl ScckCache {
         // relaxed: see `get` — a claimed inline slot is this writer's
         // alone, and racing writers of one page byte store the same value.
         if self.claimed.load(Ordering::Relaxed) < INLINE_SLOTS as u32 {
+            // relaxed: the claim publishes nothing; the slot is ours alone.
             let i = self.claimed.fetch_add(1, Ordering::Relaxed) as usize;
             if let Some(slot) = self.inline.get(i) {
+                // relaxed: the word is the whole entry (see `get`).
                 slot.store(u64::from(v.0) << 2 | u64::from(state), Ordering::Relaxed);
                 return;
             }
@@ -230,6 +234,7 @@ impl ScckCache {
         });
         let page = pages[v.index() / PAGE_SLOTS]
             .get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU8::new(UNKNOWN))));
+        // relaxed: racing writers of one byte store the same value.
         page[v.index() % PAGE_SLOTS].store(state, Ordering::Relaxed);
     }
 

@@ -1246,6 +1246,44 @@ mod tests {
         assert_eq!(out.stats.vsg_size, Some(1));
     }
 
+    /// A held query whose constraint names the vertex `literal` (written
+    /// in `sparql` as an escaped string literal) is answered for that same
+    /// constraint after an unrelated update rebuilds its plan from the
+    /// canonical text.
+    fn held_literal_survives_an_update(literal: &str, sparql: &str) {
+        let mut b = kgreach_graph::GraphBuilder::new();
+        b.add_triple("s", "next", "m");
+        b.add_triple("m", "next", "t");
+        b.add_triple("m", "tag", literal);
+        let engine = LscrEngine::new(b.build().unwrap());
+        let constraint = SubstructureConstraint::parse(sparql).unwrap();
+        assert_eq!(constraint.query().patterns[0].object, kgreach_sparql::Term::constant(literal));
+        let q = {
+            let g = engine.graph();
+            let v = |name| g.vertex_id(name).unwrap();
+            LscrQuery::new(v("s"), v("t"), g.label_set(&["next"]), constraint)
+        };
+        let held = engine.compile(&q).unwrap();
+        let opts = QueryOptions::default();
+        assert!(engine.answer_compiled(&held, Algorithm::Uis, &opts).unwrap().answer);
+
+        let mut batch = kgreach_graph::UpdateBatch::new();
+        batch.insert("elsewhere", "unrelated", "nowhere");
+        engine.apply_update(&batch).unwrap();
+        let out = engine.answer_compiled(&held, Algorithm::Uis, &opts).unwrap();
+        assert!(out.answer, "the rebuilt plan must still require ?x <tag> {literal:?}");
+    }
+
+    #[test]
+    fn held_query_with_an_angle_bracket_literal_survives_an_update() {
+        held_literal_survives_an_update("a>b", r#"SELECT ?x WHERE { ?x <tag> "a>b" . }"#);
+    }
+
+    #[test]
+    fn held_query_with_backslash_and_quote_literal_survives_an_update() {
+        held_literal_survives_an_update(r#"a\b"c"#, r#"SELECT ?x WHERE { ?x <tag> "a\\b\"c" . }"#);
+    }
+
     #[test]
     fn reload_from_snapshot_swaps_state_and_advances_epoch() {
         // Serving engine: figure3 with an index and a cached plan.

@@ -130,7 +130,9 @@ pub fn read_request(
     else {
         return Err(HttpError::BadRequest(format!("malformed request line '{request_line}'")));
     };
-    if parts.next().is_some() || method.is_empty() || target.is_empty() {
+    // A target that is all query (`?x`) or fragment has no path to route.
+    let path = target.split(['?', '#']).next().unwrap_or(target);
+    if parts.next().is_some() || method.is_empty() || path.is_empty() {
         return Err(HttpError::BadRequest(format!("malformed request line '{request_line}'")));
     }
     let http11 = match version {
@@ -193,8 +195,7 @@ pub fn read_request(
             _ => HttpError::Io(e),
         })?;
     }
-    let path = target.split(['?', '#']).next().unwrap_or(target).to_owned();
-    Ok(Request { method: method.to_ascii_uppercase(), path, body, keep_alive })
+    Ok(Request { method: method.to_ascii_uppercase(), path: path.to_owned(), body, keep_alive })
 }
 
 /// Reads up to and including the blank line terminating the header block,
@@ -234,29 +235,36 @@ fn read_head(reader: &mut BufReader<TcpStream>, limits: &HttpLimits) -> Result<V
                 HttpError::BadRequest("connection closed mid-headers".into())
             });
         }
-        // How many of `available`'s bytes belong to the head, and how
-        // long a terminator they end with (0: none yet).
-        let (mut taken, mut terminator) = (0, 0);
-        for &byte in available {
-            head.push(byte);
-            taken += 1;
-            if head.ends_with(b"\r\n\r\n") {
-                terminator = 4;
-                break;
-            }
-            if head.ends_with(b"\n\n") {
-                terminator = 2;
-                break;
+        // Take `available` a line at a time: only a `\n` can end the
+        // head, so each line is copied whole and checked once. A
+        // terminator split across two reads is found on the second, once
+        // its `\n` arrives after the head so far.
+        let mut taken = 0;
+        while taken < available.len() {
+            let line_end = available[taken..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(available.len(), |at| taken + at + 1);
+            head.extend_from_slice(&available[taken..line_end]);
+            taken = line_end;
+            let terminator = if head.ends_with(b"\r\n\r\n") {
+                4
+            } else if head.ends_with(b"\n\n") {
+                2
+            } else {
+                0
+            };
+            // The head may end at byte `max_head_bytes` and no later.
+            if terminator > 0 && head.len() <= limits.max_head_bytes {
+                reader.consume(taken);
+                head.truncate(head.len() - terminator);
+                return Ok(head);
             }
             if head.len() >= limits.max_head_bytes {
                 return Err(HttpError::HeadTooLarge);
             }
         }
         reader.consume(taken);
-        if terminator > 0 {
-            head.truncate(head.len() - terminator);
-            return Ok(head);
-        }
     }
 }
 
@@ -370,6 +378,67 @@ pub(crate) mod tests {
 
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
+        }
+    }
+
+    /// The server end of a loopback connection whose client sent `bytes`
+    /// and closed its side, read through a buffer of `capacity` bytes —
+    /// so each `fill_buf` sees at most that many.
+    fn loopback(bytes: &[u8], capacity: usize) -> BufReader<TcpStream> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.write_all(bytes).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        BufReader::with_capacity(capacity, server)
+    }
+
+    #[test]
+    fn a_terminator_split_across_reads_ends_the_head_and_takes_no_body_byte() {
+        // The body opens with what would be a terminator; the next request
+        // ends in a bare `\n\n`.
+        let wire = b"POST /query?x=1 HTTP/1.1\r\nContent-Length: 7\r\n\r\n\r\n\r\n{}\nGET /healthz HTTP/1.1\nHost: kg\n\n";
+        for capacity in [1, 2, 3, 4, 5, 7, 16, 47, 48, 49, 8192] {
+            let mut reader = loopback(wire, capacity);
+            let req = read_request(&mut reader, &HttpLimits::default()).unwrap();
+            assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/query"));
+            assert_eq!(req.body, b"\r\n\r\n{}\n", "capacity {capacity}");
+            let next = read_request(&mut reader, &HttpLimits::default()).unwrap();
+            assert_eq!((next.method.as_str(), next.path.as_str()), ("GET", "/healthz"));
+            assert!(next.body.is_empty() && next.keep_alive);
+            assert!(matches!(
+                read_request(&mut reader, &HttpLimits::default()),
+                Err(HttpError::ConnectionClosed)
+            ));
+        }
+    }
+
+    #[test]
+    fn a_head_may_end_exactly_at_the_limit_and_no_later() {
+        let head = "GET /healthz HTTP/1.1\r\nX-Pad: abcdefgh\r\n\r\n";
+        for terminator in ["\r\n\r\n", "\n\n"] {
+            let head = head.replace("\r\n\r\n", terminator);
+            for capacity in [1, 3, 8, 8192] {
+                let at_limit = HttpLimits { max_head_bytes: head.len(), ..HttpLimits::default() };
+                let mut reader = loopback(head.as_bytes(), capacity);
+                assert_eq!(read_request(&mut reader, &at_limit).unwrap().path, "/healthz");
+                let under = HttpLimits { max_head_bytes: head.len() - 1, ..at_limit };
+                let err = read_request(&mut loopback(head.as_bytes(), capacity), &under);
+                assert_eq!(err.unwrap_err().status(), Some(431), "capacity {capacity}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_head_is_a_typed_error() {
+        let wire = b"POST /query HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}";
+        for cut in 0..wire.len() {
+            match read_request(&mut loopback(&wire[..cut], 4), &HttpLimits::default()) {
+                Err(HttpError::ConnectionClosed) => assert_eq!(cut, 0),
+                Err(HttpError::BadRequest(_)) => assert!(cut > 0),
+                other => panic!("cut at {cut}: {other:?}"),
+            }
         }
     }
 

@@ -82,7 +82,7 @@ impl Json {
 
     /// Parses one JSON document; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         let value = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -180,13 +180,53 @@ impl Json {
             }
         }
     }
+
+    /// The serialized length — exact, except that a number that is not a
+    /// small integer is guessed at [`NUMBER_GUESS`] bytes — so that
+    /// `Display` fills one buffer allocated once.
+    fn size_hint(&self) -> usize {
+        match self {
+            Json::Null => 4,
+            Json::Bool(true) => 4,
+            Json::Bool(false) => 5,
+            Json::Num(n) => number_len(*n),
+            Json::Str(s) => escaped_len(s),
+            Json::Arr(items) => {
+                2 + items.len().saturating_sub(1) + items.iter().map(Json::size_hint).sum::<usize>()
+            }
+            Json::Obj(fields) => {
+                let body: usize =
+                    fields.iter().map(|(k, v)| escaped_len(k) + 1 + v.size_hint()).sum();
+                2 + fields.len().saturating_sub(1) + body
+            }
+        }
+    }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.size_hint());
         self.write(&mut out);
         f.write_str(&out)
+    }
+}
+
+/// [`Json::size_hint`]'s guess for a number it does not measure.
+const NUMBER_GUESS: usize = 24;
+
+/// Whether [`write_number`] writes `n` as an integer.
+fn is_small_integer(n: f64) -> bool {
+    n.fract() == 0.0 && n.abs() < 9e15
+}
+
+fn number_len(n: f64) -> usize {
+    if !n.is_finite() {
+        4
+    } else if is_small_integer(n) {
+        let digits = (n as i64).unsigned_abs().checked_ilog10().map_or(1, |d| d as usize + 1);
+        digits + usize::from(n < 0.0)
+    } else {
+        NUMBER_GUESS
     }
 }
 
@@ -195,30 +235,74 @@ fn write_number(n: f64, out: &mut String) {
         // JSON has no NaN/Infinity; the wire never produces them, but a
         // defensive null beats emitting an unparseable token.
         out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < 9e15 {
-        out.push_str(&format!("{}", n as i64));
+    } else if is_small_integer(n) {
+        // The digits of `n as i64`, right to left into a stack buffer:
+        // |n| < 9e15 is at most 16 digits and a sign.
+        let int = n as i64;
+        let (mut digits, mut at, mut m) = ([0u8; 20], 20, int.unsigned_abs());
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (m % 10) as u8;
+            m /= 10;
+            if m == 0 {
+                break;
+            }
+        }
+        if int < 0 {
+            at -= 1;
+            digits[at] = b'-';
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     } else {
-        out.push_str(&format!("{n}"));
+        use fmt::Write;
+        let _ = write!(out, "{n}"); // writing to a `String` cannot fail
     }
 }
 
+/// Whether a string byte must be escaped: `"`, `\` and the C0 controls.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// The length of `s` as [`write_escaped`] writes it, quotes included.
+fn escaped_len(s: &str) -> usize {
+    let extra: usize = s
+        .bytes()
+        .filter(|&b| needs_escape(b))
+        .map(|b| if matches!(b, b'"' | b'\\' | b'\n' | b'\r' | b'\t') { 1 } else { 5 })
+        .sum();
+    s.len() + 2 + extra
+}
+
+/// Writes `s` quoted, copying each run of bytes that need no escape whole.
 fn write_escaped(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(needs_escape) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
 struct Parser<'a> {
+    /// The document; being a `str`, it is valid UTF-8 throughout, and the
+    /// parser only ever cuts it after an ASCII byte.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -318,15 +402,30 @@ impl Parser<'_> {
         }
     }
 
+    /// A string's text. The bytes up to the next quote, backslash or
+    /// control byte are copied as one run: a string without escapes is
+    /// one allocation of its exact length, and one with escapes grows
+    /// run by run.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self.bytes.get(self.pos).ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += 1;
+            let start = self.pos;
+            let Some(len) = self.bytes[start..].iter().position(|&b| needs_escape(b)) else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            let run = &self.text[start..start + len];
+            let b = self.bytes[start + len];
+            self.pos = start + len + 1;
             match b {
-                b'"' => return Ok(out),
+                b'"' if out.is_empty() => return Ok(run.to_owned()),
+                b'"' => {
+                    out.push_str(run);
+                    return Ok(out);
+                }
                 b'\\' => {
+                    out.push_str(run);
                     let esc =
                         *self.bytes.get(self.pos).ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
@@ -343,27 +442,7 @@ impl Parser<'_> {
                         _ => return Err(self.err(format!("unknown escape '\\{}'", esc as char))),
                     }
                 }
-                0x00..=0x1f => return Err(self.err("unescaped control character")),
-                _ => {
-                    // Re-walk UTF-8 from the raw bytes: multi-byte
-                    // sequences arrive one leading byte at a time.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0x20..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        0xf0..=0xf7 => 4,
-                        _ => return Err(self.err("invalid UTF-8")),
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or_else(|| self.err("truncated UTF-8"))?;
-                    let s =
-                        std::str::from_utf8(chunk).map_err(|_| self.err("invalid UTF-8 bytes"))?;
-                    out.push_str(s);
-                    self.pos = start + len;
-                }
+                _ => return Err(self.err("unescaped control character")),
             }
         }
     }
@@ -408,13 +487,15 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII");
+        let text = &self.text[start..self.pos];
         if !is_json_number(text) {
             return Err(JsonError { at: start, message: format!("non-JSON number '{text}'") });
         }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError { at: start, message: format!("malformed number '{text}'") })
+        // A number past `f64`'s range would read back as `null`: refuse it.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(JsonError { at: start, message: format!("number out of range '{text}'") }),
+        }
     }
 }
 
@@ -554,5 +635,109 @@ mod tests {
         assert_eq!(Json::parse("-0.5e-1").unwrap().as_f64(), Some(-0.05));
         assert_eq!(Json::u64(1_000_000_000_000).to_string(), "1000000000000");
         assert_eq!(Json::Num(f64::NAN).to_string(), "null", "non-finite serializes as null");
+        // It would read back as `null`, so it is not read at all.
+        assert!(Json::parse("1e999").is_err());
+        assert!(Json::parse("[-1e400]").is_err());
+    }
+
+    /// The number writer the stack-buffer one replaced.
+    fn format_number(n: f64) -> String {
+        if !n.is_finite() {
+            "null".into()
+        } else if n.fract() == 0.0 && n.abs() < 9e15 {
+            format!("{}", n as i64)
+        } else {
+            format!("{n}")
+        }
+    }
+
+    #[test]
+    fn numbers_are_written_as_format_wrote_them() {
+        let p53 = 2f64.powi(53);
+        let mut sweep = vec![0.0, -0.0, 1.0, -1.0, 9.0, 10.0, -10.0, 99.0, 100.0, 12345.0];
+        sweep.extend([p53, -p53, p53 - 1.0, -(p53 - 1.0), p53 + 2.0]);
+        sweep.extend([9e15, -9e15, 9e15 - 1.0, -(9e15 - 1.0), 9e15 + 1.0, 1e16, 1e300]);
+        sweep.extend([0.5, -0.5, 1.25, 3.5, -2.75, 1e-7, 123.456, 0.1 + 0.2, f64::MIN_POSITIVE]);
+        sweep.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MAX, f64::MIN]);
+        for k in 0..=16 {
+            let p = 10f64.powi(k);
+            sweep.extend([p - 1.0, p, p + 1.0, -p, -(p - 1.0)]);
+        }
+        for n in sweep {
+            let mut out = String::new();
+            write_number(n, &mut out);
+            assert_eq!(out, format_number(n), "{n:?}");
+            if n.is_finite() && is_small_integer(n) {
+                assert_eq!(number_len(n), out.len(), "{n:?}");
+            }
+        }
+    }
+
+    /// The escaper the run-copying one replaced: one `push` per `char`.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn strings_are_escaped_as_the_per_char_loop_escaped_them() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let corpus = [
+            String::new(),
+            controls.clone(),
+            format!("a{controls}b{controls}"),
+            "\"\\\"\\\\\"".into(),
+            "plain run then \" and \\ and \u{7f} del".into(),
+            "ünïcödé Zoë Müller ∀x∃y".into(),
+            "astral \u{1F600}\u{10FFFF}\u{1D11E} end".into(),
+            "\u{1F600}\"\u{1}\u{1F600}\\\n".into(),
+        ];
+        for s in &corpus {
+            let mut out = String::new();
+            write_escaped(s, &mut out);
+            assert_eq!(out, escape_per_char(s), "{s:?}");
+            assert_eq!(escaped_len(s), out.len(), "{s:?}");
+            assert_eq!(Json::parse(&out).unwrap().as_str(), Some(s.as_str()));
+        }
+    }
+
+    #[test]
+    fn size_hint_is_exact_without_fractional_numbers() {
+        let v = Json::Obj(vec![
+            ("a\"b".into(), Json::Arr(vec![Json::Null, Json::Bool(true), Json::Bool(false)])),
+            ("n".into(), Json::Arr(vec![Json::Num(-12.0), Json::Num(0.0), Json::u64(1 << 40)])),
+            ("s".into(), Json::str("tab\t nul\u{0} é")),
+            ("e".into(), Json::Obj(Vec::new())),
+            ("z".into(), Json::Arr(Vec::new())),
+        ]);
+        assert_eq!(v.size_hint(), v.to_string().len());
+    }
+
+    #[test]
+    fn strings_with_and_without_escapes_parse_to_their_text() {
+        for (json, text) in [
+            (r#""""#, ""),
+            (r#""run""#, "run"),
+            (r#""\n""#, "\n"),
+            (r#""a\"b\\c\/dé😀e""#, "a\"b\\c/dé\u{1F600}e"),
+            ("\"é\u{1F600}\"", "é\u{1F600}"),
+        ] {
+            assert_eq!(Json::parse(json).unwrap().as_str(), Some(text), "{json}");
+        }
+        for bad in ["\"a\nb\"", "\"a\\", "\"a\\u12\"", "\"a"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?}");
+        }
     }
 }

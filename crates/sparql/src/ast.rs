@@ -39,20 +39,43 @@ impl Term {
             Term::Constant(_) => None,
         }
     }
+
+    /// Writes the term as the lexer reads it back: `?v`, `<c>`, or — for
+    /// a constant containing whitespace, `"`, `\` or `>`, which `<c>`
+    /// cannot hold — `"c"` with its `\` and `"` escaped. Runs between
+    /// escapes are written whole.
+    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            Term::Variable(v) => {
+                out.write_char('?')?;
+                out.write_str(v)
+            }
+            Term::Constant(c)
+                if c.contains(|ch: char| ch.is_whitespace() || matches!(ch, '"' | '\\' | '>')) =>
+            {
+                out.write_char('"')?;
+                let mut rest = c.as_str();
+                while let Some(i) = rest.find(['"', '\\']) {
+                    out.write_str(&rest[..i])?;
+                    out.write_char('\\')?;
+                    out.write_str(&rest[i..=i])?;
+                    rest = &rest[i + 1..];
+                }
+                out.write_str(rest)?;
+                out.write_char('"')
+            }
+            Term::Constant(c) => {
+                out.write_char('<')?;
+                out.write_str(c)?;
+                out.write_char('>')
+            }
+        }
+    }
 }
 
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Constant(c) => {
-                if c.contains(' ') || c.contains('"') {
-                    write!(f, "\"{}\"", c.replace('"', "\\\""))
-                } else {
-                    write!(f, "<{c}>")
-                }
-            }
-            Term::Variable(v) => write!(f, "?{v}"),
-        }
+        self.write_to(f)
     }
 }
 
@@ -77,11 +100,20 @@ impl TriplePattern {
     pub fn variables(&self) -> impl Iterator<Item = &str> {
         [&self.subject, &self.predicate, &self.object].into_iter().filter_map(|t| t.as_variable())
     }
+
+    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        self.subject.write_to(out)?;
+        out.write_char(' ')?;
+        self.predicate.write_to(out)?;
+        out.write_char(' ')?;
+        self.object.write_to(out)?;
+        out.write_str(" .")
+    }
 }
 
 impl fmt::Display for TriplePattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {} .", self.subject, self.predicate, self.object)
+        self.write_to(f)
     }
 }
 
@@ -107,19 +139,45 @@ impl SelectQuery {
         }
         seen
     }
+
+    /// The canonical text: `SELECT ?v … WHERE { p . … }`, every term as
+    /// [`Term`]'s `Display` writes it. It parses back to this query, and
+    /// equal queries have equal texts. Measured first, then written into
+    /// one buffer of exactly that size.
+    pub fn canonical_text(&self) -> String {
+        /// Counts the bytes a writer is handed.
+        struct Len(usize);
+        impl fmt::Write for Len {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                Ok(())
+            }
+        }
+        let mut len = Len(0);
+        let _ = self.write_to(&mut len);
+        let mut out = String::with_capacity(len.0);
+        let _ = self.write_to(&mut out); // writing to a `String` cannot fail
+        out
+    }
+
+    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str("SELECT")?;
+        for v in &self.projection {
+            out.write_str(" ?")?;
+            out.write_str(v)?;
+        }
+        out.write_str(" WHERE { ")?;
+        for p in &self.patterns {
+            p.write_to(out)?;
+            out.write_char(' ')?;
+        }
+        out.write_char('}')
+    }
 }
 
 impl fmt::Display for SelectQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SELECT")?;
-        for v in &self.projection {
-            write!(f, " ?{v}")?;
-        }
-        write!(f, " WHERE {{ ")?;
-        for p in &self.patterns {
-            write!(f, "{p} ")?;
-        }
-        write!(f, "}}")
+        self.write_to(f)
     }
 }
 
@@ -132,6 +190,19 @@ mod tests {
         assert_eq!(Term::constant("ub:Course").to_string(), "<ub:Course>");
         assert_eq!(Term::constant("Research 12").to_string(), "\"Research 12\"");
         assert_eq!(Term::var("x").to_string(), "?x");
+        // Neither fits between angle brackets; both must re-lex as written.
+        assert_eq!(Term::constant("a>b").to_string(), r#""a>b""#);
+        assert_eq!(Term::constant(r#"a\b"c"#).to_string(), r#""a\\b\"c""#);
+        assert_eq!(Term::constant("tab\there").to_string(), "\"tab\there\"");
+    }
+
+    #[test]
+    fn canonical_text_is_display_in_one_exact_buffer() {
+        let q = crate::parse(r#"SELECT ?x WHERE { ?x <p> "a>b" . ?x ?q 'Zoë \\ "y"' }"#).unwrap();
+        let text = q.canonical_text();
+        assert_eq!(text, q.to_string());
+        assert_eq!(text.capacity(), text.len());
+        assert_eq!(crate::parse(&text).unwrap(), q);
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //! `SELECT ?x WHERE { ?x <ub:researchInterest> "Research12" . }`.
 //! Angle-bracket IRIs, double- or single-quoted literals, `?var`s, bare
 //! prefixed names (`ub:takesCourse`), braces and dots.
+//!
+//! Tokens borrow the query text: a [`Lexer`] hands them out one at a time
+//! and copies nothing, except a literal with a backslash escape, whose
+//! unescaped text is the one token that owns its bytes.
 
 use crate::error::{Result, SparqlError};
+use std::borrow::Cow;
 
-/// A lexical token.
+/// A lexical token, borrowing from the text it was read from.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Token {
+pub enum Token<'a> {
     /// `SELECT` (case-insensitive).
     Select,
     /// `WHERE` (case-insensitive).
@@ -17,9 +22,10 @@ pub enum Token {
     /// `DISTINCT` (case-insensitive; accepted and ignored by the parser).
     Distinct,
     /// `?name`.
-    Variable(String),
-    /// `<iri>`, `"literal"`, `'literal'` or a bare prefixed name.
-    Constant(String),
+    Variable(&'a str),
+    /// `<iri>`, `"literal"`, `'literal'` or a bare prefixed name; owned
+    /// only when a literal's escapes had to be undone.
+    Constant(Cow<'a, str>),
     /// `{`.
     LBrace,
     /// `}`.
@@ -28,99 +34,136 @@ pub enum Token {
     Dot,
 }
 
-/// Tokenizes `input` into a vector of tokens. Positions are byte offsets
-/// on `char` boundaries: an ASCII byte is its own `char`, anything else is
-/// decoded, so text outside ASCII lexes like any other.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
-    let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = char_at(input, i);
-        match c {
-            c if c.is_whitespace() => i += c.len_utf8(),
-            '{' => {
-                tokens.push(Token::LBrace);
-                i += 1;
+/// Tokenizes all of `input` (see [`Lexer`] for the one-at-a-time form).
+pub fn tokenize(input: &str) -> Result<Vec<Token<'_>>> {
+    Lexer::new(input).collect()
+}
+
+/// Reads tokens off a query text one at a time. Positions are byte
+/// offsets on `char` boundaries: an ASCII byte is its own `char`, anything
+/// else is decoded, so text outside ASCII lexes like any other. After an
+/// error the lexer yields nothing more.
+#[derive(Clone, Debug)]
+pub struct Lexer<'a> {
+    input: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Lexer { input, pos: 0 }
+    }
+
+    /// The next token, `Ok(None)` at the end of the input.
+    pub fn next_token(&mut self) -> Result<Option<Token<'a>>> {
+        let token = self.lex();
+        if token.is_err() {
+            self.pos = self.input.len();
+        }
+        token
+    }
+
+    fn lex(&mut self) -> Result<Option<Token<'a>>> {
+        let input = self.input;
+        let bytes = input.as_bytes();
+        let lex_error = |position: usize, message: String| SparqlError::Lex { position, message };
+        loop {
+            let i = self.pos;
+            if i >= bytes.len() {
+                return Ok(None);
             }
-            '}' => {
-                tokens.push(Token::RBrace);
-                i += 1;
-            }
-            '.' => {
-                tokens.push(Token::Dot);
-                i += 1;
-            }
-            '<' => {
-                let rest = &input[i + 1..];
-                let end = rest.find('>').ok_or_else(|| SparqlError::Lex {
-                    position: i,
-                    message: "unterminated IRI (missing '>')".into(),
-                })?;
-                tokens.push(Token::Constant(rest[..end].to_string()));
-                i += end + 2;
-            }
-            '"' | '\'' => {
-                // Quotes and backslashes are ASCII, and no byte of a
-                // multi-byte `char` is, so the scan can go byte by byte and
-                // copy each run between escapes whole.
-                let mut out = String::new();
-                let (mut j, mut run) = (i + 1, i + 1);
-                loop {
-                    match bytes.get(j) {
-                        Some(b'\\') if j + 1 < bytes.len() => {
-                            out.push_str(&input[run..j]);
-                            let escaped = char_at(input, j + 1);
-                            out.push(escaped);
-                            j += 1 + escaped.len_utf8();
-                            run = j;
-                        }
-                        Some(&b) if b == c as u8 => break,
-                        Some(_) => j += 1,
-                        None => {
-                            return Err(SparqlError::Lex {
-                                position: i,
-                                message: "unterminated literal".into(),
-                            })
-                        }
+            let c = char_at(input, i);
+            let (token, end) = match c {
+                c if c.is_whitespace() => {
+                    self.pos += c.len_utf8();
+                    continue;
+                }
+                '{' => (Token::LBrace, i + 1),
+                '}' => (Token::RBrace, i + 1),
+                '.' => (Token::Dot, i + 1),
+                '<' => {
+                    let rest = &input[i + 1..];
+                    let end = rest
+                        .find('>')
+                        .ok_or_else(|| lex_error(i, "unterminated IRI (missing '>')".into()))?;
+                    (Token::Constant(Cow::Borrowed(&rest[..end])), i + end + 2)
+                }
+                '"' | '\'' => {
+                    let (text, end) = quoted(input, i, c as u8)
+                        .ok_or_else(|| lex_error(i, "unterminated literal".into()))?;
+                    (Token::Constant(text), end)
+                }
+                '?' => {
+                    let end = name_end(input, i + 1);
+                    if end == i + 1 {
+                        return Err(lex_error(i, "'?' must be followed by a variable name".into()));
                     }
+                    (Token::Variable(&input[i + 1..end]), end)
                 }
-                out.push_str(&input[run..j]);
-                tokens.push(Token::Constant(out));
-                i = j + 1;
-            }
-            '?' => {
-                let end = name_end(input, i + 1);
-                if end == i + 1 {
-                    return Err(SparqlError::Lex {
-                        position: i,
-                        message: "'?' must be followed by a variable name".into(),
-                    });
+                c if is_name_char(c) => {
+                    let end = name_end(input, i);
+                    let word = &input[i..end];
+                    let token = if word.eq_ignore_ascii_case("SELECT") {
+                        Token::Select
+                    } else if word.eq_ignore_ascii_case("WHERE") {
+                        Token::Where
+                    } else if word.eq_ignore_ascii_case("DISTINCT") {
+                        Token::Distinct
+                    } else {
+                        Token::Constant(Cow::Borrowed(word))
+                    };
+                    (token, end)
                 }
-                tokens.push(Token::Variable(input[i + 1..end].to_string()));
-                i = end;
-            }
-            c if is_name_char(c) => {
-                let end = name_end(input, i);
-                let word = &input[i..end];
-                let token = match word.to_ascii_uppercase().as_str() {
-                    "SELECT" => Token::Select,
-                    "WHERE" => Token::Where,
-                    "DISTINCT" => Token::Distinct,
-                    _ => Token::Constant(word.to_string()),
-                };
-                tokens.push(token);
-                i = end;
-            }
-            other => {
-                return Err(SparqlError::Lex {
-                    position: i,
-                    message: format!("unexpected character {other:?}"),
-                })
-            }
+                other => return Err(lex_error(i, format!("unexpected character {other:?}"))),
+            };
+            self.pos = end;
+            return Ok(Some(token));
         }
     }
-    Ok(tokens)
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<Token<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_token().transpose()
+    }
+}
+
+/// The literal opening with the `quote` byte at `open`, and the offset
+/// just past its closing quote; `None` if it never closes. A backslash
+/// takes the next `char` literally. Quotes and backslashes are ASCII, and
+/// no byte of a multi-byte `char` is, so the scan jumps from one of them
+/// to the next and the text between is borrowed, or copied whole as a run
+/// once an escape forces an owned copy.
+fn quoted(input: &str, open: usize, quote: u8) -> Option<(Cow<'_, str>, usize)> {
+    let bytes = input.as_bytes();
+    let start = open + 1;
+    let mut owned: Option<String> = None;
+    let (mut run, mut j) = (start, start);
+    loop {
+        j += bytes[j..].iter().position(|&b| b == quote || b == b'\\')?;
+        if bytes[j] == quote {
+            let text = match owned {
+                None => Cow::Borrowed(&input[start..j]),
+                Some(mut out) => {
+                    out.push_str(&input[run..j]);
+                    Cow::Owned(out)
+                }
+            };
+            return Some((text, j + 1));
+        }
+        if j + 1 == bytes.len() {
+            return None;
+        }
+        let out = owned.get_or_insert_with(String::new);
+        out.push_str(&input[run..j]);
+        let escaped = char_at(input, j + 1);
+        out.push(escaped);
+        j += 1 + escaped.len_utf8();
+        run = j;
+    }
 }
 
 /// The `char` starting at byte `i`, a `char` boundary of `s`.
@@ -157,13 +200,14 @@ fn is_name_char(c: char) -> bool {
 mod tests {
     use super::*;
 
+    fn constant(s: &str) -> Token<'_> {
+        Token::Constant(Cow::Borrowed(s))
+    }
+
     #[test]
     fn keywords_case_insensitive() {
         let t = tokenize("select ?x WHERE distinct").unwrap();
-        assert_eq!(
-            t,
-            vec![Token::Select, Token::Variable("x".into()), Token::Where, Token::Distinct]
-        );
+        assert_eq!(t, vec![Token::Select, Token::Variable("x"), Token::Where, Token::Distinct]);
     }
 
     #[test]
@@ -172,11 +216,15 @@ mod tests {
         assert_eq!(
             t,
             vec![
-                Token::Constant("ub:Course".into()),
-                Token::Constant("Research12".into()),
-                Token::Constant("Research13".into()),
-                Token::Constant("ub:advisor".into()),
+                constant("ub:Course"),
+                constant("Research12"),
+                constant("Research13"),
+                constant("ub:advisor"),
             ]
+        );
+        assert!(
+            t.iter().all(|t| matches!(t, Token::Constant(Cow::Borrowed(_)))),
+            "unescaped tokens borrow the input"
         );
     }
 
@@ -189,7 +237,10 @@ mod tests {
     #[test]
     fn escaped_literal() {
         let t = tokenize(r#""a \"quoted\" thing""#).unwrap();
-        assert_eq!(t, vec![Token::Constant("a \"quoted\" thing".into())]);
+        assert_eq!(t, vec![constant("a \"quoted\" thing")]);
+        assert!(matches!(t[0], Token::Constant(Cow::Owned(_))), "escapes own their text");
+        let t = tokenize(r#"'\\' "\é" "a\\b\"c""#).unwrap();
+        assert_eq!(t, vec![constant("\\"), constant("é"), constant("a\\b\"c")]);
     }
 
     #[test]
@@ -204,34 +255,40 @@ mod tests {
     fn errors() {
         assert!(matches!(tokenize("<oops"), Err(SparqlError::Lex { .. })));
         assert!(matches!(tokenize("\"oops"), Err(SparqlError::Lex { .. })));
+        assert!(matches!(tokenize("\"oops\\"), Err(SparqlError::Lex { .. })));
         assert!(matches!(tokenize("? x"), Err(SparqlError::Lex { .. })));
         assert!(matches!(tokenize("|"), Err(SparqlError::Lex { .. })));
     }
 
     #[test]
+    fn lexer_stops_after_an_error() {
+        let mut lexer = Lexer::new("?x | ?y");
+        assert_eq!(lexer.next_token(), Ok(Some(Token::Variable("x"))));
+        assert!(matches!(lexer.next_token(), Err(SparqlError::Lex { position: 3, .. })));
+        assert_eq!(lexer.next_token(), Ok(None));
+    }
+
+    #[test]
     fn non_ascii_literals_keep_their_text() {
         let t = tokenize("\"Müller\" 'Zoë'").unwrap();
-        assert_eq!(t, vec![Token::Constant("Müller".into()), Token::Constant("Zoë".into())]);
+        assert_eq!(t, vec![constant("Müller"), constant("Zoë")]);
     }
 
     #[test]
     fn non_ascii_variables_lex() {
         let t = tokenize("?é ?x").unwrap();
-        assert_eq!(t, vec![Token::Variable("é".into()), Token::Variable("x".into())]);
+        assert_eq!(t, vec![Token::Variable("é"), Token::Variable("x")]);
     }
 
     #[test]
     fn non_ascii_bare_names_lex() {
         let t = tokenize("ub:Zoë . Ünïcode").unwrap();
-        assert_eq!(
-            t,
-            vec![Token::Constant("ub:Zoë".into()), Token::Dot, Token::Constant("Ünïcode".into())]
-        );
+        assert_eq!(t, vec![constant("ub:Zoë"), Token::Dot, constant("Ünïcode")]);
     }
 
     #[test]
     fn email_literals_lex_as_one_token() {
         let t = tokenize("'FullProfessor0@Department0.University0.edu'").unwrap();
-        assert_eq!(t, vec![Token::Constant("FullProfessor0@Department0.University0.edu".into())]);
+        assert_eq!(t, vec![constant("FullProfessor0@Department0.University0.edu")]);
     }
 }

@@ -2,33 +2,38 @@
 
 use crate::ast::{SelectQuery, Term, TriplePattern};
 use crate::error::{Result, SparqlError};
-use crate::lexer::{tokenize, Token};
+use crate::lexer::{Lexer, Token};
 
 /// Parses a `SELECT … WHERE { … }` query.
 pub fn parse(input: &str) -> Result<SelectQuery> {
-    Parser { tokens: tokenize(input)?, pos: 0 }.query()
+    Parser { lexer: Lexer::new(input), peeked: None }.query()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Pulls tokens from the lexer one at a time and moves each into the
+/// tree: a term's text is copied once, into its [`Term`], and no token is
+/// cloned or collected.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    peeked: Option<Token<'a>>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
-
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+impl<'a> Parser<'a> {
+    fn peek(&mut self) -> Result<Option<&Token<'a>>> {
+        if self.peeked.is_none() {
+            self.peeked = self.lexer.next_token()?;
         }
-        t
+        Ok(self.peeked.as_ref())
     }
 
-    fn expect(&mut self, want: &Token, context: &str) -> Result<()> {
-        match self.next() {
+    fn next(&mut self) -> Result<Option<Token<'a>>> {
+        match self.peeked.take() {
+            Some(t) => Ok(Some(t)),
+            None => self.lexer.next_token(),
+        }
+    }
+
+    fn expect(&mut self, want: &Token<'_>, context: &str) -> Result<()> {
+        match self.next()? {
             Some(ref t) if t == want => Ok(()),
             other => Err(SparqlError::Parse {
                 message: format!("expected {want:?} {context}, found {other:?}"),
@@ -38,14 +43,13 @@ impl Parser {
 
     fn query(&mut self) -> Result<SelectQuery> {
         self.expect(&Token::Select, "at start of query")?;
-        if matches!(self.peek(), Some(Token::Distinct)) {
-            self.next(); // results are set-semantics anyway
+        if matches!(self.peek()?, Some(Token::Distinct)) {
+            self.next()?; // results are set-semantics anyway
         }
         let mut projection = Vec::new();
-        while let Some(Token::Variable(_)) = self.peek() {
-            if let Some(Token::Variable(v)) = self.next() {
-                projection.push(v);
-            }
+        while let Some(&Token::Variable(v)) = self.peek()? {
+            projection.push(v.to_owned());
+            self.next()?;
         }
         if projection.is_empty() {
             return Err(SparqlError::Parse {
@@ -57,9 +61,9 @@ impl Parser {
 
         let mut patterns = Vec::new();
         loop {
-            match self.peek() {
+            match self.peek()? {
                 Some(Token::RBrace) => {
-                    self.next();
+                    self.next()?;
                     break;
                 }
                 None => {
@@ -73,8 +77,8 @@ impl Parser {
                     let o = self.term("object")?;
                     patterns.push(TriplePattern::new(s, p, o));
                     // The trailing dot is optional before '}'.
-                    if matches!(self.peek(), Some(Token::Dot)) {
-                        self.next();
+                    if matches!(self.peek()?, Some(Token::Dot)) {
+                        self.next()?;
                     }
                 }
             }
@@ -83,27 +87,25 @@ impl Parser {
         if patterns.is_empty() {
             return Err(SparqlError::EmptyPattern);
         }
-        if let Some(t) = self.peek() {
+        if let Some(t) = self.peek()? {
             return Err(SparqlError::Parse {
                 message: format!("trailing token {t:?} after query"),
             });
         }
 
         // Every projected variable must occur in some pattern.
-        let q = SelectQuery { projection, patterns };
-        let used = q.variables();
-        for v in &q.projection {
-            if !used.contains(&v.as_str()) {
+        for v in &projection {
+            if !patterns.iter().any(|p| p.variables().any(|u| u == v)) {
                 return Err(SparqlError::UnboundProjection { variable: v.clone() });
             }
         }
-        Ok(q)
+        Ok(SelectQuery { projection, patterns })
     }
 
     fn term(&mut self, role: &str) -> Result<Term> {
-        match self.next() {
-            Some(Token::Variable(v)) => Ok(Term::Variable(v)),
-            Some(Token::Constant(c)) => Ok(Term::Constant(c)),
+        match self.next()? {
+            Some(Token::Variable(v)) => Ok(Term::Variable(v.to_owned())),
+            Some(Token::Constant(c)) => Ok(Term::Constant(c.into_owned())),
             other => Err(SparqlError::Parse {
                 message: format!("expected a term as {role}, found {other:?}"),
             }),

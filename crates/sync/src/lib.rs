@@ -77,6 +77,8 @@ pub mod thread {
 /// the budget is measured — install it with `#[global_allocator]` in a
 /// test binary and read [`CountingAlloc::live_bytes`](alloc::CountingAlloc::live_bytes) /
 /// [`CountingAlloc::peak_bytes`](alloc::CountingAlloc::peak_bytes) around the region of interest.
+/// The allocation budget suite reads
+/// [`CountingAlloc::allocations`](alloc::CountingAlloc::allocations) the same way.
 ///
 /// This module deliberately uses `std::sync::atomic` directly rather
 /// than the loom shim above: a `#[global_allocator]` static needs `const`
@@ -87,7 +89,7 @@ pub mod alloc {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A [`GlobalAlloc`] that delegates to [`System`] and tracks live and
-    /// peak heap bytes.
+    /// peak heap bytes and the number of allocations.
     ///
     /// ```
     /// use kgreach_sync::alloc::CountingAlloc;
@@ -102,13 +104,18 @@ pub mod alloc {
     pub struct CountingAlloc {
         live: AtomicUsize,
         peak: AtomicUsize,
+        allocations: AtomicUsize,
     }
 
     impl CountingAlloc {
         /// A counter at zero — `const`, so it can back a
         /// `#[global_allocator]` static.
         pub const fn new() -> CountingAlloc {
-            CountingAlloc { live: AtomicUsize::new(0), peak: AtomicUsize::new(0) }
+            CountingAlloc {
+                live: AtomicUsize::new(0),
+                peak: AtomicUsize::new(0),
+                allocations: AtomicUsize::new(0),
+            }
         }
 
         /// Heap bytes currently allocated through this allocator.
@@ -132,6 +139,21 @@ pub mod alloc {
             // relaxed: a statistical counter; a racing allocation may
             // re-raise the peak immediately, which is the correct result.
             self.peak.store(self.live.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+
+        /// Calls to `alloc`, `alloc_zeroed` and `realloc` since
+        /// construction — every time the program asked for heap memory,
+        /// growing a buffer included. Read it before and after a region:
+        /// the difference is that region's allocation count.
+        pub fn allocations(&self) -> usize {
+            // relaxed: a statistical counter; readers need no ordering
+            // with the allocations themselves.
+            self.allocations.load(Ordering::Relaxed)
+        }
+
+        fn count(&self) {
+            // relaxed: a counter only — it orders nothing.
+            self.allocations.fetch_add(1, Ordering::Relaxed);
         }
 
         fn add(&self, n: usize) {
@@ -161,6 +183,7 @@ pub mod alloc {
             // SAFETY: same contract as the caller's.
             let p = unsafe { System.alloc(layout) };
             if !p.is_null() {
+                self.count();
                 self.add(layout.size());
             }
             p
@@ -170,6 +193,7 @@ pub mod alloc {
             // SAFETY: same contract as the caller's.
             let p = unsafe { System.alloc_zeroed(layout) };
             if !p.is_null() {
+                self.count();
                 self.add(layout.size());
             }
             p
@@ -185,6 +209,7 @@ pub mod alloc {
             // SAFETY: same contract as the caller's.
             let p = unsafe { System.realloc(ptr, layout, new_size) };
             if !p.is_null() {
+                self.count();
                 if new_size >= layout.size() {
                     self.add(new_size - layout.size());
                 } else {
@@ -229,6 +254,7 @@ pub mod alloc {
                 a.dealloc(p, shrunk);
                 assert_eq!(a.live_bytes(), 0);
                 assert_eq!(a.peak_bytes(), 8192);
+                assert_eq!(a.allocations(), 4, "alloc, alloc_zeroed and two reallocs");
             }
         }
     }

@@ -2,12 +2,15 @@
 //! graphs (compact, and live with an un-compacted overlay) and random
 //! basic graph patterns, `select_distinct`, `{v | satisfies(v)}` and a
 //! brute-force enumeration of every variable assignment agree — under the
-//! orders the planner chose and under every permutation of them.
+//! orders the planner chose and under every permutation of them. And the
+//! canonical text a constraint is cached and recompiled by parses back to
+//! the query it was written from, whatever its constants hold.
 
+use kgreach::SubstructureConstraint;
 use kgreach_graph::fxhash::FxHashSet;
 use kgreach_graph::{Graph, LabelId, UpdateBatch, VertexId};
 use kgreach_integration::random_graph;
-use kgreach_sparql::{eval, NodeRef, Plan, PredRef, SelectQuery, Term, TriplePattern};
+use kgreach_sparql::{eval, parse, NodeRef, Plan, PredRef, SelectQuery, Term, TriplePattern};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -255,6 +258,87 @@ fn named_shapes_agree_on_a_live_graph() {
         for patterns in &shapes {
             let query = SelectQuery { projection: vec!["x".into()], patterns: patterns.clone() };
             check(g, &query).unwrap_or_else(|e| panic!("{e:?}"));
+        }
+    }
+}
+
+/// What a generated constant is drawn from: name characters, every byte
+/// the canonical writer must quote or escape (whitespace, `"`, `\`, `>`),
+/// the lexer's other punctuation, and text outside ASCII — accented,
+/// astral, and Unicode whitespace.
+const CONSTANT_CHARS: &[char] = &[
+    'a',
+    'Z',
+    '0',
+    ':',
+    '_',
+    '-',
+    '/',
+    '#',
+    '@',
+    '.',
+    ' ',
+    '\t',
+    '\n',
+    '"',
+    '\'',
+    '\\',
+    '>',
+    '<',
+    '{',
+    '}',
+    '?',
+    'é',
+    'Ω',
+    '\u{1F600}',
+    '\u{a0}',
+    '\u{3000}',
+];
+
+/// A random query whose constants draw from [`CONSTANT_CHARS`]: up to
+/// four patterns, any term a constant or one of three variables, and a
+/// projection of variables the patterns use.
+fn random_text_query(rng: &mut SmallRng) -> SelectQuery {
+    let vars = ["x", "yé", "z_1"];
+    let term = |rng: &mut SmallRng| {
+        if rng.gen_bool(0.4) {
+            Term::var(vars[rng.gen_range(0..vars.len())])
+        } else {
+            let len = rng.gen_range(0..6);
+            Term::constant(
+                (0..len)
+                    .map(|_| CONSTANT_CHARS[rng.gen_range(0..CONSTANT_CHARS.len())])
+                    .collect::<String>(),
+            )
+        }
+    };
+    let mut patterns: Vec<TriplePattern> = (0..rng.gen_range(1..5))
+        .map(|_| TriplePattern::new(term(rng), term(rng), term(rng)))
+        .collect();
+    patterns[0].subject = Term::var("x");
+    let mut projection = vec!["x".to_owned()];
+    for v in &vars[1..] {
+        if rng.gen_bool(0.3) && patterns.iter().any(|p| p.variables().any(|u| u == *v)) {
+            projection.push((*v).to_owned());
+        }
+    }
+    SelectQuery { projection, patterns }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
+
+    #[test]
+    fn canonical_text_parses_back_to_its_query(seed in 0u64..1_000_000) {
+        let query = random_text_query(&mut SmallRng::seed_from_u64(seed));
+        let text = query.canonical_text();
+        prop_assert_eq!(&text, &query.to_string());
+        let back = parse(&text);
+        prop_assert_eq!(back.as_ref(), Ok(&query), "{}", text);
+        if query.projection.len() == 1 {
+            let constraint = SubstructureConstraint::from_query(query).unwrap();
+            let again = SubstructureConstraint::parse(constraint.sparql_text());
+            prop_assert_eq!(again.as_ref(), Ok(&constraint), "{}", text);
         }
     }
 }

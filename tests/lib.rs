@@ -2,7 +2,9 @@
 //! The differential matrix — the case generator every oracle comparison
 //! runs through — is [`matrix`].
 
+use kgreach_datagen::{all_lubm_constraints, lubm, top_label_set, LubmConfig};
 use kgreach_graph::{Graph, GraphBuilder, VertexId};
+use kgreach_serve::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,4 +62,28 @@ pub fn small_lubm(seed: u64) -> Graph {
         seed,
     })
     .expect("LUBM fits")
+}
+
+/// The five `/query` bodies the allocation budget and the decoder sweeps
+/// share, on the LUBM graph they are drawn from: S1–S5 in the
+/// `wire-closed` shape (vertex 0 to vertex 1 under the three most frequent
+/// labels, the constraint's canonical text, `"algorithm":"auto"`).
+pub fn s1_s5_wire_bodies() -> (Graph, Vec<(&'static str, String)>) {
+    let g = lubm::generate(&LubmConfig::sized(2000, 105)).expect("LUBM fits");
+    let labels: Vec<Json> =
+        top_label_set(&g, 3).iter().map(|l| Json::str(g.label_name(l))).collect();
+    let bodies = all_lubm_constraints()
+        .into_iter()
+        .map(|(name, c)| {
+            let body = Json::Obj(vec![
+                ("source".into(), Json::str(g.vertex_name(VertexId(0)))),
+                ("target".into(), Json::str(g.vertex_name(VertexId(1)))),
+                ("labels".into(), Json::Arr(labels.clone())),
+                ("constraint".into(), Json::str(c.sparql_text())),
+                ("algorithm".into(), Json::str("auto")),
+            ]);
+            (name, body.to_string())
+        })
+        .collect();
+    (g, bodies)
 }

@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgreach::{default_num_landmarks, select_landmarks_by_degree, LocalIndex, LocalIndexConfig};
 use kgreach_datagen::lubm::{generate, LubmConfig};
-use kgreach_lcr::{Budget, SamplingTreeIndex, ZouIndex};
+use kgreach_lcr::{Budget, SamplingTreeIndex};
 
 fn bench_local_index_build(c: &mut Criterion) {
     let g = generate(&LubmConfig { universities: 2, departments: 6, seed: 5 }).unwrap();
@@ -69,12 +69,6 @@ fn bench_baseline_indexes(c: &mut Criterion) {
         b.iter(|| {
             let idx = SamplingTreeIndex::build(&g, Budget::unlimited()).unwrap();
             black_box(idx.stored_pairs)
-        })
-    });
-    group.bench_function("zou_scc", |b| {
-        b.iter(|| {
-            let idx = ZouIndex::build(&g, Budget::unlimited()).unwrap();
-            black_box(idx.num_local_pairs())
         })
     });
     group.finish();

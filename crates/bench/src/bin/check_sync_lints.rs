@@ -30,8 +30,8 @@
 //!   perf bug waiting to happen.
 //! * **R5 — no timed wait on the request path** (`crates/serve/src/`
 //!   `batch.rs` and `server.rs`): no `wait_timeout(`, `recv_timeout(` or
-//!   `thread::sleep(`. A worker or connection thread blocks on work or on
-//!   the socket, never on a timer — a timed wait there is latency every
+//!   `thread::sleep(`. A connection thread blocks on its socket or on a
+//!   search slot, never on a timer — a timed wait there is latency every
 //!   client pays whenever the guess behind the timeout is wrong.
 //!
 //! Comment-only lines are skipped for R1/R2/R4/R5 so prose may *discuss*

@@ -349,8 +349,9 @@ mod tests {
     fn compiled_query_held_across_a_shrinking_reload_is_a_typed_error() {
         // Regression: the stale-plan rebind used to `expect` the
         // recompile, so a compiled query whose vertex ids no longer fit
-        // the reloaded graph panicked the calling thread (a kg-worker,
-        // when a hot reload lands between compile and pin).
+        // the reloaded graph panicked the calling thread (a server's
+        // connection thread, when a hot reload lands between compile and
+        // pin).
         let engine = LscrEngine::new(figure3());
         let g = engine.graph();
         let compiled = engine.compile(&q(&g, "v4", "v0", &["likes"])).unwrap();

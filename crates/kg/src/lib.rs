@@ -13,7 +13,6 @@
 //!   the antichain `Insert` of Algorithm 3;
 //! * [`traverse`] — plain and label-constrained BFS plus the epoch-versioned
 //!   visited masks shared by all query algorithms;
-//! * [`scc`] — iterative Tarjan decomposition (used by LCR baselines);
 //! * [`triples`] / [`io`] — an N-Triples-like text format for datasets;
 //! * [`snapshot`] — versioned, checksummed binary snapshots for
 //!   restart-without-rebuild persistence;
@@ -53,7 +52,6 @@ pub mod fxhash;
 pub mod ids;
 pub mod io;
 pub mod labelset;
-pub mod scc;
 pub mod schema;
 pub mod snapshot;
 pub mod stats;

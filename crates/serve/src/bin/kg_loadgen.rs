@@ -4,8 +4,8 @@
 //! By default the generator is self-contained: it builds a LUBM replica,
 //! spins up an in-process server on an ephemeral port, and drives
 //! ground-truth-checked query load at it over real sockets (so the
-//! measured path includes framing, admission and the worker pool — only
-//! true network latency is absent). Point `--addr` at an external
+//! measured path includes framing, admission and the search slots —
+//! only true network latency is absent). Point `--addr` at an external
 //! `kg-serve` started with the *same* generator flags to measure over a
 //! real link.
 //!

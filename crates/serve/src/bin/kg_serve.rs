@@ -24,9 +24,10 @@
 //!   once it exceeds `N` bytes (default 64 MiB; durable mode only).
 //! - `--build-index` — build the local index up front instead of lazily
 //!   on the first INS query.
-//! - `--workers N` (searches that may run at once, in place on
-//!   connection threads and on the pool's N threads together),
-//!   `--queue-high-water N`, `--max-connections N` — admission tuning.
+//! - `--workers N` (searches that may run at once, each on the
+//!   connection thread that read its request), `--queue-high-water N`
+//!   (threads waiting for a search slot before new queries are shed),
+//!   `--max-connections N` — admission tuning.
 //! - `--max-step-budget N`, `--max-timeout-ms N` — per-query work
 //!   ceilings (`0` disables the ceiling).
 //!

@@ -166,21 +166,21 @@ pub struct ServerMetrics {
     pub query_errors_total: Counter,
     /// Queries whose search was stopped by the step budget / timeout.
     pub queries_interrupted_total: Counter,
-    /// Requests shed because the admission queue was past high water.
+    /// Requests shed because they would have waited for a search slot
+    /// behind the high water's worth of waiting threads.
     pub shed_queue_full_total: Counter,
     /// Requests shed because the server was draining at shutdown.
     pub shed_draining_total: Counter,
     /// Connections rejected at accept because the connection cap was hit.
     pub shed_connections_total: Counter,
-    /// Current admission-queue depth (gauge).
+    /// Threads waiting for a search slot right now (gauge).
     pub queue_depth: Counter,
-    /// Search slots taken, by a connection thread answering in place or
-    /// by a pool worker. A slot serves one query, so this equals
+    /// Search slots taken. A slot serves one query, so this equals
     /// `batched_queries_total`; both are kept because the benchmark
     /// adapter reads both.
     pub batch_windows_total: Counter,
-    /// Queries answered in a slot, on either route (bumped once per
-    /// query, together with `batch_windows_total`).
+    /// Queries answered in a slot (bumped once per query, together with
+    /// `batch_windows_total`).
     pub batched_queries_total: Counter,
     /// Answers that panicked. Each cost its query a `500 internal`; the
     /// thread that caught it carried on.
@@ -209,8 +209,8 @@ pub struct ServerMetrics {
     /// Connections accepted.
     pub connections_total: Counter,
     /// Per-query latency (single queries and batch members alike),
-    /// measured admission → answered (a query answered in place never
-    /// waits in the queue, so for it this is the answer alone).
+    /// measured admission → answered: any wait for a search slot, then
+    /// the answer.
     pub query_latency: LatencyHistogram,
     /// Whole-request latency on `/query` and `/query_batch`, measured
     /// parse → response ready.
@@ -362,13 +362,13 @@ impl ServerMetrics {
         gauge(
             &mut out,
             "kg_queue_depth",
-            "Queries waiting in the admission queue right now.",
+            "Threads waiting for a search slot right now.",
             load(&self.queue_depth) as f64,
         );
         counter(
             &mut out,
             "kg_batch_windows_total",
-            "Search slots taken, in place or by the pool (one query each).",
+            "Search slots taken (one query each).",
             load(&self.batch_windows_total),
         );
         counter(

@@ -6,13 +6,12 @@
 //! [`ServerConfig::max_connections`]; excess connections get an immediate
 //! `503` and are closed). A connection thread reads a request, answers it
 //! and writes the response: a `/query` runs resolve → search → render
-//! right there whenever one of the [`BatchConfig::workers`] search slots
-//! is free, and waits on the shared pool from [`batch`](crate::batch)
-//! only when they are all taken; the members of a `/query_batch` always
-//! fan out over that pool. A slow search pins its connection thread for
-//! its own request and no longer — the thread was blocked on the pool's
-//! reply for exactly as long before — and a slow *client* holds no slot:
-//! the slot is released before the response is written.
+//! right there in one of the [`BatchConfig::workers`] search slots,
+//! waiting for one first when they are all taken (see
+//! [`batch`](crate::batch)); the members of a `/query_batch` run the same
+//! way, one after another. A slow search pins its connection thread for
+//! its own request and no longer, and a slow *client* holds no slot: the
+//! slot is released before the response is written.
 //!
 //! Endpoints (full schemas in `docs/PROTOCOL.md`):
 //!
@@ -37,7 +36,7 @@ use crate::protocol::{
 use kgreach::{DurableEngine, GraphError, LscrEngine, QueryError};
 use kgreach_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use kgreach_sync::thread::JoinHandle;
-use kgreach_sync::{Arc, Mutex};
+use kgreach_sync::{Arc, OnceLock};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Instant;
@@ -47,7 +46,7 @@ use std::time::Instant;
 pub struct ServerConfig {
     /// Bind address; port `0` picks an ephemeral port (tests).
     pub addr: String,
-    /// Worker-pool and admission tuning.
+    /// Search-slot and admission tuning.
     pub batch: BatchConfig,
     /// Per-request HTTP byte caps and read timeout.
     pub http: HttpLimits,
@@ -77,15 +76,9 @@ struct Shared {
     /// socket is bound (so orchestration can watch `/healthz` flip), but
     /// data endpoints answer `503 recovering` until the replay finishes.
     ready: AtomicBool,
-    /// Durability wrapper, installed by [`ServerHandle::install_durable`]
-    /// once recovery completes; `None` on a non-durable server.
-    durable: Mutex<Option<Arc<DurableEngine>>>,
-}
-
-impl Shared {
-    fn durable(&self) -> Option<Arc<DurableEngine>> {
-        self.durable.lock().expect("durable handle lock").clone()
-    }
+    /// Durability wrapper, set once by [`ServerHandle::install_durable`]
+    /// when recovery completes; unset on a non-durable server.
+    durable: OnceLock<Arc<DurableEngine>>,
 }
 
 /// A running server; dropping the handle does **not** stop it — call
@@ -127,7 +120,7 @@ fn serve_inner(
         shutdown: AtomicBool::new(false),
         live_connections: AtomicUsize::new(0),
         ready: AtomicBool::new(ready),
-        durable: Mutex::new(None),
+        durable: OnceLock::new(),
     });
     let acceptor = {
         let shared = Arc::clone(&shared);
@@ -192,15 +185,16 @@ impl ServerHandle {
 
     /// Installs the durability wrapper — every subsequent `/update` is
     /// write-ahead logged through it — and opens the data endpoints.
-    /// Call once, after `kgreach::DurableRecovery::replay` finishes.
+    /// Call once, after `kgreach::DurableRecovery::replay` finishes; a
+    /// second wrapper is ignored.
     pub fn install_durable(&self, durable: Arc<DurableEngine>) {
-        *self.shared.durable.lock().expect("durable handle lock") = Some(durable);
+        self.shared.durable.get_or_init(|| durable);
         self.shared.ready.store(true, Ordering::Release);
     }
 
-    /// Stops accepting connections, answers every admitted query, and
-    /// joins the acceptor and worker pool. Connections blocked mid-read
-    /// see `503 draining` on their next request and are closed.
+    /// Stops accepting connections, joins the acceptor, and waits until
+    /// no search runs and no query waits for a slot. Connections blocked
+    /// mid-read see `503 draining` on their next request and are closed.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         // Unblock `accept` with a no-op connection to ourselves.
@@ -212,7 +206,7 @@ impl ServerHandle {
         // Durable servers leave a clean data directory behind: flush any
         // unsynced log records, then checkpoint so the next start
         // recovers without replay.
-        if let Some(durable) = self.shared.durable() {
+        if let Some(durable) = self.shared.durable.get() {
             if let Err(e) = durable.shutdown() {
                 eprintln!("kg-serve: shutdown flush/checkpoint failed: {e}");
             }
@@ -343,7 +337,7 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
         }
         ("GET", "/metrics") => {
             m.requests_introspection.add(1);
-            let durable_stats = shared.durable().map(|d| d.stats());
+            let durable_stats = shared.durable.get().map(|d| d.stats());
             Response::text(200, m.render(&shared.engine.info(), durable_stats.as_ref()))
         }
         (
@@ -371,8 +365,7 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
 fn handle_query(req: &Request, shared: &Shared) -> Result<Json, ApiError> {
     let body = parse_body(req)?;
     let query = QueryRequest::parse(&body)?;
-    // Answered right here when a search slot is free; through the queue
-    // and the pool otherwise.
+    // Answered right here, after waiting for a search slot if none is free.
     shared.batcher.answer(query)
 }
 
@@ -389,16 +382,13 @@ fn handle_query_batch(req: &Request, shared: &Shared) -> Result<Json, ApiError> 
                 .map_err(|e| ApiError::invalid(format!("queries[{i}]: {}", e.message)))?,
         );
     }
-    let receivers = shared.batcher.submit_many(queries)?;
     // Per-item failures (unknown vertex, …) are reported in-place so one
     // bad query does not void its batchmates' answers.
-    let results = receivers
+    let results = shared
+        .batcher
+        .answer_many(&queries)?
         .into_iter()
-        .map(|rx| match rx.recv() {
-            Ok(Ok(body)) => body,
-            Ok(Err(e)) => e.envelope(),
-            Err(_) => ApiError::new(500, "internal", "worker dropped the query").envelope(),
-        })
+        .map(|result| result.unwrap_or_else(|e| e.envelope()))
         .collect();
     Ok(Json::Obj(vec![("results".into(), Json::Arr(results))]))
 }
@@ -409,7 +399,7 @@ fn handle_update(req: &Request, shared: &Shared) -> Result<Json, ApiError> {
     // On a durable server the batch goes through the WAL: the response
     // is built only after the record is on disk (append-then-ack), so a
     // crash after the client reads it cannot lose the update.
-    let rendered = match shared.durable() {
+    let rendered = match shared.durable.get() {
         Some(durable) => {
             let out = durable.apply_update(&batch)?;
             render_update(&out.outcome, out.seq, out.durable)
@@ -430,7 +420,7 @@ fn handle_reload(req: &Request, shared: &Shared) -> Result<Json, ApiError> {
     // restart recovers the reloaded graph, not the one it replaced.
     let epoch = std::fs::read(path)
         .map_err(|e| QueryError::from(GraphError::from(e)))
-        .and_then(|bytes| match shared.durable() {
+        .and_then(|bytes| match shared.durable.get() {
             Some(durable) => durable.reload_from_snapshot(&bytes),
             None => shared.engine.reload_from_snapshot(&bytes),
         })

@@ -78,7 +78,7 @@ fn graph_io_roundtrip_preserves_answers() {
 #[test]
 fn lcr_baselines_agree_on_lubm() {
     use kgreach_graph::traverse::lcr_reachable;
-    use kgreach_lcr::{Budget, LandmarkConfig, LandmarkIndex, OnlineLcr, ZouIndex};
+    use kgreach_lcr::{Budget, LandmarkConfig, LandmarkIndex};
     use rand::{Rng, SeedableRng};
 
     let g = small_lubm(24);
@@ -88,8 +88,6 @@ fn lcr_baselines_agree_on_lubm() {
         Budget::unlimited(),
     )
     .unwrap();
-    let zou = ZouIndex::build(&g, Budget::unlimited()).unwrap();
-    let mut online = OnlineLcr::new(g.num_vertices());
 
     let mut rng = rand::rngs::SmallRng::seed_from_u64(77);
     for _ in 0..150 {
@@ -97,10 +95,7 @@ fn lcr_baselines_agree_on_lubm() {
         let t = kgreach_graph::VertexId(rng.gen_range(0..g.num_vertices() as u32));
         let l = kgreach_graph::LabelSet::from_bits(rng.gen::<u64>()).intersection(g.all_labels());
         let expected = lcr_reachable(&g, s, t, l);
-        assert_eq!(online.bfs(&g, s, t, l).0, expected, "online bfs {s}->{t}");
-        assert_eq!(online.dfs(&g, s, t, l).0, expected, "online dfs {s}->{t}");
         assert_eq!(landmark.reaches(&g, s, t, l), expected, "landmark {s}->{t}");
-        assert_eq!(zou.reaches(&g, s, t, l), expected, "zou {s}->{t}");
     }
 }
 

@@ -11,12 +11,13 @@
 //!
 //! The tests fall in three groups:
 //!
-//! 1. **Exhaustive DFS** over the nastiest two-thread windows: `ScckCache`
-//!    set-vs-get, engine update-during-query pinning, batcher
-//!    shutdown-vs-submit, the in-place `/query` route against `submit`,
-//!    `shutdown` and a panicking answer, histogram record-vs-read.
+//! 1. **Exhaustive DFS** over the nastiest small windows: `ScckCache`
+//!    set-vs-get, engine update-during-query pinning, two callers sharing
+//!    one search slot with and without a racing `shutdown`, a caller
+//!    waiting on zero slots against `shutdown`, a panicking answer
+//!    handing its slot to a waiter, histogram record-vs-read.
 //! 2. **Seeded shuttle runs** for state spaces too large to exhaust
-//!    (worker-pool drain with a live worker, snapshot hot reload).
+//!    (snapshot hot reload).
 //! 3. **Seeded-bug demonstrations**: deliberately broken orderings, and a
 //!    slot release that forgets its notify, that the checker must flag —
 //!    regression tests for the checker itself and living proof the
@@ -27,9 +28,7 @@
 use kgreach::constraint::{ScckCache, SubstructureConstraint, INLINE_SLOTS};
 use kgreach::{Algorithm, LscrEngine, LscrQuery};
 use kgreach_graph::{GraphBuilder, UpdateBatch, VertexId};
-use kgreach_serve::{
-    ApiError, BatchConfig, Batcher, Json, LatencyHistogram, QueryRequest, ServerMetrics,
-};
+use kgreach_serve::{BatchConfig, Batcher, Json, LatencyHistogram, QueryRequest, ServerMetrics};
 use kgreach_sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use kgreach_sync::{thread, Arc, Condvar, Mutex};
 use loom::Builder;
@@ -125,42 +124,6 @@ fn update_during_query_pins_a_consistent_state() {
     assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
 }
 
-/// Batcher shutdown racing a submit (zero workers, so the queue state is
-/// the whole story): whatever the interleaving, the submitter gets a
-/// definitive outcome — an admission error, or a drained `503` reply.
-/// Nothing hangs and no reply is lost.
-#[test]
-fn batcher_shutdown_vs_submit_always_resolves() {
-    let stats = Builder::new()
-        .check(|| {
-            let engine = Arc::new(tiny_engine());
-            let metrics = Arc::new(ServerMetrics::new());
-            let config = BatchConfig {
-                workers: 0,
-                queue_high_water: 4,
-                max_step_budget: None,
-                max_timeout: None,
-            };
-            let batcher = Batcher::start(engine, Arc::clone(&metrics), config);
-            let submitter = Arc::clone(&batcher);
-            let t = thread::spawn(move || submitter.submit(tiny_request("a")));
-            batcher.shutdown();
-            match t.join().unwrap() {
-                // Admitted before the drain flag: the drain must answer it.
-                Ok(rx) => {
-                    let reply = rx.recv().expect("drained job must still reply");
-                    let err = reply.expect_err("zero workers can only drain");
-                    assert_eq!(err.status, 503);
-                }
-                // Shed at admission.
-                Err(err) => assert_eq!(err.status, 503),
-            }
-            assert_eq!(batcher.queue_depth(), 0, "shutdown must leave the queue empty");
-        })
-        .expect("batcher shutdown model");
-    assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
-}
-
 /// A wire query on the tiny graph; the slot models below key their probe
 /// on `source`.
 fn tiny_request(source: &str) -> QueryRequest {
@@ -185,21 +148,16 @@ struct SlotWatch {
     closed: AtomicBool,
 }
 
-/// A one-slot, one-worker `Batcher` whose answers are the probe's: they
+/// A `Batcher` with `workers` slots whose answers are the probe's: they
 /// cost a few scheduling points instead of an engine search, which is
 /// what keeps a DFS over the admission / slot / wake-up protocol around
 /// them affordable. Source `boom` unwinds out of the answer; anything
 /// else answers `null`. The probe checks the slot invariant on the way
 /// in; how many answers ran is `batched_queries_total`.
-fn slot_model() -> (Arc<Batcher>, Arc<ServerMetrics>, Arc<SlotWatch>) {
-    const WORKERS: usize = 1;
+fn slot_model(workers: usize) -> (Arc<Batcher>, Arc<ServerMetrics>, Arc<SlotWatch>) {
     let metrics = Arc::new(ServerMetrics::new());
-    let config = BatchConfig {
-        workers: WORKERS,
-        queue_high_water: 4,
-        max_step_budget: None,
-        max_timeout: None,
-    };
+    let config =
+        BatchConfig { workers, queue_high_water: 4, max_step_budget: None, max_timeout: None };
     let watch = Arc::new(SlotWatch::default());
     let w = Arc::clone(&watch);
     let batcher = Batcher::start_probed(
@@ -209,7 +167,7 @@ fn slot_model() -> (Arc<Batcher>, Arc<ServerMetrics>, Arc<SlotWatch>) {
         move |req: &QueryRequest| {
             assert!(!w.closed.load(Ordering::Acquire), "an answer began after shutdown returned");
             let running = w.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
-            assert!(running <= WORKERS, "{running} answers in flight on {WORKERS} slot(s)");
+            assert!(running <= workers, "{running} answers in flight on {workers} slot(s)");
             w.in_flight.fetch_sub(1, Ordering::AcqRel);
             if req.source == "boom" {
                 // `resume_unwind` is a panic that skips the panic hook:
@@ -223,67 +181,78 @@ fn slot_model() -> (Arc<Batcher>, Arc<ServerMetrics>, Arc<SlotWatch>) {
 }
 
 /// DFS over every schedule of the slot models with at most two
-/// preemptions. Three threads (in-place caller, submitter, worker) with a
-/// dozen scheduling points each put the unbounded space out of reach —
-/// bound 3 is already ~71 k executions and four minutes per model — and
-/// every protocol bug these models are after (a lost wake-up, a leaked
-/// slot, a reply sent twice) needs one ill-timed switch, not three. The
-/// protocol itself, shrunk to one mutex and one condvar, is explored
-/// without a bound in `seeded_release_without_notify_is_caught`.
+/// preemptions. Three threads with a dozen scheduling points each put the
+/// unbounded space out of reach, and every protocol bug these models are
+/// after (a lost wake-up, a leaked slot, a waiter `shutdown` forgot) needs
+/// one ill-timed switch, not three. The protocol itself, shrunk to one
+/// mutex and one condvar, is explored without a bound in
+/// `seeded_release_without_notify_is_caught`.
 fn slot_model_builder() -> Builder {
     Builder { preemption_bound: Some(2), ..Builder::new() }
 }
 
 /// Shuts the model down and checks what `shutdown` promises: no search
-/// running, nothing queued, and (through the probe) none begun later.
+/// running, no thread waiting, and (through the probe) none begun later.
 fn shutdown_and_check(batcher: &Batcher, watch: &SlotWatch) {
     batcher.shutdown();
     assert_eq!(watch.in_flight.load(Ordering::Acquire), 0, "shutdown returned mid-search");
-    assert_eq!(batcher.queue_depth(), 0, "shutdown must leave the queue empty");
+    assert_eq!(batcher.queue_depth(), 0, "shutdown returned with a thread still waiting");
     watch.closed.store(true, Ordering::Release);
 }
 
-/// Exactly one reply: the first `recv` yields it, the channel then ends.
-fn the_one_reply(
-    rx: kgreach_sync::mpsc::Receiver<Result<Json, ApiError>>,
-) -> Result<Json, ApiError> {
-    let reply = rx.recv().expect("an admitted query must be answered");
-    assert!(rx.recv().is_err(), "an admitted query was answered twice");
-    reply
-}
-
-/// The in-place route racing the queue route for the one slot: whoever
-/// wins, at most one answer runs at a time, both queries are answered
-/// exactly once, and the queued one is never left waiting beside a free
-/// slot (a lost wake-up would park the worker for good and the checker
-/// would report the deadlock).
+/// Two callers racing for one slot, with `shutdown` racing both or called
+/// once both are answered: each caller gets exactly one result — its
+/// answer, or `503 draining` if it arrived after the drain began — at
+/// most one answer runs at a time, and `shutdown` returns only once no
+/// thread searches or waits. When nothing shuts down in between, both
+/// must be answered: a release that failed to wake the waiter would park
+/// it for good, and the checker would report the deadlock.
 #[test]
-fn in_place_answer_vs_submit_shares_one_slot() {
-    let stats = slot_model_builder()
-        .check(|| {
-            let (batcher, metrics, watch) = slot_model();
-            let in_place = Arc::clone(&batcher);
-            let t = thread::spawn(move || in_place.answer(tiny_request("a")));
-            let rx = batcher.submit(tiny_request("a")).expect("nothing sheds at depth 1");
-            assert_eq!(the_one_reply(rx).expect("probe answer"), Json::Null);
-            assert_eq!(t.join().unwrap().expect("probe answer"), Json::Null);
-            shutdown_and_check(&batcher, &watch);
-            assert_eq!(metrics.batched_queries_total.get(), 2);
-            assert_eq!(metrics.panics_total.get(), 0);
-        })
-        .expect("in-place vs submit model");
-    assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
+fn two_callers_share_one_slot_and_drain_cleanly() {
+    for shutdown_races in [false, true] {
+        let stats = slot_model_builder()
+            .check(move || {
+                let (batcher, metrics, watch) = slot_model(1);
+                let callers: Vec<_> = (0..2)
+                    .map(|_| {
+                        let caller = Arc::clone(&batcher);
+                        thread::spawn(move || caller.answer(tiny_request("a")))
+                    })
+                    .collect();
+                if shutdown_races {
+                    shutdown_and_check(&batcher, &watch);
+                }
+                let mut answered = 0;
+                for caller in callers {
+                    match caller.join().unwrap() {
+                        Ok(body) => {
+                            assert_eq!(body, Json::Null);
+                            answered += 1;
+                        }
+                        Err(err) => assert_eq!((err.status, err.code), (503, "draining")),
+                    }
+                }
+                if !shutdown_races {
+                    assert_eq!(answered, 2, "a caller was refused with nothing shutting down");
+                    shutdown_and_check(&batcher, &watch);
+                }
+                assert_eq!(metrics.batched_queries_total.get(), answered);
+                assert_eq!(metrics.shed_draining_total.get(), 2 - answered);
+            })
+            .expect("two-callers model");
+        assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
+    }
 }
 
-/// The in-place route racing `shutdown`: the query is answered or shed
-/// with `503`, never both and never neither; `shutdown` returns only once
-/// no search is running — also when the search runs on the caller's
-/// thread, which `shutdown` cannot join — and nothing begins after it.
+/// One caller racing `shutdown`: the query is answered or shed with
+/// `503`, never both and never neither; `shutdown` returns only once no
+/// search is running — the search runs on the caller's thread, which
+/// `shutdown` cannot join — and nothing begins after it.
 #[test]
 fn in_place_answer_vs_shutdown_drains_the_slot() {
     let stats = slot_model_builder()
         .check(|| {
-            let (batcher, metrics, watch) = slot_model();
+            let (batcher, metrics, watch) = slot_model(1);
             let in_place = Arc::clone(&batcher);
             let t = thread::spawn(move || in_place.answer(tiny_request("a")));
             shutdown_and_check(&batcher, &watch);
@@ -304,35 +273,49 @@ fn in_place_answer_vs_shutdown_drains_the_slot() {
     assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
 }
 
-/// A panicking answer on either route racing a healthy query on the
-/// other: the panic costs its own query a `500` and nothing else — the
-/// slot comes back (or the healthy query would wait forever), the worker
-/// survives, and each query still gets exactly one reply.
+/// Zero slots: a caller that waits for a slot none can give racing
+/// `shutdown` — refused at admission, or woken by the drain — gets
+/// `503 draining` either way, and `shutdown` does not return before it
+/// has left.
 #[test]
-fn a_panicking_answer_releases_its_slot_on_either_route() {
-    for (in_place_source, queued_source) in [("boom", "a"), ("a", "boom")] {
-        let stats = slot_model_builder()
-            .check(move || {
-                let (batcher, metrics, watch) = slot_model();
-                let in_place = Arc::clone(&batcher);
-                let t = thread::spawn(move || in_place.answer(tiny_request(in_place_source)));
-                let rx = batcher.submit(tiny_request(queued_source)).expect("nothing sheds");
-                let replies =
-                    [(queued_source, the_one_reply(rx)), (in_place_source, t.join().unwrap())];
-                for (source, reply) in replies {
-                    match (source, reply) {
-                        ("boom", Err(err)) => assert_eq!((err.status, err.code), (500, "internal")),
-                        ("a", Ok(body)) => assert_eq!(body, Json::Null),
-                        (source, reply) => panic!("query '{source}' got {reply:?}"),
-                    }
-                }
-                shutdown_and_check(&batcher, &watch);
-                assert_eq!(metrics.batched_queries_total.get(), 2);
-                assert_eq!(metrics.panics_total.get(), 1);
-            })
-            .expect("panicking-answer model");
-        assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
-    }
+fn a_waiter_with_zero_slots_gets_503_from_shutdown() {
+    let stats = Builder::new()
+        .check(|| {
+            let (batcher, metrics, watch) = slot_model(0);
+            let waiter = Arc::clone(&batcher);
+            let t = thread::spawn(move || waiter.answer(tiny_request("a")));
+            shutdown_and_check(&batcher, &watch);
+            let err = t.join().unwrap().expect_err("zero slots answer nothing");
+            assert_eq!((err.status, err.code), (503, "draining"));
+            assert_eq!(metrics.shed_draining_total.get(), 1);
+            assert_eq!(metrics.batched_queries_total.get(), 0);
+        })
+        .expect("zero-slot shutdown model");
+    assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
+}
+
+/// A panicking answer racing a healthy query for the one slot: the panic
+/// costs its own query a `500` and nothing else — its unwound slot is
+/// handed to the waiter (or the waiter would sleep forever and the
+/// checker would report the deadlock), and each caller gets exactly one
+/// result.
+#[test]
+fn a_panicking_answer_hands_its_slot_to_a_waiter() {
+    let stats = slot_model_builder()
+        .check(|| {
+            let (batcher, metrics, watch) = slot_model(1);
+            let panicking = Arc::clone(&batcher);
+            let t = thread::spawn(move || panicking.answer(tiny_request("boom")));
+            let healthy = batcher.answer(tiny_request("a"));
+            assert_eq!(healthy.expect("the healthy query got a slot"), Json::Null);
+            let err = t.join().unwrap().expect_err("the answer panicked");
+            assert_eq!((err.status, err.code), (500, "internal"));
+            shutdown_and_check(&batcher, &watch);
+            assert_eq!(metrics.batched_queries_total.get(), 2);
+            assert_eq!(metrics.panics_total.get(), 1);
+        })
+        .expect("panicking-answer model");
+    assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
 }
 
 /// Histogram record racing reads: counts are never lost and the reader
@@ -370,38 +353,6 @@ fn counter_adds_from_two_threads_all_land() {
 // ---------------------------------------------------------------------------
 // Group 2: shuttle runs over the larger state spaces.
 // ---------------------------------------------------------------------------
-
-/// A live worker answering while the batcher shuts down: the submitted
-/// query is either answered (worker won the race) or drained with `503`
-/// (shutdown won) — exhaustive DFS over a full engine answer is too big,
-/// so this runs seeded random schedules instead.
-#[test]
-fn batcher_with_live_worker_drains_cleanly_under_shuttle() {
-    let stats = Builder::new()
-        .shuttle(24, 0xC0FFEE, || {
-            let engine = Arc::new(tiny_engine());
-            let metrics = Arc::new(ServerMetrics::new());
-            let config = BatchConfig {
-                workers: 1,
-                queue_high_water: 4,
-                max_step_budget: None,
-                max_timeout: None,
-            };
-            let batcher = Batcher::start(engine, Arc::clone(&metrics), config);
-            let submitted =
-                batcher.submit(QueryRequest { algorithm: Algorithm::Uis, ..tiny_request("a") });
-            batcher.shutdown();
-            match submitted {
-                Ok(rx) => match rx.recv().expect("reply must arrive") {
-                    Ok(body) => assert!(body.to_string().contains("\"answer\":true")),
-                    Err(err) => assert_eq!(err.status, 503),
-                },
-                Err(err) => assert_eq!(err.status, 503),
-            }
-        })
-        .expect("live-worker shuttle model");
-    assert_eq!(stats.executions, 24);
-}
 
 /// Snapshot hot reload racing a query: the query pins either the old or
 /// the new state; after the reload joins, the epoch has advanced and
@@ -523,56 +474,56 @@ fn seeded_bug_is_caught_by_shuttle_mode() {
     assert!(err.message.contains("stale"), "unexpected diagnostic: {}", err.message);
 }
 
-/// The slot protocol of `serve::batch` in miniature — one slot, one queued
-/// job, one worker waiting for "a job **and** a free slot" — with the
-/// release's notify made optional.
+/// The slot protocol of `serve::batch` in miniature — one slot, held, and
+/// a caller that counts itself as waiting and sleeps on the condvar until
+/// the slot frees — with the release's notify made optional.
 struct MiniSlots {
-    /// `(running, queued)`.
-    state: Mutex<(usize, bool)>,
+    /// `(running, waiting)`.
+    state: Mutex<(usize, usize)>,
     available: Condvar,
 }
 
 impl MiniSlots {
-    /// The worker: blocks until the job is queued and the slot is free,
-    /// then takes both.
-    fn take_job(&self) {
+    /// The waiter: sleeps while the slot is taken, then takes it.
+    fn take(&self) {
         let mut st = self.state.lock().unwrap();
-        while !(st.1 && st.0 == 0) {
+        st.1 += 1;
+        while st.0 == 1 {
             st = self.available.wait(st).unwrap();
         }
-        *st = (1, false);
+        *st = (1, st.1 - 1);
     }
 
-    /// The in-place route: holds the slot while a job is queued behind
-    /// it, then gives the slot back.
-    fn hold_enqueue_release(&self, notify_on_release: bool) {
-        self.state.lock().unwrap().0 = 1;
-        self.state.lock().unwrap().1 = true;
-        self.available.notify_one();
-        self.state.lock().unwrap().0 = 0;
-        if notify_on_release {
+    /// The holder: gives the slot back, and wakes a waiter if one is
+    /// counted and the release is allowed to.
+    fn release(&self, notify_on_release: bool) {
+        let mut st = self.state.lock().unwrap();
+        st.0 = 0;
+        let waiting = st.1 > 0;
+        drop(st);
+        if notify_on_release && waiting {
             self.available.notify_one();
         }
     }
 }
 
-/// Release without notify: the worker that woke for the queued job while
-/// the slot was still held goes back to waiting, and a release that does
-/// not signal leaves it there beside a free slot. The checker must find
-/// that schedule — and must pass the same model with the notify in place.
+/// Release without notify: a caller that found the slot taken sleeps on
+/// the condvar, and a release that does not signal leaves it asleep
+/// beside a free slot. The checker must find that schedule — and must
+/// pass the same model with the notify in place.
 #[test]
 fn seeded_release_without_notify_is_caught() {
     let model = |notify_on_release: bool| {
         Builder::new().check(move || {
             let slots =
-                Arc::new(MiniSlots { state: Mutex::new((0, false)), available: Condvar::new() });
-            let worker = Arc::clone(&slots);
-            let t = thread::spawn(move || worker.take_job());
-            slots.hold_enqueue_release(notify_on_release);
+                Arc::new(MiniSlots { state: Mutex::new((1, 0)), available: Condvar::new() });
+            let waiter = Arc::clone(&slots);
+            let t = thread::spawn(move || waiter.take());
+            slots.release(notify_on_release);
             t.join().unwrap();
         })
     };
     model(true).expect("a release that notifies loses no wake-up");
-    let err = model(false).expect_err("the lost wake-up must be flagged");
+    let err = model(false).expect_err("the waiter left asleep must be flagged");
     assert!(err.message.contains("deadlock"), "unexpected diagnostic: {}", err.message);
 }

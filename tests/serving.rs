@@ -13,9 +13,10 @@
 //! 3. **Reload-during-query**: hammering queries while the served
 //!    snapshot is hot-swapped stays correct (same-content swap) and
 //!    stays *typed* (content-changing swap, shrinking swap), with the
-//!    epoch advancing and every worker surviving.
-//! 4. **Overload**: past the admission high water the server sheds with
-//!    `429` + `Retry-After`, and shutdown drains admitted work with
+//!    epoch advancing and the server answering throughout.
+//! 4. **Overload**: more connections than search slots wait for one on
+//!    their own threads; past the admission high water the server sheds
+//!    with `429` + `Retry-After`, and shutdown drains admitted work with
 //!    `503`.
 
 use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions};
@@ -337,8 +338,7 @@ fn hot_reload_under_concurrent_query_load_stays_correct() {
 /// a query resolved or compiled against the large graph carries vertex
 /// ids the small one does not have. The rebind inside the engine must
 /// surface that as a typed error the batcher retries on — a panic there
-/// kills the worker thread (`500 worker dropped the query`, and with it
-/// every later query of a one-worker server).
+/// would answer `500 internal`, which this test refuses.
 #[test]
 fn shrinking_reload_under_query_load_never_loses_a_worker() {
     // Large enough that a local-index build takes milliseconds.
@@ -408,7 +408,7 @@ fn shrinking_reload_under_query_load_never_loses_a_worker() {
     });
 
     // The large graph is back (60 reloads, the last one `big`), and the
-    // one worker is still there to answer.
+    // one search slot is free to answer.
     assert_eq!(engine.graph().fingerprint(), graph.fingerprint());
     let mut client = HttpClient::connect(addr).unwrap();
     for body in &bodies {
@@ -509,10 +509,95 @@ fn requests_split_or_joined_on_the_wire_are_framed_correctly() {
     server.shutdown();
 }
 
+/// More connections than search slots: on a one-slot server, four
+/// connections each send 50 closed-loop `/query` requests mixing S1 and
+/// S3. A request that finds the slot taken waits for it on its own
+/// connection thread — the server starts no other — and every answer
+/// equals the in-process one. A `/query_batch` then answers its members
+/// in input order, a bad member's error in place.
+#[test]
+fn queries_past_the_free_slots_wait_on_their_own_threads() {
+    let engine = Arc::new(LscrEngine::new(small_lubm(77)));
+    let graph = engine.graph();
+    let config = ServerConfig {
+        batch: BatchConfig { workers: 1, ..BatchConfig::default() },
+        ..ServerConfig::default()
+    };
+    let server = serve(Arc::clone(&engine), config).unwrap();
+    let (addr, metrics) = (server.addr(), Arc::clone(server.metrics()));
+    let s1_queries = workload(&graph, &s1(), 3, 0x5E4E, 80_000);
+    let s3_queries = workload(&graph, &s3(), 3, 0x5E4E + 2, 80_000);
+    let cases: Vec<(String, bool)> = s1_queries
+        .iter()
+        .zip(&s3_queries)
+        .flat_map(|(a, b)| [a, b])
+        .map(|(q, _)| {
+            let in_process = engine.answer(q, Algorithm::Auto).unwrap().answer;
+            (wire_body(&graph, q, Algorithm::Auto, &QueryOptions::default()), in_process)
+        })
+        .collect();
+
+    const CONNECTIONS: usize = 4;
+    const PER_CONNECTION: usize = 50;
+    std::thread::scope(|scope| {
+        for c in 0..CONNECTIONS {
+            let cases = &cases;
+            scope.spawn(move || {
+                let mut client = HttpClient::connect(addr).unwrap();
+                for (body, expected) in cases.iter().cycle().skip(c).take(PER_CONNECTION) {
+                    let resp = client.post_json("/query", body).unwrap();
+                    assert_eq!(resp.status, 200, "{}", resp.body);
+                    let answer = resp.json().unwrap().get("answer").and_then(Json::as_bool);
+                    assert_eq!(answer, Some(*expected), "wire and in-process answers differ");
+                }
+            });
+        }
+    });
+    let sent = (CONNECTIONS * PER_CONNECTION) as u64;
+    assert_eq!(metrics.queue_depth.get(), 0);
+    assert_eq!(metrics.batched_queries_total.get(), sent);
+    #[cfg(target_os = "linux")]
+    for task in std::fs::read_dir("/proc/self/task").unwrap() {
+        let comm = std::fs::read_to_string(task.unwrap().path().join("comm")).unwrap_or_default();
+        assert!(!comm.starts_with("kg-worker"), "a worker thread is running: {comm}");
+    }
+
+    // Member 2 names an unknown vertex: its error comes back in place,
+    // and its batchmates' answers — true and false alternating — keep
+    // their input order.
+    let (trues, falses): (Vec<_>, Vec<_>) = cases.iter().partition(|(_, e)| *e);
+    let picked = [trues[0], falses[0], trues[1], falses[1]];
+    let unknown = Json::Obj(vec![
+        ("source".into(), Json::str("no-such-vertex")),
+        ("target".into(), Json::str("no-such-vertex")),
+        ("constraint".into(), Json::str("SELECT ?x WHERE { ?x <rdf:type> <ub:Course> . }")),
+    ])
+    .to_string();
+    let mut members: Vec<&str> = picked.iter().map(|(body, _)| body.as_str()).collect();
+    members.insert(2, &unknown);
+    let mut client = HttpClient::connect(addr).unwrap();
+    let resp = client
+        .post_json("/query_batch", &format!("{{\"queries\":[{}]}}", members.join(",")))
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let body = resp.json().unwrap();
+    let results = body.get("results").and_then(Json::as_array).unwrap();
+    assert_eq!(results.len(), 5);
+    let code = results[2].get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
+    assert_eq!(code, Some("unknown_vertex"), "{}", results[2]);
+    let answers: Vec<_> =
+        [0, 1, 3, 4].iter().map(|&i| results[i].get("answer").and_then(Json::as_bool)).collect();
+    let expected: Vec<_> = picked.iter().map(|(_, e)| Some(*e)).collect();
+    assert_eq!(answers, expected, "batch answers out of input order");
+    assert_eq!(metrics.batched_queries_total.get(), sent + 5);
+    assert_eq!(metrics.queue_depth.get(), 0);
+    server.shutdown();
+}
+
 #[test]
 fn overload_sheds_with_retry_after_and_drains_on_shutdown() {
     let engine = Arc::new(LscrEngine::new(small_lubm(7)));
-    // Zero workers: admitted queries sit in the queue forever, so the
+    // Zero workers: admitted queries wait for a slot forever, so the
     // depth is fully deterministic.
     let config = ServerConfig {
         batch: BatchConfig { workers: 0, queue_high_water: 2, ..Default::default() },
@@ -533,7 +618,7 @@ fn overload_sheds_with_retry_after_and_drains_on_shutdown() {
 
     let metrics = Arc::clone(server.metrics());
     std::thread::scope(|scope| {
-        // Two queries fill the queue to its high water and block.
+        // Two queries wait at the high water and block.
         let blocked: Vec<_> = (0..2)
             .map(|_| {
                 let body = &body;

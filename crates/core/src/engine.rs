@@ -49,7 +49,7 @@ use kgreach_graph::fxhash::FxHashMap;
 use kgreach_graph::snapshot::{
     self, ArtifactKind, PayloadBuf, PayloadCursor, SectionReader, SectionWriter,
 };
-use kgreach_graph::{Graph, UpdateBatch, UpdateSummary};
+use kgreach_graph::{Graph, LabelSet, UpdateBatch, UpdateSummary, VertexId};
 use kgreach_sync::{Arc, Mutex, RwLock};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -120,7 +120,8 @@ const PLAN_CACHE_CAP: usize = 4096;
 ///   — one-shot, grabs pooled scratch per call;
 /// * [`session`](Self::session) — a per-thread [`Session`] that reuses
 ///   one scratch set across many queries (the hot-loop API);
-/// * [`compile`](Self::compile) + [`answer_compiled`](Self::answer_compiled)
+/// * [`compile`](Self::compile) (or [`compile_text`](Self::compile_text)
+///   from SPARQL text) + [`answer_compiled`](Self::answer_compiled)
 ///   — compile/validate once, reuse the compiled constraint and the
 ///   materialized `V(S,G)` across repeated executions;
 /// * [`answer_batch`](Self::answer_batch) — fan a slice of queries across
@@ -460,24 +461,70 @@ impl LscrEngine {
 
     /// Validates `query` and compiles its constraint through the plan
     /// cache: constraints with identical SPARQL text share one compiled
-    /// plan across queries, sessions and threads. Cache hits allocate
-    /// nothing (the key is the constraint's precomputed canonical text);
-    /// the cache holds at most 4096 plans — beyond that,
+    /// plan across queries, sessions and threads. A hit is one probe keyed
+    /// by the constraint's precomputed canonical text, and allocates
+    /// nothing; the cache holds at most 4096 plans — beyond that,
     /// new texts compile per-query without being retained.
     pub fn compile(&self, query: &LscrQuery) -> Result<CompiledLscrQuery, QueryError> {
         let graph = self.graph();
         graph.check_vertex(query.source)?;
         graph.check_vertex(query.target)?;
-        let key = query.constraint.sparql_text();
-        if let Some(cached) = self.plan_cache.read().expect("plan cache lock").get(key) {
-            // Entries compiled before a graph update are purged by
-            // `apply_update`, but a hit can still race the purge — guard
-            // on the epoch the plan was bound to.
-            if cached.graph_epoch() == graph.epoch() {
-                return Ok(query.with_constraint(Arc::clone(cached)));
-            }
+        let constraint = &query.constraint;
+        let (plan, _) = self.plan(&graph, constraint.sparql_text(), Some(constraint))?;
+        Ok(query.with_constraint(plan))
+    }
+
+    /// [`compile`](Self::compile) for a constraint still in SPARQL text,
+    /// as a server receives it. The text is looked up in the plan cache as
+    /// sent, and only a miss parses it, then looks up or compiles its plan
+    /// under its canonical text ([`SubstructureConstraint::sparql_text`]).
+    /// So a canonical text whose plan is cached costs one probe and no
+    /// allocation, and any other spelling shares that plan after one
+    /// parse. Returns the compiled query and whether `sparql` was parsed.
+    pub fn compile_text(
+        &self,
+        source: VertexId,
+        target: VertexId,
+        label_constraint: LabelSet,
+        sparql: &str,
+    ) -> Result<(CompiledLscrQuery, bool), QueryError> {
+        let graph = self.graph();
+        graph.check_vertex(source)?;
+        graph.check_vertex(target)?;
+        let (constraint, parsed) = self.plan(&graph, sparql, None)?;
+        Ok((CompiledLscrQuery { source, target, label_constraint, constraint }, parsed))
+    }
+
+    /// The one plan-cache path. `key` is probed first; `parsed` is its
+    /// constraint when the caller already holds it, and then `key` is that
+    /// constraint's canonical text. On a miss an unparsed `key` is parsed,
+    /// its canonical text probed if it differs, and the plan compiled and
+    /// inserted under the canonical text. The flag says whether `key` was
+    /// parsed.
+    fn plan(
+        &self,
+        graph: &Graph,
+        key: &str,
+        parsed: Option<&SubstructureConstraint>,
+    ) -> Result<(Arc<CompiledConstraint>, bool), QueryError> {
+        if let Some(hit) = self.cached_plan(graph, key) {
+            return Ok((hit, false));
         }
-        let compiled = Arc::new(query.constraint.compile(&graph)?);
+        let owned;
+        let constraint = match parsed {
+            Some(constraint) => constraint,
+            None => {
+                owned = SubstructureConstraint::parse(key)?;
+                if owned.sparql_text() != key {
+                    if let Some(hit) = self.cached_plan(graph, owned.sparql_text()) {
+                        return Ok((hit, true));
+                    }
+                }
+                &owned
+            }
+        };
+        let key = constraint.sparql_text();
+        let compiled = Arc::new(constraint.compile(graph)?);
         let mut cache = self.plan_cache.write().expect("plan cache lock");
         let shared = match cache.get(key) {
             // A racing compiler won; keep its plan (same-epoch only).
@@ -493,20 +540,16 @@ impl LscrEngine {
             None => compiled, // cache full: serve uncached
         };
         drop(cache);
-        Ok(query.with_constraint(shared))
+        Ok((shared, parsed.is_none()))
     }
 
-    /// Recompiles a compiled query whose plan is bound to an older graph
-    /// epoch, using the canonical SPARQL text the plan retains. Sessions
-    /// call this when a caller-held [`CompiledLscrQuery`] outlives an
-    /// [`apply_update`](Self::apply_update).
-    pub(crate) fn recompile(
-        &self,
-        query: &CompiledLscrQuery,
-    ) -> Result<CompiledLscrQuery, QueryError> {
-        let constraint = SubstructureConstraint::parse(query.constraint.sparql_text())?;
-        let q = LscrQuery::new(query.source, query.target, query.label_constraint, constraint);
-        self.compile(&q)
+    /// The cached plan keyed `key`, if it is bound to `graph`'s epoch.
+    /// Entries compiled before a graph update are purged by
+    /// `apply_update`, but a probe can still race the purge — hence the
+    /// guard on the epoch the plan was bound to.
+    fn cached_plan(&self, graph: &Graph, key: &str) -> Option<Arc<CompiledConstraint>> {
+        let cache = self.plan_cache.read().expect("plan cache lock");
+        cache.get(key).filter(|plan| plan.graph_epoch() == graph.epoch()).map(Arc::clone)
     }
 
     /// Number of distinct constraint plans currently cached.
@@ -917,6 +960,84 @@ mod tests {
         );
         engine.compile(&q3).unwrap();
         assert_eq!(engine.cached_plans(), 2);
+    }
+
+    #[test]
+    fn plan_lookup_by_text_shares_plans_tracks_epochs_and_survives_a_full_cache() {
+        let engine = LscrEngine::new(figure3());
+        let q = all_labels_query(&engine.graph(), "v0", "v4");
+        let by_text =
+            |text: &str| engine.compile_text(q.source, q.target, q.label_constraint, text).unwrap();
+        let canonical = q.constraint.sparql_text();
+        let spelled = canonical.replace(' ', "\n\t");
+        assert_ne!(spelled, canonical);
+
+        // Cold, the canonical text is parsed once; warm, it is a hit that
+        // shares `compile`'s plan. Another spelling is parsed every time
+        // and shares the same plan.
+        let (cold, parsed) = by_text(canonical);
+        assert!(parsed, "a cold text is parsed");
+        let (warm, parsed) = by_text(canonical);
+        assert!(!parsed, "a cached canonical text is not parsed");
+        let compiled = engine.compile(&q).unwrap();
+        assert!(Arc::ptr_eq(&warm.constraint, &compiled.constraint));
+        assert!(Arc::ptr_eq(&cold.constraint, &compiled.constraint));
+        for _ in 0..2 {
+            let (other, parsed) = by_text(&spelled);
+            assert!(parsed, "a non-canonical spelling is parsed");
+            assert!(Arc::ptr_eq(&other.constraint, &compiled.constraint));
+        }
+        assert_eq!(engine.cached_plans(), 1);
+        assert!(engine
+            .compile_text(VertexId(99), q.target, q.label_constraint, canonical)
+            .is_err());
+        assert!(matches!(
+            engine.compile_text(q.source, q.target, q.label_constraint, "SELECT nonsense"),
+            Err(QueryError::Sparql(_))
+        ));
+
+        // After an update the purged plan is never served, not even when a
+        // probe races the purge and still finds it: both spellings compile
+        // at the new epoch and answer as `compile` does.
+        let purged = Arc::clone(&compiled.constraint);
+        let mut batch = kgreach_graph::UpdateBatch::new();
+        batch.delete("v2", "follows", "v4");
+        engine.apply_update(&batch).unwrap();
+        let stale = canonical.to_owned();
+        engine.plan_cache.write().unwrap().insert(stale, Arc::clone(&purged));
+        for text in [canonical, &spelled, canonical] {
+            let (fresh, _) = by_text(text);
+            assert_eq!(fresh.constraint.graph_epoch(), engine.graph_epoch());
+            assert!(!Arc::ptr_eq(&fresh.constraint, &purged), "served the purged plan");
+            let opts = QueryOptions::default();
+            let out = engine.answer_compiled(&fresh, Algorithm::Auto, &opts).unwrap();
+            assert_eq!(out.answer, engine.answer(&q, Algorithm::Oracle).unwrap().answer);
+        }
+        assert!(!by_text(canonical).1, "the recompiled plan is cached again");
+
+        // A full cache still answers a new text, uncached.
+        for i in engine.cached_plans()..PLAN_CACHE_CAP {
+            by_text(&format!("SELECT ?x WHERE {{ ?x <likes> <c{i}> . }}"));
+        }
+        assert_eq!(engine.cached_plans(), PLAN_CACHE_CAP);
+        let text = "SELECT ?x WHERE { ?x <follows> ?y . }";
+        let (first, parsed) = by_text(text);
+        assert!(parsed);
+        let (second, parsed) = by_text(text);
+        assert!(parsed, "an uncached text is parsed every time");
+        assert!(!Arc::ptr_eq(&first.constraint, &second.constraint));
+        assert_eq!(engine.cached_plans(), PLAN_CACHE_CAP);
+        let uncached = LscrQuery::new(
+            q.source,
+            q.target,
+            q.label_constraint,
+            SubstructureConstraint::parse(text).unwrap(),
+        );
+        let out = engine.answer_compiled(&first, Algorithm::Auto, &QueryOptions::default());
+        assert_eq!(
+            out.unwrap().answer,
+            engine.answer(&uncached, Algorithm::Oracle).unwrap().answer
+        );
     }
 
     #[test]

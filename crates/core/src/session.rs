@@ -202,10 +202,13 @@ impl<'e> Session<'e> {
             let (g, index) = self.engine.state_snapshot();
             if query.constraint.graph_epoch() != g.epoch() {
                 // Stale plan (caller-held query from before an update or a
-                // reload, or one of them raced the snapshot): rebind and
-                // retry. Nothing may read the stale plan against `g` —
-                // its constants are ids of the old graph.
-                recompiled = Some(self.engine.recompile(query)?);
+                // reload, or one of them raced the snapshot): rebind from
+                // the canonical text the plan retains, and retry. Nothing
+                // may read the stale plan against `g` — its constants are
+                // ids of the old graph.
+                let (source, target, labels) = (query.source, query.target, query.label_constraint);
+                let text = query.constraint.sparql_text();
+                recompiled = Some(self.engine.compile_text(source, target, labels, text)?.0);
                 continue;
             }
             let resolved = if algorithm == Algorithm::Auto {

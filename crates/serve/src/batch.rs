@@ -2,7 +2,7 @@
 //!
 //! [`BatchConfig::workers`] is the number of searches that may run at
 //! once. Every query is answered **on the thread that read its request**
-//! ([`Batcher::answer`]): resolve → compile → search → render, with no
+//! ([`Batcher::answer`]): resolve → plan lookup → search → write, with no
 //! queue, no channel and no second thread. A query that finds one of the
 //! slots free, and no thread waiting for one, takes it at once. Otherwise
 //! its thread waits on a condvar until a slot frees, and then answers in
@@ -35,7 +35,7 @@
 
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
-use crate::protocol::{render_outcome, ApiError, QueryRequest};
+use crate::protocol::{outcome_text, ApiError, QueryRequest};
 use kgreach::LscrEngine;
 use kgreach_sync::mpsc;
 use kgreach_sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -163,10 +163,11 @@ impl Batcher {
         }
     }
 
-    /// Answers one query on the calling thread: at once if a search slot
-    /// is free and no thread waits for one, otherwise after waiting for a
-    /// slot. Refusals are [`answer_many`](Self::answer_many)'s.
-    pub fn answer(&self, req: QueryRequest) -> Result<Json, ApiError> {
+    /// Answers one query on the calling thread, as its response text: at
+    /// once if a search slot is free and no thread waits for one,
+    /// otherwise after waiting for a slot. Refusals are
+    /// [`answer_many`](Self::answer_many)'s.
+    pub fn answer(&self, req: QueryRequest) -> Result<String, ApiError> {
         let arrived = Instant::now();
         let _slot = self.slot(self.admit(1)?)?;
         self.run(&req, arrived)
@@ -186,7 +187,7 @@ impl Batcher {
     pub fn answer_many(
         &self,
         reqs: &[QueryRequest],
-    ) -> Result<Vec<Result<Json, ApiError>>, ApiError> {
+    ) -> Result<Vec<Result<String, ApiError>>, ApiError> {
         let arrived = Instant::now();
         drop(self.admit(reqs.len())?);
         Ok(reqs
@@ -200,16 +201,17 @@ impl Batcher {
 
     /// [`answer_many`](Self::answer_many) for one query, with its answer
     /// handed back through a channel that already holds it: the query is
-    /// answered on the calling thread before this returns. Kept for
-    /// callers that read answers from a channel; nothing in this crate
-    /// calls it.
+    /// answered on the calling thread before this returns, and its
+    /// response text parsed into a tree. Kept for callers that read
+    /// answers from a channel; nothing in this crate calls it.
     pub fn submit(
         &self,
         req: QueryRequest,
     ) -> Result<mpsc::Receiver<Result<Json, ApiError>>, ApiError> {
         let answer = self.answer_many(std::slice::from_ref(&req))?.pop();
+        let answer = answer.expect("one answer per query");
         let (tx, rx) = mpsc::channel();
-        let _ = tx.send(answer.expect("one answer per query"));
+        let _ = tx.send(answer.map(|text| Json::parse(&text).expect("answers are valid JSON")));
         Ok(rx)
     }
 
@@ -294,7 +296,7 @@ impl Batcher {
 
     /// Answers one admitted query in the slot its caller holds. A panic
     /// below is caught here and costs this query a `500`, not the thread.
-    fn run(&self, req: &QueryRequest, since: Instant) -> Result<Json, ApiError> {
+    fn run(&self, req: &QueryRequest, since: Instant) -> Result<String, ApiError> {
         // One query per slot taken: the two counters move together (see
         // their docs in `metrics.rs`).
         self.metrics.batch_windows_total.add(1);
@@ -309,7 +311,7 @@ impl Batcher {
         let result = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(any(test, kg_loom))]
             if let Some(reply) = self.probe.as_ref().and_then(|probe| probe(req)) {
-                return reply;
+                return reply.map(|json| json.to_string());
             }
             self.search(req)
         }))
@@ -321,30 +323,42 @@ impl Batcher {
         result
     }
 
-    /// Resolves and answers one query on a consistent graph snapshot.
+    /// Resolves and answers one query on a consistent graph snapshot, and
+    /// writes its response text.
     ///
-    /// Name resolution and search must see the *same* graph: a snapshot
-    /// reload in between would re-bind the resolved dense ids to
-    /// different vertices (updates keep ids stable; reloads do not). The
-    /// engine pins its own snapshot inside `answer_with_options`, so
-    /// consistency is re-checked afterwards by Arc identity — if the
-    /// served graph changed while this query was in flight, re-resolve
-    /// and re-run against the new one.
-    fn search(&self, req: &QueryRequest) -> Result<Json, ApiError> {
+    /// Names resolve to ids, and the constraint text to a plan through
+    /// the engine's plan cache, which parses the text only when no cached
+    /// plan has it as its key. Name resolution and search must see the
+    /// *same* graph: a snapshot reload in between would re-bind the
+    /// resolved dense ids to different vertices (updates keep ids stable;
+    /// reloads do not). The engine pins its own snapshot inside
+    /// `answer_compiled`, so consistency is re-checked afterwards by Arc
+    /// identity — if the served graph changed while this query was in
+    /// flight, re-resolve and re-run against the new one.
+    fn search(&self, req: &QueryRequest) -> Result<String, ApiError> {
         // The scratch is borrowed for this query and goes back to the
         // engine's pool when it is answered, on a panic's unwind too.
         let mut session = self.engine.session();
         for _ in 0..16 {
             let g = self.engine.graph();
-            let query = match req.resolve(&g) {
-                Ok(q) => q,
+            let (source, target, labels) = match req.resolve_names(&g) {
+                Ok(ids) => ids,
                 Err(e) => {
                     self.metrics.query_errors_total.add(1);
                     return Err(e);
                 }
             };
             let opts = req.options(self.config.max_step_budget, self.config.max_timeout);
-            let out = match session.answer_with_options(&query, req.algorithm, &opts) {
+            let answered = self
+                .engine
+                .compile_text(source, target, labels, &req.constraint)
+                .and_then(|(query, parsed)| {
+                    if parsed {
+                        self.metrics.constraint_parses_total.add(1);
+                    }
+                    session.answer_compiled(&query, req.algorithm, &opts)
+                });
+            let out = match answered {
                 Ok(out) => out,
                 Err(e) if !Arc::ptr_eq(&g, &self.engine.graph()) => {
                     // The graph was swapped mid-flight; the error may be
@@ -359,7 +373,7 @@ impl Batcher {
             };
             if Arc::ptr_eq(&g, &self.engine.graph()) {
                 self.metrics.record_outcome(&out.stats, out.interrupted);
-                return Ok(render_outcome(&g, &out));
+                return Ok(outcome_text(&g, &out));
             }
         }
         self.metrics.query_errors_total.add(1);
@@ -518,7 +532,7 @@ mod tests {
         let Probed { batcher, metrics, ran_on, .. } = start_probed(2);
         let me = std::thread::current().id();
         for _ in 0..20 {
-            let body = batcher.answer(req("v0", "v4")).expect("query ok").to_string();
+            let body = batcher.answer(req("v0", "v4")).expect("query ok");
             assert!(body.contains("\"answer\":true"), "{body}");
             assert_eq!((batcher.queue_depth(), batcher.running()), (0, 0));
         }
@@ -578,7 +592,7 @@ mod tests {
             let (holder_thread, held) = holder.join().unwrap();
             assert_eq!(held.expect_err("no such vertex").status, 404);
             let (waiter_thread, waited) = waiter.join().unwrap();
-            let body = waited.expect("the waiter got the slot").to_string();
+            let body = waited.expect("the waiter got the slot");
             assert!(body.contains("\"answer\":true"), "{body}");
             [holder_thread, waiter_thread]
         });
@@ -598,7 +612,7 @@ mod tests {
         assert_eq!((err.status, err.code), (500, "internal"));
         assert_eq!(metrics.panics_total.get(), 1);
         assert_eq!(batcher.running(), 0, "the unwound answer gave its slot back");
-        let body = batcher.answer(req("v0", "v4")).expect("next query ok").to_string();
+        let body = batcher.answer(req("v0", "v4")).expect("next query ok");
         assert!(body.contains("\"answer\":true"), "{body}");
         // In a batch, the panic is its member's alone.
         let results = batcher.answer_many(&[req("boom", "v4"), req("v0", "v4")]).expect("admitted");

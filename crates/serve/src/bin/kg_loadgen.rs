@@ -15,7 +15,9 @@
 //! `check_bench_json`. Any wire error or ground-truth mismatch fails the
 //! run — the load generator doubles as an end-to-end correctness check —
 //! and so does a `/metrics` scrape, taken once after the load, that does
-//! not read `kg_panics_total 0`.
+//! not read `kg_panics_total 0`, or whose `kg_constraint_parses_total`
+//! exceeds distinct constraints × the highest concurrency (the bodies
+//! carry canonical constraint text, so warm requests must not parse it).
 //!
 //! Flags: `--universities`, `--departments`, `--seed` (dataset);
 //! `--queries N` per combination; `--concurrency "2,8"`; `--rate QPS`
@@ -484,11 +486,20 @@ fn main() {
 
     // One scrape before shutdown, over the wire so it covers an external
     // server too: a panicking answer is a `500` the rows above already
-    // count as a wire error, but the counter names the cause.
-    let panics =
-        HttpClient::connect(addr).and_then(|mut c| c.get("/metrics")).ok().and_then(|resp| {
-            resp.body.lines().find_map(|l| l.strip_prefix("kg_panics_total ")?.parse::<u64>().ok())
-        });
+    // count as a wire error, but the counter names the cause. Every body
+    // carries its constraint's canonical text, so only a constraint's
+    // first requests — at most one per connection racing to compile it —
+    // may parse it; warm traffic must find the plan by text.
+    let exposition =
+        HttpClient::connect(addr).and_then(|mut c| c.get("/metrics")).map(|resp| resp.body);
+    let exposition = exposition.unwrap_or_default();
+    let counter = |name: &str| {
+        exposition
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<u64>().ok())
+    };
+    let (panics, parses) = (counter("kg_panics_total"), counter("kg_constraint_parses_total"));
+    let parse_bound = (constraints.len() * concurrency.iter().copied().max().unwrap_or(1)) as u64;
 
     if let Some(server) = server {
         let m = server.metrics();
@@ -524,6 +535,13 @@ fn main() {
     }
     if panics != Some(0) {
         eprintln!("FAILED: /metrics reports kg_panics_total {panics:?}, expected 0");
+        std::process::exit(1);
+    }
+    if !parses.is_some_and(|n| n <= parse_bound) {
+        eprintln!(
+            "FAILED: /metrics reports kg_constraint_parses_total {parses:?}, expected at most \
+             {parse_bound} (distinct constraints x highest concurrency)"
+        );
         std::process::exit(1);
     }
 }

@@ -230,7 +230,9 @@ fn number_len(n: f64) -> usize {
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Writes `n` as [`Json::Num`] serializes: integral values below 9e15 as
+/// integers, others in `f64`'s shortest form, non-finite ones as `null`.
+pub(crate) fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no NaN/Infinity; the wire never produces them, but a
         // defensive null beats emitting an unparseable token.
@@ -275,7 +277,7 @@ fn escaped_len(s: &str) -> usize {
 }
 
 /// Writes `s` quoted, copying each run of bytes that need no escape whole.
-fn write_escaped(s: &str, out: &mut String) {
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
     let mut rest = s;

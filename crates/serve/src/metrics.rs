@@ -166,6 +166,12 @@ pub struct ServerMetrics {
     pub query_errors_total: Counter,
     /// Queries whose search was stopped by the step budget / timeout.
     pub queries_interrupted_total: Counter,
+    /// `/query` and `/query_batch` constraint texts that had to be parsed
+    /// because no cached plan had them as its key: the first request of a
+    /// constraint, one after a plan-cache purge, and every request that
+    /// spells its constraint other than canonically. A text that fails to
+    /// parse or compile is counted in `query_errors_total` instead.
+    pub constraint_parses_total: Counter,
     /// Requests shed because they would have waited for a search slot
     /// behind the high water's worth of waiting threads.
     pub shed_queue_full_total: Counter,
@@ -233,6 +239,7 @@ impl Default for ServerMetrics {
             queries_total: Counter::new(),
             query_errors_total: Counter::new(),
             queries_interrupted_total: Counter::new(),
+            constraint_parses_total: Counter::new(),
             shed_queue_full_total: Counter::new(),
             shed_draining_total: Counter::new(),
             shed_connections_total: Counter::new(),
@@ -345,6 +352,12 @@ impl ServerMetrics {
             "kg_queries_interrupted_total",
             "Queries stopped early by the step budget or timeout.",
             load(&self.queries_interrupted_total),
+        );
+        counter(
+            &mut out,
+            "kg_constraint_parses_total",
+            "Constraint texts parsed because no cached plan had them as its key.",
+            load(&self.constraint_parses_total),
         );
 
         out.push_str(
@@ -589,6 +602,7 @@ mod tests {
         stats.backward_edges_scanned = 0;
         stats.negative_terminations = 0;
         m.record_outcome(&stats, false);
+        m.constraint_parses_total.add(3);
         let engine = kgreach::LscrEngine::new(kgreach::fixtures::figure3());
         let text = m.render(&engine.info(), None);
         assert!(!text.contains("kg_wal_appends_total"), "no WAL series without durability");
@@ -605,6 +619,7 @@ mod tests {
         for needle in [
             "kg_queries_total 2",
             "kg_queries_interrupted_total 1",
+            "kg_constraint_parses_total 3",
             "kg_edges_scanned_total 14",
             "kg_edges_skipped_total 6",
             "kg_negative_terminations_total 1",

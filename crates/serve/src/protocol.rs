@@ -2,17 +2,18 @@
 //! envelope.
 //!
 //! This module is pure translation — names to ids on the way in, ids to
-//! names on the way out. The wire speaks vertex and label *names*
+//! names on the way out, written straight into the response text
+//! ([`outcome_text`]). The wire speaks vertex and label *names*
 //! (strings), never internal `VertexId`/`LabelId` values: ids are dense
 //! per-graph handles that change across snapshot reloads, so exposing
 //! them would make every client snapshot-coupled. The full schema is
 //! documented in `docs/PROTOCOL.md`; conformance is enforced by the
 //! loopback suite in `tests/serving.rs`.
 
-use crate::json::Json;
+use crate::json::{write_escaped, write_number, Json};
 use kgreach::{
     Algorithm, EngineInfo, Graph, IndexMaintenance, LabelSet, LscrQuery, QueryError, QueryOptions,
-    QueryOutcome, SubstructureConstraint, UpdateBatch, UpdateOutcome, Witness,
+    QueryOutcome, SubstructureConstraint, UpdateBatch, UpdateOutcome, VertexId, Witness,
 };
 use std::time::Duration;
 
@@ -44,15 +45,15 @@ impl ApiError {
         ApiError::new(400, "invalid_request", message)
     }
 
-    /// The JSON error envelope.
-    pub fn envelope(&self) -> Json {
-        Json::Obj(vec![(
-            "error".into(),
-            Json::Obj(vec![
-                ("code".into(), Json::str(self.code)),
-                ("message".into(), Json::str(&self.message)),
-            ]),
-        )])
+    /// The JSON error envelope, as response text.
+    pub fn envelope(&self) -> String {
+        let mut out = String::with_capacity(48 + self.code.len() + self.message.len());
+        out.push_str("{\"error\":{\"code\":");
+        write_escaped(self.code, &mut out);
+        out.push_str(",\"message\":");
+        write_escaped(&self.message, &mut out);
+        out.push_str("}}");
+        out
     }
 }
 
@@ -103,14 +104,16 @@ pub struct QueryRequest {
 /// Parses `"uis" | "uis*" | "ins" | "oracle" | "auto"`
 /// (case-insensitive; `uis_star` is accepted for `uis*`).
 pub fn parse_algorithm(s: &str) -> Option<Algorithm> {
-    match s.to_ascii_lowercase().as_str() {
-        "uis" => Some(Algorithm::Uis),
-        "uis*" | "uis_star" | "uisstar" => Some(Algorithm::UisStar),
-        "ins" => Some(Algorithm::Ins),
-        "oracle" => Some(Algorithm::Oracle),
-        "auto" => Some(Algorithm::Auto),
-        _ => None,
-    }
+    const NAMES: [(&str, Algorithm); 7] = [
+        ("uis", Algorithm::Uis),
+        ("uis*", Algorithm::UisStar),
+        ("uis_star", Algorithm::UisStar),
+        ("uisstar", Algorithm::UisStar),
+        ("ins", Algorithm::Ins),
+        ("oracle", Algorithm::Oracle),
+        ("auto", Algorithm::Auto),
+    ];
+    NAMES.iter().find(|(name, _)| name.eq_ignore_ascii_case(s)).map(|&(_, algorithm)| algorithm)
 }
 
 fn field_str(v: &Json, key: &str) -> Result<String, ApiError> {
@@ -180,13 +183,25 @@ impl QueryRequest {
         })
     }
 
-    /// Resolves names against `g` and assembles the engine-level query.
+    /// Resolves names against `g` and assembles the engine-level query:
+    /// [`resolve_names`](Self::resolve_names), then the constraint parsed
+    /// (`422 bad_constraint`). The server does not parse here: it hands
+    /// the constraint text to `LscrEngine::compile_text`, which parses it
+    /// only when no cached plan has it as its key.
+    pub fn resolve(&self, g: &Graph) -> Result<LscrQuery, ApiError> {
+        let (source, target, label_constraint) = self.resolve_names(g)?;
+        let constraint = SubstructureConstraint::parse(&self.constraint)
+            .map_err(|e| ApiError::new(422, "bad_constraint", e.to_string()))?;
+        Ok(LscrQuery::new(source, target, label_constraint, constraint))
+    }
+
+    /// The source, target and label set, resolved against `g`.
     ///
     /// Unknown vertex/label names are `404 unknown_vertex` /
     /// `422 unknown_label`: a vertex that is not in the graph makes the
     /// *addressed resource* missing, while an unknown label is a
     /// constraint that nothing could ever satisfy.
-    pub fn resolve(&self, g: &Graph) -> Result<LscrQuery, ApiError> {
+    pub fn resolve_names(&self, g: &Graph) -> Result<(VertexId, VertexId, LabelSet), ApiError> {
         let vertex = |name: &str| {
             g.vertex_id(name).ok_or_else(|| {
                 ApiError::new(404, "unknown_vertex", format!("vertex '{name}' is not in the graph"))
@@ -211,9 +226,7 @@ impl QueryRequest {
                 set
             }
         };
-        let constraint = SubstructureConstraint::parse(&self.constraint)
-            .map_err(|e| ApiError::new(422, "bad_constraint", e.to_string()))?;
-        Ok(LscrQuery::new(source, target, label_constraint, constraint))
+        Ok((source, target, label_constraint))
     }
 
     /// Derives the effective [`QueryOptions`], clamping the client's
@@ -243,47 +256,90 @@ impl QueryRequest {
     }
 }
 
-fn witness_json(g: &Graph, w: &Witness) -> Json {
-    let path = w
-        .path
-        .iter()
-        .map(|e| {
-            Json::Obj(vec![
-                ("src".into(), Json::str(g.vertex_name(e.src))),
-                ("label".into(), Json::str(g.label_name(e.label))),
-                ("dst".into(), Json::str(g.vertex_name(e.dst))),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("via".into(), Json::str(g.vertex_name(w.via))),
-        ("path".into(), Json::Arr(path)),
-    ])
+/// The capacity [`outcome_text`] starts from. A response without a
+/// witness fits — 288 bytes of keys and punctuation, and twelve numbers of
+/// at most 16 digits each — so writing one allocates once.
+const OUTCOME_CAPACITY: usize = 512;
+
+/// Writes one answered query as its wire response text: the object
+/// [`render_outcome`] returns, with the same keys in the same order and
+/// the same number formatting as [`Json`]'s serializer. This is the text
+/// `/query` sends.
+pub fn outcome_text(g: &Graph, out: &QueryOutcome) -> String {
+    let mut text = String::with_capacity(OUTCOME_CAPACITY);
+    let t = &mut text;
+    let bool_text = |b: bool| if b { "true" } else { "false" };
+    t.push_str("{\"answer\":");
+    t.push_str(bool_text(out.answer));
+    t.push_str(",\"interrupted\":");
+    t.push_str(bool_text(out.interrupted));
+    t.push_str(",\"elapsed_ns\":");
+    write_number(out.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64 as f64, t);
+    t.push_str(",\"algorithm\":");
+    match out.stats.algorithm {
+        Some(a) => write_escaped(a.name(), t),
+        None => t.push_str("null"),
+    }
+    let s = &out.stats;
+    let stats = [
+        ("passed_vertices", Some(s.passed_vertices)),
+        ("scck_calls", Some(s.scck_calls)),
+        ("scck_cache_hits", Some(s.scck_cache_hits)),
+        ("edges_scanned", Some(s.edges_scanned)),
+        ("edges_skipped", Some(s.edges_skipped)),
+        ("pushes", Some(s.pushes)),
+        ("lcs_invocations", Some(s.lcs_invocations)),
+        ("vsg_size", s.vsg_size),
+        ("index_hits", Some(s.index_hits)),
+        ("backward_edges_scanned", Some(s.backward_edges_scanned)),
+        ("negative_terminations", Some(s.negative_terminations)),
+    ];
+    t.push_str(",\"stats\":{");
+    for (i, (key, value)) in stats.into_iter().enumerate() {
+        if i > 0 {
+            t.push(',');
+        }
+        t.push('"');
+        t.push_str(key);
+        t.push_str("\":");
+        match value {
+            Some(n) => write_number(n as f64, t),
+            None => t.push_str("null"),
+        }
+    }
+    t.push_str("},\"witness\":");
+    match &out.witness {
+        Some(w) => write_witness(g, w, t),
+        None => t.push_str("null"),
+    }
+    t.push('}');
+    text
 }
 
-/// Renders one answered query as its wire response object.
+fn write_witness(g: &Graph, w: &Witness, t: &mut String) {
+    t.push_str("{\"via\":");
+    write_escaped(g.vertex_name(w.via), t);
+    t.push_str(",\"path\":[");
+    for (i, e) in w.path.iter().enumerate() {
+        if i > 0 {
+            t.push(',');
+        }
+        t.push_str("{\"src\":");
+        write_escaped(g.vertex_name(e.src), t);
+        t.push_str(",\"label\":");
+        write_escaped(g.label_name(e.label), t);
+        t.push_str(",\"dst\":");
+        write_escaped(g.vertex_name(e.dst), t);
+        t.push('}');
+    }
+    t.push_str("]}");
+}
+
+/// One answered query as its wire response object: [`outcome_text`]
+/// parsed back into a tree, for callers that want one. The server sends
+/// the text and builds no tree.
 pub fn render_outcome(g: &Graph, out: &QueryOutcome) -> Json {
-    let stats = Json::Obj(vec![
-        ("passed_vertices".into(), Json::usize(out.stats.passed_vertices)),
-        ("scck_calls".into(), Json::usize(out.stats.scck_calls)),
-        ("scck_cache_hits".into(), Json::usize(out.stats.scck_cache_hits)),
-        ("edges_scanned".into(), Json::usize(out.stats.edges_scanned)),
-        ("edges_skipped".into(), Json::usize(out.stats.edges_skipped)),
-        ("pushes".into(), Json::usize(out.stats.pushes)),
-        ("lcs_invocations".into(), Json::usize(out.stats.lcs_invocations)),
-        ("vsg_size".into(), out.stats.vsg_size.map_or(Json::Null, Json::usize)),
-        ("index_hits".into(), Json::usize(out.stats.index_hits)),
-        ("backward_edges_scanned".into(), Json::usize(out.stats.backward_edges_scanned)),
-        ("negative_terminations".into(), Json::usize(out.stats.negative_terminations)),
-    ]);
-    Json::Obj(vec![
-        ("answer".into(), Json::Bool(out.answer)),
-        ("interrupted".into(), Json::Bool(out.interrupted)),
-        ("elapsed_ns".into(), Json::u64(out.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64)),
-        ("algorithm".into(), out.stats.algorithm.map_or(Json::Null, |a| Json::str(a.name()))),
-        ("stats".into(), stats),
-        ("witness".into(), out.witness.as_ref().map_or(Json::Null, |w| witness_json(g, w))),
-    ])
+    Json::parse(&outcome_text(g, out)).expect("outcome_text writes valid JSON")
 }
 
 /// Parses a `/update` body into an [`UpdateBatch`].
@@ -423,7 +479,29 @@ mod tests {
         .unwrap();
         let e = bad.resolve(&g).unwrap_err();
         assert_eq!((e.status, e.code), (422, "bad_constraint"));
-        assert!(e.envelope().to_string().starts_with("{\"error\":{\"code\":\"bad_constraint\""));
+        assert!(e.envelope().starts_with("{\"error\":{\"code\":\"bad_constraint\""));
+        let e = ApiError::new(404, "unknown_vertex", "vertex 'a\"b\\c' is not in the graph");
+        let reread = Json::parse(&e.envelope()).unwrap();
+        let message = reread.get("error").and_then(|e| e.get("message")).and_then(Json::as_str);
+        assert_eq!(message, Some(e.message.as_str()));
+    }
+
+    #[test]
+    fn algorithm_names_match_without_regard_to_case() {
+        for (name, algorithm) in [
+            ("UIS", Algorithm::Uis),
+            ("Uis*", Algorithm::UisStar),
+            ("UIS_STAR", Algorithm::UisStar),
+            ("uisStar", Algorithm::UisStar),
+            ("iNs", Algorithm::Ins),
+            ("Oracle", Algorithm::Oracle),
+            ("AUTO", Algorithm::Auto),
+        ] {
+            assert_eq!(parse_algorithm(name), Some(algorithm), "{name}");
+        }
+        for bogus in ["", "uis**", "in", "autos", "ÜIS"] {
+            assert_eq!(parse_algorithm(bogus), None, "{bogus}");
+        }
     }
 
     #[test]

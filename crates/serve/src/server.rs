@@ -5,7 +5,7 @@
 //! one blocking thread per live connection (capped by
 //! [`ServerConfig::max_connections`]; excess connections get an immediate
 //! `503` and are closed). A connection thread reads a request, answers it
-//! and writes the response: a `/query` runs resolve → search → render
+//! and writes the response: a `/query` runs resolve → search → write
 //! right there in one of the [`BatchConfig::workers`] search slots,
 //! waiting for one first when they are all taken (see
 //! [`batch`](crate::batch)); the members of a `/query_batch` run the same
@@ -140,7 +140,7 @@ fn serve_inner(
                 if shared.live_connections.load(Ordering::Relaxed) >= max_connections {
                     shared.metrics.shed_connections_total.add(1);
                     let err = ApiError::new(503, "overloaded", "connection limit reached");
-                    let mut resp = Response::json(err.status, err.envelope().to_string());
+                    let mut resp = Response::json(err.status, err.envelope());
                     resp.retry_after = Some(1);
                     resp.close = true;
                     let mut stream = stream;
@@ -244,7 +244,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                         _ => "bad_request",
                     };
                     let err = ApiError::new(status, code, e.message());
-                    let mut resp = Response::json(status, err.envelope().to_string());
+                    let mut resp = Response::json(status, err.envelope());
                     resp.close = true;
                     let _ = write_response(&mut stream, &resp);
                 }
@@ -255,7 +255,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 }
 
 fn error_response(err: &ApiError) -> Response {
-    let mut resp = Response::json(err.status, err.envelope().to_string());
+    let mut resp = Response::json(err.status, err.envelope());
     if matches!(err.status, 429 | 503) {
         resp.retry_after = Some(1);
     }
@@ -298,7 +298,7 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
             m.requests_query.add(1);
             let start = Instant::now();
             let resp = match handle_query(req, shared) {
-                Ok(body) => Response::json(200, body.to_string()),
+                Ok(body) => Response::json(200, body),
                 Err(e) => error_response(&e),
             };
             m.request_latency.record(start.elapsed());
@@ -308,7 +308,7 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
             m.requests_query_batch.add(1);
             let start = Instant::now();
             let resp = match handle_query_batch(req, shared) {
-                Ok(body) => Response::json(200, body.to_string()),
+                Ok(body) => Response::json(200, body),
                 Err(e) => error_response(&e),
             };
             m.request_latency.record(start.elapsed());
@@ -362,14 +362,14 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
     }
 }
 
-fn handle_query(req: &Request, shared: &Shared) -> Result<Json, ApiError> {
+fn handle_query(req: &Request, shared: &Shared) -> Result<String, ApiError> {
     let body = parse_body(req)?;
     let query = QueryRequest::parse(&body)?;
     // Answered right here, after waiting for a search slot if none is free.
     shared.batcher.answer(query)
 }
 
-fn handle_query_batch(req: &Request, shared: &Shared) -> Result<Json, ApiError> {
+fn handle_query_batch(req: &Request, shared: &Shared) -> Result<String, ApiError> {
     let body = parse_body(req)?;
     let items = body
         .get("queries")
@@ -384,13 +384,13 @@ fn handle_query_batch(req: &Request, shared: &Shared) -> Result<Json, ApiError> 
     }
     // Per-item failures (unknown vertex, …) are reported in-place so one
     // bad query does not void its batchmates' answers.
-    let results = shared
+    let results: Vec<String> = shared
         .batcher
         .answer_many(&queries)?
         .into_iter()
         .map(|result| result.unwrap_or_else(|e| e.envelope()))
         .collect();
-    Ok(Json::Obj(vec![("results".into(), Json::Arr(results))]))
+    Ok(format!("{{\"results\":[{}]}}", results.join(",")))
 }
 
 fn handle_update(req: &Request, shared: &Shared) -> Result<Json, ApiError> {

@@ -6,9 +6,11 @@
 //! source, a target, the three most frequent labels, the constraint's
 //! canonical text, `"algorithm":"auto"`) goes through the stages a
 //! connection thread runs, each counted alone:
-//! `Json::parse` → `QueryRequest::parse` → `resolve` → a warm
-//! `Session::answer_with_options` → `render_outcome` → `to_string`.
-//! The HTTP read and write around them are not counted.
+//! `Json::parse` → `QueryRequest::parse` → resolve (`resolve_names`, then
+//! the plan looked up by the constraint's text through
+//! `LscrEngine::compile_text`) → a warm `Session::answer_compiled` →
+//! `outcome_text`, the response text. The HTTP read and write around them
+//! are not counted.
 //!
 //! This binary installs [`CountingAlloc`] as the global allocator and
 //! holds everything in one `#[test]`, so no other test's allocations land
@@ -17,7 +19,7 @@
 
 use kgreach::LscrEngine;
 use kgreach_integration::s1_s5_wire_bodies;
-use kgreach_serve::protocol::render_outcome;
+use kgreach_serve::protocol::outcome_text;
 use kgreach_serve::{BatchConfig, Json, QueryRequest};
 use kgreach_sync::alloc::CountingAlloc;
 
@@ -25,23 +27,16 @@ use kgreach_sync::alloc::CountingAlloc;
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// The stages, in request order.
-const STAGES: [&str; 6] =
-    ["json.parse", "protocol.parse", "resolve", "answer", "render", "json.write"];
+const STAGES: [&str; 5] = ["json.parse", "protocol.parse", "resolve", "answer", "write"];
 
 /// Allocations per stage, S1–S5, as committed. A change that allocates
 /// more on the request path fails here with the measured table.
-const BUDGET: [[usize; 6]; 5] = [
-    [15, 8, 7, 0, 20, 2],
-    [15, 8, 10, 0, 20, 2],
-    [15, 8, 13, 0, 20, 2],
-    [15, 8, 29, 0, 20, 2],
-    [15, 8, 16, 0, 20, 2],
-];
+const BUDGET: [[usize; 5]; 5] = [[15, 7, 0, 0, 1]; 5];
 
-/// The totals before the JSON, SPARQL and HTTP codecs copied in runs
-/// (per-byte string pushes, `format!` per number, cloned tokens), printed
-/// beside the measured table for the record.
-const PARENT_ALLOCS: [usize; 5] = [91, 99, 106, 141, 114];
+/// The totals while every warm query still parsed its constraint text
+/// (7–29 allocations), built a response tree (20) and flattened it (2),
+/// printed beside the measured table for the record.
+const PARENT_ALLOCS: [usize; 5] = [52, 55, 58, 74, 61];
 
 /// Allocations `f` makes on this thread's watch.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
@@ -51,20 +46,21 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// One pass of `body` through every stage: the allocations of each.
-fn stage_counts(engine: &LscrEngine, body: &str) -> [usize; 6] {
+fn stage_counts(engine: &LscrEngine, body: &str) -> [usize; 5] {
     let config = BatchConfig::default();
     let g = engine.graph();
     let mut session = engine.session();
     let (json, parse) = counted(|| Json::parse(body).unwrap());
     let (req, request) = counted(|| QueryRequest::parse(&json).unwrap());
-    let (query, resolve) = counted(|| req.resolve(&g).unwrap());
+    let (query, resolve) = counted(|| {
+        let (source, target, labels) = req.resolve_names(&g).unwrap();
+        engine.compile_text(source, target, labels, &req.constraint).unwrap().0
+    });
     let opts = req.options(config.max_step_budget, config.max_timeout);
-    let (out, answer) =
-        counted(|| session.answer_with_options(&query, req.algorithm, &opts).unwrap());
-    let (rendered, render) = counted(|| render_outcome(&g, &out));
-    let (text, write) = counted(|| rendered.to_string());
+    let (out, answer) = counted(|| session.answer_compiled(&query, req.algorithm, &opts).unwrap());
+    let (text, write) = counted(|| outcome_text(&g, &out));
     assert!(text.starts_with("{\"answer\":"), "{text}");
-    [parse, request, resolve, answer, render, write]
+    [parse, request, resolve, answer, write]
 }
 
 #[test]
@@ -74,7 +70,7 @@ fn a_warm_query_allocates_what_its_budget_says() {
     // Warm: the plan cache, the memos and the scratch pool fill on the
     // first pass. Then the least of three passes, so a stray allocation
     // on another thread cannot inflate a count.
-    let measured: Vec<[usize; 6]> = bodies
+    let measured: Vec<[usize; 5]> = bodies
         .iter()
         .map(|(_, body)| {
             stage_counts(&engine, body);
@@ -94,6 +90,6 @@ fn a_warm_query_allocates_what_its_budget_says() {
     for ((name, _), counts) in bodies.iter().zip(&measured) {
         assert_eq!(counts[3], 0, "{name}: a warm answer allocated\n{table}");
     }
-    let budget: Vec<[usize; 6]> = BUDGET.to_vec();
+    let budget: Vec<[usize; 5]> = BUDGET.to_vec();
     assert_eq!(measured, budget, "allocation counts moved\n{table}");
 }

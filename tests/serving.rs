@@ -1,6 +1,6 @@
 //! End-to-end serving tests over real loopback sockets.
 //!
-//! Four batteries, mirroring the serving layer's promises:
+//! Five batteries, mirroring the serving layer's promises:
 //!
 //! 1. **Differential** (a slice of the matrix): answers served over
 //!    `/query` and `/query_batch` must equal the oracle's on S1–S3
@@ -18,13 +18,21 @@
 //!    their own threads; past the admission high water the server sheds
 //!    with `429` + `Retry-After`, and shutdown drains admitted work with
 //!    `503`.
+//! 5. **The served path's shortcuts**: a canonical constraint text with a
+//!    cached plan is answered without a parse and any other spelling
+//!    after one, errors keep their order and texts, and the response
+//!    text is byte for byte what the tree renderer it replaced wrote.
 
-use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions};
+use kgreach::{
+    Algorithm, LscrEngine, LscrQuery, QueryOptions, QueryOutcome, SubstructureConstraint, Witness,
+};
 use kgreach_datagen::constraints::{s1, s3};
-use kgreach_graph::VertexId;
-use kgreach_integration::matrix::{s1_s3, wire_body, workload, Form, Matrix, Run, ALGORITHMS};
-use kgreach_integration::small_lubm;
-use kgreach_serve::{serve, BatchConfig, HttpClient, HttpLimits, Json, ServerConfig};
+use kgreach_graph::{Graph, VertexId};
+use kgreach_integration::matrix::{
+    lubm_draws, s1_s3, wire_body, workload, Form, Matrix, Run, ALGORITHMS,
+};
+use kgreach_integration::{s1_s5_wire_bodies, small_lubm};
+use kgreach_serve::{serve, BatchConfig, HttpClient, HttpLimits, Json, QueryRequest, ServerConfig};
 use kgreach_sync::atomic::{AtomicBool, Ordering};
 use kgreach_sync::Arc;
 use std::path::Path;
@@ -751,4 +759,273 @@ fn durable_server_gates_readiness_and_survives_restart() {
     assert_eq!(report.checkpoint_seq, 1);
     assert!(durable.engine().graph().vertex_id("d-s").is_some());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each S1–S5 constraint sent in its canonical spelling and respelled
+/// with newlines and tabs between its terms answers as the engine does in
+/// process. A warm canonical text is answered without a parse; every
+/// respelled request costs exactly one, and shares the canonical plan.
+#[test]
+fn respelled_constraints_answer_alike_and_only_they_are_parsed() {
+    let (g, bodies) = s1_s5_wire_bodies();
+    let engine = Arc::new(LscrEngine::new(g));
+    let graph = engine.graph();
+    let cases: Vec<(String, String, bool)> = bodies
+        .iter()
+        .map(|(_, body)| {
+            let req = QueryRequest::parse(&Json::parse(body).unwrap()).unwrap();
+            let q = req.resolve(&graph).unwrap();
+            let canonical = q.constraint.sparql_text();
+            let spelled = canonical.replace(' ', "\n\t");
+            assert_ne!(spelled, canonical);
+            assert_eq!(SubstructureConstraint::parse(&spelled).unwrap(), q.constraint);
+            let respelled =
+                body.replace(&Json::str(canonical).to_string(), &Json::str(spelled).to_string());
+            assert_ne!(&respelled, body);
+            // In process first: this warms the plan cache with all five.
+            let expected = engine.answer(&q, Algorithm::Auto).unwrap().answer;
+            (body.clone(), respelled, expected)
+        })
+        .collect();
+    assert_eq!(engine.cached_plans(), 5);
+
+    let server = serve(Arc::clone(&engine), ServerConfig::default()).unwrap();
+    let parses = || server.metrics().constraint_parses_total.get();
+    let mut c = HttpClient::connect(server.addr()).unwrap();
+    let mut answer = |body: &str| {
+        let resp = c.post_json("/query", body).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        resp.json().unwrap().get("answer").and_then(Json::as_bool)
+    };
+    for round in 0..2u64 {
+        for (i, (canonical, respelled, expected)) in cases.iter().enumerate() {
+            let before = parses();
+            assert_eq!(answer(canonical), Some(*expected), "{canonical}");
+            assert_eq!(
+                parses(),
+                before,
+                "round {round}, S{}: a warm canonical text was parsed",
+                i + 1
+            );
+            assert_eq!(answer(respelled), Some(*expected), "{respelled}");
+            assert_eq!(parses(), before + 1, "round {round}, S{}: one parse per respelling", i + 1);
+        }
+    }
+    assert_eq!(parses(), 10);
+    assert_eq!(engine.cached_plans(), 5, "a respelling shares its canonical plan");
+    let exposition = c.get("/metrics").unwrap().body;
+    assert!(exposition.contains("kg_constraint_parses_total 10\n"), "{exposition}");
+    server.shutdown();
+}
+
+/// Errors keep their order and texts now that the constraint is parsed
+/// after the names resolve, inside the plan lookup: an unknown vertex
+/// outranks an unparseable constraint, and so does an unknown label; a bad
+/// constraint alone is `422 bad_constraint` with the parser's message.
+/// Batch members report the same envelopes in place.
+#[test]
+fn resolution_errors_keep_their_order_and_messages() {
+    let engine = Arc::new(LscrEngine::new(small_lubm(7)));
+    let g = engine.graph();
+    let vertex = g.vertex_name(VertexId(0)).to_owned();
+    let bad = "SELECT nonsense";
+    let parse_error = SubstructureConstraint::parse(bad).unwrap_err().to_string();
+    let body = |source: &str, label: &str, constraint: &str| {
+        Json::Obj(vec![
+            ("source".into(), Json::str(source)),
+            ("target".into(), Json::str(&vertex)),
+            ("labels".into(), Json::Arr(vec![Json::str(label)])),
+            ("constraint".into(), Json::str(constraint)),
+        ])
+        .to_string()
+    };
+    let cases = [
+        (body("nope", "rdf:type", bad), 404, "unknown_vertex", "vertex 'nope' is not in the graph"),
+        (body(&vertex, "sings", bad), 422, "unknown_label", "label 'sings' is not in the graph"),
+        (body(&vertex, "rdf:type", bad), 422, "bad_constraint", parse_error.as_str()),
+    ];
+    let server = serve(Arc::clone(&engine), ServerConfig::default()).unwrap();
+    let mut c = HttpClient::connect(server.addr()).unwrap();
+    let envelope = |j: &Json| {
+        let e = j.get("error").unwrap();
+        let field = |k| e.get(k).and_then(Json::as_str).unwrap().to_owned();
+        (field("code"), field("message"))
+    };
+    for (body, status, code, message) in &cases {
+        let resp = c.post_json("/query", body).unwrap();
+        assert_eq!(resp.status, *status, "{}", resp.body);
+        assert_eq!(envelope(&resp.json().unwrap()), (code.to_string(), message.to_string()));
+    }
+    let members: Vec<&str> = cases.iter().map(|(body, ..)| body.as_str()).collect();
+    let resp =
+        c.post_json("/query_batch", &format!("{{\"queries\":[{}]}}", members.join(","))).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let results = resp.json().unwrap();
+    let results = results.get("results").and_then(Json::as_array).unwrap();
+    for (result, (_, _, code, message)) in results.iter().zip(&cases) {
+        assert_eq!(envelope(result), (code.to_string(), message.to_string()));
+    }
+    assert_eq!(server.metrics().constraint_parses_total.get(), 0, "failed parses are errors");
+    server.shutdown();
+}
+
+/// The tree-building renderer the served path replaced, kept as the
+/// reference the written response text must match byte for byte.
+fn reference_render(g: &Graph, out: &QueryOutcome) -> Json {
+    let stats = Json::Obj(vec![
+        ("passed_vertices".into(), Json::usize(out.stats.passed_vertices)),
+        ("scck_calls".into(), Json::usize(out.stats.scck_calls)),
+        ("scck_cache_hits".into(), Json::usize(out.stats.scck_cache_hits)),
+        ("edges_scanned".into(), Json::usize(out.stats.edges_scanned)),
+        ("edges_skipped".into(), Json::usize(out.stats.edges_skipped)),
+        ("pushes".into(), Json::usize(out.stats.pushes)),
+        ("lcs_invocations".into(), Json::usize(out.stats.lcs_invocations)),
+        ("vsg_size".into(), out.stats.vsg_size.map_or(Json::Null, Json::usize)),
+        ("index_hits".into(), Json::usize(out.stats.index_hits)),
+        ("backward_edges_scanned".into(), Json::usize(out.stats.backward_edges_scanned)),
+        ("negative_terminations".into(), Json::usize(out.stats.negative_terminations)),
+    ]);
+    let witness = |w: &Witness| {
+        let path = w
+            .path
+            .iter()
+            .map(|e| {
+                Json::Obj(vec![
+                    ("src".into(), Json::str(g.vertex_name(e.src))),
+                    ("label".into(), Json::str(g.label_name(e.label))),
+                    ("dst".into(), Json::str(g.vertex_name(e.dst))),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("via".into(), Json::str(g.vertex_name(w.via))),
+            ("path".into(), Json::Arr(path)),
+        ])
+    };
+    Json::Obj(vec![
+        ("answer".into(), Json::Bool(out.answer)),
+        ("interrupted".into(), Json::Bool(out.interrupted)),
+        ("elapsed_ns".into(), Json::u64(out.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64)),
+        ("algorithm".into(), out.stats.algorithm.map_or(Json::Null, |a| Json::str(a.name()))),
+        ("stats".into(), stats),
+        ("witness".into(), out.witness.as_ref().map_or(Json::Null, witness)),
+    ])
+}
+
+/// `text` with every `elapsed_ns` value replaced by `0`.
+fn mask_elapsed(text: &str) -> String {
+    const KEY: &str = "\"elapsed_ns\":";
+    let (mut out, mut rest) = (String::with_capacity(text.len()), text);
+    while let Some(at) = rest.find(KEY) {
+        out.push_str(&rest[..at + KEY.len()]);
+        out.push('0');
+        rest = rest[at + KEY.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Served response bodies are byte for byte what the replaced tree
+/// renderer wrote for the same outcome (`elapsed_ns` masked): the S1–S5
+/// narrow bodies, true answers with witnesses under every algorithm a
+/// client can force, `vsg_size` null and set, false answers, interrupted
+/// answers, and a `/query_batch` whose middle member fails in place.
+#[test]
+fn written_responses_match_the_tree_renderer_byte_for_byte() {
+    let (g, bodies) = s1_s5_wire_bodies();
+    let engine = Arc::new(LscrEngine::new(g));
+    let graph = engine.graph();
+    let oracle = |q: &LscrQuery| engine.answer(q, Algorithm::Oracle).unwrap().answer;
+    let draws = lubm_draws(&graph, 200, 11);
+    let (trues, falses): (Vec<&LscrQuery>, Vec<&LscrQuery>) = draws.iter().partition(|q| oracle(q));
+    assert!(trues.len() >= 5 && falses.len() >= 5, "{} true, {} false", trues.len(), falses.len());
+
+    // (body, query, algorithm, options) — what is sent, and what the
+    // engine is asked in process for the reference.
+    let mut cases: Vec<(String, LscrQuery, Algorithm, QueryOptions)> = Vec::new();
+    for (_, body) in &bodies {
+        let q = QueryRequest::parse(&Json::parse(body).unwrap()).unwrap().resolve(&graph).unwrap();
+        cases.push((body.clone(), q, Algorithm::Auto, QueryOptions::default()));
+    }
+    let witness = QueryOptions::default().with_witness(true);
+    let forced = [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Oracle];
+    for q in &trues[..5] {
+        for alg in forced.into_iter().chain([Algorithm::Auto]) {
+            cases.push((wire_body(&graph, q, alg, &witness), (*q).clone(), alg, witness.clone()));
+        }
+        let zero = QueryOptions::default().with_step_budget(0);
+        cases.push((
+            wire_body(&graph, q, Algorithm::Auto, &zero),
+            (*q).clone(),
+            Algorithm::Auto,
+            zero,
+        ));
+    }
+    for q in &falses[..5] {
+        let opts = QueryOptions::default();
+        cases.push((
+            wire_body(&graph, q, Algorithm::Auto, &opts),
+            (*q).clone(),
+            Algorithm::Auto,
+            opts,
+        ));
+    }
+
+    let server = serve(Arc::clone(&engine), ServerConfig::default()).unwrap();
+    let mut c = HttpClient::connect(server.addr()).unwrap();
+    let mut post = |path: &str, body: &str| {
+        let resp = c.post_json(path, body).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        resp.body
+    };
+    let reference = |(_, q, alg, opts): &(String, LscrQuery, Algorithm, QueryOptions)| {
+        reference_render(&graph, &engine.answer_with_options(q, *alg, opts).unwrap())
+    };
+    // Two warm passes fill every memo a case touches, so from here on a
+    // served and an in-process answer count the same cache hits.
+    for _ in 0..2 {
+        for case in &cases {
+            post("/query", &case.0);
+            reference(case);
+        }
+    }
+    let mut served = Vec::new();
+    for case in &cases {
+        let text = post("/query", &case.0);
+        assert_eq!(mask_elapsed(&text), mask_elapsed(&reference(case).to_string()), "{}", case.0);
+        served.push(text);
+    }
+    let seen = |needle: &str| served.iter().filter(|t| t.contains(needle)).count();
+    for needle in
+        ["\"witness\":{\"via\"", "\"interrupted\":true", "\"vsg_size\":null", "\"answer\":false"]
+    {
+        assert!(seen(needle) > 0, "no served case carries {needle}");
+    }
+    assert!(seen("\"vsg_size\":null") < served.len(), "no served case sets vsg_size");
+    for alg in ["\"UIS\"", "\"UIS*\"", "\"INS\"", "\"oracle\""] {
+        assert!(seen(&format!("\"algorithm\":{alg}")) > 0, "no served case ran {alg}");
+    }
+
+    // A batch whose middle member fails: the failure's envelope sits in
+    // place between its batchmates' answers.
+    let unknown = Json::Obj(vec![
+        ("source".into(), Json::str("no-such-vertex")),
+        ("target".into(), Json::str("no-such-vertex")),
+        ("constraint".into(), Json::str("SELECT ?x WHERE { ?x <rdf:type> <ub:Course> . }")),
+    ])
+    .to_string();
+    let (first, last) = (&cases[5], &cases[cases.len() - 1]);
+    let members = [first.0.as_str(), unknown.as_str(), last.0.as_str()];
+    let text = post("/query_batch", &format!("{{\"queries\":[{}]}}", members.join(",")));
+    let envelope = Json::Obj(vec![(
+        "error".into(),
+        Json::Obj(vec![
+            ("code".into(), Json::str("unknown_vertex")),
+            ("message".into(), Json::str("vertex 'no-such-vertex' is not in the graph")),
+        ]),
+    )]);
+    let results = Json::Arr(vec![reference(first), envelope, reference(last)]);
+    let expected = Json::Obj(vec![("results".into(), results)]).to_string();
+    assert_eq!(mask_elapsed(&text), mask_elapsed(&expected));
+    server.shutdown();
 }

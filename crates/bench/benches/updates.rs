@@ -13,7 +13,9 @@
 //! `bench-results/BENCH_updates.json` and README.md ("Performance").
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use kgreach::{Algorithm, LocalIndex, LocalIndexConfig, LscrEngine, LscrQuery, UpdateBatch};
+use kgreach::{
+    Algorithm, LocalIndex, LocalIndexConfig, LscrEngine, LscrQuery, QueryOptions, UpdateBatch,
+};
 use kgreach_graph::{GraphBuilder, Triple};
 
 fn bench_updates(c: &mut Criterion) {
@@ -55,12 +57,13 @@ fn bench_updates(c: &mut Criterion) {
         let labels = graph.all_labels();
         let constraint = kgreach_datagen::constraints::s1();
         let mut session = engine.session();
+        let opts = QueryOptions::default();
         let mut hits = 0usize;
         for (s, t) in &probe {
             let (Some(s), Some(t)) = (graph.vertex_id(s), graph.vertex_id(t)) else { continue };
-            let q = LscrQuery::new(s, t, labels, constraint.clone());
-            hits +=
-                usize::from(session.answer(&q, Algorithm::Auto).expect("probe compiles").answer);
+            let q = engine.compile(&LscrQuery::new(s, t, labels, constraint.clone()));
+            let out = session.answer_compiled(&q.expect("probe compiles"), Algorithm::Auto, &opts);
+            hits += usize::from(out.expect("probe answers").answer);
         }
         hits
     };

@@ -154,9 +154,8 @@ pub fn run_group(
     let mut total_passed = 0usize;
     let mut wrong = 0usize;
     for gq in queries {
-        let outcome = session
-            .answer_with_options(&gq.query, algorithm, opts)
-            .expect("generated query compiles");
+        let compiled = engine.compile(&gq.query).expect("generated query compiles");
+        let outcome = session.answer_compiled(&compiled, algorithm, opts).expect("answers");
         total_time += outcome.elapsed;
         total_passed += outcome.stats.passed_vertices;
         if outcome.answer != gq.expected {

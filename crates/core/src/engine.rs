@@ -7,7 +7,10 @@
 //! (`LscrEngine: Send + Sync`). All mutable per-query state lives in
 //! per-thread [`Session`]s; the engine only synchronizes constant-time
 //! bookkeeping (plan-cache lookups, the scratch pool, the state
-//! snapshot), never the searches themselves.
+//! snapshot), never the searches themselves. The plan cache
+//! (`engine/plans.rs`) and snapshot save, load and reload
+//! (`engine/persist.rs`) are private child modules, each one more
+//! `impl LscrEngine` block.
 //!
 //! # Dynamic graphs: epochs and invalidation
 //!
@@ -23,7 +26,7 @@
 //! against the pre-update state, subsequent ones see the new one.
 //!
 //! ```
-//! use kgreach::{Algorithm, LscrEngine, LscrQuery, SubstructureConstraint};
+//! use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions, SubstructureConstraint};
 //! use kgreach::fixtures::{figure3, s0};
 //!
 //! let engine = LscrEngine::new(figure3());
@@ -33,27 +36,27 @@
 //!     engine.graph().label_set(&["likes", "follows"]),
 //!     s0(),
 //! );
-//! let outcome = engine.answer(&q, Algorithm::Ins).unwrap();
+//! let compiled = engine.compile(&q).unwrap();
+//! let mut session = engine.session();
+//! let opts = QueryOptions::default();
+//! let outcome = session.answer_compiled(&compiled, Algorithm::Ins, &opts).unwrap();
 //! assert!(outcome.answer);
 //! // Auto serves every query with UIS:
-//! let outcome = engine.answer(&q, Algorithm::Auto).unwrap();
+//! let outcome = session.answer_compiled(&compiled, Algorithm::Auto, &opts).unwrap();
 //! assert!(outcome.answer);
 //! assert_eq!(outcome.stats.algorithm, Some(Algorithm::Uis));
 //! ```
 
-use crate::constraint::{CompiledConstraint, SubstructureConstraint};
+use crate::constraint::CompiledConstraint;
 use crate::local_index::{LocalIndex, LocalIndexConfig};
-use crate::query::{CompiledLscrQuery, LscrQuery, QueryError, QueryOptions, QueryOutcome};
+use crate::query::{CompiledLscrQuery, QueryError};
 use crate::session::{SearchScratch, Session};
 use kgreach_graph::fxhash::FxHashMap;
-use kgreach_graph::snapshot::{
-    self, ArtifactKind, PayloadBuf, PayloadCursor, SectionReader, SectionWriter,
-};
-use kgreach_graph::{Graph, LabelSet, UpdateBatch, UpdateSummary, VertexId};
+use kgreach_graph::{Graph, UpdateBatch, UpdateSummary};
 use kgreach_sync::{Arc, Mutex, RwLock};
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
+
+mod persist;
+mod plans;
 
 /// The LSCR algorithms implemented by this crate.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
@@ -101,31 +104,16 @@ impl std::fmt::Display for Algorithm {
 /// of recycled.
 const SCRATCH_POOL_CAP: usize = 64;
 
-/// Tag of the engine snapshot's index-presence section, between the
-/// graph sections (1–7) and the index sections (16–19).
-const TAG_ENGINE_HAS_INDEX: u16 = 15;
-
-/// Distinct constraint plans retained in the plan cache. Once full, new
-/// constraint texts compile per-query instead of being cached, bounding
-/// engine memory under workloads with unbounded distinct constraints
-/// (e.g. per-entity generated patterns).
-const PLAN_CACHE_CAP: usize = 4096;
-
 /// An owned, thread-shareable LSCR query engine bound to one graph.
 ///
 /// See the [module docs](self) for the shared/per-thread state split.
-/// Entry points, roughly from convenient to fast:
-///
-/// * [`answer`](Self::answer) / [`answer_with_options`](Self::answer_with_options)
-///   — one-shot, grabs pooled scratch per call;
-/// * [`session`](Self::session) — a per-thread [`Session`] that reuses
-///   one scratch set across many queries (the hot-loop API);
-/// * [`compile`](Self::compile) (or [`compile_text`](Self::compile_text)
-///   from SPARQL text) + [`answer_compiled`](Self::answer_compiled)
-///   — compile/validate once, reuse the compiled constraint and the
-///   materialized `V(S,G)` across repeated executions;
-/// * [`answer_batch`](Self::answer_batch) — fan a slice of queries across
-///   scoped threads.
+/// A query is answered in two steps: [`compile`](Self::compile) (or
+/// [`compile_text`](Self::compile_text) from SPARQL text) validates it
+/// and looks its constraint plan up in the shared plan cache, and
+/// [`Session::answer_compiled`] on a per-thread [`session`](Self::session)
+/// runs the search on that session's reusable scratch. A compiled query
+/// can be held and re-answered, reusing its plan and its materialized
+/// `V(S,G)`.
 #[derive(Debug)]
 pub struct LscrEngine {
     /// The serving state both halves of a query snapshot together: the
@@ -335,7 +323,7 @@ impl LscrEngine {
     /// unboundedly.
     ///
     /// ```
-    /// use kgreach::{Algorithm, LscrEngine, LscrQuery};
+    /// use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions};
     /// use kgreach::fixtures::{figure3, s0};
     /// use kgreach_graph::UpdateBatch;
     ///
@@ -346,14 +334,17 @@ impl LscrEngine {
     ///     engine.graph().label_set(&["likes", "follows"]),
     ///     s0(),
     /// );
-    /// assert!(engine.answer(&q, Algorithm::Auto).unwrap().answer);
+    /// let held = engine.compile(&q).unwrap();
+    /// let mut session = engine.session();
+    /// let opts = QueryOptions::default();
+    /// assert!(session.answer_compiled(&held, Algorithm::Auto, &opts).unwrap().answer);
     ///
-    /// // Sever the v2 → v4 hop: the same query now answers false.
+    /// // Sever the v2 → v4 hop: the same held query now answers false.
     /// let mut batch = UpdateBatch::new();
     /// batch.delete("v2", "follows", "v4");
     /// let outcome = engine.apply_update(&batch).unwrap();
     /// assert_eq!(outcome.summary.edges_deleted, 1);
-    /// assert!(!engine.answer(&q, Algorithm::Auto).unwrap().answer);
+    /// assert!(!session.answer_compiled(&held, Algorithm::Auto, &opts).unwrap().answer);
     /// ```
     pub fn apply_update(&self, batch: &UpdateBatch) -> Result<UpdateOutcome, QueryError> {
         let _updates = self.update_lock.lock().expect("update lock");
@@ -459,279 +450,6 @@ impl LscrEngine {
         self.scratch_pool.lock().expect("scratch pool lock").len()
     }
 
-    /// Validates `query` and compiles its constraint through the plan
-    /// cache: constraints with identical SPARQL text share one compiled
-    /// plan across queries, sessions and threads. A hit is one probe keyed
-    /// by the constraint's precomputed canonical text, and allocates
-    /// nothing; the cache holds at most 4096 plans — beyond that,
-    /// new texts compile per-query without being retained.
-    pub fn compile(&self, query: &LscrQuery) -> Result<CompiledLscrQuery, QueryError> {
-        let graph = self.graph();
-        graph.check_vertex(query.source)?;
-        graph.check_vertex(query.target)?;
-        let constraint = &query.constraint;
-        let (plan, _) = self.plan(&graph, constraint.sparql_text(), Some(constraint))?;
-        Ok(query.with_constraint(plan))
-    }
-
-    /// [`compile`](Self::compile) for a constraint still in SPARQL text,
-    /// as a server receives it. The text is looked up in the plan cache as
-    /// sent, and only a miss parses it, then looks up or compiles its plan
-    /// under its canonical text ([`SubstructureConstraint::sparql_text`]).
-    /// So a canonical text whose plan is cached costs one probe and no
-    /// allocation, and any other spelling shares that plan after one
-    /// parse. Returns the compiled query and whether `sparql` was parsed.
-    pub fn compile_text(
-        &self,
-        source: VertexId,
-        target: VertexId,
-        label_constraint: LabelSet,
-        sparql: &str,
-    ) -> Result<(CompiledLscrQuery, bool), QueryError> {
-        let graph = self.graph();
-        graph.check_vertex(source)?;
-        graph.check_vertex(target)?;
-        let (constraint, parsed) = self.plan(&graph, sparql, None)?;
-        Ok((CompiledLscrQuery { source, target, label_constraint, constraint }, parsed))
-    }
-
-    /// The one plan-cache path. `key` is probed first; `parsed` is its
-    /// constraint when the caller already holds it, and then `key` is that
-    /// constraint's canonical text. On a miss an unparsed `key` is parsed,
-    /// its canonical text probed if it differs, and the plan compiled and
-    /// inserted under the canonical text. The flag says whether `key` was
-    /// parsed.
-    fn plan(
-        &self,
-        graph: &Graph,
-        key: &str,
-        parsed: Option<&SubstructureConstraint>,
-    ) -> Result<(Arc<CompiledConstraint>, bool), QueryError> {
-        if let Some(hit) = self.cached_plan(graph, key) {
-            return Ok((hit, false));
-        }
-        let owned;
-        let constraint = match parsed {
-            Some(constraint) => constraint,
-            None => {
-                owned = SubstructureConstraint::parse(key)?;
-                if owned.sparql_text() != key {
-                    if let Some(hit) = self.cached_plan(graph, owned.sparql_text()) {
-                        return Ok((hit, true));
-                    }
-                }
-                &owned
-            }
-        };
-        let key = constraint.sparql_text();
-        let compiled = Arc::new(constraint.compile(graph)?);
-        let mut cache = self.plan_cache.write().expect("plan cache lock");
-        let shared = match cache.get(key) {
-            // A racing compiler won; keep its plan (same-epoch only).
-            Some(winner) if winner.graph_epoch() == compiled.graph_epoch() => Arc::clone(winner),
-            Some(_) => {
-                cache.insert(key.to_owned(), Arc::clone(&compiled));
-                compiled
-            }
-            None if cache.len() < PLAN_CACHE_CAP => {
-                cache.insert(key.to_owned(), Arc::clone(&compiled));
-                compiled
-            }
-            None => compiled, // cache full: serve uncached
-        };
-        drop(cache);
-        Ok((shared, parsed.is_none()))
-    }
-
-    /// The cached plan keyed `key`, if it is bound to `graph`'s epoch.
-    /// Entries compiled before a graph update are purged by
-    /// `apply_update`, but a probe can still race the purge — hence the
-    /// guard on the epoch the plan was bound to.
-    fn cached_plan(&self, graph: &Graph, key: &str) -> Option<Arc<CompiledConstraint>> {
-        let cache = self.plan_cache.read().expect("plan cache lock");
-        cache.get(key).filter(|plan| plan.graph_epoch() == graph.epoch()).map(Arc::clone)
-    }
-
-    /// Number of distinct constraint plans currently cached.
-    pub fn cached_plans(&self) -> usize {
-        self.plan_cache.read().expect("plan cache lock").len()
-    }
-
-    /// Compiles and answers `query` with `algorithm`, using pooled
-    /// scratch. For query loops, prefer holding a [`session`](Self::session).
-    pub fn answer(
-        &self,
-        query: &LscrQuery,
-        algorithm: Algorithm,
-    ) -> Result<QueryOutcome, QueryError> {
-        self.session().answer(query, algorithm)
-    }
-
-    /// [`answer`](Self::answer) with explicit [`QueryOptions`].
-    pub fn answer_with_options(
-        &self,
-        query: &LscrQuery,
-        algorithm: Algorithm,
-        opts: &QueryOptions,
-    ) -> Result<QueryOutcome, QueryError> {
-        self.session().answer_with_options(query, algorithm, opts)
-    }
-
-    /// Answers an already-compiled query with pooled scratch; see
-    /// [`Session::answer_compiled`].
-    pub fn answer_compiled(
-        &self,
-        query: &CompiledLscrQuery,
-        algorithm: Algorithm,
-        opts: &QueryOptions,
-    ) -> Result<QueryOutcome, QueryError> {
-        self.session().answer_compiled(query, algorithm, opts)
-    }
-
-    /// Answers a batch of `(query, algorithm)` pairs, fanning them across
-    /// `threads` scoped worker threads (one [`Session`] each). `0` uses
-    /// [`std::thread::available_parallelism`]. Results keep the input
-    /// order.
-    pub fn answer_batch(
-        &self,
-        queries: &[(LscrQuery, Algorithm)],
-        threads: usize,
-    ) -> Vec<Result<QueryOutcome, QueryError>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let threads = match threads {
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
-            t => t,
-        }
-        .min(queries.len());
-        // Build the index up front when the batch needs it, so workers
-        // don't serialize behind the build lock.
-        if queries.iter().any(|(_, a)| *a == Algorithm::Ins) {
-            let _ = self.local_index();
-        }
-        if threads <= 1 {
-            let mut session = self.session();
-            return queries.iter().map(|(q, alg)| session.answer(q, *alg)).collect();
-        }
-        let chunk = queries.len().div_ceil(threads);
-        let mut results: Vec<Option<Result<QueryOutcome, QueryError>>> = Vec::new();
-        results.resize_with(queries.len(), || None);
-        std::thread::scope(|scope| {
-            for (qs, rs) in queries.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    let mut session = self.session();
-                    for ((query, alg), slot) in qs.iter().zip(rs) {
-                        *slot = Some(session.answer(query, *alg));
-                    }
-                });
-            }
-        });
-        results.into_iter().map(|r| r.expect("every batch slot filled")).collect()
-    }
-
-    /// Writes an engine snapshot: the graph followed by the local index
-    /// if one has been built or installed. Restoring with
-    /// [`from_snapshot`](Self::from_snapshot) rebuilds *nothing* — both
-    /// the adjacency and the landmark index come back exactly as saved,
-    /// which is the cold-start path for serving processes (see the
-    /// `cold_start` bench: snapshot load vs text parse + index rebuild).
-    ///
-    /// The plan cache and scratch pool are warm-up state, not data; they
-    /// are intentionally not persisted.
-    pub fn save_snapshot<W: Write>(&self, writer: W) -> Result<(), QueryError> {
-        let (graph, index) = self.state_snapshot();
-        let mut w = SectionWriter::new(BufWriter::new(writer), ArtifactKind::Engine)?;
-        // A live graph is compacted on the fly by the encoder; the index
-        // stays valid because compaction preserves the fingerprint.
-        snapshot::write_graph_sections(&graph, &mut w)?;
-        let mut flag = PayloadBuf::new();
-        flag.put_u8(u8::from(index.is_some()));
-        w.section(TAG_ENGINE_HAS_INDEX, flag.as_slice())?;
-        if let Some(index) = index {
-            index.write_sections(&mut w)?;
-        }
-        w.finish().map_err(QueryError::from)?;
-        Ok(())
-    }
-
-    /// Restores an engine written by [`save_snapshot`](Self::save_snapshot):
-    /// graph and (when present) local index, without rebuilding either.
-    /// A snapshot whose embedded index does not match its own graph —
-    /// impossible to write through this API, but representable in a
-    /// corrupt file — is rejected through the
-    /// [`set_local_index`](Self::set_local_index) fingerprint check
-    /// ([`QueryError::IndexGraphMismatch`]). The restored engine uses the
-    /// default [`LocalIndexConfig`] for any future lazy build.
-    pub fn from_snapshot(bytes: &[u8]) -> Result<LscrEngine, QueryError> {
-        let mut r = SectionReader::new(bytes)?;
-        r.expect_kind(ArtifactKind::Engine)?;
-        let graph = snapshot::read_graph_sections(&mut r)?;
-        let mut flag = PayloadCursor::new(
-            r.section(TAG_ENGINE_HAS_INDEX, "engine-index-flag")?,
-            "engine-index-flag",
-        );
-        let has_index = match flag.get_u8()? {
-            0 => false,
-            1 => true,
-            byte => return Err(flag.corrupt(format!("index flag byte is {byte}")).into()),
-        };
-        flag.finish()?;
-        let index = if has_index { Some(LocalIndex::read_sections(&mut r)?) } else { None };
-        r.end()?;
-        let engine = LscrEngine::new(graph);
-        if let Some(index) = index {
-            engine.set_local_index(index)?;
-        }
-        Ok(engine)
-    }
-
-    /// Hot-swaps the engine's served state with the graph (and index,
-    /// when present) from an engine snapshot, without interrupting
-    /// service: queries running concurrently finish against the old
-    /// state, queries started after this returns see the new one — the
-    /// same atomic-swap discipline as
-    /// [`apply_update`](Self::apply_update).
-    ///
-    /// On any error (corrupt snapshot, embedded index built for a
-    /// different graph) the engine is left serving its current state
-    /// untouched. The reloaded graph's content epoch is
-    /// advanced strictly past the replaced graph's
-    /// ([`Graph::advance_epoch_to`]), so every epoch-stamped cache bound
-    /// to the old content — compiled plans with their `SCck` and `V(S,G)`
-    /// memos, including compiled queries held by callers — observes a
-    /// mismatch and rebinds instead of serving answers computed against
-    /// the old graph. A held query whose vertex ids do not fit the new
-    /// graph fails its rebind with a typed [`QueryError`].
-    ///
-    /// Returns the fresh content epoch. On a durable engine, reload
-    /// through [`DurableEngine::reload_from_snapshot`](crate::DurableEngine::reload_from_snapshot)
-    /// instead, or a restart recovers the replaced state.
-    pub fn reload_from_snapshot(&self, bytes: &[u8]) -> Result<u64, QueryError> {
-        // Decode fully before taking any lock: a corrupt snapshot must
-        // not stall or damage serving.
-        Ok(self.install(LscrEngine::from_snapshot(bytes)?))
-    }
-
-    /// Swaps in the state of `staged`, an engine decoded from a snapshot,
-    /// as [`reload_from_snapshot`](Self::reload_from_snapshot) describes.
-    /// Returns the fresh content epoch.
-    pub(crate) fn install(&self, staged: LscrEngine) -> u64 {
-        let _updates = self.update_lock.lock().expect("update lock");
-        let (graph, index) = staged.state_snapshot();
-        let mut graph = (*graph).clone();
-        let old_epoch = self.graph_epoch();
-        graph.advance_epoch_to(old_epoch + 1);
-        let epoch = graph.epoch();
-        {
-            let mut st = self.state.write().expect("state lock");
-            st.graph = Arc::new(graph);
-            st.index = index;
-        }
-        self.plan_cache.write().expect("plan cache lock").clear();
-        epoch
-    }
-
     /// A point-in-time summary of the served state — the cheap
     /// observability hook behind a serving process's health and metrics
     /// endpoints (all counters are reads of existing state; nothing is
@@ -750,24 +468,12 @@ impl LscrEngine {
         }
     }
 
-    /// Saves an engine snapshot to a file path.
-    pub fn save_snapshot_file(&self, path: impl AsRef<Path>) -> Result<(), QueryError> {
-        let file = File::create(path).map_err(kgreach_graph::GraphError::from)?;
-        self.save_snapshot(file)
-    }
-
-    /// Restores an engine snapshot from a file path: one bulk read, then
-    /// [`from_snapshot`](Self::from_snapshot) over the buffer.
-    pub fn from_snapshot_file(path: impl AsRef<Path>) -> Result<LscrEngine, QueryError> {
-        let bytes = std::fs::read(path).map_err(kgreach_graph::GraphError::from)?;
-        Self::from_snapshot(&bytes)
-    }
-
     /// The algorithm [`Algorithm::Auto`] resolves to: UIS, for every
     /// query — its sides meet between `s`, `t` and `V(S,G)` (see the
     /// [`uis`](crate::uis) module docs); UIS\* and INS run when forced.
-    /// The arguments are unused; the signature stays for callers that
-    /// time the planning step.
+    /// The arguments are unused; the signature stays for a caller that
+    /// times the planning step.
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn plan_algorithm(
         &self,
         _query: &CompiledLscrQuery,
@@ -780,13 +486,9 @@ impl LscrEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{figure3, s0};
-    use crate::query::LscrQuery;
+    use crate::fixtures::{all_labels_query, answer, figure3, s0};
+    use crate::query::{LscrQuery, QueryOptions};
     use crate::SubstructureConstraint;
-
-    fn all_labels_query(g: &Graph, s: &str, t: &str) -> LscrQuery {
-        LscrQuery::new(g.vertex_id(s).unwrap(), g.vertex_id(t).unwrap(), g.all_labels(), s0())
-    }
 
     #[test]
     fn interrupted_searches_never_poison_caches() {
@@ -806,10 +508,11 @@ mod tests {
         );
         let zero = QueryOptions::default().with_step_budget(0);
         for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-            let truncated = engine.answer_with_options(&q, alg, &zero).unwrap();
+            let compiled = engine.compile(&q).unwrap();
+            let truncated = engine.session().answer_compiled(&compiled, alg, &zero).unwrap();
             assert!(truncated.interrupted, "{alg}: budget 0 must interrupt");
             assert!(!truncated.answer, "{alg}: truncated searches answer false");
-            let full = engine.answer(&q, alg).unwrap();
+            let full = answer(&engine, &q, alg).unwrap();
             assert!(full.answer, "{alg}: a truncated negative poisoned a cache");
             assert!(!full.interrupted);
         }
@@ -833,11 +536,12 @@ mod tests {
             ))
             .unwrap();
         let zero = QueryOptions::default().with_step_budget(0);
+        let mut session = engine.session();
         for alg in [Algorithm::UisStar, Algorithm::Ins] {
-            let truncated = engine.answer_compiled(&compiled, alg, &zero).unwrap();
+            let truncated = session.answer_compiled(&compiled, alg, &zero).unwrap();
             assert!(truncated.interrupted && !truncated.answer, "{alg}");
             assert_eq!(compiled.constraint.vsg_len_if_materialized(), Some(2), "{alg}");
-            let full = engine.answer_compiled(&compiled, alg, &QueryOptions::default()).unwrap();
+            let full = session.answer_compiled(&compiled, alg, &QueryOptions::default()).unwrap();
             assert!(full.answer, "{alg}: truncated negative stuck in the shared memo");
             assert!(!full.interrupted);
         }
@@ -860,7 +564,7 @@ mod tests {
             s0(),
         );
         for alg in [Algorithm::UisStar, Algorithm::Ins] {
-            let out = engine.answer(&q, alg).unwrap();
+            let out = answer(&engine, &q, alg).unwrap();
             assert!(!out.answer, "{alg}");
             assert!(!out.interrupted, "{alg}: a proven negative is not a truncation");
             assert!(out.stats.negative_terminations > 0, "{alg}: precheck must fire");
@@ -881,7 +585,7 @@ mod tests {
         for alg in
             [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Oracle, Algorithm::Auto]
         {
-            let out = engine.answer(&q, alg).unwrap();
+            let out = answer(&engine, &q, alg).unwrap();
             assert!(out.answer, "{alg} disagrees");
         }
     }
@@ -893,7 +597,7 @@ mod tests {
         assert_eq!(engine.graph().num_vertices(), g.num_vertices());
         assert_eq!(engine.graph().num_edges(), g.num_edges());
         let q = all_labels_query(&g, "v0", "v4");
-        assert!(engine.answer(&q, Algorithm::Uis).unwrap().answer);
+        assert!(answer(&engine, &q, Algorithm::Uis).unwrap().answer);
     }
 
     #[test]
@@ -941,118 +645,19 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_shares_compiled_constraints() {
-        let engine = LscrEngine::new(figure3());
-        let g = engine.graph();
-        assert_eq!(engine.cached_plans(), 0);
-        let q1 = all_labels_query(&g, "v0", "v4");
-        let q2 = all_labels_query(&g, "v3", "v4"); // same constraint text
-        let c1 = engine.compile(&q1).unwrap();
-        let c2 = engine.compile(&q2).unwrap();
-        assert_eq!(engine.cached_plans(), 1);
-        assert!(Arc::ptr_eq(&c1.constraint, &c2.constraint), "plans must be shared");
-        // A different constraint gets its own cache slot.
-        let q3 = LscrQuery::new(
-            q1.source,
-            q1.target,
-            q1.label_constraint,
-            SubstructureConstraint::parse("SELECT ?x WHERE { ?x <likes> ?y . }").unwrap(),
-        );
-        engine.compile(&q3).unwrap();
-        assert_eq!(engine.cached_plans(), 2);
-    }
-
-    #[test]
-    fn plan_lookup_by_text_shares_plans_tracks_epochs_and_survives_a_full_cache() {
-        let engine = LscrEngine::new(figure3());
-        let q = all_labels_query(&engine.graph(), "v0", "v4");
-        let by_text =
-            |text: &str| engine.compile_text(q.source, q.target, q.label_constraint, text).unwrap();
-        let canonical = q.constraint.sparql_text();
-        let spelled = canonical.replace(' ', "\n\t");
-        assert_ne!(spelled, canonical);
-
-        // Cold, the canonical text is parsed once; warm, it is a hit that
-        // shares `compile`'s plan. Another spelling is parsed every time
-        // and shares the same plan.
-        let (cold, parsed) = by_text(canonical);
-        assert!(parsed, "a cold text is parsed");
-        let (warm, parsed) = by_text(canonical);
-        assert!(!parsed, "a cached canonical text is not parsed");
-        let compiled = engine.compile(&q).unwrap();
-        assert!(Arc::ptr_eq(&warm.constraint, &compiled.constraint));
-        assert!(Arc::ptr_eq(&cold.constraint, &compiled.constraint));
-        for _ in 0..2 {
-            let (other, parsed) = by_text(&spelled);
-            assert!(parsed, "a non-canonical spelling is parsed");
-            assert!(Arc::ptr_eq(&other.constraint, &compiled.constraint));
-        }
-        assert_eq!(engine.cached_plans(), 1);
-        assert!(engine
-            .compile_text(VertexId(99), q.target, q.label_constraint, canonical)
-            .is_err());
-        assert!(matches!(
-            engine.compile_text(q.source, q.target, q.label_constraint, "SELECT nonsense"),
-            Err(QueryError::Sparql(_))
-        ));
-
-        // After an update the purged plan is never served, not even when a
-        // probe races the purge and still finds it: both spellings compile
-        // at the new epoch and answer as `compile` does.
-        let purged = Arc::clone(&compiled.constraint);
-        let mut batch = kgreach_graph::UpdateBatch::new();
-        batch.delete("v2", "follows", "v4");
-        engine.apply_update(&batch).unwrap();
-        let stale = canonical.to_owned();
-        engine.plan_cache.write().unwrap().insert(stale, Arc::clone(&purged));
-        for text in [canonical, &spelled, canonical] {
-            let (fresh, _) = by_text(text);
-            assert_eq!(fresh.constraint.graph_epoch(), engine.graph_epoch());
-            assert!(!Arc::ptr_eq(&fresh.constraint, &purged), "served the purged plan");
-            let opts = QueryOptions::default();
-            let out = engine.answer_compiled(&fresh, Algorithm::Auto, &opts).unwrap();
-            assert_eq!(out.answer, engine.answer(&q, Algorithm::Oracle).unwrap().answer);
-        }
-        assert!(!by_text(canonical).1, "the recompiled plan is cached again");
-
-        // A full cache still answers a new text, uncached.
-        for i in engine.cached_plans()..PLAN_CACHE_CAP {
-            by_text(&format!("SELECT ?x WHERE {{ ?x <likes> <c{i}> . }}"));
-        }
-        assert_eq!(engine.cached_plans(), PLAN_CACHE_CAP);
-        let text = "SELECT ?x WHERE { ?x <follows> ?y . }";
-        let (first, parsed) = by_text(text);
-        assert!(parsed);
-        let (second, parsed) = by_text(text);
-        assert!(parsed, "an uncached text is parsed every time");
-        assert!(!Arc::ptr_eq(&first.constraint, &second.constraint));
-        assert_eq!(engine.cached_plans(), PLAN_CACHE_CAP);
-        let uncached = LscrQuery::new(
-            q.source,
-            q.target,
-            q.label_constraint,
-            SubstructureConstraint::parse(text).unwrap(),
-        );
-        let out = engine.answer_compiled(&first, Algorithm::Auto, &QueryOptions::default());
-        assert_eq!(
-            out.unwrap().answer,
-            engine.answer(&uncached, Algorithm::Oracle).unwrap().answer
-        );
-    }
-
-    #[test]
     fn compiled_query_memoizes_vsg_across_algorithms() {
         let engine = LscrEngine::new(figure3());
         let g = engine.graph();
         let compiled = engine.compile(&all_labels_query(&g, "v0", "v4")).unwrap();
         assert_eq!(compiled.constraint.vsg_len_if_materialized(), None);
         let opts = QueryOptions::default();
-        let out = engine.answer_compiled(&compiled, Algorithm::UisStar, &opts).unwrap();
+        let mut session = engine.session();
+        let out = session.answer_compiled(&compiled, Algorithm::UisStar, &opts).unwrap();
         assert!(out.answer);
         // First UIS* execution materialized V(S0,G0) = {v1, v2}.
         assert_eq!(compiled.constraint.vsg_len_if_materialized(), Some(2));
         // INS runs over the same plan and the same memo.
-        let again = engine.answer_compiled(&compiled, Algorithm::Ins, &opts).unwrap();
+        let again = session.answer_compiled(&compiled, Algorithm::Ins, &opts).unwrap();
         assert!(again.answer);
         assert_eq!(again.stats.vsg_size, Some(2));
         let shared = engine.compile(&all_labels_query(&g, "v3", "v4")).unwrap();
@@ -1082,99 +687,18 @@ mod tests {
                     assert_eq!(engine.plan_algorithm(&compiled, hint), Algorithm::Uis);
                     assert_eq!(engine.plan_algorithm(&unsat, hint), Algorithm::Uis);
                 }
-                let out = engine.answer(&q, Algorithm::Auto).unwrap();
-                let expected = engine.answer(&q, Algorithm::Oracle).unwrap();
+                let out = answer(&engine, &q, Algorithm::Auto).unwrap();
+                let expected = answer(&engine, &q, Algorithm::Oracle).unwrap();
                 assert_eq!(out.answer, expected.answer, "{s}->{t}");
                 assert_eq!(out.stats.algorithm, Some(Algorithm::Uis));
             }
         }
-        let out = engine.answer_compiled(&unsat, Algorithm::Auto, &QueryOptions::default());
+        let out =
+            engine.session().answer_compiled(&unsat, Algorithm::Auto, &QueryOptions::default());
         assert!(!out.unwrap().answer);
         assert!(engine.local_index_if_built().is_none(), "planning must not build");
         let _ = engine.local_index();
         assert_eq!(engine.plan_algorithm(&unsat, Some(1)), Algorithm::Uis);
-    }
-
-    #[test]
-    fn engine_snapshot_roundtrip() {
-        let engine = LscrEngine::with_index_config(
-            figure3(),
-            LocalIndexConfig { num_landmarks: Some(2), seed: 4, ..Default::default() },
-        );
-        let q = all_labels_query(&engine.graph(), "v0", "v4");
-
-        // Without an index built: snapshot restores graph only.
-        let mut bytes = Vec::new();
-        engine.save_snapshot(&mut bytes).unwrap();
-        let restored = LscrEngine::from_snapshot(&bytes[..]).unwrap();
-        assert!(restored.local_index_if_built().is_none());
-        assert_eq!(restored.graph().fingerprint(), engine.graph().fingerprint());
-        assert!(restored.answer(&q, Algorithm::Uis).unwrap().answer);
-
-        // With the index built: both come back, nothing is rebuilt.
-        let built = engine.local_index();
-        let mut bytes = Vec::new();
-        engine.save_snapshot(&mut bytes).unwrap();
-        let restored = LscrEngine::from_snapshot(&bytes[..]).unwrap();
-        let idx = restored.local_index_if_built().expect("index restored from snapshot");
-        assert_eq!(idx.stats().num_landmarks, built.stats().num_landmarks);
-        assert_eq!(idx.graph_fingerprint(), built.graph_fingerprint());
-        for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-            assert_eq!(
-                restored.answer(&q, alg).unwrap().answer,
-                engine.answer(&q, alg).unwrap().answer,
-                "{alg} disagrees after snapshot restore"
-            );
-        }
-    }
-
-    #[test]
-    fn engine_snapshot_file_roundtrip() {
-        let engine = LscrEngine::new(figure3());
-        let _ = engine.local_index();
-        let dir = std::env::temp_dir().join("kgreach_engine_snapshot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("engine.kgsnap");
-        engine.save_snapshot_file(&path).unwrap();
-        let restored = LscrEngine::from_snapshot_file(&path).unwrap();
-        assert_eq!(restored.graph().fingerprint(), engine.graph().fingerprint());
-        assert!(restored.local_index_if_built().is_some());
-        std::fs::remove_file(&path).ok();
-        // Missing file surfaces as a typed graph/io error.
-        assert!(matches!(
-            LscrEngine::from_snapshot_file(dir.join("missing.kgsnap")),
-            Err(QueryError::Graph(kgreach_graph::GraphError::Io(_)))
-        ));
-    }
-
-    #[test]
-    fn answer_batch_matches_sequential() {
-        let engine = LscrEngine::new(figure3());
-        let g = engine.graph();
-        let mut queries = Vec::new();
-        let algs = [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto];
-        let names = ["v0", "v1", "v2", "v3", "v4"];
-        for (i, s) in names.iter().enumerate() {
-            for t in names {
-                queries.push((all_labels_query(&g, s, t), algs[i % algs.len()]));
-            }
-        }
-        let sequential: Vec<bool> = queries
-            .iter()
-            .map(|(q, _)| engine.answer(q, Algorithm::Oracle).unwrap().answer)
-            .collect();
-        for threads in [0, 1, 2, 8] {
-            let results = engine.answer_batch(&queries, threads);
-            assert_eq!(results.len(), queries.len());
-            for (i, r) in results.iter().enumerate() {
-                assert_eq!(
-                    r.as_ref().unwrap().answer,
-                    sequential[i],
-                    "threads={threads}, query {i}"
-                );
-            }
-        }
-        assert!(engine.answer_batch(&[], 4).is_empty());
     }
 
     #[test]
@@ -1186,12 +710,7 @@ mod tests {
             engine.graph().all_labels(),
             s0(),
         );
-        assert!(engine.answer(&q, Algorithm::Uis).is_err());
-        // Batch surfaces per-query errors without failing the batch.
-        let ok = all_labels_query(&engine.graph(), "v0", "v4");
-        let results = engine.answer_batch(&[(q, Algorithm::Uis), (ok, Algorithm::Uis)], 2);
-        assert!(results[0].is_err());
-        assert!(results[1].as_ref().unwrap().answer);
+        assert!(answer(&engine, &q, Algorithm::Uis).is_err());
     }
 
     #[test]
@@ -1206,7 +725,7 @@ mod tests {
                 s0(),
             )
         };
-        assert!(engine.answer(&q, Algorithm::Uis).unwrap().answer);
+        assert!(answer(&engine, &q, Algorithm::Uis).unwrap().answer);
         assert_eq!(engine.graph_epoch(), 0);
         assert_eq!(engine.cached_plans(), 1);
 
@@ -1220,7 +739,7 @@ mod tests {
         assert_eq!(engine.graph_epoch(), 1);
         assert_eq!(engine.cached_plans(), 0, "plan cache invalidated");
         for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-            assert!(!engine.answer(&q, alg).unwrap().answer, "{alg} must see the delete");
+            assert!(!answer(&engine, &q, alg).unwrap().answer, "{alg} must see the delete");
         }
 
         // Re-create a route through a brand-new vertex; old compiled
@@ -1231,10 +750,11 @@ mod tests {
         let out = engine.apply_update(&batch).unwrap();
         assert_eq!(out.summary.vertices_added, 1);
         for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-            assert!(engine.answer(&q, alg).unwrap().answer, "{alg} must see the insert");
+            assert!(answer(&engine, &q, alg).unwrap().answer, "{alg} must see the insert");
         }
         // Stale compiled query (epoch 1) against epoch-2 graph.
-        let out = engine.answer_compiled(&compiled, Algorithm::Uis, &QueryOptions::default());
+        let out =
+            engine.session().answer_compiled(&compiled, Algorithm::Uis, &QueryOptions::default());
         assert!(out.unwrap().answer);
     }
 
@@ -1268,8 +788,8 @@ mod tests {
             g.label_set(&["likes"]),
             s0(),
         );
-        let want = engine.answer(&q, Algorithm::Oracle).unwrap().answer;
-        assert_eq!(engine.answer(&q, Algorithm::Ins).unwrap().answer, want);
+        let want = answer(&engine, &q, Algorithm::Oracle).unwrap().answer;
+        assert_eq!(answer(&engine, &q, Algorithm::Ins).unwrap().answer, want);
 
         // A huge batch (relative to the graph) blows the delta threshold:
         // compaction + index rebuild.
@@ -1321,12 +841,12 @@ mod tests {
         engine.apply_update(&batch).unwrap();
         assert!(engine.graph().has_overlay());
         let q = all_labels_query(&engine.graph(), "v3", "v0");
-        let before = engine.answer(&q, Algorithm::Uis).unwrap().answer;
+        let before = answer(&engine, &q, Algorithm::Uis).unwrap().answer;
         let epoch = engine.graph_epoch();
         engine.compact();
         assert!(!engine.graph().has_overlay());
         assert_eq!(engine.graph_epoch(), epoch, "compaction is content-preserving");
-        assert_eq!(engine.answer(&q, Algorithm::Uis).unwrap().answer, before);
+        assert_eq!(answer(&engine, &q, Algorithm::Uis).unwrap().answer, before);
         engine.compact(); // idempotent
     }
 
@@ -1344,7 +864,8 @@ mod tests {
         };
         let opts = QueryOptions::default();
         let held = engine.compile(&q).unwrap();
-        let out = engine.answer_compiled(&held, Algorithm::UisStar, &opts).unwrap();
+        let mut session = engine.session();
+        let out = session.answer_compiled(&held, Algorithm::UisStar, &opts).unwrap();
         assert!(out.answer);
         assert_eq!(held.constraint.vsg_len_if_materialized(), Some(2));
 
@@ -1354,7 +875,7 @@ mod tests {
         let mut batch = kgreach_graph::UpdateBatch::new();
         batch.delete("v1", "friendOf", "v3");
         engine.apply_update(&batch).unwrap();
-        let out = engine.answer_compiled(&held, Algorithm::UisStar, &opts).unwrap();
+        let out = session.answer_compiled(&held, Algorithm::UisStar, &opts).unwrap();
         assert!(out.answer, "v2 still satisfies S0 and routes v0 to v4");
         assert_eq!(out.stats.vsg_size, Some(1), "stale plan rebound to the updated graph");
         // The rebound plan lives in the plan cache, so the fresh memo is
@@ -1362,7 +883,7 @@ mod tests {
         let rebound = engine.compile(&q).unwrap();
         assert_eq!(rebound.constraint.graph_epoch(), engine.graph_epoch());
         assert_eq!(rebound.constraint.vsg_len_if_materialized(), Some(1));
-        let out = engine.answer_compiled(&held, Algorithm::Ins, &opts).unwrap();
+        let out = session.answer_compiled(&held, Algorithm::Ins, &opts).unwrap();
         assert!(out.answer);
         assert_eq!(out.stats.vsg_size, Some(1));
     }
@@ -1386,12 +907,13 @@ mod tests {
         };
         let held = engine.compile(&q).unwrap();
         let opts = QueryOptions::default();
-        assert!(engine.answer_compiled(&held, Algorithm::Uis, &opts).unwrap().answer);
+        let mut session = engine.session();
+        assert!(session.answer_compiled(&held, Algorithm::Uis, &opts).unwrap().answer);
 
         let mut batch = kgreach_graph::UpdateBatch::new();
         batch.insert("elsewhere", "unrelated", "nowhere");
         engine.apply_update(&batch).unwrap();
-        let out = engine.answer_compiled(&held, Algorithm::Uis, &opts).unwrap();
+        let out = session.answer_compiled(&held, Algorithm::Uis, &opts).unwrap();
         assert!(out.answer, "the rebuilt plan must still require ?x <tag> {literal:?}");
     }
 
@@ -1403,64 +925,6 @@ mod tests {
     #[test]
     fn held_query_with_backslash_and_quote_literal_survives_an_update() {
         held_literal_survives_an_update(r#"a\b"c"#, r#"SELECT ?x WHERE { ?x <tag> "a\\b\"c" . }"#);
-    }
-
-    #[test]
-    fn reload_from_snapshot_swaps_state_and_advances_epoch() {
-        // Serving engine: figure3 with an index and a cached plan.
-        let engine = LscrEngine::new(figure3());
-        let _ = engine.local_index();
-        let q = all_labels_query(&engine.graph(), "v0", "v4");
-        assert!(engine.answer(&q, Algorithm::Ins).unwrap().answer);
-        assert_eq!(engine.cached_plans(), 1);
-
-        // Replacement snapshot: a different graph entirely.
-        let mut b = kgreach_graph::GraphBuilder::new();
-        b.add_triple("a", "likes", "b");
-        b.add_triple("b", "likes", "c");
-        let other = LscrEngine::new(b.build().unwrap());
-        let _ = other.local_index();
-        let mut bytes = Vec::new();
-        other.save_snapshot(&mut bytes).unwrap();
-
-        let epoch = engine.reload_from_snapshot(&bytes[..]).unwrap();
-        assert_eq!(epoch, 1, "reload must advance past the replaced epoch 0");
-        assert_eq!(engine.graph_epoch(), 1);
-        assert_eq!(engine.cached_plans(), 0, "plan cache invalidated on reload");
-        assert_eq!(engine.graph().fingerprint(), other.graph().fingerprint());
-        let idx = engine.local_index_if_built().expect("index restored from snapshot");
-        assert_eq!(idx.graph_fingerprint(), engine.graph().fingerprint());
-
-        // Answers now follow the new content for every algorithm (the
-        // constraint is re-resolved against the new graph: b satisfies
-        // it and sits on the a → c path).
-        let g = engine.graph();
-        let q2 = LscrQuery::new(
-            g.vertex_id("a").unwrap(),
-            g.vertex_id("c").unwrap(),
-            g.all_labels(),
-            SubstructureConstraint::parse("SELECT ?x WHERE { ?x <likes> <c> . }").unwrap(),
-        );
-        for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-            assert!(engine.answer(&q2, alg).unwrap().answer, "{alg} after reload");
-        }
-    }
-
-    #[test]
-    fn failed_reload_leaves_engine_serving() {
-        let engine = LscrEngine::new(figure3());
-        let q = all_labels_query(&engine.graph(), "v0", "v4");
-        let fp = engine.graph().fingerprint();
-        // Not a snapshot at all.
-        assert!(engine.reload_from_snapshot(&b"garbage"[..]).is_err());
-        // Truncated snapshot.
-        let mut bytes = Vec::new();
-        engine.save_snapshot(&mut bytes).unwrap();
-        bytes.truncate(bytes.len() / 2);
-        assert!(engine.reload_from_snapshot(&bytes[..]).is_err());
-        assert_eq!(engine.graph().fingerprint(), fp, "state untouched on failed reload");
-        assert_eq!(engine.graph_epoch(), 0);
-        assert!(engine.answer(&q, Algorithm::Uis).unwrap().answer);
     }
 
     #[test]

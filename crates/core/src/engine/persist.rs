@@ -1,0 +1,254 @@
+//! Engine snapshots: saving the served graph and index, restoring an
+//! engine from one, and hot-swapping a running engine's state to one.
+
+use super::LscrEngine;
+use crate::local_index::LocalIndex;
+use crate::query::QueryError;
+use kgreach_graph::snapshot::{
+    self, ArtifactKind, PayloadBuf, PayloadCursor, SectionReader, SectionWriter,
+};
+use kgreach_sync::Arc;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::Path;
+
+/// Tag of the engine snapshot's index-presence section, between the
+/// graph sections (1–7) and the index sections (16–19).
+const TAG_ENGINE_HAS_INDEX: u16 = 15;
+
+impl LscrEngine {
+    /// Writes an engine snapshot: the graph followed by the local index
+    /// if one has been built or installed. Restoring with
+    /// [`from_snapshot`](Self::from_snapshot) rebuilds *nothing* — both
+    /// the adjacency and the landmark index come back exactly as saved,
+    /// which is the cold-start path for serving processes (see the
+    /// `cold_start` bench: snapshot load vs text parse + index rebuild).
+    ///
+    /// The plan cache and scratch pool are warm-up state, not data; they
+    /// are intentionally not persisted.
+    pub fn save_snapshot<W: Write>(&self, writer: W) -> Result<(), QueryError> {
+        let (graph, index) = self.state_snapshot();
+        let mut w = SectionWriter::new(BufWriter::new(writer), ArtifactKind::Engine)?;
+        // A live graph is compacted on the fly by the encoder; the index
+        // stays valid because compaction preserves the fingerprint.
+        snapshot::write_graph_sections(&graph, &mut w)?;
+        let mut flag = PayloadBuf::new();
+        flag.put_u8(u8::from(index.is_some()));
+        w.section(TAG_ENGINE_HAS_INDEX, flag.as_slice())?;
+        if let Some(index) = index {
+            index.write_sections(&mut w)?;
+        }
+        w.finish().map_err(QueryError::from)?;
+        Ok(())
+    }
+
+    /// Restores an engine written by [`save_snapshot`](Self::save_snapshot):
+    /// graph and (when present) local index, without rebuilding either.
+    /// A snapshot whose embedded index does not match its own graph —
+    /// impossible to write through this API, but representable in a
+    /// corrupt file — is rejected through the
+    /// [`set_local_index`](Self::set_local_index) fingerprint check
+    /// ([`QueryError::IndexGraphMismatch`]). The restored engine uses the
+    /// default [`LocalIndexConfig`](crate::LocalIndexConfig) for any future lazy build.
+    pub fn from_snapshot(bytes: &[u8]) -> Result<LscrEngine, QueryError> {
+        let mut r = SectionReader::new(bytes)?;
+        r.expect_kind(ArtifactKind::Engine)?;
+        let graph = snapshot::read_graph_sections(&mut r)?;
+        let mut flag = PayloadCursor::new(
+            r.section(TAG_ENGINE_HAS_INDEX, "engine-index-flag")?,
+            "engine-index-flag",
+        );
+        let has_index = match flag.get_u8()? {
+            0 => false,
+            1 => true,
+            byte => return Err(flag.corrupt(format!("index flag byte is {byte}")).into()),
+        };
+        flag.finish()?;
+        let index = if has_index { Some(LocalIndex::read_sections(&mut r)?) } else { None };
+        r.end()?;
+        let engine = LscrEngine::new(graph);
+        if let Some(index) = index {
+            engine.set_local_index(index)?;
+        }
+        Ok(engine)
+    }
+
+    /// Hot-swaps the engine's served state with the graph (and index,
+    /// when present) from an engine snapshot, without interrupting
+    /// service: queries running concurrently finish against the old
+    /// state, queries started after this returns see the new one — the
+    /// same atomic-swap discipline as
+    /// [`apply_update`](Self::apply_update).
+    ///
+    /// On any error (corrupt snapshot, embedded index built for a
+    /// different graph) the engine is left serving its current state
+    /// untouched. The reloaded graph's content epoch is
+    /// advanced strictly past the replaced graph's
+    /// ([`Graph::advance_epoch_to`](crate::Graph::advance_epoch_to)), so
+    /// every epoch-stamped cache bound
+    /// to the old content — compiled plans with their `SCck` and `V(S,G)`
+    /// memos, including compiled queries held by callers — observes a
+    /// mismatch and rebinds instead of serving answers computed against
+    /// the old graph. A held query whose vertex ids do not fit the new
+    /// graph fails its rebind with a typed [`QueryError`].
+    ///
+    /// Returns the fresh content epoch. On a durable engine, reload
+    /// through [`DurableEngine::reload_from_snapshot`](crate::DurableEngine::reload_from_snapshot)
+    /// instead, or a restart recovers the replaced state.
+    pub fn reload_from_snapshot(&self, bytes: &[u8]) -> Result<u64, QueryError> {
+        // Decode fully before taking any lock: a corrupt snapshot must
+        // not stall or damage serving.
+        Ok(self.install(LscrEngine::from_snapshot(bytes)?))
+    }
+
+    /// Swaps in the state of `staged`, an engine decoded from a snapshot,
+    /// as [`reload_from_snapshot`](Self::reload_from_snapshot) describes.
+    /// Returns the fresh content epoch.
+    pub(crate) fn install(&self, staged: LscrEngine) -> u64 {
+        let _updates = self.update_lock.lock().expect("update lock");
+        let (graph, index) = staged.state_snapshot();
+        let mut graph = (*graph).clone();
+        let old_epoch = self.graph_epoch();
+        graph.advance_epoch_to(old_epoch + 1);
+        let epoch = graph.epoch();
+        {
+            let mut st = self.state.write().expect("state lock");
+            st.graph = Arc::new(graph);
+            st.index = index;
+        }
+        self.plan_cache.write().expect("plan cache lock").clear();
+        epoch
+    }
+
+    /// Saves an engine snapshot to a file path.
+    pub fn save_snapshot_file(&self, path: impl AsRef<Path>) -> Result<(), QueryError> {
+        let file = File::create(path).map_err(kgreach_graph::GraphError::from)?;
+        self.save_snapshot(file)
+    }
+
+    /// Restores an engine snapshot from a file path: one bulk read, then
+    /// [`from_snapshot`](Self::from_snapshot) over the buffer.
+    pub fn from_snapshot_file(path: impl AsRef<Path>) -> Result<LscrEngine, QueryError> {
+        let bytes = std::fs::read(path).map_err(kgreach_graph::GraphError::from)?;
+        Self::from_snapshot(&bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::{all_labels_query, answer, figure3};
+    use crate::local_index::LocalIndexConfig;
+    use crate::query::LscrQuery;
+    use crate::{Algorithm, SubstructureConstraint};
+
+    #[test]
+    fn engine_snapshot_roundtrip() {
+        let engine = LscrEngine::with_index_config(
+            figure3(),
+            LocalIndexConfig { num_landmarks: Some(2), seed: 4, ..Default::default() },
+        );
+        let q = all_labels_query(&engine.graph(), "v0", "v4");
+
+        // Without an index built: snapshot restores graph only.
+        let mut bytes = Vec::new();
+        engine.save_snapshot(&mut bytes).unwrap();
+        let restored = LscrEngine::from_snapshot(&bytes[..]).unwrap();
+        assert!(restored.local_index_if_built().is_none());
+        assert_eq!(restored.graph().fingerprint(), engine.graph().fingerprint());
+        assert!(answer(&restored, &q, Algorithm::Uis).unwrap().answer);
+
+        // With the index built: both come back, nothing is rebuilt.
+        let built = engine.local_index();
+        let mut bytes = Vec::new();
+        engine.save_snapshot(&mut bytes).unwrap();
+        let restored = LscrEngine::from_snapshot(&bytes[..]).unwrap();
+        let idx = restored.local_index_if_built().expect("index restored from snapshot");
+        assert_eq!(idx.stats().num_landmarks, built.stats().num_landmarks);
+        assert_eq!(idx.graph_fingerprint(), built.graph_fingerprint());
+        for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
+            assert_eq!(
+                answer(&restored, &q, alg).unwrap().answer,
+                answer(&engine, &q, alg).unwrap().answer,
+                "{alg} disagrees after snapshot restore"
+            );
+        }
+    }
+
+    #[test]
+    fn engine_snapshot_file_roundtrip() {
+        let engine = LscrEngine::new(figure3());
+        let _ = engine.local_index();
+        let dir = std::env::temp_dir().join("kgreach_engine_snapshot_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("engine.kgsnap");
+        engine.save_snapshot_file(&path).unwrap();
+        let restored = LscrEngine::from_snapshot_file(&path).unwrap();
+        assert_eq!(restored.graph().fingerprint(), engine.graph().fingerprint());
+        assert!(restored.local_index_if_built().is_some());
+        std::fs::remove_file(&path).ok();
+        // Missing file surfaces as a typed graph/io error.
+        assert!(matches!(
+            LscrEngine::from_snapshot_file(dir.join("missing.kgsnap")),
+            Err(QueryError::Graph(kgreach_graph::GraphError::Io(_)))
+        ));
+    }
+
+    #[test]
+    fn reload_from_snapshot_swaps_state_and_advances_epoch() {
+        // Serving engine: figure3 with an index and a cached plan.
+        let engine = LscrEngine::new(figure3());
+        let _ = engine.local_index();
+        let q = all_labels_query(&engine.graph(), "v0", "v4");
+        assert!(answer(&engine, &q, Algorithm::Ins).unwrap().answer);
+        assert_eq!(engine.cached_plans(), 1);
+
+        // Replacement snapshot: a different graph entirely.
+        let mut b = kgreach_graph::GraphBuilder::new();
+        b.add_triple("a", "likes", "b");
+        b.add_triple("b", "likes", "c");
+        let other = LscrEngine::new(b.build().unwrap());
+        let _ = other.local_index();
+        let mut bytes = Vec::new();
+        other.save_snapshot(&mut bytes).unwrap();
+
+        let epoch = engine.reload_from_snapshot(&bytes[..]).unwrap();
+        assert_eq!(epoch, 1, "reload must advance past the replaced epoch 0");
+        assert_eq!(engine.graph_epoch(), 1);
+        assert_eq!(engine.cached_plans(), 0, "plan cache invalidated on reload");
+        assert_eq!(engine.graph().fingerprint(), other.graph().fingerprint());
+        let idx = engine.local_index_if_built().expect("index restored from snapshot");
+        assert_eq!(idx.graph_fingerprint(), engine.graph().fingerprint());
+
+        // Answers now follow the new content for every algorithm (the
+        // constraint is re-resolved against the new graph: b satisfies
+        // it and sits on the a → c path).
+        let g = engine.graph();
+        let q2 = LscrQuery::new(
+            g.vertex_id("a").unwrap(),
+            g.vertex_id("c").unwrap(),
+            g.all_labels(),
+            SubstructureConstraint::parse("SELECT ?x WHERE { ?x <likes> <c> . }").unwrap(),
+        );
+        for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
+            assert!(answer(&engine, &q2, alg).unwrap().answer, "{alg} after reload");
+        }
+    }
+
+    #[test]
+    fn failed_reload_leaves_engine_serving() {
+        let engine = LscrEngine::new(figure3());
+        let q = all_labels_query(&engine.graph(), "v0", "v4");
+        let fp = engine.graph().fingerprint();
+        // Not a snapshot at all.
+        assert!(engine.reload_from_snapshot(&b"garbage"[..]).is_err());
+        // Truncated snapshot.
+        let mut bytes = Vec::new();
+        engine.save_snapshot(&mut bytes).unwrap();
+        bytes.truncate(bytes.len() / 2);
+        assert!(engine.reload_from_snapshot(&bytes[..]).is_err());
+        assert_eq!(engine.graph().fingerprint(), fp, "state untouched on failed reload");
+        assert_eq!(engine.graph_epoch(), 0);
+        assert!(answer(&engine, &q, Algorithm::Uis).unwrap().answer);
+    }
+}

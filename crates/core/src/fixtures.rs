@@ -40,6 +40,24 @@ pub fn s0() -> SubstructureConstraint {
         .expect("S0 parses")
 }
 
+/// `s` to `t` under every label of `g`, constrained by [`s0`].
+#[cfg(test)]
+pub(crate) fn all_labels_query(g: &Graph, s: &str, t: &str) -> crate::LscrQuery {
+    crate::LscrQuery::new(g.vertex_id(s).unwrap(), g.vertex_id(t).unwrap(), g.all_labels(), s0())
+}
+
+/// `query` answered by `algorithm` under default options: compiled
+/// through `engine`'s plan cache, then answered on a session of its own.
+#[cfg(test)]
+pub(crate) fn answer(
+    engine: &crate::LscrEngine,
+    query: &crate::LscrQuery,
+    algorithm: crate::Algorithm,
+) -> Result<crate::QueryOutcome, crate::QueryError> {
+    let compiled = engine.compile(query)?;
+    engine.session().answer_compiled(&compiled, algorithm, &crate::QueryOptions::default())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

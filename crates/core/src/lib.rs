@@ -24,12 +24,13 @@
 //! Serving is split into an owned, `Send + Sync` [`LscrEngine`] (graph,
 //! shared index, constraint-plan cache — every entry point takes `&self`)
 //! and per-thread [`Session`]s owning the mutable search scratch, so many
-//! threads answer queries against one engine with no locking on the hot
-//! path. A [`CompiledLscrQuery`] ([`LscrEngine::compile`]) amortizes
-//! compilation and `V(S,G)` materialization across repeated executions
-//! ([`LscrEngine::answer_compiled`]), [`QueryOptions`] selects
-//! witnesses/stats/budgets per execution, and [`Algorithm::Auto`] lets
-//! the engine pick UIS/UIS\*/INS adaptively.
+//! threads answer queries against one engine without locking around a
+//! search. A query is compiled once ([`LscrEngine::compile`]) into a
+//! [`CompiledLscrQuery`], which shares its constraint plan and its
+//! materialized `V(S,G)` across repeated executions
+//! ([`Session::answer_compiled`]); [`QueryOptions`] selects
+//! witnesses/stats/budgets per execution, and [`Algorithm::Auto`], the
+//! served default, answers every query with UIS.
 //!
 //! ## Quick start
 //!
@@ -55,20 +56,21 @@
 //!     SubstructureConstraint::parse(
 //!         "SELECT ?x WHERE { ?x <marriedTo> <amy> . }").unwrap(),
 //! );
-//! // One-shot: let the engine pick the algorithm (UIS).
-//! assert!(engine.answer(&q, Algorithm::Auto).unwrap().answer);
+//! // Compile once: validation and the shared constraint plan.
+//! let compiled = engine.compile(&q).unwrap();
 //!
-//! // Hot loop: a per-thread session reuses one scratch set.
+//! // A per-thread session reuses one scratch set across queries; let
+//! // the engine pick the algorithm (UIS).
 //! let mut session = engine.session();
+//! let opts = kgreach::QueryOptions::default();
 //! for _ in 0..3 {
-//!     assert!(session.answer(&q, Algorithm::Uis).unwrap().answer);
+//!     assert!(session.answer_compiled(&compiled, Algorithm::Auto, &opts).unwrap().answer);
 //! }
 //!
-//! // Repeated query: compile once, reuse the compiled constraint and
-//! // the materialized V(S,G).
-//! let compiled = engine.compile(&q).unwrap();
-//! let opts = kgreach::QueryOptions::default().with_witness(true);
-//! let out = engine.answer_compiled(&compiled, Algorithm::UisStar, &opts).unwrap();
+//! // Force an algorithm and ask for a witness; UIS* reuses the
+//! // materialized V(S,G) on every later run.
+//! let opts = opts.with_witness(true);
+//! let out = session.answer_compiled(&compiled, Algorithm::UisStar, &opts).unwrap();
 //! assert_eq!(out.witness.unwrap().via, g.vertex_id("mule1").unwrap());
 //! ```
 

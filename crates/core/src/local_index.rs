@@ -74,7 +74,8 @@ pub struct LocalIndexConfig {
     /// rebuild (fresh landmark selection + partitioning) instead of
     /// partition-local repair — repairing most of the index costs more
     /// than rebuilding it and keeps a drifted partition shape alive.
-    /// See [`LocalIndex::patched`].
+    /// See [`LocalIndex::patched`]; like it, public for one caller.
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub staleness_budget: f64,
     /// Worker threads for the per-landmark `LocalFullIndex` loop
     /// (Algorithm 3, lines 3-4). Each landmark's entry is independent,
@@ -379,6 +380,11 @@ impl LocalIndex {
     /// itself (assignment, balance, landmark choice) drifts from what a
     /// fresh build would pick, and repairing more than
     /// `staleness_budget · |I|` partitions costs more than rebuilding.
+    ///
+    /// Public for one caller outside the crate, which patches an index
+    /// with no engine; [`LscrEngine::apply_update`](crate::LscrEngine::apply_update)
+    /// calls it until ROADMAP item 6 stops patching the index.
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn patched(
         &self,
         g: &Graph,

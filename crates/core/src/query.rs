@@ -11,8 +11,9 @@
 //!     engine.graph().label_set(&["likes", "follows"]),
 //!     s0(),
 //! );
+//! let compiled = engine.compile(&q).unwrap();
 //! let opts = QueryOptions::default().with_witness(true);
-//! let out = engine.answer_with_options(&q, Algorithm::Auto, &opts).unwrap();
+//! let out = engine.session().answer_compiled(&compiled, Algorithm::Auto, &opts).unwrap();
 //! assert!(out.answer && out.witness.is_some());
 //! ```
 

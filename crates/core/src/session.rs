@@ -6,12 +6,16 @@
 //! priority structures). [`LscrEngine`] owns the
 //! former behind `&self`; a [`Session`] owns the latter exclusively, so N
 //! threads each holding a session answer queries against one shared
-//! engine with **zero locking on the hot path** — the only synchronized
-//! steps are per-query constant-time snapshots (plan-cache lookup, index
-//! handle), never the search itself.
+//! engine without locking around the search itself. The locks are short
+//! and constant-time. A warm query compiled and answered on a fresh
+//! session takes five: the scratch-pool mutex twice (opening the session,
+//! and returning its scratch on drop), the state `RwLock` twice
+//! ([`LscrEngine::compile`] reads the graph, and the search pins its
+//! `(graph, index)` snapshot) and the plan-cache `RwLock` once (the plan
+//! lookup). A session held across queries skips the two pool locks.
 //!
 //! ```
-//! use kgreach::{Algorithm, LscrEngine, LscrQuery, SubstructureConstraint};
+//! use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions, SubstructureConstraint};
 //! use kgreach::fixtures::{figure3, s0};
 //!
 //! let engine = LscrEngine::new(figure3());
@@ -21,8 +25,10 @@
 //!     engine.graph().label_set(&["likes", "follows"]),
 //!     s0(),
 //! );
+//! let compiled = engine.compile(&q).unwrap();
 //! let mut session = engine.session();
-//! assert!(session.answer(&q, Algorithm::Auto).unwrap().answer);
+//! let out = session.answer_compiled(&compiled, Algorithm::Auto, &QueryOptions::default());
+//! assert!(out.unwrap().answer);
 //! ```
 
 use crate::close::{CloseMap, OriginMap};
@@ -156,17 +162,8 @@ impl<'e> Session<'e> {
         self.engine
     }
 
-    /// Compiles and answers `query` with `algorithm` (default options).
-    pub fn answer(
-        &mut self,
-        query: &LscrQuery,
-        algorithm: Algorithm,
-    ) -> Result<QueryOutcome, QueryError> {
-        self.answer_with_options(query, algorithm, &QueryOptions::default())
-    }
-
-    /// Compiles and answers `query` with explicit [`QueryOptions`].
-    /// Constraint compilation goes through the engine's plan cache.
+    /// [`LscrEngine::compile`], then [`answer_compiled`](Self::answer_compiled).
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn answer_with_options(
         &mut self,
         query: &LscrQuery,
@@ -299,11 +296,12 @@ mod tests {
         let engine = LscrEngine::new(figure3());
         let g = engine.graph();
         let query = q(&g, "v0", "v4", &["likes", "follows"]);
+        let compiled = engine.compile(&query).unwrap();
         let mut session = engine.session();
         for alg in
             [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Oracle, Algorithm::Auto]
         {
-            let out = session.answer(&query, alg).unwrap();
+            let out = session.answer_compiled(&compiled, alg, &QueryOptions::default()).unwrap();
             assert!(out.answer, "{alg} disagrees");
             assert!(out.stats.algorithm.is_some());
             assert_ne!(out.stats.algorithm, Some(Algorithm::Auto), "Auto must resolve");
@@ -385,7 +383,10 @@ mod tests {
             g.all_labels(),
             crate::SubstructureConstraint::parse("SELECT ?x WHERE { ?x <likes> <b> . }").unwrap(),
         );
-        assert!(session.answer(&ok, Algorithm::Auto).unwrap().answer);
+        let ok = engine.compile(&ok).unwrap();
+        assert!(
+            session.answer_compiled(&ok, Algorithm::Auto, &QueryOptions::default()).unwrap().answer
+        );
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub fn find_witness(g: &Graph, q: &CompiledLscrQuery) -> Option<Witness> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{figure3, s0};
+    use crate::fixtures::{answer, figure3, s0};
     use crate::query::LscrQuery;
 
     fn witness_for(g: &Graph, s: &str, t: &str, labels: &[&str]) -> Option<Witness> {
@@ -147,7 +147,7 @@ mod tests {
                         g.label_set(labels),
                         s0(),
                     );
-                    let expected = engine.answer(&q, crate::Algorithm::Uis).unwrap().answer;
+                    let expected = answer(&engine, &q, crate::Algorithm::Uis).unwrap().answer;
                     let w = find_witness(&g, &q.compile(&g).unwrap());
                     assert_eq!(w.is_some(), expected, "{s}->{t} {labels:?}");
                 }

@@ -85,9 +85,8 @@ pub fn generate(config: &LubmConfig) -> Result<Graph> {
 }
 
 /// [`generate`] with an explicit builder chunk size instead of capacity
-/// hints — the same graph, byte for byte, for any `chunk_edges`. Former
-/// name, still called by the benchmark adapter
-/// (`crates/kgbench/src/api.rs`); the next benchmark PR retires it.
+/// hints — the same graph, byte for byte, for any `chunk_edges`.
+/// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
 pub fn generate_streaming(config: &LubmConfig, chunk_edges: usize) -> Result<Graph> {
     let mut b = GraphBuilder::with_chunk_edges(chunk_edges);
     emit(config, &mut b);

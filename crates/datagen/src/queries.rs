@@ -221,7 +221,7 @@ mod tests {
     use super::*;
     use crate::constraints::{s1, s3};
     use crate::lubm::{generate, LubmConfig};
-    use kgreach::Algorithm;
+    use kgreach::{Algorithm, QueryOptions};
 
     fn lubm() -> Graph {
         generate(&LubmConfig { universities: 2, departments: 4, seed: 3 }).unwrap()
@@ -251,8 +251,11 @@ mod tests {
         let g = lubm();
         let w = generate_workload(&g, &s3(), &config(8));
         let engine = kgreach::LscrEngine::new(g);
+        let opts = QueryOptions::default();
+        let mut session = engine.session();
         for q in w.true_queries.iter().chain(&w.false_queries) {
-            let out = engine.answer(&q.query, Algorithm::Oracle).unwrap();
+            let compiled = engine.compile(&q.query).unwrap();
+            let out = session.answer_compiled(&compiled, Algorithm::Oracle, &opts).unwrap();
             assert_eq!(out.answer, q.expected);
         }
     }
@@ -296,8 +299,11 @@ mod tests {
         let w = generate_workload(&g, &s3(), &cfg);
         // The filter may reduce yield but never produces wrong answers.
         let engine = kgreach::LscrEngine::new(g);
+        let opts = QueryOptions::default();
+        let mut session = engine.session();
         for q in w.true_queries.iter().chain(&w.false_queries) {
-            let out = engine.answer(&q.query, Algorithm::Oracle).unwrap();
+            let compiled = engine.compile(&q.query).unwrap();
+            let out = session.answer_compiled(&compiled, Algorithm::Oracle, &opts).unwrap();
             assert_eq!(out.answer, q.expected);
         }
     }

@@ -37,8 +37,8 @@ pub fn load_graph(path: impl AsRef<Path>) -> Result<Graph> {
     read_graph(File::open(path)?)
 }
 
-/// Former name of [`load_graph`], still called by the benchmark adapter
-/// (`crates/kgbench/src/api.rs`); the next benchmark PR retires it.
+/// Former name of [`load_graph`].
+/// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
 pub fn load_graph_streaming(path: impl AsRef<Path>) -> Result<Graph> {
     load_graph(path)
 }

@@ -125,7 +125,9 @@ fn draining() -> ApiError {
 
 impl Batcher {
     /// Creates the admission state. No thread is started: every query is
-    /// answered on its caller's thread.
+    /// answered on its caller's thread. The server calls it too, and would
+    /// build the state directly without it.
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn start(
         engine: Arc<LscrEngine>,
         metrics: Arc<ServerMetrics>,
@@ -202,8 +204,8 @@ impl Batcher {
     /// [`answer_many`](Self::answer_many) for one query, with its answer
     /// handed back through a channel that already holds it: the query is
     /// answered on the calling thread before this returns, and its
-    /// response text parsed into a tree. Kept for callers that read
-    /// answers from a channel; nothing in this crate calls it.
+    /// response text parsed into a tree. Nothing in this crate calls it.
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn submit(
         &self,
         req: QueryRequest,

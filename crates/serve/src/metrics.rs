@@ -182,11 +182,12 @@ pub struct ServerMetrics {
     /// Threads waiting for a search slot right now (gauge).
     pub queue_depth: Counter,
     /// Search slots taken. A slot serves one query, so this equals
-    /// `batched_queries_total`; both are kept because the benchmark
-    /// adapter reads both.
+    /// `batched_queries_total`.
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub batch_windows_total: Counter,
     /// Queries answered in a slot (bumped once per query, together with
     /// `batch_windows_total`).
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub batched_queries_total: Counter,
     /// Answers that panicked. Each cost its query a `500 internal`; the
     /// thread that caught it carried on.

@@ -188,6 +188,7 @@ impl QueryRequest {
     /// (`422 bad_constraint`). The server does not parse here: it hands
     /// the constraint text to `LscrEngine::compile_text`, which parses it
     /// only when no cached plan has it as its key.
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn resolve(&self, g: &Graph) -> Result<LscrQuery, ApiError> {
         let (source, target, label_constraint) = self.resolve_names(g)?;
         let constraint = SubstructureConstraint::parse(&self.constraint)
@@ -336,8 +337,8 @@ fn write_witness(g: &Graph, w: &Witness, t: &mut String) {
 }
 
 /// One answered query as its wire response object: [`outcome_text`]
-/// parsed back into a tree, for callers that want one. The server sends
-/// the text and builds no tree.
+/// parsed back into a tree. The server sends the text and builds no tree.
+/// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
 pub fn render_outcome(g: &Graph, out: &QueryOutcome) -> Json {
     Json::parse(&outcome_text(g, out)).expect("outcome_text writes valid JSON")
 }
@@ -446,7 +447,8 @@ mod tests {
         let q = req.resolve(&g).unwrap();
         let engine = LscrEngine::new(g);
         let opts = req.options(None, None);
-        let out = engine.answer_with_options(&q, req.algorithm, &opts).unwrap();
+        let q = engine.compile(&q).unwrap();
+        let out = engine.session().answer_compiled(&q, req.algorithm, &opts).unwrap();
         assert!(out.answer);
         let rendered = render_outcome(&engine.graph(), &out).to_string();
         assert!(rendered.contains("\"answer\":true"));

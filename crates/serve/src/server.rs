@@ -39,6 +39,7 @@ use kgreach_sync::thread::JoinHandle;
 use kgreach_sync::{Arc, OnceLock};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// Everything tunable about one server instance.
@@ -79,6 +80,26 @@ struct Shared {
     /// Durability wrapper, set once by [`ServerHandle::install_durable`]
     /// when recovery completes; unset on a non-durable server.
     durable: OnceLock<Arc<DurableEngine>>,
+}
+
+/// One admitted connection's place under
+/// [`ServerConfig::max_connections`], given back on drop: a connection
+/// thread that unwinds, or one that never starts, cannot leak it.
+struct ConnectionSlot(Arc<Shared>);
+
+impl ConnectionSlot {
+    fn take(shared: &Arc<Shared>) -> ConnectionSlot {
+        // relaxed: see the cap check in the acceptor.
+        shared.live_connections.fetch_add(1, Ordering::Relaxed);
+        ConnectionSlot(Arc::clone(shared))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        // relaxed: see the cap check in the acceptor.
+        self.0.live_connections.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// A running server; dropping the handle does **not** stop it — call
@@ -147,15 +168,10 @@ fn serve_inner(
                     let _ = write_response(&mut stream, &resp);
                     continue;
                 }
-                // relaxed: see the cap check above.
-                shared.live_connections.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(&shared);
-                let _ =
-                    kgreach_sync::thread::Builder::new().name("kg-conn".into()).spawn(move || {
-                        handle_connection(stream, &shared);
-                        // relaxed: see the cap check above.
-                        shared.live_connections.fetch_sub(1, Ordering::Relaxed);
-                    });
+                let slot = ConnectionSlot::take(&shared);
+                let _ = kgreach_sync::thread::Builder::new()
+                    .name("kg-conn".into())
+                    .spawn(move || handle_connection(stream, &slot.0));
             }
         })?
     };
@@ -225,7 +241,23 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         match read_request(&mut reader, &shared.limits) {
             Ok(req) => {
                 let keep_alive = req.keep_alive && !shared.shutdown.load(Ordering::Acquire);
-                let mut resp = dispatch(&req, shared);
+                // Unwind safety: a panic below may poison a lock it held,
+                // and later requests that take that lock panic too, each
+                // caught here the same way. The engine swaps its served
+                // state only after the work that could panic is done, so
+                // no later request reads a half-applied update or reload.
+                let mut resp = catch_unwind(AssertUnwindSafe(|| dispatch(&req, shared)))
+                    .unwrap_or_else(|_| {
+                        shared.metrics.panics_total.add(1);
+                        let err = ApiError::new(
+                            500,
+                            "internal",
+                            "the request panicked; see the server log",
+                        );
+                        let mut resp = error_response(&err);
+                        resp.close = true;
+                        resp
+                    });
                 resp.close = resp.close || !keep_alive;
                 shared.metrics.record_status(resp.status);
                 if write_response(&mut stream, &resp).is_err() || resp.close {
@@ -340,6 +372,8 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
             let durable_stats = shared.durable.get().map(|d| d.stats());
             Response::text(200, m.render(&shared.engine.info(), durable_stats.as_ref()))
         }
+        #[cfg(test)]
+        ("POST", "/test/panic") => panic!("seeded panic on a connection thread"),
         (
             _,
             "/query" | "/query_batch" | "/update" | "/snapshot/reload" | "/healthz" | "/metrics",
@@ -434,4 +468,36 @@ fn handle_reload(req: &Request, shared: &Shared) -> Result<Json, ApiError> {
         ("labels".into(), Json::usize(info.num_labels)),
         ("index_built".into(), Json::Bool(info.index_built)),
     ]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::HttpClient;
+    use kgreach::fixtures::figure3;
+    use std::time::Duration;
+
+    #[test]
+    fn a_panicking_request_costs_one_500_and_gives_its_connection_back() {
+        let engine = Arc::new(LscrEngine::new(figure3()));
+        let server = serve(engine, ServerConfig::default()).unwrap();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let resp = client.post_json("/test/panic", "{}").unwrap();
+        assert_eq!(resp.status, 500, "{}", resp.body);
+        assert!(resp.body.contains("\"internal\""), "{}", resp.body);
+        assert_eq!(resp.header("connection"), Some("close"));
+        assert_eq!(server.metrics().panics_total.get(), 1);
+        let live = &server.shared.live_connections;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        // The panicking thread closed its connection and gave its place
+        // under `max_connections` back. relaxed: the gauge is polled
+        // until it settles; no data rides on it.
+        while live.load(Ordering::Relaxed) > 0 {
+            assert!(Instant::now() < deadline, "the panicked connection leaked its slot");
+            std::thread::yield_now();
+        }
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
+        server.shutdown();
+    }
 }

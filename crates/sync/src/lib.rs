@@ -21,9 +21,10 @@
 //! `Arc` is always `std::sync::Arc` (loom's is too, in our vendored
 //! stand-in): reference counting is not part of the modelled state space.
 //!
-//! What is *not* wrapped: `std::thread::scope` (used by the engine's batch
-//! fan-out; scoped spawns are outside the model's vocabulary — do not call
-//! `answer_batch` from inside a model) and `std::time` (model tests make
+//! What is *not* wrapped: `std::thread::scope` (used by the parallel
+//! local-index build; scoped spawns are outside the model's vocabulary — do
+//! not build an index with `build_threads > 1` inside a model) and
+//! `std::time` (model tests make
 //! timing irrelevant instead: the loom condvar may fire any timed wait at
 //! any scheduling point).
 

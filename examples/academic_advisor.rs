@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run -p kgreach-examples --release --bin academic_advisor`
 
-use kgreach::{Algorithm, LscrEngine, LscrQuery};
+use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions};
 use kgreach_datagen::constraints::all_lubm_constraints;
 use kgreach_datagen::lubm::{generate, LubmConfig};
 use rand::rngs::SmallRng;
@@ -56,11 +56,12 @@ pub(crate) fn main() {
             ))
             .unwrap();
         let t = g.vertex_id("University2").unwrap();
-        let q = LscrQuery::new(s, t, labels, constraint);
+        let q = engine.compile(&LscrQuery::new(s, t, labels, constraint)).unwrap();
         print!("{name} (|V(S,G)| = {vsg:>3}): ");
         let mut agreed = None;
+        let mut session = engine.session();
         for alg in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
-            let out = engine.answer(&q, alg).unwrap();
+            let out = session.answer_compiled(&q, alg, &QueryOptions::default()).unwrap();
             match alg {
                 Algorithm::Auto => print!(
                     "Auto→{}={} ({:?})  ",

@@ -1,16 +1,17 @@
 //! Shared helpers for the runnable examples.
 
-use kgreach::{Algorithm, LscrEngine, LscrQuery};
+use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions};
 
 /// Answers `query` with every practical algorithm (through one session on
 /// the shared engine) and prints a comparison line per algorithm; panics
 /// if the algorithms disagree.
 pub fn run_all_algorithms(engine: &LscrEngine, label: &str, query: &LscrQuery) -> bool {
     println!("── {label}");
+    let compiled = engine.compile(query).expect("query is valid");
     let mut session = engine.session();
     let mut answers = Vec::new();
     for alg in Algorithm::ALL {
-        let outcome = session.answer(query, alg).expect("query is valid");
+        let outcome = session.answer_compiled(&compiled, alg, &QueryOptions::default()).unwrap();
         println!(
             "   {:<5} → {:<5} in {:>9.3?}  (passed {} vertices, scck {}, |V(S,G)| {})",
             alg.name(),

@@ -11,7 +11,7 @@
 //!
 //! Run with `cargo run --example live_update`.
 
-use kgreach::{Algorithm, IndexMaintenance, LocalIndexConfig, LscrEngine, LscrQuery};
+use kgreach::{Algorithm, IndexMaintenance, LocalIndexConfig, LscrEngine, LscrQuery, QueryOptions};
 use kgreach_datagen::lubm::{generate, LubmConfig};
 use kgreach_datagen::updates::{update_workload, UpdateWorkloadConfig};
 use kgreach_graph::{GraphBuilder, Triple};
@@ -87,6 +87,8 @@ pub(crate) fn main() {
     let live_graph = engine.graph();
     let rebuilt_graph = rebuilt.graph();
     assert_eq!(live_graph.num_edges(), rebuilt_graph.num_edges());
+    let (mut live, mut fresh) = (engine.session(), rebuilt.session());
+    let opts = QueryOptions::default();
 
     let mut checked = 0usize;
     for (i, t) in final_triples.iter().enumerate().step_by(997) {
@@ -101,9 +103,12 @@ pub(crate) fn main() {
             );
             let lq = LscrQuery::new(ls, lt, live_graph.all_labels(), constraint.clone());
             let rq = LscrQuery::new(rs, rt, rebuilt_graph.all_labels(), constraint.clone());
+            let lq = engine.compile(&lq).expect("live compiles");
+            let rq = rebuilt.compile(&rq).expect("rebuilt compiles");
             for alg in [Algorithm::Uis, Algorithm::Ins, Algorithm::Auto] {
-                let live_ans = engine.answer(&lq, alg).expect("live answers").answer;
-                let rebuilt_ans = rebuilt.answer(&rq, alg).expect("rebuilt answers").answer;
+                let live_ans = live.answer_compiled(&lq, alg, &opts).expect("live answers").answer;
+                let rebuilt_ans =
+                    fresh.answer_compiled(&rq, alg, &opts).expect("rebuilt answers").answer;
                 assert_eq!(
                     live_ans, rebuilt_ans,
                     "{alg} disagrees on pair ({i}, {j}) after the stream"

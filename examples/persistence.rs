@@ -8,7 +8,9 @@
 //! (checksums + fingerprint) — and answer exactly as the original engine
 //! did. Run with `cargo run --example persistence`.
 
-use kgreach::{Algorithm, LocalIndexConfig, LscrEngine, LscrQuery, SubstructureConstraint};
+use kgreach::{
+    Algorithm, LocalIndexConfig, LscrEngine, LscrQuery, QueryOptions, SubstructureConstraint,
+};
 use kgreach_datagen::lubm::{generate, LubmConfig};
 use std::time::Instant;
 
@@ -64,9 +66,13 @@ pub(crate) fn main() {
         SubstructureConstraint::parse("SELECT ?x WHERE { ?x <rdf:type> <ub:FullProfessor> . }")
             .expect("constraint parses"),
     );
+    let opts = QueryOptions::default();
+    let q_before = engine.compile(&q).expect("query compiles");
+    let q_after = restored.compile(&q).expect("query compiles");
+    let (mut before, mut after) = (engine.session(), restored.session());
     for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-        let original = engine.answer(&q, alg).expect("query compiles").answer;
-        let after_restart = restored.answer(&q, alg).expect("query compiles").answer;
+        let original = before.answer_compiled(&q_before, alg, &opts).expect("answers").answer;
+        let after_restart = after.answer_compiled(&q_after, alg, &opts).expect("answers").answer;
         assert_eq!(original, after_restart, "{alg} must not change across a restart");
         println!("{alg:>5}: {after_restart} (same before and after restart)");
     }

@@ -1,5 +1,5 @@
-//! Quickstart: build a small knowledge graph, pose an LSCR query, answer
-//! it through the shared engine — one-shot, via a session, and compiled once.
+//! Quickstart: build a small knowledge graph, pose an LSCR query, compile
+//! it once through the shared engine and answer it on a session.
 //!
 //! Run with: `cargo run -p kgreach-examples --example quickstart`
 
@@ -42,11 +42,15 @@ pub(crate) fn main() {
         SubstructureConstraint::parse("SELECT ?x WHERE { ?x <leads> ?lab . }").unwrap(),
     );
 
-    // A session reuses one scratch set across the whole loop — including
-    // `Auto`, where the engine picks the algorithm and records its choice.
+    // A compiled query is validated and planned once and reuses the
+    // materialized V(S,G) on every execution. A session reuses one scratch
+    // set across the whole loop — including `Auto`, where the engine picks
+    // the algorithm and records its choice.
+    let compiled = engine.compile(&query).unwrap();
     let mut session = engine.session();
+    let opts = QueryOptions::default();
     for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-        let outcome = session.answer(&query, alg).unwrap();
+        let outcome = session.answer_compiled(&compiled, alg, &opts).unwrap();
         println!(
             "{:<5} answered {:<5} in {:?} (ran {}, passed {} vertices)",
             alg.name(),
@@ -58,12 +62,9 @@ pub(crate) fn main() {
         assert!(outcome.answer, "ada → grace → alan(leads lab) → kurt exists");
     }
 
-    // A compiled query is validated and planned once and reuses the
-    // materialized V(S,G) on every execution; options select extras like
-    // the witness path.
-    let compiled = engine.compile(&query).unwrap();
-    let witness = engine
-        .answer_compiled(&compiled, Algorithm::UisStar, &QueryOptions::default().with_witness(true))
+    // Options select extras like the witness path.
+    let witness = session
+        .answer_compiled(&compiled, Algorithm::UisStar, &opts.clone().with_witness(true))
         .unwrap()
         .witness
         .expect("true answers yield a witness when requested");
@@ -79,7 +80,8 @@ pub(crate) fn main() {
         graph.label_set(&["mentors"]),
         query.constraint.clone(),
     );
-    let outcome = engine.answer(&strict, Algorithm::Uis).unwrap();
+    let strict = engine.compile(&strict).unwrap();
+    let outcome = session.answer_compiled(&strict, Algorithm::Uis, &opts).unwrap();
     println!("mentors-only: {}", outcome.answer);
     assert!(!outcome.answer);
 }

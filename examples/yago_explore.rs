@@ -1,10 +1,10 @@
 //! Random substructure constraints with controlled selectivity on a
 //! YAGO-style scale-free KG — the §6.2 experiment in miniature, plus a
-//! multi-threaded batch pass over the same workload.
+//! multi-threaded pass over the same workload, one session per thread.
 //!
 //! Run with: `cargo run -p kgreach-examples --release --example yago_explore`
 
-use kgreach::{Algorithm, LscrEngine, LscrQuery};
+use kgreach::{Algorithm, CompiledLscrQuery, LscrEngine, LscrQuery, QueryOptions};
 use kgreach_datagen::random_constraint_with_magnitude;
 use kgreach_datagen::yago::{generate, YagoConfig};
 use rand::rngs::SmallRng;
@@ -31,9 +31,10 @@ pub(crate) fn main() {
     );
 
     let mut session = engine.session();
+    let opts = QueryOptions::default();
     let mut rng = SmallRng::seed_from_u64(41);
     let all = g.all_labels();
-    let mut batch: Vec<(LscrQuery, Algorithm)> = Vec::new();
+    let mut batch: Vec<CompiledLscrQuery> = Vec::new();
 
     for magnitude in [10usize, 100, 1000] {
         let Some((constraint, count)) =
@@ -47,34 +48,48 @@ pub(crate) fn main() {
         for _ in 0..3 {
             let s = kgreach_graph::VertexId(rng.gen_range(0..g.num_vertices() as u32));
             let t = kgreach_graph::VertexId(rng.gen_range(0..g.num_vertices() as u32));
-            let q = LscrQuery::new(s, t, all, constraint.clone());
+            let q = engine.compile(&LscrQuery::new(s, t, all, constraint.clone())).unwrap();
             let mut answers = Vec::new();
             print!("  {s}→{t}: ");
             for alg in Algorithm::ALL {
-                let out = session.answer(&q, alg).unwrap();
+                let out = session.answer_compiled(&q, alg, &opts).unwrap();
                 print!("{}={} ({} passed)  ", alg.name(), out.answer, out.stats.passed_vertices);
                 answers.push(out.answer);
             }
             println!();
             assert!(answers.windows(2).all(|w| w[0] == w[1]), "disagreement");
-            batch.push((q, Algorithm::Auto));
+            batch.push(q);
         }
     }
-    drop(session);
 
-    // The same workload once more, fanned across 4 threads with the
-    // engine picking algorithms — answers must not change.
+    // The same compiled workload once more on 4 threads, each answering a
+    // chunk on a session of its own, with the engine picking algorithms —
+    // answers must not change.
     let start = std::time::Instant::now();
-    let results = engine.answer_batch(&batch, 4);
-    let trues = results.iter().filter(|r| r.as_ref().unwrap().answer).count();
+    let chunk = batch.len().div_ceil(4).max(1);
+    let results: Vec<bool> = std::thread::scope(|scope| {
+        let threads: Vec<_> = batch
+            .chunks(chunk)
+            .map(|queries| {
+                let (engine, opts) = (&engine, &opts);
+                scope.spawn(move || {
+                    let mut session = engine.session();
+                    let answer = |q| session.answer_compiled(q, Algorithm::Auto, opts).unwrap();
+                    queries.iter().map(answer).map(|out| out.answer).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        threads.into_iter().flat_map(|t| t.join().unwrap()).collect()
+    });
+    let trues = results.iter().filter(|&&answer| answer).count();
     println!(
-        "\nbatch: {} queries via Auto across 4 threads in {:?} ({trues} true)",
+        "\nthreaded: {} queries via Auto across 4 threads in {:?} ({trues} true)",
         batch.len(),
         start.elapsed()
     );
-    for ((q, _), r) in batch.iter().zip(&results) {
-        let sequential = engine.answer(q, Algorithm::Oracle).unwrap().answer;
-        assert_eq!(r.as_ref().unwrap().answer, sequential, "batch answer drifted");
+    for (q, answer) in batch.iter().zip(&results) {
+        let sequential = session.answer_compiled(q, Algorithm::Oracle, &opts).unwrap().answer;
+        assert_eq!(*answer, sequential, "threaded answer drifted");
     }
-    println!("All algorithms (and the threaded batch) agreed on every query.");
+    println!("All algorithms (and the threaded pass) agreed on every query.");
 }

@@ -12,16 +12,24 @@
 //! `outcome_text`, the response text. The HTTP read and write around them
 //! are not counted.
 //!
+//! A one-edit `/update` body goes through the stages of a server without
+//! a data directory, counted the same way: `Json::parse` → `parse_update`
+//! → `LscrEngine::apply_update` on an engine with no index built →
+//! `render_update` and its text. Each pass runs on a fresh engine over the
+//! same graph, so no pass reuses what an earlier one grew.
+//!
 //! This binary installs [`CountingAlloc`] as the global allocator and
 //! holds everything in one `#[test]`, so no other test's allocations land
 //! in a count (as in `memory_audit.rs`). Counts are the same under debug
 //! and release codegen; CI runs both.
 
-use kgreach::LscrEngine;
+use kgreach::{Graph, LscrEngine, VertexId};
+use kgreach_datagen::top_label_set;
 use kgreach_integration::s1_s5_wire_bodies;
-use kgreach_serve::protocol::outcome_text;
+use kgreach_serve::protocol::{outcome_text, parse_update, render_update};
 use kgreach_serve::{BatchConfig, Json, QueryRequest};
 use kgreach_sync::alloc::CountingAlloc;
+use kgreach_sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -32,6 +40,12 @@ const STAGES: [&str; 5] = ["json.parse", "protocol.parse", "resolve", "answer", 
 /// Allocations per stage, S1–S5, as committed. A change that allocates
 /// more on the request path fails here with the measured table.
 const BUDGET: [[usize; 5]; 5] = [[15, 7, 0, 0, 1]; 5];
+
+/// The stages of a `/update`, in request order.
+const UPDATE_STAGES: [&str; 4] = ["json.parse", "protocol.parse", "apply", "write"];
+
+/// Allocations per stage of a one-edit `/update`, as committed.
+const UPDATE_BUDGET: [usize; 4] = [12, 8, 19, 16];
 
 /// The totals while every warm query still parsed its constraint text
 /// (7–29 allocations), built a response tree (20) and flattened it (2),
@@ -63,10 +77,23 @@ fn stage_counts(engine: &LscrEngine, body: &str) -> [usize; 5] {
     [parse, request, resolve, answer, write]
 }
 
+/// One pass of the `/update` `body` through every stage, on a fresh engine
+/// over `g`: the allocations of each.
+fn update_counts(g: &Arc<Graph>, body: &str) -> [usize; 4] {
+    let engine = LscrEngine::new(Arc::clone(g));
+    let (json, parse) = counted(|| Json::parse(body).unwrap());
+    let (batch, request) = counted(|| parse_update(&json).unwrap());
+    let (out, apply) = counted(|| engine.apply_update(&batch).unwrap());
+    let (text, write) = counted(|| render_update(&out, None, false).to_string());
+    assert!(text.contains("\"edges_inserted\":1,"), "{text}");
+    [parse, request, apply, write]
+}
+
 #[test]
 fn a_warm_query_allocates_what_its_budget_says() {
     let (g, bodies) = s1_s5_wire_bodies();
-    let engine = LscrEngine::new(g);
+    let g = Arc::new(g);
+    let engine = LscrEngine::new(Arc::clone(&g));
     // Warm: the plan cache, the memos and the scratch pool fill on the
     // first pass. Then the least of three passes, so a stray allocation
     // on another thread cannot inflate a count.
@@ -92,4 +119,18 @@ fn a_warm_query_allocates_what_its_budget_says() {
     }
     let budget: Vec<[usize; 5]> = BUDGET.to_vec();
     assert_eq!(measured, budget, "allocation counts moved\n{table}");
+
+    // One new edge from vertex 0 to vertex 1 under the most frequent label.
+    let label = top_label_set(&g, 1).iter().next().unwrap();
+    let (s, o) = (g.vertex_name(VertexId(0)), g.vertex_name(VertexId(1)));
+    let edit =
+        [("op", "insert"), ("subject", s), ("predicate", g.label_name(label)), ("object", o)];
+    let op = Json::Obj(edit.iter().map(|&(k, v)| (k.into(), Json::str(v))).collect());
+    let body = Json::Obj(vec![("ops".into(), Json::Arr(vec![op]))]).to_string();
+    let passes = [(); 3].map(|()| update_counts(&g, &body));
+    let update: [usize; 4] = std::array::from_fn(|s| passes.iter().map(|p| p[s]).min().unwrap());
+    let cells = update.map(|n| format!("{n:>15}")).concat();
+    let header = UPDATE_STAGES.map(|s| format!("{s:>15}")).concat();
+    eprintln!("allocations per one-edit /update stage:\n{header}\n{cells}");
+    assert_eq!(update, UPDATE_BUDGET, "/update allocation counts moved\n{header}\n{cells}");
 }

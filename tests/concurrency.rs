@@ -1,12 +1,13 @@
 //! Concurrency tests for the shared-engine API: one `LscrEngine` across
 //! many threads must answer a mixed UIS/UIS*/INS/Auto workload exactly
-//! like the single-threaded oracle — via raw `std::thread::scope`
-//! sessions, via `answer_batch`, and via compiled queries shared by
-//! reference across threads.
+//! like the single-threaded oracle — on eight scoped threads with a
+//! session each, with the local index built up front or built lazily by
+//! the racing INS queries, and via compiled queries shared by reference
+//! across threads.
 
 use kgreach::{Algorithm, CompiledLscrQuery, LscrEngine, LscrQuery, QueryOptions};
 use kgreach_datagen::constraints::{s1, s3};
-use kgreach_integration::small_lubm;
+use kgreach_integration::{answer, answer_on_sessions, small_lubm};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,64 +34,42 @@ fn mixed_workload(engine: &LscrEngine, queries: usize) -> Vec<(LscrQuery, Algori
 }
 
 fn sequential_oracle(engine: &LscrEngine, workload: &[(LscrQuery, Algorithm)]) -> Vec<bool> {
-    let mut session = engine.session();
-    workload.iter().map(|(q, _)| session.answer(q, Algorithm::Oracle).unwrap().answer).collect()
+    workload.iter().map(|(q, _)| answer(engine, q, Algorithm::Oracle).unwrap().answer).collect()
+}
+
+/// `workload` on eight scoped threads, one session each, contiguous
+/// chunks, checked against the sequential oracle.
+fn eight_sessions_match_the_oracle(engine: &LscrEngine, workload: &[(LscrQuery, Algorithm)]) {
+    let expected = sequential_oracle(engine, workload);
+    let outcomes = answer_on_sessions(engine, workload, &QueryOptions::default(), THREADS);
+    assert_eq!(outcomes.len(), workload.len());
+    for (i, out) in outcomes.iter().enumerate() {
+        assert_eq!(
+            out.answer, expected[i],
+            "query {i} ({}) diverged under 8 threads",
+            workload[i].1
+        );
+        assert!(out.stats.algorithm.is_some(), "executed algorithm recorded");
+    }
 }
 
 #[test]
 fn shared_engine_eight_threads_matches_sequential_oracle() {
     let engine = LscrEngine::new(small_lubm(40));
-    let _ = engine.local_index(); // exercise INS on every thread
+    // Built up front, so INS runs on every thread. The algorithm tag
+    // cycles every 4 queries, so each thread's chunk of 12 spans every
+    // algorithm.
+    let _ = engine.local_index();
     let workload = mixed_workload(&engine, 96);
-    let expected = sequential_oracle(&engine, &workload);
-
-    // Raw scoped threads, one session each, contiguous chunks — the
-    // algorithm tag cycles every 4 queries, so each chunk of 12 spans
-    // every algorithm.
-    let mut answers = vec![None; workload.len()];
-    let mut slots: Vec<&mut [Option<bool>]> = Vec::new();
-    let mut rest = answers.as_mut_slice();
-    for _ in 0..THREADS {
-        let (head, tail) = rest.split_at_mut(workload.len() / THREADS);
-        slots.push(head);
-        rest = tail;
-    }
-    std::thread::scope(|scope| {
-        for (worker, chunk) in slots.into_iter().enumerate() {
-            let workload = &workload;
-            let engine = &engine;
-            scope.spawn(move || {
-                let mut session = engine.session();
-                let base = worker * chunk.len();
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    let (q, alg) = &workload[base + offset];
-                    *slot = Some(session.answer(q, *alg).unwrap().answer);
-                }
-            });
-        }
-    });
-    for (i, got) in answers.iter().enumerate() {
-        assert_eq!(
-            got.unwrap(),
-            expected[i],
-            "query {i} ({}) diverged under 8 threads",
-            workload[i].1
-        );
-    }
+    eight_sessions_match_the_oracle(&engine, &workload);
 }
 
 #[test]
-fn answer_batch_eight_threads_matches_sequential_oracle() {
+fn eight_sessions_build_the_index_lazily_and_match_sequential_oracle() {
+    // No index up front: the first INS queries on the eight threads race
+    // to build it.
     let engine = LscrEngine::new(small_lubm(41));
-    let workload = mixed_workload(&engine, 64);
-    let expected = sequential_oracle(&engine, &workload);
-    let results = engine.answer_batch(&workload, THREADS);
-    assert_eq!(results.len(), workload.len());
-    for (i, r) in results.iter().enumerate() {
-        let out = r.as_ref().unwrap();
-        assert_eq!(out.answer, expected[i], "batch query {i} diverged");
-        assert!(out.stats.algorithm.is_some(), "executed algorithm recorded");
-    }
+    eight_sessions_match_the_oracle(&engine, &mixed_workload(&engine, 64));
 }
 
 #[test]
@@ -105,7 +84,7 @@ fn compiled_queries_shared_across_threads() {
             let t = kgreach_graph::VertexId(rng.gen_range(0..g.num_vertices() as u32));
             let c = if i % 2 == 0 { s1() } else { s3() };
             let q = LscrQuery::new(s, t, g.all_labels(), c);
-            let expected = engine.answer(&q, Algorithm::Oracle).unwrap().answer;
+            let expected = answer(&engine, &q, Algorithm::Oracle).unwrap().answer;
             (engine.compile(&q).unwrap(), expected)
         })
         .collect();

@@ -134,9 +134,14 @@ fn passed_vertex_metric_ordering() {
     let mut ins_total = 0usize;
     let mut uis_total = 0usize;
     for gq in &w.true_queries {
-        ins_total += session.answer(&gq.query, Algorithm::Ins).unwrap().stats.passed_vertices;
+        let compiled = engine.compile(&gq.query).unwrap();
+        ins_total += session
+            .answer_compiled(&compiled, Algorithm::Ins, &QueryOptions::default())
+            .unwrap()
+            .stats
+            .passed_vertices;
         uis_total += session
-            .answer_with_options(&gq.query, Algorithm::Uis, &one_frontier)
+            .answer_compiled(&compiled, Algorithm::Uis, &one_frontier)
             .unwrap()
             .stats
             .passed_vertices;

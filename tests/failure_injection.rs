@@ -11,7 +11,7 @@ use kgreach::{
 };
 use kgreach_graph::snapshot::{self, ArtifactKind, FORMAT_VERSION, MAGIC};
 use kgreach_graph::{Graph, GraphBuilder, GraphError, LabelSet, VertexId, MAX_LABELS};
-use kgreach_integration::{random_typed_graph, small_lubm};
+use kgreach_integration::{answer, random_typed_graph, small_lubm};
 
 #[test]
 fn too_many_labels_is_a_typed_error() {
@@ -34,7 +34,7 @@ fn out_of_range_vertices_rejected_at_compile() {
     let c =
         SubstructureConstraint::parse("SELECT ?x WHERE { ?x <rdf:type> <ub:Course> . }").unwrap();
     let q = LscrQuery::new(VertexId(u32::MAX - 1), VertexId(0), engine.graph().all_labels(), c);
-    match engine.answer(&q, Algorithm::Uis) {
+    match answer(&engine, &q, Algorithm::Uis) {
         Err(QueryError::Graph(GraphError::VertexOutOfRange { .. })) => {}
         other => panic!("expected VertexOutOfRange, got {other:?}"),
     }
@@ -610,7 +610,8 @@ fn parser_sweeps_never_panic() {
     sweep(&query, &|body| {
         let request = Json::parse(body).ok().and_then(|j| QueryRequest::parse(&j).ok());
         let q = request.and_then(|r| r.resolve(&g).ok());
-        drop(q.map(|q| engine.answer_with_options(&q, Algorithm::Auto, &budget)));
+        let compiled = q.map(|q| engine.compile(&q));
+        drop(compiled.map(|c| engine.session().answer_compiled(&c?, Algorithm::Auto, &budget)));
     });
     sweep(update, &|body| drop(Json::parse(body).map(|j| parse_update(&j))));
     for text in &constraints {

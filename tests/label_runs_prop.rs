@@ -8,7 +8,7 @@
 use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions};
 use kgreach_graph::{LabelSet, VertexId};
 use kgreach_integration::matrix::{Form, Matrix, Run};
-use kgreach_integration::{random_graph, random_typed_graph};
+use kgreach_integration::{answer, random_graph, random_typed_graph};
 use proptest::prelude::*;
 
 proptest! {
@@ -98,9 +98,11 @@ fn scck_cache_hits_across_repeated_queries() {
     let c =
         kgreach::SubstructureConstraint::parse("SELECT ?x WHERE { ?x <rdf:type> <C1> . }").unwrap();
     let q = LscrQuery::new(VertexId(0), VertexId(17), g.all_labels(), c);
+    let compiled = engine.compile(&q).unwrap();
     let mut session = engine.session();
-    let first = session.answer(&q, Algorithm::Uis).unwrap();
-    let second = session.answer(&q, Algorithm::Uis).unwrap();
+    let opts = QueryOptions::default();
+    let first = session.answer_compiled(&compiled, Algorithm::Uis, &opts).unwrap();
+    let second = session.answer_compiled(&compiled, Algorithm::Uis, &opts).unwrap();
     assert_eq!(first.answer, second.answer);
     assert!(first.stats.scck_calls > 0);
     // Same constraint text → same plan-cache entry → the second run's SCck
@@ -114,7 +116,7 @@ fn scck_cache_hits_across_repeated_queries() {
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
-                let out = engine.answer(&q, Algorithm::Uis).unwrap();
+                let out = answer(&engine, &q, Algorithm::Uis).unwrap();
                 assert_eq!(out.answer, first.answer);
                 assert_eq!(out.stats.scck_cache_hits, out.stats.scck_calls);
             });

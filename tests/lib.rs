@@ -2,6 +2,7 @@
 //! The differential matrix — the case generator every oracle comparison
 //! runs through — is [`matrix`].
 
+use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryError, QueryOptions, QueryOutcome};
 use kgreach_datagen::{all_lubm_constraints, lubm, top_label_set, LubmConfig};
 use kgreach_graph::{Graph, GraphBuilder, VertexId};
 use kgreach_serve::Json;
@@ -86,4 +87,43 @@ pub fn s1_s5_wire_bodies() -> (Graph, Vec<(&'static str, String)>) {
         })
         .collect();
     (g, bodies)
+}
+
+/// `query` answered by `algorithm` under default options: compiled
+/// through `engine`'s plan cache, then answered on a session of its own.
+pub fn answer(
+    engine: &LscrEngine,
+    query: &LscrQuery,
+    algorithm: Algorithm,
+) -> Result<QueryOutcome, QueryError> {
+    let compiled = engine.compile(query)?;
+    engine.session().answer_compiled(&compiled, algorithm, &QueryOptions::default())
+}
+
+/// `queries` answered under `opts` on `threads` scoped threads, each
+/// holding a session of its own over the one shared `engine` and taking
+/// a contiguous chunk; the outcomes in input order.
+pub fn answer_on_sessions(
+    engine: &LscrEngine,
+    queries: &[(LscrQuery, Algorithm)],
+    opts: &QueryOptions,
+    threads: usize,
+) -> Vec<QueryOutcome> {
+    let chunk = queries.len().div_ceil(threads).max(1);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = queries
+            .chunks(chunk)
+            .map(|chunk| {
+                scope.spawn(move || {
+                    let mut session = engine.session();
+                    let answer = |(q, alg): &(LscrQuery, Algorithm)| {
+                        let compiled = engine.compile(q).unwrap();
+                        session.answer_compiled(&compiled, *alg, opts).unwrap()
+                    };
+                    chunk.iter().map(answer).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|worker| worker.join().unwrap()).collect()
+    })
 }

@@ -21,6 +21,7 @@
 //! in the observer [`Matrix::run`] shows each [`Case`]. A new axis is one
 //! [`Form`] arm, one [`QueryOptions`] field, or one query source.
 
+use crate::answer_on_sessions;
 use kgreach::fixtures::{figure3, s0};
 use kgreach::{
     find_witness, ins, uis, uis_star, Algorithm, CompiledLscrQuery, DurableEngine, FsyncPolicy,
@@ -65,7 +66,8 @@ pub enum Form {
     Wire,
     /// One `POST /query_batch` per run, holding every query.
     WireBatch,
-    /// The live engine's `answer_batch` on 8 threads (default options only).
+    /// The live engine on 8 scoped threads, each answering a chunk of the
+    /// queries on a session of its own.
     Batch8,
 }
 
@@ -197,8 +199,9 @@ impl Matrix {
                         }
                         None => {
                             let batch: Vec<_> = tqs.iter().map(|q| (q.clone(), run.alg)).collect();
-                            let outs = engine.as_ref().unwrap().answer_batch(&batch, 8);
-                            outs.into_iter().map(|o| o.unwrap().into()).collect()
+                            let engine = engine.as_ref().unwrap();
+                            let outs = answer_on_sessions(engine, &batch, &run.opts, 8);
+                            outs.into_iter().map(Outcome::from).collect()
                         }
                     }))
                     .collect()
@@ -218,7 +221,8 @@ impl Matrix {
                 if let Some(engine) = &engine {
                     let plan = engine.compile(q).unwrap();
                     let hint = plan.constraint.vsg_len_if_materialized();
-                    return (engine.answer_compiled(&plan, alg, opts).unwrap().into(), hint);
+                    let out = engine.session().answer_compiled(&plan, alg, opts).unwrap();
+                    return (out.into(), hint);
                 }
                 if !matches!(compiled, Some((at, _)) if at == i) {
                     compiled = Some((i, q.compile(&fg).unwrap()));

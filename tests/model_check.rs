@@ -28,6 +28,7 @@
 use kgreach::constraint::{ScckCache, SubstructureConstraint, INLINE_SLOTS};
 use kgreach::{Algorithm, LscrEngine, LscrQuery};
 use kgreach_graph::{GraphBuilder, UpdateBatch, VertexId};
+use kgreach_integration::answer;
 use kgreach_serve::{BatchConfig, Batcher, Json, LatencyHistogram, QueryRequest, ServerMetrics};
 use kgreach_sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use kgreach_sync::{thread, Arc, Condvar, Mutex};
@@ -114,10 +115,10 @@ fn update_during_query_pins_a_consistent_state() {
             });
             // Racing query: sees the edge or not, but never panics,
             // deadlocks or mixes the two states.
-            let _racing = engine.answer(&q, Algorithm::Uis).unwrap();
+            let _racing = answer(&engine, &q, Algorithm::Uis).unwrap();
             t.join().unwrap();
             // Post-join query: the deletion must be fully visible.
-            let after = engine.answer(&q, Algorithm::Uis).unwrap();
+            let after = answer(&engine, &q, Algorithm::Uis).unwrap();
             assert!(!after.answer, "deleted edge still reachable after update joined");
         })
         .expect("update-during-query model");
@@ -370,11 +371,11 @@ fn snapshot_reload_during_query_under_shuttle() {
             let t = thread::spawn(move || {
                 reloader.reload_from_snapshot(&snapshot[..]).unwrap();
             });
-            let racing = engine.answer(&q, Algorithm::Uis).unwrap();
+            let racing = answer(&engine, &q, Algorithm::Uis).unwrap();
             assert!(racing.answer, "same-content reload must never flip an answer");
             t.join().unwrap();
             assert!(engine.graph_epoch() > epoch_before, "reload must advance the epoch");
-            let after = engine.answer(&q, Algorithm::Uis).unwrap();
+            let after = answer(&engine, &q, Algorithm::Uis).unwrap();
             assert!(after.answer);
         })
         .expect("reload shuttle model");

@@ -31,7 +31,7 @@ use kgreach_graph::{Graph, VertexId};
 use kgreach_integration::matrix::{
     lubm_draws, s1_s3, wire_body, workload, Form, Matrix, Run, ALGORITHMS,
 };
-use kgreach_integration::{s1_s5_wire_bodies, small_lubm};
+use kgreach_integration::{answer, s1_s5_wire_bodies, small_lubm};
 use kgreach_serve::{serve, BatchConfig, HttpClient, HttpLimits, Json, QueryRequest, ServerConfig};
 use kgreach_sync::atomic::{AtomicBool, Ordering};
 use kgreach_sync::Arc;
@@ -540,7 +540,7 @@ fn queries_past_the_free_slots_wait_on_their_own_threads() {
         .zip(&s3_queries)
         .flat_map(|(a, b)| [a, b])
         .map(|(q, _)| {
-            let in_process = engine.answer(q, Algorithm::Auto).unwrap().answer;
+            let in_process = answer(&engine, q, Algorithm::Auto).unwrap().answer;
             (wire_body(&graph, q, Algorithm::Auto, &QueryOptions::default()), in_process)
         })
         .collect();
@@ -783,7 +783,7 @@ fn respelled_constraints_answer_alike_and_only_they_are_parsed() {
                 body.replace(&Json::str(canonical).to_string(), &Json::str(spelled).to_string());
             assert_ne!(&respelled, body);
             // In process first: this warms the plan cache with all five.
-            let expected = engine.answer(&q, Algorithm::Auto).unwrap().answer;
+            let expected = answer(&engine, &q, Algorithm::Auto).unwrap().answer;
             (body.clone(), respelled, expected)
         })
         .collect();
@@ -935,7 +935,7 @@ fn written_responses_match_the_tree_renderer_byte_for_byte() {
     let (g, bodies) = s1_s5_wire_bodies();
     let engine = Arc::new(LscrEngine::new(g));
     let graph = engine.graph();
-    let oracle = |q: &LscrQuery| engine.answer(q, Algorithm::Oracle).unwrap().answer;
+    let oracle = |q: &LscrQuery| answer(&engine, q, Algorithm::Oracle).unwrap().answer;
     let draws = lubm_draws(&graph, 200, 11);
     let (trues, falses): (Vec<&LscrQuery>, Vec<&LscrQuery>) = draws.iter().partition(|q| oracle(q));
     assert!(trues.len() >= 5 && falses.len() >= 5, "{} true, {} false", trues.len(), falses.len());
@@ -979,7 +979,8 @@ fn written_responses_match_the_tree_renderer_byte_for_byte() {
         resp.body
     };
     let reference = |(_, q, alg, opts): &(String, LscrQuery, Algorithm, QueryOptions)| {
-        reference_render(&graph, &engine.answer_with_options(q, *alg, opts).unwrap())
+        let compiled = engine.compile(q).unwrap();
+        reference_render(&graph, &engine.session().answer_compiled(&compiled, *alg, opts).unwrap())
     };
     // Two warm passes fill every memo a case touches, so from here on a
     // served and an in-process answer count the same cache hits.

@@ -1,9 +1,9 @@
 //! Differential test for the snapshot cold-start path: an engine restored
 //! from a binary snapshot must answer S1–S3 workload queries *identically*
 //! to the engine built the expensive way — text triples parsed from disk —
-//! across UIS, UIS\*, INS and Auto, both sequentially and under an 8-thread
-//! `answer_batch`. Plus the matrix's negative control: every serving form
-//! that flips one answer fails it.
+//! across UIS, UIS\*, INS and Auto, both sequentially and on eight
+//! concurrent sessions. Plus the matrix's negative control: every serving
+//! form that flips one answer fails it.
 
 use kgreach::{LocalIndexConfig, QueryOptions, SubstructureConstraint};
 use kgreach_integration::matrix::Form::*;

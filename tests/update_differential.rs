@@ -1,7 +1,7 @@
 //! Dynamic-update differential suite: an engine that *applied* an edit
 //! stream must be indistinguishable from an engine *rebuilt* from the
-//! final triple set — on every algorithm, sequentially and under
-//! multi-threaded `answer_batch`, with the local index maintained
+//! final triple set — on every algorithm, sequentially and on eight
+//! concurrent sessions, with the local index maintained
 //! incrementally along the way.
 //!
 //! Vertex/label ids differ between the two engines (the live engine
@@ -76,7 +76,7 @@ proptest! {
 
 /// The acceptance-criteria scenario: an S1–S3 evaluation workload on a
 /// LUBM replica, answered identically by the streamed-updates engine and
-/// the rebuilt engine — sequentially and under 8-thread `answer_batch`.
+/// the rebuilt engine — sequentially and on eight concurrent sessions.
 #[test]
 fn s_workloads_agree_after_update_stream() {
     let final_graph = kgreach_integration::small_lubm(21);
@@ -137,12 +137,17 @@ fn updates_race_queries_safely() {
                     };
                     // src -> mid always holds regardless of the writer.
                     let q = LscrQuery::new(s, m, g.all_labels(), constraint.clone());
-                    assert!(session.answer(&q, Algorithm::Uis).unwrap().answer);
+                    let opts = QueryOptions::default();
+                    let compiled = engine.compile(&q).unwrap();
+                    assert!(
+                        session.answer_compiled(&compiled, Algorithm::Uis, &opts).unwrap().answer
+                    );
                     if let Some(d) = g.vertex_id("dst") {
                         let q = LscrQuery::new(s, d, g.all_labels(), constraint.clone());
                         // May be true or false depending on the writer's
                         // phase; must simply not crash or wedge.
-                        let _ = session.answer(&q, Algorithm::Auto).unwrap();
+                        let compiled = engine.compile(&q).unwrap();
+                        let _ = session.answer_compiled(&compiled, Algorithm::Auto, &opts).unwrap();
                     }
                 }
             });

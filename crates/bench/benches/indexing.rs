@@ -1,5 +1,4 @@
-//! Index-construction benchmarks and the two design ablations DESIGN.md
-//! calls out:
+//! Index-construction benchmarks and two design ablations:
 //!
 //! * **landmark count** — the paper fixes `k = log|V|·√|V|`; sweep k/4,
 //!   k, 4k to show the indexing-cost/pruning trade-off;

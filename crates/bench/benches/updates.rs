@@ -6,8 +6,9 @@
 //!
 //! Expected shape: `apply_delta_and_query` ≥ 5× faster than
 //! `rebuild_and_query` — the overlay touches only the patched vertices
-//! and the index repairs only the touched partitions, while the rebuild
-//! pays the full CSR sort, schema derivation and every landmark BFS.
+//! and the update drops the local index instead of repairing it, while
+//! the rebuild pays the full CSR sort, schema derivation and every
+//! landmark BFS.
 //! `compact` is measured separately: the cost of re-freezing the overlay
 //! once the delta threshold trips. Numbers are recorded in
 //! `bench-results/BENCH_updates.json` and README.md ("Performance").
@@ -69,7 +70,6 @@ fn bench_updates(c: &mut Criterion) {
     };
 
     let engine = LscrEngine::with_index_config(base, config.clone());
-    let _ = engine.local_index(); // index present, so updates maintain it
 
     let mut group = c.benchmark_group("updates");
     group.sample_size(10);
@@ -102,9 +102,9 @@ fn bench_updates(c: &mut Criterion) {
         })
     });
     // The O(delta) engine-swap floor: a single-edge insert+delete pair
-    // on an index-free engine over the compact graph (index repair is
-    // partition-sized work and overlay carry-over is delta-sized work —
-    // both measured by apply_delta_and_query above). The swap shares
+    // on an index-free engine over the compact graph (overlay carry-over
+    // is delta-sized work, measured by apply_delta_and_query above). The
+    // swap shares
     // the frozen CSR/dictionaries via `Arc`, so this stays in
     // microseconds on D5' (~55k vertices / ~240k edges) where it used
     // to pay a full O(|V|+|E|) graph memcpy per batch.

@@ -5,7 +5,8 @@
 //!         [--quick]`
 //!
 //! `--quick` shrinks every experiment for a minutes-scale smoke run;
-//! without it the defaults match EXPERIMENTS.md.
+//! without it each binary runs at its own default scale (README.md,
+//! "Benchmarks and the paper's experiments").
 
 use std::process::Command;
 

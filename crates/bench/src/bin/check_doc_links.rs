@@ -1,8 +1,8 @@
-//! Audits generated rustdoc HTML *and* the repo's markdown for broken
-//! relative links.
+//! Audits generated rustdoc HTML, the repo's markdown and the markdown
+//! files Rust comments cite for broken relative links.
 //!
 //! `cargo doc` with `RUSTDOCFLAGS=-D warnings` already rejects broken
-//! *intra-doc* links at the source level, but it cannot see two further
+//! *intra-doc* links at the source level, but it cannot see three further
 //! failure classes:
 //!
 //! 1. `href`s in the generated HTML that point at files which were never
@@ -17,14 +17,19 @@
 //!    `ARCHITECTURE.md`, `docs/*.md`) whose target file moved or was
 //!    never committed — nothing else in the build reads those files, so
 //!    they rot silently.
+//! 3. A `*.md` file named in a Rust comment (`see docs/PROTOCOL.md`) that
+//!    exists nowhere: the name resolves against the source file's
+//!    directory or any directory above it, so `README.md` in a crate
+//!    finds the crate's README and `docs/…` the repo's.
 //!
 //! Each argument is a file or a directory: directories are walked
-//! recursively, collecting `.html` (audited as rustdoc output) and `.md`
-//! (audited as markdown) files; a file argument is audited by its
-//! extension. The tool fails, listing each offender, if any relative
-//! link or script target does not resolve to an existing file.
+//! recursively (skipping `target`), collecting `.html` (audited as rustdoc
+//! output), `.md` (audited as markdown) and `.rs` (audited for cited
+//! markdown) files; a file argument is audited by its extension. The
+//! tool fails, listing each offender, if any relative link, script
+//! target or cited markdown name does not resolve to an existing file.
 //!
-//! Usage: `check_doc_links target/doc README.md ARCHITECTURE.md docs`
+//! Usage: `check_doc_links target/doc README.md ARCHITECTURE.md docs crates`
 //! (CI runs it right after `cargo doc`). External (`http…`), in-page
 //! (`#…`) and absolute links are out of scope.
 
@@ -62,15 +67,18 @@ fn main() {
         }
         let Ok(content) = std::fs::read_to_string(file) else { continue };
         let dir = file.parent().expect("doc files have parents");
-        let targets = if file.extension().is_some_and(|e| e == "md") {
-            extract_md_targets(&content)
-        } else {
-            extract_targets(&content)
+        let ext = file.extension().and_then(|e| e.to_str());
+        let targets = match ext {
+            Some("md") => extract_md_targets(&content),
+            Some("rs") => extract_rs_md_citations(&content),
+            _ => extract_targets(&content),
         };
         for target in targets {
             checked += 1;
-            let resolved = dir.join(&target);
-            if !resolved.exists() {
+            let resolves = |d: &Path| d.join(&target).exists();
+            let found =
+                if ext == Some("rs") { dir.ancestors().any(resolves) } else { resolves(dir) };
+            if !found {
                 broken.insert(format!("{} -> {}", file.display(), target));
             }
         }
@@ -95,8 +103,10 @@ fn collect_docs(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
-            collect_docs(&path, out);
-        } else if path.extension().is_some_and(|e| e == "html" || e == "md") {
+            if !path.ends_with("target") {
+                collect_docs(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "html" || e == "md" || e == "rs") {
             out.push(path);
         }
     }
@@ -105,7 +115,7 @@ fn collect_docs(dir: &Path, out: &mut Vec<PathBuf>) {
 /// Filters one raw link target down to a checkable relative path, or
 /// `None` for targets out of scope (externals, in-page anchors,
 /// absolute paths, templates). Fragments and query strings are
-/// stripped so `FILE.md#section` checks `FILE.md`.
+/// stripped, so a link to a section checks the file it is in.
 fn checkable(raw: &str) -> Option<String> {
     let target = raw.split(['#', '?']).next().unwrap_or("");
     if target.is_empty()
@@ -174,4 +184,39 @@ fn extract_md_targets(md: &str) -> Vec<String> {
         }
     }
     targets
+}
+
+/// Pulls every markdown file name out of the comments (`//`, `///`,
+/// `//!`) of one Rust source file: each word of the comment text that
+/// ends in `.md` after a stem, fragments and trailing periods dropped.
+fn extract_rs_md_citations(src: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for line in src.lines() {
+        let Some(pos) = line.find("//") else { continue };
+        let words = line[pos + 2..].split(|c: char| !(c.is_alphanumeric() || "_-./".contains(c)));
+        for word in words.map(|w| w.trim_end_matches('.')) {
+            if word.len() > ".md".len() && word.ends_with(".md") {
+                names.extend(checkable(word));
+            }
+        }
+    }
+    names
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rust_comments_cite_markdown_by_name() {
+        // Built with `{c}` for the comment marker, so this file cites none
+        // of these names itself.
+        let src = format!(
+            "{c}! See DESIGN.md, and `docs/PROTOCOL.md#errors`.\n\
+             let md = \"NOT.md\"; {c} in README.md.\n\
+             {c}/ Not a name: `docs/*.md`, `.md`.\n",
+            c = "/".repeat(2)
+        );
+        assert_eq!(extract_rs_md_citations(&src), ["DESIGN.md", "docs/PROTOCOL.md", "README.md"]);
+    }
 }

@@ -81,7 +81,7 @@ fn main() {
         }
         // A pool of random constraints at this magnitude, cycled across
         // the workload (the paper draws a fresh constraint per query; a
-        // pool keeps generation affordable — documented in EXPERIMENTS.md).
+        // pool keeps generation affordable, a departure from its protocol).
         let mut pool = Vec::new();
         for i in 0..per_mag {
             if let Some((c, count)) =

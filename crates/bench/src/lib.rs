@@ -1,7 +1,6 @@
 //! # kgreach-bench — the paper's evaluation harness
 //!
-//! One binary per table/figure of the paper's §6 (see DESIGN.md's
-//! per-experiment index):
+//! One binary per table/figure of the paper's §6:
 //!
 //! | target | regenerates |
 //! |--------|-------------|
@@ -9,7 +8,7 @@
 //! | `fig5` | Figure 5 — sampling-tree indexing time vs density and `|V|` |
 //! | `fig10_14` | Figures 10–14 — S1–S5 query performance on D1'–D5' |
 //! | `fig15` | Figure 15 — random-constraint magnitudes on the YAGO-like KG |
-//! | `all_experiments` | everything above, in EXPERIMENTS.md order |
+//! | `all_experiments` | everything above, in this order |
 //!
 //! Datasets are geometrically scaled replicas of the paper's (their D1–D5
 //! are 3.7M–18.9M vertices; defaults here are laptop-sized with identical

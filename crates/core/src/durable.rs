@@ -96,7 +96,7 @@ pub struct CheckpointReport {
 /// Receipt for one durably applied update batch.
 #[derive(Debug)]
 pub struct DurableOutcome {
-    /// The engine's in-memory outcome (summary, index maintenance, epoch).
+    /// The engine's in-memory outcome (summary, epoch, compaction).
     pub outcome: UpdateOutcome,
     /// Log sequence number assigned to the batch — `None` for an
     /// all-no-op batch, which changes nothing and is not logged.
@@ -490,7 +490,6 @@ fn write_checkpoint(dir: &Path, engine: &LscrEngine, seq: u64) -> Result<(), Que
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::IndexMaintenance;
     use crate::fixtures::figure3;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -782,7 +781,7 @@ mod tests {
     }
 
     #[test]
-    fn recovered_engine_maintains_index() {
+    fn updates_and_replay_drop_the_index() {
         let dir = tmp_dir("with-index");
         let (d, _) = DurableEngine::open(&dir, small_config(), || {
             let engine = LscrEngine::new(figure3());
@@ -790,18 +789,21 @@ mod tests {
             Ok(engine)
         })
         .expect("init");
-        let out = d.apply_update(&batch(0)).expect("apply");
-        assert!(
-            matches!(
-                out.outcome.index,
-                IndexMaintenance::Patched { .. } | IndexMaintenance::Rebuilt
-            ),
-            "index maintained through the durable path: {:?}",
-            out.outcome.index
-        );
+        assert!(d.engine().info().index_built, "the initial checkpoint carries the index");
+        d.apply_update(&batch(0)).expect("apply");
+        assert!(d.engine().local_index_if_built().is_none(), "an update drops the index");
+        drop(d);
+        // The checkpoint still holds the index; replaying the logged
+        // batch over it drops the index again.
+        let (d, report) =
+            DurableEngine::open(&dir, small_config(), || panic!("no init")).expect("recover");
+        assert_eq!((report.checkpoint_seq, report.replayed), (0, 1));
+        assert!(d.engine().local_index_if_built().is_none(), "replay drops the index");
+        d.engine().local_index();
+        assert!(d.checkpoint().expect("checkpoint").is_some());
         drop(d);
         let (d, _) =
             DurableEngine::open(&dir, small_config(), || panic!("no init")).expect("recover");
-        assert!(d.engine().info().index_built, "index restored from the checkpoint");
+        assert!(d.engine().info().index_built, "a checkpoint with an index still loads it");
     }
 }

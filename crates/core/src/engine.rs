@@ -17,9 +17,10 @@
 //! The served graph is not frozen: [`LscrEngine::apply_update`] applies
 //! an [`UpdateBatch`] as a delta overlay (see
 //! [`kgreach_graph::delta`]), swaps the new graph in atomically, and
-//! maintains the index incrementally. Every content-changing batch bumps
-//! the graph **epoch**; compiled constraint plans, their embedded `SCck`
-//! and `V(S,G)` memos all record the epoch they bind to, and a held
+//! drops the local index (the next INS query builds one). Every
+//! content-changing batch bumps the graph **epoch**; compiled constraint
+//! plans, their embedded `SCck` and `V(S,G)` memos all record the epoch
+//! they bind to, and a held
 //! [`CompiledLscrQuery`] rebinds transparently on mismatch. Queries pin
 //! one `(graph, index)` snapshot per execution, so an update never
 //! changes the graph under a running search — in-flight queries finish
@@ -138,22 +139,25 @@ struct EngineState {
     index: Option<Arc<LocalIndex>>,
 }
 
-/// What [`LscrEngine::apply_update`] did to the local index.
+/// What [`LscrEngine::apply_update`] did to the local index: always
+/// [`NotBuilt`](Self::NotBuilt), since an update never builds or repairs
+/// one.
+/// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum IndexMaintenance {
-    /// No index was built yet, so there was nothing to maintain (the next
-    /// INS query builds one against the updated graph).
+    /// No index was built for the updated graph: a content-changing batch
+    /// drops the index (the next INS query builds one), a no-op batch
+    /// keeps it.
     NotBuilt,
-    /// Partition-local repair: the entries of this many partitions were
-    /// recomputed; everything else was reused.
+    /// Never reported: partition-local repair, of this many partitions.
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     Patched {
         /// Number of partitions whose `II`/`EIT`/`D` were recomputed.
         partitions_repaired: usize,
     },
-    /// The batch exceeded the staleness budget (or compaction kicked in):
-    /// the index was rebuilt from scratch, including fresh landmark
-    /// selection and partitioning.
+    /// Never reported: a rebuild from scratch.
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     Rebuilt,
 }
 
@@ -163,7 +167,8 @@ pub enum IndexMaintenance {
 pub struct UpdateOutcome {
     /// What the batch changed in the graph.
     pub summary: UpdateSummary,
-    /// How the local index was maintained.
+    /// Always [`IndexMaintenance::NotBuilt`].
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub index: IndexMaintenance,
     /// The graph's content epoch after the batch.
     pub epoch: u64,
@@ -199,8 +204,7 @@ pub struct EngineInfo {
 /// When the overlay's changed-edge fraction
 /// (`DeltaStats::delta_fraction`)
 /// exceeds this threshold after an update, [`LscrEngine::apply_update`]
-/// re-freezes the graph via [`Graph::compact`] and rebuilds the index so
-/// the partition shape catches up with the drifted graph.
+/// re-freezes the graph via [`Graph::compact`].
 pub const DELTA_COMPACT_THRESHOLD: f64 = 0.5;
 
 impl LscrEngine {
@@ -246,35 +250,32 @@ impl LscrEngine {
         (Arc::clone(&st.graph), st.index.clone())
     }
 
-    /// Builds (or returns) the shared local index for the **current**
-    /// graph. Builds are serialized on the update lock and run without
-    /// blocking concurrent queries; if an update swaps the graph
-    /// mid-build, the stale build is discarded and retried.
+    /// Builds (or returns) the shared local index for the graph current at
+    /// the call. A build holds the update lock, so updates wait for it,
+    /// and runs without blocking concurrent queries.
     pub fn local_index(&self) -> Arc<LocalIndex> {
-        loop {
-            let (graph, index) = self.state_snapshot();
-            if let Some(index) = index {
-                return index;
-            }
-            let _build = self.update_lock.lock().expect("update lock");
-            // Re-check under the lock: a racing builder may have won, or
-            // an update may have swapped the graph while we waited.
-            let (current, index) = self.state_snapshot();
-            if let Some(index) = index {
-                return index;
-            }
-            if !Arc::ptr_eq(&current, &graph) {
-                continue; // graph moved on; start over against the new one
-            }
-            let built = Arc::new(LocalIndex::build(&graph, &self.index_config));
-            let mut st = self.state.write().expect("state lock");
-            if Arc::ptr_eq(&st.graph, &graph) {
-                st.index = Some(Arc::clone(&built));
-                return built;
-            }
-            // An update cannot have happened (we hold the update lock),
-            // but stay defensive: retry rather than install a mismatch.
+        let (graph, index) = self.state_snapshot();
+        index.unwrap_or_else(|| self.index_for(&graph))
+    }
+
+    /// The local index for `graph`, a graph a query pinned: the installed
+    /// index if it was built for `graph`, otherwise one built now under
+    /// the update lock and installed only if `graph` is still current.
+    /// Updates wait for the build; a build for a graph an update already
+    /// replaced serves its one caller and is not retried, so a forced INS
+    /// query finishes under any write stream.
+    pub(crate) fn index_for(&self, graph: &Arc<Graph>) -> Arc<LocalIndex> {
+        let _build = self.update_lock.lock().expect("update lock");
+        let (current, index) = self.state_snapshot();
+        if let Some(index) = index.filter(|_| Arc::ptr_eq(&current, graph)) {
+            return index; // a racing builder won
         }
+        let built = Arc::new(LocalIndex::build(graph, &self.index_config));
+        let mut st = self.state.write().expect("state lock");
+        if Arc::ptr_eq(&st.graph, graph) {
+            st.index = Some(Arc::clone(&built));
+        }
+        built
     }
 
     /// The local index if some caller has already built or installed it
@@ -304,12 +305,11 @@ impl LscrEngine {
     }
 
     /// Applies an [`UpdateBatch`] to the served graph: the overlay-merged
-    /// graph is swapped in atomically, the content epoch advances, every
-    /// content-derived cache (constraint-plan cache with its embedded
-    /// `SCck` and `V(S,G)` memos) is invalidated, and the local index —
-    /// when one exists — is repaired
-    /// partition-locally or rebuilt past the staleness budget (see
-    /// [`LocalIndex::patched`]).
+    /// graph is swapped in atomically, the content epoch advances, and
+    /// every content-derived cache (constraint-plan cache with its
+    /// embedded `SCck` and `V(S,G)` memos) is invalidated. The local index
+    /// is dropped, not repaired: no served query reads it (`Auto` is UIS),
+    /// and the next INS query builds one for the graph it pins.
     ///
     /// Queries running concurrently finish against the pre-update state
     /// (crash-consistent snapshot semantics); queries started after this
@@ -318,9 +318,8 @@ impl LscrEngine {
     /// readers while the heavy work runs.
     ///
     /// When the accumulated overlay exceeds [`DELTA_COMPACT_THRESHOLD`],
-    /// the graph is re-frozen ([`Graph::compact`]) and the index rebuilt,
-    /// so long-running update streams cannot degrade query performance
-    /// unboundedly.
+    /// the graph is re-frozen ([`Graph::compact`]), so long-running update
+    /// streams cannot degrade query performance unboundedly.
     ///
     /// ```
     /// use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions};
@@ -348,63 +347,28 @@ impl LscrEngine {
     /// ```
     pub fn apply_update(&self, batch: &UpdateBatch) -> Result<UpdateOutcome, QueryError> {
         let _updates = self.update_lock.lock().expect("update lock");
-        let (old_graph, old_index) = self.state_snapshot();
         // O(delta), not O(|V|+|E|): the clone shares the frozen base (CSR
         // pair, dict base layers, per-class schema lists) behind `Arc`s
         // and copies only overlay state and dict tails — see the `Graph`
-        // type docs. In-flight queries keep reading `old_graph` untouched.
-        let mut graph = (*old_graph).clone();
+        // type docs. In-flight queries keep reading the old graph untouched.
+        let mut graph = (*self.graph()).clone();
         let summary = graph.apply_update(batch)?;
-        if !summary.changed() {
-            return Ok(UpdateOutcome {
-                summary,
-                index: match old_index {
-                    Some(_) => IndexMaintenance::Patched { partitions_repaired: 0 },
-                    None => IndexMaintenance::NotBuilt,
-                },
-                epoch: graph.epoch(),
-                compacted: false,
-            });
-        }
-        let compacted = graph
-            .delta_stats()
-            .is_some_and(|d| d.delta_fraction(graph.num_edges()) > DELTA_COMPACT_THRESHOLD);
+        let compacted = summary.changed()
+            && graph
+                .delta_stats()
+                .is_some_and(|d| d.delta_fraction(graph.num_edges()) > DELTA_COMPACT_THRESHOLD);
         if compacted {
             graph.compact();
         }
-        let graph = Arc::new(graph);
-        let budget = self.index_config.staleness_budget;
-        let (index, maintenance) = match &old_index {
-            None => (None, IndexMaintenance::NotBuilt),
-            // Compaction means the partition shape is worth refreshing
-            // too: rebuild instead of patching.
-            Some(old) if !compacted => {
-                match old.patched(&graph, &summary.touched_sources, budget) {
-                    Some((patched, repaired)) => (
-                        Some(Arc::new(patched)),
-                        IndexMaintenance::Patched { partitions_repaired: repaired },
-                    ),
-                    None => (
-                        Some(Arc::new(LocalIndex::build(&graph, &self.index_config))),
-                        IndexMaintenance::Rebuilt,
-                    ),
-                }
-            }
-            Some(_) => (
-                Some(Arc::new(LocalIndex::build(&graph, &self.index_config))),
-                IndexMaintenance::Rebuilt,
-            ),
-        };
         let epoch = graph.epoch();
-        {
-            let mut st = self.state.write().expect("state lock");
-            st.graph = graph;
-            st.index = index;
+        if summary.changed() {
+            *self.state.write().expect("state lock") =
+                EngineState { graph: Arc::new(graph), index: None };
+            // Compiled plans are bound to the old epoch (constants resolved
+            // against old content); drop them so future compiles bind fresh.
+            self.plan_cache.write().expect("plan cache lock").clear();
         }
-        // Compiled plans are bound to the old epoch (constants resolved
-        // against old content); drop them so future compiles bind fresh.
-        self.plan_cache.write().expect("plan cache lock").clear();
-        Ok(UpdateOutcome { summary, index: maintenance, epoch, compacted })
+        Ok(UpdateOutcome { summary, index: IndexMaintenance::NotBuilt, epoch, compacted })
     }
 
     /// Re-freezes the served graph's overlay into a clean CSR now (see
@@ -759,28 +723,25 @@ mod tests {
     }
 
     #[test]
-    fn apply_update_patches_or_rebuilds_the_index() {
+    fn apply_update_drops_the_index_and_forced_ins_rebuilds_it_lazily() {
         let engine = LscrEngine::with_index_config(
             figure3(),
             LocalIndexConfig { num_landmarks: Some(3), seed: 7, ..Default::default() },
         );
-        let _ = engine.local_index();
-        let fp_before = engine.local_index().graph_fingerprint();
+        let before = engine.local_index();
+        // A no-op batch changes no content and keeps the index.
+        let mut noop = kgreach_graph::UpdateBatch::new();
+        noop.insert("v0", "likes", "v2");
+        engine.apply_update(&noop).unwrap();
+        assert!(Arc::ptr_eq(&before, &engine.local_index_if_built().unwrap()));
 
-        // A one-edge batch stays within the staleness budget → patched.
+        // A content-changing batch drops it, and UIS and Auto leave it
+        // unbuilt.
         let mut batch = kgreach_graph::UpdateBatch::new();
         batch.insert("v4", "likes", "v0");
         let out = engine.apply_update(&batch).unwrap();
-        assert!(
-            matches!(out.index, IndexMaintenance::Patched { partitions_repaired: 0..=1 }),
-            "one touched source repairs at most one partition, got {:?}",
-            out.index
-        );
-        let idx = engine.local_index_if_built().expect("index maintained, not dropped");
-        assert_eq!(idx.graph_fingerprint(), engine.graph().fingerprint());
-        assert_ne!(idx.graph_fingerprint(), fp_before);
-
-        // INS answers correctly against the maintained index.
+        assert_eq!(out.index, IndexMaintenance::NotBuilt);
+        assert!(engine.local_index_if_built().is_none(), "an update drops the index");
         let g = engine.graph();
         let q = LscrQuery::new(
             g.vertex_id("v4").unwrap(),
@@ -789,20 +750,39 @@ mod tests {
             s0(),
         );
         let want = answer(&engine, &q, Algorithm::Oracle).unwrap().answer;
-        assert_eq!(answer(&engine, &q, Algorithm::Ins).unwrap().answer, want);
+        for alg in [Algorithm::Uis, Algorithm::Auto] {
+            assert_eq!(answer(&engine, &q, alg).unwrap().answer, want, "{alg}");
+        }
+        assert!(engine.local_index_if_built().is_none(), "only INS builds the index");
 
-        // A huge batch (relative to the graph) blows the delta threshold:
-        // compaction + index rebuild.
+        // The first forced INS builds it for the updated graph, once.
+        assert_eq!(answer(&engine, &q, Algorithm::Ins).unwrap().answer, want);
+        let built = engine.local_index_if_built().expect("INS installed the index");
+        assert_eq!(built.graph_fingerprint(), g.fingerprint());
+        assert_ne!(built.graph_fingerprint(), before.graph_fingerprint());
+        assert_eq!(answer(&engine, &q, Algorithm::Ins).unwrap().answer, want);
+        assert!(Arc::ptr_eq(&built, &engine.local_index_if_built().unwrap()), "built once");
+
+        // A build for a graph an update has replaced serves its caller and
+        // is not installed.
+        let pinned = engine.graph();
+        let mut batch = kgreach_graph::UpdateBatch::new();
+        batch.delete("v4", "likes", "v0");
+        engine.apply_update(&batch).unwrap();
+        let stale = engine.index_for(&pinned);
+        assert_eq!(stale.graph_fingerprint(), pinned.fingerprint());
+        assert!(engine.local_index_if_built().is_none(), "a stale build was installed");
+
+        // A batch that compacts drops it too.
+        let _ = engine.local_index();
         let mut big = kgreach_graph::UpdateBatch::new();
         for i in 0..20 {
             big.insert(&format!("bulk{i}"), "likes", &format!("bulk{}", i + 1));
         }
         let out = engine.apply_update(&big).unwrap();
-        assert!(out.compacted, "20 edges on a 9-edge graph must trigger compaction");
-        assert_eq!(out.index, IndexMaintenance::Rebuilt);
+        assert!(out.compacted, "20 edges on an 8-edge graph must trigger compaction");
         assert!(!engine.graph().has_overlay());
-        let idx = engine.local_index_if_built().unwrap();
-        assert_eq!(idx.graph_fingerprint(), engine.graph().fingerprint());
+        assert!(engine.local_index_if_built().is_none());
     }
 
     #[test]
@@ -943,7 +923,7 @@ mod tests {
         let info = engine.info();
         assert_eq!(info.num_edges, 9);
         assert_eq!(info.epoch, 1);
-        assert!(info.index_built && info.has_overlay);
+        assert!(!info.index_built && info.has_overlay, "an update drops the index");
     }
 
     #[test]

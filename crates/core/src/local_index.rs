@@ -17,7 +17,7 @@
 //!   which INS's priorities use as the distance estimate
 //!   `ρ(s,t) = D(s.AF, t.AF)`. The paper calls `ρ` a distance but `D`
 //!   counts *connections*; we treat larger counts as closer (more exit
-//!   edges ⇒ easier to cross), see DESIGN.md.
+//!   edges ⇒ easier to cross), our reading where the paper is ambiguous.
 //!
 //! Because each landmark's BFS is confined to its partition, total
 //! indexing cost is bounded by `O(2^|𝓛|(|E| + |V| log 2^|𝓛|))`
@@ -69,12 +69,9 @@ pub struct LocalIndexConfig {
     /// RNG seed for class/landmark sampling (builds are deterministic
     /// given the seed).
     pub seed: u64,
-    /// Incremental-maintenance staleness budget: an update batch whose
-    /// touched partitions exceed this fraction of `|I|` triggers a full
-    /// rebuild (fresh landmark selection + partitioning) instead of
-    /// partition-local repair — repairing most of the index costs more
-    /// than rebuilding it and keeps a drifted partition shape alive.
-    /// See [`LocalIndex::patched`]; like it, public for one caller.
+    /// [`LocalIndex::patched`]'s staleness budget: past this fraction of
+    /// `|I|` touched partitions, repair gives up and a rebuild is due. The
+    /// engine does not read it: an update drops the index.
     /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub staleness_budget: f64,
     /// Worker threads for the per-landmark `LocalFullIndex` loop
@@ -381,9 +378,9 @@ impl LocalIndex {
     /// fresh build would pick, and repairing more than
     /// `staleness_budget · |I|` partitions costs more than rebuilding.
     ///
-    /// Public for one caller outside the crate, which patches an index
-    /// with no engine; [`LscrEngine::apply_update`](crate::LscrEngine::apply_update)
-    /// calls it until ROADMAP item 6 stops patching the index.
+    /// The engine does not call it:
+    /// [`LscrEngine::apply_update`](crate::LscrEngine::apply_update) drops
+    /// the index, and the next INS query builds a fresh one.
     /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn patched(
         &self,

@@ -186,6 +186,11 @@ impl<'e> Session<'e> {
     /// rebind can fail — a snapshot reload may have replaced the graph
     /// with one the query's vertex ids do not fit — and that comes back
     /// as the same [`QueryError`] a fresh `compile` would raise.
+    ///
+    /// [`Algorithm::Ins`] on an engine with no index first builds one for
+    /// the graph the query pinned, holding the engine's update lock (see
+    /// [`LscrEngine::local_index`]); it is installed only if no update has
+    /// replaced that graph meanwhile.
     pub fn answer_compiled(
         &mut self,
         query: &CompiledLscrQuery,
@@ -213,12 +218,10 @@ impl<'e> Session<'e> {
             } else {
                 algorithm
             };
-            if resolved == Algorithm::Ins && index.is_none() {
-                // Build installs the index for the *current* graph; retry
-                // the snapshot so the pair is consistent.
-                let _ = self.engine.local_index();
-                continue;
-            }
+            let index = match index {
+                None if resolved == Algorithm::Ins => Some(self.engine.index_for(&g)),
+                index => index,
+            };
             // Dynamic graphs grow |V| between queries.
             self.scratch.as_mut().expect("scratch present until drop").ensure(g.num_vertices());
             let outcome = self.dispatch(&g, &index, query, resolved, opts);

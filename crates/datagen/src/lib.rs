@@ -2,8 +2,7 @@
 //!
 //! The paper evaluates on LUBM \[4\] (synthetic, generated) and YAGO \[18\]
 //! (real, ~4M vertices). Neither artifact can ship with this repository,
-//! so this crate rebuilds the *workload generators* (see DESIGN.md's
-//! substitution table):
+//! so this crate rebuilds the *workload generators* in their place:
 //!
 //! * [`lubm`] — a university-ontology generator emitting exactly the
 //!   predicate vocabulary of the paper's S1–S5 constraints, with entity

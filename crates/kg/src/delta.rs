@@ -140,9 +140,10 @@ pub struct UpdateSummary {
     /// Deletes of absent edges (no-ops).
     pub noop_deletes: usize,
     /// Deduplicated sources of every inserted or deleted edge — the
-    /// vertices whose *out*-adjacency changed. Index maintenance repairs
-    /// exactly the partitions owning these vertices, because a landmark's
-    /// local BFS only ever traverses out-edges of its own members.
+    /// vertices whose *out*-adjacency changed. `LocalIndex::patched`
+    /// repairs exactly the partitions owning these vertices, because a
+    /// landmark's local BFS only ever traverses out-edges of its own
+    /// members.
     pub touched_sources: Vec<VertexId>,
 }
 

@@ -4,8 +4,9 @@
 //! hot loops (dictionary lookups, SPARQL join bindings). The standard
 //! SipHash hasher is DoS-resistant but slow for these workloads; the
 //! Firefox/rustc "Fx" multiply-rotate hash is the usual drop-in replacement.
-//! We vendor the ~40-line algorithm instead of pulling a dependency, per the
-//! project dependency policy (see DESIGN.md).
+//! We vendor the ~40-line algorithm instead of pulling a dependency: the
+//! build is offline, and its only external crates are the stand-ins listed
+//! in vendor/README.md.
 //!
 //! This is **not** a cryptographic hash and must not be used where attacker-
 //! controlled keys could trigger collision blowups; all keys here come from

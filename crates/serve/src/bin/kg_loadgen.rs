@@ -40,11 +40,12 @@
 //! crash-injection experiments (kill the server mid-stream, restart it,
 //! and verify every acknowledged sequence number survived).
 
-use kgreach::{Graph, LscrEngine, SubstructureConstraint};
+use kgreach::{Algorithm, Graph, LscrEngine, SubstructureConstraint};
 use kgreach_datagen::constraints::{s1, s2, s3};
 use kgreach_datagen::lubm::{self, LubmConfig};
 use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
 use kgreach_serve::cli::Args;
+use kgreach_serve::protocol::parse_algorithm;
 use kgreach_serve::{serve, HttpClient, HttpResponse, Json, ServerConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -433,11 +434,14 @@ fn main() {
         workloads.push((*name, queries));
     }
 
-    // In-process server unless an external one was named. Build the index
-    // up front so INS-path measurements don't pay the one-off build.
+    // In-process server unless an external one was named. Under a forced
+    // `--algorithm ins`, build the index up front so the measurements do
+    // not pay the one-off build; no other algorithm reads it.
     let server = if args.get_str("addr").is_none() {
         let engine = Arc::new(LscrEngine::new(g));
-        engine.local_index();
+        if parse_algorithm(&algorithm) == Some(Algorithm::Ins) {
+            engine.local_index();
+        }
         Some(serve(engine, ServerConfig::default()).expect("bind ephemeral port"))
     } else {
         None

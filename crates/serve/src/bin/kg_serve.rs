@@ -9,8 +9,9 @@
 //! Flags (all optional; see `docs/OPERATIONS.md` for tuning guidance):
 //!
 //! - `--addr HOST:PORT` — bind address (default `127.0.0.1:7468`).
-//! - `--snapshot PATH` — serve an engine snapshot (graph + index) saved
-//!   by `LscrEngine::save_snapshot_file`. Without it, a LUBM replica is
+//! - `--snapshot PATH` — serve an engine snapshot (the graph, plus the
+//!   index if one was built when it was saved) saved by
+//!   `LscrEngine::save_snapshot_file`. Without it, a LUBM replica is
 //!   generated from `--universities`/`--departments`/`--seed`.
 //! - `--data-dir PATH` — durable mode: recover from the directory's
 //!   checkpoint + write-ahead log at startup (the socket binds first and
@@ -22,8 +23,10 @@
 //!   durable mode only).
 //! - `--wal-checkpoint-bytes N` — roll a checkpoint and truncate the log
 //!   once it exceeds `N` bytes (default 64 MiB; durable mode only).
-//! - `--build-index` — build the local index up front instead of lazily
-//!   on the first INS query.
+//! - `--build-index` — build the local index up front, for paper runs
+//!   and clients that force `"algorithm": "ins"` only: no other query
+//!   reads it, and a content-changing `/update` drops it (the next forced
+//!   INS rebuilds it, holding the update lock).
 //! - `--workers N` (searches that may run at once, each on the
 //!   connection thread that read its request), `--queue-high-water N`
 //!   (threads waiting for a search slot before new queries are shed),

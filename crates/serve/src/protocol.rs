@@ -12,8 +12,8 @@
 
 use crate::json::{write_escaped, write_number, Json};
 use kgreach::{
-    Algorithm, EngineInfo, Graph, IndexMaintenance, LabelSet, LscrQuery, QueryError, QueryOptions,
-    QueryOutcome, SubstructureConstraint, UpdateBatch, UpdateOutcome, VertexId, Witness,
+    Algorithm, EngineInfo, Graph, LabelSet, LscrQuery, QueryError, QueryOptions, QueryOutcome,
+    SubstructureConstraint, UpdateBatch, UpdateOutcome, VertexId, Witness,
 };
 use std::time::Duration;
 
@@ -379,14 +379,6 @@ pub fn parse_update(v: &Json) -> Result<UpdateBatch, ApiError> {
 /// record had been fsynced when the response was built; a server running
 /// without a data directory reports `durable: false, seq: null`.
 pub fn render_update(out: &UpdateOutcome, seq: Option<u64>, durable: bool) -> Json {
-    let (index, repaired) = match &out.index {
-        IndexMaintenance::NotBuilt => ("not_built", None),
-        IndexMaintenance::Patched { partitions_repaired } => {
-            ("patched", Some(*partitions_repaired))
-        }
-        IndexMaintenance::Rebuilt => ("rebuilt", None),
-        _ => ("unknown", None),
-    };
     Json::Obj(vec![
         ("epoch".into(), Json::u64(out.epoch)),
         ("edges_inserted".into(), Json::usize(out.summary.edges_inserted)),
@@ -395,8 +387,6 @@ pub fn render_update(out: &UpdateOutcome, seq: Option<u64>, durable: bool) -> Js
         ("labels_added".into(), Json::usize(out.summary.labels_added)),
         ("noop_inserts".into(), Json::usize(out.summary.noop_inserts)),
         ("noop_deletes".into(), Json::usize(out.summary.noop_deletes)),
-        ("index".into(), Json::str(index)),
-        ("partitions_repaired".into(), repaired.map_or(Json::Null, Json::usize)),
         ("compacted".into(), Json::Bool(out.compacted)),
         ("durable".into(), Json::Bool(durable)),
         ("seq".into(), seq.map_or(Json::Null, Json::u64)),

@@ -10,7 +10,8 @@
 //! (the paper's `V(S,G)`).
 //!
 //! The paper's engine (\[20\]) is approximate with exactness parameters; ours
-//! is exact by construction (see DESIGN.md, substitution table).
+//! is exact by construction: `V(S,G)` and `SCck` are complete BGP
+//! evaluations, so no answer depends on an exactness parameter.
 //!
 //! ```
 //! use kgreach_graph::GraphBuilder;

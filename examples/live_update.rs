@@ -3,18 +3,20 @@
 //! The scenario the dynamic-graph subsystem exists for: an engine built
 //! from a (scaled-down) replica of the paper's D5' LUBM dataset keeps
 //! serving queries while facts stream in — new publications, retracted
-//! and re-asserted memberships — with the local index repaired
-//! partition-locally instead of rebuilt. At the end, the streamed engine
-//! is checked query-for-query against an engine rebuilt from the final
-//! triple set: same answers, proving the overlay, the epoch invalidation
-//! and the index maintenance preserved exactness.
+//! and re-asserted memberships. Each batch drops the local index; the
+//! first INS query afterwards builds it once for the streamed graph. At
+//! the end, the streamed engine is checked query-for-query against an
+//! engine rebuilt from the final triple set: same answers, proving the
+//! overlay, the epoch invalidation and the lazy rebuild preserved
+//! exactness.
 //!
 //! Run with `cargo run --example live_update`.
 
-use kgreach::{Algorithm, IndexMaintenance, LocalIndexConfig, LscrEngine, LscrQuery, QueryOptions};
+use kgreach::{Algorithm, LocalIndexConfig, LscrEngine, LscrQuery, QueryOptions};
 use kgreach_datagen::lubm::{generate, LubmConfig};
 use kgreach_datagen::updates::{update_workload, UpdateWorkloadConfig};
 use kgreach_graph::{GraphBuilder, Triple};
+use std::sync::Arc;
 
 pub(crate) fn main() {
     // A laptop-sized D5'-shaped LUBM replica (same generator and density
@@ -54,25 +56,16 @@ pub(crate) fn main() {
         stream.batches.len()
     );
 
-    // Apply the stream. Each batch bumps the epoch; the index is patched
-    // partition-locally (or rebuilt past the staleness budget).
-    let (mut patched, mut rebuilt_idx) = (0usize, 0usize);
+    // Apply the stream. Each batch bumps the epoch and drops the index.
     for batch in &stream.batches {
-        let outcome = engine.apply_update(batch).expect("batch applies");
-        match outcome.index {
-            IndexMaintenance::Patched { .. } => patched += 1,
-            IndexMaintenance::Rebuilt => rebuilt_idx += 1,
-            _ => {}
-        }
+        engine.apply_update(batch).expect("batch applies");
     }
     println!(
-        "stream applied: epoch {}, {} batches index-patched, {} rebuilt, overlay delta: {:?}",
+        "stream applied: epoch {}, overlay delta: {:?}",
         engine.graph_epoch(),
-        patched,
-        rebuilt_idx,
         engine.graph().delta_stats()
     );
-    assert!(patched > 0, "the stream must exercise partition-local repair");
+    assert!(engine.local_index_if_built().is_none(), "the stream drops the index");
 
     // Rebuild an engine from the final set and compare answers by name
     // (ids differ: the live engine interned stream names incrementally).
@@ -118,6 +111,12 @@ pub(crate) fn main() {
         }
     }
     println!("streamed engine ≡ rebuilt engine on {checked} probe pairs × 3 algorithms");
+    // The first INS probe built the index for the streamed graph; every
+    // later one reused it.
+    let built = engine.local_index_if_built().expect("INS rebuilt the index");
+    assert_eq!(built.graph_fingerprint(), live_graph.fingerprint());
+    assert!(Arc::ptr_eq(&built, &engine.local_index()), "the index was built once");
+    println!("index rebuilt once, by the first INS query after the stream");
 
     // Finally, compact: same answers, clean CSR, epoch preserved.
     let epoch = engine.graph_epoch();

@@ -1,9 +1,13 @@
-//! Index-structure correctness across crates: the local index against
-//! brute-force CMS, and every LCR baseline against the full transitive
-//! closure on shared random graphs.
+//! Index-structure correctness across crates: the local index (built, and
+//! patched across an update script) against brute-force CMS and the
+//! oracle, and every LCR baseline against the full transitive closure on
+//! shared random graphs.
 
-use kgreach::{LocalIndex, LocalIndexConfig};
+use kgreach::{
+    ins, oracle, LocalIndex, LocalIndexConfig, QueryOptions, SearchScratch, SubstructureConstraint,
+};
 use kgreach_graph::{Cms, LabelSet, VertexId};
+use kgreach_integration::matrix::{all_pairs, random_batches};
 use kgreach_integration::{random_graph, random_typed_graph};
 use kgreach_lcr::{
     Budget, FullTransitiveClosure, LandmarkConfig, LandmarkIndex, SamplingTreeIndex,
@@ -42,6 +46,24 @@ fn brute_cms_in_partition(
     out
 }
 
+/// Every landmark's `II` entry of `index` equals the brute-force CMS on `g`.
+fn assert_ii_matches_brute_force(g: &kgreach_graph::Graph, index: &LocalIndex, ctx: &str) {
+    for ord in 0..index.partition().num_landmarks() as u32 {
+        let lm = index.partition().landmark(ord);
+        let brute = brute_cms_in_partition(g, index, lm, ord);
+        let entry = index.entry(ord);
+        assert_eq!(entry.num_ii(), brute.len(), "{ctx} ord {ord}: II size mismatch");
+        for (v, cms) in &brute {
+            let indexed = entry
+                .ii_cms(*v)
+                .unwrap_or_else(|| panic!("{ctx} ord {ord}: missing II entry for {v}"));
+            let a: Vec<LabelSet> = indexed.iter().collect();
+            let b: Vec<LabelSet> = cms.iter().collect();
+            assert_eq!(a, b, "{ctx} ord {ord}: CMS mismatch at {v}");
+        }
+    }
+}
+
 #[test]
 fn local_index_ii_matches_brute_force_on_random_graphs() {
     for seed in 0..6 {
@@ -50,18 +72,38 @@ fn local_index_ii_matches_brute_force_on_random_graphs() {
             &g,
             &LocalIndexConfig { num_landmarks: Some(4), seed, ..Default::default() },
         );
-        for ord in 0..index.partition().num_landmarks() as u32 {
-            let lm = index.partition().landmark(ord);
-            let brute = brute_cms_in_partition(&g, &index, lm, ord);
-            let entry = index.entry(ord);
-            assert_eq!(entry.num_ii(), brute.len(), "seed {seed} ord {ord}: II size mismatch");
-            for (v, cms) in &brute {
-                let indexed = entry
-                    .ii_cms(*v)
-                    .unwrap_or_else(|| panic!("seed {seed} ord {ord}: missing II entry for {v}"));
-                let a: Vec<LabelSet> = indexed.iter().collect();
-                let b: Vec<LabelSet> = cms.iter().collect();
-                assert_eq!(a, b, "seed {seed} ord {ord}: CMS mismatch at {v}");
+        assert_ii_matches_brute_force(&g, &index, &format!("seed {seed}"));
+    }
+}
+
+/// `LocalIndex::patched` across a random update script: after every batch
+/// each `II` entry equals the brute-force CMS on the updated graph, and INS
+/// over the patched index answers every pair as the oracle does.
+#[test]
+fn patched_index_matches_brute_force_and_the_oracle() {
+    let constraint =
+        SubstructureConstraint::parse("SELECT ?x WHERE { ?x <rdf:type> <C0> . }").unwrap();
+    for seed in 0..4 {
+        let mut g = random_typed_graph(16, 48, 4, 2, seed);
+        let config = LocalIndexConfig { num_landmarks: Some(4), seed, ..Default::default() };
+        let mut index = LocalIndex::build(&g, &config);
+        for (round, batch) in random_batches(seed ^ 0x9a7c, 6).iter().enumerate() {
+            let summary = g.apply_update(batch).unwrap();
+            // A budget of every partition always repairs, never rebuilds.
+            let (patched, repaired) =
+                index.patched(&g, &summary.touched_sources, 1.0).expect("within budget");
+            let ctx = format!("seed {seed} round {round}");
+            assert!(repaired <= summary.touched_sources.len(), "{ctx}: {repaired} repaired");
+            index = patched;
+            assert_eq!(index.graph_fingerprint(), g.fingerprint());
+            assert_ii_matches_brute_force(&g, &index, &ctx);
+            let half: LabelSet = g.all_labels().iter().step_by(2).collect();
+            let mut scratch = SearchScratch::new(g.num_vertices());
+            for q in all_pairs(&g, &[g.all_labels(), half], &constraint) {
+                let cq = q.compile(&g).unwrap();
+                let want = oracle::answer(&g, &cq).answer;
+                let out = ins::answer_with(&g, &cq, &index, &mut scratch, &QueryOptions::default());
+                assert_eq!(out.answer, want, "{ctx}: INS over the patched index, {q:?}");
             }
         }
     }

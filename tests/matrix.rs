@@ -25,8 +25,8 @@ use crate::answer_on_sessions;
 use kgreach::fixtures::{figure3, s0};
 use kgreach::{
     find_witness, ins, uis, uis_star, Algorithm, CompiledLscrQuery, DurableEngine, FsyncPolicy,
-    IndexMaintenance, LocalIndex, LocalIndexConfig, LscrEngine, LscrQuery, QueryOptions,
-    QueryOutcome, SearchScratch, SearchStats, SubstructureConstraint, VsgOrder, WalConfig, Witness,
+    LocalIndex, LocalIndexConfig, LscrEngine, LscrQuery, QueryOptions, QueryOutcome, SearchScratch,
+    SearchStats, SubstructureConstraint, VsgOrder, WalConfig, Witness,
 };
 use kgreach_datagen::funnel::{self, FunnelConfig};
 use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
@@ -123,8 +123,6 @@ pub struct Matrix {
     pub live: Arc<LscrEngine>,
     /// The engine over the reference graph: `live` without a script.
     pub engine: Arc<LscrEngine>,
-    /// Script batches the live index was patched for, not rebuilt.
-    pub patched: usize,
     base: Graph,
     script: Vec<UpdateBatch>,
     index: LocalIndexConfig,
@@ -139,15 +137,13 @@ impl Matrix {
 
     /// Cases over what `script` leaves of `base`, every engine's index
     /// configured by `index`. The live engine builds its index first, so
-    /// the script maintains it incrementally.
+    /// the script drops it and a forced INS rebuilds it for the overlay.
     pub fn new(base: Graph, script: Vec<UpdateBatch>, index: LocalIndexConfig) -> Matrix {
         let live = Arc::new(LscrEngine::with_index_config(base.clone(), index.clone()));
-        let mut patched = 0;
         if !script.is_empty() {
             live.local_index();
             for batch in &script {
-                let out = live.apply_update(batch).unwrap();
-                patched += usize::from(matches!(out.index, IndexMaintenance::Patched { .. }));
+                live.apply_update(batch).unwrap();
             }
         }
         let (graph, engine) = if script.is_empty() {
@@ -156,7 +152,7 @@ impl Matrix {
             let graph = Arc::new(graph_from(live.graph().to_triples()));
             (Arc::clone(&graph), Arc::new(LscrEngine::with_index_config(graph, index.clone())))
         };
-        Matrix { graph, live, engine, patched, base, script, index, flip: None }
+        Matrix { graph, live, engine, base, script, index, flip: None }
     }
 
     /// The negative control's fault: `form` serves its first answer flipped.

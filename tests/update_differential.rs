@@ -1,8 +1,8 @@
 //! Dynamic-update differential suite: an engine that *applied* an edit
 //! stream must be indistinguishable from an engine *rebuilt* from the
 //! final triple set — on every algorithm, sequentially and on eight
-//! concurrent sessions, with the local index maintained
-//! incrementally along the way.
+//! concurrent sessions. Each batch drops the local index, and a forced
+//! INS query rebuilds it for the graph it pinned.
 //!
 //! Vertex/label ids differ between the two engines (the live engine
 //! interns update names incrementally; the rebuild interns in triple
@@ -17,13 +17,14 @@ use kgreach_integration::matrix::{
     all_pairs, holdout, random_batches, s1_s3, Form, Matrix, Run, ALGORITHMS,
 };
 use kgreach_integration::random_typed_graph;
+use kgreach_sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
     /// On random graphs and random update scripts, the updated engine
-    /// (index maintained incrementally) answers identically to an engine
+    /// (index dropped, then rebuilt by INS) answers identically to an engine
     /// rebuilt from its final triples — for all four algorithms.
     #[test]
     fn overlay_engine_equals_rebuilt_engine(
@@ -89,7 +90,7 @@ fn s_workloads_agree_after_update_stream() {
     let (base, script) = holdout(&final_graph, &config);
     let index = LocalIndexConfig { num_landmarks: Some(24), seed: 5, ..Default::default() };
     let m = Matrix::new(base, script, index);
-    assert!(m.patched > 0, "the stream must exercise partition-local repair");
+    assert!(m.live.local_index_if_built().is_none(), "the stream drops the index");
     assert_eq!(
         m.graph.num_edges(),
         final_graph.num_edges(),
@@ -98,6 +99,8 @@ fn s_workloads_agree_after_update_stream() {
     let queries = s1_s3(&m.graph, 6, |_| 13);
     let runs = Run::each(&ALGORITHMS, &QueryOptions::default(), false);
     m.run(&queries, &runs, &[Form::Engine, Form::Overlay, Form::Batch8], |_, _| {});
+    let rebuilt = m.live.local_index_if_built().expect("forced INS rebuilt the index");
+    assert_eq!(rebuilt.graph_fingerprint(), m.live.graph().fingerprint());
 }
 
 /// Concurrent updates against concurrent readers: queries never crash,
@@ -158,6 +161,74 @@ fn updates_race_queries_safely() {
     let g = engine.graph();
     assert_eq!(g.num_edges(), 2);
     assert_eq!(engine.graph_epoch(), 60);
+}
+
+/// Forced INS under a steady write stream: every batch drops the index,
+/// and an INS query builds one for the graph it pinned, so readers finish
+/// however fast the writer goes. The writer keeps writing until both
+/// readers are done (and for at least 200 batches): a reader that waited
+/// for an index to outlive the next batch would never finish.
+#[test]
+fn forced_ins_finishes_under_a_steady_write_stream() {
+    /// Counts a reader as finished when it returns or panics, so a failed
+    /// assertion stops the writer instead of hanging the test.
+    struct Finished<'a>(&'a AtomicUsize);
+    impl Drop for Finished<'_> {
+        fn drop(&mut self) {
+            // relaxed: a progress count; no data is published through it.
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    let mut b = GraphBuilder::new();
+    b.add_triple("src", "p", "mid");
+    b.add_triple("src", "marker", "anchor");
+    let engine = LscrEngine::new(b.build().unwrap());
+    let constraint =
+        SubstructureConstraint::parse("SELECT ?x WHERE { ?x <marker> <anchor> . }").unwrap();
+    let finished = AtomicUsize::new(0);
+    let batches = std::thread::scope(|scope| {
+        let (engine, finished) = (&engine, &finished);
+        let writer = scope.spawn(move || {
+            let mut i = 0u64;
+            // relaxed: a progress count, see `Finished`.
+            while i < 200 || finished.load(Ordering::Relaxed) < 2 {
+                let mut batch = UpdateBatch::new();
+                if i % 2 == 0 {
+                    batch.insert("mid", "p", "dst");
+                } else {
+                    batch.delete("mid", "p", "dst");
+                }
+                engine.apply_update(&batch).unwrap();
+                i += 1;
+            }
+            i
+        });
+        for _ in 0..2 {
+            let constraint = constraint.clone();
+            scope.spawn(move || {
+                let _finished = Finished(finished);
+                let mut session = engine.session();
+                let opts = QueryOptions::default();
+                for _ in 0..50 {
+                    let g = engine.graph();
+                    let v = |name| g.vertex_id(name).unwrap();
+                    // The writer only toggles mid -> dst: src always
+                    // reaches mid, and mid never reaches src.
+                    for (s, t, want) in [("src", "mid", true), ("mid", "src", false)] {
+                        let q = LscrQuery::new(v(s), v(t), g.all_labels(), constraint.clone());
+                        let compiled = engine.compile(&q).unwrap();
+                        let out =
+                            session.answer_compiled(&compiled, Algorithm::Ins, &opts).unwrap();
+                        assert_eq!(out.answer, want, "{s} -> {t}");
+                        assert_eq!(out.stats.algorithm, Some(Algorithm::Ins));
+                    }
+                }
+            });
+        }
+        writer.join().unwrap()
+    });
+    assert!(batches >= 200);
+    assert_eq!(engine.graph_epoch(), batches);
 }
 
 /// Snapshot persistence mid-overlay: saving a live engine compacts on

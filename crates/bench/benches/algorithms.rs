@@ -131,10 +131,10 @@ fn auto<'a>(
 ) -> impl FnMut(&mut Bencher) + 'a {
     move |b| {
         let mut session = engine.session();
-        let opts = QueryOptions::default();
+        let (g, opts) = (engine.graph(), QueryOptions::default());
         b.iter(|| {
             for q in queries {
-                let out = session.answer_compiled(q, Algorithm::Auto, &opts);
+                let out = session.answer_compiled(&g, q, Algorithm::Auto, &opts);
                 black_box(out.expect("compiled for this graph").answer);
             }
         })

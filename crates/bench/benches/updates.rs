@@ -63,7 +63,8 @@ fn bench_updates(c: &mut Criterion) {
         for (s, t) in &probe {
             let (Some(s), Some(t)) = (graph.vertex_id(s), graph.vertex_id(t)) else { continue };
             let q = engine.compile(&LscrQuery::new(s, t, labels, constraint.clone()));
-            let out = session.answer_compiled(&q.expect("probe compiles"), Algorithm::Auto, &opts);
+            let q = q.expect("probe compiles");
+            let out = session.answer_compiled(&graph, &q, Algorithm::Auto, &opts);
             hits += usize::from(out.expect("probe answers").answer);
         }
         hits

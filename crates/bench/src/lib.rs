@@ -149,12 +149,13 @@ pub fn run_group(
     opts: &QueryOptions,
 ) -> GroupResult {
     let mut session = engine.session();
+    let g = engine.graph();
     let mut total_time = Duration::ZERO;
     let mut total_passed = 0usize;
     let mut wrong = 0usize;
     for gq in queries {
         let compiled = engine.compile(&gq.query).expect("generated query compiles");
-        let outcome = session.answer_compiled(&compiled, algorithm, opts).expect("answers");
+        let outcome = session.answer_compiled(&g, &compiled, algorithm, opts).expect("answers");
         total_time += outcome.elapsed;
         total_passed += outcome.stats.passed_vertices;
         if outcome.answer != gq.expected {

@@ -35,9 +35,10 @@
 //! 1 KiB pages, not the whole array (the engine keeps up to 4,096 such
 //! memos alive, and a table of page pointers alone would be 864 B each).
 //! Dynamic updates never poison the memo: a compiled
-//! constraint records the [`Graph::epoch`] it was bound to,
-//! `satisfies_cached` falls back to direct evaluation on mismatch, and
-//! the engine recompiles stale plans (see `LscrEngine::apply_update`).
+//! constraint records the [`Graph::lineage`] and [`Graph::epoch`] it was
+//! bound to, `satisfies_cached` falls back to direct evaluation on
+//! mismatch, and the engine recompiles stale plans (see
+//! `LscrEngine::apply_update`).
 //!
 //! ```
 //! use kgreach::SubstructureConstraint;
@@ -50,7 +51,7 @@
 //! assert_eq!(compiled.satisfying_vertices(&g).len(), 2); // V(S0, G0) = {v1, v2}
 //! ```
 
-use kgreach_graph::{Graph, VertexId};
+use kgreach_graph::{Graph, Lineage, VertexId};
 use kgreach_sparql::{eval, parse, Plan, SelectQuery, SparqlError, Term, TriplePattern};
 use kgreach_sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use kgreach_sync::{Arc, OnceLock};
@@ -106,12 +107,14 @@ impl SubstructureConstraint {
 
     /// Compiles the constraint against a graph for repeated evaluation.
     ///
-    /// The compiled plan is **bound to the graph's content epoch**: plan
-    /// compilation resolves constant names to ids and decides
-    /// satisfiability from the edges present *now*, so after a dynamic
-    /// update (which can intern a previously unresolvable constant) the
-    /// plan may be stale. [`graph_epoch`](CompiledConstraint::graph_epoch)
-    /// records the binding; the engine recompiles stale plans via the
+    /// The compiled plan is **bound to the graph's id space and content
+    /// epoch** ([`Graph::lineage`], [`Graph::epoch`]): plan compilation
+    /// resolves constant names to ids and decides satisfiability from the
+    /// edges present *now*, so after a dynamic update (which can intern a
+    /// previously unresolvable constant) the plan may be stale, and on a
+    /// graph of another lineage its ids name other vertices.
+    /// [`graph_epoch`](CompiledConstraint::graph_epoch) records the epoch;
+    /// the engine recompiles a stale plan of the same lineage via the
     /// retained [`sparql_text`](CompiledConstraint::sparql_text).
     pub fn compile(&self, g: &Graph) -> Result<CompiledConstraint, SparqlError> {
         Ok(CompiledConstraint {
@@ -119,6 +122,7 @@ impl SubstructureConstraint {
             scck: Arc::new(OnceLock::new()),
             vsg: Arc::new(OnceLock::new()),
             text: Arc::from(self.text.as_str()),
+            lineage: g.lineage().clone(),
             graph_epoch: g.epoch(),
         })
     }
@@ -249,7 +253,8 @@ impl ScckCache {
     }
 }
 
-/// A constraint resolved against one graph **at one content epoch**.
+/// A constraint resolved against one graph's id space **at one content
+/// epoch**.
 #[derive(Clone, Debug)]
 pub struct CompiledConstraint {
     plan: Plan,
@@ -267,6 +272,8 @@ pub struct CompiledConstraint {
     /// stale plan after a graph update without the original
     /// [`SubstructureConstraint`] in hand.
     text: Arc<str>,
+    /// The [`Graph::lineage`] the plan's ids belong to.
+    lineage: Lineage,
     /// The [`Graph::epoch`] the plan was compiled at.
     graph_epoch: u64,
 }
@@ -289,7 +296,7 @@ impl CompiledConstraint {
     /// an out-of-bounds probe).
     #[inline]
     pub fn satisfies_cached(&self, g: &Graph, v: VertexId) -> (bool, bool) {
-        if self.graph_epoch != g.epoch() {
+        if !self.is_bound_to(g) {
             // The memo was filled against other graph content; evaluate
             // uncached rather than serve stale bits. (The engine
             // recompiles stale plans before searching, so this guard only
@@ -328,6 +335,18 @@ impl CompiledConstraint {
         self.graph_epoch
     }
 
+    /// Whether the plan was compiled for `g`'s lineage at `g`'s epoch, so
+    /// that its ids and memos hold for `g`.
+    #[inline]
+    pub(crate) fn is_bound_to(&self, g: &Graph) -> bool {
+        self.graph_epoch == g.epoch() && self.lineage == *g.lineage()
+    }
+
+    /// Whether the plan's ids belong to `g`'s id space (at any epoch).
+    pub(crate) fn shares_ids_with(&self, g: &Graph) -> bool {
+        self.lineage == *g.lineage()
+    }
+
     /// The paper's `V(S,G)`: every vertex satisfying the constraint, in
     /// ascending id order. The paper treats this set as *disordered*
     /// (§4: existing engines cannot order it usefully); UIS\* shuffles it,
@@ -341,11 +360,11 @@ impl CompiledConstraint {
     /// every query (concurrent ones included) using this compiled plan.
     /// SPARQL evaluation never consults search budgets, so a memoized set
     /// is always complete — a budget-interrupted query cannot poison it.
-    /// Falls back to an uncached evaluation when the graph's content
-    /// epoch no longer matches the one the plan was compiled at (same
-    /// guard as [`satisfies_cached`](Self::satisfies_cached)).
+    /// Falls back to an uncached evaluation when the plan is not bound to
+    /// `g`'s lineage and epoch (same guard as
+    /// [`satisfies_cached`](Self::satisfies_cached)).
     pub fn satisfying_vertices_cached(&self, g: &Graph) -> Arc<Vec<VertexId>> {
-        if self.graph_epoch != g.epoch() {
+        if !self.is_bound_to(g) {
             return Arc::new(self.satisfying_vertices(g));
         }
         Arc::clone(self.vsg.get_or_init(|| Arc::new(self.satisfying_vertices(g))))

@@ -19,31 +19,34 @@
 //! [`kgreach_graph::delta`]), swaps the new graph in atomically, and
 //! drops the local index (the next INS query builds one). Every
 //! content-changing batch bumps the graph **epoch**; compiled constraint
-//! plans, their embedded `SCck` and `V(S,G)` memos all record the epoch
-//! they bind to, and a held
-//! [`CompiledLscrQuery`] rebinds transparently on mismatch. Queries pin
-//! one `(graph, index)` snapshot per execution, so an update never
-//! changes the graph under a running search — in-flight queries finish
-//! against the pre-update state, subsequent ones see the new one.
+//! plans, their embedded `SCck` and `V(S,G)` memos all record the
+//! [`lineage`](Graph::lineage) (id space) and epoch they bind to, and a
+//! held [`CompiledLscrQuery`] rebinds transparently to another epoch of
+//! its lineage and is refused on another lineage (a snapshot reload
+//! starts one). A caller pins one graph per query ([`LscrEngine::graph`])
+//! and answers on it, so an update never changes the graph under a
+//! running search — in-flight queries finish against the pre-update
+//! state, subsequent ones see the new one.
 //!
 //! ```
 //! use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions, SubstructureConstraint};
 //! use kgreach::fixtures::{figure3, s0};
 //!
 //! let engine = LscrEngine::new(figure3());
+//! let g = engine.graph(); // the pin: names resolve and the query runs on it
 //! let q = LscrQuery::new(
-//!     engine.graph().vertex_id("v0").unwrap(),
-//!     engine.graph().vertex_id("v4").unwrap(),
-//!     engine.graph().label_set(&["likes", "follows"]),
+//!     g.vertex_id("v0").unwrap(),
+//!     g.vertex_id("v4").unwrap(),
+//!     g.label_set(&["likes", "follows"]),
 //!     s0(),
 //! );
 //! let compiled = engine.compile(&q).unwrap();
 //! let mut session = engine.session();
 //! let opts = QueryOptions::default();
-//! let outcome = session.answer_compiled(&compiled, Algorithm::Ins, &opts).unwrap();
+//! let outcome = session.answer_compiled(&g, &compiled, Algorithm::Ins, &opts).unwrap();
 //! assert!(outcome.answer);
 //! // Auto serves every query with UIS:
-//! let outcome = session.answer_compiled(&compiled, Algorithm::Auto, &opts).unwrap();
+//! let outcome = session.answer_compiled(&g, &compiled, Algorithm::Auto, &opts).unwrap();
 //! assert!(outcome.answer);
 //! assert_eq!(outcome.stats.algorithm, Some(Algorithm::Uis));
 //! ```
@@ -254,20 +257,26 @@ impl LscrEngine {
     /// the call. A build holds the update lock, so updates wait for it,
     /// and runs without blocking concurrent queries.
     pub fn local_index(&self) -> Arc<LocalIndex> {
-        let (graph, index) = self.state_snapshot();
-        index.unwrap_or_else(|| self.index_for(&graph))
+        self.index_for(&self.graph())
     }
 
     /// The local index for `graph`, a graph a query pinned: the installed
-    /// index if it was built for `graph`, otherwise one built now under
-    /// the update lock and installed only if `graph` is still current.
-    /// Updates wait for the build; a build for a graph an update already
-    /// replaced serves its one caller and is not retried, so a forced INS
-    /// query finishes under any write stream.
+    /// index if it was built for `graph` (one state read, no update
+    /// lock), otherwise one built now under the update lock and installed
+    /// only if `graph` is still current. Updates wait for the build; a
+    /// build for a graph an update already replaced serves its one caller
+    /// and is not retried, so a forced INS query finishes under any write
+    /// stream.
     pub(crate) fn index_for(&self, graph: &Arc<Graph>) -> Arc<LocalIndex> {
+        let installed = || {
+            let st = self.state.read().expect("state lock");
+            st.index.clone().filter(|_| Arc::ptr_eq(&st.graph, graph))
+        };
+        if let Some(index) = installed() {
+            return index;
+        }
         let _build = self.update_lock.lock().expect("update lock");
-        let (current, index) = self.state_snapshot();
-        if let Some(index) = index.filter(|_| Arc::ptr_eq(&current, graph)) {
+        if let Some(index) = installed() {
             return index; // a racing builder won
         }
         let built = Arc::new(LocalIndex::build(graph, &self.index_config));
@@ -336,14 +345,18 @@ impl LscrEngine {
     /// let held = engine.compile(&q).unwrap();
     /// let mut session = engine.session();
     /// let opts = QueryOptions::default();
-    /// assert!(session.answer_compiled(&held, Algorithm::Auto, &opts).unwrap().answer);
+    /// let before = engine.graph();
+    /// assert!(session.answer_compiled(&before, &held, Algorithm::Auto, &opts).unwrap().answer);
     ///
-    /// // Sever the v2 → v4 hop: the same held query now answers false.
+    /// // Sever the v2 → v4 hop: the same held query now answers false on
+    /// // the updated graph, and still true on the graph pinned before.
     /// let mut batch = UpdateBatch::new();
     /// batch.delete("v2", "follows", "v4");
     /// let outcome = engine.apply_update(&batch).unwrap();
     /// assert_eq!(outcome.summary.edges_deleted, 1);
-    /// assert!(!session.answer_compiled(&held, Algorithm::Auto, &opts).unwrap().answer);
+    /// let after = engine.graph();
+    /// assert!(!session.answer_compiled(&after, &held, Algorithm::Auto, &opts).unwrap().answer);
+    /// assert!(session.answer_compiled(&before, &held, Algorithm::Auto, &opts).unwrap().answer);
     /// ```
     pub fn apply_update(&self, batch: &UpdateBatch) -> Result<UpdateOutcome, QueryError> {
         let _updates = self.update_lock.lock().expect("update lock");
@@ -387,9 +400,9 @@ impl LscrEngine {
     }
 
     /// Opens a per-thread [`Session`], recycling pooled scratch if
-    /// available. Sessions observe graph updates: each query pins the
-    /// engine's current `(graph, index)` snapshot and grows its scratch
-    /// to the current `|V|` on demand.
+    /// available. Sessions observe graph updates: each query runs on the
+    /// graph its caller pinned and grows the scratch to its `|V|` on
+    /// demand.
     pub fn session(&self) -> Session<'_> {
         let scratch = self
             .scratch_pool
@@ -473,7 +486,8 @@ mod tests {
         let zero = QueryOptions::default().with_step_budget(0);
         for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
             let compiled = engine.compile(&q).unwrap();
-            let truncated = engine.session().answer_compiled(&compiled, alg, &zero).unwrap();
+            let truncated =
+                engine.session().answer_compiled(&engine.graph(), &compiled, alg, &zero).unwrap();
             assert!(truncated.interrupted, "{alg}: budget 0 must interrupt");
             assert!(!truncated.answer, "{alg}: truncated searches answer false");
             let full = answer(&engine, &q, alg).unwrap();
@@ -502,10 +516,13 @@ mod tests {
         let zero = QueryOptions::default().with_step_budget(0);
         let mut session = engine.session();
         for alg in [Algorithm::UisStar, Algorithm::Ins] {
-            let truncated = session.answer_compiled(&compiled, alg, &zero).unwrap();
+            let truncated =
+                session.answer_compiled(&engine.graph(), &compiled, alg, &zero).unwrap();
             assert!(truncated.interrupted && !truncated.answer, "{alg}");
             assert_eq!(compiled.constraint.vsg_len_if_materialized(), Some(2), "{alg}");
-            let full = session.answer_compiled(&compiled, alg, &QueryOptions::default()).unwrap();
+            let full = session
+                .answer_compiled(&engine.graph(), &compiled, alg, &QueryOptions::default())
+                .unwrap();
             assert!(full.answer, "{alg}: truncated negative stuck in the shared memo");
             assert!(!full.interrupted);
         }
@@ -616,12 +633,14 @@ mod tests {
         assert_eq!(compiled.constraint.vsg_len_if_materialized(), None);
         let opts = QueryOptions::default();
         let mut session = engine.session();
-        let out = session.answer_compiled(&compiled, Algorithm::UisStar, &opts).unwrap();
+        let out =
+            session.answer_compiled(&engine.graph(), &compiled, Algorithm::UisStar, &opts).unwrap();
         assert!(out.answer);
         // First UIS* execution materialized V(S0,G0) = {v1, v2}.
         assert_eq!(compiled.constraint.vsg_len_if_materialized(), Some(2));
         // INS runs over the same plan and the same memo.
-        let again = session.answer_compiled(&compiled, Algorithm::Ins, &opts).unwrap();
+        let again =
+            session.answer_compiled(&engine.graph(), &compiled, Algorithm::Ins, &opts).unwrap();
         assert!(again.answer);
         assert_eq!(again.stats.vsg_size, Some(2));
         let shared = engine.compile(&all_labels_query(&g, "v3", "v4")).unwrap();
@@ -657,8 +676,12 @@ mod tests {
                 assert_eq!(out.stats.algorithm, Some(Algorithm::Uis));
             }
         }
-        let out =
-            engine.session().answer_compiled(&unsat, Algorithm::Auto, &QueryOptions::default());
+        let out = engine.session().answer_compiled(
+            &engine.graph(),
+            &unsat,
+            Algorithm::Auto,
+            &QueryOptions::default(),
+        );
         assert!(!out.unwrap().answer);
         assert!(engine.local_index_if_built().is_none(), "planning must not build");
         let _ = engine.local_index();
@@ -717,8 +740,12 @@ mod tests {
             assert!(answer(&engine, &q, alg).unwrap().answer, "{alg} must see the insert");
         }
         // Stale compiled query (epoch 1) against epoch-2 graph.
-        let out =
-            engine.session().answer_compiled(&compiled, Algorithm::Uis, &QueryOptions::default());
+        let out = engine.session().answer_compiled(
+            &engine.graph(),
+            &compiled,
+            Algorithm::Uis,
+            &QueryOptions::default(),
+        );
         assert!(out.unwrap().answer);
     }
 
@@ -845,7 +872,8 @@ mod tests {
         let opts = QueryOptions::default();
         let held = engine.compile(&q).unwrap();
         let mut session = engine.session();
-        let out = session.answer_compiled(&held, Algorithm::UisStar, &opts).unwrap();
+        let out =
+            session.answer_compiled(&engine.graph(), &held, Algorithm::UisStar, &opts).unwrap();
         assert!(out.answer);
         assert_eq!(held.constraint.vsg_len_if_materialized(), Some(2));
 
@@ -855,7 +883,8 @@ mod tests {
         let mut batch = kgreach_graph::UpdateBatch::new();
         batch.delete("v1", "friendOf", "v3");
         engine.apply_update(&batch).unwrap();
-        let out = session.answer_compiled(&held, Algorithm::UisStar, &opts).unwrap();
+        let out =
+            session.answer_compiled(&engine.graph(), &held, Algorithm::UisStar, &opts).unwrap();
         assert!(out.answer, "v2 still satisfies S0 and routes v0 to v4");
         assert_eq!(out.stats.vsg_size, Some(1), "stale plan rebound to the updated graph");
         // The rebound plan lives in the plan cache, so the fresh memo is
@@ -863,7 +892,7 @@ mod tests {
         let rebound = engine.compile(&q).unwrap();
         assert_eq!(rebound.constraint.graph_epoch(), engine.graph_epoch());
         assert_eq!(rebound.constraint.vsg_len_if_materialized(), Some(1));
-        let out = session.answer_compiled(&held, Algorithm::Ins, &opts).unwrap();
+        let out = session.answer_compiled(&engine.graph(), &held, Algorithm::Ins, &opts).unwrap();
         assert!(out.answer);
         assert_eq!(out.stats.vsg_size, Some(1));
     }
@@ -888,12 +917,14 @@ mod tests {
         let held = engine.compile(&q).unwrap();
         let opts = QueryOptions::default();
         let mut session = engine.session();
-        assert!(session.answer_compiled(&held, Algorithm::Uis, &opts).unwrap().answer);
+        assert!(
+            session.answer_compiled(&engine.graph(), &held, Algorithm::Uis, &opts).unwrap().answer
+        );
 
         let mut batch = kgreach_graph::UpdateBatch::new();
         batch.insert("elsewhere", "unrelated", "nowhere");
         engine.apply_update(&batch).unwrap();
-        let out = session.answer_compiled(&held, Algorithm::Uis, &opts).unwrap();
+        let out = session.answer_compiled(&engine.graph(), &held, Algorithm::Uis, &opts).unwrap();
         assert!(out.answer, "the rebuilt plan must still require ?x <tag> {literal:?}");
     }
 

@@ -82,15 +82,16 @@ impl LscrEngine {
     ///
     /// On any error (corrupt snapshot, embedded index built for a
     /// different graph) the engine is left serving its current state
-    /// untouched. The reloaded graph's content epoch is
-    /// advanced strictly past the replaced graph's
+    /// untouched. The reloaded graph starts a
+    /// [`lineage`](crate::Graph::lineage) of its own, since its ids may
+    /// name other vertices: no cache bound to the old graph — compiled
+    /// plans with their `SCck` and `V(S,G)` memos — is read against it,
+    /// and a compiled query a caller held from before is refused with
+    /// [`QueryError::IdSpaceMismatch`] (or, when its ids do not fit the
+    /// new graph, [`QueryError::Graph`]). Its content epoch is advanced
+    /// strictly past the replaced graph's
     /// ([`Graph::advance_epoch_to`](crate::Graph::advance_epoch_to)), so
-    /// every epoch-stamped cache bound
-    /// to the old content — compiled plans with their `SCck` and `V(S,G)`
-    /// memos, including compiled queries held by callers — observes a
-    /// mismatch and rebinds instead of serving answers computed against
-    /// the old graph. A held query whose vertex ids do not fit the new
-    /// graph fails its rebind with a typed [`QueryError`].
+    /// the engine's epoch only grows.
     ///
     /// Returns the fresh content epoch. On a durable engine, reload
     /// through [`DurableEngine::reload_from_snapshot`](crate::DurableEngine::reload_from_snapshot)

@@ -20,12 +20,25 @@ impl LscrEngine {
     /// by the constraint's precomputed canonical text, and allocates
     /// nothing; the cache holds at most 4096 plans — beyond that,
     /// new texts compile per-query without being retained.
+    ///
+    /// The query is compiled for the graph current at the call; answer it
+    /// on a graph pinned with [`graph`](Self::graph), as
+    /// [`Session::answer_compiled`](crate::Session::answer_compiled)
+    /// describes.
     pub fn compile(&self, query: &LscrQuery) -> Result<CompiledLscrQuery, QueryError> {
-        let graph = self.graph();
+        self.compile_on(&self.graph(), query)
+    }
+
+    /// [`compile`](Self::compile) for `graph`, a graph the caller pinned.
+    pub(crate) fn compile_on(
+        &self,
+        graph: &Graph,
+        query: &LscrQuery,
+    ) -> Result<CompiledLscrQuery, QueryError> {
         graph.check_vertex(query.source)?;
         graph.check_vertex(query.target)?;
         let constraint = &query.constraint;
-        let (plan, _) = self.plan(&graph, constraint.sparql_text(), Some(constraint))?;
+        let (plan, _) = self.plan(graph, constraint.sparql_text(), Some(constraint))?;
         Ok(query.with_constraint(plan))
     }
 
@@ -36,17 +49,21 @@ impl LscrEngine {
     /// So a canonical text whose plan is cached costs one probe and no
     /// allocation, and any other spelling shares that plan after one
     /// parse. Returns the compiled query and whether `sparql` was parsed.
+    ///
+    /// `graph` is the graph the caller pinned with [`graph`](Self::graph)
+    /// and resolved `source`, `target` and `label_constraint` against; the
+    /// plan is bound to it, and the caller answers on the same pin.
     pub fn compile_text(
         &self,
+        graph: &Graph,
         source: VertexId,
         target: VertexId,
         label_constraint: LabelSet,
         sparql: &str,
     ) -> Result<(CompiledLscrQuery, bool), QueryError> {
-        let graph = self.graph();
         graph.check_vertex(source)?;
         graph.check_vertex(target)?;
-        let (constraint, parsed) = self.plan(&graph, sparql, None)?;
+        let (constraint, parsed) = self.plan(graph, sparql, None)?;
         Ok((CompiledLscrQuery { source, target, label_constraint, constraint }, parsed))
     }
 
@@ -54,8 +71,11 @@ impl LscrEngine {
     /// constraint when the caller already holds it, and then `key` is that
     /// constraint's canonical text. On a miss an unparsed `key` is parsed,
     /// its canonical text probed if it differs, and the plan compiled and
-    /// inserted under the canonical text. The flag says whether `key` was
-    /// parsed.
+    /// inserted under the canonical text, unless the cache holds a plan
+    /// for a newer graph under it: the engine's epoch only grows, across
+    /// updates and reloads, so a caller on an older pin is served its plan
+    /// without displacing the current graph's. The flag says whether `key`
+    /// was parsed.
     fn plan(
         &self,
         graph: &Graph,
@@ -82,8 +102,9 @@ impl LscrEngine {
         let compiled = Arc::new(constraint.compile(graph)?);
         let mut cache = self.plan_cache.write().expect("plan cache lock");
         let shared = match cache.get(key) {
-            // A racing compiler won; keep its plan (same-epoch only).
-            Some(winner) if winner.graph_epoch() == compiled.graph_epoch() => Arc::clone(winner),
+            // A racing compiler won; keep its plan.
+            Some(winner) if winner.is_bound_to(graph) => Arc::clone(winner),
+            Some(newer) if newer.graph_epoch() > compiled.graph_epoch() => compiled,
             Some(_) => {
                 cache.insert(key.to_owned(), Arc::clone(&compiled));
                 compiled
@@ -98,13 +119,13 @@ impl LscrEngine {
         Ok((shared, parsed.is_none()))
     }
 
-    /// The cached plan keyed `key`, if it is bound to `graph`'s epoch.
-    /// Entries compiled before a graph update are purged by
-    /// `apply_update`, but a probe can still race the purge — hence the
-    /// guard on the epoch the plan was bound to.
+    /// The cached plan keyed `key`, if it is bound to `graph`'s lineage
+    /// and epoch. Entries compiled before an update or a reload are purged
+    /// with it, but a probe can race the purge, and a caller may pin an
+    /// older graph — hence the guard on the binding.
     fn cached_plan(&self, graph: &Graph, key: &str) -> Option<Arc<CompiledConstraint>> {
         let cache = self.plan_cache.read().expect("plan cache lock");
-        cache.get(key).filter(|plan| plan.graph_epoch() == graph.epoch()).map(Arc::clone)
+        cache.get(key).filter(|plan| plan.is_bound_to(graph)).map(Arc::clone)
     }
 
     /// Number of distinct constraint plans currently cached.
@@ -146,8 +167,11 @@ mod tests {
     fn plan_lookup_by_text_shares_plans_tracks_epochs_and_survives_a_full_cache() {
         let engine = LscrEngine::new(figure3());
         let q = all_labels_query(&engine.graph(), "v0", "v4");
-        let by_text =
-            |text: &str| engine.compile_text(q.source, q.target, q.label_constraint, text).unwrap();
+        let by_text = |text: &str| {
+            engine
+                .compile_text(&engine.graph(), q.source, q.target, q.label_constraint, text)
+                .unwrap()
+        };
         let canonical = q.constraint.sparql_text();
         let spelled = canonical.replace(' ', "\n\t");
         assert_ne!(spelled, canonical);
@@ -169,10 +193,16 @@ mod tests {
         }
         assert_eq!(engine.cached_plans(), 1);
         assert!(engine
-            .compile_text(VertexId(99), q.target, q.label_constraint, canonical)
+            .compile_text(&engine.graph(), VertexId(99), q.target, q.label_constraint, canonical)
             .is_err());
         assert!(matches!(
-            engine.compile_text(q.source, q.target, q.label_constraint, "SELECT nonsense"),
+            engine.compile_text(
+                &engine.graph(),
+                q.source,
+                q.target,
+                q.label_constraint,
+                "SELECT nonsense"
+            ),
             Err(QueryError::Sparql(_))
         ));
 
@@ -191,7 +221,8 @@ mod tests {
             assert_eq!(fresh.constraint.graph_epoch(), engine.graph_epoch());
             assert!(!Arc::ptr_eq(&fresh.constraint, &purged), "served the purged plan");
             let opts = QueryOptions::default();
-            let out = session.answer_compiled(&fresh, Algorithm::Auto, &opts).unwrap();
+            let out =
+                session.answer_compiled(&engine.graph(), &fresh, Algorithm::Auto, &opts).unwrap();
             assert_eq!(out.answer, answer(&engine, &q, Algorithm::Oracle).unwrap().answer);
         }
         assert!(!by_text(canonical).1, "the recompiled plan is cached again");
@@ -214,10 +245,42 @@ mod tests {
             q.label_constraint,
             SubstructureConstraint::parse(text).unwrap(),
         );
-        let out = session.answer_compiled(&first, Algorithm::Auto, &QueryOptions::default());
+        let out = session.answer_compiled(
+            &engine.graph(),
+            &first,
+            Algorithm::Auto,
+            &QueryOptions::default(),
+        );
         assert_eq!(
             out.unwrap().answer,
             answer(&engine, &uncached, Algorithm::Oracle).unwrap().answer
         );
+    }
+
+    #[test]
+    fn a_plan_for_an_older_pin_never_displaces_the_current_one() {
+        let engine = LscrEngine::new(figure3());
+        let old = engine.graph();
+        let q = all_labels_query(&old, "v0", "v4");
+        let text = q.constraint.sparql_text();
+        let mut batch = kgreach_graph::UpdateBatch::new();
+        batch.delete("v2", "follows", "v4");
+        engine.apply_update(&batch).unwrap();
+        let current = engine.compile(&q).unwrap();
+        assert_eq!(current.constraint.graph_epoch(), 1);
+
+        // Compiled for the older pin, the plan serves its query and is
+        // not cached: the current graph's plan keeps the slot.
+        let (pinned, _) =
+            engine.compile_text(&old, q.source, q.target, q.label_constraint, text).unwrap();
+        assert_eq!(pinned.constraint.graph_epoch(), 0);
+        assert!(Arc::ptr_eq(&engine.compile(&q).unwrap().constraint, &current.constraint));
+        assert_eq!(engine.cached_plans(), 1);
+        let opts = QueryOptions::default();
+        let mut session = engine.session();
+        for (g, plan) in [(&old, &pinned), (&engine.graph(), &current)] {
+            let out = session.answer_compiled(g, plan, Algorithm::Uis, &opts).unwrap();
+            assert_eq!(out.answer, crate::oracle::answer(g, plan).answer);
+        }
     }
 }

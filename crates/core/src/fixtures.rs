@@ -46,16 +46,18 @@ pub(crate) fn all_labels_query(g: &Graph, s: &str, t: &str) -> crate::LscrQuery 
     crate::LscrQuery::new(g.vertex_id(s).unwrap(), g.vertex_id(t).unwrap(), g.all_labels(), s0())
 }
 
-/// `query` answered by `algorithm` under default options: compiled
-/// through `engine`'s plan cache, then answered on a session of its own.
+/// `query` answered by `algorithm` under default options on one pin of
+/// `engine`'s graph: compiled through its plan cache, then answered on a
+/// session of its own.
 #[cfg(test)]
 pub(crate) fn answer(
     engine: &crate::LscrEngine,
     query: &crate::LscrQuery,
     algorithm: crate::Algorithm,
 ) -> Result<crate::QueryOutcome, crate::QueryError> {
-    let compiled = engine.compile(query)?;
-    engine.session().answer_compiled(&compiled, algorithm, &crate::QueryOptions::default())
+    let g = engine.graph();
+    let compiled = engine.compile_on(&g, query)?;
+    engine.session().answer_compiled(&g, &compiled, algorithm, &crate::QueryOptions::default())
 }
 
 #[cfg(test)]

@@ -64,13 +64,13 @@
 //! let mut session = engine.session();
 //! let opts = kgreach::QueryOptions::default();
 //! for _ in 0..3 {
-//!     assert!(session.answer_compiled(&compiled, Algorithm::Auto, &opts).unwrap().answer);
+//!     assert!(session.answer_compiled(&g, &compiled, Algorithm::Auto, &opts).unwrap().answer);
 //! }
 //!
 //! // Force an algorithm and ask for a witness; UIS* reuses the
 //! // materialized V(S,G) on every later run.
 //! let opts = opts.with_witness(true);
-//! let out = session.answer_compiled(&compiled, Algorithm::UisStar, &opts).unwrap();
+//! let out = session.answer_compiled(&g, &compiled, Algorithm::UisStar, &opts).unwrap();
 //! assert_eq!(out.witness.unwrap().via, g.vertex_id("mule1").unwrap());
 //! ```
 

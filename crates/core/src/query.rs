@@ -5,15 +5,16 @@
 //! use kgreach::fixtures::{figure3, s0};
 //!
 //! let engine = LscrEngine::new(figure3());
+//! let g = engine.graph(); // the pin: names resolve and the query runs on it
 //! let q = LscrQuery::new(
-//!     engine.graph().vertex_id("v0").unwrap(),
-//!     engine.graph().vertex_id("v4").unwrap(),
-//!     engine.graph().label_set(&["likes", "follows"]),
+//!     g.vertex_id("v0").unwrap(),
+//!     g.vertex_id("v4").unwrap(),
+//!     g.label_set(&["likes", "follows"]),
 //!     s0(),
 //! );
 //! let compiled = engine.compile(&q).unwrap();
 //! let opts = QueryOptions::default().with_witness(true);
-//! let out = engine.session().answer_compiled(&compiled, Algorithm::Auto, &opts).unwrap();
+//! let out = engine.session().answer_compiled(&g, &compiled, Algorithm::Auto, &opts).unwrap();
 //! assert!(out.answer && out.witness.is_some());
 //! ```
 
@@ -57,6 +58,11 @@ pub enum QueryError {
         /// Fingerprint of the graph the index was built for.
         found: GraphFingerprint,
     },
+    /// A compiled query's ids belong to another graph's id space
+    /// ([`Graph::lineage`](kgreach_graph::Graph::lineage)): it was compiled
+    /// before a snapshot reload, or by another engine. Compile it again
+    /// from names.
+    IdSpaceMismatch,
 }
 
 impl fmt::Display for QueryError {
@@ -69,6 +75,10 @@ impl fmt::Display for QueryError {
                 "local index was built for a different graph: engine graph is [{expected}], \
                  index was built for [{found}]"
             ),
+            QueryError::IdSpaceMismatch => f.write_str(
+                "the compiled query's ids belong to another graph (compiled before a snapshot \
+                 reload, or by another engine); compile it again against the pinned graph",
+            ),
         }
     }
 }
@@ -78,7 +88,7 @@ impl std::error::Error for QueryError {
         match self {
             QueryError::Graph(e) => Some(e),
             QueryError::Sparql(e) => Some(e),
-            QueryError::IndexGraphMismatch { .. } => None,
+            QueryError::IndexGraphMismatch { .. } | QueryError::IdSpaceMismatch => None,
         }
     }
 }
@@ -139,7 +149,8 @@ impl LscrQuery {
 /// Hold one and re-execute it with
 /// [`Session::answer_compiled`](crate::Session::answer_compiled) to
 /// amortize compilation and `V(S,G)` materialization over a workload;
-/// after a graph update it is rebound transparently.
+/// after a graph update it is rebound transparently, and after a snapshot
+/// reload it is refused ([`QueryError::IdSpaceMismatch`]).
 #[derive(Clone, Debug)]
 pub struct CompiledLscrQuery {
     /// Source vertex `s`.

@@ -7,38 +7,39 @@
 //! former behind `&self`; a [`Session`] owns the latter exclusively, so N
 //! threads each holding a session answer queries against one shared
 //! engine without locking around the search itself. The locks are short
-//! and constant-time. A warm query compiled and answered on a fresh
-//! session takes five: the scratch-pool mutex twice (opening the session,
-//! and returning its scratch on drop), the state `RwLock` twice
-//! ([`LscrEngine::compile`] reads the graph, and the search pins its
-//! `(graph, index)` snapshot) and the plan-cache `RwLock` once (the plan
-//! lookup). A session held across queries skips the two pool locks.
+//! and constant-time. A warm query pinned, compiled and answered on a
+//! fresh session takes four: the scratch-pool mutex twice (opening the
+//! session, and returning its scratch on drop), the state `RwLock` once
+//! (the caller's pin, [`LscrEngine::graph`]) and the plan-cache `RwLock`
+//! once (the plan lookup in [`LscrEngine::compile_text`]). A forced INS
+//! reads the state once more, for the index built for the pin. A session
+//! held across queries skips the two pool locks.
 //!
 //! ```
 //! use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions, SubstructureConstraint};
 //! use kgreach::fixtures::{figure3, s0};
 //!
 //! let engine = LscrEngine::new(figure3());
+//! let g = engine.graph(); // the pin: names resolve and the query runs on it
 //! let q = LscrQuery::new(
-//!     engine.graph().vertex_id("v0").unwrap(),
-//!     engine.graph().vertex_id("v4").unwrap(),
-//!     engine.graph().label_set(&["likes", "follows"]),
+//!     g.vertex_id("v0").unwrap(),
+//!     g.vertex_id("v4").unwrap(),
+//!     g.label_set(&["likes", "follows"]),
 //!     s0(),
 //! );
 //! let compiled = engine.compile(&q).unwrap();
 //! let mut session = engine.session();
-//! let out = session.answer_compiled(&compiled, Algorithm::Auto, &QueryOptions::default());
+//! let out = session.answer_compiled(&g, &compiled, Algorithm::Auto, &QueryOptions::default());
 //! assert!(out.unwrap().answer);
 //! ```
 
 use crate::close::{CloseMap, OriginMap};
 use crate::engine::{Algorithm, LscrEngine};
-use crate::local_index::LocalIndex;
 use crate::priority::GlobalQueue;
 use crate::query::{CompiledLscrQuery, LscrQuery, QueryError, QueryOptions, QueryOutcome};
 use crate::witness::find_witness;
 use crate::{ins, oracle, uis, uis_star};
-use kgreach_graph::VertexId;
+use kgreach_graph::{Graph, VertexId};
 use std::sync::Arc;
 
 /// The reusable mutable workspace of one search thread: the epoch-reset
@@ -140,11 +141,11 @@ pub(crate) struct ScratchParts<'a> {
 /// `std::thread::scope` workers. They are deliberately **not** `Sync`:
 /// one session per thread is the concurrency model.
 ///
-/// Every query pins one consistent `(graph, index)` snapshot from the
-/// engine, so a concurrent
+/// Every query runs on the graph its caller pinned with
+/// [`LscrEngine::graph`], so a concurrent
 /// [`apply_update`](crate::LscrEngine::apply_update) never changes the
-/// graph under a running search; the *next* query through the same
-/// session sees the updated graph (and grows the scratch if `|V|` grew).
+/// graph under a running search; a query pinned after it sees the
+/// updated graph (and grows the scratch if `|V|` grew).
 #[derive(Debug)]
 pub struct Session<'e> {
     engine: &'e LscrEngine,
@@ -162,7 +163,8 @@ impl<'e> Session<'e> {
         self.engine
     }
 
-    /// [`LscrEngine::compile`], then [`answer_compiled`](Self::answer_compiled).
+    /// [`LscrEngine::compile`], then [`answer_compiled`](Self::answer_compiled),
+    /// both on one pin of the engine's graph.
     /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn answer_with_options(
         &mut self,
@@ -170,99 +172,76 @@ impl<'e> Session<'e> {
         algorithm: Algorithm,
         opts: &QueryOptions,
     ) -> Result<QueryOutcome, QueryError> {
-        let compiled = self.engine.compile(query)?;
-        self.answer_compiled(&compiled, algorithm, opts)
+        let graph = self.engine.graph();
+        let compiled = self.engine.compile_on(&graph, query)?;
+        self.answer_compiled(&graph, &compiled, algorithm, opts)
     }
 
-    /// Answers an already-compiled query. A [`CompiledLscrQuery`] is
+    /// Answers an already-compiled query on `graph`, the graph the caller
+    /// pinned with [`LscrEngine::graph`]: the whole search, its witness
+    /// and its ids are read on that one graph, whatever an update or a
+    /// reload swaps in meanwhile. A [`CompiledLscrQuery`] is
     /// `Clone + Send + Sync`, so one compiled query can be held and
     /// re-executed by many sessions; its plan and memoized `V(S,G)` are
     /// the ones the engine's plan cache shares.
     ///
-    /// A compiled query is bound to the graph content epoch it was
-    /// compiled at; if the engine's graph has been updated since, the
-    /// plan is transparently recompiled from its retained SPARQL text
-    /// (through the engine's plan cache) before the search runs. The
-    /// rebind can fail — a snapshot reload may have replaced the graph
-    /// with one the query's vertex ids do not fit — and that comes back
-    /// as the same [`QueryError`] a fresh `compile` would raise.
+    /// A held compiled query is bound to the id space and content epoch
+    /// it was compiled at. Its source and target are range-checked on
+    /// `graph` first ([`QueryError::Graph`]). Compiled for another epoch
+    /// of `graph`'s lineage (an update ran in between: ids are stable),
+    /// its plan is rebound once to `graph` from its retained SPARQL text,
+    /// through the engine's plan cache. Compiled for another lineage
+    /// (before a snapshot reload, or by another engine: the same ids name
+    /// other vertices), it is refused with
+    /// [`QueryError::IdSpaceMismatch`]; compile it again from names.
     ///
-    /// [`Algorithm::Ins`] on an engine with no index first builds one for
-    /// the graph the query pinned, holding the engine's update lock (see
-    /// [`LscrEngine::local_index`]); it is installed only if no update has
-    /// replaced that graph meanwhile.
+    /// [`Algorithm::Ins`] takes the installed index if it was built for
+    /// `graph`, and otherwise builds one holding the engine's update lock
+    /// (see [`LscrEngine::local_index`]), installed only if `graph` is
+    /// still the served graph.
     pub fn answer_compiled(
         &mut self,
+        graph: &Arc<Graph>,
         query: &CompiledLscrQuery,
         algorithm: Algorithm,
         opts: &QueryOptions,
     ) -> Result<QueryOutcome, QueryError> {
-        let mut recompiled: Option<CompiledLscrQuery> = None;
-        loop {
-            let query = recompiled.as_ref().unwrap_or(query);
-            // One consistent `(graph, index)` snapshot for the whole query.
-            let (g, index) = self.engine.state_snapshot();
-            if query.constraint.graph_epoch() != g.epoch() {
-                // Stale plan (caller-held query from before an update or a
-                // reload, or one of them raced the snapshot): rebind from
-                // the canonical text the plan retains, and retry. Nothing
-                // may read the stale plan against `g` — its constants are
-                // ids of the old graph.
-                let (source, target, labels) = (query.source, query.target, query.label_constraint);
-                let text = query.constraint.sparql_text();
-                recompiled = Some(self.engine.compile_text(source, target, labels, text)?.0);
-                continue;
-            }
-            let resolved = if algorithm == Algorithm::Auto {
-                self.engine.plan_algorithm(query, None)
-            } else {
-                algorithm
-            };
-            let index = match index {
-                None if resolved == Algorithm::Ins => Some(self.engine.index_for(&g)),
-                index => index,
-            };
-            // Dynamic graphs grow |V| between queries.
-            self.scratch.as_mut().expect("scratch present until drop").ensure(g.num_vertices());
-            let outcome = self.dispatch(&g, &index, query, resolved, opts);
-            return Ok(self.finalize(&g, query, resolved, outcome, opts));
-        }
-    }
-
-    fn dispatch(
-        &mut self,
-        g: &kgreach_graph::Graph,
-        index: &Option<Arc<LocalIndex>>,
-        query: &CompiledLscrQuery,
-        algorithm: Algorithm,
-        opts: &QueryOptions,
-    ) -> QueryOutcome {
-        debug_assert!(algorithm != Algorithm::Auto, "Auto resolved before dispatch");
+        graph.check_vertex(query.source)?;
+        graph.check_vertex(query.target)?;
+        let rebound;
+        let query = if query.constraint.is_bound_to(graph) {
+            query
+        } else if query.constraint.shares_ids_with(graph) {
+            // Nothing may read the stale plan against `graph`: its memos
+            // and constants belong to another epoch.
+            let (source, target, labels) = (query.source, query.target, query.label_constraint);
+            let text = query.constraint.sparql_text();
+            rebound = self.engine.compile_text(graph, source, target, labels, text)?.0;
+            &rebound
+        } else {
+            return Err(QueryError::IdSpaceMismatch);
+        };
+        let resolved = if algorithm == Algorithm::Auto {
+            self.engine.plan_algorithm(query, None)
+        } else {
+            algorithm
+        };
         let scratch = self.scratch.as_mut().expect("scratch present until drop");
-        match algorithm {
-            Algorithm::Uis => uis::answer_with(g, query, scratch, opts),
-            Algorithm::UisStar => uis_star::answer_with(g, query, scratch, opts),
+        // Dynamic graphs grow |V| between queries.
+        scratch.ensure(graph.num_vertices());
+        let mut outcome = match resolved {
+            Algorithm::Uis => uis::answer_with(graph, query, scratch, opts),
+            Algorithm::UisStar => uis_star::answer_with(graph, query, scratch, opts),
             Algorithm::Ins => {
-                let index = index.as_ref().expect("index pinned for INS");
-                ins::answer_with(g, query, index, scratch, opts)
+                ins::answer_with(graph, query, &self.engine.index_for(graph), scratch, opts)
             }
-            Algorithm::Oracle | Algorithm::Auto => oracle::answer(g, query),
-        }
-    }
-
-    fn finalize(
-        &self,
-        g: &kgreach_graph::Graph,
-        query: &CompiledLscrQuery,
-        resolved: Algorithm,
-        mut outcome: QueryOutcome,
-        opts: &QueryOptions,
-    ) -> QueryOutcome {
+            Algorithm::Oracle | Algorithm::Auto => oracle::answer(graph, query),
+        };
         outcome.stats.algorithm = Some(resolved);
         if opts.witness && outcome.answer {
-            outcome.witness = find_witness(g, query);
+            outcome.witness = find_witness(graph, query);
         }
-        outcome
+        Ok(outcome)
     }
 }
 
@@ -304,7 +283,9 @@ mod tests {
         for alg in
             [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Oracle, Algorithm::Auto]
         {
-            let out = session.answer_compiled(&compiled, alg, &QueryOptions::default()).unwrap();
+            let out = session
+                .answer_compiled(&engine.graph(), &compiled, alg, &QueryOptions::default())
+                .unwrap();
             assert!(out.answer, "{alg} disagrees");
             assert!(out.stats.algorithm.is_some());
             assert_ne!(out.stats.algorithm, Some(Algorithm::Auto), "Auto must resolve");
@@ -336,14 +317,21 @@ mod tests {
         let compiled = engine.compile(&q(&g, "v3", "v4", &["likes", "hates", "friendOf"])).unwrap();
         let mut session = engine.session();
         let reference = session
-            .answer_compiled(&compiled, Algorithm::UisStar, &QueryOptions::default())
+            .answer_compiled(
+                &engine.graph(),
+                &compiled,
+                Algorithm::UisStar,
+                &QueryOptions::default(),
+            )
             .unwrap();
         assert!(reference.answer);
         assert!(compiled.constraint.vsg_len_if_materialized().is_some(), "memoized on first run");
         for seed in 0..8 {
             let opts =
                 QueryOptions::default().with_vsg_order(crate::query::VsgOrder::Shuffled(seed));
-            let out = session.answer_compiled(&compiled, Algorithm::UisStar, &opts).unwrap();
+            let out = session
+                .answer_compiled(&engine.graph(), &compiled, Algorithm::UisStar, &opts)
+                .unwrap();
             assert_eq!(out.answer, reference.answer, "seed {seed} changed the answer");
             assert_eq!(out.stats.vsg_size, reference.stats.vsg_size);
         }
@@ -370,7 +358,8 @@ mod tests {
 
         let mut session = engine.session();
         for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-            match session.answer_compiled(&compiled, alg, &QueryOptions::default()) {
+            match session.answer_compiled(&engine.graph(), &compiled, alg, &QueryOptions::default())
+            {
                 Err(QueryError::Graph(kgreach_graph::GraphError::VertexOutOfRange {
                     id: 4,
                     num_vertices: 2,
@@ -388,8 +377,138 @@ mod tests {
         );
         let ok = engine.compile(&ok).unwrap();
         assert!(
-            session.answer_compiled(&ok, Algorithm::Auto, &QueryOptions::default()).unwrap().answer
+            session
+                .answer_compiled(&engine.graph(), &ok, Algorithm::Auto, &QueryOptions::default())
+                .unwrap()
+                .answer
         );
+    }
+
+    /// Every answer entry, the oracle and `Auto` included.
+    const EVERY_ALGORITHM: [Algorithm; 5] =
+        [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Oracle, Algorithm::Auto];
+
+    /// `a -p-> b -p-> c`, with the two triples added (so the three names
+    /// interned) in the order of `triples`.
+    fn chain(triples: [(&str, &str); 2]) -> Graph {
+        let mut b = kgreach_graph::GraphBuilder::new();
+        for (s, t) in triples {
+            b.add_triple(s, "p", t);
+        }
+        b.build().unwrap()
+    }
+
+    /// An engine snapshot of `g`.
+    fn snapshot_of(g: Graph) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        LscrEngine::new(g).save_snapshot(&mut bytes).unwrap();
+        bytes
+    }
+
+    /// `a → c` through a vertex with a `p`-edge into `c`: true on `chain`.
+    fn a_to_c(g: &Graph) -> LscrQuery {
+        let v = |name| g.vertex_id(name).unwrap();
+        let s = crate::SubstructureConstraint::parse("SELECT ?x WHERE { ?x <p> <c> . }").unwrap();
+        LscrQuery::new(v("a"), v("c"), g.all_labels(), s)
+    }
+
+    #[test]
+    fn compiled_query_held_across_an_id_permuting_reload_is_refused() {
+        let engine = LscrEngine::new(chain([("a", "b"), ("b", "c")]));
+        let held = engine.compile(&a_to_c(&engine.graph())).unwrap();
+        let mut session = engine.session();
+        let opts = QueryOptions::default();
+        assert!(
+            session.answer_compiled(&engine.graph(), &held, Algorithm::Uis, &opts).unwrap().answer
+        );
+
+        // The same triples, interned in another order: `held`'s ids now
+        // name other vertices (its `a → c` reads as `b → a`).
+        engine.reload_from_snapshot(&snapshot_of(chain([("b", "c"), ("a", "b")]))).unwrap();
+        let g = engine.graph();
+        assert_ne!(g.vertex_id("a"), Some(held.source));
+        for alg in EVERY_ALGORITHM {
+            match session.answer_compiled(&g, &held, alg, &opts) {
+                Err(QueryError::IdSpaceMismatch) => {}
+                other => panic!("{alg}: expected IdSpaceMismatch, got {other:?}"),
+            }
+        }
+        // Compiled again from names, the query answers as before.
+        let fresh = engine.compile(&a_to_c(&g)).unwrap();
+        for alg in EVERY_ALGORITHM {
+            assert!(session.answer_compiled(&g, &fresh, alg, &opts).unwrap().answer, "{alg}");
+        }
+    }
+
+    #[test]
+    fn compiled_query_answered_through_another_engine_is_refused() {
+        let first = LscrEngine::new(chain([("a", "b"), ("b", "c")]));
+        let second = LscrEngine::new(chain([("b", "c"), ("a", "b")]));
+        assert_eq!((first.graph_epoch(), second.graph_epoch()), (0, 0));
+        let held = first.compile(&a_to_c(&first.graph())).unwrap();
+        let mut session = second.session();
+        for alg in EVERY_ALGORITHM {
+            match session.answer_compiled(&second.graph(), &held, alg, &QueryOptions::default()) {
+                Err(QueryError::IdSpaceMismatch) => {}
+                other => panic!("{alg}: expected IdSpaceMismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_query_held_across_an_update_rebinds_and_answers_as_a_fresh_compile() {
+        let engine = LscrEngine::new(chain([("a", "b"), ("b", "c")]));
+        let held = engine.compile(&a_to_c(&engine.graph())).unwrap();
+        let mut session = engine.session();
+        let opts = QueryOptions::default();
+        let mut detour = kgreach_graph::UpdateBatch::new();
+        detour.delete("b", "p", "c").insert("a", "p", "x").insert("x", "p", "c");
+        let mut cut = kgreach_graph::UpdateBatch::new();
+        cut.delete("a", "p", "x");
+        for (batch, want) in [(detour, true), (cut, false)] {
+            engine.apply_update(&batch).unwrap();
+            let g = engine.graph();
+            let fresh = engine.compile(&a_to_c(&g)).unwrap();
+            assert_eq!(oracle::answer(&g, &fresh).answer, want);
+            for alg in EVERY_ALGORITHM {
+                let out = session.answer_compiled(&g, &held, alg, &opts).unwrap();
+                assert_eq!(out.answer, want, "{alg}: the held query");
+                let out = session.answer_compiled(&g, &fresh, alg, &opts).unwrap();
+                assert_eq!(out.answer, want, "{alg}: a fresh compile");
+            }
+        }
+    }
+
+    #[test]
+    fn a_query_answers_on_its_pin_across_an_update_and_a_reload() {
+        let engine = LscrEngine::new(chain([("a", "b"), ("b", "c")]));
+        let g = engine.graph();
+        let q = a_to_c(&g);
+        let text = q.constraint.sparql_text();
+        let (query, _) =
+            engine.compile_text(&g, q.source, q.target, q.label_constraint, text).unwrap();
+        // Both swaps make `a → c` false on the served graph; the second
+        // also renumbers every vertex.
+        let mut batch = kgreach_graph::UpdateBatch::new();
+        batch.delete("b", "p", "c");
+        engine.apply_update(&batch).unwrap();
+        engine.reload_from_snapshot(&snapshot_of(chain([("b", "a"), ("c", "b")]))).unwrap();
+        assert_ne!(engine.graph().vertex_id("a"), Some(query.source));
+
+        let want = oracle::answer(&g, &query).answer;
+        assert!(want);
+        let mut session = engine.session();
+        let opts = QueryOptions::default().with_witness(true);
+        for alg in EVERY_ALGORITHM {
+            let out = session.answer_compiled(&g, &query, alg, &opts).unwrap();
+            assert_eq!(out.answer, want, "{alg}");
+            let witness = out.witness.expect("a true answer carries its witness");
+            let names: Vec<_> = witness.vertices().into_iter().map(|v| g.vertex_name(v)).collect();
+            assert_eq!(names, ["a", "b", "c"], "{alg}: the witness names vertices of the pin");
+            assert_eq!(g.vertex_name(witness.via), "b", "{alg}");
+            assert!(witness.path.iter().all(|e| g.has_edge(e.src, e.label, e.dst)), "{alg}");
+        }
+        assert!(engine.local_index_if_built().is_none(), "an index for the pin is not installed");
     }
 
     #[test]

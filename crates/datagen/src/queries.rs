@@ -255,7 +255,9 @@ mod tests {
         let mut session = engine.session();
         for q in w.true_queries.iter().chain(&w.false_queries) {
             let compiled = engine.compile(&q.query).unwrap();
-            let out = session.answer_compiled(&compiled, Algorithm::Oracle, &opts).unwrap();
+            let out = session
+                .answer_compiled(&engine.graph(), &compiled, Algorithm::Oracle, &opts)
+                .unwrap();
             assert_eq!(out.answer, q.expected);
         }
     }
@@ -303,7 +305,9 @@ mod tests {
         let mut session = engine.session();
         for q in w.true_queries.iter().chain(&w.false_queries) {
             let compiled = engine.compile(&q.query).unwrap();
-            let out = session.answer_compiled(&compiled, Algorithm::Oracle, &opts).unwrap();
+            let out = session
+                .answer_compiled(&engine.graph(), &compiled, Algorithm::Oracle, &opts)
+                .unwrap();
             assert_eq!(out.answer, q.expected);
         }
     }

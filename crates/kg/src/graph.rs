@@ -57,6 +57,36 @@ impl std::fmt::Display for GraphFingerprint {
     }
 }
 
+/// The id space of a [`Graph`]: which vertex or label each dense id names.
+///
+/// Graphs derived from one another — by
+/// [`apply_update`](Graph::apply_update) (which never changes or reuses an
+/// id), by clone or by [`compact`](Graph::compact) — share a lineage. A
+/// graph that is built or loaded from a snapshot starts one of its own, even
+/// when its content matches another graph's: the order names were
+/// interned in decides its ids. Whatever holds ids of one graph (a
+/// compiled query, a plan's resolved constants) records the lineage beside
+/// the [`epoch`](Graph::epoch) and must not be read against a graph of
+/// another lineage. The token is neither persisted nor part of the
+/// [`GraphFingerprint`].
+///
+/// Lineage and epoch name one graph only while a lineage's updates are
+/// applied in sequence, as an engine's are: two clones updated apart keep
+/// one lineage while their new ids diverge, so their compiled queries
+/// must not be mixed.
+#[derive(Clone, Debug)]
+pub struct Lineage(std::sync::Arc<()>);
+
+impl PartialEq for Lineage {
+    /// Identity of the shared token; every holder keeps it alive, so its
+    /// address is never reused while it can be compared.
+    fn eq(&self, other: &Self) -> bool {
+        std::sync::Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for Lineage {}
+
 /// An edge-labeled knowledge graph: a frozen CSR base plus an optional
 /// `DeltaOverlay` of applied updates (see the `delta` module docs).
 ///
@@ -86,6 +116,9 @@ pub struct Graph {
     /// (compaction is a representation change, so content-keyed caches
     /// survive it).
     epoch: u64,
+    /// The id space; fresh per construction, kept by clone, update and
+    /// compaction.
+    lineage: Lineage,
     schema: Schema,
     label_histogram: Vec<usize>,
     /// Per label, the number of vertices with at least one *out*-edge
@@ -144,6 +177,7 @@ impl Graph {
             overlay: None,
             num_edges,
             epoch: 0,
+            lineage: Lineage(std::sync::Arc::new(())),
             schema,
             label_histogram,
             label_vertex_counts,
@@ -572,18 +606,25 @@ impl Graph {
         self.epoch
     }
 
+    /// The graph's id space, shared with the graphs derived from it by
+    /// updates (see [`Lineage`]).
+    #[inline]
+    pub fn lineage(&self) -> &Lineage {
+        &self.lineage
+    }
+
     /// Raises the content epoch to at least `at_least` (no-op when the
     /// epoch is already past it).
     ///
     /// The serving hot-reload path needs this: a graph restored from a
-    /// snapshot starts at epoch `0`, and swapping it in for a graph whose
-    /// epoch is *also* `0` (or higher) would let epoch-stamped caches
-    /// (compiled constraint plans, `SCck` memos, materialized `V(S,G)`
-    /// sets) bound to the **old** content pass their staleness check
-    /// against the **new** content. Callers replacing one graph with
-    /// another wholesale must advance the replacement's epoch strictly
-    /// past the replaced graph's — see
-    /// `LscrEngine::reload_from_snapshot` in `kgreach`.
+    /// snapshot starts at epoch `0`, and a server swapping it in for a
+    /// graph at a higher epoch would report its epoch going backwards and
+    /// let a plan cached for the old graph look newer than the new
+    /// graph's. Callers replacing one graph with another wholesale
+    /// advance the replacement's epoch strictly past the replaced
+    /// graph's — see `LscrEngine::reload_from_snapshot` in `kgreach`.
+    /// (Caches bound to the old graph are told apart by its
+    /// [`lineage`](Self::lineage), which a restored graph never shares.)
     pub fn advance_epoch_to(&mut self, at_least: u64) {
         self.epoch = self.epoch.max(at_least);
     }
@@ -727,9 +768,10 @@ impl Graph {
     /// Re-freezes the overlay into a clean CSR pair: the merged adjacency
     /// is rebuilt through the constructor [`GraphBuilder::build`] ends in
     /// (`Csr::from_key_sorted` + the `from_parts` derivation), and
-    /// the overlay is dropped. Ids, dictionaries, schema, statistics and
-    /// the [`epoch`](Self::epoch) are all preserved — compaction changes
-    /// the representation, never the content. No-op on a compact graph.
+    /// the overlay is dropped. Ids, dictionaries, schema, statistics, the
+    /// [`epoch`](Self::epoch) and the [`lineage`](Self::lineage) are all
+    /// preserved — compaction changes the representation, never the
+    /// content. No-op on a compact graph.
     pub fn compact(&mut self) {
         if self.overlay.is_none() {
             return;
@@ -750,7 +792,7 @@ impl Graph {
         edges.sort_unstable_by_key(|e| (e.dst, e.label, e.src));
         let inn =
             Csr::from_key_sorted(n, edges.len(), edges.iter().map(|e| (e.dst, e.label, e.src)));
-        let epoch = self.epoch;
+        let (epoch, lineage) = (self.epoch, self.lineage.clone());
         *self = Graph::from_parts(
             std::mem::take(&mut self.vertex_dict),
             std::mem::take(&mut self.label_dict),
@@ -760,6 +802,7 @@ impl Graph {
             std::mem::take(&mut self.label_histogram),
         );
         self.epoch = epoch;
+        self.lineage = lineage;
     }
 
     /// A compacted clone — the content-identical, overlay-free form used
@@ -1525,6 +1568,25 @@ mod tests {
         assert_equivalent(&g, &live_view);
         g.compact(); // idempotent
         assert_eq!(g.fingerprint(), fp);
+    }
+
+    #[test]
+    fn lineage_follows_derivation_not_content() {
+        let base = figure3_graph();
+        let mut derived = base.clone();
+        let mut batch = UpdateBatch::new();
+        batch.insert("v4", "likes", "v0").insert("x", "likes", "y");
+        derived.apply_update(&batch).unwrap();
+        derived.compact();
+        assert_eq!(derived.lineage(), base.lineage(), "updates keep every id");
+        let twin = figure3_graph();
+        assert_eq!(twin.fingerprint(), base.fingerprint());
+        assert_ne!(twin.lineage(), base.lineage(), "a build starts its own id space");
+        let mut bytes = Vec::new();
+        crate::snapshot::write_graph_snapshot(&base, &mut bytes).unwrap();
+        let loaded = crate::snapshot::read_graph_snapshot(&bytes).unwrap();
+        assert_eq!(loaded.fingerprint(), base.fingerprint());
+        assert_ne!(loaded.lineage(), base.lineage(), "a load starts its own id space");
     }
 
     #[test]

@@ -64,7 +64,7 @@ mod graph;
 pub use csr::{Expansion, LabeledTarget, PerLabelRuns};
 pub use delta::{DeltaOverlay, DeltaStats, UpdateBatch, UpdateOp, UpdateSummary};
 pub use error::{GraphError, Result};
-pub use graph::{Graph, GraphBuilder, GraphFingerprint};
+pub use graph::{Graph, GraphBuilder, GraphFingerprint, Lineage};
 pub use ids::{Edge, LabelId, VertexId};
 pub use labelset::{Cms, LabelSet, MAX_LABELS};
 pub use schema::Schema;

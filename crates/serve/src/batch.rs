@@ -325,65 +325,40 @@ impl Batcher {
         result
     }
 
-    /// Resolves and answers one query on a consistent graph snapshot, and
-    /// writes its response text.
+    /// Resolves and answers one query on one graph, and writes its
+    /// response text.
     ///
-    /// Names resolve to ids, and the constraint text to a plan through
-    /// the engine's plan cache, which parses the text only when no cached
-    /// plan has it as its key. Name resolution and search must see the
-    /// *same* graph: a snapshot reload in between would re-bind the
-    /// resolved dense ids to different vertices (updates keep ids stable;
-    /// reloads do not). The engine pins its own snapshot inside
-    /// `answer_compiled`, so consistency is re-checked afterwards by Arc
-    /// identity — if the served graph changed while this query was in
-    /// flight, re-resolve and re-run against the new one.
+    /// The served graph is pinned once: names resolve to ids on it, the
+    /// constraint text finds its plan for it through the engine's plan
+    /// cache (which parses the text only when no cached plan has it as
+    /// its key), and the search, the witness and the rendered names all
+    /// read it. An update or a snapshot reload that lands meanwhile
+    /// serves the next query; this one is answered, correctly, for the
+    /// graph that was current when it started.
     fn search(&self, req: &QueryRequest) -> Result<String, ApiError> {
         // The scratch is borrowed for this query and goes back to the
         // engine's pool when it is answered, on a panic's unwind too.
         let mut session = self.engine.session();
-        for _ in 0..16 {
-            let g = self.engine.graph();
-            let (source, target, labels) = match req.resolve_names(&g) {
-                Ok(ids) => ids,
-                Err(e) => {
-                    self.metrics.query_errors_total.add(1);
-                    return Err(e);
-                }
-            };
+        let g = self.engine.graph();
+        let answered = req.resolve_names(&g).and_then(|(source, target, labels)| {
+            let (query, parsed) =
+                self.engine.compile_text(&g, source, target, labels, &req.constraint)?;
+            if parsed {
+                self.metrics.constraint_parses_total.add(1);
+            }
             let opts = req.options(self.config.max_step_budget, self.config.max_timeout);
-            let answered = self
-                .engine
-                .compile_text(source, target, labels, &req.constraint)
-                .and_then(|(query, parsed)| {
-                    if parsed {
-                        self.metrics.constraint_parses_total.add(1);
-                    }
-                    session.answer_compiled(&query, req.algorithm, &opts)
-                });
-            let out = match answered {
-                Ok(out) => out,
-                Err(e) if !Arc::ptr_eq(&g, &self.engine.graph()) => {
-                    // The graph was swapped mid-flight; the error may be
-                    // an artifact of stale ids. Retry on the new graph.
-                    let _ = e;
-                    continue;
-                }
-                Err(e) => {
-                    self.metrics.query_errors_total.add(1);
-                    return Err(e.into());
-                }
-            };
-            if Arc::ptr_eq(&g, &self.engine.graph()) {
+            Ok(session.answer_compiled(&g, &query, req.algorithm, &opts)?)
+        });
+        match answered {
+            Ok(out) => {
                 self.metrics.record_outcome(&out.stats, out.interrupted);
-                return Ok(outcome_text(&g, &out));
+                Ok(outcome_text(&g, &out))
+            }
+            Err(e) => {
+                self.metrics.query_errors_total.add(1);
+                Err(e)
             }
         }
-        self.metrics.query_errors_total.add(1);
-        Err(ApiError::new(
-            503,
-            "unstable",
-            "the served graph kept changing while this query was in flight; retry",
-        ))
     }
 }
 

@@ -69,11 +69,14 @@ impl From<QueryError> for ApiError {
                 | GraphError::WalVersion { .. }
                 | GraphError::WalCorrupt { .. },
             ) => ApiError::new(500, "storage", e.to_string()),
-            // The protocol layer resolves names itself, so a graph-level
-            // failure here means ids went stale mid-flight or the request
-            // referenced structure the graph lacks.
+            // The protocol layer resolves names itself, on the graph the
+            // query is answered on, so a graph-level failure here means
+            // the request referenced structure the graph lacks.
             QueryError::Graph(_) => ApiError::new(422, "graph_error", e.to_string()),
             QueryError::Sparql(_) => ApiError::new(422, "bad_constraint", e.to_string()),
+            // Only a compiled query held across a reload can raise it, and
+            // the server compiles every query for the graph it answers on.
+            QueryError::IdSpaceMismatch => ApiError::new(500, "internal", e.to_string()),
             _ => ApiError::new(500, "internal", e.to_string()),
         }
     }
@@ -186,8 +189,9 @@ impl QueryRequest {
     /// Resolves names against `g` and assembles the engine-level query:
     /// [`resolve_names`](Self::resolve_names), then the constraint parsed
     /// (`422 bad_constraint`). The server does not parse here: it hands
-    /// the constraint text to `LscrEngine::compile_text`, which parses it
-    /// only when no cached plan has it as its key.
+    /// the constraint text, with the same pinned `g`, to
+    /// `LscrEngine::compile_text`, which parses it only when no cached
+    /// plan has it as its key.
     /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn resolve(&self, g: &Graph) -> Result<LscrQuery, ApiError> {
         let (source, target, label_constraint) = self.resolve_names(g)?;
@@ -438,7 +442,8 @@ mod tests {
         let engine = LscrEngine::new(g);
         let opts = req.options(None, None);
         let q = engine.compile(&q).unwrap();
-        let out = engine.session().answer_compiled(&q, req.algorithm, &opts).unwrap();
+        let out = engine.session().answer_compiled(&engine.graph(), &q, req.algorithm, &opts);
+        let out = out.unwrap();
         assert!(out.answer);
         let rendered = render_outcome(&engine.graph(), &out).to_string();
         assert!(rendered.contains("\"answer\":true"));

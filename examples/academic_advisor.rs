@@ -61,7 +61,7 @@ pub(crate) fn main() {
         let mut agreed = None;
         let mut session = engine.session();
         for alg in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
-            let out = session.answer_compiled(&q, alg, &QueryOptions::default()).unwrap();
+            let out = session.answer_compiled(&g, &q, alg, &QueryOptions::default()).unwrap();
             match alg {
                 Algorithm::Auto => print!(
                     "Auto→{}={} ({:?})  ",

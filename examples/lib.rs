@@ -7,11 +7,13 @@ use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions};
 /// if the algorithms disagree.
 pub fn run_all_algorithms(engine: &LscrEngine, label: &str, query: &LscrQuery) -> bool {
     println!("── {label}");
+    let g = engine.graph();
     let compiled = engine.compile(query).expect("query is valid");
     let mut session = engine.session();
     let mut answers = Vec::new();
     for alg in Algorithm::ALL {
-        let outcome = session.answer_compiled(&compiled, alg, &QueryOptions::default()).unwrap();
+        let outcome =
+            session.answer_compiled(&g, &compiled, alg, &QueryOptions::default()).unwrap();
         println!(
             "   {:<5} → {:<5} in {:>9.3?}  (passed {} vertices, scck {}, |V(S,G)| {})",
             alg.name(),

@@ -99,9 +99,14 @@ pub(crate) fn main() {
             let lq = engine.compile(&lq).expect("live compiles");
             let rq = rebuilt.compile(&rq).expect("rebuilt compiles");
             for alg in [Algorithm::Uis, Algorithm::Ins, Algorithm::Auto] {
-                let live_ans = live.answer_compiled(&lq, alg, &opts).expect("live answers").answer;
-                let rebuilt_ans =
-                    fresh.answer_compiled(&rq, alg, &opts).expect("rebuilt answers").answer;
+                let live_ans = live
+                    .answer_compiled(&live_graph, &lq, alg, &opts)
+                    .expect("live answers")
+                    .answer;
+                let rebuilt_ans = fresh
+                    .answer_compiled(&rebuilt_graph, &rq, alg, &opts)
+                    .expect("rebuilt answers")
+                    .answer;
                 assert_eq!(
                     live_ans, rebuilt_ans,
                     "{alg} disagrees on pair ({i}, {j}) after the stream"

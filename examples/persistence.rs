@@ -71,8 +71,10 @@ pub(crate) fn main() {
     let q_after = restored.compile(&q).expect("query compiles");
     let (mut before, mut after) = (engine.session(), restored.session());
     for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-        let original = before.answer_compiled(&q_before, alg, &opts).expect("answers").answer;
-        let after_restart = after.answer_compiled(&q_after, alg, &opts).expect("answers").answer;
+        let original =
+            before.answer_compiled(&engine.graph(), &q_before, alg, &opts).expect("answers").answer;
+        let after_restart =
+            after.answer_compiled(&g, &q_after, alg, &opts).expect("answers").answer;
         assert_eq!(original, after_restart, "{alg} must not change across a restart");
         println!("{alg:>5}: {after_restart} (same before and after restart)");
     }

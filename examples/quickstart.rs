@@ -50,7 +50,7 @@ pub(crate) fn main() {
     let mut session = engine.session();
     let opts = QueryOptions::default();
     for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
-        let outcome = session.answer_compiled(&compiled, alg, &opts).unwrap();
+        let outcome = session.answer_compiled(&graph, &compiled, alg, &opts).unwrap();
         println!(
             "{:<5} answered {:<5} in {:?} (ran {}, passed {} vertices)",
             alg.name(),
@@ -64,7 +64,7 @@ pub(crate) fn main() {
 
     // Options select extras like the witness path.
     let witness = session
-        .answer_compiled(&compiled, Algorithm::UisStar, &opts.clone().with_witness(true))
+        .answer_compiled(&graph, &compiled, Algorithm::UisStar, &opts.clone().with_witness(true))
         .unwrap()
         .witness
         .expect("true answers yield a witness when requested");
@@ -81,7 +81,7 @@ pub(crate) fn main() {
         query.constraint.clone(),
     );
     let strict = engine.compile(&strict).unwrap();
-    let outcome = session.answer_compiled(&strict, Algorithm::Uis, &opts).unwrap();
+    let outcome = session.answer_compiled(&graph, &strict, Algorithm::Uis, &opts).unwrap();
     println!("mentors-only: {}", outcome.answer);
     assert!(!outcome.answer);
 }

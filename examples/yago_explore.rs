@@ -52,7 +52,7 @@ pub(crate) fn main() {
             let mut answers = Vec::new();
             print!("  {s}→{t}: ");
             for alg in Algorithm::ALL {
-                let out = session.answer_compiled(&q, alg, &opts).unwrap();
+                let out = session.answer_compiled(&g, &q, alg, &opts).unwrap();
                 print!("{}={} ({} passed)  ", alg.name(), out.answer, out.stats.passed_vertices);
                 answers.push(out.answer);
             }
@@ -71,10 +71,10 @@ pub(crate) fn main() {
         let threads: Vec<_> = batch
             .chunks(chunk)
             .map(|queries| {
-                let (engine, opts) = (&engine, &opts);
+                let (engine, g, opts) = (&engine, &g, &opts);
                 scope.spawn(move || {
                     let mut session = engine.session();
-                    let answer = |q| session.answer_compiled(q, Algorithm::Auto, opts).unwrap();
+                    let answer = |q| session.answer_compiled(g, q, Algorithm::Auto, opts).unwrap();
                     queries.iter().map(answer).map(|out| out.answer).collect::<Vec<_>>()
                 })
             })
@@ -88,7 +88,7 @@ pub(crate) fn main() {
         start.elapsed()
     );
     for (q, answer) in batch.iter().zip(&results) {
-        let sequential = session.answer_compiled(q, Algorithm::Oracle, &opts).unwrap().answer;
+        let sequential = session.answer_compiled(&g, q, Algorithm::Oracle, &opts).unwrap().answer;
         assert_eq!(*answer, sequential, "threaded answer drifted");
     }
     println!("All algorithms (and the threaded pass) agreed on every query.");

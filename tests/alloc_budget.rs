@@ -8,9 +8,10 @@
 //! connection thread runs, each counted alone:
 //! `Json::parse` → `QueryRequest::parse` → resolve (`resolve_names`, then
 //! the plan looked up by the constraint's text through
-//! `LscrEngine::compile_text`) → a warm `Session::answer_compiled` →
-//! `outcome_text`, the response text. The HTTP read and write around them
-//! are not counted.
+//! `LscrEngine::compile_text`, both on the graph pinned for the query) →
+//! a warm `Session::answer_compiled` on the same pin → `outcome_text`, the
+//! response text. The HTTP read and write around them are not counted,
+//! nor is the pin (`LscrEngine::graph`, an `Arc` clone).
 //!
 //! A one-edit `/update` body goes through the stages of a server without
 //! a data directory, counted the same way: `Json::parse` → `parse_update`
@@ -76,10 +77,11 @@ fn stage_counts(engine: &LscrEngine, body: &str) -> [usize; 5] {
     let (req, request) = counted(|| QueryRequest::parse(&json).unwrap());
     let (query, resolve) = counted(|| {
         let (source, target, labels) = req.resolve_names(&g).unwrap();
-        engine.compile_text(source, target, labels, &req.constraint).unwrap().0
+        engine.compile_text(&g, source, target, labels, &req.constraint).unwrap().0
     });
     let opts = req.options(config.max_step_budget, config.max_timeout);
-    let (out, answer) = counted(|| session.answer_compiled(&query, req.algorithm, &opts).unwrap());
+    let (out, answer) =
+        counted(|| session.answer_compiled(&g, &query, req.algorithm, &opts).unwrap());
     let (text, write) = counted(|| outcome_text(&g, &out));
     assert!(text.starts_with("{\"answer\":"), "{text}");
     [parse, request, resolve, answer, write]

@@ -91,15 +91,14 @@ fn compiled_queries_shared_across_threads() {
 
     std::thread::scope(|scope| {
         for worker in 0..THREADS {
-            let compiled = &compiled;
-            let engine = &engine;
+            let (compiled, engine, g) = (&compiled, &engine, &g);
             scope.spawn(move || {
                 let mut session = engine.session();
                 let algs = [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto];
                 let opts = QueryOptions::default();
                 for (i, (cq, expected)) in compiled.iter().enumerate() {
                     let alg = algs[(worker + i) % algs.len()];
-                    let out = session.answer_compiled(cq, alg, &opts).unwrap();
+                    let out = session.answer_compiled(g, cq, alg, &opts).unwrap();
                     assert_eq!(out.answer, *expected, "compiled query {i} via {alg}");
                 }
             });

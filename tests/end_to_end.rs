@@ -136,12 +136,12 @@ fn passed_vertex_metric_ordering() {
     for gq in &w.true_queries {
         let compiled = engine.compile(&gq.query).unwrap();
         ins_total += session
-            .answer_compiled(&compiled, Algorithm::Ins, &QueryOptions::default())
+            .answer_compiled(&engine.graph(), &compiled, Algorithm::Ins, &QueryOptions::default())
             .unwrap()
             .stats
             .passed_vertices;
         uis_total += session
-            .answer_compiled(&compiled, Algorithm::Uis, &one_frontier)
+            .answer_compiled(&engine.graph(), &compiled, Algorithm::Uis, &one_frontier)
             .unwrap()
             .stats
             .passed_vertices;

@@ -611,7 +611,9 @@ fn parser_sweeps_never_panic() {
         let request = Json::parse(body).ok().and_then(|j| QueryRequest::parse(&j).ok());
         let q = request.and_then(|r| r.resolve(&g).ok());
         let compiled = q.map(|q| engine.compile(&q));
-        drop(compiled.map(|c| engine.session().answer_compiled(&c?, Algorithm::Auto, &budget)));
+        drop(compiled.map(|c| {
+            engine.session().answer_compiled(&engine.graph(), &c?, Algorithm::Auto, &budget)
+        }));
     });
     sweep(update, &|body| drop(Json::parse(body).map(|j| parse_update(&j))));
     for text in &constraints {

@@ -101,8 +101,8 @@ fn scck_cache_hits_across_repeated_queries() {
     let compiled = engine.compile(&q).unwrap();
     let mut session = engine.session();
     let opts = QueryOptions::default();
-    let first = session.answer_compiled(&compiled, Algorithm::Uis, &opts).unwrap();
-    let second = session.answer_compiled(&compiled, Algorithm::Uis, &opts).unwrap();
+    let first = session.answer_compiled(&g, &compiled, Algorithm::Uis, &opts).unwrap();
+    let second = session.answer_compiled(&g, &compiled, Algorithm::Uis, &opts).unwrap();
     assert_eq!(first.answer, second.answer);
     assert!(first.stats.scck_calls > 0);
     // Same constraint text → same plan-cache entry → the second run's SCck

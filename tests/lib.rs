@@ -2,12 +2,15 @@
 //! The differential matrix — the case generator every oracle comparison
 //! runs through — is [`matrix`].
 
-use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryError, QueryOptions, QueryOutcome};
+use kgreach::{
+    Algorithm, CompiledLscrQuery, LscrEngine, LscrQuery, QueryError, QueryOptions, QueryOutcome,
+};
 use kgreach_datagen::{all_lubm_constraints, lubm, top_label_set, LubmConfig};
 use kgreach_graph::{Graph, GraphBuilder, VertexId};
 use kgreach_serve::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 pub mod matrix;
 
@@ -89,15 +92,29 @@ pub fn s1_s5_wire_bodies() -> (Graph, Vec<(&'static str, String)>) {
     (g, bodies)
 }
 
-/// `query` answered by `algorithm` under default options: compiled
-/// through `engine`'s plan cache, then answered on a session of its own.
+/// `query` compiled through `engine`'s plan cache for one pin of its
+/// graph, returned with the pin it is to be answered on.
+fn compile_pinned(
+    engine: &LscrEngine,
+    query: &LscrQuery,
+) -> Result<(Arc<Graph>, CompiledLscrQuery), QueryError> {
+    let g = engine.graph();
+    let (source, target, labels) = (query.source, query.target, query.label_constraint);
+    let text = query.constraint.sparql_text();
+    let (compiled, _) = engine.compile_text(&g, source, target, labels, text)?;
+    Ok((g, compiled))
+}
+
+/// `query` answered by `algorithm` under default options on one pin of
+/// `engine`'s graph: compiled through its plan cache, then answered on a
+/// session of its own.
 pub fn answer(
     engine: &LscrEngine,
     query: &LscrQuery,
     algorithm: Algorithm,
 ) -> Result<QueryOutcome, QueryError> {
-    let compiled = engine.compile(query)?;
-    engine.session().answer_compiled(&compiled, algorithm, &QueryOptions::default())
+    let (g, compiled) = compile_pinned(engine, query)?;
+    engine.session().answer_compiled(&g, &compiled, algorithm, &QueryOptions::default())
 }
 
 /// `queries` answered under `opts` on `threads` scoped threads, each
@@ -117,8 +134,8 @@ pub fn answer_on_sessions(
                 scope.spawn(move || {
                     let mut session = engine.session();
                     let answer = |(q, alg): &(LscrQuery, Algorithm)| {
-                        let compiled = engine.compile(q).unwrap();
-                        session.answer_compiled(&compiled, *alg, opts).unwrap()
+                        let (g, compiled) = compile_pinned(engine, q).unwrap();
+                        session.answer_compiled(&g, &compiled, *alg, opts).unwrap()
                     };
                     chunk.iter().map(answer).collect::<Vec<_>>()
                 })

@@ -217,7 +217,8 @@ impl Matrix {
                 if let Some(engine) = &engine {
                     let plan = engine.compile(q).unwrap();
                     let hint = plan.constraint.vsg_len_if_materialized();
-                    let out = engine.session().answer_compiled(&plan, alg, opts).unwrap();
+                    let g = engine.graph();
+                    let out = engine.session().answer_compiled(&g, &plan, alg, opts).unwrap();
                     return (out.into(), hint);
                 }
                 if !matches!(compiled, Some((at, _)) if at == i) {

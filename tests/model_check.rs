@@ -17,7 +17,8 @@
 //!    waiting on zero slots against `shutdown`, a panicking answer
 //!    handing its slot to a waiter, histogram record-vs-read.
 //! 2. **Seeded shuttle runs** for state spaces too large to exhaust
-//!    (snapshot hot reload).
+//!    (snapshot hot reload, and an id-permuting reload racing a held
+//!    compiled query).
 //! 3. **Seeded-bug demonstrations**: deliberately broken orderings, and a
 //!    slot release that forgets its notify, that the checker must flag —
 //!    regression tests for the checker itself and living proof the
@@ -26,7 +27,7 @@
 #![cfg(kg_loom)]
 
 use kgreach::constraint::{ScckCache, SubstructureConstraint, INLINE_SLOTS};
-use kgreach::{Algorithm, LscrEngine, LscrQuery};
+use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryError, QueryOptions};
 use kgreach_graph::{GraphBuilder, UpdateBatch, VertexId};
 use kgreach_integration::answer;
 use kgreach_serve::{BatchConfig, Batcher, Json, LatencyHistogram, QueryRequest, ServerMetrics};
@@ -379,6 +380,50 @@ fn snapshot_reload_during_query_under_shuttle() {
             assert!(after.answer);
         })
         .expect("reload shuttle model");
+}
+
+/// `a -p-> b -p-> c`, with the triples added in the order of `triples`:
+/// the interning order, so the ids.
+fn chain_engine(triples: [(&str, &str); 2]) -> LscrEngine {
+    let mut b = GraphBuilder::new();
+    for (s, t) in triples {
+        b.add_triple(s, "p", t);
+    }
+    LscrEngine::new(b.build().unwrap())
+}
+
+/// A snapshot reload to the same triples interned in another order,
+/// racing an answer to a compiled query held from before it: the answer
+/// reads the one graph it pinned, so it is the old graph's `true` or the
+/// typed refusal of the new graph's id space — never `false`, which is
+/// what the held ids (`a → c`) mean in the new graph (`b → a`).
+#[test]
+fn id_permuting_reload_vs_a_held_compiled_query_under_shuttle() {
+    Builder::new()
+        .shuttle(24, 0x1D5, || {
+            let engine = Arc::new(chain_engine([("a", "b"), ("b", "c")]));
+            let g = engine.graph();
+            let (a, c) = (g.vertex_id("a").unwrap(), g.vertex_id("c").unwrap());
+            let s = SubstructureConstraint::parse("SELECT ?x WHERE { ?x <p> <c> . }").unwrap();
+            let held = engine.compile(&LscrQuery::new(a, c, g.all_labels(), s)).unwrap();
+            let mut snapshot = Vec::new();
+            chain_engine([("b", "c"), ("a", "b")]).save_snapshot(&mut snapshot).unwrap();
+            let reloader = Arc::clone(&engine);
+            let t = thread::spawn(move || {
+                reloader.reload_from_snapshot(&snapshot[..]).unwrap();
+            });
+            let opts = QueryOptions::default();
+            let mut session = engine.session();
+            match session.answer_compiled(&engine.graph(), &held, Algorithm::Uis, &opts) {
+                Ok(out) => assert!(out.answer, "the held ids were read on the permuted graph"),
+                Err(QueryError::IdSpaceMismatch) => {}
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+            t.join().unwrap();
+            let after = session.answer_compiled(&engine.graph(), &held, Algorithm::Uis, &opts);
+            assert!(matches!(after, Err(QueryError::IdSpaceMismatch)), "{after:?}");
+        })
+        .expect("id-permuting reload shuttle model");
 }
 
 // ---------------------------------------------------------------------------

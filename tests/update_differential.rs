@@ -143,14 +143,18 @@ fn updates_race_queries_safely() {
                     let opts = QueryOptions::default();
                     let compiled = engine.compile(&q).unwrap();
                     assert!(
-                        session.answer_compiled(&compiled, Algorithm::Uis, &opts).unwrap().answer
+                        session
+                            .answer_compiled(&g, &compiled, Algorithm::Uis, &opts)
+                            .unwrap()
+                            .answer
                     );
                     if let Some(d) = g.vertex_id("dst") {
                         let q = LscrQuery::new(s, d, g.all_labels(), constraint.clone());
                         // May be true or false depending on the writer's
                         // phase; must simply not crash or wedge.
                         let compiled = engine.compile(&q).unwrap();
-                        let _ = session.answer_compiled(&compiled, Algorithm::Auto, &opts).unwrap();
+                        let _ =
+                            session.answer_compiled(&g, &compiled, Algorithm::Auto, &opts).unwrap();
                     }
                 }
             });
@@ -218,7 +222,7 @@ fn forced_ins_finishes_under_a_steady_write_stream() {
                         let q = LscrQuery::new(v(s), v(t), g.all_labels(), constraint.clone());
                         let compiled = engine.compile(&q).unwrap();
                         let out =
-                            session.answer_compiled(&compiled, Algorithm::Ins, &opts).unwrap();
+                            session.answer_compiled(&g, &compiled, Algorithm::Ins, &opts).unwrap();
                         assert_eq!(out.answer, want, "{s} -> {t}");
                         assert_eq!(out.stats.algorithm, Some(Algorithm::Ins));
                     }

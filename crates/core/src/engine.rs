@@ -6,11 +6,10 @@
 //! `&self`, so one engine instance is shared across threads
 //! (`LscrEngine: Send + Sync`). All mutable per-query state lives in
 //! per-thread [`Session`]s; the engine only synchronizes constant-time
-//! bookkeeping (plan-cache lookups, the scratch pool, the state
-//! snapshot), never the searches themselves. The plan cache
-//! (`engine/plans.rs`) and snapshot save, load and reload
-//! (`engine/persist.rs`) are private child modules, each one more
-//! `impl LscrEngine` block.
+//! bookkeeping (plan-cache lookups and the state snapshot), never the
+//! searches themselves. The plan cache (`engine/plans.rs`) and snapshot
+//! save, load and reload (`engine/persist.rs`) are private child modules,
+//! each one more `impl LscrEngine` block.
 //!
 //! # Dynamic graphs: epochs and invalidation
 //!
@@ -103,11 +102,6 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Scratch sets retained in the engine pool. Sessions beyond this many
-/// concurrent ones still work — their scratch is simply dropped instead
-/// of recycled.
-const SCRATCH_POOL_CAP: usize = 64;
-
 /// An owned, thread-shareable LSCR query engine bound to one graph.
 ///
 /// See the [module docs](self) for the shared/per-thread state split.
@@ -128,7 +122,6 @@ pub struct LscrEngine {
     state: RwLock<EngineState>,
     index_config: LocalIndexConfig,
     plan_cache: RwLock<FxHashMap<String, Arc<CompiledConstraint>>>,
-    scratch_pool: Mutex<Vec<SearchScratch>>,
     /// Serializes writers (updates, compaction, index builds) without
     /// blocking readers: heavy work happens under this lock while
     /// queries keep serving the previous state; only the final swap
@@ -228,7 +221,6 @@ impl LscrEngine {
             state: RwLock::new(EngineState { graph: graph.into(), index: None }),
             index_config: config,
             plan_cache: RwLock::new(FxHashMap::default()),
-            scratch_pool: Mutex::new(Vec::new()),
             update_lock: Mutex::new(()),
         }
     }
@@ -399,32 +391,13 @@ impl LscrEngine {
         st.graph = compacted;
     }
 
-    /// Opens a per-thread [`Session`], recycling pooled scratch if
-    /// available. Sessions observe graph updates: each query runs on the
-    /// graph its caller pinned and grows the scratch to its `|V|` on
-    /// demand.
+    /// Opens a per-thread [`Session`] with a new scratch sized to the
+    /// current graph. Sessions observe graph updates: each query runs on
+    /// the graph its caller pinned and grows the scratch to its `|V|` on
+    /// demand. To reuse one scratch across sessions, build them with
+    /// [`Session::new`] and take it back with [`Session::into_scratch`].
     pub fn session(&self) -> Session<'_> {
-        let scratch = self
-            .scratch_pool
-            .lock()
-            .expect("scratch pool lock")
-            .pop()
-            .unwrap_or_else(|| SearchScratch::new(self.graph().num_vertices()));
-        Session::new(self, scratch)
-    }
-
-    pub(crate) fn recycle_scratch(&self, scratch: SearchScratch) {
-        // Scratch sized for an older (smaller) graph is still recyclable:
-        // sessions grow it on demand per query.
-        let mut pool = self.scratch_pool.lock().expect("scratch pool lock");
-        if pool.len() < SCRATCH_POOL_CAP {
-            pool.push(scratch);
-        }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn pooled_scratch_count(&self) -> usize {
-        self.scratch_pool.lock().expect("scratch pool lock").len()
+        Session::new(self, SearchScratch::new(self.graph().num_vertices()))
     }
 
     /// A point-in-time summary of the served state — the cheap

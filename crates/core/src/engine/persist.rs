@@ -24,8 +24,8 @@ impl LscrEngine {
     /// which is the cold-start path for serving processes (see the
     /// `cold_start` bench: snapshot load vs text parse + index rebuild).
     ///
-    /// The plan cache and scratch pool are warm-up state, not data; they
-    /// are intentionally not persisted.
+    /// The plan cache is warm-up state, not data; it is intentionally
+    /// not persisted.
     pub fn save_snapshot<W: Write>(&self, writer: W) -> Result<(), QueryError> {
         let (graph, index) = self.state_snapshot();
         let mut w = SectionWriter::new(BufWriter::new(writer), ArtifactKind::Engine)?;

@@ -258,7 +258,8 @@ impl RunLimits {
     pub(crate) fn new(opts: &QueryOptions, start: Instant) -> Self {
         RunLimits {
             max_edges: opts.step_budget.unwrap_or(u64::MAX),
-            deadline: opts.timeout.map(|t| start + t),
+            // A deadline `Instant` cannot hold is no deadline.
+            deadline: opts.timeout.and_then(|t| start.checked_add(t)),
         }
     }
 

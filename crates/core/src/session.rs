@@ -8,12 +8,14 @@
 //! threads each holding a session answer queries against one shared
 //! engine without locking around the search itself. The locks are short
 //! and constant-time. A warm query pinned, compiled and answered on a
-//! fresh session takes four: the scratch-pool mutex twice (opening the
-//! session, and returning its scratch on drop), the state `RwLock` once
-//! (the caller's pin, [`LscrEngine::graph`]) and the plan-cache `RwLock`
-//! once (the plan lookup in [`LscrEngine::compile_text`]). A forced INS
-//! reads the state once more, for the index built for the pin. A session
-//! held across queries skips the two pool locks.
+//! held session takes two: the state `RwLock` once (the caller's pin,
+//! [`LscrEngine::graph`]) and the plan-cache `RwLock` once (the plan
+//! lookup in [`LscrEngine::compile_text`]). A forced INS reads the state
+//! once more, for the index built for the pin. The server's search slot
+//! adds its queue mutex twice (taking the slot, with the idle scratch it
+//! builds the session around, and releasing it), so a warm `/query`
+//! takes four. [`LscrEngine::session`] reads the state once more, to size
+//! a new scratch.
 //!
 //! ```
 //! use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions, SubstructureConstraint};
@@ -93,7 +95,7 @@ impl SearchScratch {
     }
 
     /// Grows the scratch to cover at least `n` vertices — dynamic graphs
-    /// intern vertices between queries, and a pooled scratch may predate
+    /// intern vertices between queries, and a reused scratch may predate
     /// them. Never shrinks.
     pub fn ensure(&mut self, n: usize) {
         self.close.ensure_len(n);
@@ -136,10 +138,14 @@ pub(crate) struct ScratchParts<'a> {
 /// A per-thread handle for answering queries against a shared
 /// [`LscrEngine`].
 ///
-/// Sessions are cheap to create ([`LscrEngine::session`] recycles scratch
-/// through a pool) and are `Send`, so they can be moved into
-/// `std::thread::scope` workers. They are deliberately **not** `Sync`:
-/// one session per thread is the concurrency model.
+/// A session owns its [`SearchScratch`]: [`LscrEngine::session`]
+/// allocates one sized to the current graph, and [`Session::new`] builds a
+/// session around a scratch that [`into_scratch`](Session::into_scratch)
+/// handed back, so a caller that answers many short-lived sessions (a
+/// server's search slot) reuses one allocation set. Sessions are `Send`,
+/// so they can be moved into `std::thread::scope` workers. They are
+/// deliberately **not** `Sync`: one session per thread is the concurrency
+/// model.
 ///
 /// Every query runs on the graph its caller pinned with
 /// [`LscrEngine::graph`], so a concurrent
@@ -149,18 +155,19 @@ pub(crate) struct ScratchParts<'a> {
 #[derive(Debug)]
 pub struct Session<'e> {
     engine: &'e LscrEngine,
-    /// `Some` until drop returns the scratch to the engine's pool.
-    scratch: Option<SearchScratch>,
+    scratch: SearchScratch,
 }
 
 impl<'e> Session<'e> {
-    pub(crate) fn new(engine: &'e LscrEngine, scratch: SearchScratch) -> Self {
-        Session { engine, scratch: Some(scratch) }
+    /// A session answering against `engine` on `scratch`, whatever graph
+    /// the scratch was sized for: each query grows it to its pin's `|V|`.
+    pub fn new(engine: &'e LscrEngine, scratch: SearchScratch) -> Self {
+        Session { engine, scratch }
     }
 
-    /// The engine this session answers against.
-    pub fn engine(&self) -> &'e LscrEngine {
-        self.engine
+    /// Ends the session, handing its scratch back for the next one.
+    pub fn into_scratch(self) -> SearchScratch {
+        self.scratch
     }
 
     /// [`LscrEngine::compile`], then [`answer_compiled`](Self::answer_compiled),
@@ -226,8 +233,9 @@ impl<'e> Session<'e> {
         } else {
             algorithm
         };
-        let scratch = self.scratch.as_mut().expect("scratch present until drop");
-        // Dynamic graphs grow |V| between queries.
+        let scratch = &mut self.scratch;
+        // Dynamic graphs grow |V| between queries, and a reused scratch
+        // may be sized for another graph.
         scratch.ensure(graph.num_vertices());
         let mut outcome = match resolved {
             Algorithm::Uis => uis::answer_with(graph, query, scratch, opts),
@@ -242,14 +250,6 @@ impl<'e> Session<'e> {
             outcome.witness = find_witness(graph, query);
         }
         Ok(outcome)
-    }
-}
-
-impl Drop for Session<'_> {
-    fn drop(&mut self) {
-        if let Some(scratch) = self.scratch.take() {
-            self.engine.recycle_scratch(scratch);
-        }
     }
 }
 
@@ -512,19 +512,34 @@ mod tests {
     }
 
     #[test]
-    fn scratch_recycles_through_the_pool() {
+    fn a_timeout_no_instant_can_hold_means_no_deadline() {
         let engine = LscrEngine::new(figure3());
-        assert_eq!(engine.pooled_scratch_count(), 0);
-        {
-            let _s1 = engine.session();
-            let _s2 = engine.session();
-            assert_eq!(engine.pooled_scratch_count(), 0);
+        let g = engine.graph();
+        let forever = QueryOptions::default().with_timeout(std::time::Duration::MAX);
+        let mut session = engine.session();
+        for (s, t) in [("v0", "v4"), ("v4", "v0")] {
+            let compiled = engine.compile(&q(&g, s, t, &["likes", "follows"])).unwrap();
+            for alg in EVERY_ALGORITHM {
+                let want = session.answer_compiled(&g, &compiled, alg, &QueryOptions::default());
+                let out = session.answer_compiled(&g, &compiled, alg, &forever).unwrap();
+                assert_eq!(out.answer, want.unwrap().answer, "{alg}: {s} → {t}");
+                assert!(!out.interrupted, "{alg}: {s} → {t}");
+            }
         }
-        assert_eq!(engine.pooled_scratch_count(), 2);
-        {
-            let _s3 = engine.session();
-            assert_eq!(engine.pooled_scratch_count(), 1);
+    }
+
+    #[test]
+    fn a_session_built_around_a_handed_back_scratch_grows_it_to_the_pin() {
+        let engine = LscrEngine::new(figure3());
+        let g = engine.graph();
+        let compiled = engine.compile(&q(&g, "v0", "v4", &["likes", "follows"])).unwrap();
+        let mut scratch = SearchScratch::new(1);
+        for alg in EVERY_ALGORITHM {
+            let mut session = Session::new(&engine, scratch);
+            let out = session.answer_compiled(&g, &compiled, alg, &QueryOptions::default());
+            assert!(out.unwrap().answer, "{alg}");
+            scratch = session.into_scratch();
+            assert_eq!(scratch.num_vertices(), g.num_vertices(), "{alg}");
         }
-        assert_eq!(engine.pooled_scratch_count(), 2);
     }
 }

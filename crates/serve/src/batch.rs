@@ -15,15 +15,17 @@
 //! way and gives it back before the next, so a batch holds at most one
 //! slot at a time.
 //!
-//! A search borrows its [`kgreach::SearchScratch`] from the engine's pool
-//! **for the query**, not for the thread or the connection: an idle
-//! connection holds none, so live scratches are bounded by `workers`
-//! however many connections are open. Borrowing costs two uncontended
-//! pool locks per query.
+//! A search's [`kgreach::SearchScratch`] belongs to its **slot**, not to
+//! the thread or the connection: taking a slot takes an idle scratch, and
+//! releasing it puts the scratch back, both under the queue mutex the
+//! slot takes anyway. A slot that finds none idle allocates one, sized to
+//! the query's pinned graph. An idle connection holds none, so live
+//! scratches are bounded by `workers` however many connections are open.
 //!
 //! A panic inside an answer costs that query a `500 internal` and one
-//! `kg_panics_total`; its slot is released by a drop guard, which wakes a
-//! waiter, and the thread carries on.
+//! `kg_panics_total`, and its scratch, which is dropped half-written
+//! instead of reused; its slot is released by a drop guard, which wakes
+//! a waiter, and the thread carries on.
 //!
 //! Admission is one rule for both routes: `503` while draining; `413` for
 //! a batch that could never fit; then depth-based shedding — a request
@@ -36,7 +38,7 @@
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{outcome_text, ApiError, QueryRequest};
-use kgreach::LscrEngine;
+use kgreach::{LscrEngine, SearchScratch, Session};
 use kgreach_sync::mpsc;
 use kgreach_sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -69,12 +71,16 @@ impl Default for BatchConfig {
     }
 }
 
+#[derive(Default)]
 struct SlotState {
     /// Searches running right now; never above `workers`.
     running: usize,
     /// Threads waiting for a slot (`kg_queue_depth`).
     waiting: usize,
     draining: bool,
+    /// Scratches no running search holds. Each running slot holds at
+    /// most one more, so `idle.len() + running <= workers`.
+    idle: Vec<SearchScratch>,
 }
 
 /// Test seam: consulted at the top of every answer. `Some` is the answer
@@ -96,25 +102,31 @@ pub struct Batcher {
     probe: Option<Probe>,
 }
 
-/// One of the `workers` search slots, held for the length of one answer.
-/// Released on drop, so an unwinding thread cannot leak it.
-struct Slot<'a>(&'a Batcher);
+/// One of the `workers` search slots, held for the length of one answer,
+/// with the scratch its search runs on. Released on drop, so an unwinding
+/// thread cannot leak it.
+struct Slot<'a> {
+    batcher: &'a Batcher,
+    /// `None` when the slot found no idle scratch, or its search panicked.
+    scratch: Option<SearchScratch>,
+}
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
         // `Drop` must not panic, and every update under this lock leaves
         // the state valid, so a poisoned guard is still good to use.
-        let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.batcher.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.running -= 1;
+        st.idle.extend(self.scratch.take());
         let (draining, waiting) = (st.draining, st.waiting > 0);
         drop(st);
         if draining {
             // `shutdown` may be waiting for the last search as well.
-            self.0.available.notify_all();
+            self.batcher.available.notify_all();
         } else if waiting {
             // Only waiters for a slot wait before draining, and any one
             // will do.
-            self.0.available.notify_one();
+            self.batcher.available.notify_one();
         }
     }
 }
@@ -155,7 +167,7 @@ impl Batcher {
 
     fn new(engine: Arc<LscrEngine>, metrics: Arc<ServerMetrics>, config: BatchConfig) -> Batcher {
         Batcher {
-            state: Mutex::new(SlotState { running: 0, waiting: 0, draining: false }),
+            state: Mutex::new(SlotState::default()),
             available: Condvar::new(),
             config,
             engine,
@@ -171,8 +183,8 @@ impl Batcher {
     /// [`answer_many`](Self::answer_many)'s.
     pub fn answer(&self, req: QueryRequest) -> Result<String, ApiError> {
         let arrived = Instant::now();
-        let _slot = self.slot(self.admit(1)?)?;
-        self.run(&req, arrived)
+        let mut slot = self.slot(self.admit(1)?)?;
+        self.run(&req, arrived, &mut slot)
     }
 
     /// Answers a batch on the calling thread, in input order, each member
@@ -195,8 +207,8 @@ impl Batcher {
         Ok(reqs
             .iter()
             .map(|req| {
-                let _slot = self.slot(self.state.lock().expect("queue lock"))?;
-                self.run(req, arrived)
+                let mut slot = self.slot(self.state.lock().expect("queue lock"))?;
+                self.run(req, arrived, &mut slot)
             })
             .collect())
     }
@@ -251,9 +263,10 @@ impl Batcher {
         Ok(st)
     }
 
-    /// Takes a search slot, waiting on the calling thread while all
-    /// `workers` are taken. Fails with `503` only when no slot can ever
-    /// come: draining with zero `workers`.
+    /// Takes a search slot and an idle scratch if there is one, waiting
+    /// on the calling thread while all `workers` are taken. Fails with
+    /// `503` only when no slot can ever come: draining with zero
+    /// `workers`.
     fn slot<'a>(&'a self, mut st: MutexGuard<'a, SlotState>) -> Result<Slot<'a>, ApiError> {
         let workers = self.config.workers;
         if st.running >= workers {
@@ -273,13 +286,21 @@ impl Batcher {
             }
         }
         st.running += 1;
-        Ok(Slot(self))
+        Ok(Slot { batcher: self, scratch: st.idle.pop() })
     }
 
     /// Threads waiting for a search slot right now (for tests and
     /// introspection).
     pub fn queue_depth(&self) -> usize {
         self.state.lock().expect("queue lock").waiting
+    }
+
+    /// Scratches held by no running search. Exists only for this crate's
+    /// tests and the `kg_loom` model check.
+    #[cfg(any(test, kg_loom))]
+    #[doc(hidden)]
+    pub fn idle_scratch_count(&self) -> usize {
+        self.state.lock().expect("queue lock").idle.len()
     }
 
     /// Refuses new requests with `503`, and returns once no search runs
@@ -296,26 +317,31 @@ impl Batcher {
         }
     }
 
-    /// Answers one admitted query in the slot its caller holds. A panic
+    /// Answers one admitted query in the `slot` its caller holds. A panic
     /// below is caught here and costs this query a `500`, not the thread.
-    fn run(&self, req: &QueryRequest, since: Instant) -> Result<String, ApiError> {
+    fn run(
+        &self,
+        req: &QueryRequest,
+        since: Instant,
+        slot: &mut Slot<'_>,
+    ) -> Result<String, ApiError> {
         // One query per slot taken: the two counters move together (see
         // their docs in `metrics.rs`).
         self.metrics.batch_windows_total.add(1);
         self.metrics.batched_queries_total.add(1);
-        // Unwind safety: the closure shares only the engine and the
-        // metrics. The unwound search's scratch is recycled, not
-        // discarded — `Session`'s drop returns it to the engine's pool,
-        // and every search starts by resetting the parts it uses, so a
-        // half-written scratch is as good as a fresh one. A lock the
-        // panic poisoned fails later queries with a panic of their own,
-        // each caught here the same way.
+        // Unwind safety: the closure shares the engine and the metrics,
+        // and the slot's scratch only while no search holds it: a search
+        // takes it out of the slot into its session, and an unwinding
+        // search drops that session and its half-written scratch with it,
+        // so the slot gives back none. A lock the panic poisoned fails
+        // later queries with a panic of their own, each caught here the
+        // same way.
         let result = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(any(test, kg_loom))]
             if let Some(reply) = self.probe.as_ref().and_then(|probe| probe(req)) {
                 return reply.map(|json| json.to_string());
             }
-            self.search(req)
+            self.search(req, slot)
         }))
         .unwrap_or_else(|_| {
             self.metrics.panics_total.add(1);
@@ -325,8 +351,9 @@ impl Batcher {
         result
     }
 
-    /// Resolves and answers one query on one graph, and writes its
-    /// response text.
+    /// Resolves and answers one query on one graph, on the `slot`'s
+    /// scratch (or a new one sized to the graph), and writes its response
+    /// text. The scratch goes back to the slot when the query is answered.
     ///
     /// The served graph is pinned once: names resolve to ids on it, the
     /// constraint text finds its plan for it through the engine's plan
@@ -335,11 +362,10 @@ impl Batcher {
     /// read it. An update or a snapshot reload that lands meanwhile
     /// serves the next query; this one is answered, correctly, for the
     /// graph that was current when it started.
-    fn search(&self, req: &QueryRequest) -> Result<String, ApiError> {
-        // The scratch is borrowed for this query and goes back to the
-        // engine's pool when it is answered, on a panic's unwind too.
-        let mut session = self.engine.session();
+    fn search(&self, req: &QueryRequest, slot: &mut Slot<'_>) -> Result<String, ApiError> {
         let g = self.engine.graph();
+        let scratch = slot.scratch.take().unwrap_or_else(|| SearchScratch::new(g.num_vertices()));
+        let mut session = Session::new(&self.engine, scratch);
         let answered = req.resolve_names(&g).and_then(|(source, target, labels)| {
             let (query, parsed) =
                 self.engine.compile_text(&g, source, target, labels, &req.constraint)?;
@@ -349,6 +375,7 @@ impl Batcher {
             let opts = req.options(self.config.max_step_budget, self.config.max_timeout);
             Ok(session.answer_compiled(&g, &query, req.algorithm, &opts)?)
         });
+        slot.scratch = Some(session.into_scratch());
         match answered {
             Ok(out) => {
                 self.metrics.record_outcome(&out.stats, out.interrupted);
@@ -599,6 +626,57 @@ mod tests {
         assert_eq!(batcher.running(), 0);
         assert_eq!(metrics.batched_queries_total.get(), 4);
         assert_eq!(metrics.query_latency.count(), 4);
+        batcher.shutdown();
+    }
+
+    /// A response text with its timing cut out: the rest is deterministic.
+    fn untimed(body: &str) -> String {
+        let (head, rest) = body.split_once(",\"elapsed_ns\":").expect("a timed answer");
+        let (_, tail) = rest.split_once(',').expect("fields after the timing");
+        format!("{head},{tail}")
+    }
+
+    #[test]
+    fn live_scratches_never_outnumber_the_slots() {
+        let (batcher, _metrics) = start(2, 64);
+        // The first answer fills the `SCck` memo; the warm ones agree.
+        batcher.answer(req("v0", "v4")).expect("query ok");
+        let want = untimed(&batcher.answer(req("v0", "v4")).expect("query ok"));
+        assert!(want.contains("\"answer\":true"), "{want}");
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        let body = batcher.answer(req("v0", "v4")).expect("query ok");
+                        assert_eq!(untimed(&body), want);
+                    }
+                });
+            }
+        });
+        let idle = batcher.idle_scratch_count();
+        assert!((1..=2).contains(&idle), "{idle} scratches for 2 slots");
+        let reqs: Vec<_> = (0..16).map(|_| req("v0", "v4")).collect();
+        for body in batcher.answer_many(&reqs).expect("admitted") {
+            assert_eq!(untimed(&body.expect("member ok")), want);
+        }
+        let idle = batcher.idle_scratch_count();
+        assert!((1..=2).contains(&idle), "{idle} scratches for 2 slots");
+        batcher.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_answer_leaves_the_next_answer_on_its_slot_right() {
+        let Probed { batcher, metrics, .. } = start_probed(1);
+        batcher.answer(req("v0", "v4")).expect("query ok");
+        let want = untimed(&batcher.answer(req("v0", "v4")).expect("query ok"));
+        assert_eq!(batcher.idle_scratch_count(), 1);
+        let err = batcher.answer(req("boom", "v4")).expect_err("the answer panicked");
+        assert_eq!((err.status, err.code), (500, "internal"));
+        assert_eq!(metrics.panics_total.get(), 1);
+        assert!(batcher.idle_scratch_count() <= 1);
+        let body = batcher.answer(req("v0", "v4")).expect("next query ok");
+        assert_eq!(untimed(&body), want);
+        assert_eq!(batcher.idle_scratch_count(), 1);
         batcher.shutdown();
     }
 }

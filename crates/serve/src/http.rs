@@ -141,7 +141,7 @@ pub fn read_request(
         v => return Err(HttpError::BadRequest(format!("unsupported protocol '{v}'"))),
     };
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut keep_alive = http11; // HTTP/1.1 defaults to persistent
     let mut expect_continue = false;
     for line in lines {
@@ -158,9 +158,13 @@ pub fn read_request(
             return Err(HttpError::BadRequest("whitespace before header colon".into()));
         }
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .parse()
-                .map_err(|_| HttpError::BadRequest(format!("bad Content-Length '{value}'")))?;
+            // Digits only (RFC 9110 §8.6: `usize::from_str` would take a
+            // sign), and a repeat must agree with the first.
+            let n = value.parse().ok().filter(|_| value.bytes().all(|b| b.is_ascii_digit()));
+            if n.is_none() || content_length.is_some_and(|m| Some(m) != n) {
+                return Err(HttpError::BadRequest(format!("bad Content-Length '{value}'")));
+            }
+            content_length = n;
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             return Err(HttpError::UnsupportedTransferEncoding);
         } else if name.eq_ignore_ascii_case("connection") {
@@ -174,6 +178,7 @@ pub fn read_request(
             expect_continue = true;
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > limits.max_body_bytes {
         return Err(HttpError::BodyTooLarge {
             declared: content_length,

@@ -11,7 +11,9 @@
 //! `LscrEngine::compile_text`, both on the graph pinned for the query) →
 //! a warm `Session::answer_compiled` on the same pin → `outcome_text`, the
 //! response text. The HTTP read and write around them are not counted,
-//! nor is the pin (`LscrEngine::graph`, an `Arc` clone).
+//! nor is the pin (`LscrEngine::graph`, an `Arc` clone). Every pass
+//! answers on one `Session` held across the passes, the way a server's
+//! search slot reuses its scratch.
 //!
 //! A one-edit `/update` body goes through the stages of a server without
 //! a data directory, counted the same way: `Json::parse` → `parse_update`
@@ -25,7 +27,7 @@
 //! in a count (as in `memory_audit.rs`). Counts are the same under debug
 //! and release codegen; CI runs both.
 
-use kgreach::{Graph, LscrEngine, VertexId};
+use kgreach::{Graph, LscrEngine, Session, VertexId};
 use kgreach_datagen::top_label_set;
 use kgreach_integration::s1_s5_wire_bodies;
 use kgreach_serve::protocol::{outcome_text, parse_update, render_update};
@@ -68,11 +70,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, ALLOC.allocations() - before)
 }
 
-/// One pass of `body` through every stage: the allocations of each.
-fn stage_counts(engine: &LscrEngine, body: &str) -> [usize; 5] {
+/// One pass of `body` through every stage on `session`, a session of
+/// `engine`: the allocations of each.
+fn stage_counts(engine: &LscrEngine, session: &mut Session<'_>, body: &str) -> [usize; 5] {
     let config = BatchConfig::default();
     let g = engine.graph();
-    let mut session = engine.session();
     let (json, parse) = counted(|| Json::parse(body).unwrap());
     let (req, request) = counted(|| QueryRequest::parse(&json).unwrap());
     let (query, resolve) = counted(|| {
@@ -107,14 +109,15 @@ fn a_warm_query_allocates_what_its_budget_says() {
     let (g, bodies) = s1_s5_wire_bodies();
     let g = Arc::new(g);
     let engine = LscrEngine::new(Arc::clone(&g));
-    // Warm: the plan cache, the memos and the scratch pool fill on the
-    // first pass. Then the least of three passes, so a stray allocation
-    // on another thread cannot inflate a count.
+    // Warm: the plan cache, the memos and the session's scratch fill on
+    // the first pass. Then the least of three passes, so a stray
+    // allocation on another thread cannot inflate a count.
+    let mut session = engine.session();
     let measured: Vec<[usize; 5]> = bodies
         .iter()
         .map(|(_, body)| {
-            stage_counts(&engine, body);
-            let passes = [(); 3].map(|()| stage_counts(&engine, body));
+            stage_counts(&engine, &mut session, body);
+            let passes = [(); 3].map(|()| stage_counts(&engine, &mut session, body));
             std::array::from_fn(|s| passes.iter().map(|p| p[s]).min().unwrap())
         })
         .collect();

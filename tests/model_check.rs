@@ -144,6 +144,8 @@ fn tiny_request(source: &str) -> QueryRequest {
 /// What the slot models watch from outside the `Batcher`.
 #[derive(Default)]
 struct SlotWatch {
+    /// The model's search slots: the bound on the scratches it keeps.
+    workers: usize,
     /// Answers running right now — must never exceed `workers`.
     in_flight: AtomicUsize,
     /// Set once `shutdown` has returned: no answer may begin after it.
@@ -160,7 +162,7 @@ fn slot_model(workers: usize) -> (Arc<Batcher>, Arc<ServerMetrics>, Arc<SlotWatc
     let metrics = Arc::new(ServerMetrics::new());
     let config =
         BatchConfig { workers, queue_high_water: 4, max_step_budget: None, max_timeout: None };
-    let watch = Arc::new(SlotWatch::default());
+    let watch = Arc::new(SlotWatch { workers, ..SlotWatch::default() });
     let w = Arc::clone(&watch);
     let batcher = Batcher::start_probed(
         Arc::new(tiny_engine()),
@@ -194,11 +196,14 @@ fn slot_model_builder() -> Builder {
 }
 
 /// Shuts the model down and checks what `shutdown` promises: no search
-/// running, no thread waiting, and (through the probe) none begun later.
+/// running, no thread waiting, and (through the probe) none begun later;
+/// and that the batcher keeps no more scratches than it has slots.
 fn shutdown_and_check(batcher: &Batcher, watch: &SlotWatch) {
     batcher.shutdown();
     assert_eq!(watch.in_flight.load(Ordering::Acquire), 0, "shutdown returned mid-search");
     assert_eq!(batcher.queue_depth(), 0, "shutdown returned with a thread still waiting");
+    let idle = batcher.idle_scratch_count();
+    assert!(idle <= watch.workers, "{idle} scratches kept for {} slot(s)", watch.workers);
     watch.closed.store(true, Ordering::Release);
 }
 

@@ -152,6 +152,24 @@ fn malformed_requests_get_typed_errors_and_the_server_keeps_serving() {
     c.send_raw(b"GARBAGE\r\n\r\n").unwrap();
     expect_code(&c.read_response().unwrap(), 400, "bad_request");
 
+    // A Content-Length that is not all digits, or a repeat that disagrees
+    // with the first, leaves the body's end unknown → 400, connection
+    // closed (RFC 9112 §6.3). No body follows, so none is left unread.
+    for head in ["Content-Length: +0", "Content-Length: 0\r\nContent-Length: 5"] {
+        let mut c = HttpClient::connect(addr).unwrap();
+        c.send_raw(format!("POST /query HTTP/1.1\r\n{head}\r\n\r\n").as_bytes()).unwrap();
+        let resp = c.read_response().unwrap();
+        expect_code(&resp, 400, "bad_request");
+        assert_eq!(resp.header("connection"), Some("close"), "{head}");
+        assert!(c.read_response().is_err(), "{head}: the connection stayed open");
+    }
+    // An identical repeat frames the body: the connection survives.
+    let mut c = HttpClient::connect(addr).unwrap();
+    c.send_raw(b"POST /query HTTP/1.1\r\nContent-Length: 8\r\nContent-Length: 8\r\n\r\nnot json")
+        .unwrap();
+    expect_code(&c.read_response().unwrap(), 400, "bad_json");
+    assert_eq!(c.get("/healthz").unwrap().status, 200);
+
     // Declared body over the cap → 413 without reading it.
     let mut c = HttpClient::connect(addr).unwrap();
     c.send_raw(b"POST /query HTTP/1.1\r\nContent-Length: 999999\r\n\r\n").unwrap();

@@ -1,31 +1,33 @@
 //! The shared, concurrency-ready LSCR engine.
 //!
 //! [`LscrEngine`] owns the shared serving state — the graph behind an
-//! [`Arc`], the lazily built [`LocalIndex`], a constraint-plan cache
-//! keyed by SPARQL text — and exposes every query entry point through
-//! `&self`, so one engine instance is shared across threads
-//! (`LscrEngine: Send + Sync`). All mutable per-query state lives in
-//! per-thread [`Session`]s; the engine only synchronizes constant-time
-//! bookkeeping (plan-cache lookups and the state snapshot), never the
-//! searches themselves. The plan cache (`engine/plans.rs`) and snapshot
-//! save, load and reload (`engine/persist.rs`) are private child modules,
-//! each one more `impl LscrEngine` block.
+//! [`Arc`], and derived from it the lazily built [`LocalIndex`] and the
+//! constraint plans keyed by SPARQL text, all three under one lock — and
+//! exposes every query entry point through `&self`, so one engine
+//! instance is shared across threads (`LscrEngine: Send + Sync`). All
+//! mutable per-query state lives in per-thread [`Session`]s; the engine
+//! only synchronizes constant-time bookkeeping (pinning the graph with a
+//! plan lookup in the same read), never the searches themselves. The
+//! plans (`engine/plans.rs`) and snapshot save, load and reload
+//! (`engine/persist.rs`) are private child modules, each one more
+//! `impl LscrEngine` block.
 //!
 //! # Dynamic graphs: epochs and invalidation
 //!
 //! The served graph is not frozen: [`LscrEngine::apply_update`] applies
 //! an [`UpdateBatch`] as a delta overlay (see
-//! [`kgreach_graph::delta`]), swaps the new graph in atomically, and
-//! drops the local index (the next INS query builds one). Every
-//! content-changing batch bumps the graph **epoch**; compiled constraint
-//! plans, their embedded `SCck` and `V(S,G)` memos all record the
-//! [`lineage`](Graph::lineage) (id space) and epoch they bind to, and a
-//! held [`CompiledLscrQuery`] rebinds transparently to another epoch of
-//! its lineage and is refused on another lineage (a snapshot reload
-//! starts one). A caller pins one graph per query ([`LscrEngine::graph`])
-//! and answers on it, so an update never changes the graph under a
-//! running search — in-flight queries finish against the pre-update
-//! state, subsequent ones see the new one.
+//! [`kgreach_graph::delta`]) and swaps the new graph in atomically, with
+//! no index (the next INS query builds one) and no plans: derived state
+//! lives and dies with its graph. Every content-changing batch bumps the
+//! graph **epoch**; compiled constraint plans, their embedded `SCck` and
+//! `V(S,G)` memos all record the [`lineage`](Graph::lineage) (id space)
+//! and epoch they bind to, and a held [`CompiledLscrQuery`] rebinds
+//! transparently to another epoch of its lineage and is refused on
+//! another lineage (a snapshot reload starts one). A caller pins one
+//! graph per query ([`LscrEngine::graph`], or the pin
+//! [`LscrEngine::compile_text`] returns) and answers on it, so an update
+//! never changes the graph under a running search — in-flight queries
+//! finish against the pre-update state, subsequent ones see the new one.
 //!
 //! ```
 //! use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions, SubstructureConstraint};
@@ -107,21 +109,20 @@ impl std::fmt::Display for Algorithm {
 /// See the [module docs](self) for the shared/per-thread state split.
 /// A query is answered in two steps: [`compile`](Self::compile) (or
 /// [`compile_text`](Self::compile_text) from SPARQL text) validates it
-/// and looks its constraint plan up in the shared plan cache, and
+/// and looks its constraint plan up among the served graph's plans, and
 /// [`Session::answer_compiled`] on a per-thread [`session`](Self::session)
 /// runs the search on that session's reusable scratch. A compiled query
 /// can be held and re-answered, reusing its plan and its materialized
 /// `V(S,G)`.
 #[derive(Debug)]
 pub struct LscrEngine {
-    /// The serving state both halves of a query snapshot together: the
-    /// graph and the index built for exactly that graph. One lock, so a
+    /// The serving state a query snapshots together: the graph, and the
+    /// index and plans built for exactly that graph. One lock, so a
     /// concurrent [`apply_update`](Self::apply_update) can never be
     /// observed half-swapped (a new graph with an index sized for the
-    /// old `|V|` would read out of bounds).
+    /// old `|V|` would read out of bounds), and one write swaps all three.
     state: RwLock<EngineState>,
     index_config: LocalIndexConfig,
-    plan_cache: RwLock<FxHashMap<String, Arc<CompiledConstraint>>>,
     /// Serializes writers (updates, compaction, index builds) without
     /// blocking readers: heavy work happens under this lock while
     /// queries keep serving the previous state; only the final swap
@@ -129,10 +130,21 @@ pub struct LscrEngine {
     update_lock: Mutex<()>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct EngineState {
     graph: Arc<Graph>,
     index: Option<Arc<LocalIndex>>,
+    /// Plans compiled for `graph`, keyed by canonical constraint text.
+    /// Derived state, like `index`, is built outside the lock for a pin
+    /// and installed only if that pin is still `graph`.
+    plans: FxHashMap<String, Arc<CompiledConstraint>>,
+}
+
+impl EngineState {
+    /// The state of a freshly swapped-in graph: no plans yet.
+    fn new(graph: Arc<Graph>, index: Option<Arc<LocalIndex>>) -> Self {
+        EngineState { graph, index, plans: FxHashMap::default() }
+    }
 }
 
 /// What [`LscrEngine::apply_update`] did to the local index: always
@@ -218,9 +230,8 @@ impl LscrEngine {
     /// Creates an engine with a custom index configuration.
     pub fn with_index_config(graph: impl Into<Arc<Graph>>, config: LocalIndexConfig) -> Self {
         LscrEngine {
-            state: RwLock::new(EngineState { graph: graph.into(), index: None }),
+            state: RwLock::new(EngineState::new(graph.into(), None)),
             index_config: config,
-            plan_cache: RwLock::new(FxHashMap::default()),
             update_lock: Mutex::new(()),
         }
     }
@@ -237,12 +248,6 @@ impl LscrEngine {
     /// content-changing [`apply_update`](Self::apply_update).
     pub fn graph_epoch(&self) -> u64 {
         self.state.read().expect("state lock").graph.epoch()
-    }
-
-    /// One consistent `(graph, index)` pair for a query to run against.
-    pub(crate) fn state_snapshot(&self) -> (Arc<Graph>, Option<Arc<LocalIndex>>) {
-        let st = self.state.read().expect("state lock");
-        (Arc::clone(&st.graph), st.index.clone())
     }
 
     /// Builds (or returns) the shared local index for the graph current at
@@ -306,11 +311,12 @@ impl LscrEngine {
     }
 
     /// Applies an [`UpdateBatch`] to the served graph: the overlay-merged
-    /// graph is swapped in atomically, the content epoch advances, and
-    /// every content-derived cache (constraint-plan cache with its
-    /// embedded `SCck` and `V(S,G)` memos) is invalidated. The local index
-    /// is dropped, not repaired: no served query reads it (`Auto` is UIS),
-    /// and the next INS query builds one for the graph it pins.
+    /// graph is swapped in atomically, the content epoch advances, and the
+    /// swap discards everything derived from the old graph (the constraint
+    /// plans with their embedded `SCck` and `V(S,G)` memos, and the local
+    /// index). The index is dropped, not repaired: no served query reads
+    /// it (`Auto` is UIS), and the next INS query builds one for the graph
+    /// it pins.
     ///
     /// Queries running concurrently finish against the pre-update state
     /// (crash-consistent snapshot semantics); queries started after this
@@ -367,28 +373,33 @@ impl LscrEngine {
         }
         let epoch = graph.epoch();
         if summary.changed() {
-            *self.state.write().expect("state lock") =
-                EngineState { graph: Arc::new(graph), index: None };
-            // Compiled plans are bound to the old epoch (constants resolved
-            // against old content); drop them so future compiles bind fresh.
-            self.plan_cache.write().expect("plan cache lock").clear();
+            self.swap_state(EngineState::new(Arc::new(graph), None));
         }
         Ok(UpdateOutcome { summary, index: IndexMaintenance::NotBuilt, epoch, compacted })
     }
 
+    /// Swaps in `next` as the served state: the one write that discards
+    /// the replaced graph's plans and index. They are dropped after the
+    /// guard is released, so freeing up to 4,096 plans' memos never stalls
+    /// a pin.
+    fn swap_state(&self, next: EngineState) {
+        let _replaced = std::mem::replace(&mut *self.state.write().expect("state lock"), next);
+    }
+
     /// Re-freezes the served graph's overlay into a clean CSR now (see
-    /// [`Graph::compact`]); content, ids and epoch are unchanged, so the
-    /// installed index and all caches stay valid. No-op when the graph is
-    /// already compact.
+    /// [`Graph::compact`]); content, lineage, ids, epoch and fingerprint
+    /// are unchanged, so only the graph is swapped: the installed index
+    /// and the plans stay. No-op when the graph is already compact.
     pub fn compact(&self) {
         let _updates = self.update_lock.lock().expect("update lock");
-        let (graph, _) = self.state_snapshot();
+        let graph = self.graph();
         if !graph.has_overlay() {
             return;
         }
         let compacted = Arc::new(graph.compacted());
-        let mut st = self.state.write().expect("state lock");
-        st.graph = compacted;
+        // `graph` still holds the replaced graph, so it is freed after the
+        // guard is released.
+        self.state.write().expect("state lock").graph = compacted;
     }
 
     /// Opens a per-thread [`Session`] with a new scratch sized to the
@@ -405,7 +416,9 @@ impl LscrEngine {
     /// endpoints (all counters are reads of existing state; nothing is
     /// built or locked beyond the state read lock).
     pub fn info(&self) -> EngineInfo {
-        let (graph, index) = self.state_snapshot();
+        let st = self.state.read().expect("state lock");
+        let (graph, indexed, plans) = (Arc::clone(&st.graph), st.index.is_some(), st.plans.len());
+        drop(st);
         EngineInfo {
             num_vertices: graph.num_vertices(),
             num_edges: graph.num_edges(),
@@ -413,8 +426,8 @@ impl LscrEngine {
             epoch: graph.epoch(),
             has_overlay: graph.has_overlay(),
             graph_heap_bytes: graph.heap_bytes(),
-            index_built: index.is_some(),
-            cached_plans: self.cached_plans(),
+            index_built: indexed,
+            cached_plans: plans,
         }
     }
 

@@ -1,7 +1,7 @@
 //! Engine snapshots: saving the served graph and index, restoring an
 //! engine from one, and hot-swapping a running engine's state to one.
 
-use super::LscrEngine;
+use super::{EngineState, LscrEngine};
 use crate::local_index::LocalIndex;
 use crate::query::QueryError;
 use kgreach_graph::snapshot::{
@@ -24,10 +24,13 @@ impl LscrEngine {
     /// which is the cold-start path for serving processes (see the
     /// `cold_start` bench: snapshot load vs text parse + index rebuild).
     ///
-    /// The plan cache is warm-up state, not data; it is intentionally
-    /// not persisted.
+    /// The constraint plans are warm-up state, not data; they are
+    /// intentionally not persisted.
     pub fn save_snapshot<W: Write>(&self, writer: W) -> Result<(), QueryError> {
-        let (graph, index) = self.state_snapshot();
+        let (graph, index) = {
+            let st = self.state.read().expect("state lock");
+            (Arc::clone(&st.graph), st.index.clone())
+        };
         let mut w = SectionWriter::new(BufWriter::new(writer), ArtifactKind::Engine)?;
         // A live graph is compacted on the fly by the encoder; the index
         // stays valid because compaction preserves the fingerprint.
@@ -107,17 +110,11 @@ impl LscrEngine {
     /// Returns the fresh content epoch.
     pub(crate) fn install(&self, staged: LscrEngine) -> u64 {
         let _updates = self.update_lock.lock().expect("update lock");
-        let (graph, index) = staged.state_snapshot();
+        let EngineState { graph, index, .. } = staged.state.into_inner().expect("state lock");
         let mut graph = (*graph).clone();
-        let old_epoch = self.graph_epoch();
-        graph.advance_epoch_to(old_epoch + 1);
+        graph.advance_epoch_to(self.graph_epoch() + 1);
         let epoch = graph.epoch();
-        {
-            let mut st = self.state.write().expect("state lock");
-            st.graph = Arc::new(graph);
-            st.index = index;
-        }
-        self.plan_cache.write().expect("plan cache lock").clear();
+        self.swap_state(EngineState::new(Arc::new(graph), index));
         epoch
     }
 

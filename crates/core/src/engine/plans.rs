@@ -1,5 +1,13 @@
-//! The engine's constraint-plan cache: validating and compiling queries,
-//! with plans shared by constraint text across sessions and threads.
+//! The engine's constraint plans: validating and compiling queries, with
+//! plans shared by constraint text across sessions and threads.
+//!
+//! The plans live in the engine state beside the graph they were compiled
+//! for, so the one write that swaps in a graph (an update or a reload)
+//! also swaps in its empty plans, and a state's plans are only ever plans
+//! for its graph. They follow the local index's install rule: a plan is
+//! compiled outside the lock for the pin its caller holds, and installed
+//! only if that pin is still the state's graph; otherwise it serves its
+//! caller uncached.
 
 use super::LscrEngine;
 use crate::constraint::{CompiledConstraint, SubstructureConstraint};
@@ -7,88 +15,104 @@ use crate::query::{CompiledLscrQuery, LscrQuery, QueryError};
 use kgreach_graph::{Graph, LabelSet, VertexId};
 use kgreach_sync::Arc;
 
-/// Distinct constraint plans retained in the plan cache. Once full, new
+/// Distinct constraint plans retained per graph. Once full, new
 /// constraint texts compile per-query instead of being cached, bounding
 /// engine memory under workloads with unbounded distinct constraints
 /// (e.g. per-entity generated patterns).
 const PLAN_CACHE_CAP: usize = 4096;
 
 impl LscrEngine {
-    /// Validates `query` and compiles its constraint through the plan
-    /// cache: constraints with identical SPARQL text share one compiled
-    /// plan across queries, sessions and threads. A hit is one probe keyed
-    /// by the constraint's precomputed canonical text, and allocates
-    /// nothing; the cache holds at most 4096 plans — beyond that,
-    /// new texts compile per-query without being retained.
+    /// Validates `query` and compiles its constraint through the served
+    /// graph's plans: constraints with identical SPARQL text share one
+    /// compiled plan across queries, sessions and threads. A hit is one
+    /// probe keyed by the constraint's precomputed canonical text, and
+    /// allocates nothing; at most 4096 plans are kept — beyond that, new
+    /// texts compile per-query without being retained.
     ///
     /// The query is compiled for the graph current at the call; answer it
     /// on a graph pinned with [`graph`](Self::graph), as
     /// [`Session::answer_compiled`](crate::Session::answer_compiled)
     /// describes.
     pub fn compile(&self, query: &LscrQuery) -> Result<CompiledLscrQuery, QueryError> {
-        self.compile_on(&self.graph(), query)
+        Ok(self.compile_pinned(query)?.1)
     }
 
-    /// [`compile`](Self::compile) for `graph`, a graph the caller pinned.
-    pub(crate) fn compile_on(
+    /// [`compile`](Self::compile), returned with the graph it pinned to
+    /// compile on, under one state read when the plan is cached.
+    pub(crate) fn compile_pinned(
         &self,
-        graph: &Graph,
         query: &LscrQuery,
-    ) -> Result<CompiledLscrQuery, QueryError> {
-        graph.check_vertex(query.source)?;
-        graph.check_vertex(query.target)?;
-        let constraint = &query.constraint;
-        let (plan, _) = self.plan(graph, constraint.sparql_text(), Some(constraint))?;
-        Ok(query.with_constraint(plan))
+    ) -> Result<(Arc<Graph>, CompiledLscrQuery), QueryError> {
+        let c = &query.constraint;
+        let ids = Ok::<_, QueryError>((query.source, query.target, query.label_constraint));
+        let (graph, compiled, _) = self.pin_and_plan(c.sparql_text(), Some(c), |_| ids)?;
+        Ok((graph, compiled))
     }
 
     /// [`compile`](Self::compile) for a constraint still in SPARQL text,
-    /// as a server receives it. The text is looked up in the plan cache as
-    /// sent, and only a miss parses it, then looks up or compiles its plan
-    /// under its canonical text ([`SubstructureConstraint::sparql_text`]).
-    /// So a canonical text whose plan is cached costs one probe and no
+    /// as a server receives it. One state read pins the served graph and
+    /// looks the text up, as sent, among its plans; `resolve` then maps
+    /// the query's names to `(source, target, labels)` on the pin. Only a
+    /// miss parses `sparql`, then looks up or compiles its plan under its
+    /// canonical text ([`SubstructureConstraint::sparql_text`]). So a
+    /// canonical text whose plan is cached costs one probe and no
     /// allocation, and any other spelling shares that plan after one
-    /// parse. Returns the compiled query and whether `sparql` was parsed.
+    /// parse.
     ///
-    /// `graph` is the graph the caller pinned with [`graph`](Self::graph)
-    /// and resolved `source`, `target` and `label_constraint` against; the
-    /// plan is bound to it, and the caller answers on the same pin.
-    pub fn compile_text(
+    /// Returns the pin, the query compiled for it, and whether `sparql`
+    /// was parsed; the caller answers on that pin. A `resolve` error is
+    /// returned as is, before `sparql` is parsed.
+    pub fn compile_text<E: From<QueryError>>(
         &self,
-        graph: &Graph,
-        source: VertexId,
-        target: VertexId,
-        label_constraint: LabelSet,
         sparql: &str,
-    ) -> Result<(CompiledLscrQuery, bool), QueryError> {
-        graph.check_vertex(source)?;
-        graph.check_vertex(target)?;
-        let (constraint, parsed) = self.plan(graph, sparql, None)?;
-        Ok((CompiledLscrQuery { source, target, label_constraint, constraint }, parsed))
+        resolve: impl FnOnce(&Graph) -> Result<(VertexId, VertexId, LabelSet), E>,
+    ) -> Result<(Arc<Graph>, CompiledLscrQuery, bool), E> {
+        self.pin_and_plan(sparql, None, resolve)
     }
 
-    /// The one plan-cache path. `key` is probed first; `parsed` is its
-    /// constraint when the caller already holds it, and then `key` is that
-    /// constraint's canonical text. On a miss an unparsed `key` is parsed,
-    /// its canonical text probed if it differs, and the plan compiled and
-    /// inserted under the canonical text, unless the cache holds a plan
-    /// for a newer graph under it: the engine's epoch only grows, across
-    /// updates and reloads, so a caller on an older pin is served its plan
-    /// without displacing the current graph's. The flag says whether `key`
-    /// was parsed.
-    fn plan(
+    /// The one compile path. `key` is probed in the same state read that
+    /// pins the graph; `parsed` is its constraint when the caller already
+    /// holds it, and then `key` is that constraint's canonical text.
+    fn pin_and_plan<E: From<QueryError>>(
         &self,
-        graph: &Graph,
+        key: &str,
+        parsed: Option<&SubstructureConstraint>,
+        resolve: impl FnOnce(&Graph) -> Result<(VertexId, VertexId, LabelSet), E>,
+    ) -> Result<(Arc<Graph>, CompiledLscrQuery, bool), E> {
+        let (graph, hit) = {
+            let st = self.state.read().expect("state lock");
+            (Arc::clone(&st.graph), st.plans.get(key).map(Arc::clone))
+        };
+        let (source, target, label_constraint) = resolve(&graph)?;
+        graph.check_vertex(source).and(graph.check_vertex(target)).map_err(QueryError::from)?;
+        let (constraint, was_parsed) = match hit {
+            Some(plan) => (plan, false),
+            None => self.plan_for(&graph, key, parsed)?,
+        };
+        Ok((graph, CompiledLscrQuery { source, target, label_constraint, constraint }, was_parsed))
+    }
+
+    /// The plan for constraint text `key` on `graph`, a pin, outside the
+    /// pinning read: a held query's rebind, and a miss of
+    /// [`pin_and_plan`](Self::pin_and_plan). `parsed` is `key`'s
+    /// constraint when the caller holds it. Otherwise `key` is probed
+    /// among `graph`'s plans, then parsed, and its canonical text probed
+    /// if it differs. Then the plan is compiled, and installed under the
+    /// canonical text if `graph` is still served, the text has no plan
+    /// yet and the cap allows. The flag says whether `key` was parsed.
+    pub(crate) fn plan_for(
+        &self,
+        graph: &Arc<Graph>,
         key: &str,
         parsed: Option<&SubstructureConstraint>,
     ) -> Result<(Arc<CompiledConstraint>, bool), QueryError> {
-        if let Some(hit) = self.cached_plan(graph, key) {
-            return Ok((hit, false));
-        }
         let owned;
         let constraint = match parsed {
             Some(constraint) => constraint,
             None => {
+                if let Some(hit) = self.cached_plan(graph, key) {
+                    return Ok((hit, false));
+                }
                 owned = SubstructureConstraint::parse(key)?;
                 if owned.sparql_text() != key {
                     if let Some(hit) = self.cached_plan(graph, owned.sparql_text()) {
@@ -100,37 +124,30 @@ impl LscrEngine {
         };
         let key = constraint.sparql_text();
         let compiled = Arc::new(constraint.compile(graph)?);
-        let mut cache = self.plan_cache.write().expect("plan cache lock");
-        let shared = match cache.get(key) {
+        let mut st = self.state.write().expect("state lock");
+        let plan = match st.plans.get(key) {
+            // The pin was replaced: serve its caller uncached.
+            _ if !Arc::ptr_eq(&st.graph, graph) => compiled,
             // A racing compiler won; keep its plan.
-            Some(winner) if winner.is_bound_to(graph) => Arc::clone(winner),
-            Some(newer) if newer.graph_epoch() > compiled.graph_epoch() => compiled,
-            Some(_) => {
-                cache.insert(key.to_owned(), Arc::clone(&compiled));
-                compiled
-            }
-            None if cache.len() < PLAN_CACHE_CAP => {
-                cache.insert(key.to_owned(), Arc::clone(&compiled));
+            Some(winner) => Arc::clone(winner),
+            None if st.plans.len() < PLAN_CACHE_CAP => {
+                st.plans.insert(key.to_owned(), Arc::clone(&compiled));
                 compiled
             }
             None => compiled, // cache full: serve uncached
         };
-        drop(cache);
-        Ok((shared, parsed.is_none()))
+        Ok((plan, parsed.is_none()))
     }
 
-    /// The cached plan keyed `key`, if it is bound to `graph`'s lineage
-    /// and epoch. Entries compiled before an update or a reload are purged
-    /// with it, but a probe can race the purge, and a caller may pin an
-    /// older graph — hence the guard on the binding.
-    fn cached_plan(&self, graph: &Graph, key: &str) -> Option<Arc<CompiledConstraint>> {
-        let cache = self.plan_cache.read().expect("plan cache lock");
-        cache.get(key).filter(|plan| plan.is_bound_to(graph)).map(Arc::clone)
+    /// The plan keyed `key` if `graph` is still the served graph.
+    fn cached_plan(&self, graph: &Arc<Graph>, key: &str) -> Option<Arc<CompiledConstraint>> {
+        let st = self.state.read().expect("state lock");
+        st.plans.get(key).filter(|_| Arc::ptr_eq(&st.graph, graph)).map(Arc::clone)
     }
 
-    /// Number of distinct constraint plans currently cached.
+    /// Number of distinct constraint plans the served graph holds.
     pub fn cached_plans(&self) -> usize {
-        self.plan_cache.read().expect("plan cache lock").len()
+        self.state.read().expect("state lock").plans.len()
     }
 }
 
@@ -142,7 +159,7 @@ mod tests {
     use crate::Algorithm;
 
     #[test]
-    fn plan_cache_shares_compiled_constraints() {
+    fn plans_share_compiled_constraints() {
         let engine = LscrEngine::new(figure3());
         let g = engine.graph();
         assert_eq!(engine.cached_plans(), 0);
@@ -167,11 +184,13 @@ mod tests {
     fn plan_lookup_by_text_shares_plans_tracks_epochs_and_survives_a_full_cache() {
         let engine = LscrEngine::new(figure3());
         let q = all_labels_query(&engine.graph(), "v0", "v4");
-        let by_text = |text: &str| {
+        let compile_text = |source, text: &str| {
+            let ids = (source, q.target, q.label_constraint);
             engine
-                .compile_text(&engine.graph(), q.source, q.target, q.label_constraint, text)
-                .unwrap()
+                .compile_text(text, |_| Ok::<_, QueryError>(ids))
+                .map(|(_, c, parsed)| (c, parsed))
         };
+        let by_text = |text: &str| compile_text(q.source, text).unwrap();
         let canonical = q.constraint.sparql_text();
         let spelled = canonical.replace(' ', "\n\t");
         assert_ne!(spelled, canonical);
@@ -192,29 +211,20 @@ mod tests {
             assert!(Arc::ptr_eq(&other.constraint, &compiled.constraint));
         }
         assert_eq!(engine.cached_plans(), 1);
-        assert!(engine
-            .compile_text(&engine.graph(), VertexId(99), q.target, q.label_constraint, canonical)
-            .is_err());
-        assert!(matches!(
-            engine.compile_text(
-                &engine.graph(),
-                q.source,
-                q.target,
-                q.label_constraint,
-                "SELECT nonsense"
-            ),
-            Err(QueryError::Sparql(_))
-        ));
+        assert!(compile_text(VertexId(99), canonical).is_err());
+        assert!(matches!(compile_text(q.source, "SELECT nonsense"), Err(QueryError::Sparql(_))));
+        // A resolve error is returned as is, before the text is parsed.
+        let unresolved =
+            engine.compile_text("SELECT nonsense", |_| Err(QueryError::IdSpaceMismatch));
+        assert!(matches!(unresolved, Err(QueryError::IdSpaceMismatch)));
 
-        // After an update the purged plan is never served, not even when a
-        // probe races the purge and still finds it: both spellings compile
-        // at the new epoch and answer as `compile` does.
+        // After an update the replaced graph's plan is never served: both
+        // spellings compile at the new epoch and answer as `compile` does.
         let purged = Arc::clone(&compiled.constraint);
         let mut batch = kgreach_graph::UpdateBatch::new();
         batch.delete("v2", "follows", "v4");
         engine.apply_update(&batch).unwrap();
-        let stale = canonical.to_owned();
-        engine.plan_cache.write().unwrap().insert(stale, Arc::clone(&purged));
+        assert_eq!(engine.cached_plans(), 0, "the swap discards the plans");
         let mut session = engine.session();
         for text in [canonical, &spelled, canonical] {
             let (fresh, _) = by_text(text);
@@ -262,7 +272,6 @@ mod tests {
         let engine = LscrEngine::new(figure3());
         let old = engine.graph();
         let q = all_labels_query(&old, "v0", "v4");
-        let text = q.constraint.sparql_text();
         let mut batch = kgreach_graph::UpdateBatch::new();
         batch.delete("v2", "follows", "v4");
         engine.apply_update(&batch).unwrap();
@@ -271,8 +280,11 @@ mod tests {
 
         // Compiled for the older pin, the plan serves its query and is
         // not cached: the current graph's plan keeps the slot.
-        let (pinned, _) =
-            engine.compile_text(&old, q.source, q.target, q.label_constraint, text).unwrap();
+        let text = current.constraint.sparql_text();
+        let pinned = CompiledLscrQuery {
+            constraint: engine.plan_for(&old, text, None).unwrap().0,
+            ..current
+        };
         assert_eq!(pinned.constraint.graph_epoch(), 0);
         assert!(Arc::ptr_eq(&engine.compile(&q).unwrap().constraint, &current.constraint));
         assert_eq!(engine.cached_plans(), 1);

@@ -47,7 +47,7 @@ pub(crate) fn all_labels_query(g: &Graph, s: &str, t: &str) -> crate::LscrQuery 
 }
 
 /// `query` answered by `algorithm` under default options on one pin of
-/// `engine`'s graph: compiled through its plan cache, then answered on a
+/// `engine`'s graph: compiled through its plans, then answered on a
 /// session of its own.
 #[cfg(test)]
 pub(crate) fn answer(
@@ -55,8 +55,7 @@ pub(crate) fn answer(
     query: &crate::LscrQuery,
     algorithm: crate::Algorithm,
 ) -> Result<crate::QueryOutcome, crate::QueryError> {
-    let g = engine.graph();
-    let compiled = engine.compile_on(&g, query)?;
+    let (g, compiled) = engine.compile_pinned(query)?;
     engine.session().answer_compiled(&g, &compiled, algorithm, &crate::QueryOptions::default())
 }
 

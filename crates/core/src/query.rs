@@ -124,20 +124,12 @@ impl LscrQuery {
     pub fn compile(&self, g: &Graph) -> Result<CompiledLscrQuery, QueryError> {
         g.check_vertex(self.source)?;
         g.check_vertex(self.target)?;
-        let compiled = self.constraint.compile(g)?;
-        Ok(self.with_constraint(Arc::new(compiled)))
-    }
-
-    /// Assembles the compiled form from an already-compiled (possibly
-    /// cached) constraint. Endpoints must have been validated by the
-    /// caller.
-    pub(crate) fn with_constraint(&self, constraint: Arc<CompiledConstraint>) -> CompiledLscrQuery {
-        CompiledLscrQuery {
+        Ok(CompiledLscrQuery {
             source: self.source,
             target: self.target,
             label_constraint: self.label_constraint,
-            constraint,
-        }
+            constraint: Arc::new(self.constraint.compile(g)?),
+        })
     }
 }
 

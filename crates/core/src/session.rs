@@ -7,15 +7,15 @@
 //! former behind `&self`; a [`Session`] owns the latter exclusively, so N
 //! threads each holding a session answer queries against one shared
 //! engine without locking around the search itself. The locks are short
-//! and constant-time. A warm query pinned, compiled and answered on a
-//! held session takes two: the state `RwLock` once (the caller's pin,
-//! [`LscrEngine::graph`]) and the plan-cache `RwLock` once (the plan
-//! lookup in [`LscrEngine::compile_text`]). A forced INS reads the state
-//! once more, for the index built for the pin. The server's search slot
-//! adds its queue mutex twice (taking the slot, with the idle scratch it
-//! builds the session around, and releasing it), so a warm `/query`
-//! takes four. [`LscrEngine::session`] reads the state once more, to size
-//! a new scratch.
+//! and constant-time. A warm query compiled and answered on a held
+//! session takes one: the state `RwLock`, read once to pin the graph and
+//! look the plan up among its plans ([`LscrEngine::compile_text`],
+//! [`LscrEngine::compile`] or [`Session::answer_with_options`]). A forced
+//! INS reads the state once more, for the index built for the pin. The
+//! server's search slot adds its queue mutex twice (taking the slot, with
+//! the idle scratch it builds the session around, and releasing it), so
+//! a warm `/query` takes three. [`LscrEngine::session`] reads the state
+//! once more, to size a new scratch.
 //!
 //! ```
 //! use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions, SubstructureConstraint};
@@ -171,7 +171,8 @@ impl<'e> Session<'e> {
     }
 
     /// [`LscrEngine::compile`], then [`answer_compiled`](Self::answer_compiled),
-    /// both on one pin of the engine's graph.
+    /// both on one pin of the engine's graph, taken in the state read that
+    /// looks the plan up.
     /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn answer_with_options(
         &mut self,
@@ -179,8 +180,7 @@ impl<'e> Session<'e> {
         algorithm: Algorithm,
         opts: &QueryOptions,
     ) -> Result<QueryOutcome, QueryError> {
-        let graph = self.engine.graph();
-        let compiled = self.engine.compile_on(&graph, query)?;
+        let (graph, compiled) = self.engine.compile_pinned(query)?;
         self.answer_compiled(&graph, &compiled, algorithm, opts)
     }
 
@@ -190,14 +190,14 @@ impl<'e> Session<'e> {
     /// reload swaps in meanwhile. A [`CompiledLscrQuery`] is
     /// `Clone + Send + Sync`, so one compiled query can be held and
     /// re-executed by many sessions; its plan and memoized `V(S,G)` are
-    /// the ones the engine's plan cache shares.
+    /// the ones the engine shares for its graph.
     ///
     /// A held compiled query is bound to the id space and content epoch
     /// it was compiled at. Its source and target are range-checked on
     /// `graph` first ([`QueryError::Graph`]). Compiled for another epoch
     /// of `graph`'s lineage (an update ran in between: ids are stable),
     /// its plan is rebound once to `graph` from its retained SPARQL text,
-    /// through the engine's plan cache. Compiled for another lineage
+    /// through the engine's plans for `graph`. Compiled for another lineage
     /// (before a snapshot reload, or by another engine: the same ids name
     /// other vertices), it is refused with
     /// [`QueryError::IdSpaceMismatch`]; compile it again from names.
@@ -221,9 +221,9 @@ impl<'e> Session<'e> {
         } else if query.constraint.shares_ids_with(graph) {
             // Nothing may read the stale plan against `graph`: its memos
             // and constants belong to another epoch.
-            let (source, target, labels) = (query.source, query.target, query.label_constraint);
-            let text = query.constraint.sparql_text();
-            rebound = self.engine.compile_text(graph, source, target, labels, text)?.0;
+            let (constraint, _) =
+                self.engine.plan_for(graph, query.constraint.sparql_text(), None)?;
+            rebound = CompiledLscrQuery { constraint, ..*query };
             &rebound
         } else {
             return Err(QueryError::IdSpaceMismatch);
@@ -482,11 +482,10 @@ mod tests {
     #[test]
     fn a_query_answers_on_its_pin_across_an_update_and_a_reload() {
         let engine = LscrEngine::new(chain([("a", "b"), ("b", "c")]));
-        let g = engine.graph();
-        let q = a_to_c(&g);
-        let text = q.constraint.sparql_text();
-        let (query, _) =
-            engine.compile_text(&g, q.source, q.target, q.label_constraint, text).unwrap();
+        let q = a_to_c(&engine.graph());
+        let ids = (q.source, q.target, q.label_constraint);
+        let (g, query, _) =
+            engine.compile_text(q.constraint.sparql_text(), |_| Ok::<_, QueryError>(ids)).unwrap();
         // Both swaps make `a → c` false on the served graph; the second
         // also renumbers every vertex.
         let mut batch = kgreach_graph::UpdateBatch::new();

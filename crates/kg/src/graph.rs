@@ -24,7 +24,7 @@ use crate::fxhash::fx_set_with_capacity;
 use crate::ids::{Edge, LabelId, VertexId};
 use crate::labelset::{LabelSet, MAX_LABELS};
 use crate::schema::Schema;
-use crate::triples::{vocab, Triple};
+use crate::triples::Triple;
 
 /// A structural identity stamp for one frozen [`Graph`].
 ///
@@ -828,15 +828,7 @@ impl Graph {
         self.label_vertex_counts.push(0);
         self.label_in_vertex_counts.push(0);
         let l = LabelId(id as u16);
-        if vocab::is_type(name) {
-            self.schema.type_label.get_or_insert(l);
-        } else if vocab::is_subclass_of(name) {
-            self.schema.subclass_label.get_or_insert(l);
-        } else if vocab::is_domain(name) {
-            self.schema.domain_label.get_or_insert(l);
-        } else if vocab::is_range(name) {
-            self.schema.range_label.get_or_insert(l);
-        }
+        self.schema.note_label(l, name);
         l
     }
 
@@ -1019,16 +1011,7 @@ impl GraphBuilder {
         // still in src-major order, keeping instance-list order stable).
         let mut schema = Schema::default();
         for (id, name) in label_dict.iter() {
-            let l = LabelId(id as u16);
-            if vocab::is_type(name) {
-                schema.type_label = Some(l);
-            } else if vocab::is_subclass_of(name) {
-                schema.subclass_label = Some(l);
-            } else if vocab::is_domain(name) {
-                schema.domain_label = Some(l);
-            } else if vocab::is_range(name) {
-                schema.range_label = Some(l);
-            }
+            schema.note_label(LabelId(id as u16), name);
         }
         if let Some(tl) = schema.type_label {
             for e in &edges {
@@ -1222,6 +1205,35 @@ mod tests {
         assert!(schema.is_class(person));
         assert_eq!(schema.instances_of(researcher).len(), 2);
         assert!(schema.vocabulary_labels().len() >= 2);
+    }
+
+    #[test]
+    fn both_type_spellings_give_one_schema_on_every_build_path() {
+        use crate::triples::vocab::RDF_TYPE_IRI;
+        let mut b = GraphBuilder::new();
+        b.add_triple("a", "rdf:type", "C");
+        b.add_triple("b", RDF_TYPE_IRI, "C");
+        let at_once = b.build().unwrap();
+        let mut b = GraphBuilder::new();
+        b.add_triple("a", "rdf:type", "C");
+        let mut updated = b.build().unwrap();
+        let mut batch = UpdateBatch::new();
+        batch.insert("b", RDF_TYPE_IRI, "C");
+        updated.apply_update(&batch).unwrap();
+        let mut bytes = Vec::new();
+        crate::snapshot::write_graph_snapshot(&updated, &mut bytes).unwrap();
+        let reloaded = crate::snapshot::read_graph_snapshot(&bytes).unwrap();
+
+        // The first-interned spelling holds the slot, whichever path.
+        let a = at_once.vertex_id("a").unwrap();
+        let class = at_once.vertex_id("C").unwrap();
+        for g in [&at_once, &updated, &reloaded] {
+            let schema = g.schema();
+            let type_label = schema.type_label.expect("a type label");
+            assert_eq!(g.label_name(type_label), "rdf:type");
+            assert_eq!(schema.instances_of(class), [a]);
+            assert_eq!(schema.vocabulary_labels(), at_once.schema().vocabulary_labels());
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@
 use crate::fxhash::FxHashMap;
 use crate::ids::{LabelId, VertexId};
 use crate::labelset::LabelSet;
+use crate::triples::vocab;
 use std::sync::Arc;
 
 /// The RDFS schema view over an edge-labeled graph.
@@ -60,6 +61,25 @@ impl Schema {
             .into_iter()
             .flatten()
             .collect()
+    }
+
+    /// Wires `label`, interned as `name`, into the RDFS vocabulary slot
+    /// `name` spells (either form, see [`vocab`]), unless an
+    /// earlier-interned spelling holds it: the first spelling wins, in a
+    /// graph built at once as in one grown by updates.
+    pub(crate) fn note_label(&mut self, label: LabelId, name: &str) {
+        let slot = if vocab::is_type(name) {
+            &mut self.type_label
+        } else if vocab::is_subclass_of(name) {
+            &mut self.subclass_label
+        } else if vocab::is_domain(name) {
+            &mut self.domain_label
+        } else if vocab::is_range(name) {
+            &mut self.range_label
+        } else {
+            return;
+        };
+        slot.get_or_insert(label);
     }
 
     /// Registers `class` as a class vertex (idempotent).

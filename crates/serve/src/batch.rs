@@ -355,29 +355,32 @@ impl Batcher {
     /// scratch (or a new one sized to the graph), and writes its response
     /// text. The scratch goes back to the slot when the query is answered.
     ///
-    /// The served graph is pinned once: names resolve to ids on it, the
-    /// constraint text finds its plan for it through the engine's plan
-    /// cache (which parses the text only when no cached plan has it as
-    /// its key), and the search, the witness and the rendered names all
-    /// read it. An update or a snapshot reload that lands meanwhile
-    /// serves the next query; this one is answered, correctly, for the
-    /// graph that was current when it started.
+    /// The served graph is pinned once, by
+    /// [`LscrEngine::compile_text`], in the same state read that looks the
+    /// constraint text up among its plans (the text is parsed only when no
+    /// plan has it as its key): names resolve to ids on the pin, and the
+    /// search, the witness and the rendered names all read it. An update
+    /// or a snapshot reload that lands meanwhile serves the next query;
+    /// this one is answered, correctly, for the graph that was current
+    /// when it started.
     fn search(&self, req: &QueryRequest, slot: &mut Slot<'_>) -> Result<String, ApiError> {
-        let g = self.engine.graph();
-        let scratch = slot.scratch.take().unwrap_or_else(|| SearchScratch::new(g.num_vertices()));
-        let mut session = Session::new(&self.engine, scratch);
-        let answered = req.resolve_names(&g).and_then(|(source, target, labels)| {
-            let (query, parsed) =
-                self.engine.compile_text(&g, source, target, labels, &req.constraint)?;
-            if parsed {
-                self.metrics.constraint_parses_total.add(1);
-            }
-            let opts = req.options(self.config.max_step_budget, self.config.max_timeout);
-            Ok(session.answer_compiled(&g, &query, req.algorithm, &opts)?)
-        });
-        slot.scratch = Some(session.into_scratch());
+        let answered = self
+            .engine
+            .compile_text(&req.constraint, |g| req.resolve_names(g))
+            .and_then(|(g, query, parsed)| {
+                if parsed {
+                    self.metrics.constraint_parses_total.add(1);
+                }
+                let scratch =
+                    slot.scratch.take().unwrap_or_else(|| SearchScratch::new(g.num_vertices()));
+                let mut session = Session::new(&self.engine, scratch);
+                let opts = req.options(self.config.max_step_budget, self.config.max_timeout);
+                let out = session.answer_compiled(&g, &query, req.algorithm, &opts);
+                slot.scratch = Some(session.into_scratch());
+                Ok((g, out?))
+            });
         match answered {
-            Ok(out) => {
+            Ok((g, out)) => {
                 self.metrics.record_outcome(&out.stats, out.interrupted);
                 Ok(outcome_text(&g, &out))
             }

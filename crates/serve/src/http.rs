@@ -12,12 +12,14 @@
 //! Robustness posture (exercised by the fault-injection suite in
 //! `tests/serving.rs`): every malformed input is a typed
 //! [`HttpError`] mapped to a 4xx/5xx response, never a panic; header and
-//! body byte caps bound per-connection memory; read timeouts bound how
-//! long a half-sent ("slowloris") request can pin a connection thread.
+//! body byte caps bound per-connection memory; each request must arrive
+//! whole within [`HttpLimits::read_timeout`] of its first byte, so a
+//! half-sent or dribbled ("slowloris") request pins a connection thread
+//! for that long at most, however slowly its bytes keep coming.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Hard caps applied while reading one request.
 #[derive(Clone, Copy, Debug)]
@@ -26,7 +28,8 @@ pub struct HttpLimits {
     pub max_head_bytes: usize,
     /// `Content-Length` may not exceed this many bytes.
     pub max_body_bytes: usize,
-    /// Socket read timeout while a request is being received.
+    /// How long an idle keep-alive connection waits for a request, and
+    /// how long a request may take to arrive whole from its first byte.
     pub read_timeout: Duration,
 }
 
@@ -111,16 +114,59 @@ impl HttpError {
     }
 }
 
+/// The deadline of the request being read: [`HttpLimits::read_timeout`]
+/// from its first byte.
+#[derive(Default)]
+struct Deadline {
+    /// `None` until the first byte (or when the timeout is too long for
+    /// an `Instant` to hold: no deadline).
+    at: Option<Instant>,
+    /// Whether the socket's read timeout was shortened to meet `at`.
+    rearmed: bool,
+}
+
+impl Deadline {
+    /// Starts the deadline, at the request's first byte.
+    fn start(&mut self, limits: &HttpLimits) {
+        if self.at.is_none() {
+            self.at = Instant::now().checked_add(limits.read_timeout);
+        }
+    }
+
+    /// Sets the socket's read timeout to the time left, before a read that
+    /// waits for more of a partial request; [`HttpError::Timeout`] once
+    /// none is left.
+    fn rearm(&mut self, stream: &TcpStream) -> Result<(), HttpError> {
+        let Some(at) = self.at else { return Ok(()) };
+        let left = at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(HttpError::Timeout);
+        }
+        self.rearmed = true;
+        stream.set_read_timeout(Some(left)).map_err(HttpError::Io)
+    }
+}
+
+/// Whether a read error is the socket's read timeout expiring.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
 /// Reads and parses one request from `reader`.
 ///
 /// `reader` must wrap a stream whose read timeout was set to
-/// [`HttpLimits::read_timeout`] (see [`apply_read_timeout`]); this
-/// function maps `WouldBlock`/`TimedOut` to [`HttpError::Timeout`].
+/// [`HttpLimits::read_timeout`] (see [`apply_read_timeout`]): that bounds
+/// the wait for the request's first byte. Once a read returns part of a
+/// request, the timeout is shortened to what is left of the request's
+/// deadline before each further read, and restored before this returns
+/// the request, for the next keep-alive wait. A request still incomplete
+/// at its deadline is [`HttpError::Timeout`].
 pub fn read_request(
     reader: &mut BufReader<TcpStream>,
     limits: &HttpLimits,
 ) -> Result<Request, HttpError> {
-    let head = read_head(reader, limits)?;
+    let mut deadline = Deadline::default();
+    let head = read_head(reader, limits, &mut deadline)?;
     let mut lines = head.split(|&b| b == b'\n').map(|l| l.strip_suffix(b"\r").unwrap_or(l));
     let request_line = lines.next().unwrap_or(b"");
     let request_line = std::str::from_utf8(request_line)
@@ -191,14 +237,23 @@ pub fn read_request(
         reader.get_ref().write_all(b"HTTP/1.1 100 Continue\r\n\r\n").map_err(HttpError::Io)?;
     }
     let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body).map_err(|e| match e.kind() {
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => HttpError::Timeout,
-            std::io::ErrorKind::UnexpectedEof => {
-                HttpError::BadRequest("body shorter than Content-Length".into())
-            }
-            _ => HttpError::Io(e),
-        })?;
+    let mut filled = 0;
+    while filled < content_length {
+        if reader.buffer().is_empty() {
+            deadline.rearm(reader.get_ref())?;
+        }
+        match reader.read(&mut body[filled..]) {
+            Ok(0) => return Err(HttpError::BadRequest("body shorter than Content-Length".into())),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if timed_out(&e) => return Err(HttpError::Timeout),
+            Err(e) => return Err(HttpError::Io(e)),
+        }
+    }
+    // Every error above ends the connection, so only a read request
+    // restores the timeout.
+    if deadline.rearmed {
+        reader.get_ref().set_read_timeout(Some(limits.read_timeout)).map_err(HttpError::Io)?;
     }
     Ok(Request { method: method.to_ascii_uppercase(), path: path.to_owned(), body, keep_alive })
 }
@@ -210,18 +265,21 @@ pub fn read_request(
 /// the bytes up to the terminator, so it can never overshoot into the
 /// body however the peer fragmented the request. Both `\r\n\r\n` and
 /// bare `\n\n` terminators are accepted (hand-typed clients); header
-/// lines are `\r`-stripped individually by the caller.
-fn read_head(reader: &mut BufReader<TcpStream>, limits: &HttpLimits) -> Result<Vec<u8>, HttpError> {
+/// lines are `\r`-stripped individually by the caller. The first byte
+/// starts `deadline`, and each read after a partial head is re-armed to it.
+fn read_head(
+    reader: &mut BufReader<TcpStream>,
+    limits: &HttpLimits,
+    deadline: &mut Deadline,
+) -> Result<Vec<u8>, HttpError> {
     let mut head: Vec<u8> = Vec::with_capacity(256);
     loop {
+        if !head.is_empty() {
+            deadline.rearm(reader.get_ref())?;
+        }
         let available = match reader.fill_buf() {
             Ok(bytes) => bytes,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(e) if timed_out(&e) => {
                 // Idle keep-alive connections time out quietly; a
                 // half-sent request head is a slowloris-style fault.
                 return Err(if head.is_empty() {
@@ -240,6 +298,7 @@ fn read_head(reader: &mut BufReader<TcpStream>, limits: &HttpLimits) -> Result<V
                 HttpError::BadRequest("connection closed mid-headers".into())
             });
         }
+        deadline.start(limits);
         // Take `available` a line at a time: only a `\n` can end the
         // head, so each line is copied whole and checked once. A
         // terminator split across two reads is found on the second, once

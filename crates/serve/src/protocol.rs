@@ -189,9 +189,9 @@ impl QueryRequest {
     /// Resolves names against `g` and assembles the engine-level query:
     /// [`resolve_names`](Self::resolve_names), then the constraint parsed
     /// (`422 bad_constraint`). The server does not parse here: it hands
-    /// the constraint text, with the same pinned `g`, to
-    /// `LscrEngine::compile_text`, which parses it only when no cached
-    /// plan has it as its key.
+    /// the constraint text, with [`resolve_names`](Self::resolve_names)
+    /// as the resolver, to `LscrEngine::compile_text`, which pins `g`
+    /// and parses the text only when no cached plan has it as its key.
     /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn resolve(&self, g: &Graph) -> Result<LscrQuery, ApiError> {
         let (source, target, label_constraint) = self.resolve_names(g)?;

@@ -450,6 +450,12 @@ fn handle_reload(req: &Request, shared: &Shared) -> Result<Json, ApiError> {
         .get("path")
         .and_then(Json::as_str)
         .ok_or_else(|| ApiError::invalid("missing or non-string field 'path'"))?;
+    // Only a regular file has an end to read to: `/dev/zero` would be read
+    // until allocation fails, and a FIFO would block this thread for good.
+    // A path that cannot be inspected fails in the read below.
+    if std::fs::metadata(path).is_ok_and(|meta| !meta.is_file()) {
+        return Err(ApiError::new(422, "bad_snapshot", format!("'{path}' is not a regular file")));
+    }
     // On a durable server the reload goes through the checkpoint: a
     // restart recovers the reloaded graph, not the one it replaced.
     let epoch = std::fs::read(path)

@@ -6,14 +6,13 @@
 //! source, a target, the three most frequent labels, the constraint's
 //! canonical text, `"algorithm":"auto"`) goes through the stages a
 //! connection thread runs, each counted alone:
-//! `Json::parse` → `QueryRequest::parse` → resolve (`resolve_names`, then
-//! the plan looked up by the constraint's text through
-//! `LscrEngine::compile_text`, both on the graph pinned for the query) →
-//! a warm `Session::answer_compiled` on the same pin → `outcome_text`, the
-//! response text. The HTTP read and write around them are not counted,
-//! nor is the pin (`LscrEngine::graph`, an `Arc` clone). Every pass
-//! answers on one `Session` held across the passes, the way a server's
-//! search slot reuses its scratch.
+//! `Json::parse` → `QueryRequest::parse` → resolve
+//! (`LscrEngine::compile_text`: the pin, an `Arc` clone, and the plan
+//! looked up by the constraint's text in one state read, then
+//! `resolve_names` on the pin) → a warm `Session::answer_compiled` on the
+//! same pin → `outcome_text`, the response text. The HTTP read and write
+//! around them are not counted. Every pass answers on one `Session` held
+//! across the passes, the way a server's search slot reuses its scratch.
 //!
 //! A one-edit `/update` body goes through the stages of a server without
 //! a data directory, counted the same way: `Json::parse` → `parse_update`
@@ -74,12 +73,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// `engine`: the allocations of each.
 fn stage_counts(engine: &LscrEngine, session: &mut Session<'_>, body: &str) -> [usize; 5] {
     let config = BatchConfig::default();
-    let g = engine.graph();
     let (json, parse) = counted(|| Json::parse(body).unwrap());
     let (req, request) = counted(|| QueryRequest::parse(&json).unwrap());
-    let (query, resolve) = counted(|| {
-        let (source, target, labels) = req.resolve_names(&g).unwrap();
-        engine.compile_text(&g, source, target, labels, &req.constraint).unwrap().0
+    let ((g, query), resolve) = counted(|| {
+        let (g, query, _) = engine.compile_text(&req.constraint, |g| req.resolve_names(g)).unwrap();
+        (g, query)
     });
     let opts = req.options(config.max_step_budget, config.max_timeout);
     let (out, answer) =

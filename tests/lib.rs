@@ -98,10 +98,9 @@ fn compile_pinned(
     engine: &LscrEngine,
     query: &LscrQuery,
 ) -> Result<(Arc<Graph>, CompiledLscrQuery), QueryError> {
-    let g = engine.graph();
-    let (source, target, labels) = (query.source, query.target, query.label_constraint);
+    let ids = (query.source, query.target, query.label_constraint);
     let text = query.constraint.sparql_text();
-    let (compiled, _) = engine.compile_text(&g, source, target, labels, text)?;
+    let (g, compiled, _) = engine.compile_text(text, |_| Ok::<_, QueryError>(ids))?;
     Ok((g, compiled))
 }
 

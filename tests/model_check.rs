@@ -17,8 +17,9 @@
 //!    waiting on zero slots against `shutdown`, a panicking answer
 //!    handing its slot to a waiter, histogram record-vs-read.
 //! 2. **Seeded shuttle runs** for state spaces too large to exhaust
-//!    (snapshot hot reload, and an id-permuting reload racing a held
-//!    compiled query).
+//!    (snapshot hot reload, an id-permuting reload racing a held
+//!    compiled query, and a plan-cache miss racing an update and a
+//!    reload).
 //! 3. **Seeded-bug demonstrations**: deliberately broken orderings, and a
 //!    slot release that forgets its notify, that the checker must flag —
 //!    regression tests for the checker itself and living proof the
@@ -429,6 +430,57 @@ fn id_permuting_reload_vs_a_held_compiled_query_under_shuttle() {
             assert!(matches!(after, Err(QueryError::IdSpaceMismatch)), "{after:?}");
         })
         .expect("id-permuting reload shuttle model");
+}
+
+/// A query that misses the plans on its pin races an update and an
+/// id-permuting reload. The plan it compiles is installed only if its pin
+/// is still the served graph, so after the join the state holds at most
+/// the one plan, bound to the state's graph: a query pinned after the
+/// join that finds it (unparsed) finds a plan of its pin's epoch, which
+/// its pin's lineage accepts. Each answer, the racing one and the later
+/// one, is the oracle's on its own pin.
+#[test]
+fn a_plan_miss_racing_an_update_and_a_reload_caches_only_for_the_served_graph_under_shuttle() {
+    Builder::new()
+        .shuttle(24, 0x91A5, || {
+            let engine = Arc::new(tiny_engine());
+            let mut snapshot = Vec::new();
+            let mut b = GraphBuilder::new();
+            b.add_triple("b", "likes", "a");
+            b.add_triple("a", "likes", "b");
+            LscrEngine::new(b.build().unwrap()).save_snapshot(&mut snapshot).unwrap();
+            let updater = Arc::clone(&engine);
+            let update = thread::spawn(move || {
+                let mut batch = UpdateBatch::new();
+                batch.delete("a", "likes", "b");
+                updater.apply_update(&batch).unwrap();
+            });
+            let reloader = Arc::clone(&engine);
+            let reload = thread::spawn(move || {
+                reloader.reload_from_snapshot(&snapshot[..]).unwrap();
+            });
+            let answer_on_its_pin = || {
+                let (pin, query, parsed) = engine
+                    .compile_text("SELECT ?x WHERE { ?x <likes> <b> . }", |g| {
+                        let v = |name| g.vertex_id(name).unwrap();
+                        Ok::<_, QueryError>((v("a"), v("b"), g.all_labels()))
+                    })
+                    .unwrap();
+                let epoch = query.constraint.graph_epoch();
+                assert!(parsed || epoch == pin.epoch(), "a plan of epoch {epoch} was cached");
+                let opts = QueryOptions::default();
+                let out = engine.session().answer_compiled(&pin, &query, Algorithm::Uis, &opts);
+                let out = out.expect("a cached plan of another lineage");
+                assert_eq!(out.answer, kgreach::oracle::answer(&pin, &query).answer);
+            };
+            answer_on_its_pin();
+            update.join().unwrap();
+            reload.join().unwrap();
+            assert!(engine.cached_plans() <= 1, "{} plans for one text", engine.cached_plans());
+            answer_on_its_pin();
+            assert_eq!(engine.cached_plans(), 1, "a query on the served graph caches its plan");
+        })
+        .expect("plan miss vs update and reload shuttle model");
 }
 
 // ---------------------------------------------------------------------------

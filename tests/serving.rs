@@ -252,6 +252,84 @@ fn malformed_requests_get_typed_errors_and_the_server_keeps_serving() {
     server.shutdown();
 }
 
+/// `wire` sent on a fresh connection to `addr`: `prefix` at once, then
+/// `dribbled` one byte every 200 ms until the server closes. Returns
+/// everything the server wrote back, and how long after the first byte
+/// it closed.
+fn dribble(addr: std::net::SocketAddr, prefix: &[u8], dribbled: &[u8]) -> (String, Duration) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let closed = AtomicBool::new(false);
+    let started = std::time::Instant::now();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            writer.write_all(prefix).unwrap();
+            for byte in dribbled {
+                if closed.load(Ordering::Acquire) || writer.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        });
+        let mut reply = Vec::new();
+        let _ = stream.read_to_end(&mut reply);
+        let elapsed = started.elapsed();
+        closed.store(true, Ordering::Release);
+        (String::from_utf8_lossy(&reply).into_owned(), elapsed)
+    })
+}
+
+/// A request must arrive whole within the read timeout of its first
+/// byte. A client that sends a head, or a body, one byte every 200 ms
+/// (each byte well inside the timeout) gets `408 timeout` and then EOF,
+/// instead of holding its connection thread for as long as it keeps
+/// sending.
+#[test]
+fn a_dribbled_request_times_out_a_read_timeout_after_its_first_byte() {
+    let engine = Arc::new(LscrEngine::new(small_lubm(7)));
+    let config = ServerConfig {
+        http: HttpLimits { read_timeout: Duration::from_secs(1), ..Default::default() },
+        ..Default::default()
+    };
+    let server = serve(engine, config).unwrap();
+    let head = format!("GET /healthz HTTP/1.1\r\nHost: kg\r\nX-Pad: {}\r\n\r\n", "y".repeat(40));
+    let body = format!("{{\"path\":\"{}\"}}", "z".repeat(40));
+    let body_head =
+        format!("POST /snapshot/reload HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len());
+    for (prefix, dribbled) in [("", head.as_str()), (body_head.as_str(), body.as_str())] {
+        let (reply, elapsed) = dribble(server.addr(), prefix.as_bytes(), dribbled.as_bytes());
+        assert!(reply.starts_with("HTTP/1.1 408 "), "{prefix:?}: {reply}");
+        assert!(reply.contains("\"timeout\""), "{prefix:?}: {reply}");
+        assert!(elapsed < Duration::from_secs(3), "{prefix:?}: closed after {elapsed:?}");
+    }
+    // The connection threads went back to serving.
+    let mut c = HttpClient::connect(server.addr()).unwrap();
+    assert_eq!(c.get("/healthz").unwrap().status, 200);
+    server.shutdown();
+}
+
+/// A reload reads regular files only: a path with no end, such as
+/// `/dev/zero`, is refused before it is opened, and the served graph is
+/// left as it was.
+#[cfg(target_os = "linux")]
+#[test]
+fn reloading_a_path_that_is_not_a_regular_file_is_refused_at_once() {
+    let engine = Arc::new(LscrEngine::new(small_lubm(7)));
+    let server = serve(Arc::clone(&engine), ServerConfig::default()).unwrap();
+    let mut c = HttpClient::connect(server.addr()).unwrap();
+    let epoch = engine.graph_epoch();
+    let started = std::time::Instant::now();
+    let resp = c.post_json("/snapshot/reload", r#"{"path":"/dev/zero"}"#).unwrap();
+    assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
+    assert_eq!(resp.status, 422, "{}", resp.body);
+    assert!(resp.body.contains("\"bad_snapshot\""), "{}", resp.body);
+    assert!(resp.body.contains("not a regular file"), "{}", resp.body);
+    assert_eq!(engine.graph_epoch(), epoch, "a refused reload changed the served graph");
+    server.shutdown();
+}
+
 /// Hot-swaps the served snapshot for the one at `path`, which must succeed.
 fn reload(admin: &mut HttpClient, path: &Path) {
     let body = format!("{{\"path\":{}}}", Json::str(path.display().to_string()));

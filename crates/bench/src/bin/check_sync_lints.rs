@@ -2,7 +2,7 @@
 //!
 //! Clippy sees types; it cannot enforce *project policy* about which
 //! synchronization primitives are reachable from product code. This tool
-//! closes that gap with five rules, each motivated by a real hazard in
+//! closes that gap with six rules, each motivated by a real hazard in
 //! this codebase:
 //!
 //! * **R1 — no raw `std::sync` primitives.** Every atomic, mutex,
@@ -34,8 +34,18 @@
 //!   search slot, never on a timer — a timed wait there is latency every
 //!   client pays whenever the guess behind the timeout is wrong.
 //!
-//! Comment-only lines are skipped for R1/R2/R4/R5 so prose may *discuss*
-//! the banned constructs; R3 is the one rule that reads comments.
+//! * **R6 — no lock result unwrapped in place** in product sources: no
+//!   `.expect(` or `.unwrap()` straight on a `.lock()`, `.read()`,
+//!   `.write()` or `.into_inner()`, or on a condvar's `.wait(…)`. A
+//!   poisoned lock means something different for each lock, so each lock
+//!   has one accessor that states and applies its poison rule; an
+//!   unwrap in place turns one panic into a panic for every later
+//!   caller. Product sources are everything but `crates/kgbench/` and
+//!   `tests/`, `benches/` and `examples/` directories, up to a file's
+//!   column-0 `#[cfg(test)]` tail; a chain split over lines counts.
+//!
+//! Comment-only lines are skipped for R1/R2/R4/R5/R6 so prose may
+//! *discuss* the banned constructs; R3 is the one rule that reads comments.
 //!
 //! Exempt from all rules: `target/`, `vendor/` (third-party stand-ins),
 //! `crates/sync/` (the shim is the one legitimate `std::sync` user) and
@@ -62,6 +72,17 @@ const REQUEST_PATH_FILES: &[&str] = &["crates/serve/src/batch.rs", "crates/serve
 
 /// The timed waits R5 bans there.
 const TIMED_WAITS: &[&str] = &["wait_timeout(", "recv_timeout(", "thread::sleep("];
+
+/// Lock calls whose result R6 forbids unwrapping in place, and whether
+/// the call takes an argument (a condvar's wait takes the guard; a
+/// child process's `wait()` takes none and is no lock call).
+const LOCK_CALLS: &[(&str, bool)] = &[
+    (".lock(", false),
+    (".read(", false),
+    (".write(", false),
+    (".into_inner(", false),
+    (".wait(", true),
+];
 
 /// `std::sync` paths that must be reached through `kgreach-sync` (R1).
 /// `std::sync::Arc`, `Weak`, `LockResult` and `PoisonError` are absent
@@ -119,7 +140,7 @@ fn main() {
     }
 
     if offenses.is_empty() {
-        println!("check_sync_lints: {scanned} files clean (R1 shim-only sync, R2 no SeqCst, R3 relaxed justified, R4 kernels clock-free, R5 request path timer-free)");
+        println!("check_sync_lints: {scanned} files clean (R1 shim-only sync, R2 no SeqCst, R3 relaxed justified, R4 kernels clock-free, R5 request path timer-free, R6 locks through accessors)");
     } else {
         eprintln!("check_sync_lints: {} violations:", offenses.len());
         for o in &offenses {
@@ -189,7 +210,7 @@ fn code_part(line: &str) -> &str {
     }
 }
 
-/// Runs all five rules over one file and returns formatted offenses.
+/// Runs all six rules over one file and returns formatted offenses.
 fn lint_source(rel: &str, content: &str) -> Vec<String> {
     let lines: Vec<&str> = content.lines().collect();
     let is_kernel = KERNEL_FILES.contains(&rel);
@@ -233,7 +254,67 @@ fn lint_source(rel: &str, content: &str) -> Vec<String> {
             }
         }
     }
+    if is_product(rel) {
+        let tail = lines.iter().position(|l| l.trim_end() == "#[cfg(test)]");
+        for (idx, call) in unwrapped_lock_calls(&lines[..tail.unwrap_or(lines.len())]) {
+            offenses.push(format!(
+                "{rel}:{}: [R6] `{call}…)` unwrapped in place — take the lock through its accessor, which states its poison rule",
+                idx + 1
+            ));
+        }
+    }
     offenses
+}
+
+/// True for the sources R6 covers: all but the benchmark crate and the
+/// test, bench and example trees.
+fn is_product(rel: &str) -> bool {
+    !rel.starts_with("crates/kgbench/")
+        && !rel.split('/').any(|dir| matches!(dir, "tests" | "benches" | "examples"))
+}
+
+/// R6's search: each lock call in `lines` whose result is unwrapped in
+/// place, as (line index, call). Comments and line breaks are squeezed
+/// out first, so a chain split over lines reads as one.
+fn unwrapped_lock_calls(lines: &[&str]) -> Vec<(usize, &'static str)> {
+    let mut flat = String::new();
+    let mut line_at = Vec::new();
+    for (idx, raw) in lines.iter().enumerate() {
+        if !is_comment_line(raw) {
+            flat.push_str(code_part(raw).trim());
+            line_at.resize(flat.len(), idx);
+        }
+    }
+    let mut found = Vec::new();
+    for &(call, takes_arg) in LOCK_CALLS {
+        for (at, _) in flat.match_indices(call) {
+            let args_at = at + call.len();
+            let Some(len) = args_len(&flat[args_at..]) else { continue };
+            let rest = &flat[args_at + len + 1..];
+            if takes_arg != flat[args_at..args_at + len].trim().is_empty()
+                && (rest.starts_with(".expect(") || rest.starts_with(".unwrap()"))
+            {
+                found.push((line_at[at], call));
+            }
+        }
+    }
+    found.sort_unstable();
+    found
+}
+
+/// The length of a call's arguments: `s` starts just past the call's
+/// `(`, and this is the offset of its matching `)`.
+fn args_len(s: &str) -> Option<usize> {
+    let mut depth = 1usize;
+    for (i, c) in s.char_indices() {
+        match c {
+            '(' => depth += 1,
+            ')' if depth == 1 => return Some(i),
+            ')' => depth -= 1,
+            _ => {}
+        }
+    }
+    None
 }
 
 /// R3's justification search: `relaxed:` on the same line (trailing
@@ -351,6 +432,46 @@ mod tests {
         assert!(lint_source("crates/serve/src/bin/kg_loadgen.rs", src).is_empty());
         // Prose about the rule on the request path itself is not an offence.
         assert!(lint_source("crates/serve/src/batch.rs", "// no wait_timeout( here\n").is_empty());
+    }
+
+    #[test]
+    fn lock_results_unwrapped_in_place_are_r6() {
+        for src in [
+            "let g = m.lock().expect(\"x lock\");\n",
+            "let g = m.lock().unwrap();\n",
+            "let n = s.read().expect(\"state lock\").len();\n",
+            "*s.write().unwrap() = 1;\n",
+            "let v = m.into_inner().expect(\"lock\");\n",
+            "st = cv.wait(st).expect(\"queue lock\");\n",
+            "let g = self\n    .state\n    .lock()\n    // the one lock\n    .expect(\"x\");\n",
+        ] {
+            let offenses = lint_source("crates/x/src/lib.rs", src);
+            assert!(offenses.iter().any(|o| o.contains("[R6]")), "{src}: {offenses:?}");
+        }
+        // Reported on the line of the lock call.
+        let offenses =
+            lint_source("crates/x/src/lib.rs", "fn f() {\n    m.lock()\n        .unwrap();\n}\n");
+        assert!(offenses[0].starts_with("crates/x/src/lib.rs:2: [R6]"), "{offenses:?}");
+    }
+
+    #[test]
+    fn accessors_tests_and_other_calls_are_not_r6() {
+        for src in [
+            "let g = m.lock().unwrap_or_else(PoisonError::into_inner);\n",
+            "st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);\n",
+            "let n = file.read(&mut buf).unwrap();\n",
+            "let status = child.wait().expect(\"wait\");\n",
+            "// m.lock().expect(\"x\") in prose\n",
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { m.lock().unwrap(); }\n}\n",
+        ] {
+            assert!(lint_source("crates/x/src/lib.rs", src).is_empty(), "{src}");
+        }
+        let src = "let g = m.lock().unwrap();\n";
+        for file in
+            ["tests/model_check.rs", "crates/serve/tests/serving.rs", "crates/kgbench/src/main.rs"]
+        {
+            assert!(lint_source(file, src).is_empty(), "{file}");
+        }
     }
 
     #[test]

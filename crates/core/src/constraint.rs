@@ -159,7 +159,8 @@ impl fmt::Display for SubstructureConstraint {
 /// suffices on both sides (a vertex two writers record at once may take
 /// two slots). There is no reset: the only cache in the product sits
 /// inside a [`CompiledConstraint`] bound to one graph epoch and is dropped
-/// with its plan when an update purges the engine's plan cache.
+/// with its plan when an update or a reload swaps in a new engine state,
+/// whose plans start empty.
 #[derive(Debug)]
 pub struct ScckCache {
     inline: [AtomicU64; INLINE_SLOTS],
@@ -298,9 +299,11 @@ impl CompiledConstraint {
     pub fn satisfies_cached(&self, g: &Graph, v: VertexId) -> (bool, bool) {
         if !self.is_bound_to(g) {
             // The memo was filled against other graph content; evaluate
-            // uncached rather than serve stale bits. (The engine
-            // recompiles stale plans before searching, so this guard only
-            // fires for callers driving algorithm modules directly.)
+            // uncached rather than serve stale bits. (The engine answers
+            // a held query on a plan for the graph it pinned, since the
+            // state swap of an update discards the old graph's plans, so
+            // this guard only fires for callers driving algorithm modules
+            // directly.)
             return (self.satisfies(g, v), false);
         }
         let cache = self.scck.get_or_init(|| ScckCache::new(g.num_vertices()));

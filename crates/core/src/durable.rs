@@ -9,11 +9,13 @@
 //! <data-dir>/wal.log                   update records seq > the checkpoint's
 //! ```
 //!
-//! Every content-changing [`UpdateBatch`] is applied to the engine and
-//! then appended to the write-ahead log (`kgreach_graph::wal`) **before**
+//! Every content-changing [`UpdateBatch`] is appended to the write-ahead
+//! log (`kgreach_graph::wal`) after it is applied to a private copy of
+//! the graph and before that copy is served, all **before**
 //! [`DurableEngine::apply_update`] returns — callers that acknowledge
 //! after that return therefore never acknowledge an update a restart can
-//! lose (modulo the chosen [`FsyncPolicy`]'s power-failure window). When
+//! lose (modulo the chosen [`FsyncPolicy`]'s power-failure window), and
+//! no query reads an update the log refused. When
 //! the log outgrows [`WalConfig::checkpoint_bytes`], a checkpoint rolls
 //! the engine state into a fresh snapshot and rotates the log. A hot
 //! reload ([`DurableEngine::reload_from_snapshot`]) is a checkpoint too:
@@ -40,7 +42,7 @@ use crate::engine::{LscrEngine, UpdateOutcome};
 use crate::query::QueryError;
 use kgreach_graph::wal::{fsync_parent_dir, FsyncPolicy, Wal};
 use kgreach_graph::{GraphError, UpdateBatch};
-use kgreach_sync::{Arc, Mutex};
+use kgreach_sync::{Arc, Mutex, MutexGuard};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -185,8 +187,8 @@ impl DurableRecovery {
             // name + rename so a crash here can't leave a torn header at
             // the log's real path (which would need operator surgery).
             let tmp = self.dir.join("wal.log.tmp");
-            let wal = Wal::create(&tmp, self.checkpoint_seq, self.config.fsync)?;
-            fs::rename(&tmp, &wal_path).map_err(GraphError::from)?;
+            let created = Wal::create(&tmp, self.checkpoint_seq, self.config.fsync);
+            let wal = install_tmp(&tmp, &wal_path, created.map_err(QueryError::from))?;
             fsync_parent_dir(&wal_path)?;
             let replay = kgreach_graph::WalReplay {
                 base_seq: self.checkpoint_seq,
@@ -306,14 +308,16 @@ impl DurableEngine {
         &self.dir
     }
 
-    /// Applies a batch to the engine and appends it to the log, in that
-    /// order, returning only once the record is written (and fsynced,
-    /// per policy). The contract for callers acknowledging updates:
-    /// acknowledge **after** this returns, and a restart will replay the
-    /// batch; a crash *before* the append loses only a batch nobody was
-    /// told succeeded. Failed batches (validation errors) are applied
-    /// nowhere and logged never; all-no-op batches are acknowledged
-    /// without logging (replaying them would change nothing).
+    /// Applies a batch to a private copy of the served graph, appends it
+    /// to the log, and only then swaps the copy in, returning once the
+    /// record is written (and fsynced, per policy). The contract for
+    /// callers acknowledging updates: acknowledge **after** this returns,
+    /// and a restart will replay the batch; a crash *before* the append
+    /// loses only a batch nobody was told succeeded. A failed append is
+    /// an error and swaps nothing: the batch is neither acknowledged nor
+    /// served. Failed batches (validation errors) are applied nowhere and
+    /// logged never; all-no-op batches are acknowledged without logging
+    /// (replaying them would change nothing).
     ///
     /// The append is the durable point. A size-triggered checkpoint that
     /// fails after it does not fail the call: the batch is served and
@@ -321,12 +325,12 @@ impl DurableEngine {
     /// trigger — visible as [`DurableStats::wal_bytes`] past the threshold
     /// with [`DurableStats::checkpoints`] flat.
     pub fn apply_update(&self, batch: &UpdateBatch) -> Result<DurableOutcome, QueryError> {
-        let mut st = self.inner.lock().expect("durable state lock");
-        let outcome = self.engine.apply_update(batch)?;
-        if !outcome.summary.changed() {
+        let (mut st, writable) = self.state();
+        writable?;
+        let (outcome, append) = self.engine.update_logged(batch, || Ok(st.wal.append(batch)?))?;
+        let Some(append) = append else {
             return Ok(DurableOutcome { outcome, seq: None, durable: true });
-        }
-        let append = st.wal.append(batch)?;
+        };
         st.applied_seq = append.seq;
         if st.wal.len_bytes() > self.config.checkpoint_bytes {
             let _ = self.checkpoint_locked(&mut st);
@@ -345,7 +349,8 @@ impl DurableEngine {
     /// the reload still succeeds.
     pub fn reload_from_snapshot(&self, bytes: &[u8]) -> Result<u64, QueryError> {
         let staged = LscrEngine::from_snapshot(bytes)?;
-        let mut st = self.inner.lock().expect("durable state lock");
+        let (mut st, writable) = self.state();
+        writable?;
         let started = Instant::now();
         write_checkpoint(&self.dir, &staged, st.applied_seq)?;
         // The newest checkpoint is the reloaded state now, rotated log or
@@ -358,7 +363,8 @@ impl DurableEngine {
     /// Fsyncs any unsynced log records (regardless of policy). Returns
     /// whether a sync was actually issued.
     pub fn flush(&self) -> Result<bool, QueryError> {
-        let mut st = self.inner.lock().expect("durable state lock");
+        let (mut st, writable) = self.state();
+        writable?;
         Ok(st.wal.flush()?)
     }
 
@@ -366,7 +372,8 @@ impl DurableEngine {
     /// newest checkpoint, rotates the log. Returns `None` when the
     /// checkpoint already covers every logged record (nothing to do).
     pub fn checkpoint(&self) -> Result<Option<CheckpointReport>, QueryError> {
-        let mut st = self.inner.lock().expect("durable state lock");
+        let (mut st, writable) = self.state();
+        writable?;
         if st.applied_seq == st.checkpoint_seq {
             return Ok(None);
         }
@@ -382,7 +389,7 @@ impl DurableEngine {
 
     /// Consistent snapshot of the durability counters.
     pub fn stats(&self) -> DurableStats {
-        let st = self.inner.lock().expect("durable state lock");
+        let (st, _) = self.state();
         DurableStats {
             last_seq: st.applied_seq,
             checkpoint_seq: st.checkpoint_seq,
@@ -400,6 +407,25 @@ impl DurableEngine {
     /// The configured durability parameters.
     pub fn config(&self) -> &WalConfig {
         &self.config
+    }
+
+    /// The durability state, and whether it may be written. A thread that
+    /// panicked holding this lock may have left the log, the checkpoint
+    /// and the served graph disagreeing, so once it is poisoned every
+    /// write is refused with [`GraphError::Io`] until a restart recovers
+    /// from the log; [`stats`](Self::stats) alone reads through.
+    fn state(&self) -> (MutexGuard<'_, DurableState>, Result<(), QueryError>) {
+        match self.inner.lock() {
+            Ok(st) => (st, Ok(())),
+            Err(poisoned) => {
+                let refused = GraphError::Io(
+                    "a thread panicked holding the durability lock; writes are refused: \
+                     restart to recover from the log"
+                        .into(),
+                );
+                (poisoned.into_inner(), Err(refused.into()))
+            }
+        }
     }
 
     fn checkpoint_locked(&self, st: &mut DurableState) -> Result<CheckpointReport, QueryError> {
@@ -422,8 +448,8 @@ impl DurableEngine {
         // complete log (prefix re-replay is a sequence-number no-op) or
         // the new empty one.
         let tmp = self.dir.join("wal.log.tmp");
-        let new_wal = Wal::create(&tmp, seq, self.config.fsync)?;
-        fs::rename(&tmp, self.dir.join(WAL_FILE)).map_err(GraphError::from)?;
+        let created = Wal::create(&tmp, seq, self.config.fsync).map_err(QueryError::from);
+        let new_wal = install_tmp(&tmp, &self.dir.join(WAL_FILE), created)?;
         // The new log is the one on disk from here: appends go to it even
         // if the directory sync below fails.
         st.wal = new_wal;
@@ -477,14 +503,29 @@ fn newest_checkpoint(dir: &Path) -> Result<Option<(u64, PathBuf)>, QueryError> {
 /// there at all.
 fn write_checkpoint(dir: &Path, engine: &LscrEngine, seq: u64) -> Result<(), QueryError> {
     let tmp = dir.join("checkpoint.tmp");
-    let mut file = fs::File::create(&tmp).map_err(GraphError::from)?;
-    engine.save_snapshot(&mut file)?;
-    file.sync_all().map_err(GraphError::from)?;
-    drop(file);
     let dst = dir.join(checkpoint_name(seq));
-    fs::rename(&tmp, &dst).map_err(GraphError::from)?;
+    let mut file = fs::File::create(&tmp).map_err(GraphError::from)?;
+    let written = engine
+        .save_snapshot(&mut file)
+        .and_then(|()| Ok(file.sync_all().map_err(GraphError::from)?));
+    drop(file);
+    install_tmp(&tmp, &dst, written)?;
     fsync_parent_dir(&dst)?;
     Ok(())
+}
+
+/// Renames `tmp`, a file this process just wrote, to `dst` if `written`
+/// is `Ok`. On any failure `tmp` is removed, best effort, and the first
+/// error is returned, so a failed write leaves no partial file holding
+/// the disk space the log needs.
+fn install_tmp<T>(tmp: &Path, dst: &Path, written: Result<T, QueryError>) -> Result<T, QueryError> {
+    let installed = written.and_then(|value| {
+        fs::rename(tmp, dst).map(|()| value).map_err(|e| GraphError::from(e).into())
+    });
+    if installed.is_err() {
+        let _ = fs::remove_file(tmp);
+    }
+    installed
 }
 
 #[cfg(test)]
@@ -805,5 +846,58 @@ mod tests {
         let (d, _) =
             DurableEngine::open(&dir, small_config(), || panic!("no init")).expect("recover");
         assert!(d.engine().info().index_built, "a checkpoint with an index still loads it");
+    }
+
+    #[test]
+    fn a_panic_under_the_durability_lock_refuses_writes_until_a_restart() {
+        let dir = tmp_dir("poisoned");
+        let (d, _) = DurableEngine::open(&dir, small_config(), || Ok(LscrEngine::new(figure3())))
+            .expect("init");
+        for i in 0..3 {
+            d.apply_update(&batch(i)).expect("apply");
+        }
+        let served = triples(&d.engine());
+        let seeded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = d.inner.lock();
+            panic!("seeded panic under the durability lock");
+        }));
+        assert!(seeded.is_err());
+        let refused = |e: QueryError| match e {
+            QueryError::Graph(GraphError::Io(message)) => {
+                assert!(message.contains("restart to recover from the log"), "{message}")
+            }
+            other => panic!("expected an i/o refusal, got {other:?}"),
+        };
+        refused(d.apply_update(&batch(3)).expect_err("update"));
+        refused(d.reload_from_snapshot(&one_edge_snapshot()).expect_err("reload"));
+        refused(d.checkpoint().expect_err("checkpoint"));
+        refused(d.flush().expect_err("flush"));
+        refused(d.shutdown().expect_err("shutdown"));
+        assert_eq!(d.stats().last_seq, 3, "stats read through");
+        assert_eq!(triples(&d.engine()), served, "a refused write is not served");
+        drop(d);
+        let (d, _) = DurableEngine::open(&dir, small_config(), || panic!("init must not rerun"))
+            .expect("recover");
+        assert_eq!(triples(&d.engine()), served);
+        d.apply_update(&batch(3)).expect("a restart takes writes again");
+    }
+
+    #[test]
+    fn a_failed_checkpoint_or_rotation_leaves_no_temp_file() {
+        // A directory at the checkpoint's final name fails its rename; one
+        // at the log's fails the rotation's.
+        for (blocked, tmp) in
+            [(checkpoint_name(1), "checkpoint.tmp"), (WAL_FILE.into(), "wal.log.tmp")]
+        {
+            let dir = tmp_dir(&format!("tmp-{tmp}"));
+            let (d, _) =
+                DurableEngine::open(&dir, small_config(), || Ok(LscrEngine::new(figure3())))
+                    .expect("init");
+            d.apply_update(&batch(0)).expect("apply");
+            let _ = fs::remove_file(dir.join(&blocked));
+            fs::create_dir(dir.join(&blocked)).expect("block");
+            assert!(d.checkpoint().is_err(), "{blocked}");
+            assert!(!dir.join(tmp).exists(), "{tmp} left behind");
+        }
     }
 }

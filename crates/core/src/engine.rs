@@ -58,7 +58,9 @@ use crate::query::{CompiledLscrQuery, QueryError};
 use crate::session::{SearchScratch, Session};
 use kgreach_graph::fxhash::FxHashMap;
 use kgreach_graph::{Graph, UpdateBatch, UpdateSummary};
-use kgreach_sync::{Arc, Mutex, RwLock};
+use kgreach_sync::{
+    Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 mod persist;
 mod plans;
@@ -236,18 +238,40 @@ impl LscrEngine {
         }
     }
 
+    /// The serving state, read. A poisoned lock is recovered: every write
+    /// under it swaps in or inserts a value built before the guard was
+    /// taken, so a thread that panicked holding it left nothing
+    /// half-written.
+    fn read(&self) -> RwLockReadGuard<'_, EngineState> {
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The serving state, written. A poisoned lock is recovered, for
+    /// [`read`](Self::read)'s reason.
+    fn write(&self) -> RwLockWriteGuard<'_, EngineState> {
+        self.state.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The writers' turn (updates, compaction, index builds, reloads). The
+    /// lock guards no data, only the order of writers: one that panicked
+    /// holding it died before its swap, so nothing served changed, and a
+    /// poisoned lock is recovered.
+    fn writer(&self) -> MutexGuard<'_, ()> {
+        self.update_lock.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The current graph, as a shared handle. Queries in flight keep the
     /// handle they started with, so a concurrent
     /// [`apply_update`](Self::apply_update) never changes the graph under
     /// a running search — it swaps a new one in for *subsequent* queries.
     pub fn graph(&self) -> Arc<Graph> {
-        Arc::clone(&self.state.read().expect("state lock").graph)
+        Arc::clone(&self.read().graph)
     }
 
     /// The current graph's content epoch — bumped by every
     /// content-changing [`apply_update`](Self::apply_update).
     pub fn graph_epoch(&self) -> u64 {
-        self.state.read().expect("state lock").graph.epoch()
+        self.read().graph.epoch()
     }
 
     /// Builds (or returns) the shared local index for the graph current at
@@ -266,18 +290,18 @@ impl LscrEngine {
     /// stream.
     pub(crate) fn index_for(&self, graph: &Arc<Graph>) -> Arc<LocalIndex> {
         let installed = || {
-            let st = self.state.read().expect("state lock");
+            let st = self.read();
             st.index.clone().filter(|_| Arc::ptr_eq(&st.graph, graph))
         };
         if let Some(index) = installed() {
             return index;
         }
-        let _build = self.update_lock.lock().expect("update lock");
+        let _build = self.writer();
         if let Some(index) = installed() {
             return index; // a racing builder won
         }
         let built = Arc::new(LocalIndex::build(graph, &self.index_config));
-        let mut st = self.state.write().expect("state lock");
+        let mut st = self.write();
         if Arc::ptr_eq(&st.graph, graph) {
             st.index = Some(Arc::clone(&built));
         }
@@ -287,7 +311,7 @@ impl LscrEngine {
     /// The local index if some caller has already built or installed it
     /// (never triggers a build).
     pub fn local_index_if_built(&self) -> Option<Arc<LocalIndex>> {
-        self.state.read().expect("state lock").index.clone()
+        self.read().index.clone()
     }
 
     /// Installs a prebuilt index (e.g. shared across engines or loaded
@@ -300,7 +324,7 @@ impl LscrEngine {
     /// answers).
     pub fn set_local_index(&self, index: impl Into<Arc<LocalIndex>>) -> Result<(), QueryError> {
         let index = index.into();
-        let mut st = self.state.write().expect("state lock");
+        let mut st = self.write();
         let expected = st.graph.fingerprint();
         let found = index.graph_fingerprint();
         if expected != found {
@@ -357,13 +381,27 @@ impl LscrEngine {
     /// assert!(session.answer_compiled(&before, &held, Algorithm::Auto, &opts).unwrap().answer);
     /// ```
     pub fn apply_update(&self, batch: &UpdateBatch) -> Result<UpdateOutcome, QueryError> {
-        let _updates = self.update_lock.lock().expect("update lock");
+        self.update_logged(batch, || Ok(())).map(|(outcome, _)| outcome)
+    }
+
+    /// The one update step: [`apply_update`](Self::apply_update), with
+    /// `log` run once a content-changing batch is applied to the private
+    /// clone and before the swap, so an `Err` from `log` swaps nothing.
+    /// Returns `log`'s value, or `None` for a batch that changed nothing
+    /// and was not logged.
+    pub(crate) fn update_logged<L>(
+        &self,
+        batch: &UpdateBatch,
+        log: impl FnOnce() -> Result<L, QueryError>,
+    ) -> Result<(UpdateOutcome, Option<L>), QueryError> {
+        let _updates = self.writer();
         // O(delta), not O(|V|+|E|): the clone shares the frozen base (CSR
         // pair, dict base layers, per-class schema lists) behind `Arc`s
         // and copies only overlay state and dict tails — see the `Graph`
         // type docs. In-flight queries keep reading the old graph untouched.
         let mut graph = (*self.graph()).clone();
         let summary = graph.apply_update(batch)?;
+        let logged = summary.changed().then(log).transpose()?;
         let compacted = summary.changed()
             && graph
                 .delta_stats()
@@ -375,7 +413,8 @@ impl LscrEngine {
         if summary.changed() {
             self.swap_state(EngineState::new(Arc::new(graph), None));
         }
-        Ok(UpdateOutcome { summary, index: IndexMaintenance::NotBuilt, epoch, compacted })
+        let index = IndexMaintenance::NotBuilt;
+        Ok((UpdateOutcome { summary, index, epoch, compacted }, logged))
     }
 
     /// Swaps in `next` as the served state: the one write that discards
@@ -383,7 +422,7 @@ impl LscrEngine {
     /// guard is released, so freeing up to 4,096 plans' memos never stalls
     /// a pin.
     fn swap_state(&self, next: EngineState) {
-        let _replaced = std::mem::replace(&mut *self.state.write().expect("state lock"), next);
+        let _replaced = std::mem::replace(&mut *self.write(), next);
     }
 
     /// Re-freezes the served graph's overlay into a clean CSR now (see
@@ -391,7 +430,7 @@ impl LscrEngine {
     /// are unchanged, so only the graph is swapped: the installed index
     /// and the plans stay. No-op when the graph is already compact.
     pub fn compact(&self) {
-        let _updates = self.update_lock.lock().expect("update lock");
+        let _updates = self.writer();
         let graph = self.graph();
         if !graph.has_overlay() {
             return;
@@ -399,7 +438,7 @@ impl LscrEngine {
         let compacted = Arc::new(graph.compacted());
         // `graph` still holds the replaced graph, so it is freed after the
         // guard is released.
-        self.state.write().expect("state lock").graph = compacted;
+        self.write().graph = compacted;
     }
 
     /// Opens a per-thread [`Session`] with a new scratch sized to the
@@ -416,7 +455,7 @@ impl LscrEngine {
     /// endpoints (all counters are reads of existing state; nothing is
     /// built or locked beyond the state read lock).
     pub fn info(&self) -> EngineInfo {
-        let st = self.state.read().expect("state lock");
+        let st = self.read();
         let (graph, indexed, plans) = (Arc::clone(&st.graph), st.index.is_some(), st.plans.len());
         drop(st);
         EngineInfo {
@@ -941,6 +980,71 @@ mod tests {
         assert_eq!(info.num_edges, 9);
         assert_eq!(info.epoch, 1);
         assert!(!info.index_built && info.has_overlay, "an update drops the index");
+    }
+
+    #[test]
+    fn a_panic_under_either_engine_lock_fails_no_later_call() {
+        let mut reloaded = Vec::new();
+        LscrEngine::new(figure3()).save_snapshot(&mut reloaded).unwrap();
+        let mut cut = UpdateBatch::new();
+        cut.delete("v2", "follows", "v4");
+        let mut grow = UpdateBatch::new();
+        grow.insert("v4", "likes", "v0");
+        let constraint = s0();
+        for lock in ["state", "update"] {
+            let engine = LscrEngine::new(figure3());
+            let seeded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if lock == "state" {
+                    let _held = engine.state.write();
+                    panic!("seeded panic under the state lock");
+                }
+                let _held = engine.update_lock.lock();
+                panic!("seeded panic under the update lock");
+            }));
+            assert!(seeded.is_err());
+            assert!(engine.state.read().is_err() || engine.update_lock.lock().is_err(), "{lock}");
+            // v0 reaches v4 under {likes, follows} only over v2 -follows-> v4.
+            let answers = |want: bool| {
+                let (g, q, _) = engine
+                    .compile_text(constraint.sparql_text(), |g| {
+                        let v = |name| g.vertex_id(name).unwrap();
+                        Ok::<_, QueryError>((v("v0"), v("v4"), g.label_set(&["likes", "follows"])))
+                    })
+                    .unwrap();
+                assert_eq!(crate::oracle::answer(&g, &q).answer, want, "{lock}");
+                for alg in [Algorithm::Ins, Algorithm::Auto] {
+                    let out =
+                        engine.session().answer_compiled(&g, &q, alg, &QueryOptions::default());
+                    assert_eq!(out.unwrap().answer, want, "{lock}: {alg}");
+                }
+            };
+            answers(true);
+            engine.apply_update(&cut).unwrap();
+            answers(false);
+            engine.apply_update(&grow).unwrap();
+            engine.compact();
+            assert!(!engine.graph().has_overlay(), "{lock}");
+            answers(false);
+            engine.reload_from_snapshot(&reloaded).unwrap();
+            answers(true);
+        }
+    }
+
+    #[test]
+    fn a_refused_log_step_swaps_nothing() {
+        let engine = LscrEngine::new(figure3());
+        let before = engine.graph();
+        let mut batch = UpdateBatch::new();
+        batch.delete("v2", "follows", "v4");
+        let refused = engine.update_logged(&batch, || {
+            Err::<(), _>(QueryError::Graph(kgreach_graph::GraphError::Io("log full".into())))
+        });
+        assert!(refused.is_err());
+        assert!(Arc::ptr_eq(&before, &engine.graph()), "a refused batch is not served");
+        let (outcome, logged) = engine.update_logged(&batch, || Ok(7)).unwrap();
+        assert_eq!((outcome.epoch, logged), (1, Some(7)));
+        let (_, logged) = engine.update_logged(&batch, || Ok(8)).unwrap();
+        assert_eq!(logged, None, "a batch that changes nothing is not logged");
     }
 
     #[test]

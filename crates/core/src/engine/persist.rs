@@ -28,7 +28,7 @@ impl LscrEngine {
     /// intentionally not persisted.
     pub fn save_snapshot<W: Write>(&self, writer: W) -> Result<(), QueryError> {
         let (graph, index) = {
-            let st = self.state.read().expect("state lock");
+            let st = self.read();
             (Arc::clone(&st.graph), st.index.clone())
         };
         let mut w = SectionWriter::new(BufWriter::new(writer), ArtifactKind::Engine)?;
@@ -109,8 +109,11 @@ impl LscrEngine {
     /// as [`reload_from_snapshot`](Self::reload_from_snapshot) describes.
     /// Returns the fresh content epoch.
     pub(crate) fn install(&self, staged: LscrEngine) -> u64 {
-        let _updates = self.update_lock.lock().expect("update lock");
-        let EngineState { graph, index, .. } = staged.state.into_inner().expect("state lock");
+        let _updates = self.writer();
+        let (graph, index) = {
+            let st = staged.read();
+            (Arc::clone(&st.graph), st.index.clone())
+        };
         let mut graph = (*graph).clone();
         graph.advance_epoch_to(self.graph_epoch() + 1);
         let epoch = graph.epoch();

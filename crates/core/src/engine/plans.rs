@@ -80,7 +80,7 @@ impl LscrEngine {
         resolve: impl FnOnce(&Graph) -> Result<(VertexId, VertexId, LabelSet), E>,
     ) -> Result<(Arc<Graph>, CompiledLscrQuery, bool), E> {
         let (graph, hit) = {
-            let st = self.state.read().expect("state lock");
+            let st = self.read();
             (Arc::clone(&st.graph), st.plans.get(key).map(Arc::clone))
         };
         let (source, target, label_constraint) = resolve(&graph)?;
@@ -124,7 +124,7 @@ impl LscrEngine {
         };
         let key = constraint.sparql_text();
         let compiled = Arc::new(constraint.compile(graph)?);
-        let mut st = self.state.write().expect("state lock");
+        let mut st = self.write();
         let plan = match st.plans.get(key) {
             // The pin was replaced: serve its caller uncached.
             _ if !Arc::ptr_eq(&st.graph, graph) => compiled,
@@ -141,13 +141,13 @@ impl LscrEngine {
 
     /// The plan keyed `key` if `graph` is still the served graph.
     fn cached_plan(&self, graph: &Arc<Graph>, key: &str) -> Option<Arc<CompiledConstraint>> {
-        let st = self.state.read().expect("state lock");
+        let st = self.read();
         st.plans.get(key).filter(|_| Arc::ptr_eq(&st.graph, graph)).map(Arc::clone)
     }
 
     /// Number of distinct constraint plans the served graph holds.
     pub fn cached_plans(&self) -> usize {
-        self.state.read().expect("state lock").plans.len()
+        self.read().plans.len()
     }
 }
 

@@ -151,6 +151,12 @@ pub struct Wal {
     appends: u64,
     syncs: u64,
     unsynced: usize,
+    /// Set when a failed append could not be cut back off the file:
+    /// every later append through this handle is refused.
+    broken: bool,
+    /// A fault the next append meets, for the fault tests.
+    #[cfg(test)]
+    fault: Option<tests::Fault>,
 }
 
 impl Wal {
@@ -178,6 +184,9 @@ impl Wal {
             appends: 0,
             syncs: 1,
             unsynced: 0,
+            broken: false,
+            #[cfg(test)]
+            fault: None,
         })
     }
 
@@ -295,6 +304,9 @@ impl Wal {
             appends: 0,
             syncs: if truncated > 0 { 1 } else { 0 },
             unsynced: 0,
+            broken: false,
+            #[cfg(test)]
+            fault: None,
         };
         Ok((wal, WalReplay { base_seq, records, truncated_bytes: truncated }))
     }
@@ -303,7 +315,19 @@ impl Wal {
     /// number plus whether the bytes were fsynced before return (per the
     /// log's [`FsyncPolicy`]). The caller must not acknowledge the update
     /// before this returns.
+    ///
+    /// An append is all or nothing: `Ok` means the record is in the log;
+    /// on `Err` (a failed write or sync) the file is cut back to its
+    /// length before the call and the handle is unchanged, so the next
+    /// append lands where this one would have. If the cut fails too,
+    /// every later append through this handle fails.
     pub fn append(&mut self, batch: &UpdateBatch) -> Result<WalAppend> {
+        if self.broken {
+            return Err(GraphError::Io(
+                "write-ahead log refuses appends: a failed append could not be cut back off it"
+                    .into(),
+            ));
+        }
         let seq = self.next_seq;
         let payload = encode_batch(batch);
         let mut frame = Vec::with_capacity(FRAME_HEAD_BYTES + payload.len() + 8);
@@ -314,24 +338,61 @@ impl Wal {
         frame.extend_from_slice(&payload);
         let body_crc = xxh64(&payload, self.chain ^ seq);
         frame.extend_from_slice(&body_crc.to_le_bytes());
-        self.file.write_all(&frame)?;
+        let synced = match self.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::Batch => self.unsynced + 1 >= BATCH_SYNC_EVERY,
+            FsyncPolicy::Off => false,
+        };
+        if let Err(e) = self.write_frame(&frame, synced) {
+            self.broken = self.cut_back().is_err();
+            return Err(e.into());
+        }
 
         self.next_seq += 1;
         self.chain = body_crc;
         self.len_bytes += frame.len() as u64;
         self.appends += 1;
-        self.unsynced += 1;
-        let synced = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::Batch => self.unsynced >= BATCH_SYNC_EVERY,
-            FsyncPolicy::Off => false,
-        };
         if synced {
-            self.file.sync_data()?;
             self.syncs += 1;
             self.unsynced = 0;
+        } else {
+            self.unsynced += 1;
         }
         Ok(WalAppend { seq, synced })
+    }
+
+    /// Writes `frame` at the end of the log, then syncs it if `sync`.
+    fn write_frame(&mut self, frame: &[u8], sync: bool) -> std::io::Result<()> {
+        // The fault is consumed by the cut that follows its failure.
+        #[cfg(test)]
+        match self.fault {
+            Some(tests::Fault::ShortWrite(n) | tests::Fault::ShortWriteUncut(n)) => {
+                self.file.write_all(&frame[..n])?;
+                return Err(std::io::Error::other("injected short write"));
+            }
+            Some(tests::Fault::Sync) => {
+                self.file.write_all(frame)?;
+                return Err(std::io::Error::other("injected sync failure"));
+            }
+            None => {}
+        }
+        self.file.write_all(frame)?;
+        if sync {
+            self.file.sync_data()?;
+        }
+        Ok(())
+    }
+
+    /// Cuts the file back to `len_bytes`, the end of the last record, and
+    /// moves the write cursor there.
+    fn cut_back(&mut self) -> std::io::Result<()> {
+        #[cfg(test)]
+        if let Some(tests::Fault::ShortWriteUncut(_)) = self.fault.take() {
+            return Err(std::io::Error::other("injected cut failure"));
+        }
+        self.file.set_len(self.len_bytes)?;
+        self.file.seek(SeekFrom::Start(self.len_bytes))?;
+        Ok(())
     }
 
     /// Fsyncs any unsynced appends (meaningful under `Batch`; a no-op
@@ -437,6 +498,17 @@ pub fn fsync_parent_dir(path: &Path) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fault injected into one append.
+    #[derive(Clone, Copy, Debug)]
+    pub(super) enum Fault {
+        /// The frame's write stops after this many bytes and fails.
+        ShortWrite(usize),
+        /// The frame is written and its sync fails.
+        Sync,
+        /// As `ShortWrite`, and cutting the partial frame back fails too.
+        ShortWriteUncut(usize),
+    }
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("kgwal-test-{}-{name}", std::process::id()));
@@ -673,5 +745,46 @@ mod tests {
         drop(w);
         let (_, replay) = Wal::open(&path, FsyncPolicy::Off).expect("open");
         assert_eq!(replay.records[0].1.ops(), b.ops());
+    }
+
+    #[test]
+    fn a_failed_append_leaves_the_log_as_it_was() {
+        let path = tmp("append-faults");
+        let frame = FRAME_HEAD_BYTES + encode_batch(&batch(1)).len() + 8;
+        let faults = (0..=frame).map(Fault::ShortWrite).chain([Fault::Sync]);
+        for fault in faults {
+            let mut w = Wal::create(&path, 0, FsyncPolicy::Always).expect("create");
+            w.append(&batch(0)).expect("append");
+            let before = (w.last_seq(), w.len_bytes(), w.appends(), w.syncs());
+            w.fault = Some(fault);
+            assert!(w.append(&batch(1)).is_err(), "{fault:?}: the append failed");
+            assert_eq!((w.last_seq(), w.len_bytes(), w.appends(), w.syncs()), before, "{fault:?}");
+            assert_eq!(std::fs::metadata(&path).expect("stat").len(), before.1, "{fault:?}");
+            assert_eq!(w.append(&batch(2)).expect("the next append").seq, 2, "{fault:?}");
+            drop(w);
+            let (_, replay) = Wal::open(&path, FsyncPolicy::Off).expect("reopen");
+            assert_eq!(replay.truncated_bytes, 0, "{fault:?}");
+            let seqs: Vec<u64> = replay.records.iter().map(|(seq, _)| *seq).collect();
+            assert_eq!(seqs, [1, 2], "{fault:?}");
+            assert_eq!(replay.records[1].1.ops(), batch(2).ops(), "{fault:?}");
+        }
+    }
+
+    #[test]
+    fn a_failed_append_that_cannot_be_cut_back_refuses_every_later_one() {
+        let path = tmp("append-uncut");
+        let mut w = Wal::create(&path, 0, FsyncPolicy::Off).expect("create");
+        w.append(&batch(0)).expect("append");
+        w.fault = Some(Fault::ShortWriteUncut(21));
+        assert!(w.append(&batch(1)).is_err());
+        for i in 2..4 {
+            assert!(matches!(w.append(&batch(i)), Err(GraphError::Io(_))), "append {i}");
+        }
+        assert_eq!(w.last_seq(), 1);
+        drop(w);
+        // The partial frame is a torn tail: recovery cuts it off.
+        let (_, replay) = Wal::open(&path, FsyncPolicy::Off).expect("reopen");
+        assert_eq!(replay.truncated_bytes, 21);
+        assert_eq!(replay.records.len(), 1);
     }
 }

@@ -113,9 +113,7 @@ struct Slot<'a> {
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        // `Drop` must not panic, and every update under this lock leaves
-        // the state valid, so a poisoned guard is still good to use.
-        let mut st = self.batcher.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.batcher.slots();
         st.running -= 1;
         st.idle.extend(self.scratch.take());
         let (draining, waiting) = (st.draining, st.waiting > 0);
@@ -177,6 +175,20 @@ impl Batcher {
         }
     }
 
+    /// The slot state. A poisoned lock is recovered: the counts and the
+    /// idle scratches are valid after every statement under it, so a
+    /// thread that panicked holding it left nothing half-done, and `Slot`'s
+    /// drop, which must not panic, can always give its slot back.
+    fn slots(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits on `available` with `st`, a guard from [`slots`](Self::slots),
+    /// under the same rule.
+    fn wait<'a>(&self, st: MutexGuard<'a, SlotState>) -> MutexGuard<'a, SlotState> {
+        self.available.wait(st).unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Answers one query on the calling thread, as its response text: at
     /// once if a search slot is free and no thread waits for one,
     /// otherwise after waiting for a slot. Refusals are
@@ -207,7 +219,7 @@ impl Batcher {
         Ok(reqs
             .iter()
             .map(|req| {
-                let mut slot = self.slot(self.state.lock().expect("queue lock"))?;
+                let mut slot = self.slot(self.slots())?;
                 self.run(req, arrived, &mut slot)
             })
             .collect())
@@ -233,7 +245,7 @@ impl Batcher {
     /// [`answer_many`](Self::answer_many)): locks the state for a request
     /// of `n` queries, or refuses it.
     fn admit(&self, n: usize) -> Result<MutexGuard<'_, SlotState>, ApiError> {
-        let st = self.state.lock().expect("queue lock");
+        let st = self.slots();
         if st.draining {
             self.metrics.shed_draining_total.add(n as u64);
             return Err(draining());
@@ -273,7 +285,7 @@ impl Batcher {
             st.waiting += 1;
             self.metrics.queue_depth.set(st.waiting as u64);
             while st.running >= workers && !(workers == 0 && st.draining) {
-                st = self.available.wait(st).expect("queue lock");
+                st = self.wait(st);
             }
             st.waiting -= 1;
             self.metrics.queue_depth.set(st.waiting as u64);
@@ -292,7 +304,7 @@ impl Batcher {
     /// Threads waiting for a search slot right now (for tests and
     /// introspection).
     pub fn queue_depth(&self) -> usize {
-        self.state.lock().expect("queue lock").waiting
+        self.slots().waiting
     }
 
     /// Scratches held by no running search. Exists only for this crate's
@@ -300,7 +312,7 @@ impl Batcher {
     #[cfg(any(test, kg_loom))]
     #[doc(hidden)]
     pub fn idle_scratch_count(&self) -> usize {
-        self.state.lock().expect("queue lock").idle.len()
+        self.slots().idle.len()
     }
 
     /// Refuses new requests with `503`, and returns once no search runs
@@ -309,11 +321,11 @@ impl Batcher {
     /// instead — and a batch admitted before the drain answers its
     /// remaining members even after this returns.
     pub fn shutdown(&self) {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = self.slots();
         st.draining = true;
         self.available.notify_all();
         while st.running > 0 || st.waiting > 0 {
-            st = self.available.wait(st).expect("queue lock");
+            st = self.wait(st);
         }
     }
 
@@ -333,9 +345,8 @@ impl Batcher {
         // and the slot's scratch only while no search holds it: a search
         // takes it out of the slot into its session, and an unwinding
         // search drops that session and its half-written scratch with it,
-        // so the slot gives back none. A lock the panic poisoned fails
-        // later queries with a panic of their own, each caught here the
-        // same way.
+        // so the slot gives back none. A lock the panic poisoned stays
+        // usable: the engine's accessors and `slots` recover it.
         let result = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(any(test, kg_loom))]
             if let Some(reply) = self.probe.as_ref().and_then(|probe| probe(req)) {
@@ -487,7 +498,7 @@ mod tests {
 
     impl Batcher {
         fn running(&self) -> usize {
-            self.state.lock().expect("queue lock").running
+            self.slots().running
         }
     }
 
@@ -680,6 +691,25 @@ mod tests {
         let body = batcher.answer(req("v0", "v4")).expect("next query ok");
         assert_eq!(untimed(&body), want);
         assert_eq!(batcher.idle_scratch_count(), 1);
+        batcher.shutdown();
+    }
+
+    #[test]
+    fn a_panic_under_the_queue_mutex_fails_no_later_answer() {
+        let (batcher, _metrics) = start(1, 64);
+        batcher.answer(req("v0", "v4")).expect("query ok");
+        let want = untimed(&batcher.answer(req("v0", "v4")).expect("query ok"));
+        let seeded = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _held = batcher.state.lock();
+            panic!("seeded panic under the queue mutex");
+        }));
+        assert!(seeded.is_err());
+        assert!(batcher.state.lock().is_err(), "the mutex is poisoned");
+        assert_eq!(untimed(&batcher.answer(req("v0", "v4")).expect("answered")), want);
+        for body in batcher.answer_many(&[req("v0", "v4"), req("v0", "v4")]).expect("admitted") {
+            assert_eq!(untimed(&body.expect("member ok")), want);
+        }
+        assert_eq!((batcher.queue_depth(), batcher.running()), (0, 0));
         batcher.shutdown();
     }
 }

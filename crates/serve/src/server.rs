@@ -241,11 +241,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         match read_request(&mut reader, &shared.limits) {
             Ok(req) => {
                 let keep_alive = req.keep_alive && !shared.shutdown.load(Ordering::Acquire);
-                // Unwind safety: a panic below may poison a lock it held,
-                // and later requests that take that lock panic too, each
-                // caught here the same way. The engine swaps its served
-                // state only after the work that could panic is done, so
-                // no later request reads a half-applied update or reload.
+                // Unwind safety: a panic below may poison a lock it held.
+                // The engine's and the batcher's accessors recover theirs,
+                // and a poisoned durability lock refuses every later write
+                // with `500 storage` until a restart. The engine swaps its
+                // served state only after the work that could panic is
+                // done, so no later request reads a half-applied update or
+                // reload.
                 let mut resp = catch_unwind(AssertUnwindSafe(|| dispatch(&req, shared)))
                     .unwrap_or_else(|_| {
                         shared.metrics.panics_total.add(1);

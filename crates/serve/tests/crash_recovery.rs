@@ -11,7 +11,9 @@
 //!    nothing;
 //! 5. an acknowledged `/snapshot/reload` survives the crash too: the
 //!    restart serves the reloaded graph plus the updates acknowledged
-//!    after it, and nothing of the graph it replaced.
+//!    after it, and nothing of the graph it replaced;
+//! 6. an update the log refuses (the disk is full) is neither
+//!    acknowledged nor served, before or after a restart.
 //!
 //! The single sent-but-unacknowledged in-flight update at kill time is
 //! exempt from 1 and 2 — it may legally land either way (the crash can
@@ -40,21 +42,25 @@ impl Drop for Server {
 /// its listening line (printed *before* replay, so recovery progress is
 /// observable over the socket).
 fn spawn_server(dir: &Path) -> Server {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_kg-serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--data-dir",
-            dir.to_str().expect("utf-8 temp path"),
-            "--fsync",
-            "always",
-            "--universities",
-            "1",
-            "--departments",
-            "1",
-            "--workers",
-            "2",
-        ])
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_kg-serve"));
+    cmd.args(serve_args(dir, "always"));
+    spawn(cmd)
+}
+
+/// `kg-serve`'s arguments: the one-department LUBM graph served from
+/// `dir` on an ephemeral port, with `fsync` as the log's sync policy.
+fn serve_args(dir: &Path, fsync: &str) -> Vec<String> {
+    let dir = dir.to_str().expect("utf-8 temp path");
+    ["--addr", "127.0.0.1:0", "--data-dir", dir, "--fsync", fsync]
+        .into_iter()
+        .chain(["--universities", "1", "--departments", "1", "--workers", "2"])
+        .map(String::from)
+        .collect()
+}
+
+/// Spawns `cmd`, which runs `kg-serve`, and waits for its listening line.
+fn spawn(mut cmd: Command) -> Server {
+    let mut child = cmd
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -246,6 +252,66 @@ fn kill_nine_mid_update_stream_loses_no_acknowledged_update() {
     );
     for &i in &acked_idx {
         assert!(probe_present(&mut client, i), "update {i} lost across graceful restart");
+    }
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Whether `s{i} likes o{i}` is served: `200` with the answer `true`, or
+/// `404` when the vertices do not exist.
+fn likes_edge_served(client: &mut HttpClient, i: usize) -> bool {
+    let body = format!(
+        "{{\"source\":\"s{i}\",\"target\":\"o{i}\",\"labels\":[\"likes\"],\
+         \"constraint\":\"SELECT ?x WHERE {{ ?x <likes> ?y . }}\"}}"
+    );
+    let resp = client.post_json("/query", &body).expect("query");
+    match resp.status {
+        200 => resp.json().expect("answer json").get("answer") == Some(&Json::Bool(true)),
+        404 => false,
+        status => panic!("query s{i} answered {status}: {}", resp.body),
+    }
+}
+
+/// A write the log refuses is neither acknowledged nor served. A 20 KiB
+/// file-size limit (with `SIGXFSZ` ignored, so a write past it fails with
+/// `EFBIG`) makes the log refuse an append after a few hundred updates.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_update_the_log_refuses_is_never_served() {
+    let dir = std::env::temp_dir().join(format!("kgserve-refused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cmd = Command::new("bash");
+    cmd.args(["-c", "trap '' XFSZ; ulimit -f 20; exec \"$@\"", "bash"])
+        .arg(env!("CARGO_BIN_EXE_kg-serve"))
+        .args(serve_args(&dir, "off"));
+    let server = spawn(cmd);
+    wait_ready(server.addr);
+    let mut client = HttpClient::connect(server.addr).expect("connect");
+    let refused = (0..10_000)
+        .find(|i| {
+            let body = format!(
+                "{{\"ops\":[{{\"op\":\"insert\",\"subject\":\"s{i}\",\
+                 \"predicate\":\"likes\",\"object\":\"o{i}\"}}]}}"
+            );
+            let resp = client.post_json("/update", &body).expect("update");
+            match resp.status {
+                200 => false,
+                500 if resp.body.contains("storage") => true,
+                status => panic!("update {i} answered {status}: {}", resp.body),
+            }
+        })
+        .expect("the file-size limit never refused an update");
+    assert!(refused > 0, "the limit refused the first update");
+    assert!(!likes_edge_served(&mut client, refused), "the refused update is served");
+    assert!(likes_edge_served(&mut client, refused - 1));
+    drop(server); // SIGKILL
+
+    let server = spawn_server(&dir);
+    wait_ready(server.addr);
+    let mut client = HttpClient::connect(server.addr).expect("reconnect");
+    assert!(!likes_edge_served(&mut client, refused), "the refused update came back");
+    for i in 0..refused {
+        assert!(likes_edge_served(&mut client, i), "acknowledged update {i} lost");
     }
     drop(server);
     std::fs::remove_dir_all(&dir).ok();

@@ -124,7 +124,7 @@ impl CloseMap {
     }
 
     /// Forces the epoch counter (wraparound regression tests only).
-    #[doc(hidden)]
+    #[cfg(test)]
     pub fn force_epoch(&mut self, epoch: u32) {
         self.epoch = epoch;
     }

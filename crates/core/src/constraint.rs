@@ -117,14 +117,17 @@ impl SubstructureConstraint {
     /// the engine recompiles a stale plan of the same lineage via the
     /// retained [`sparql_text`](CompiledConstraint::sparql_text).
     pub fn compile(&self, g: &Graph) -> Result<CompiledConstraint, SparqlError> {
-        Ok(CompiledConstraint {
+        let mut compiled = CompiledConstraint {
             plan: Plan::compile(g, &self.query)?,
             scck: Arc::new(OnceLock::new()),
             vsg: Arc::new(OnceLock::new()),
+            candidates: 0,
             text: Arc::from(self.text.as_str()),
             lineage: g.lineage().clone(),
             graph_epoch: g.epoch(),
-        })
+        };
+        compiled.candidates = compiled.estimate_candidates(g, g.label_histogram());
+        Ok(compiled)
     }
 
     /// The constraint re-serialized as SPARQL text.
@@ -269,6 +272,9 @@ pub struct CompiledConstraint {
     /// once. Guarded by the same epoch check as
     /// [`satisfies_cached`](Self::satisfies_cached).
     vsg: Arc<OnceLock<Arc<Vec<VertexId>>>>,
+    /// [`estimate_candidates`](Self::estimate_candidates) on the graph the
+    /// plan was compiled for, with its label histogram.
+    candidates: usize,
     /// Canonical SPARQL text, retained so the engine can recompile a
     /// stale plan after a graph update without the original
     /// [`SubstructureConstraint`] in hand.
@@ -379,6 +385,13 @@ impl CompiledConstraint {
         self.vsg.get().map(|v| v.len())
     }
 
+    /// `|V(S,G)|` as UIS counts an unseeded candidate side: exact once the
+    /// memo holds it, otherwise the estimate taken when the plan was
+    /// compiled.
+    pub(crate) fn candidates_len(&self) -> usize {
+        self.vsg_len_if_materialized().unwrap_or(self.candidates)
+    }
+
     /// Whether the constraint provably matches nothing in this graph
     /// (some constant failed to resolve).
     pub fn is_unsatisfiable(&self) -> bool {
@@ -392,9 +405,9 @@ impl CompiledConstraint {
     /// (concrete endpoints), or `label_counts` (per-label edge counts,
     /// indexed by label id — typically `GraphStats::label_histogram`).
     ///
-    /// UIS counts its unseeded candidate sides with it, in O(patterns)
-    /// time, until the memo holds the exact `|V(S,G)|`. Returns
-    /// `g.num_vertices()` when nothing bounds `?x`.
+    /// Taken once per plan, when it is compiled: UIS counts its unseeded
+    /// candidate sides with it until the memo holds the exact `|V(S,G)|`.
+    /// Returns `g.num_vertices()` when nothing bounds `?x`.
     pub fn estimate_candidates(&self, g: &Graph, label_counts: &[usize]) -> usize {
         use kgreach_sparql::{NodeRef, PredRef};
         if self.plan.unsatisfiable {

@@ -2,9 +2,9 @@
 //!
 //! [`LscrEngine`] owns the shared serving state — the graph behind an
 //! [`Arc`], and derived from it the lazily built [`LocalIndex`] and the
-//! constraint plans keyed by SPARQL text, all three under one lock — and
-//! exposes every query entry point through `&self`, so one engine
-//! instance is shared across threads (`LscrEngine: Send + Sync`). All
+//! constraint plans keyed by SPARQL text, swapped together under one
+//! lock — and exposes every query entry point through `&self`, so one
+//! engine instance is shared across threads (`LscrEngine: Send + Sync`). All
 //! mutable per-query state lives in per-thread [`Session`]s; the engine
 //! only synchronizes constant-time bookkeeping (pinning the graph with a
 //! plan lookup in the same read), never the searches themselves. The
@@ -59,7 +59,7 @@ use crate::session::{SearchScratch, Session};
 use kgreach_graph::fxhash::FxHashMap;
 use kgreach_graph::{Graph, UpdateBatch, UpdateSummary};
 use kgreach_sync::{
-    Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
 
 mod persist;
@@ -125,27 +125,36 @@ pub struct LscrEngine {
     /// old `|V|` would read out of bounds), and one write swaps all three.
     state: RwLock<EngineState>,
     index_config: LocalIndexConfig,
-    /// Serializes writers (updates, compaction, index builds) without
-    /// blocking readers: heavy work happens under this lock while
-    /// queries keep serving the previous state; only the final swap
-    /// takes the state write lock.
+    /// Orders the writers (updates, compaction, reloads) without blocking
+    /// readers: heavy work happens under this lock while queries keep
+    /// serving the previous state; only the final swap takes the state
+    /// write lock.
     update_lock: Mutex<()>,
 }
 
 #[derive(Debug)]
 struct EngineState {
     graph: Arc<Graph>,
-    index: Option<Arc<LocalIndex>>,
-    /// Plans compiled for `graph`, keyed by canonical constraint text.
-    /// Derived state, like `index`, is built outside the lock for a pin
-    /// and installed only if that pin is still `graph`.
+    /// The index cell of `graph`, created by its first builder under the
+    /// read lock (so a swap allocates nothing for it) and shared by every
+    /// builder that pinned `graph`: filled once, outside every engine
+    /// lock, so racing builds of one graph build once.
+    index: OnceLock<Arc<OnceLock<Arc<LocalIndex>>>>,
+    /// Plans compiled for `graph`, keyed by canonical constraint text,
+    /// compiled outside the lock for a pin and installed only if that pin
+    /// is still `graph`.
     plans: FxHashMap<String, Arc<CompiledConstraint>>,
 }
 
 impl EngineState {
-    /// The state of a freshly swapped-in graph: no plans yet.
-    fn new(graph: Arc<Graph>, index: Option<Arc<LocalIndex>>) -> Self {
-        EngineState { graph, index, plans: FxHashMap::default() }
+    /// The state of a freshly swapped-in graph: no index, no plans yet.
+    fn new(graph: Arc<Graph>) -> Self {
+        EngineState { graph, index: OnceLock::new(), plans: FxHashMap::default() }
+    }
+
+    /// The index of `graph`, if built.
+    fn built_index(&self) -> Option<Arc<LocalIndex>> {
+        self.index.get().and_then(|cell| cell.get().cloned())
     }
 }
 
@@ -232,7 +241,7 @@ impl LscrEngine {
     /// Creates an engine with a custom index configuration.
     pub fn with_index_config(graph: impl Into<Arc<Graph>>, config: LocalIndexConfig) -> Self {
         LscrEngine {
-            state: RwLock::new(EngineState::new(graph.into(), None)),
+            state: RwLock::new(EngineState::new(graph.into())),
             index_config: config,
             update_lock: Mutex::new(()),
         }
@@ -252,10 +261,10 @@ impl LscrEngine {
         self.state.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The writers' turn (updates, compaction, index builds, reloads). The
-    /// lock guards no data, only the order of writers: one that panicked
-    /// holding it died before its swap, so nothing served changed, and a
-    /// poisoned lock is recovered.
+    /// The writers' turn (updates, compaction, reloads). The lock guards no
+    /// data, only the order of writers: one that panicked holding it died
+    /// before its swap, so nothing served changed, and a poisoned lock is
+    /// recovered.
     fn writer(&self) -> MutexGuard<'_, ()> {
         self.update_lock.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -275,47 +284,42 @@ impl LscrEngine {
     }
 
     /// Builds (or returns) the shared local index for the graph current at
-    /// the call. A build holds the update lock, so updates wait for it,
-    /// and runs without blocking concurrent queries.
+    /// the call. The build takes no engine lock: queries and writers run
+    /// on while it does.
     pub fn local_index(&self) -> Arc<LocalIndex> {
         self.index_for(&self.graph())
     }
 
-    /// The local index for `graph`, a graph a query pinned: the installed
-    /// index if it was built for `graph` (one state read, no update
-    /// lock), otherwise one built now under the update lock and installed
-    /// only if `graph` is still current. Updates wait for the build; a
-    /// build for a graph an update already replaced serves its one caller
-    /// and is not retried, so a forced INS query finishes under any write
-    /// stream.
+    /// The local index for `graph`, a graph a query pinned. While `graph`
+    /// is served, its state's index cell is filled once, outside every
+    /// lock, and racing callers wait for that one build; an update swapped
+    /// in meanwhile does not wait. A graph an update already replaced gets
+    /// a build for its one caller, so a forced INS query finishes under
+    /// any write stream.
     pub(crate) fn index_for(&self, graph: &Arc<Graph>) -> Arc<LocalIndex> {
-        let installed = || {
+        let cell = {
             let st = self.read();
-            st.index.clone().filter(|_| Arc::ptr_eq(&st.graph, graph))
+            Arc::ptr_eq(&st.graph, graph).then(|| Arc::clone(st.index.get_or_init(Arc::default)))
         };
-        if let Some(index) = installed() {
-            return index;
+        let build = || {
+            #[cfg(test)]
+            tests::before_build();
+            Arc::new(LocalIndex::build(graph, &self.index_config))
+        };
+        match cell {
+            Some(cell) => Arc::clone(cell.get_or_init(build)),
+            None => build(),
         }
-        let _build = self.writer();
-        if let Some(index) = installed() {
-            return index; // a racing builder won
-        }
-        let built = Arc::new(LocalIndex::build(graph, &self.index_config));
-        let mut st = self.write();
-        if Arc::ptr_eq(&st.graph, graph) {
-            st.index = Some(Arc::clone(&built));
-        }
-        built
     }
 
     /// The local index if some caller has already built or installed it
     /// (never triggers a build).
     pub fn local_index_if_built(&self) -> Option<Arc<LocalIndex>> {
-        self.read().index.clone()
+        self.read().built_index()
     }
 
     /// Installs a prebuilt index (e.g. shared across engines or loaded
-    /// from a build step), replacing any current one.
+    /// from a build step), replacing any current one; the plans stay.
     ///
     /// The index must have been built for this engine's graph: its
     /// [`graph_fingerprint`](LocalIndex::graph_fingerprint) is checked
@@ -330,7 +334,8 @@ impl LscrEngine {
         if expected != found {
             return Err(QueryError::IndexGraphMismatch { expected, found });
         }
-        st.index = Some(index);
+        st.index = OnceLock::new();
+        st.index.get_or_init(Arc::default).get_or_init(|| index);
         Ok(())
     }
 
@@ -345,8 +350,8 @@ impl LscrEngine {
     /// Queries running concurrently finish against the pre-update state
     /// (crash-consistent snapshot semantics); queries started after this
     /// returns see the updated graph. Updates are serialized with each
-    /// other, with compaction and with index builds, but never block
-    /// readers while the heavy work runs.
+    /// other, with compaction and with reloads; they wait for no query or
+    /// index build, and block no reader while the heavy work runs.
     ///
     /// When the accumulated overlay exceeds [`DELTA_COMPACT_THRESHOLD`],
     /// the graph is re-frozen ([`Graph::compact`]), so long-running update
@@ -411,7 +416,7 @@ impl LscrEngine {
         }
         let epoch = graph.epoch();
         if summary.changed() {
-            self.swap_state(EngineState::new(Arc::new(graph), None));
+            self.swap_state(EngineState::new(Arc::new(graph)));
         }
         let index = IndexMaintenance::NotBuilt;
         Ok((UpdateOutcome { summary, index, epoch, compacted }, logged))
@@ -420,15 +425,17 @@ impl LscrEngine {
     /// Swaps in `next` as the served state: the one write that discards
     /// the replaced graph's plans and index. They are dropped after the
     /// guard is released, so freeing up to 4,096 plans' memos never stalls
-    /// a pin.
+    /// a pin; a build still filling the replaced index serves the callers
+    /// that pinned its graph.
     fn swap_state(&self, next: EngineState) {
         let _replaced = std::mem::replace(&mut *self.write(), next);
     }
 
     /// Re-freezes the served graph's overlay into a clean CSR now (see
     /// [`Graph::compact`]); content, lineage, ids, epoch and fingerprint
-    /// are unchanged, so only the graph is swapped: the installed index
-    /// and the plans stay. No-op when the graph is already compact.
+    /// are unchanged, so only the graph is swapped: the index cell (built,
+    /// being built or empty) and the plans stay. No-op when the graph is
+    /// already compact.
     pub fn compact(&self) {
         let _updates = self.writer();
         let graph = self.graph();
@@ -456,7 +463,8 @@ impl LscrEngine {
     /// built or locked beyond the state read lock).
     pub fn info(&self) -> EngineInfo {
         let st = self.read();
-        let (graph, indexed, plans) = (Arc::clone(&st.graph), st.index.is_some(), st.plans.len());
+        let (graph, indexed, plans) =
+            (Arc::clone(&st.graph), st.built_index().is_some(), st.plans.len());
         drop(st);
         EngineInfo {
             num_vertices: graph.num_vertices(),
@@ -491,6 +499,30 @@ mod tests {
     use crate::fixtures::{all_labels_query, answer, figure3, s0};
     use crate::query::{LscrQuery, QueryOptions};
     use crate::SubstructureConstraint;
+    use kgreach_sync::mpsc;
+    use std::cell::Cell;
+    use std::time::Duration;
+
+    thread_local! {
+        /// Run once, on this thread, just before its next index build.
+        static BUILD_GATE: Cell<Option<Box<dyn FnOnce()>>> = const { Cell::new(None) };
+    }
+
+    /// [`LscrEngine::index_for`]'s hook: runs the gate this thread set.
+    pub(super) fn before_build() {
+        if let Some(gate) = BUILD_GATE.take() {
+            gate();
+        }
+    }
+
+    /// Holds this thread's next index build until `release` sends, after
+    /// telling `held`.
+    fn hold_next_build(held: mpsc::Sender<()>, release: mpsc::Receiver<()>) {
+        BUILD_GATE.set(Some(Box::new(move || {
+            held.send(()).unwrap();
+            let _ = release.recv();
+        })));
+    }
 
     #[test]
     fn interrupted_searches_never_poison_caches() {
@@ -835,6 +867,79 @@ mod tests {
         assert!(out.compacted, "20 edges on an 8-edge graph must trigger compaction");
         assert!(!engine.graph().has_overlay());
         assert!(engine.local_index_if_built().is_none());
+    }
+
+    #[test]
+    fn writers_never_wait_for_an_index_build_and_racing_builds_build_once() {
+        let engine = LscrEngine::new(figure3());
+        let mut reloaded = Vec::new();
+        LscrEngine::new(figure3()).save_snapshot(&mut reloaded).unwrap();
+        let engine = &engine;
+        // An update, a compaction and a reload all return while a forced
+        // INS build for the served graph is held.
+        let pin = engine.graph();
+        let (held_tx, held) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            let pin = &pin;
+            let build = s.spawn(move || {
+                hold_next_build(held_tx, release_rx);
+                engine.index_for(pin)
+            });
+            held.recv().unwrap();
+            let (done_tx, done) = mpsc::channel();
+            s.spawn(move || {
+                let mut batch = UpdateBatch::new();
+                batch.insert("v4", "likes", "v0");
+                engine.apply_update(&batch).unwrap();
+                engine.compact();
+                engine.reload_from_snapshot(&reloaded).unwrap();
+                done_tx.send(()).unwrap();
+            });
+            let writers = done.recv_timeout(Duration::from_secs(10));
+            release.send(()).unwrap();
+            writers.expect("a writer waited for the index build");
+            assert_eq!(build.join().unwrap().graph_fingerprint(), pin.fingerprint());
+        });
+        assert!(engine.local_index_if_built().is_none(), "a replaced pin's index was installed");
+
+        // A second forced INS on a held build's pin gets that build.
+        let pin = engine.graph();
+        let (held_tx, held) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            let pin = &pin;
+            let first = s.spawn(move || {
+                hold_next_build(held_tx, release_rx);
+                engine.index_for(pin)
+            });
+            held.recv().unwrap();
+            let second = s.spawn(move || {
+                BUILD_GATE.set(Some(Box::new(|| panic!("a second build for one pin"))));
+                engine.index_for(pin)
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            release.send(()).unwrap();
+            let (first, second) = (first.join().unwrap(), second.join().unwrap());
+            assert!(Arc::ptr_eq(&first, &second), "one pin, one build");
+            assert!(Arc::ptr_eq(&first, &engine.local_index_if_built().unwrap()));
+        });
+    }
+
+    #[test]
+    fn a_panicking_index_build_leaves_the_next_forced_ins_free_to_build() {
+        let engine = LscrEngine::new(figure3());
+        let q = all_labels_query(&engine.graph(), "v0", "v4");
+        BUILD_GATE.set(Some(Box::new(|| panic!("seeded panic in an index build"))));
+        let failed = std::panic::catch_unwind(|| answer(&engine, &q, Algorithm::Ins));
+        assert!(failed.is_err());
+        assert!(engine.local_index_if_built().is_none());
+        assert!(answer(&engine, &q, Algorithm::Ins).unwrap().answer);
+        let built = engine.local_index_if_built().expect("the next forced INS built the index");
+        assert_eq!(built.graph_fingerprint(), engine.graph().fingerprint());
+        let mut batch = UpdateBatch::new();
+        batch.insert("v4", "likes", "v0");
+        assert_eq!(engine.apply_update(&batch).unwrap().epoch, 1);
     }
 
     #[test]

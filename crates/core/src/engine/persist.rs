@@ -1,13 +1,13 @@
 //! Engine snapshots: saving the served graph and index, restoring an
 //! engine from one, and hot-swapping a running engine's state to one.
 
-use super::{EngineState, LscrEngine};
+use super::LscrEngine;
 use crate::local_index::LocalIndex;
 use crate::query::QueryError;
 use kgreach_graph::snapshot::{
     self, ArtifactKind, PayloadBuf, PayloadCursor, SectionReader, SectionWriter,
 };
-use kgreach_sync::Arc;
+use kgreach_sync::{Arc, PoisonError};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -29,7 +29,7 @@ impl LscrEngine {
     pub fn save_snapshot<W: Write>(&self, writer: W) -> Result<(), QueryError> {
         let (graph, index) = {
             let st = self.read();
-            (Arc::clone(&st.graph), st.index.clone())
+            (Arc::clone(&st.graph), st.built_index())
         };
         let mut w = SectionWriter::new(BufWriter::new(writer), ArtifactKind::Engine)?;
         // A live graph is compacted on the fly by the encoder; the index
@@ -110,14 +110,13 @@ impl LscrEngine {
     /// Returns the fresh content epoch.
     pub(crate) fn install(&self, staged: LscrEngine) -> u64 {
         let _updates = self.writer();
-        let (graph, index) = {
-            let st = staged.read();
-            (Arc::clone(&st.graph), st.index.clone())
-        };
-        let mut graph = (*graph).clone();
+        // The staged state has no plans, and its index stays valid: a
+        // re-epoched graph keeps its fingerprint.
+        let mut next = staged.state.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let graph = Arc::make_mut(&mut next.graph);
         graph.advance_epoch_to(self.graph_epoch() + 1);
         let epoch = graph.epoch();
-        self.swap_state(EngineState::new(Arc::new(graph), index));
+        self.swap_state(next);
         epoch
     }
 

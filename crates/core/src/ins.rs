@@ -26,11 +26,11 @@
 //! `crates/core/src/kernel.rs`).
 //!
 //! ```
-//! use kgreach::{LocalIndex, LscrQuery};
+//! use kgreach::{LocalIndex, LocalIndexConfig, LscrQuery};
 //! use kgreach::fixtures::{figure3, s0};
 //!
 //! let g = figure3();
-//! let index = LocalIndex::build_default(&g);
+//! let index = LocalIndex::build(&g, &LocalIndexConfig::default());
 //! let q = LscrQuery::new(
 //!     g.vertex_id("v0").unwrap(),
 //!     g.vertex_id("v4").unwrap(),

@@ -281,11 +281,6 @@ impl LocalIndex {
         LocalIndex { partition, entries, d, stats, fingerprint: g.fingerprint() }
     }
 
-    /// Builds with default configuration.
-    pub fn build_default(g: &Graph) -> LocalIndex {
-        Self::build(g, &LocalIndexConfig::default())
-    }
-
     /// The partition (`F`, `AF`).
     pub fn partition(&self) -> &Partition {
         &self.partition

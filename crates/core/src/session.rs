@@ -202,10 +202,9 @@ impl<'e> Session<'e> {
     /// other vertices), it is refused with
     /// [`QueryError::IdSpaceMismatch`]; compile it again from names.
     ///
-    /// [`Algorithm::Ins`] takes the installed index if it was built for
-    /// `graph`, and otherwise builds one holding the engine's update lock
-    /// (see [`LscrEngine::local_index`]), installed only if `graph` is
-    /// still the served graph.
+    /// [`Algorithm::Ins`] reads the index of `graph`, built on first use
+    /// outside every engine lock and kept only while `graph` is the served
+    /// graph (see [`LscrEngine::local_index`]).
     pub fn answer_compiled(
         &mut self,
         graph: &Arc<Graph>,

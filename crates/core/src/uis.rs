@@ -71,14 +71,14 @@
 //! (`SCck(t)`) only when it takes its first step: until then it counts as
 //! a stack of length 1. Each candidate side counts as `|V(S,G)|` long
 //! until seeded — exact from the plan's memo once some query materialised
-//! it, the schema estimate (`estimate_candidates`) until then — and both
-//! are seeded together, materialising `V(S,G)` through the plan's memo,
-//! when one would step. So the rule that seeds the backward side needs no
-//! threshold for the candidate sides: a constraint with tens of thousands
-//! of candidates never seeds them on a search that settles sooner, and one
-//! with a single candidate seeds them as soon as both endpoint stacks hold
-//! two vertices. A seeded empty `V(S,G)` is `false` at once
-//! (`negative_terminations`).
+//! it, until then the schema estimate (`estimate_candidates`) taken when
+//! the plan was compiled — and both are seeded together, materialising
+//! `V(S,G)` through the plan's memo, when one would step. So the rule
+//! that seeds the backward side needs no threshold for the candidate
+//! sides: a constraint with tens of thousands of candidates never seeds
+//! them on a search that settles sooner, and one with a single candidate
+//! seeds them as soon as both endpoint stacks hold two vertices. A seeded
+//! empty `V(S,G)` is `false` at once (`negative_terminations`).
 //!
 //! **Cost.** Alternating by stack length keeps the sides within one
 //! expansion of each other, so the worst case is a small multiple of the
@@ -363,14 +363,6 @@ impl Uis<'_> {
         limits.exceeded(self.stats.edges_scanned).then_some(None)
     }
 
-    /// `|V(S,G)|` as an unseeded candidate side's stack length: exact from
-    /// the plan's memo once materialised, the schema estimate until then.
-    fn unseeded_candidates_len(&self) -> usize {
-        let c = &self.q.constraint;
-        c.vsg_len_if_materialized()
-            .unwrap_or_else(|| c.estimate_candidates(self.g, self.g.label_histogram()))
-    }
-
     /// The search proper: `Some(answer)`, or `None` when a limit cut it
     /// short. The sides come by value so that their `&mut` fields reach
     /// the inlined steps as arguments the optimizer may assume distinct:
@@ -406,7 +398,7 @@ impl Uis<'_> {
         // t, length 1, and until they seed the candidate sides are the
         // unseeded V(S,G), `unseeded` long.
         let (mut back_seeded, mut fed) = (false, false);
-        let unseeded = if two_frontiers { self.unseeded_candidates_len() } else { usize::MAX };
+        let unseeded = if two_frontiers { self.q.constraint.candidates_len() } else { usize::MAX };
         loop {
             if let Some(stop) = self.stopped(&fwd, &bwd, back_seeded, &limits) {
                 return stop;

@@ -28,8 +28,6 @@ pub mod vocab {
     pub const RDFS_DOMAIN: &str = "rdfs:domain";
     /// `rdfs:range` — predicate range declarations.
     pub const RDFS_RANGE: &str = "rdfs:range";
-    /// `rdfs:Class` — the class of classes.
-    pub const RDFS_CLASS: &str = "rdfs:Class";
 
     /// Full-IRI spellings accepted as aliases of the prefixed forms.
     pub const RDF_TYPE_IRI: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";

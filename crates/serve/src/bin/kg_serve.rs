@@ -26,7 +26,7 @@
 //! - `--build-index` — build the local index up front, for paper runs
 //!   and clients that force `"algorithm": "ins"` only: no other query
 //!   reads it, and a content-changing `/update` drops it (the next forced
-//!   INS rebuilds it, holding the update lock).
+//!   INS rebuilds it, while updates go on).
 //! - `--workers N` (searches that may run at once, each on the
 //!   connection thread that read its request), `--queue-high-water N`
 //!   (threads waiting for a search slot before new queries are shed),

@@ -40,34 +40,52 @@ impl Term {
         }
     }
 
-    /// Writes the term as the lexer reads it back: `?v`, `<c>`, or — for
-    /// a constant containing whitespace, `"`, `\` or `>`, which `<c>`
-    /// cannot hold — `"c"` with its `\` and `"` escaped. Runs between
-    /// escapes are written whole.
-    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    /// Whether constant `c` is written `"c"`: it holds whitespace, `"`,
+    /// `\` or `>`, which `<c>` cannot. A byte scan, folded without an
+    /// early exit so that it vectorizes, and a char scan only for
+    /// non-ASCII text (`char::is_whitespace` covers U+000B,
+    /// `u8::is_ascii_whitespace` does not).
+    fn is_quoted(c: &str) -> bool {
+        c.bytes().fold(false, |q, b| q | matches!(b, b'\t'..=b'\r' | b' ' | b'"' | b'\\' | b'>'))
+            || (!c.is_ascii() && c.contains(char::is_whitespace))
+    }
+
+    /// The length of the text [`push_to`](Self::push_to) writes.
+    fn text_len(&self) -> usize {
+        match self {
+            Term::Variable(v) => 1 + v.len(),
+            Term::Constant(c) if Self::is_quoted(c) => {
+                2 + c.len() + c.bytes().filter(|&b| b == b'"' || b == b'\\').count()
+            }
+            Term::Constant(c) => 2 + c.len(),
+        }
+    }
+
+    /// Appends the term as the lexer reads it back: `?v`, `<c>`, or — for
+    /// a quoted constant — `"c"` with its `\` and `"` escaped. Runs between
+    /// escapes are appended whole.
+    fn push_to(&self, out: &mut String) {
         match self {
             Term::Variable(v) => {
-                out.write_char('?')?;
-                out.write_str(v)
+                out.push('?');
+                out.push_str(v);
             }
-            Term::Constant(c)
-                if c.contains(|ch: char| ch.is_whitespace() || matches!(ch, '"' | '\\' | '>')) =>
-            {
-                out.write_char('"')?;
+            Term::Constant(c) if Self::is_quoted(c) => {
+                out.push('"');
                 let mut rest = c.as_str();
                 while let Some(i) = rest.find(['"', '\\']) {
-                    out.write_str(&rest[..i])?;
-                    out.write_char('\\')?;
-                    out.write_str(&rest[i..=i])?;
+                    out.push_str(&rest[..i]);
+                    out.push('\\');
+                    out.push_str(&rest[i..=i]);
                     rest = &rest[i + 1..];
                 }
-                out.write_str(rest)?;
-                out.write_char('"')
+                out.push_str(rest);
+                out.push('"');
             }
             Term::Constant(c) => {
-                out.write_char('<')?;
-                out.write_str(c)?;
-                out.write_char('>')
+                out.push('<');
+                out.push_str(c);
+                out.push('>');
             }
         }
     }
@@ -75,7 +93,9 @@ impl Term {
 
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write_to(f)
+        let mut text = String::with_capacity(self.text_len());
+        self.push_to(&mut text);
+        f.write_str(&text)
     }
 }
 
@@ -101,19 +121,27 @@ impl TriplePattern {
         [&self.subject, &self.predicate, &self.object].into_iter().filter_map(|t| t.as_variable())
     }
 
-    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        self.subject.write_to(out)?;
-        out.write_char(' ')?;
-        self.predicate.write_to(out)?;
-        out.write_char(' ')?;
-        self.object.write_to(out)?;
-        out.write_str(" .")
+    /// The length of the text [`push_to`](Self::push_to) writes.
+    fn text_len(&self) -> usize {
+        self.subject.text_len() + self.predicate.text_len() + self.object.text_len() + 4
+    }
+
+    /// Appends `s p o .`, each term as [`Term`]'s `Display` writes it.
+    fn push_to(&self, out: &mut String) {
+        self.subject.push_to(out);
+        out.push(' ');
+        self.predicate.push_to(out);
+        out.push(' ');
+        self.object.push_to(out);
+        out.push_str(" .");
     }
 }
 
 impl fmt::Display for TriplePattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write_to(f)
+        let mut text = String::with_capacity(self.text_len());
+        self.push_to(&mut text);
+        f.write_str(&text)
     }
 }
 
@@ -142,42 +170,30 @@ impl SelectQuery {
 
     /// The canonical text: `SELECT ?v … WHERE { p . … }`, every term as
     /// [`Term`]'s `Display` writes it. It parses back to this query, and
-    /// equal queries have equal texts. Measured first, then written into
-    /// one buffer of exactly that size.
+    /// equal queries have equal texts. Its exact length is summed first,
+    /// then the text is appended into one buffer of that size.
     pub fn canonical_text(&self) -> String {
-        /// Counts the bytes a writer is handed.
-        struct Len(usize);
-        impl fmt::Write for Len {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                self.0 += s.len();
-                Ok(())
-            }
-        }
-        let mut len = Len(0);
-        let _ = self.write_to(&mut len);
-        let mut out = String::with_capacity(len.0);
-        let _ = self.write_to(&mut out); // writing to a `String` cannot fail
-        out
-    }
-
-    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        out.write_str("SELECT")?;
+        let projection: usize = self.projection.iter().map(|v| 2 + v.len()).sum();
+        let patterns: usize = self.patterns.iter().map(|p| p.text_len() + 1).sum();
+        let mut out = String::with_capacity("SELECT WHERE { }".len() + projection + patterns);
+        out.push_str("SELECT");
         for v in &self.projection {
-            out.write_str(" ?")?;
-            out.write_str(v)?;
+            out.push_str(" ?");
+            out.push_str(v);
         }
-        out.write_str(" WHERE { ")?;
+        out.push_str(" WHERE { ");
         for p in &self.patterns {
-            p.write_to(out)?;
-            out.write_char(' ')?;
+            p.push_to(&mut out);
+            out.push(' ');
         }
-        out.write_char('}')
+        out.push('}');
+        out
     }
 }
 
 impl fmt::Display for SelectQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write_to(f)
+        f.write_str(&self.canonical_text())
     }
 }
 
@@ -194,15 +210,26 @@ mod tests {
         assert_eq!(Term::constant("a>b").to_string(), r#""a>b""#);
         assert_eq!(Term::constant(r#"a\b"c"#).to_string(), r#""a\\b\"c""#);
         assert_eq!(Term::constant("tab\there").to_string(), "\"tab\there\"");
+        // Whitespace to `char`, and so quoted, though not to `u8` (U+000B)
+        // or outside ASCII (U+00A0, U+3000).
+        for c in ["a\u{0B}b", "a\u{A0}b", "a\u{3000}b"] {
+            assert_eq!(Term::constant(c).to_string(), format!("\"{c}\""));
+        }
+        assert_eq!(Term::constant("Zoë").to_string(), "<Zoë>");
     }
 
     #[test]
     fn canonical_text_is_display_in_one_exact_buffer() {
-        let q = crate::parse(r#"SELECT ?x WHERE { ?x <p> "a>b" . ?x ?q 'Zoë \\ "y"' }"#).unwrap();
-        let text = q.canonical_text();
-        assert_eq!(text, q.to_string());
-        assert_eq!(text.capacity(), text.len());
-        assert_eq!(crate::parse(&text).unwrap(), q);
+        for sparql in [
+            r#"SELECT ?x WHERE { ?x <p> "a>b" . ?x ?q 'Zoë \\ "y"' }"#,
+            "SELECT ?x WHERE { ?x <p> \"a\u{0B}b\" . \"c\u{A0}d\" ?q ?x . }",
+        ] {
+            let q = crate::parse(sparql).unwrap();
+            let text = q.canonical_text();
+            assert_eq!(text, q.to_string());
+            assert_eq!(text.capacity(), text.len());
+            assert_eq!(crate::parse(&text).unwrap(), q);
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! The tests fall in three groups:
 //!
 //! 1. **Exhaustive DFS** over the nastiest small windows: `ScckCache`
-//!    set-vs-get, engine update-during-query pinning, two callers sharing
+//!    set-vs-get, engine update-during-query pinning, a forced INS index
+//!    build racing an update, two callers sharing
 //!    one search slot with and without a racing `shutdown`, a caller
 //!    waiting on zero slots against `shutdown`, a panicking answer
 //!    handing its slot to a waiter, histogram record-vs-read.
@@ -124,6 +125,42 @@ fn update_during_query_pins_a_consistent_state() {
             assert!(!after.answer, "deleted edge still reachable after update joined");
         })
         .expect("update-during-query model");
+    assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
+}
+
+/// A forced INS query racing an update: the query builds its index
+/// outside every engine lock, into its pin's index cell if that pin is
+/// still served, while the update swaps in a state with an empty cell.
+/// The racing answer is the oracle's on its pin, and after the join the
+/// served index is absent or built for the served graph.
+#[test]
+fn a_forced_ins_build_racing_an_update_answers_on_its_pin() {
+    let builder = Builder { preemption_bound: Some(2), ..Builder::new() };
+    let stats = builder
+        .check(|| {
+            let engine = Arc::new(tiny_engine());
+            let updater = Arc::clone(&engine);
+            let t = thread::spawn(move || {
+                let mut batch = UpdateBatch::new();
+                batch.delete("a", "likes", "b");
+                updater.apply_update(&batch).unwrap();
+            });
+            let (pin, query, _) = engine
+                .compile_text("SELECT ?x WHERE { ?x <likes> <b> . }", |g| {
+                    let v = |name| g.vertex_id(name).unwrap();
+                    Ok::<_, QueryError>((v("a"), v("b"), g.all_labels()))
+                })
+                .unwrap();
+            let opts = QueryOptions::default();
+            let out = engine.session().answer_compiled(&pin, &query, Algorithm::Ins, &opts);
+            assert_eq!(out.unwrap().answer, kgreach::oracle::answer(&pin, &query).answer);
+            t.join().unwrap();
+            if let Some(index) = engine.local_index_if_built() {
+                let served = engine.graph().fingerprint();
+                assert_eq!(index.graph_fingerprint(), served, "an index for a replaced graph");
+            }
+        })
+        .expect("forced INS build vs update model");
     assert!(stats.executions >= 2, "DFS must explore both orders, got {}", stats.executions);
 }
 

@@ -453,9 +453,9 @@ fn shrinking_reload_under_query_load_never_loses_a_worker() {
     let dir = std::env::temp_dir().join(format!("kgreach-serving-shrink-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     // Saved without a local index: after every reload of `big` the first
-    // INS query builds one, and a reload arriving meanwhile queues on
-    // the engine's update lock and lands the moment the build ends —
-    // between that query's pin and the end of its search, every time.
+    // INS query builds one, and a reload arriving meanwhile lands while
+    // the build runs — between that query's pin and the end of its
+    // search.
     let big = dir.join("big.kgsnap");
     engine.save_snapshot_file(&big).unwrap();
     let tiny = dir.join("tiny.kgsnap");

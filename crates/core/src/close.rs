@@ -20,10 +20,10 @@
 //!
 //! let mut close = CloseMap::new(4);
 //! close.set(VertexId(1), CloseState::T);
-//! assert!(close.is_t(VertexId(1)));
+//! assert_eq!(close.get(VertexId(1)), CloseState::T);
 //! assert_eq!(close.passed_vertices(), 1);
 //! close.reset(); // O(1): every vertex back to N
-//! assert!(close.is_n(VertexId(1)));
+//! assert_eq!(close.get(VertexId(1)), CloseState::N);
 //! ```
 
 use kgreach_graph::VertexId;
@@ -57,7 +57,7 @@ impl CloseMap {
     /// Grows the map to cover at least `n` vertices (dynamic graphs grow
     /// `|V|` between queries; fresh slots start `N` because their stamp
     /// can never equal the running epoch). Never shrinks.
-    pub fn ensure_len(&mut self, n: usize) {
+    pub(crate) fn ensure_len(&mut self, n: usize) {
         if n > self.stamps.len() {
             self.stamps.resize(n, 0);
             self.states.resize(n, 0);
@@ -102,13 +102,13 @@ impl CloseMap {
 
     /// Whether `v` is `T`.
     #[inline(always)]
-    pub fn is_t(&self, v: VertexId) -> bool {
+    pub(crate) fn is_t(&self, v: VertexId) -> bool {
         self.get(v) == CloseState::T
     }
 
     /// Whether `v` is `N`.
     #[inline(always)]
-    pub fn is_n(&self, v: VertexId) -> bool {
+    pub(crate) fn is_n(&self, v: VertexId) -> bool {
         self.stamps[v.index()] != self.epoch
     }
 
@@ -125,7 +125,7 @@ impl CloseMap {
 
     /// Forces the epoch counter (wraparound regression tests only).
     #[cfg(test)]
-    pub fn force_epoch(&mut self, epoch: u32) {
+    pub(crate) fn force_epoch(&mut self, epoch: u32) {
         self.epoch = epoch;
     }
 

@@ -27,10 +27,10 @@
 //! pattern embedding for a vertex twice — the dominant cost of UIS
 //! (Theorem 3.3) drops to one array probe after warm-up. The
 //! cache allocates lazily three times over: nothing before the first
-//! [`satisfies_cached`](CompiledConstraint::satisfies_cached) call, so
+//! `satisfies_cached` call, so
 //! constraints that only ever materialize `V(S,G)` pay nothing; then the
 //! first [`INLINE_SLOTS`] results inline, all that most narrow searches
-//! ever record; then one byte per vertex one [`PAGE_SLOTS`]-vertex page
+//! ever record; then one byte per vertex one `PAGE_SLOTS`-vertex page
 //! at a time, so a broader search of a 50k-vertex graph holds a few
 //! 1 KiB pages, not the whole array (the engine keeps up to 4,096 such
 //! memos alive, and a table of page pointers alone would be 864 B each).
@@ -98,11 +98,6 @@ impl SubstructureConstraint {
     /// The underlying query.
     pub fn query(&self) -> &SelectQuery {
         &self.query
-    }
-
-    /// Number of triple patterns (`|E_S| + |E_?|` in the formal view).
-    pub fn num_patterns(&self) -> usize {
-        self.query.patterns.len()
     }
 
     /// Compiles the constraint against a graph for repeated evaluation.
@@ -180,7 +175,7 @@ pub struct ScckCache {
 pub const INLINE_SLOTS: usize = 8;
 
 /// Vertices per lazily allocated [`ScckCache`] page (1 KiB of slots).
-pub const PAGE_SLOTS: usize = 1024;
+pub(crate) const PAGE_SLOTS: usize = 1024;
 
 type Page = [AtomicU8; PAGE_SLOTS];
 
@@ -302,7 +297,7 @@ impl CompiledConstraint {
     /// are bound to one graph; the guard keeps a misuse from turning into
     /// an out-of-bounds probe).
     #[inline]
-    pub fn satisfies_cached(&self, g: &Graph, v: VertexId) -> (bool, bool) {
+    pub(crate) fn satisfies_cached(&self, g: &Graph, v: VertexId) -> (bool, bool) {
         if !self.is_bound_to(g) {
             // The memo was filled against other graph content; evaluate
             // uncached rather than serve stale bits. (The engine answers
@@ -322,12 +317,6 @@ impl CompiledConstraint {
         let sat = eval::satisfies(g, &self.plan, v);
         cache.set(v, sat);
         (sat, false)
-    }
-
-    /// The SCck cache, if some query has already allocated it
-    /// (diagnostics/tests).
-    pub fn scck_cache(&self) -> Option<&ScckCache> {
-        self.scck.get()
     }
 
     /// The canonical SPARQL text this plan was compiled from — the
@@ -372,7 +361,7 @@ impl CompiledConstraint {
     /// Falls back to an uncached evaluation when the plan is not bound to
     /// `g`'s lineage and epoch (same guard as
     /// [`satisfies_cached`](Self::satisfies_cached)).
-    pub fn satisfying_vertices_cached(&self, g: &Graph) -> Arc<Vec<VertexId>> {
+    pub(crate) fn satisfying_vertices_cached(&self, g: &Graph) -> Arc<Vec<VertexId>> {
         if !self.is_bound_to(g) {
             return Arc::new(self.satisfying_vertices(g));
         }
@@ -449,27 +438,17 @@ impl CompiledConstraint {
 /// * concrete edges (`E_S`) connect concrete vertices (`V_S`);
 /// * variable edges (`E_?`) have a variable on one side — at least one must
 ///   touch `?x` (Definition 2.2's side condition).
+///
+/// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
 #[derive(Clone, Debug, Default)]
 pub struct ConstraintBuilder {
     patterns: Vec<TriplePattern>,
-    next_fresh: usize,
 }
 
 impl ConstraintBuilder {
     /// Creates an empty builder; the distinguished variable is `?x`.
     pub fn new() -> Self {
         ConstraintBuilder::default()
-    }
-
-    /// Adds a concrete edge `(u, l, v)` from `E_S` (all names are graph
-    /// vertex/label names).
-    pub fn concrete_edge(mut self, u: &str, l: &str, v: &str) -> Self {
-        self.patterns.push(TriplePattern::new(
-            Term::constant(u),
-            Term::constant(l),
-            Term::constant(v),
-        ));
-        self
     }
 
     /// Adds a variable edge `(?x, l, v)` — `?x` points at concrete `v`.
@@ -489,28 +468,6 @@ impl ConstraintBuilder {
             Term::constant(l),
             Term::var("x"),
         ));
-        self
-    }
-
-    /// Adds `(?x, l, ?fresh)` — `?x` has *some* `l`-successor.
-    pub fn x_to_any(mut self, l: &str) -> Self {
-        let v = format!("y{}", self.next_fresh);
-        self.next_fresh += 1;
-        self.patterns.push(TriplePattern::new(Term::var("x"), Term::constant(l), Term::var(v)));
-        self
-    }
-
-    /// Adds `(?fresh, l, v)` — concrete `v` has *some* `l`-predecessor.
-    pub fn any_to(mut self, l: &str, v: &str) -> Self {
-        let u = format!("y{}", self.next_fresh);
-        self.next_fresh += 1;
-        self.patterns.push(TriplePattern::new(Term::var(u), Term::constant(l), Term::constant(v)));
-        self
-    }
-
-    /// Adds an arbitrary pattern (full generality: chained variables etc.).
-    pub fn pattern(mut self, p: TriplePattern) -> Self {
-        self.patterns.push(p);
         self
     }
 
@@ -578,7 +535,7 @@ mod tests {
     fn variable_and_display() {
         let c = s0();
         assert_eq!(c.variable(), "x");
-        assert_eq!(c.num_patterns(), 2);
+        assert_eq!(c.query().patterns.len(), 2);
         let text = c.to_sparql();
         assert!(text.contains("SELECT ?x"));
         assert_eq!(format!("{c}"), text);
@@ -616,27 +573,46 @@ mod tests {
         assert_eq!(names, vec!["v2"]);
 
         // ?x with some follows-successor (only v2 follows anyone)
-        let c = ConstraintBuilder::new().x_to_any("follows").build().unwrap();
+        let c = ConstraintBuilder::new()
+            .pattern(TriplePattern::new(Term::var("x"), Term::constant("follows"), Term::var("y")))
+            .build()
+            .unwrap();
         let compiled = c.compile(&g).unwrap();
         assert_eq!(compiled.satisfying_vertices(&g).len(), 1);
 
         // combining concrete context edges with the ?x edge
-        let c = ConstraintBuilder::new()
-            .concrete_edge("v3", "likes", "v4")
-            .x_to("friendOf", "v3")
-            .build()
-            .unwrap();
+        let c =
+            ConstraintBuilder::new().pattern(v3_likes_v4()).x_to("friendOf", "v3").build().unwrap();
         let compiled = c.compile(&g).unwrap();
         assert_eq!(compiled.satisfying_vertices(&g).len(), 2);
 
-        // any_to: ?x bound by someone pointing at v4 — not x-incident alone
-        let err = ConstraintBuilder::new().any_to("likes", "v4").build();
+        // ?x bound by someone pointing at v4 — not x-incident alone
+        let err = ConstraintBuilder::new()
+            .pattern(TriplePattern::new(
+                Term::var("y"),
+                Term::constant("likes"),
+                Term::constant("v4"),
+            ))
+            .build();
         assert!(err.is_err());
+    }
+
+    impl ConstraintBuilder {
+        /// Adds an arbitrary pattern (full generality: chained variables etc.).
+        fn pattern(mut self, p: TriplePattern) -> Self {
+            self.patterns.push(p);
+            self
+        }
+    }
+
+    /// The concrete context edge `(v3, likes, v4)` of Figure 3.
+    fn v3_likes_v4() -> TriplePattern {
+        TriplePattern::new(Term::constant("v3"), Term::constant("likes"), Term::constant("v4"))
     }
 
     #[test]
     fn builder_requires_x() {
-        let err = ConstraintBuilder::new().concrete_edge("v3", "likes", "v4").build();
+        let err = ConstraintBuilder::new().pattern(v3_likes_v4()).build();
         assert!(err.is_err());
         let err = ConstraintBuilder::new().build();
         assert!(err.is_err());
@@ -697,7 +673,7 @@ mod tests {
     fn scck_cache_agrees_with_direct_evaluation() {
         let g = figure3();
         let c = s0().compile(&g).unwrap();
-        assert!(c.scck_cache().is_none(), "cache allocates lazily");
+        assert!(c.scck.get().is_none(), "cache allocates lazily");
         for v in g.vertices() {
             let direct = c.satisfies(&g, v);
             let (miss, hit1) = c.satisfies_cached(&g, v);
@@ -707,7 +683,7 @@ mod tests {
             assert!(!hit1, "first probe of {v} must miss");
             assert!(hit2, "second probe of {v} must hit");
         }
-        let cache = c.scck_cache().expect("allocated after first use");
+        let cache = c.scck.get().expect("allocated after first use");
         assert_eq!(cache.len(), g.num_vertices());
         assert!(!cache.is_empty());
         // Clones share the cache: a clone's probe hits immediately.

@@ -108,7 +108,7 @@ impl std::fmt::Display for Algorithm {
 
 /// An owned, thread-shareable LSCR query engine bound to one graph.
 ///
-/// See the [module docs](self) for the shared/per-thread state split.
+/// See the [crate docs](crate) for the shared/per-thread state split.
 /// A query is answered in two steps: [`compile`](Self::compile) (or
 /// [`compile_text`](Self::compile_text) from SPARQL text) validates it
 /// and looks its constraint plan up among the served graph's plans, and
@@ -192,7 +192,7 @@ pub struct UpdateOutcome {
     /// The graph's content epoch after the batch.
     pub epoch: u64,
     /// Whether the engine compacted the overlay into a fresh CSR as part
-    /// of this update (see [`DELTA_COMPACT_THRESHOLD`]).
+    /// of this update (see [`LscrEngine::apply_update`]).
     pub compacted: bool,
 }
 
@@ -224,7 +224,7 @@ pub struct EngineInfo {
 /// (`DeltaStats::delta_fraction`)
 /// exceeds this threshold after an update, [`LscrEngine::apply_update`]
 /// re-freezes the graph via [`Graph::compact`].
-pub const DELTA_COMPACT_THRESHOLD: f64 = 0.5;
+pub(crate) const DELTA_COMPACT_THRESHOLD: f64 = 0.5;
 
 impl LscrEngine {
     /// Creates an engine with the default index configuration. The local
@@ -353,7 +353,8 @@ impl LscrEngine {
     /// other, with compaction and with reloads; they wait for no query or
     /// index build, and block no reader while the heavy work runs.
     ///
-    /// When the accumulated overlay exceeds [`DELTA_COMPACT_THRESHOLD`],
+    /// When the overlay's changed edges pass half the graph's edge count
+    /// ([`DeltaStats::delta_fraction`](kgreach_graph::DeltaStats::delta_fraction) > 0.5),
     /// the graph is re-frozen ([`Graph::compact`]), so long-running update
     /// streams cannot degrade query performance unboundedly.
     ///

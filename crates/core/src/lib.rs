@@ -13,13 +13,13 @@
 //! |-----------|--------|------|
 //! | **UIS** | [`uis`] | uninformed stack search + per-vertex `SCck`, works on any edge-labeled graph |
 //! | **UIS\*** | [`uis_star`] | materialize `V(S,G)` via a SPARQL engine, chain label-constrained searches over one global stack |
-//! | **INS** | [`ins`] | informed search: priority heap/queue guided by a [`local_index::LocalIndex`] of schema-selected landmarks |
+//! | **INS** | [`ins`] | informed search: priority heap/queue guided by a [`LocalIndex`] of schema-selected landmarks |
 //!
-//! Supporting machinery: the three-state [`CloseMap`] surjection
-//! ([`close`]), substructure constraints compiled to SPARQL plans
-//! ([`constraint`]), landmark partitioning ([`partition`]), the local index
-//! ([`local_index`]), INS's priority structures ([`priority`]), and a
-//! brute-force [`oracle`].
+//! Supporting machinery: the three-state [`CloseMap`] surjection,
+//! substructure constraints compiled to SPARQL plans ([`constraint`]),
+//! landmark partitioning ([`Partition`], [`select_landmarks_by_degree`]),
+//! the local index ([`LocalIndex`]), INS's priority heap and queue
+//! (described in [`ins`]), and a brute-force [`oracle`].
 //!
 //! Serving is split into an owned, `Send + Sync` [`LscrEngine`] (graph,
 //! shared index, constraint-plan cache — every entry point takes `&self`)
@@ -77,22 +77,22 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod close;
+mod close;
 pub mod constraint;
 pub mod durable;
-pub mod engine;
+mod engine;
 pub mod fixtures;
 pub mod ins;
 mod kernel;
-pub mod local_index;
+mod local_index;
 pub mod oracle;
-pub mod partition;
-pub mod priority;
-pub mod query;
-pub mod session;
+mod partition;
+mod priority;
+mod query;
+mod session;
 pub mod uis;
 pub mod uis_star;
-pub mod witness;
+mod witness;
 
 pub use close::{CloseMap, CloseState};
 pub use constraint::{CompiledConstraint, ConstraintBuilder, ScckCache, SubstructureConstraint};
@@ -100,13 +100,9 @@ pub use durable::{
     CheckpointReport, DurableEngine, DurableOutcome, DurableRecovery, DurableStats, RecoveryReport,
     WalConfig,
 };
-pub use engine::{
-    Algorithm, EngineInfo, IndexMaintenance, LscrEngine, UpdateOutcome, DELTA_COMPACT_THRESHOLD,
-};
+pub use engine::{Algorithm, EngineInfo, IndexMaintenance, LscrEngine, UpdateOutcome};
 pub use local_index::{IndexBuildStats, LandmarkEntry, LocalIndex, LocalIndexConfig};
-pub use partition::{
-    default_num_landmarks, select_landmarks, select_landmarks_by_degree, Partition,
-};
+pub use partition::{default_num_landmarks, select_landmarks_by_degree, Partition};
 pub use query::{
     CompiledLscrQuery, LscrQuery, QueryError, QueryOptions, QueryOutcome, SearchStats, VsgOrder,
 };

@@ -148,7 +148,7 @@ impl LandmarkEntry {
     }
 
     /// Number of `EIT` pairs.
-    pub fn num_eit(&self) -> usize {
+    pub(crate) fn num_eit(&self) -> usize {
         self.eit.len()
     }
 
@@ -292,7 +292,7 @@ impl LocalIndex {
     }
 
     /// The entry of a landmark vertex, if `v` is one.
-    pub fn entry_of(&self, v: VertexId) -> Option<&LandmarkEntry> {
+    pub(crate) fn entry_of(&self, v: VertexId) -> Option<&LandmarkEntry> {
         if self.partition.is_landmark(v) {
             self.partition.af(v).map(|o| self.entry(o))
         } else {
@@ -316,7 +316,7 @@ impl LocalIndex {
     /// The INS distance estimate `ρ(s,t) = D(s.AF, t.AF)` folded into a
     /// "smaller is closer" key: `0` for the same partition, decreasing in
     /// the correlation count otherwise, `u32::MAX` when unrelated.
-    pub fn rho(&self, s: VertexId, t: VertexId) -> u32 {
+    pub(crate) fn rho(&self, s: VertexId, t: VertexId) -> u32 {
         let a = self.partition.af(s).unwrap_or(NO_PARTITION);
         let b = self.partition.af(t).unwrap_or(NO_PARTITION);
         if a == NO_PARTITION || b == NO_PARTITION {
@@ -439,7 +439,10 @@ impl LocalIndex {
     /// container. Most callers want [`save`](Self::save); this entry
     /// point exists so composite artifacts (engine snapshots) can embed
     /// an index after a graph.
-    pub fn write_sections<W: Write>(&self, w: &mut SectionWriter<W>) -> kgreach_graph::Result<()> {
+    pub(crate) fn write_sections<W: Write>(
+        &self,
+        w: &mut SectionWriter<W>,
+    ) -> kgreach_graph::Result<()> {
         let fp = self.fingerprint;
         let mut meta = PayloadBuf::with_capacity(80);
         meta.put_usize(fp.num_vertices);
@@ -504,7 +507,7 @@ impl LocalIndex {
     /// Reads the index sections of snapshot format v1 from an open
     /// container, revalidating every structural invariant the INS search
     /// relies on. Counterpart of [`write_sections`](Self::write_sections).
-    pub fn read_sections(r: &mut SectionReader<'_>) -> kgreach_graph::Result<LocalIndex> {
+    pub(crate) fn read_sections(r: &mut SectionReader<'_>) -> kgreach_graph::Result<LocalIndex> {
         let mut meta = PayloadCursor::new(r.section(TAG_INDEX_META, "index-meta")?, "index-meta");
         let fingerprint = GraphFingerprint {
             num_vertices: meta.get_usize()?,
@@ -690,6 +693,8 @@ impl LocalIndex {
     }
 
     /// Saves a local-index snapshot to a file path.
+    ///
+    /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn save_file(&self, path: impl AsRef<Path>) -> kgreach_graph::Result<()> {
         self.save(File::create(path)?)
     }

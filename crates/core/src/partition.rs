@@ -15,18 +15,6 @@
 //!   attribute `w.AF = u`, i.e. joins subgraph `F(u)`. Partitions grow one
 //!   vertex per turn, keeping them balanced. Vertices unreachable from
 //!   every landmark stay unassigned.
-//!
-//! ```
-//! use kgreach::partition::partition_graph;
-//! use kgreach::fixtures::figure3;
-//!
-//! let g = figure3();
-//! let v0 = g.vertex_id("v0").unwrap();
-//! let part = partition_graph(&g, vec![v0]);
-//! assert!(part.is_landmark(v0));
-//! // Everything v0 reaches joins its subgraph F(v0).
-//! assert_eq!(part.num_assigned(), 5);
-//! ```
 
 use kgreach_graph::fxhash::fx_set_with_capacity;
 use kgreach_graph::{Graph, VertexId};
@@ -35,7 +23,7 @@ use rand::Rng;
 use std::collections::VecDeque;
 
 /// Sentinel "no partition" ordinal.
-pub const NO_PARTITION: u32 = u32::MAX;
+pub(crate) const NO_PARTITION: u32 = u32::MAX;
 
 /// The bijection `F`: landmark set `I` plus the per-vertex attribute `AF`.
 #[derive(Clone, Debug)]
@@ -110,22 +98,12 @@ impl Partition {
 
     /// The landmark owning `v`'s partition, if assigned.
     #[inline]
-    pub fn landmark_of(&self, v: VertexId) -> Option<VertexId> {
+    pub(crate) fn landmark_of(&self, v: VertexId) -> Option<VertexId> {
         self.af(v).map(|o| self.landmarks[o as usize])
     }
 
-    /// Members of partition `ordinal` (O(|V|) scan; diagnostics/tests).
-    pub fn members(&self, ordinal: u32) -> Vec<VertexId> {
-        self.af
-            .iter()
-            .enumerate()
-            .filter(|&(_, &a)| a == ordinal)
-            .map(|(i, _)| VertexId::from_index(i))
-            .collect()
-    }
-
     /// Number of vertices assigned to any partition.
-    pub fn num_assigned(&self) -> usize {
+    pub(crate) fn num_assigned(&self) -> usize {
         self.af.iter().filter(|&&a| a != NO_PARTITION).count()
     }
 
@@ -172,7 +150,7 @@ pub fn default_num_landmarks(num_vertices: usize) -> usize {
 /// provides fewer than `k` instances (general edge-labeled graphs
 /// without RDFS typing), so INS degrades gracefully rather than
 /// failing.
-pub fn select_landmarks<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Vec<VertexId> {
+pub(crate) fn select_landmarks<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Vec<VertexId> {
     let k = k.min(g.num_vertices());
     if k == 0 {
         return Vec::new();
@@ -253,7 +231,7 @@ pub fn select_landmarks_by_degree(g: &Graph, k: usize) -> Vec<VertexId> {
 
 /// `BFSTraverse(I)`: round-robin multi-source BFS assigning `AF`
 /// (Algorithm 3, lines 25-34).
-pub fn partition_graph(g: &Graph, landmarks: Vec<VertexId>) -> Partition {
+pub(crate) fn partition_graph(g: &Graph, landmarks: Vec<VertexId>) -> Partition {
     let n = g.num_vertices();
     let mut af = vec![NO_PARTITION; n];
     let mut landmark_flag = vec![false; n];
@@ -292,6 +270,28 @@ mod tests {
     use kgreach_graph::GraphBuilder;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    impl Partition {
+        /// Members of partition `ordinal` (an O(|V|) scan).
+        fn members(&self, ordinal: u32) -> Vec<VertexId> {
+            self.af
+                .iter()
+                .enumerate()
+                .filter(|&(_, &a)| a == ordinal)
+                .map(|(i, _)| VertexId::from_index(i))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a_landmark_claims_everything_it_reaches() {
+        let g = crate::fixtures::figure3();
+        let v0 = g.vertex_id("v0").unwrap();
+        let part = partition_graph(&g, vec![v0]);
+        assert!(part.is_landmark(v0));
+        // Everything v0 reaches joins its subgraph F(v0).
+        assert_eq!(part.num_assigned(), 5);
+    }
 
     fn typed_graph() -> Graph {
         // Two classes with instances, plus a chain hanging off each instance.

@@ -30,7 +30,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Priority context shared by both structures for key computation.
-pub struct PriorityContext<'a> {
+pub(crate) struct PriorityContext<'a> {
     /// The `close` surjection.
     pub close: &'a CloseMap,
     /// The local index (partition + correlation degrees).
@@ -45,13 +45,13 @@ type HKey = (u8, u8, u32);
 
 /// The heap `H` over `V(S,G)`.
 #[derive(Debug)]
-pub struct CandidateHeap {
+pub(crate) struct CandidateHeap {
     heap: BinaryHeap<Reverse<(HKey, u32)>>,
 }
 
 impl CandidateHeap {
     /// Initializes `H` with the candidate set `V(S,G)`.
-    pub fn new(candidates: &[VertexId], ctx: &PriorityContext<'_>) -> Self {
+    pub(crate) fn new(candidates: &[VertexId], ctx: &PriorityContext<'_>) -> Self {
         let mut heap = BinaryHeap::with_capacity(candidates.len());
         for &v in candidates {
             heap.push(Reverse((Self::key(v, ctx), v.0)));
@@ -73,7 +73,7 @@ impl CandidateHeap {
     }
 
     /// Pops the current top candidate, re-keying stale entries.
-    pub fn pop(&mut self, ctx: &PriorityContext<'_>) -> Option<VertexId> {
+    pub(crate) fn pop(&mut self, ctx: &PriorityContext<'_>) -> Option<VertexId> {
         while let Some(Reverse((stored, raw))) = self.heap.pop() {
             let v = VertexId(raw);
             let fresh = Self::key(v, ctx);
@@ -93,23 +93,13 @@ impl CandidateHeap {
         }
         None
     }
-
-    /// Whether the heap is exhausted.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Number of entries (counting stale duplicates).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 type QKey = (u8, u8, u8, u32, u8);
 
 /// The global priority queue `Q`.
 #[derive(Debug)]
-pub struct GlobalQueue {
+pub(crate) struct GlobalQueue {
     heap: BinaryHeap<Reverse<(QKey, u64, u32)>>,
     /// Latest push sequence per vertex; `0` = not queued. Implements the
     /// "duplicate pushes keep the newest" rule.
@@ -127,7 +117,7 @@ const MEMO_SET: u64 = 1 << 32;
 
 impl GlobalQueue {
     /// Creates an empty queue over `n` vertices.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         GlobalQueue {
             heap: BinaryHeap::new(),
             token: vec![0; n],
@@ -140,7 +130,7 @@ impl GlobalQueue {
     /// Grows the queue to cover at least `n` vertices (dynamic graphs
     /// grow `|V|` between queries; fresh token slots start at `0` = not
     /// queued). Never shrinks.
-    pub fn ensure_len(&mut self, n: usize) {
+    pub(crate) fn ensure_len(&mut self, n: usize) {
         if n > self.token.len() {
             self.token.resize(n, 0);
         }
@@ -152,7 +142,7 @@ impl GlobalQueue {
     /// heap is empty (they are only consulted against live heap entries),
     /// and the monotone sequence preserves FIFO tie-breaking across
     /// queries.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.heap.clear();
         self.memo_target = None;
     }
@@ -203,7 +193,7 @@ impl GlobalQueue {
     }
 
     /// Pushes `v` (or re-prioritizes it if already queued).
-    pub fn push(&mut self, v: VertexId, ctx: &PriorityContext<'_>) {
+    pub(crate) fn push(&mut self, v: VertexId, ctx: &PriorityContext<'_>) {
         self.seq += 1;
         self.token[v.index()] = self.seq;
         let key = self.key(v, ctx);
@@ -217,7 +207,7 @@ impl GlobalQueue {
     /// a landmark being explored flips that bit for its whole partition at
     /// once, and re-keying every member would double heap traffic for a
     /// tie-break-level rule. Rules (i)-(iv) are always revalidated.
-    pub fn pop(&mut self, ctx: &PriorityContext<'_>) -> Option<VertexId> {
+    pub(crate) fn pop(&mut self, ctx: &PriorityContext<'_>) -> Option<VertexId> {
         while let Some(Reverse((stored, seq, raw))) = self.heap.pop() {
             let v = VertexId(raw);
             if self.token[v.index()] != seq {
@@ -234,12 +224,6 @@ impl GlobalQueue {
             self.heap.push(Reverse((fresh, self.seq, raw)));
         }
         None
-    }
-
-    /// Whether any live entry remains.
-    pub fn is_empty(&self) -> bool {
-        // token check keeps this exact despite superseded entries.
-        self.heap.iter().all(|Reverse((_, seq, raw))| self.token[VertexId(*raw).index()] != *seq)
     }
 }
 
@@ -268,6 +252,12 @@ mod tests {
         (g, idx)
     }
 
+    /// Whether any live entry remains in `q` (the token check keeps this
+    /// exact despite superseded entries).
+    fn queue_is_empty(q: &GlobalQueue) -> bool {
+        q.heap.iter().all(|Reverse((_, seq, raw))| q.token[VertexId(*raw).index()] != *seq)
+    }
+
     #[test]
     fn heap_orders_f_before_n() {
         let (g, idx) = setup();
@@ -277,11 +267,11 @@ mod tests {
         close.set(b, CloseState::F);
         let ctx = PriorityContext { close: &close, index: &idx, source: a, target: b };
         let mut h = CandidateHeap::new(&[a, b], &ctx);
-        assert_eq!(h.len(), 2);
+        assert_eq!(h.heap.len(), 2);
         assert_eq!(h.pop(&ctx), Some(b)); // F-explored first
         assert_eq!(h.pop(&ctx), Some(a));
         assert_eq!(h.pop(&ctx), None);
-        assert!(h.is_empty());
+        assert!(h.heap.is_empty());
     }
 
     #[test]
@@ -365,7 +355,7 @@ mod tests {
         q.push(a, &ctx); // duplicate
         assert_eq!(q.pop(&ctx), Some(a));
         assert_eq!(q.pop(&ctx), None); // stale entry dropped
-        assert!(q.is_empty());
+        assert!(queue_is_empty(&q));
     }
 
     #[test]
@@ -427,7 +417,7 @@ mod tests {
         q.push(a, &ctx);
         q.push(b, &ctx);
         q.reset();
-        assert!(q.is_empty());
+        assert!(queue_is_empty(&q));
         assert_eq!(q.pop(&ctx), None);
         // Pushes after a reset behave like a fresh queue.
         q.push(a, &ctx);

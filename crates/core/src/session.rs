@@ -97,7 +97,7 @@ impl SearchScratch {
     /// Grows the scratch to cover at least `n` vertices — dynamic graphs
     /// intern vertices between queries, and a reused scratch may predate
     /// them. Never shrinks.
-    pub fn ensure(&mut self, n: usize) {
+    pub(crate) fn ensure(&mut self, n: usize) {
         self.close.ensure_len(n);
         self.queue.ensure_len(n);
         self.back.ensure_len(n);

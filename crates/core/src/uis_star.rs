@@ -66,7 +66,7 @@ pub fn answer(g: &Graph, q: &CompiledLscrQuery) -> QueryOutcome {
 /// INS both pay the SPARQL engine, and comparing them against UIS is only
 /// fair if that cost is on the clock. The set is obtained through the
 /// compiled constraint's shared memo
-/// ([`CompiledConstraint::satisfying_vertices_cached`](crate::constraint::CompiledConstraint::satisfying_vertices_cached)),
+/// (`CompiledConstraint::satisfying_vertices_cached`),
 /// so repeated queries over one compiled plan materialize it once.
 pub fn answer_with(
     g: &Graph,

@@ -12,7 +12,7 @@
 //! the paper's ratios:
 //!
 //! * `|V(S1,D)| / |V| ≈ 1‰` — faculty are ~18% of vertices and research
-//!   interests are uniform over [`NUM_RESEARCH_INTERESTS`] topics;
+//!   interests are uniform over `NUM_RESEARCH_INTERESTS` topics;
 //! * `|V(S2,D)| / |V(S1,D)| ≈ 50%` — associate professors are half the
 //!   faculty;
 //! * `|V(S3,D)| / |V(S1,D)| ≈ 120` — 48 undergraduates per department all
@@ -30,9 +30,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Number of distinct research-interest topics (`Research0..59`).
-pub const NUM_RESEARCH_INTERESTS: usize = 60;
+pub(crate) const NUM_RESEARCH_INTERESTS: usize = 60;
 /// Graduate-student names cycle over this many values.
-pub const NUM_GRAD_NAMES: usize = 24;
+pub(crate) const NUM_GRAD_NAMES: usize = 24;
 
 /// Generator configuration.
 #[derive(Clone, Debug)]

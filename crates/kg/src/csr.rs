@@ -52,7 +52,7 @@ pub struct LabeledTarget {
 /// slice of `targets` holding vertex `v`'s incident edges. `masks[v]` is
 /// the union of the labels on that slice (see the module docs).
 #[derive(Clone, Debug, Default)]
-pub struct Csr {
+pub(crate) struct Csr {
     offsets: Vec<u32>,
     targets: Vec<LabeledTarget>,
     masks: Vec<LabelSet>,
@@ -169,7 +169,7 @@ impl Csr {
 
     /// The incident edges of `v` as a contiguous slice.
     #[inline(always)]
-    pub fn neighbors(&self, v: VertexId) -> &[LabeledTarget] {
+    pub(crate) fn neighbors(&self, v: VertexId) -> &[LabeledTarget] {
         let lo = self.offsets[v.index()] as usize;
         let hi = self.offsets[v.index() + 1] as usize;
         &self.targets[lo..hi]
@@ -177,7 +177,7 @@ impl Csr {
 
     /// The union of the labels on `v`'s incident edges, in one load.
     #[inline(always)]
-    pub fn label_mask(&self, v: VertexId) -> LabelSet {
+    pub(crate) fn label_mask(&self, v: VertexId) -> LabelSet {
         self.masks[v.index()]
     }
 
@@ -201,7 +201,12 @@ impl Csr {
     ///   for broad constraints to not even pay the mask load — see
     ///   `Graph::expansion_selective`).
     #[inline(always)]
-    pub fn expansion(&self, v: VertexId, constraint: LabelSet, selective: bool) -> Expansion<'_> {
+    pub(crate) fn expansion(
+        &self,
+        v: VertexId,
+        constraint: LabelSet,
+        selective: bool,
+    ) -> Expansion<'_> {
         let slice = self.neighbors(v);
         if selective && self.masks[v.index()].intersection(constraint).is_empty() {
             Expansion { edges: &[], degree: slice.len() }
@@ -214,14 +219,14 @@ impl Csr {
     /// constraint — a linear grouping pass used by index construction,
     /// which wants the label hoisted out of the per-edge loop.
     #[inline]
-    pub fn label_runs(&self, v: VertexId) -> PerLabelRuns<'_> {
+    pub(crate) fn label_runs(&self, v: VertexId) -> PerLabelRuns<'_> {
         PerLabelRuns { slice: self.neighbors(v) }
     }
 
     /// The incident edges of `v` with label `l` (binary search on the
     /// label-sorted slice). The incident-label mask short-circuits misses
     /// without touching the target array.
-    pub fn neighbors_with_label(&self, v: VertexId, l: LabelId) -> &[LabeledTarget] {
+    pub(crate) fn neighbors_with_label(&self, v: VertexId, l: LabelId) -> &[LabeledTarget] {
         if !self.masks[v.index()].contains(l) {
             return &[];
         }
@@ -230,22 +235,22 @@ impl Csr {
 
     /// Degree of `v` in this direction.
     #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
+    pub(crate) fn degree(&self, v: VertexId) -> usize {
         (self.offsets[v.index() + 1] - self.offsets[v.index()]) as usize
     }
 
     /// Total number of stored edges.
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.targets.len()
     }
 
     /// Number of vertices the CSR is indexed over.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.offsets.len().saturating_sub(1)
     }
 
     /// Approximate heap footprint in bytes.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.targets.capacity() * std::mem::size_of::<LabeledTarget>()
             + self.masks.capacity() * std::mem::size_of::<LabelSet>()
@@ -273,7 +278,7 @@ pub(crate) fn slice_has_edge(slice: &[LabeledTarget], l: LabelId, v: VertexId) -
 }
 
 /// One vertex's adjacency as the search hot loops consume it; created by
-/// [`Csr::expansion`]. `edges` is either the full adjacency slice (the
+/// `Csr::expansion`. `edges` is either the full adjacency slice (the
 /// caller's per-edge label test filters) or empty when the incident-label
 /// mask proved nothing can match; `degree` always reports the full
 /// adjacency size for skipped-edge accounting.
@@ -286,7 +291,7 @@ pub struct Expansion<'a> {
 }
 
 /// Iterator over all label runs of one vertex's adjacency (no
-/// constraint); created by [`Csr::label_runs`]. Yields `(label, run)`
+/// constraint); created by `Csr::label_runs`. Yields `(label, run)`
 /// pairs in ascending label order by linear grouping — no searches.
 #[derive(Debug)]
 pub struct PerLabelRuns<'a> {

@@ -1,4 +1,4 @@
-//! Dynamic updates: [`UpdateBatch`] edit scripts and the [`DeltaOverlay`]
+//! Dynamic updates: [`UpdateBatch`] edit scripts and the `DeltaOverlay`
 //! that layers them over the immutable CSR.
 //!
 //! Knowledge graphs describe the real world, and the real world moves:
@@ -212,7 +212,7 @@ pub(crate) struct MaskChange {
 /// adjacencies in both directions, plus the counters the compaction
 /// policy reads. See the [module docs](self).
 #[derive(Clone, Debug)]
-pub struct DeltaOverlay {
+pub(crate) struct DeltaOverlay {
     /// Patched out-adjacencies, keyed by raw vertex id.
     out: FxHashMap<u32, PatchedAdjacency>,
     /// Patched in-adjacencies, keyed by raw vertex id.

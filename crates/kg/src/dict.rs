@@ -24,16 +24,6 @@
 //! both dictionaries, merging the tail into a fresh shared base, so every
 //! compact graph starts with an empty tail. Ids never change across a
 //! freeze — the base keeps the prefix, the tail keeps the suffix.
-//!
-//! ```
-//! use kgreach_graph::dict::Dict;
-//!
-//! let mut d = Dict::new();
-//! let id = d.intern("http://example.org/alice");
-//! assert_eq!(d.intern("http://example.org/alice"), id); // idempotent
-//! assert_eq!(d.name(id), "http://example.org/alice");
-//! assert_eq!(d.get("missing"), None);
-//! ```
 
 use crate::fxhash::FxHasher;
 use std::hash::Hasher;
@@ -142,7 +132,7 @@ impl Names {
 /// Ids are assigned in first-seen order starting from 0, so they can be used
 /// directly as array indices.
 #[derive(Default, Clone, Debug)]
-pub struct Dict {
+pub(crate) struct Dict {
     /// Frozen shared prefix; never mutated once built.
     base: Arc<Names>,
     /// Names interned after the last freeze; `id = base len + tail id`.
@@ -150,13 +140,8 @@ pub struct Dict {
 }
 
 impl Dict {
-    /// Creates an empty dictionary.
-    pub fn new() -> Self {
-        Dict::default()
-    }
-
     /// Creates an empty dictionary with room for `cap` entries.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         Dict { base: Arc::default(), tail: Names::with_capacity(cap, 16 * cap) }
     }
 
@@ -203,7 +188,7 @@ impl Dict {
     }
 
     /// Interns `name`, returning its id (existing or freshly assigned).
-    pub fn intern(&mut self, name: &str) -> u32 {
+    pub(crate) fn intern(&mut self, name: &str) -> u32 {
         let h = hash(name);
         if let Some(id) = self.base.find(name, h) {
             return id;
@@ -213,7 +198,7 @@ impl Dict {
     }
 
     /// Looks up the id of `name`, if interned.
-    pub fn get(&self, name: &str) -> Option<u32> {
+    pub(crate) fn get(&self, name: &str) -> Option<u32> {
         let h = hash(name);
         self.base
             .find(name, h)
@@ -224,12 +209,12 @@ impl Dict {
     ///
     /// # Panics
     /// Panics if `id` was never assigned.
-    pub fn name(&self, id: u32) -> &str {
+    pub(crate) fn name(&self, id: u32) -> &str {
         self.try_name(id).unwrap_or_else(|| panic!("dictionary id {id} was never assigned"))
     }
 
     /// Returns the string for `id`, if assigned.
-    pub fn try_name(&self, id: u32) -> Option<&str> {
+    pub(crate) fn try_name(&self, id: u32) -> Option<&str> {
         let id = id as usize;
         match id.checked_sub(self.base.len()) {
             None => Some(self.base.name(id)),
@@ -239,24 +224,19 @@ impl Dict {
     }
 
     /// Number of interned strings.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.base.len() + self.tail.len()
     }
 
-    /// Whether the dictionary is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Iterates over `(id, name)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
         (0..self.len() as u32).map(|id| (id, self.name(id)))
     }
 
     /// Heap footprint in bytes (for index-size reporting). The frozen base
     /// is counted in full even though clones share it — the figure models
     /// a standalone graph, not marginal cost.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.base.heap_bytes() + self.tail.heap_bytes()
     }
 }
@@ -266,8 +246,17 @@ mod tests {
     use super::*;
 
     #[test]
+    fn interning_is_idempotent_and_reversible() {
+        let mut d = Dict::default();
+        let id = d.intern("http://example.org/alice");
+        assert_eq!(d.intern("http://example.org/alice"), id);
+        assert_eq!(d.name(id), "http://example.org/alice");
+        assert_eq!(d.get("missing"), None);
+    }
+
+    #[test]
     fn intern_assigns_dense_ids() {
-        let mut d = Dict::new();
+        let mut d = Dict::default();
         assert_eq!(d.intern("a"), 0);
         assert_eq!(d.intern("b"), 1);
         assert_eq!(d.intern("a"), 0); // idempotent
@@ -285,7 +274,7 @@ mod tests {
 
     #[test]
     fn get_without_interning() {
-        let mut d = Dict::new();
+        let mut d = Dict::default();
         assert_eq!(d.get("missing"), None);
         d.intern("present");
         assert_eq!(d.get("present"), Some(0));
@@ -293,7 +282,7 @@ mod tests {
 
     #[test]
     fn iteration_in_id_order() {
-        let mut d = Dict::new();
+        let mut d = Dict::default();
         d.intern("x");
         d.intern("y");
         d.intern("z");
@@ -312,7 +301,7 @@ mod tests {
 
     #[test]
     fn many_names_survive_every_table_growth() {
-        let mut d = Dict::new();
+        let mut d = Dict::default();
         let names: Vec<String> = (0..5_000).map(|i| format!("n{i}")).collect();
         for (i, n) in names.iter().enumerate() {
             assert_eq!(d.intern(n), i as u32);
@@ -334,17 +323,17 @@ mod tests {
 
     #[test]
     fn empty_and_bytes() {
-        let d = Dict::new();
-        assert!(d.is_empty());
+        let d = Dict::default();
+        assert_eq!(d.len(), 0);
         let mut d = d;
         d.intern("abc");
-        assert!(!d.is_empty());
+        assert_eq!(d.len(), 1);
         assert!(d.heap_bytes() >= 3); // the shared copy of "abc"
     }
 
     #[test]
     fn freeze_preserves_ids_and_lookups() {
-        let mut d = Dict::new();
+        let mut d = Dict::default();
         d.intern("a");
         d.intern("b");
         d.freeze();
@@ -361,7 +350,7 @@ mod tests {
 
     #[test]
     fn clones_share_the_frozen_base() {
-        let mut d = Dict::new();
+        let mut d = Dict::default();
         d.intern("shared");
         d.freeze();
         let c = d.clone();
@@ -378,7 +367,7 @@ mod tests {
 
     #[test]
     fn layered_lookups_cover_both_layers() {
-        let mut d = Dict::new();
+        let mut d = Dict::default();
         d.intern("base-0");
         d.freeze();
         d.intern("tail-1");

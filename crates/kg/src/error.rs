@@ -20,13 +20,6 @@ pub enum GraphError {
         /// Number of vertices in the graph.
         num_vertices: usize,
     },
-    /// A label id referenced by an edge or query is out of range.
-    LabelOutOfRange {
-        /// The offending id.
-        id: u16,
-        /// Number of labels in the graph.
-        num_labels: usize,
-    },
     /// A serialized graph file could not be parsed.
     Parse {
         /// 1-based line number of the offending line.
@@ -98,9 +91,6 @@ impl fmt::Display for GraphError {
             ),
             GraphError::VertexOutOfRange { id, num_vertices } => {
                 write!(f, "vertex id {id} out of range (graph has {num_vertices} vertices)")
-            }
-            GraphError::LabelOutOfRange { id, num_labels } => {
-                write!(f, "label id {id} out of range (graph has {num_labels} labels)")
             }
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")

@@ -87,21 +87,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
-/// Creates an empty [`FxHashMap`].
-pub fn fx_map<K, V>() -> FxHashMap<K, V> {
-    FxHashMap::default()
-}
-
-/// Creates an empty [`FxHashSet`].
-pub fn fx_set<T>() -> FxHashSet<T> {
-    FxHashSet::default()
-}
-
-/// Creates an [`FxHashMap`] with at least `cap` capacity.
-pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, BuildHasherDefault::default())
-}
-
 /// Creates an [`FxHashSet`] with at least `cap` capacity.
 pub fn fx_set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
     FxHashSet::with_capacity_and_hasher(cap, BuildHasherDefault::default())
@@ -135,17 +120,15 @@ mod tests {
 
     #[test]
     fn map_and_set_work() {
-        let mut m = fx_map_with_capacity::<&str, u32>(4);
+        let mut m = FxHashMap::<&str, u32>::default();
         m.insert("a", 1);
         m.insert("b", 2);
         assert_eq!(m.get("a"), Some(&1));
 
-        let mut s = fx_set::<u32>();
+        let mut s = fx_set_with_capacity::<u32>(2);
         s.insert(7);
         assert!(s.contains(&7));
         assert!(!s.contains(&8));
-        let _ = fx_map::<u8, u8>();
-        let _ = fx_set_with_capacity::<u8>(2);
     }
 
     #[test]

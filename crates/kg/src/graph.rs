@@ -9,7 +9,7 @@
 //! A frozen graph is not sealed forever:
 //! [`apply_update`](Graph::apply_update) layers an [`UpdateBatch`] of
 //! edge insertions/deletions (and freshly interned vertices and labels)
-//! over the base CSR as a [`DeltaOverlay`](crate::DeltaOverlay), every
+//! over the base CSR as a [`DeltaOverlay`], every
 //! accessor presents the merged view, and
 //! [`compact`](Graph::compact) re-freezes the overlay into a clean CSR
 //! once the delta grows. Each content-changing batch bumps the graph's
@@ -290,7 +290,7 @@ impl Graph {
     }
 
     /// The out-expansion of `v` under `constraint` — the flat-slice view
-    /// the search hot loops consume (see [`Csr::expansion`]). With
+    /// the search hot loops consume (see `Csr::expansion`). With
     /// `selective = true` the incident-label mask can skip the whole
     /// vertex; with `false` the mask is never even loaded, so broad-`L`
     /// searches pay nothing for the machinery. Search algorithms compute
@@ -345,7 +345,7 @@ impl Graph {
     /// [`label_vertex_counts`](Self::label_vertex_counts)`[l]`, capped at
     /// `|V|`. O(|L|), no per-vertex work — the estimate behind
     /// [`expansion_selective`](Self::expansion_selective).
-    pub fn expandable_region(&self, constraint: LabelSet) -> usize {
+    pub(crate) fn expandable_region(&self, constraint: LabelSet) -> usize {
         constraint
             .iter()
             .map(|l| self.label_vertex_counts.get(l.index()).copied().unwrap_or(0))
@@ -356,7 +356,7 @@ impl Graph {
     /// Whether `constraint` is selective enough that mask-guided
     /// expansion (whole-vertex skips) is expected to pay for its extra
     /// per-vertex mask load: either the
-    /// [`expandable_region`](Self::expandable_region) covers at most half
+    /// `expandable_region` covers at most half
     /// of the *non-sink* vertices — the only ones a search can expand —
     /// or `L` uses at most a quarter of the alphabet.
     pub fn expansion_selective(&self, constraint: LabelSet) -> bool {
@@ -534,15 +534,6 @@ impl Graph {
             Ok(())
         } else {
             Err(GraphError::VertexOutOfRange { id: v.0, num_vertices: self.num_vertices() })
-        }
-    }
-
-    /// Validates that `l` is a label of this graph.
-    pub fn check_label(&self, l: LabelId) -> Result<()> {
-        if l.index() < self.num_labels() {
-            Ok(())
-        } else {
-            Err(GraphError::LabelOutOfRange { id: l.0, num_labels: self.num_labels() })
         }
     }
 
@@ -1201,10 +1192,8 @@ mod tests {
         assert!(schema.subclass_label.is_some());
         let researcher = g.vertex_id("eg:Researcher").unwrap();
         let person = g.vertex_id("eg:Person").unwrap();
-        assert!(schema.is_class(researcher));
-        assert!(schema.is_class(person));
+        assert_eq!(schema.classes(), [researcher, person]);
         assert_eq!(schema.instances_of(researcher).len(), 2);
-        assert!(schema.vocabulary_labels().len() >= 2);
     }
 
     #[test]
@@ -1232,7 +1221,9 @@ mod tests {
             let type_label = schema.type_label.expect("a type label");
             assert_eq!(g.label_name(type_label), "rdf:type");
             assert_eq!(schema.instances_of(class), [a]);
-            assert_eq!(schema.vocabulary_labels(), at_once.schema().vocabulary_labels());
+            let vocabulary =
+                |s: &Schema| [s.type_label, s.subclass_label, s.domain_label, s.range_label];
+            assert_eq!(vocabulary(schema), vocabulary(at_once.schema()));
         }
     }
 
@@ -1241,8 +1232,6 @@ mod tests {
         let g = figure3_graph();
         assert!(g.check_vertex(VertexId(0)).is_ok());
         assert!(g.check_vertex(VertexId(99)).is_err());
-        assert!(g.check_label(LabelId(0)).is_ok());
-        assert!(g.check_label(LabelId(99)).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::error::Result;
 use crate::graph::{Graph, GraphBuilder};
-use crate::triples::{parse_line, Triple};
+use crate::triples::parse_line;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -56,19 +56,6 @@ pub fn write_graph<W: Write>(g: &Graph, writer: W) -> Result<()> {
 /// Saves a graph to a file path.
 pub fn save_graph(g: &Graph, path: impl AsRef<Path>) -> Result<()> {
     write_graph(g, File::create(path)?)
-}
-
-/// Writes raw triples (e.g. straight out of a generator) to a writer.
-pub fn write_triples<'a, W: Write>(
-    triples: impl Iterator<Item = &'a Triple>,
-    writer: W,
-) -> Result<()> {
-    let mut out = BufWriter::new(writer);
-    for t in triples {
-        writeln!(out, "{t}")?;
-    }
-    out.flush()?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -160,9 +147,11 @@ mod tests {
 
     #[test]
     fn write_triples_direct() {
-        let triples = [Triple::new("x", "p", "y"), Triple::new("y", "p", "literal with space")];
+        let mut b = GraphBuilder::new();
+        b.add_triple("x", "p", "y");
+        b.add_triple("y", "p", "literal with space");
         let mut bytes = Vec::new();
-        write_triples(triples.iter(), &mut bytes).unwrap();
+        write_graph(&b.build().unwrap(), &mut bytes).unwrap();
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.contains("\"literal with space\""));
         assert_eq!(text.lines().count(), 2);

@@ -122,7 +122,7 @@ impl LabelSet {
     /// Returns `self \ other`.
     #[inline(always)]
     #[must_use]
-    pub fn difference(self, other: LabelSet) -> Self {
+    pub(crate) fn difference(self, other: LabelSet) -> Self {
         LabelSet(self.0 & !other.0)
     }
 
@@ -135,7 +135,7 @@ impl LabelSet {
 
     /// Whether `self ⊂ other` (proper subset).
     #[inline(always)]
-    pub fn is_proper_subset_of(self, other: LabelSet) -> bool {
+    pub(crate) fn is_proper_subset_of(self, other: LabelSet) -> bool {
         self.0 != other.0 && self.is_subset_of(other)
     }
 

@@ -6,7 +6,7 @@
 //!   `G = (V, E, 𝓛, LS)` with interned dictionaries, CSR adjacency in
 //!   both directions, and an RDFS [`Schema`] layer;
 //! * [`delta`] — dynamic updates: [`UpdateBatch`] edit scripts applied as
-//!   a [`DeltaOverlay`] over the frozen CSR, with epoch-based cache
+//!   a delta overlay over the frozen CSR, with epoch-based cache
 //!   invalidation and [`Graph::compact`] re-freezing;
 //! * [`LabelSet`] / [`Cms`] — label-constraint bitsets and collections of
 //!   minimal sufficient label sets (the paper's CMS, Definition 2.3) with
@@ -19,7 +19,7 @@
 //! * [`wal`] — a write-ahead update log: sequence-numbered, checksum-chained
 //!   [`UpdateBatch`] records with configurable fsync policy, replayed over
 //!   the last snapshot on crash recovery;
-//! * [`stats`] — dataset summary statistics;
+//! * [`GraphStats`] — dataset summary statistics;
 //! * [`fxhash`] — a vendored fast hasher (dependency policy: no external
 //!   hashing crates).
 //!
@@ -44,17 +44,17 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod csr;
+mod csr;
 pub mod delta;
-pub mod dict;
-pub mod error;
+mod dict;
+mod error;
 pub mod fxhash;
-pub mod ids;
+mod ids;
 pub mod io;
-pub mod labelset;
-pub mod schema;
+mod labelset;
+mod schema;
 pub mod snapshot;
-pub mod stats;
+mod stats;
 pub mod traverse;
 pub mod triples;
 pub mod wal;
@@ -62,7 +62,7 @@ pub mod wal;
 mod graph;
 
 pub use csr::{Expansion, LabeledTarget, PerLabelRuns};
-pub use delta::{DeltaOverlay, DeltaStats, UpdateBatch, UpdateOp, UpdateSummary};
+pub use delta::{DeltaStats, UpdateBatch, UpdateOp, UpdateSummary};
 pub use error::{GraphError, Result};
 pub use graph::{Graph, GraphBuilder, GraphFingerprint, Lineage};
 pub use ids::{Edge, LabelId, VertexId};

@@ -21,13 +21,12 @@
 //! b.add_triple("alice", "rdf:type", "Person");
 //! let g = b.build().unwrap();
 //! let person = g.vertex_id("Person").unwrap();
-//! assert!(g.schema().is_class(person));
+//! assert_eq!(g.schema().classes(), [person]);
 //! assert_eq!(g.schema().instances_of(person).len(), 1);
 //! ```
 
 use crate::fxhash::FxHashMap;
 use crate::ids::{LabelId, VertexId};
-use crate::labelset::LabelSet;
 use crate::triples::vocab;
 use std::sync::Arc;
 
@@ -54,15 +53,6 @@ pub struct Schema {
 }
 
 impl Schema {
-    /// The set of RDFS vocabulary labels present in the graph, as a
-    /// [`LabelSet`]. Landmark selection avoids relying on these labels.
-    pub fn vocabulary_labels(&self) -> LabelSet {
-        [self.type_label, self.subclass_label, self.domain_label, self.range_label]
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
     /// Wires `label`, interned as `name`, into the RDFS vocabulary slot
     /// `name` spells (either form, see [`vocab`]), unless an
     /// earlier-interned spelling holds it: the first spelling wins, in a
@@ -119,11 +109,6 @@ impl Schema {
         self.classes.len()
     }
 
-    /// Whether `v` is a class vertex.
-    pub fn is_class(&self, v: VertexId) -> bool {
-        self.class_pos.contains_key(&v)
-    }
-
     /// The instances of `class` (empty if `class` is unknown).
     pub fn instances_of(&self, class: VertexId) -> &[VertexId] {
         match self.class_pos.get(&class) {
@@ -165,11 +150,23 @@ mod tests {
         s.add_instance(VertexId(10), VertexId(2));
         s.add_instance(VertexId(20), VertexId(3));
         assert_eq!(s.num_classes(), 2);
-        assert!(s.is_class(VertexId(10)));
-        assert!(!s.is_class(VertexId(1)));
+        assert!(s.classes().contains(&VertexId(10)));
+        assert!(!s.classes().contains(&VertexId(1)));
         assert_eq!(s.instances_of(VertexId(10)), &[VertexId(1), VertexId(2)]);
         assert_eq!(s.instances_of(VertexId(99)), &[] as &[VertexId]);
         assert_eq!(s.num_instance_assertions(), 3);
+    }
+
+    #[test]
+    fn vocabulary_labels_collects_present_ids() {
+        let mut s = Schema::default();
+        s.note_label(LabelId(0), "rdf:type");
+        s.note_label(LabelId(3), "http://www.w3.org/2000/01/rdf-schema#subClassOf");
+        s.note_label(LabelId(4), "http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
+        s.note_label(LabelId(5), "likes");
+        // The first spelling of a term holds its slot; other labels fill none.
+        let slots = [s.type_label, s.subclass_label, s.domain_label, s.range_label];
+        assert_eq!(slots, [Some(LabelId(0)), Some(LabelId(3)), None, None]);
     }
 
     #[test]
@@ -178,18 +175,6 @@ mod tests {
         s.add_class(VertexId(5));
         s.add_class(VertexId(5));
         assert_eq!(s.num_classes(), 1);
-    }
-
-    #[test]
-    fn vocabulary_labels_collects_present_ids() {
-        let mut s = Schema::default();
-        assert!(s.vocabulary_labels().is_empty());
-        s.type_label = Some(LabelId(0));
-        s.subclass_label = Some(LabelId(3));
-        let v = s.vocabulary_labels();
-        assert!(v.contains(LabelId(0)));
-        assert!(v.contains(LabelId(3)));
-        assert_eq!(v.len(), 2);
     }
 
     #[test]

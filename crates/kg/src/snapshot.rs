@@ -424,7 +424,7 @@ impl PayloadBuf {
     }
 
     /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
+    pub(crate) fn put_str(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
@@ -491,7 +491,7 @@ impl<'a> PayloadCursor<'a> {
 
     /// Reads `n` raw bytes — the bulk path for fixed-stride arrays,
     /// where per-field accessor calls would dominate decode time.
-    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
+    pub(crate) fn get_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
         self.take(n)
     }
 
@@ -700,7 +700,7 @@ fn decode_schema(payload: &[u8], num_vertices: usize, num_labels: usize) -> Resu
 /// callers want [`write_graph_snapshot`]; this entry point exists so
 /// composite artifacts (engine snapshots) can embed a graph.
 ///
-/// A live graph (one with a [`DeltaOverlay`](crate::DeltaOverlay) of
+/// A live graph (one with a delta overlay of
 /// applied updates) is **compacted on the fly**: the snapshot format
 /// stores only clean CSR arrays, so the merged view is re-frozen into a
 /// temporary and encoded — ids, schema, statistics and the fingerprint

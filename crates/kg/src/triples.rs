@@ -6,12 +6,10 @@
 //! used by [`crate::io`] to persist generated datasets.
 //!
 //! ```
-//! use kgreach_graph::triples::{parse_line, vocab};
+//! use kgreach_graph::triples::parse_line;
 //!
 //! let t = parse_line("<a> <p> <b> .", 1).unwrap().unwrap();
 //! assert_eq!((t.subject.as_str(), t.predicate.as_str(), t.object.as_str()), ("a", "p", "b"));
-//! assert!(vocab::is_type("rdf:type"));
-//! assert!(!vocab::is_type("likes"));
 //! ```
 
 use crate::error::{GraphError, Result};
@@ -19,48 +17,43 @@ use std::fmt;
 
 /// Well-known RDF/RDFS vocabulary IRIs, in the short prefixed form used
 /// throughout the paper's figures.
-pub mod vocab {
+pub(crate) mod vocab {
     /// `rdf:type` — instance-of edges.
-    pub const RDF_TYPE: &str = "rdf:type";
+    pub(crate) const RDF_TYPE: &str = "rdf:type";
     /// `rdfs:subClassOf` — class hierarchy edges.
-    pub const RDFS_SUBCLASS_OF: &str = "rdfs:subClassOf";
+    pub(crate) const RDFS_SUBCLASS_OF: &str = "rdfs:subClassOf";
     /// `rdfs:domain` — predicate domain declarations.
-    pub const RDFS_DOMAIN: &str = "rdfs:domain";
+    pub(crate) const RDFS_DOMAIN: &str = "rdfs:domain";
     /// `rdfs:range` — predicate range declarations.
-    pub const RDFS_RANGE: &str = "rdfs:range";
+    pub(crate) const RDFS_RANGE: &str = "rdfs:range";
 
     /// Full-IRI spellings accepted as aliases of the prefixed forms.
-    pub const RDF_TYPE_IRI: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
+    pub(crate) const RDF_TYPE_IRI: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
     /// Full IRI for `rdfs:subClassOf`.
-    pub const RDFS_SUBCLASS_OF_IRI: &str = "http://www.w3.org/2000/01/rdf-schema#subClassOf";
+    pub(crate) const RDFS_SUBCLASS_OF_IRI: &str = "http://www.w3.org/2000/01/rdf-schema#subClassOf";
     /// Full IRI for `rdfs:domain`.
-    pub const RDFS_DOMAIN_IRI: &str = "http://www.w3.org/2000/01/rdf-schema#domain";
+    pub(crate) const RDFS_DOMAIN_IRI: &str = "http://www.w3.org/2000/01/rdf-schema#domain";
     /// Full IRI for `rdfs:range`.
-    pub const RDFS_RANGE_IRI: &str = "http://www.w3.org/2000/01/rdf-schema#range";
+    pub(crate) const RDFS_RANGE_IRI: &str = "http://www.w3.org/2000/01/rdf-schema#range";
 
     /// Whether `p` spells `rdf:type` (either form).
-    pub fn is_type(p: &str) -> bool {
+    pub(crate) fn is_type(p: &str) -> bool {
         p == RDF_TYPE || p == RDF_TYPE_IRI
     }
 
     /// Whether `p` spells `rdfs:subClassOf` (either form).
-    pub fn is_subclass_of(p: &str) -> bool {
+    pub(crate) fn is_subclass_of(p: &str) -> bool {
         p == RDFS_SUBCLASS_OF || p == RDFS_SUBCLASS_OF_IRI
     }
 
     /// Whether `p` spells `rdfs:domain` (either form).
-    pub fn is_domain(p: &str) -> bool {
+    pub(crate) fn is_domain(p: &str) -> bool {
         p == RDFS_DOMAIN || p == RDFS_DOMAIN_IRI
     }
 
     /// Whether `p` spells `rdfs:range` (either form).
-    pub fn is_range(p: &str) -> bool {
+    pub(crate) fn is_range(p: &str) -> bool {
         p == RDFS_RANGE || p == RDFS_RANGE_IRI
-    }
-
-    /// Whether `p` is any RDFS vocabulary predicate.
-    pub fn is_schema_predicate(p: &str) -> bool {
-        is_type(p) || is_subclass_of(p) || is_domain(p) || is_range(p)
     }
 }
 
@@ -273,7 +266,6 @@ mod tests {
         assert!(vocab::is_subclass_of("rdfs:subClassOf"));
         assert!(vocab::is_domain(vocab::RDFS_DOMAIN_IRI));
         assert!(vocab::is_range("rdfs:range"));
-        assert!(vocab::is_schema_predicate("rdf:type"));
-        assert!(!vocab::is_schema_predicate("ub:advisor"));
+        assert!(!vocab::is_type("ub:advisor"));
     }
 }

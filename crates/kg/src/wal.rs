@@ -43,7 +43,7 @@
 //!
 //! [`FsyncPolicy`] trades durability for append latency: `Always` fsyncs
 //! every append (an acknowledged update survives power loss), `Batch`
-//! fsyncs every [`BATCH_SYNC_EVERY`] appends and on [`Wal::flush`]
+//! fsyncs every `BATCH_SYNC_EVERY` appends and on [`Wal::flush`]
 //! (bounded loss on power failure, none on process crash), `Off` never
 //! fsyncs (no loss on process crash, page-cache loss on power failure).
 //! [`WalAppend::synced`] reports per append whether the record was durable
@@ -58,10 +58,10 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Magic bytes opening every WAL file.
-pub const WAL_MAGIC: [u8; 8] = *b"KGWAL\r\n\0";
+pub(crate) const WAL_MAGIC: [u8; 8] = *b"KGWAL\r\n\0";
 
 /// Current (and only) WAL format version.
-pub const WAL_FORMAT_VERSION: u16 = 1;
+pub(crate) const WAL_FORMAT_VERSION: u16 = 1;
 
 /// Size of the fixed file header in bytes.
 pub const WAL_HEADER_BYTES: u64 = 24;
@@ -71,7 +71,7 @@ const FRAME_HEAD_BYTES: usize = 16;
 
 /// Under [`FsyncPolicy::Batch`], fsync once per this many appends (and on
 /// explicit [`Wal::flush`]).
-pub const BATCH_SYNC_EVERY: usize = 8;
+pub(crate) const BATCH_SYNC_EVERY: usize = 8;
 
 /// Chain seed for the first record; mixed with `base_seq` so logs rooted
 /// at different checkpoints chain differently from byte one.
@@ -87,7 +87,7 @@ pub enum FsyncPolicy {
     /// `fsync` after every append: an acknowledged update survives power
     /// loss. The slowest option — each ack pays a device flush.
     Always,
-    /// `fsync` every [`BATCH_SYNC_EVERY`] appends and on [`Wal::flush`]:
+    /// `fsync` every `BATCH_SYNC_EVERY` appends and on [`Wal::flush`]:
     /// bounded loss on power failure, none on process crash.
     Batch,
     /// Never `fsync` (the OS flushes the page cache on its own schedule):
@@ -144,7 +144,6 @@ pub struct WalReplay {
 pub struct Wal {
     file: File,
     policy: FsyncPolicy,
-    base_seq: u64,
     next_seq: u64,
     chain: u64,
     len_bytes: u64,
@@ -177,7 +176,6 @@ impl Wal {
         Ok(Wal {
             file,
             policy,
-            base_seq,
             next_seq: base_seq + 1,
             chain: CHAIN_INIT ^ base_seq,
             len_bytes: WAL_HEADER_BYTES,
@@ -297,7 +295,6 @@ impl Wal {
         let wal = Wal {
             file,
             policy,
-            base_seq,
             next_seq,
             chain,
             len_bytes: off as u64,
@@ -407,11 +404,6 @@ impl Wal {
         self.syncs += 1;
         self.unsynced = 0;
         Ok(true)
-    }
-
-    /// Sequence number covered by the checkpoint this log starts after.
-    pub fn base_seq(&self) -> u64 {
-        self.base_seq
     }
 
     /// Sequence number of the *last* record in the log (`base_seq` when

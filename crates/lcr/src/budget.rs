@@ -50,7 +50,7 @@ impl Budget {
     /// Cheap periodic check; call from inner loops. Returns an error once
     /// the deadline has passed (checked every 1024 calls).
     #[inline]
-    pub fn tick(&mut self, progress: impl Fn() -> String) -> Result<(), BudgetExceeded> {
+    pub(crate) fn tick(&mut self, progress: impl Fn() -> String) -> Result<(), BudgetExceeded> {
         self.ticks = self.ticks.wrapping_add(1);
         if self.ticks & 0x3FF != 0 {
             return Ok(());

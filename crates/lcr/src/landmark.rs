@@ -33,7 +33,7 @@ pub fn default_num_landmarks(num_vertices: usize) -> usize {
 }
 
 /// Default `b` from \[19\]: 20 shortcut entries per non-landmark vertex.
-pub const DEFAULT_B: usize = 20;
+pub(crate) const DEFAULT_B: usize = 20;
 
 /// Configuration for [`LandmarkIndex::build`].
 #[derive(Clone, Debug)]

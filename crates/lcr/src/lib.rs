@@ -26,6 +26,6 @@ pub mod sampling_tree;
 pub mod tc;
 
 pub use budget::{Budget, BudgetExceeded};
-pub use landmark::{LandmarkConfig, LandmarkIndex, DEFAULT_B};
-pub use sampling_tree::{SamplingTreeIndex, SpanningForest};
+pub use landmark::{LandmarkConfig, LandmarkIndex};
+pub use sampling_tree::SamplingTreeIndex;
 pub use tc::FullTransitiveClosure;

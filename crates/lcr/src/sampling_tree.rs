@@ -23,19 +23,17 @@ use std::time::Duration;
 
 /// The spanning forest: per-vertex parent edge (root = self).
 #[derive(Clone, Debug)]
-pub struct SpanningForest {
+pub(crate) struct SpanningForest {
     parent: Vec<VertexId>,
     parent_label: Vec<LabelSet>, // singleton set of the tree edge's label
-    depth: Vec<u32>,
 }
 
 impl SpanningForest {
     /// Builds a BFS spanning forest (roots in vertex-id order).
-    pub fn build(g: &Graph) -> Self {
+    pub(crate) fn build(g: &Graph) -> Self {
         let n = g.num_vertices();
         let mut parent: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
         let mut parent_label = vec![LabelSet::EMPTY; n];
-        let mut depth = vec![0u32; n];
         let mut visited = vec![false; n];
         for root in g.vertices() {
             if visited[root.index()] {
@@ -50,19 +48,18 @@ impl SpanningForest {
                         visited[w.index()] = true;
                         parent[w.index()] = u;
                         parent_label[w.index()] = LabelSet::singleton(e.label);
-                        depth[w.index()] = depth[u.index()] + 1;
                         queue.push_back(w);
                     }
                 }
             }
         }
-        SpanningForest { parent, parent_label, depth }
+        SpanningForest { parent, parent_label }
     }
 
     /// The label set of the unique tree path `s → t`, if `t` is a tree
     /// descendant-by-parent-chain target of `s` (i.e. `s` is an ancestor
     /// of `t`).
-    pub fn tree_path_labels(&self, s: VertexId, t: VertexId) -> Option<LabelSet> {
+    pub(crate) fn tree_path_labels(&self, s: VertexId, t: VertexId) -> Option<LabelSet> {
         let mut cur = t;
         let mut labels = LabelSet::EMPTY;
         while cur != s {
@@ -74,11 +71,6 @@ impl SpanningForest {
             cur = p;
         }
         Some(labels)
-    }
-
-    /// Tree depth of `v`.
-    pub fn depth(&self, v: VertexId) -> u32 {
-        self.depth[v.index()]
     }
 }
 
@@ -201,8 +193,6 @@ mod tests {
         assert_eq!(f.tree_path_labels(r, y), Some(g.label_set(&["a", "b"])));
         assert_eq!(f.tree_path_labels(r, z), Some(g.label_set(&["c"])));
         assert_eq!(f.tree_path_labels(y, z), None);
-        assert_eq!(f.depth(r), 0);
-        assert_eq!(f.depth(y), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! slot.
 //!
 //! The members of a `/query_batch` are answered in input order on the
-//! request's thread ([`Batcher::answer_many`]); each takes a slot the same
+//! request's thread (`Batcher::answer_many`); each takes a slot the same
 //! way and gives it back before the next, so a batch holds at most one
 //! slot at a time.
 //!
@@ -192,7 +192,7 @@ impl Batcher {
     /// Answers one query on the calling thread, as its response text: at
     /// once if a search slot is free and no thread waits for one,
     /// otherwise after waiting for a slot. Refusals are
-    /// [`answer_many`](Self::answer_many)'s.
+    /// `answer_many`'s.
     pub fn answer(&self, req: QueryRequest) -> Result<String, ApiError> {
         let arrived = Instant::now();
         let mut slot = self.slot(self.admit(1)?)?;
@@ -210,7 +210,7 @@ impl Batcher {
     /// and the high water's worth of threads already do. An admitted
     /// member fails on its own only with its answer's error, or with `503`
     /// when the server drains with zero `workers`.
-    pub fn answer_many(
+    pub(crate) fn answer_many(
         &self,
         reqs: &[QueryRequest],
     ) -> Result<Vec<Result<String, ApiError>>, ApiError> {
@@ -225,7 +225,7 @@ impl Batcher {
             .collect())
     }
 
-    /// [`answer_many`](Self::answer_many) for one query, with its answer
+    /// `answer_many` for one query, with its answer
     /// handed back through a channel that already holds it: the query is
     /// answered on the calling thread before this returns, and its
     /// response text parsed into a tree. Nothing in this crate calls it.

@@ -199,7 +199,9 @@ pub fn read_request(
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::BadRequest(format!("malformed header '{line}'")));
         };
-        let value = value.trim();
+        // Optional whitespace is space and tab only (RFC 9110 §5.6.3);
+        // `str::trim` would also strip VT, FF and Unicode spaces.
+        let value = value.trim_matches([' ', '\t']);
         if name.ends_with(' ') || name.ends_with('\t') {
             return Err(HttpError::BadRequest("whitespace before header colon".into()));
         }

@@ -128,7 +128,8 @@ impl Json {
     /// non-numbers, negatives and non-integral values.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, itself out of range.
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -314,8 +315,10 @@ impl Parser<'_> {
         JsonError { at: self.pos, message: message.into() }
     }
 
+    /// Skips RFC 8259's four whitespace bytes (not form feed, which
+    /// `u8::is_ascii_whitespace` would also take).
     fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
@@ -473,8 +476,9 @@ impl Parser<'_> {
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let hex = std::str::from_utf8(hex).map_err(|_| self.err("non-ASCII \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+        // Four hex digits and nothing else (`u32::from_str_radix` takes a sign).
+        let code = hex.iter().try_fold(0, |code, &b| Some(code << 4 | char::from(b).to_digit(16)?));
+        let code = code.ok_or_else(|| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(code)
     }
@@ -594,6 +598,12 @@ mod tests {
         assert!(v.get("missing").is_none());
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
+        // 2^64 is one past `u64::MAX`; the largest double below it fits.
+        assert_eq!(Json::parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(
+            Json::parse("18446744073709549568").unwrap().as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
     }
 
     #[test]
@@ -617,6 +627,11 @@ mod tests {
             "\u{1}",
             "{\"a\":1,}",
             "{1:2}",
+            // A sign is not a hex digit; form feed is not JSON whitespace.
+            "\"\\u+041\"",
+            "\x0c1",
+            "1\x0c",
+            "[1,\x0c2]",
         ];
         for case in bad {
             assert!(Json::parse(case).is_err(), "{case:?} must be rejected");

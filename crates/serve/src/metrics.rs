@@ -288,7 +288,7 @@ impl ServerMetrics {
     }
 
     /// Records the status class of one response.
-    pub fn record_status(&self, status: u16) {
+    pub(crate) fn record_status(&self, status: u16) {
         let idx = match status {
             200..=299 => 0,
             400..=499 => 1,

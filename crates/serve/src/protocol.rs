@@ -36,17 +36,17 @@ impl ApiError {
     }
 
     /// `400 bad_json`: the body is not valid JSON.
-    pub fn bad_json(message: impl Into<String>) -> ApiError {
+    pub(crate) fn bad_json(message: impl Into<String>) -> ApiError {
         ApiError::new(400, "bad_json", message)
     }
 
     /// `400 invalid_request`: valid JSON, wrong shape.
-    pub fn invalid(message: impl Into<String>) -> ApiError {
+    pub(crate) fn invalid(message: impl Into<String>) -> ApiError {
         ApiError::new(400, "invalid_request", message)
     }
 
     /// The JSON error envelope, as response text.
-    pub fn envelope(&self) -> String {
+    pub(crate) fn envelope(&self) -> String {
         let mut out = String::with_capacity(48 + self.code.len() + self.message.len());
         out.push_str("{\"error\":{\"code\":");
         write_escaped(self.code, &mut out);
@@ -399,12 +399,12 @@ pub fn render_update(out: &UpdateOutcome, seq: Option<u64>, durable: bool) -> Js
 
 /// Renders the `/healthz` body while the server is still replaying its
 /// write-ahead log (served with `503` so load balancers hold traffic).
-pub fn render_health_recovering() -> Json {
+pub(crate) fn render_health_recovering() -> Json {
     Json::Obj(vec![("status".into(), Json::str("recovering"))])
 }
 
 /// Renders the `/healthz` body from the engine's state summary.
-pub fn render_health(info: &EngineInfo) -> Json {
+pub(crate) fn render_health(info: &EngineInfo) -> Json {
     Json::Obj(vec![
         ("status".into(), Json::str("ok")),
         ("vertices".into(), Json::usize(info.num_vertices)),

@@ -27,13 +27,8 @@ impl Term {
         Term::Variable(s.into())
     }
 
-    /// Whether the term is a variable.
-    pub fn is_variable(&self) -> bool {
-        matches!(self, Term::Variable(_))
-    }
-
     /// The variable name, if this is a variable.
-    pub fn as_variable(&self) -> Option<&str> {
+    pub(crate) fn as_variable(&self) -> Option<&str> {
         match self {
             Term::Variable(v) => Some(v),
             Term::Constant(_) => None,
@@ -234,8 +229,6 @@ mod tests {
 
     #[test]
     fn term_predicates() {
-        assert!(Term::var("x").is_variable());
-        assert!(!Term::constant("a").is_variable());
         assert_eq!(Term::var("x").as_variable(), Some("x"));
         assert_eq!(Term::constant("a").as_variable(), None);
     }

@@ -4,12 +4,12 @@
 //! graph by depth-first join: each pattern of the walked order extends the
 //! current partial binding with every compatible edge. Three entry points
 //! cover everything the LSCR algorithms need, and each walks the order the
-//! planner computed for its binding state (see [`crate::plan`]):
+//! planner computed for its binding state (see [`Plan`]):
 //!
 //! * [`satisfies`] — the paper's `SCck(v, S)`: does binding the projection
 //!   variable `?x := v` extend to a full embedding? Walks
 //!   [`Plan::scck_order`]. Allocation-free for plans within the inline
-//!   [`Bindings`] capacity.
+//!   `Bindings` capacity.
 //! * [`select_distinct`] — the paper's `V(S,G)`: all distinct values of
 //!   `?x`. Walks [`Plan::vsg_order`] and prunes any branch whose `?x` is
 //!   already in the result set, so the cost is bounded by embeddings *per
@@ -40,7 +40,7 @@ const INLINE_PRED_VARS: usize = 2;
 /// arrays, with a heap fallback only for plans with more variables than
 /// those hold.
 #[derive(Clone, Debug)]
-pub struct Bindings {
+pub(crate) struct Bindings {
     nodes: Slots<VertexId, INLINE_NODE_VARS>,
     preds: Slots<LabelId, INLINE_PRED_VARS>,
 }
@@ -59,14 +59,6 @@ impl<T: Copy, const N: usize> Slots<T, N> {
         Slots { inline: [None; N], spill, len }
     }
 
-    fn as_slice(&self) -> &[Option<T>] {
-        if self.len > N {
-            &self.spill
-        } else {
-            &self.inline[..self.len]
-        }
-    }
-
     fn as_mut_slice(&mut self) -> &mut [Option<T>] {
         if self.len > N {
             &mut self.spill
@@ -78,20 +70,8 @@ impl<T: Copy, const N: usize> Slots<T, N> {
 
 impl Bindings {
     /// Fresh all-unbound bindings sized for `plan`.
-    pub fn for_plan(plan: &Plan) -> Self {
+    pub(crate) fn for_plan(plan: &Plan) -> Self {
         Bindings { nodes: Slots::new(plan.num_node_vars), preds: Slots::new(plan.num_pred_vars) }
-    }
-
-    /// Value of node variable `v`, if bound.
-    #[inline]
-    pub fn node(&self, v: u16) -> Option<VertexId> {
-        self.nodes.as_slice()[v as usize]
-    }
-
-    /// Value of predicate variable `v`, if bound.
-    #[inline]
-    pub fn pred(&self, v: u16) -> Option<LabelId> {
-        self.preds.as_slice()[v as usize]
     }
 }
 
@@ -519,9 +499,9 @@ mod tests {
     fn bindings_accessors() {
         let g = figure3();
         let plan = plan_of(&g, "SELECT ?x WHERE { ?x ?p <v3> . }");
-        let b = Bindings::for_plan(&plan);
-        assert_eq!(b.node(0), None);
-        assert_eq!(b.pred(0), None);
+        let mut b = Bindings::for_plan(&plan);
+        assert_eq!(b.nodes.as_mut_slice(), [None]);
+        assert_eq!(b.preds.as_mut_slice(), [None]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::borrow::Cow;
 
 /// A lexical token, borrowing from the text it was read from.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Token<'a> {
+pub(crate) enum Token<'a> {
     /// `SELECT` (case-insensitive).
     Select,
     /// `WHERE` (case-insensitive).
@@ -34,29 +34,24 @@ pub enum Token<'a> {
     Dot,
 }
 
-/// Tokenizes all of `input` (see [`Lexer`] for the one-at-a-time form).
-pub fn tokenize(input: &str) -> Result<Vec<Token<'_>>> {
-    Lexer::new(input).collect()
-}
-
 /// Reads tokens off a query text one at a time. Positions are byte
 /// offsets on `char` boundaries: an ASCII byte is its own `char`, anything
 /// else is decoded, so text outside ASCII lexes like any other. After an
 /// error the lexer yields nothing more.
 #[derive(Clone, Debug)]
-pub struct Lexer<'a> {
+pub(crate) struct Lexer<'a> {
     input: &'a str,
     pos: usize,
 }
 
 impl<'a> Lexer<'a> {
     /// A lexer at the start of `input`.
-    pub fn new(input: &'a str) -> Self {
+    pub(crate) fn new(input: &'a str) -> Self {
         Lexer { input, pos: 0 }
     }
 
     /// The next token, `Ok(None)` at the end of the input.
-    pub fn next_token(&mut self) -> Result<Option<Token<'a>>> {
+    pub(crate) fn next_token(&mut self) -> Result<Option<Token<'a>>> {
         let token = self.lex();
         if token.is_err() {
             self.pos = self.input.len();
@@ -199,6 +194,11 @@ fn is_name_char(c: char) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Tokenizes all of `input`.
+    fn tokenize(input: &str) -> Result<Vec<Token<'_>>> {
+        Lexer::new(input).collect()
+    }
 
     fn constant(s: &str) -> Token<'_> {
         Token::Constant(Cow::Borrowed(s))

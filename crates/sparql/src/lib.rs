@@ -32,12 +32,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod ast;
-pub mod error;
+mod ast;
+mod error;
 pub mod eval;
-pub mod lexer;
-pub mod parser;
-pub mod plan;
+mod lexer;
+mod parser;
+mod plan;
 
 pub use ast::{SelectQuery, Term, TriplePattern};
 pub use error::{Result, SparqlError};

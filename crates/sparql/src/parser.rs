@@ -182,6 +182,6 @@ mod tests {
     #[test]
     fn predicate_variables_allowed() {
         let q = parse("SELECT ?x WHERE { ?x ?p <target> . }").unwrap();
-        assert!(q.patterns[0].predicate.is_variable());
+        assert_eq!(q.patterns[0].predicate.as_variable(), Some("p"));
     }
 }

@@ -73,7 +73,8 @@ pub struct ResolvedPattern {
 }
 
 /// An executable plan: the resolved patterns and the two join orders the
-/// evaluator walks (see the [module docs](self)).
+/// evaluator walks, [`scck_order`](Self::scck_order) and
+/// [`vsg_order`](Self::vsg_order).
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// The resolved patterns, in query order.

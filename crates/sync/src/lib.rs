@@ -13,10 +13,9 @@
 //!   exhaustively explore thread interleavings and weak-memory behaviours
 //!   of the production code paths — the same source, recompiled.
 //!
-//! The atomics are thin newtype wrappers (identical method surface in both
-//! modes) rather than raw re-exports, because `std` and `loom` disagree on
-//! the exclusive-access API: `std` has `get_mut`, loom has `with_mut`. The
-//! wrapper exposes [`atomic::AtomicU32::set_mut`] (and friends) over both.
+//! The atomics are thin newtype wrappers rather than raw re-exports, so
+//! both modes offer exactly the method surface below and nothing that
+//! only one of `std` and `loom` has.
 //!
 //! `Arc` is always `std::sync::Arc` (loom's is too, in our vendored
 //! stand-in): reference counting is not part of the modelled state space.
@@ -316,27 +315,6 @@ pub mod atomic {
                 #[inline]
                 pub fn fetch_sub(&self, v: $ty, ord: Ordering) -> $ty {
                     self.inner.fetch_sub(v, ord)
-                }
-
-                /// Atomic maximum; returns the previous value.
-                #[inline]
-                pub fn fetch_max(&self, v: $ty, ord: Ordering) -> $ty {
-                    self.inner.fetch_max(v, ord)
-                }
-
-                /// Plain (non-atomic) store through exclusive access — the
-                /// mode-independent spelling of `std`'s `*a.get_mut() = v` /
-                /// loom's `a.with_mut(|p| *p = v)`.
-                #[inline]
-                pub fn set_mut(&mut self, v: $ty) {
-                    #[cfg(not(kg_loom))]
-                    {
-                        *self.inner.get_mut() = v;
-                    }
-                    #[cfg(kg_loom)]
-                    {
-                        self.inner.with_mut(|p| *p = v);
-                    }
                 }
             }
         };

@@ -21,12 +21,20 @@
 //! pass runs on a fresh engine over the same graph, so no pass reuses what
 //! an earlier one grew.
 //!
+//! Recovery is counted per WAL record: `DurableRecovery::replay` over a
+//! checkpoint of the same graph followed by 1, 2 and 4 one-edit records,
+//! each log left as a crash leaves it. The checkpoint load before it is
+//! not counted; the log read, the record decode and every record's
+//! `apply_update` are.
+//!
 //! This binary installs [`CountingAlloc`] as the global allocator and
 //! holds everything in one `#[test]`, so no other test's allocations land
 //! in a count (as in `memory_audit.rs`). Counts are the same under debug
 //! and release codegen; CI runs both.
 
-use kgreach::{Graph, LscrEngine, Session, VertexId};
+use kgreach::{
+    DurableEngine, FsyncPolicy, Graph, LscrEngine, Session, UpdateBatch, VertexId, WalConfig,
+};
 use kgreach_datagen::top_label_set;
 use kgreach_integration::s1_s5_wire_bodies;
 use kgreach_serve::protocol::{outcome_text, parse_update, render_update};
@@ -51,6 +59,13 @@ const UPDATE_STAGES: [&str; 4] = ["json.parse", "protocol.parse", "apply", "writ
 /// engine with no index, then on one whose index is built. An update drops
 /// the index rather than repairing it, so the rows agree.
 const UPDATE_BUDGET: [[usize; 4]; 2] = [[12, 8, 19, 13]; 2];
+
+/// Records in the logs `DurableRecovery::replay` recovers, one log each.
+const REPLAY_RECORDS: [usize; 3] = [1, 2, 4];
+
+/// Allocations of `DurableRecovery::replay` over each of those logs, as
+/// committed: 26–27 a record.
+const REPLAY_BUDGET: [usize; 3] = [27, 53, 107];
 
 /// The totals while every warm query still parsed its constraint text
 /// (7–29 allocations), built a response tree (20) and flattened it (2),
@@ -100,6 +115,36 @@ fn update_counts(g: &Arc<Graph>, body: &str, indexed: bool) -> [usize; 4] {
     let (text, write) = counted(|| render_update(&out, None, false).to_string());
     assert!(text.contains("\"edges_inserted\":1,"), "{text}");
     [parse, request, apply, write]
+}
+
+/// A data directory holding a checkpoint of `g` and a log of `edits`, one
+/// record each, left without a checkpoint or shutdown as a crash leaves
+/// it: the allocations of replaying that log, the least of three
+/// recoveries (a replay neither checkpoints nor rewrites an intact log).
+fn replay_count(g: &Arc<Graph>, edits: &[UpdateBatch]) -> usize {
+    let dir = std::env::temp_dir().join(format!(
+        "kg-alloc-replay-{}-{}",
+        std::process::id(),
+        edits.len()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Off: fsyncs allocate nothing, and the log must never rotate.
+    let config = || WalConfig { fsync: FsyncPolicy::Off, checkpoint_bytes: u64::MAX };
+    let (durable, _) = DurableEngine::open(&dir, config(), || Ok(LscrEngine::new(Arc::clone(g))))
+        .expect("a fresh data directory");
+    for edit in edits {
+        durable.apply_update(edit).expect("a fresh edge");
+    }
+    drop(durable);
+    let allocations = [(); 3].map(|()| {
+        let recovery = DurableEngine::recover(&dir, config(), || panic!("init must not rerun"))
+            .expect("recover");
+        let ((_, report), allocations) = counted(|| recovery.replay().expect("replay"));
+        assert_eq!(report.replayed, edits.len() as u64, "one record per edit");
+        allocations
+    });
+    std::fs::remove_dir_all(&dir).expect("remove the data directory");
+    allocations.into_iter().min().unwrap()
 }
 
 #[test]
@@ -152,4 +197,23 @@ fn a_warm_query_allocates_what_its_budget_says() {
     table.push_str(&format!("parent's indexed apply: {PARENT_INDEXED_APPLY}\n"));
     eprintln!("allocations per one-edit /update stage:\n{table}");
     assert_eq!(update, UPDATE_BUDGET, "/update allocation counts moved\n{table}");
+
+    // Record i inserts the edge from vertex 0 to vertex i + 1.
+    let edits: Vec<UpdateBatch> = (1..=REPLAY_RECORDS[2] as u32)
+        .map(|i| {
+            let mut batch = UpdateBatch::new();
+            batch.insert(s, g.label_name(label), g.vertex_name(VertexId(i)));
+            batch
+        })
+        .collect();
+    let replay = REPLAY_RECORDS.map(|n| replay_count(&g, &edits[..n]));
+    let mut table = String::new();
+    for (n, count) in REPLAY_RECORDS.iter().zip(replay) {
+        table.push_str(&format!("{n} record(s): {count:>6}\n"));
+    }
+    let per_record = [replay[1] - replay[0], (replay[2] - replay[1]) / 2];
+    table
+        .push_str(&format!("per record: {} (1 -> 2), {} (2 -> 4)\n", per_record[0], per_record[1]));
+    eprintln!("allocations per WAL recovery:\n{table}");
+    assert_eq!(replay, REPLAY_BUDGET, "WAL replay allocation counts moved\n{table}");
 }

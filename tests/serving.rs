@@ -155,7 +155,14 @@ fn malformed_requests_get_typed_errors_and_the_server_keeps_serving() {
     // A Content-Length that is not all digits, or a repeat that disagrees
     // with the first, leaves the body's end unknown → 400, connection
     // closed (RFC 9112 §6.3). No body follows, so none is left unread.
-    for head in ["Content-Length: +0", "Content-Length: 0\r\nContent-Length: 5"] {
+    // Whitespace around the value is space and tab only: a vertical tab
+    // or an ideographic space is part of the value, so not a digit.
+    for head in [
+        "Content-Length: +0",
+        "Content-Length: 0\r\nContent-Length: 5",
+        "Content-Length: 2\x0b",
+        "Content-Length:\u{3000}2",
+    ] {
         let mut c = HttpClient::connect(addr).unwrap();
         c.send_raw(format!("POST /query HTTP/1.1\r\n{head}\r\n\r\n").as_bytes()).unwrap();
         let resp = c.read_response().unwrap();

@@ -830,12 +830,9 @@ mod tests {
             Ok(engine)
         })
         .expect("init");
-        assert!(d.engine().info().index_built, "the initial checkpoint carries the index");
         d.apply_update(&batch(0)).expect("apply");
         assert!(d.engine().local_index_if_built().is_none(), "an update drops the index");
         drop(d);
-        // The checkpoint still holds the index; replaying the logged
-        // batch over it drops the index again.
         let (d, report) =
             DurableEngine::open(&dir, small_config(), || panic!("no init")).expect("recover");
         assert_eq!((report.checkpoint_seq, report.replayed), (0, 1));
@@ -845,7 +842,7 @@ mod tests {
         drop(d);
         let (d, _) =
             DurableEngine::open(&dir, small_config(), || panic!("no init")).expect("recover");
-        assert!(d.engine().info().index_built, "a checkpoint with an index still loads it");
+        assert!(!d.engine().info().index_built, "a checkpoint holds no index");
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Engine snapshots: saving the served graph and index, restoring an
-//! engine from one, and hot-swapping a running engine's state to one.
+//! Engine snapshots: saving the served graph, restoring an engine from
+//! one, and hot-swapping a running engine's state to one.
 
-use super::LscrEngine;
+use super::{EngineState, LscrEngine};
 use crate::local_index::LocalIndex;
 use crate::query::QueryError;
 use kgreach_graph::snapshot::{
@@ -12,47 +12,38 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-/// Tag of the engine snapshot's index-presence section, between the
-/// graph sections (1–7) and the index sections (16–19).
+/// Tag of the engine snapshot's index-presence section, after the graph
+/// sections (1–7). Written as `0`; an older file's `1` is followed by the
+/// index sections (16–19).
 const TAG_ENGINE_HAS_INDEX: u16 = 15;
 
 impl LscrEngine {
-    /// Writes an engine snapshot: the graph followed by the local index
-    /// if one has been built or installed. Restoring with
-    /// [`from_snapshot`](Self::from_snapshot) rebuilds *nothing* — both
-    /// the adjacency and the landmark index come back exactly as saved,
-    /// which is the cold-start path for serving processes (see the
-    /// `cold_start` bench: snapshot load vs text parse + index rebuild).
+    /// Writes an engine snapshot: the graph and nothing derived from it.
+    /// Restoring with [`from_snapshot`](Self::from_snapshot) rebuilds no
+    /// adjacency, which is the cold-start path for serving processes (see
+    /// the `cold_start` bench: snapshot load vs text parse).
     ///
-    /// The constraint plans are warm-up state, not data; they are
-    /// intentionally not persisted.
+    /// The local index and the constraint plans are not persisted: no
+    /// served query reads the index (`Auto` is UIS), and a forced INS
+    /// query builds it for the graph it pins.
     pub fn save_snapshot<W: Write>(&self, writer: W) -> Result<(), QueryError> {
-        let (graph, index) = {
-            let st = self.read();
-            (Arc::clone(&st.graph), st.built_index())
-        };
+        let graph = self.graph();
         let mut w = SectionWriter::new(BufWriter::new(writer), ArtifactKind::Engine)?;
-        // A live graph is compacted on the fly by the encoder; the index
-        // stays valid because compaction preserves the fingerprint.
+        // A live graph is compacted on the fly by the encoder.
         snapshot::write_graph_sections(&graph, &mut w)?;
         let mut flag = PayloadBuf::new();
-        flag.put_u8(u8::from(index.is_some()));
+        flag.put_u8(0);
         w.section(TAG_ENGINE_HAS_INDEX, flag.as_slice())?;
-        if let Some(index) = index {
-            index.write_sections(&mut w)?;
-        }
         w.finish().map_err(QueryError::from)?;
         Ok(())
     }
 
-    /// Restores an engine written by [`save_snapshot`](Self::save_snapshot):
-    /// graph and (when present) local index, without rebuilding either.
-    /// A snapshot whose embedded index does not match its own graph —
-    /// impossible to write through this API, but representable in a
-    /// corrupt file — is rejected through the
-    /// [`set_local_index`](Self::set_local_index) fingerprint check
-    /// ([`QueryError::IndexGraphMismatch`]). The restored engine uses the
-    /// default [`LocalIndexConfig`](crate::LocalIndexConfig) for any future lazy build.
+    /// Restores an engine written by [`save_snapshot`](Self::save_snapshot),
+    /// without rebuilding the graph. The restored engine has no index, and
+    /// uses the default [`LocalIndexConfig`](crate::LocalIndexConfig) when
+    /// a forced INS query builds one. An older file that embeds an index is
+    /// still read: its index sections are decoded, so the checksum chain
+    /// is verified to the end marker, and then dropped.
     pub fn from_snapshot(bytes: &[u8]) -> Result<LscrEngine, QueryError> {
         let mut r = SectionReader::new(bytes)?;
         r.expect_kind(ArtifactKind::Engine)?;
@@ -61,31 +52,25 @@ impl LscrEngine {
             r.section(TAG_ENGINE_HAS_INDEX, "engine-index-flag")?,
             "engine-index-flag",
         );
-        let has_index = match flag.get_u8()? {
-            0 => false,
-            1 => true,
+        match flag.get_u8()? {
+            0 => {}
+            1 => drop(LocalIndex::read_sections(&mut r)?),
             byte => return Err(flag.corrupt(format!("index flag byte is {byte}")).into()),
-        };
-        flag.finish()?;
-        let index = if has_index { Some(LocalIndex::read_sections(&mut r)?) } else { None };
-        r.end()?;
-        let engine = LscrEngine::new(graph);
-        if let Some(index) = index {
-            engine.set_local_index(index)?;
         }
-        Ok(engine)
+        flag.finish()?;
+        r.end()?;
+        Ok(LscrEngine::new(graph))
     }
 
-    /// Hot-swaps the engine's served state with the graph (and index,
-    /// when present) from an engine snapshot, without interrupting
-    /// service: queries running concurrently finish against the old
-    /// state, queries started after this returns see the new one — the
-    /// same atomic-swap discipline as
-    /// [`apply_update`](Self::apply_update).
+    /// Hot-swaps the engine's served state with the graph from an engine
+    /// snapshot, without interrupting service: queries running
+    /// concurrently finish against the old state, queries started after
+    /// this returns see the new one — the same atomic-swap discipline as
+    /// [`apply_update`](Self::apply_update). The new state starts with no
+    /// index and no plans, as after an update.
     ///
-    /// On any error (corrupt snapshot, embedded index built for a
-    /// different graph) the engine is left serving its current state
-    /// untouched. The reloaded graph starts a
+    /// On any error (a corrupt snapshot) the engine is left serving its
+    /// current state untouched. The reloaded graph starts a
     /// [`lineage`](crate::Graph::lineage) of its own, since its ids may
     /// name other vertices: no cache bound to the old graph — compiled
     /// plans with their `SCck` and `V(S,G)` memos — is read against it,
@@ -105,18 +90,16 @@ impl LscrEngine {
         Ok(self.install(LscrEngine::from_snapshot(bytes)?))
     }
 
-    /// Swaps in the state of `staged`, an engine decoded from a snapshot,
+    /// Swaps in the graph of `staged`, an engine decoded from a snapshot,
     /// as [`reload_from_snapshot`](Self::reload_from_snapshot) describes.
     /// Returns the fresh content epoch.
     pub(crate) fn install(&self, staged: LscrEngine) -> u64 {
         let _updates = self.writer();
-        // The staged state has no plans, and its index stays valid: a
-        // re-epoched graph keeps its fingerprint.
-        let mut next = staged.state.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let graph = Arc::make_mut(&mut next.graph);
-        graph.advance_epoch_to(self.graph_epoch() + 1);
-        let epoch = graph.epoch();
-        self.swap_state(next);
+        let mut graph = staged.state.into_inner().unwrap_or_else(PoisonError::into_inner).graph;
+        let g = Arc::make_mut(&mut graph);
+        g.advance_epoch_to(self.graph_epoch() + 1);
+        let epoch = g.epoch();
+        self.swap_state(EngineState::new(graph));
         epoch
     }
 
@@ -150,7 +133,6 @@ mod tests {
         );
         let q = all_labels_query(&engine.graph(), "v0", "v4");
 
-        // Without an index built: snapshot restores graph only.
         let mut bytes = Vec::new();
         engine.save_snapshot(&mut bytes).unwrap();
         let restored = LscrEngine::from_snapshot(&bytes[..]).unwrap();
@@ -158,14 +140,12 @@ mod tests {
         assert_eq!(restored.graph().fingerprint(), engine.graph().fingerprint());
         assert!(answer(&restored, &q, Algorithm::Uis).unwrap().answer);
 
-        // With the index built: both come back, nothing is rebuilt.
-        let built = engine.local_index();
-        let mut bytes = Vec::new();
-        engine.save_snapshot(&mut bytes).unwrap();
-        let restored = LscrEngine::from_snapshot(&bytes[..]).unwrap();
-        let idx = restored.local_index_if_built().expect("index restored from snapshot");
-        assert_eq!(idx.stats().num_landmarks, built.stats().num_landmarks);
-        assert_eq!(idx.graph_fingerprint(), built.graph_fingerprint());
+        // A built index changes no byte, and a forced INS on the restored
+        // engine builds its own.
+        let _ = engine.local_index();
+        let mut indexed = Vec::new();
+        engine.save_snapshot(&mut indexed).unwrap();
+        assert_eq!(indexed, bytes, "the snapshot holds the graph alone");
         for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
             assert_eq!(
                 answer(&restored, &q, alg).unwrap().answer,
@@ -173,6 +153,8 @@ mod tests {
                 "{alg} disagrees after snapshot restore"
             );
         }
+        let idx = restored.local_index_if_built().expect("the forced INS built the index");
+        assert_eq!(idx.graph_fingerprint(), engine.graph().fingerprint());
     }
 
     #[test]
@@ -185,7 +167,7 @@ mod tests {
         engine.save_snapshot_file(&path).unwrap();
         let restored = LscrEngine::from_snapshot_file(&path).unwrap();
         assert_eq!(restored.graph().fingerprint(), engine.graph().fingerprint());
-        assert!(restored.local_index_if_built().is_some());
+        assert!(restored.local_index_if_built().is_none());
         std::fs::remove_file(&path).ok();
         // Missing file surfaces as a typed graph/io error.
         assert!(matches!(
@@ -217,8 +199,7 @@ mod tests {
         assert_eq!(engine.graph_epoch(), 1);
         assert_eq!(engine.cached_plans(), 0, "plan cache invalidated on reload");
         assert_eq!(engine.graph().fingerprint(), other.graph().fingerprint());
-        let idx = engine.local_index_if_built().expect("index restored from snapshot");
-        assert_eq!(idx.graph_fingerprint(), engine.graph().fingerprint());
+        assert!(engine.local_index_if_built().is_none(), "a reload starts with no index");
 
         // Answers now follow the new content for every algorithm (the
         // constraint is re-resolved against the new graph: b satisfies
@@ -233,6 +214,8 @@ mod tests {
         for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
             assert!(answer(&engine, &q2, alg).unwrap().answer, "{alg} after reload");
         }
+        let idx = engine.local_index_if_built().expect("the forced INS built the index");
+        assert_eq!(idx.graph_fingerprint(), engine.graph().fingerprint());
     }
 
     #[test]

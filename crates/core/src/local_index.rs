@@ -427,8 +427,9 @@ impl LocalIndex {
 /// Section order of a local-index artifact (snapshot format v1): meta,
 /// partition, landmark entries, correlation rows. Tags 1–7 belong to the
 /// graph artifact (see `kgreach_graph::snapshot`) and tag 15 to the
-/// engine container's index-presence flag (see `engine.rs`), so composite
-/// engine snapshots mix all three tag families without ambiguity.
+/// engine container's index-presence flag (see `engine/persist.rs`), so
+/// older engine snapshots, which embed these sections after the flag, mix
+/// all three tag families without ambiguity.
 const TAG_INDEX_META: u16 = 16;
 const TAG_INDEX_PARTITION: u16 = 17;
 const TAG_INDEX_ENTRIES: u16 = 18;
@@ -436,13 +437,8 @@ const TAG_INDEX_D: u16 = 19;
 
 impl LocalIndex {
     /// Writes the index sections of snapshot format v1 into an open
-    /// container. Most callers want [`save`](Self::save); this entry
-    /// point exists so composite artifacts (engine snapshots) can embed
-    /// an index after a graph.
-    pub(crate) fn write_sections<W: Write>(
-        &self,
-        w: &mut SectionWriter<W>,
-    ) -> kgreach_graph::Result<()> {
+    /// container: the body of [`save`](Self::save).
+    fn write_sections<W: Write>(&self, w: &mut SectionWriter<W>) -> kgreach_graph::Result<()> {
         let fp = self.fingerprint;
         let mut meta = PayloadBuf::with_capacity(80);
         meta.put_usize(fp.num_vertices);
@@ -506,7 +502,8 @@ impl LocalIndex {
 
     /// Reads the index sections of snapshot format v1 from an open
     /// container, revalidating every structural invariant the INS search
-    /// relies on. Counterpart of [`write_sections`](Self::write_sections).
+    /// relies on. Counterpart of [`write_sections`](Self::write_sections);
+    /// an older engine snapshot embeds the same sections after its flag.
     pub(crate) fn read_sections(r: &mut SectionReader<'_>) -> kgreach_graph::Result<LocalIndex> {
         let mut meta = PayloadCursor::new(r.section(TAG_INDEX_META, "index-meta")?, "index-meta");
         let fingerprint = GraphFingerprint {
@@ -669,9 +666,9 @@ impl LocalIndex {
     }
 
     /// Writes a complete local-index snapshot (header + sections + end
-    /// marker) — the persistent form of an Algorithm 3 build, so serving
-    /// processes restart without re-indexing. The embedded
-    /// [`GraphFingerprint`] travels with the index;
+    /// marker), the persistent form of an Algorithm 3 build; an engine
+    /// snapshot holds no index. The embedded [`GraphFingerprint`] travels
+    /// with the index;
     /// [`LscrEngine::set_local_index`](crate::LscrEngine::set_local_index)
     /// rejects a loaded index whose fingerprint does not match the
     /// engine's graph.

@@ -9,10 +9,11 @@
 //! Flags (all optional; see `docs/OPERATIONS.md` for tuning guidance):
 //!
 //! - `--addr HOST:PORT` — bind address (default `127.0.0.1:7468`).
-//! - `--snapshot PATH` — serve an engine snapshot (the graph, plus the
-//!   index if one was built when it was saved) saved by
-//!   `LscrEngine::save_snapshot_file`. Without it, a LUBM replica is
-//!   generated from `--universities`/`--departments`/`--seed`.
+//! - `--snapshot PATH` — serve the graph of an engine snapshot saved by
+//!   `LscrEngine::save_snapshot_file`. A snapshot holds no index; a
+//!   client that forces `"algorithm": "ins"` builds one on first use.
+//!   Without it, a LUBM replica is generated from
+//!   `--universities`/`--departments`/`--seed`.
 //! - `--data-dir PATH` — durable mode: recover from the directory's
 //!   checkpoint + write-ahead log at startup (the socket binds first and
 //!   `/healthz` answers `503 recovering` until replay finishes), and
@@ -23,10 +24,6 @@
 //!   durable mode only).
 //! - `--wal-checkpoint-bytes N` — roll a checkpoint and truncate the log
 //!   once it exceeds `N` bytes (default 64 MiB; durable mode only).
-//! - `--build-index` — build the local index up front, for paper runs
-//!   and clients that force `"algorithm": "ins"` only: no other query
-//!   reads it, and a content-changing `/update` drops it (the next forced
-//!   INS rebuilds it, while updates go on).
 //! - `--workers N` (searches that may run at once, each on the
 //!   connection thread that read its request), `--queue-high-water N`
 //!   (threads waiting for a search slot before new queries are shed),
@@ -34,29 +31,36 @@
 //! - `--max-step-budget N`, `--max-timeout-ms N` — per-query work
 //!   ceilings (`0` disables the ceiling).
 //!
+//! An unknown flag, a flag without a value, or a value that does not
+//! parse exits with status 2, naming the flag, before anything is bound
+//! or created.
+//!
 //! Writing `shutdown` on stdin triggers a graceful shutdown (drain, then
 //! in durable mode flush + checkpoint). Any other termination is treated
 //! as a crash — safe in durable mode, where recovery replays the log.
 
 use kgreach::{DurableEngine, FsyncPolicy, LscrEngine, WalConfig};
 use kgreach_datagen::lubm;
-use kgreach_serve::cli::Args;
+use kgreach_serve::cli::{parses, Args, Flags};
 use kgreach_serve::{serve, serve_gated, BatchConfig, ServerConfig, ServerHandle};
 use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Every flag kg-serve reads, with the test its value must pass.
+const FLAGS: &Flags = &[
+    (&["addr", "snapshot", "data-dir"], |_| true),
+    (&["fsync"], |v| FsyncPolicy::parse(v).is_some()),
+    (&["wal-checkpoint-bytes", "max-step-budget", "max-timeout-ms", "seed"], parses::<u64>),
+    (&["workers", "queue-high-water", "max-connections"], parses::<usize>),
+    (&["universities", "departments"], parses::<usize>),
+];
+
 fn build_engine(args: &Args) -> LscrEngine {
     match args.get_str("snapshot") {
         Some(path) => {
             eprintln!("loading engine snapshot from {path} ...");
-            match LscrEngine::from_snapshot_file(path) {
-                Ok(engine) => engine,
-                Err(e) => {
-                    eprintln!("error: cannot load snapshot {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
+            or_exit(LscrEngine::from_snapshot_file(path), &format!("cannot load snapshot {path}"))
         }
         None => {
             let config = lubm::LubmConfig {
@@ -76,6 +80,10 @@ fn build_engine(args: &Args) -> LscrEngine {
 
 fn main() {
     let args = Args::parse();
+    if let Err(e) = args.check(FLAGS) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let defaults = BatchConfig::default();
     let max_step_budget = match args.get("max-step-budget", defaults.max_step_budget.unwrap_or(0)) {
         0 => None,
@@ -103,40 +111,22 @@ fn main() {
     let server = match args.get_str("data-dir") {
         Some(dir) => {
             let dir = dir.to_owned();
-            let fsync_arg = args.get_str("fsync").unwrap_or("always").to_owned();
-            let Some(fsync) = FsyncPolicy::parse(&fsync_arg) else {
-                eprintln!("error: --fsync must be one of always|batch|off, got '{fsync_arg}'");
-                std::process::exit(1);
-            };
+            let fsync =
+                args.get_str("fsync").and_then(FsyncPolicy::parse).unwrap_or(FsyncPolicy::Always);
             let wal_config = WalConfig {
                 fsync,
                 checkpoint_bytes: args.get("wal-checkpoint-bytes", 64u64 << 20),
             };
             eprintln!("recovering durable state from {dir} (fsync={fsync}) ...");
-            let recovery =
-                match DurableEngine::recover(&dir, wal_config, || Ok(build_engine(&args))) {
-                    Ok(recovery) => recovery,
-                    Err(e) => {
-                        eprintln!("error: cannot recover from {dir}: {e}");
-                        std::process::exit(1);
-                    }
-                };
+            let recovery = DurableEngine::recover(&dir, wal_config, || Ok(build_engine(&args)));
+            let recovery = or_exit(recovery, &format!("cannot recover from {dir}"));
             // Bind before replaying so orchestration can watch /healthz
             // flip from 503 "recovering" to 200.
-            let server = must_bind(serve_gated(recovery.engine(), config));
+            let server = or_exit(serve_gated(recovery.engine(), config), "cannot bind");
             announce(&server, workers);
-            let (durable, report) = match recovery.replay() {
-                Ok(done) => done,
-                Err(e) => {
-                    eprintln!("error: write-ahead log replay failed: {e}");
-                    eprintln!("refusing to serve a prefix of the acknowledged updates");
-                    std::process::exit(1);
-                }
-            };
-            if args.has("build-index") {
-                eprintln!("building local index ...");
-                durable.engine().local_index();
-            }
+            let replay_failed = "write-ahead log replay failed, so kg-serve refuses to serve \
+                                 a prefix of the acknowledged updates";
+            let (durable, report) = or_exit(recovery.replay(), replay_failed);
             eprintln!(
                 "recovery complete: checkpoint seq {}, {} replayed, {} skipped, {} torn bytes \
                  truncated, {:.3}s",
@@ -151,12 +141,7 @@ fn main() {
             server
         }
         None => {
-            let engine = build_engine(&args);
-            if args.has("build-index") {
-                eprintln!("building local index ...");
-                engine.local_index();
-            }
-            let server = must_bind(serve(Arc::new(engine), config));
+            let server = or_exit(serve(Arc::new(build_engine(&args)), config), "cannot bind");
             announce(&server, workers);
             server
         }
@@ -185,14 +170,13 @@ fn main() {
     }
 }
 
-fn must_bind(result: std::io::Result<ServerHandle>) -> ServerHandle {
-    match result {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: cannot bind: {e}");
-            std::process::exit(1);
-        }
-    }
+/// `result`'s value, or exit with status 1 after printing `what` and
+/// the error.
+fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {what}: {e}");
+        std::process::exit(1)
+    })
 }
 
 fn announce(server: &ServerHandle, workers: usize) {

@@ -1,7 +1,17 @@
 //! Tiny `--flag value` argument parsing shared by `kg-serve`,
 //! `kg-loadgen` and the bench harness's experiment binaries (no external
-//! parser crate; unknown flags are ignored, and a malformed value falls
-//! back to the default).
+//! parser crate). A binary that calls [`Args::check`] refuses unknown
+//! flags and malformed values; the others ignore unknown flags, and a
+//! malformed value falls back to the default.
+
+/// Flags a binary accepts, each of which takes a value, and the test
+/// their values must pass (see [`Args::check`]).
+pub type Flags = [(&'static [&'static str], fn(&str) -> bool)];
+
+/// Whether `value` parses as a `T`: the value test of numeric [`Flags`].
+pub fn parses<T: std::str::FromStr>(value: &str) -> bool {
+    value.parse::<T>().is_ok()
+}
 
 /// Captured process arguments.
 pub struct Args {
@@ -17,6 +27,24 @@ impl Args {
     /// Builds from an explicit list (tests).
     pub fn from_vec(raw: Vec<String>) -> Self {
         Args { raw }
+    }
+
+    /// Checks that the arguments are pairs of a `--name` from `flags` and
+    /// a value that passes its test. The error names the first flag that
+    /// is unknown, or whose value is missing or does not parse.
+    pub fn check(&self, flags: &Flags) -> Result<(), String> {
+        for pair in self.raw.chunks(2) {
+            let name = pair[0].strip_prefix("--").unwrap_or_default();
+            let Some((_, valid)) = flags.iter().find(|(names, _)| names.contains(&name)) else {
+                return Err(format!("unknown flag '{}'", pair[0]));
+            };
+            match pair.get(1) {
+                Some(value) if valid(value) => {}
+                Some(value) => return Err(format!("--{name}: cannot parse '{value}'")),
+                None => return Err(format!("--{name} needs a value")),
+            }
+        }
+        Ok(())
     }
 
     /// The value after `--name`, parsed, or `default`.
@@ -64,5 +92,18 @@ mod tests {
         assert_eq!(a.get_opt::<u64>("missing"), None);
         assert!(a.has("verbose") && !a.has("quiet"));
         assert_eq!(a.get_str("addr"), Some("0.0.0.0:80"));
+    }
+
+    #[test]
+    fn check_names_the_first_bad_flag() {
+        const FLAGS: &Flags = &[(&["addr"], |_| true), (&["workers"], parses::<usize>)];
+        let check =
+            |raw: &[&str]| Args::from_vec(raw.iter().map(|s| s.to_string()).collect()).check(FLAGS);
+        assert_eq!(check(&[]), Ok(()));
+        assert_eq!(check(&["--workers", "3", "--addr", "x"]), Ok(()));
+        assert_eq!(check(&["--data_dir", "x"]), Err("unknown flag '--data_dir'".into()));
+        assert_eq!(check(&["stray"]), Err("unknown flag 'stray'".into()));
+        assert_eq!(check(&["--workers", "eight"]), Err("--workers: cannot parse 'eight'".into()));
+        assert_eq!(check(&["--addr", "x", "--workers"]), Err("--workers needs a value".into()));
     }
 }

@@ -199,12 +199,15 @@ pub fn read_request(
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::BadRequest(format!("malformed header '{line}'")));
         };
+        // A name is a token (RFC 9110 §5.6.2): this refuses whitespace
+        // before the colon and an obs-fold line (RFC 9112 §5.2), which
+        // starts with SP or HT and which a proxy may unfold and honour.
+        if name.is_empty() || !name.bytes().all(is_tchar) {
+            return Err(HttpError::BadRequest(format!("malformed header name '{name}'")));
+        }
         // Optional whitespace is space and tab only (RFC 9110 §5.6.3);
         // `str::trim` would also strip VT, FF and Unicode spaces.
         let value = value.trim_matches([' ', '\t']);
-        if name.ends_with(' ') || name.ends_with('\t') {
-            return Err(HttpError::BadRequest("whitespace before header colon".into()));
-        }
         if name.eq_ignore_ascii_case("content-length") {
             // Digits only (RFC 9110 §8.6: `usize::from_str` would take a
             // sign), and a repeat must agree with the first.
@@ -258,6 +261,11 @@ pub fn read_request(
         reader.get_ref().set_read_timeout(Some(limits.read_timeout)).map_err(HttpError::Io)?;
     }
     Ok(Request { method: method.to_ascii_uppercase(), path: path.to_owned(), body, keep_alive })
+}
+
+/// Whether `b` may appear in a header name: an RFC 9110 `tchar`.
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
 /// Reads up to and including the blank line terminating the header block,

@@ -474,7 +474,6 @@ fn handle_reload(req: &Request, shared: &Shared) -> Result<Json, ApiError> {
         ("vertices".into(), Json::usize(info.num_vertices)),
         ("edges".into(), Json::usize(info.num_edges)),
         ("labels".into(), Json::usize(info.num_labels)),
-        ("index_built".into(), Json::Bool(info.index_built)),
     ]))
 }
 

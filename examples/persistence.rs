@@ -1,12 +1,13 @@
-//! Persistence: build a serving engine once, snapshot it, restart
-//! without rebuilding anything.
+//! Persistence: build a serving engine once, snapshot its graph, restart
+//! without re-parsing anything.
 //!
-//! The scenario: a nightly job generates a LUBM-like KG, builds the local
-//! index (the expensive Algorithm 3 step) and writes one binary engine
-//! snapshot. Serving processes then cold-start from that file — graph,
-//! dictionaries, CSR adjacency and index all restored and verified
+//! The scenario: a nightly job generates a LUBM-like KG and writes one
+//! binary engine snapshot. Serving processes then cold-start from that
+//! file — graph, dictionaries and CSR adjacency restored and verified
 //! (checksums + fingerprint) — and answer exactly as the original engine
-//! did. Run with `cargo run --example persistence`.
+//! did. The snapshot holds no local index: `Auto` never reads one, and
+//! the first query that forces INS builds it on the restored graph. Run
+//! with `cargo run --example persistence`.
 
 use kgreach::{
     Algorithm, LocalIndexConfig, LscrEngine, LscrQuery, QueryOptions, SubstructureConstraint,
@@ -24,17 +25,9 @@ pub(crate) fn main() {
         graph.num_edges(),
         graph.num_labels()
     );
-    let build_started = Instant::now();
     let engine = LscrEngine::with_index_config(
         graph,
         LocalIndexConfig { num_landmarks: Some(40), seed: 42, ..Default::default() },
-    );
-    let index = engine.local_index(); // the expensive step, done once
-    println!(
-        "built local index: {} landmarks, {} II pairs, in {:?}",
-        index.stats().num_landmarks,
-        index.stats().ii_pairs,
-        build_started.elapsed()
     );
 
     let dir = std::env::temp_dir().join(format!("kgreach-persistence-{}", std::process::id()));
@@ -50,9 +43,9 @@ pub(crate) fn main() {
     // ---- the serving cold start -------------------------------------------
     let restart_started = Instant::now();
     let restored = LscrEngine::from_snapshot_file(&path).expect("snapshot loads");
-    println!("cold start from snapshot in {:?} (no rebuild)", restart_started.elapsed());
+    println!("cold start from snapshot in {:?} (graph only)", restart_started.elapsed());
     assert_eq!(restored.graph().fingerprint(), engine.graph().fingerprint());
-    assert!(restored.local_index_if_built().is_some(), "index restored, not rebuilt");
+    assert!(restored.local_index_if_built().is_none(), "a snapshot holds no index");
 
     // The restored engine serves identically — same ids, same answers.
     let g = restored.graph();
@@ -70,7 +63,7 @@ pub(crate) fn main() {
     let q_before = engine.compile(&q).expect("query compiles");
     let q_after = restored.compile(&q).expect("query compiles");
     let (mut before, mut after) = (engine.session(), restored.session());
-    for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
+    for alg in [Algorithm::Auto, Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins] {
         let original =
             before.answer_compiled(&engine.graph(), &q_before, alg, &opts).expect("answers").answer;
         let after_restart =
@@ -78,6 +71,16 @@ pub(crate) fn main() {
         assert_eq!(original, after_restart, "{alg} must not change across a restart");
         println!("{alg:>5}: {after_restart} (same before and after restart)");
     }
+
+    // Only the forced INS read an index, and it built one for the graph it
+    // pinned, the restored graph.
+    let index = restored.local_index_if_built().expect("the forced INS built the index");
+    assert_eq!(index.graph_fingerprint(), g.fingerprint());
+    println!(
+        "forced INS built the local index lazily: {} landmarks, {} II pairs",
+        index.stats().num_landmarks,
+        index.stats().ii_pairs
+    );
 
     std::fs::remove_dir_all(&dir).ok();
     println!("persistence scenario OK");

@@ -126,18 +126,35 @@ fn triple_parser_rejects_garbage() {
     }
 }
 
-/// A small graph whose engine snapshot (graph + index) is a few KiB, so
-/// exhaustive per-byte corruption sweeps stay fast.
+/// A small graph whose engine snapshot is under a KiB, so exhaustive
+/// per-byte corruption sweeps stay fast.
 fn snapshot_fixture(seed: u64) -> (Graph, Vec<u8>) {
-    let g = random_typed_graph(14, 30, 3, 2, seed);
-    let engine = LscrEngine::with_index_config(
-        g,
-        LocalIndexConfig { num_landmarks: Some(3), seed, ..Default::default() },
-    );
-    let _ = engine.local_index();
+    let engine = LscrEngine::new(random_typed_graph(14, 30, 3, 2, seed));
     let mut bytes = Vec::new();
     engine.save_snapshot(&mut bytes).unwrap();
     (engine.graph().as_ref().clone(), bytes)
+}
+
+/// An engine snapshot from when snapshots embedded the local index: the
+/// graph of `snapshot_fixture(0xBAD)` with a 3-landmark index (seed
+/// `0xBAD`), saved with its index-presence flag at 1 and the index
+/// sections (tags 16–19) after it.
+const LEGACY_WITH_INDEX: &[u8] = include_bytes!("fixtures/engine-with-index-v1.kgsnap");
+
+/// The fingerprint of `LEGACY_WITH_INDEX`'s graph, as recorded when the
+/// file was written.
+const LEGACY_FINGERPRINT: GraphFingerprint = GraphFingerprint {
+    num_vertices: 16,
+    num_edges: 41,
+    num_labels: 4,
+    edge_hash: 15_785_510_347_465_495_844,
+};
+
+/// The current fixture and the legacy one: every corruption sweep runs
+/// over both, so the branch that decodes and drops an old file's index
+/// stays swept although no writer reaches it.
+fn swept_snapshots() -> [Vec<u8>; 2] {
+    [snapshot_fixture(0xBAD).1, LEGACY_WITH_INDEX.to_vec()]
 }
 
 #[test]
@@ -190,42 +207,47 @@ fn snapshot_artifact_kind_mismatch_is_typed() {
 
 #[test]
 fn snapshot_every_truncation_is_typed() {
-    let (_, bytes) = snapshot_fixture(0xBAD);
-    assert_eq!(&bytes[..8], &MAGIC, "fixture sanity");
-    for len in 0..bytes.len() {
-        match LscrEngine::from_snapshot(&bytes[..len]) {
-            Err(QueryError::Graph(
-                GraphError::SnapshotBadMagic
-                | GraphError::SnapshotCorrupt { .. }
-                | GraphError::SnapshotVersion { .. },
-            )) => {}
-            other => panic!("truncation to {len} bytes: expected a typed error, got {other:?}"),
+    for bytes in swept_snapshots() {
+        assert_eq!(&bytes[..8], &MAGIC, "fixture sanity");
+        for len in 0..bytes.len() {
+            match LscrEngine::from_snapshot(&bytes[..len]) {
+                Err(QueryError::Graph(
+                    GraphError::SnapshotBadMagic
+                    | GraphError::SnapshotCorrupt { .. }
+                    | GraphError::SnapshotVersion { .. },
+                )) => {}
+                other => panic!("truncation to {len} bytes: expected a typed error, got {other:?}"),
+            }
         }
-    }
-    // Too long is as corrupt as too short: one stray byte, or a whole
-    // second snapshot, after the end marker.
-    for tail in [&[0u8][..], &bytes[..]] {
-        match LscrEngine::from_snapshot(&[&bytes[..], tail].concat()) {
-            Err(QueryError::Graph(GraphError::SnapshotCorrupt { section: "end", .. })) => {}
-            other => panic!("{} trailing bytes: expected a typed error, got {other:?}", tail.len()),
+        // Too long is as corrupt as too short: one stray byte, or a whole
+        // second snapshot, after the end marker.
+        for tail in [&[0u8][..], &bytes[..]] {
+            match LscrEngine::from_snapshot(&[&bytes[..], tail].concat()) {
+                Err(QueryError::Graph(GraphError::SnapshotCorrupt { section: "end", .. })) => {}
+                other => {
+                    panic!("{} trailing bytes: expected a typed error, got {other:?}", tail.len())
+                }
+            }
         }
     }
 }
 
 #[test]
 fn snapshot_every_bit_flip_is_typed() {
-    let (_, bytes) = snapshot_fixture(0xBAD);
     // Flip every bit of every byte past the 12-byte header (header flips
     // are covered by the magic/version/kind tests above). Checksums must
     // catch each one; no panic, no silent acceptance.
-    for i in 12..bytes.len() {
-        for bit in 0..8 {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 1 << bit;
-            assert!(
-                LscrEngine::from_snapshot(&mutated[..]).is_err(),
-                "flip of bit {bit} in byte {i} went undetected"
-            );
+    for bytes in swept_snapshots() {
+        for i in 12..bytes.len() {
+            for bit in 0..8 {
+                let mut mutated = bytes.clone();
+                mutated[i] ^= 1 << bit;
+                assert!(
+                    LscrEngine::from_snapshot(&mutated[..]).is_err(),
+                    "flip of bit {bit} in byte {i} of {} went undetected",
+                    bytes.len()
+                );
+            }
         }
     }
 }
@@ -269,6 +291,74 @@ fn snapshot_load_rejects_spliced_sections() {
             "section {idx} spliced from another snapshot was accepted"
         );
     }
+}
+
+/// The section tags of a snapshot container, in file order.
+fn section_tags(bytes: &[u8]) -> Vec<u16> {
+    frame_ranges(bytes)
+        .iter()
+        .map(|f| u16::from_le_bytes([bytes[f.start], bytes[f.start + 1]]))
+        .collect()
+}
+
+#[test]
+fn a_legacy_snapshot_with_an_index_loads_its_graph_alone() {
+    assert!(section_tags(LEGACY_WITH_INDEX).ends_with(&[15, 16, 17, 18, 19, 0]), "fixture sanity");
+    let engine = LscrEngine::from_snapshot(LEGACY_WITH_INDEX).expect("a legacy file loads");
+    assert_eq!(engine.graph().fingerprint(), LEGACY_FINGERPRINT);
+    assert!(engine.local_index_if_built().is_none(), "the embedded index was installed");
+    let fresh = LscrEngine::new(random_typed_graph(14, 30, 3, 2, 0xBAD));
+    assert_eq!(fresh.graph().fingerprint(), LEGACY_FINGERPRINT);
+
+    // Every pair under every label set of one label plus `rdf:type`, for
+    // each algorithm: the loaded engine answers as the fresh one does.
+    let g = engine.graph();
+    let constraint = SubstructureConstraint::parse("SELECT ?x WHERE { ?x <rdf:type> <C0> . }")
+        .expect("constraint parses");
+    for labels in ["l0", "l1", "l2"].map(|l| g.label_set(&[l, "rdf:type"])) {
+        for s in g.vertices() {
+            for t in g.vertices() {
+                let q = LscrQuery::new(s, t, labels, constraint.clone());
+                for alg in [Algorithm::Uis, Algorithm::UisStar, Algorithm::Ins, Algorithm::Auto] {
+                    assert_eq!(
+                        answer(&engine, &q, alg).unwrap().answer,
+                        answer(&fresh, &q, alg).unwrap().answer,
+                        "{alg} from {s:?} to {t:?} under {labels:?}"
+                    );
+                }
+            }
+        }
+    }
+    let built = engine.local_index_if_built().expect("the forced INS built the index");
+    assert_eq!(built.graph_fingerprint(), LEGACY_FINGERPRINT);
+}
+
+#[test]
+fn durable_recovery_from_a_legacy_checkpoint_writes_none_with_an_index() {
+    let dir = wal_dir("legacy-checkpoint");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("checkpoint-00000000000000000000.kgsnap"), LEGACY_WITH_INDEX).unwrap();
+    let (d, report) =
+        DurableEngine::open(&dir, wal_config(), || panic!("init must not run")).expect("recover");
+    assert_eq!((report.checkpoint_seq, report.replayed), (0, 0));
+    assert_eq!(d.engine().graph().fingerprint(), LEGACY_FINGERPRINT);
+    assert!(d.engine().local_index_if_built().is_none(), "the embedded index was installed");
+
+    // An update, then a forced build: the checkpoint after them still
+    // holds the graph alone, flag 0 and no index section.
+    d.apply_update(&fresh_insert(0)).expect("apply");
+    let _ = d.engine().local_index();
+    assert!(d.checkpoint().expect("checkpoint").is_some());
+    let written = std::fs::read(dir.join("checkpoint-00000000000000000001.kgsnap")).unwrap();
+    let tags = section_tags(&written);
+    assert!(tags.ends_with(&[15, 0]) && tags.iter().all(|t| !(16..=19).contains(t)), "{tags:?}");
+    let mut saved = Vec::new();
+    d.engine().save_snapshot(&mut saved).unwrap();
+    assert_eq!(written, saved, "the checkpoint is the engine's snapshot");
+    let flag = frame_ranges(&written)[tags.len() - 2].clone();
+    assert_eq!(&written[flag.start + 10..flag.end - 8], &[0], "the index flag is 0");
+    drop(d);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

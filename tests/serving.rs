@@ -170,6 +170,19 @@ fn malformed_requests_get_typed_errors_and_the_server_keeps_serving() {
         assert_eq!(resp.header("connection"), Some("close"), "{head}");
         assert!(c.read_response().is_err(), "{head}: the connection stayed open");
     }
+    // A header name is a token (RFC 9110 §5.6.2). An obs-fold line starts
+    // with SP or HT (RFC 9112 §5.2); it is refused, not read as a header
+    // named " X-Folded" and ignored, since a proxy that unfolds it would
+    // honour it (` Transfer-Encoding: chunked`).
+    for head in [" X-Folded: 1", "\tX: 1", "Content Length: 2", ": x", "X@Y: 1"] {
+        let mut c = HttpClient::connect(addr).unwrap();
+        c.send_raw(format!("GET /healthz HTTP/1.1\r\nHost: a\r\n{head}\r\n\r\n").as_bytes())
+            .unwrap();
+        let resp = c.read_response().unwrap();
+        expect_code(&resp, 400, "bad_request");
+        assert_eq!(resp.header("connection"), Some("close"), "{head:?}");
+        assert!(c.read_response().is_err(), "{head:?}: the connection stayed open");
+    }
     // An identical repeat frames the body: the connection survives.
     let mut c = HttpClient::connect(addr).unwrap();
     c.send_raw(b"POST /query HTTP/1.1\r\nContent-Length: 8\r\nContent-Length: 8\r\n\r\nnot json")

@@ -6,7 +6,8 @@
 //!
 //! `--quick` shrinks every experiment for a minutes-scale smoke run;
 //! without it each binary runs at its own default scale (README.md,
-//! "Benchmarks and the paper's experiments").
+//! "Benchmarks and the paper's experiments"). Any other argument exits
+//! with status 2.
 
 use std::process::Command;
 
@@ -24,20 +25,25 @@ fn run(bin: &str, args: &[&str]) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--quick" => true,
+        _ => {
+            eprintln!("error: unknown arguments {args:?}; the one flag is --quick");
+            std::process::exit(2);
+        }
+    };
     if quick {
         run("table2", &["--scale", "0.25", "--budget-secs", "10"]);
         run("fig5", &["--vertices", "1500", "--sweep-base", "500", "--budget-secs", "30"]);
         run("fig10_14", &["--scale", "0.25", "--queries", "5"]);
-        run(
-            "fig15",
-            &["--entities", "8000", "--queries", "5", "--max-magnitude", "3", "--index-stats"],
-        );
+        run("fig15", &["--entities", "8000", "--queries", "5", "--max-magnitude", "3"]);
     } else {
         run("table2", &[]);
         run("fig5", &[]);
         run("fig10_14", &[]);
-        run("fig15", &["--index-stats"]);
+        run("fig15", &[]);
     }
     println!("\nAll experiments completed.");
 }

@@ -22,10 +22,17 @@ use kgreach_bench::{
     print_header, print_row, run_group,
 };
 use kgreach_datagen::constraints;
-use kgreach_serve::cli::Args;
+use kgreach_serve::cli::{parses, Args, Flags};
+
+/// Every flag fig10_14 reads, with the test its value must pass.
+const FLAGS: &Flags = &[
+    (&["scale"], parses::<f64>),
+    (&["queries", "datasets"], parses::<usize>),
+    (&["constraint"], |_| true),
+];
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(FLAGS);
     let scale: f64 = args.get("scale", 1.0);
     let queries: usize = args.get("queries", 15);
     let num_datasets: usize = args.get("datasets", 5);

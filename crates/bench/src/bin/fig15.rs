@@ -4,23 +4,29 @@
 //!
 //! Expected shapes (paper §6.2): UIS true-query time drifts *down* as `m`
 //! grows (satisfying vertices are met earlier); false-query time is flat;
-//! UIS\* trails UIS; INS is orders of magnitude faster than both. With
-//! `--index-stats`, also prints the local-index build cost on the
-//! YAGO-like graph (the paper: 4,993 s / 86 MB on real YAGO).
+//! UIS\* trails UIS; INS is orders of magnitude faster than both. Also
+//! prints the local-index build cost on the YAGO-like graph (the paper:
+//! 4,993 s / 86 MB on real YAGO).
 //!
 //! Usage: `cargo run -p kgreach-bench --release --bin fig15 --
 //!         [--entities 30000] [--queries 15] [--max-magnitude 4]
-//!         [--constraints-per-magnitude 4] [--index-stats]`
+//!         [--constraints-per-magnitude 4]`
 
 use kgreach_bench::{
     build_local_index, engine_with_index, figure_rows, mib, ms, print_header, print_row, run_group,
 };
 use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
 use kgreach_datagen::{random_constraint_with_magnitude, yago::YagoConfig};
-use kgreach_serve::cli::Args;
+use kgreach_serve::cli::{parses, Args, Flags};
+
+/// Every flag fig15 reads, with the test its value must pass.
+const FLAGS: &Flags = &[
+    (&["entities", "queries", "constraints-per-magnitude"], parses::<usize>),
+    (&["max-magnitude"], parses::<u32>),
+];
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(FLAGS);
     let entities: usize = args.get("entities", 30_000);
     let queries: usize = args.get("queries", 15);
     let max_mag: u32 = args.get("max-magnitude", 4);
@@ -50,14 +56,12 @@ fn main() {
     );
 
     let (index, build_time) = build_local_index(&g, 7);
-    if args.has("index-stats") {
-        println!(
-            "# local index on YAGO-like graph: {:.2}s, {} MB, {} landmarks",
-            build_time.as_secs_f64(),
-            mib(index.stats().bytes),
-            index.stats().num_landmarks
-        );
-    }
+    println!(
+        "# local index on YAGO-like graph: {:.2}s, {} MB, {} landmarks",
+        build_time.as_secs_f64(),
+        mib(index.stats().bytes),
+        index.stats().num_landmarks
+    );
     let engine = engine_with_index(g, index);
     let g = engine.graph();
 

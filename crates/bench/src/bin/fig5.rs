@@ -7,16 +7,21 @@
 //!     reaching ~10^6 s at 100k vertices on their testbed).
 //!
 //! Usage: `cargo run -p kgreach-bench --release --bin fig5 --
-//!         [--vertices 4000] [--labels 8] [--budget-secs 120]`
+//!         [--vertices 4000] [--labels 8] [--budget-secs 120]
+//!         [--sweep-base 1000]`
 
 use kgreach_bench::{print_header, print_row};
 use kgreach_datagen::yago::{self, YagoConfig};
 use kgreach_lcr::{Budget, SamplingTreeIndex};
-use kgreach_serve::cli::Args;
+use kgreach_serve::cli::{parses, Args, Flags};
 use std::time::Duration;
 
+/// Every flag fig5 reads, with the test its value must pass.
+const FLAGS: &Flags =
+    &[(&["vertices", "labels", "sweep-base"], parses::<usize>), (&["budget-secs"], parses::<u64>)];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(FLAGS);
     let fixed_v: usize = args.get("vertices", 4_000);
     let labels: usize = args.get("labels", 8);
     let budget = Duration::from_secs(args.get("budget-secs", 120));

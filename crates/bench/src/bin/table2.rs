@@ -13,11 +13,14 @@
 
 use kgreach_bench::{build_local_index, lubm_datasets, mib, print_header, print_row};
 use kgreach_lcr::{Budget, LandmarkConfig, LandmarkIndex};
-use kgreach_serve::cli::Args;
+use kgreach_serve::cli::{parses, Args, Flags};
 use std::time::Duration;
 
+/// Every flag table2 reads, with the test its value must pass.
+const FLAGS: &Flags = &[(&["scale"], parses::<f64>), (&["budget-secs"], parses::<u64>)];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(FLAGS);
     let scale: f64 = args.get("scale", 1.0);
     let budget_secs: u64 = args.get("budget-secs", 30);
 

@@ -51,7 +51,7 @@
 //! assert_eq!(compiled.satisfying_vertices(&g).len(), 2); // V(S0, G0) = {v1, v2}
 //! ```
 
-use kgreach_graph::{Graph, Lineage, VertexId};
+use kgreach_graph::{Dir, Graph, Lineage, VertexId};
 use kgreach_sparql::{eval, parse, Plan, SelectQuery, SparqlError, Term, TriplePattern};
 use kgreach_sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use kgreach_sync::{Arc, OnceLock};
@@ -404,6 +404,10 @@ impl CompiledConstraint {
         }
         let n = g.num_vertices();
         let Some(&x) = self.plan.projection.first() else { return n };
+        let degree = |dir, v, p| match p {
+            PredRef::Const(l) => g.neighbors_with_label(dir, v, l).len(),
+            PredRef::Var(_) => g.degree(dir, v),
+        };
         let mut best = n;
         for p in &self.plan.patterns {
             let touches_x = p.s == NodeRef::Var(x) || p.o == NodeRef::Var(x);
@@ -418,10 +422,8 @@ impl CompiledConstraint {
                     g.schema().instances_of(c).len()
                 }
                 // A concrete endpoint bounds matches by its degree.
-                (NodeRef::Const(v), PredRef::Const(l), _) => g.out_neighbors_with_label(v, l).len(),
-                (_, PredRef::Const(l), NodeRef::Const(v)) => g.in_neighbors_with_label(v, l).len(),
-                (NodeRef::Const(v), PredRef::Var(_), _) => g.out_degree(v),
-                (_, PredRef::Var(_), NodeRef::Const(v)) => g.in_degree(v),
+                (NodeRef::Const(v), p, _) => degree(Dir::Out, v, p),
+                (_, p, NodeRef::Const(v)) => degree(Dir::In, v, p),
                 // Both endpoints variable: every edge with this label is a
                 // potential match.
                 (_, PredRef::Const(l), _) => label_counts.get(l.index()).copied().unwrap_or(n),

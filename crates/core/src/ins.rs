@@ -47,7 +47,7 @@ use crate::local_index::LocalIndex;
 use crate::priority::{CandidateHeap, PriorityContext};
 use crate::query::{CompiledLscrQuery, QueryOptions, QueryOutcome, SearchClock};
 use crate::session::SearchScratch;
-use kgreach_graph::{Graph, VertexId};
+use kgreach_graph::{Dir, Graph, VertexId};
 
 /// Answers `q` with Algorithm 4 over a prebuilt [`LocalIndex`], with
 /// freshly allocated scratch and default options.
@@ -158,7 +158,7 @@ impl Frontier for QueueFrontier<'_> {
             // incident-label mask skips the vertex outright (empty
             // slice), and the accounting keeps skipped = degree −
             // scanned exact either way.
-            let exp = search.g.out_expansion(u, search.labels, search.selective);
+            let exp = search.g.expansion(Dir::Out, u, search.labels, search.selective);
             search.stats.edges_skipped += exp.degree;
             for e in exp.edges {
                 if !search.labels.contains(e.label) {

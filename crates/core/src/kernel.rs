@@ -30,7 +30,7 @@ use crate::engine::Algorithm;
 use crate::priority::GlobalQueue;
 use crate::query::{CompiledLscrQuery, QueryOutcome, RunLimits, SearchClock, SearchStats};
 use crate::session::ScratchParts;
-use kgreach_graph::{Graph, LabelSet, VertexId};
+use kgreach_graph::{Dir, Graph, LabelSet, VertexId};
 
 /// What distinguishes UIS\* from INS inside the shared skeleton. Every
 /// method receives the [`Search`] it serves; the frontier containers
@@ -58,8 +58,8 @@ pub(crate) trait Frontier {
 #[inline]
 pub(crate) fn label_starved(g: &Graph, s: VertexId, t: VertexId, labels: LabelSet) -> bool {
     s != t
-        && (g.out_label_mask(s).intersection(labels).is_empty()
-            || g.in_label_mask(t).intersection(labels).is_empty())
+        && (g.label_mask(Dir::Out, s).intersection(labels).is_empty()
+            || g.label_mask(Dir::In, t).intersection(labels).is_empty())
 }
 
 /// The state of one UIS\*/INS execution over the session scratch.

@@ -50,7 +50,7 @@ use kgreach_graph::fxhash::FxHashMap;
 use kgreach_graph::snapshot::{
     ArtifactKind, PayloadBuf, PayloadCursor, SectionReader, SectionWriter,
 };
-use kgreach_graph::{Cms, Graph, GraphFingerprint, LabelSet, VertexId};
+use kgreach_graph::{Cms, Dir, Graph, GraphFingerprint, LabelSet, VertexId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -726,7 +726,7 @@ fn local_full_index(
         // Expand by label runs: all edges of a run share a label, so the
         // path label set `L(p) ∪ {l}` is computed once per run instead of
         // once per edge.
-        for (label, run) in g.out_label_runs(v) {
+        for (label, run) in g.label_runs(Dir::Out, v) {
             let l2 = l.with(label);
             for e in run {
                 let w = e.vertex;

@@ -17,7 +17,7 @@
 //!   every landmark stay unassigned.
 
 use kgreach_graph::fxhash::fx_set_with_capacity;
-use kgreach_graph::{Graph, VertexId};
+use kgreach_graph::{Dir, Graph, VertexId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::VecDeque;
@@ -159,10 +159,10 @@ pub(crate) fn select_landmarks<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Vec<
     let mut chosen: Vec<VertexId> = Vec::with_capacity(k);
     let mut taken = fx_set_with_capacity::<VertexId>(k);
 
-    let counts = g.label_vertex_counts();
+    let counts = g.label_vertex_counts(Dir::Out);
     let n = g.num_vertices().max(1) as u64;
     let coverage = |v: VertexId| -> u64 {
-        g.out_label_mask(v)
+        g.label_mask(Dir::Out, v)
             .iter()
             .map(|l| n / counts.get(l.index()).copied().unwrap_or(0).max(1) as u64)
             .sum()
@@ -224,7 +224,8 @@ pub(crate) fn select_landmarks<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Vec<
 pub fn select_landmarks_by_degree(g: &Graph, k: usize) -> Vec<VertexId> {
     let k = k.min(g.num_vertices());
     let mut by_degree: Vec<VertexId> = g.vertices().collect();
-    by_degree.sort_unstable_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+    by_degree
+        .sort_unstable_by_key(|&v| std::cmp::Reverse(g.degree(Dir::Out, v) + g.degree(Dir::In, v)));
     by_degree.truncate(k);
     by_degree
 }

@@ -22,8 +22,9 @@
 //! * the **forward** side — Algorithm 1 itself, `close[u] = F` for
 //!   `s ⇝_L u`, `T` for `s ⇝_{L,S} u`;
 //! * the **backward** side — the same two cases over the reverse
-//!   expansion ([`Graph::in_expansion`]): `back[u] = F` for `u ⇝_L t`, `T`
-//!   for `u ⇝_L t` through a vertex satisfying `S` (`u` and `t` included);
+//!   expansion ([`Graph::expansion`] along [`Dir::In`]): `back[u] = F`
+//!   for `u ⇝_L t`, `T` for `u ⇝_L t` through a vertex satisfying `S`
+//!   (`u` and `t` included);
 //! * the **backward candidate** side, seeded with every `u ∈ V(S,G)`: it
 //!   holds `x` with origin `u` once `x ⇝_L u` is proved;
 //! * the **forward candidate** side, seeded likewise: it holds `x` with
@@ -119,7 +120,7 @@ use crate::query::{
     CompiledLscrQuery, QueryOptions, QueryOutcome, RunLimits, SearchClock, SearchStats,
 };
 use crate::session::{ScratchParts, SearchScratch};
-use kgreach_graph::{Graph, VertexId};
+use kgreach_graph::{Dir, Graph, VertexId};
 
 /// One endpoint side of the search: its `close` surjection and its stack.
 struct Side<'a> {
@@ -144,6 +145,14 @@ impl Candidates<'_> {
             self.stack.len()
         }
     }
+}
+
+/// The direction a side expands along (`Dir::BOTH` is `[Out, In]`): a
+/// `BACKWARD` side walks in-edges. Its callers pass their const flag, so
+/// the choice folds at compile time.
+#[inline(always)]
+const fn dir(backward: bool) -> Dir {
+    Dir::BOTH[backward as usize]
 }
 
 /// What the four sides share.
@@ -235,11 +244,7 @@ impl Uis<'_> {
         // incident-label mask skips the vertex outright (empty slice),
         // and the accounting keeps skipped = degree − scanned exact
         // either way.
-        let exp = if BACKWARD {
-            self.g.in_expansion(u, labels, self.selective)
-        } else {
-            self.g.out_expansion(u, labels, self.selective)
-        };
+        let exp = self.g.expansion(dir(BACKWARD), u, labels, self.selective);
         self.stats.edges_skipped += exp.degree;
         for e in exp.edges {
             if !labels.contains(e.label) {
@@ -282,11 +287,7 @@ impl Uis<'_> {
         let x = this.stack.pop().expect("the caller checked the stack is non-empty");
         let u = this.origin.get(x).expect("a stacked vertex has an origin");
         let labels = self.q.label_constraint;
-        let exp = if BACKWARD {
-            self.g.in_expansion(x, labels, self.selective)
-        } else {
-            self.g.out_expansion(x, labels, self.selective)
-        };
+        let exp = self.g.expansion(dir(BACKWARD), x, labels, self.selective);
         self.stats.edges_skipped += exp.degree;
         for e in exp.edges {
             if !labels.contains(e.label) {

@@ -45,7 +45,7 @@ use crate::engine::Algorithm;
 use crate::kernel::{Frontier, Search};
 use crate::query::{CompiledLscrQuery, QueryOptions, QueryOutcome, SearchClock, VsgOrder};
 use crate::session::SearchScratch;
-use kgreach_graph::{Graph, VertexId};
+use kgreach_graph::{Dir, Graph, VertexId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -151,7 +151,7 @@ impl Frontier for StackFrontier {
             // incident-label mask skips the vertex outright (empty
             // slice), and the accounting keeps skipped = degree −
             // scanned exact either way.
-            let exp = search.g.out_expansion(u, search.labels, search.selective);
+            let exp = search.g.expansion(Dir::Out, u, search.labels, search.selective);
             search.stats.edges_skipped += exp.degree;
             for e in exp.edges {
                 if !search.labels.contains(e.label) {

@@ -118,6 +118,7 @@ pub const GATE_CONSTRAINT: &str = "SELECT ?x WHERE { ?x <marker> <anchor> . }";
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kgreach_graph::Dir;
 
     #[test]
     fn forward_fixture_shape() {
@@ -125,12 +126,12 @@ mod tests {
         let g = generate(&cfg).unwrap();
         let src = g.vertex_id("src").unwrap();
         let dst = g.vertex_id("dst").unwrap();
-        assert_eq!(g.out_degree(src), cfg.fan);
-        assert_eq!(g.in_degree(dst), 1, "dst is fed only through the funnel");
+        assert_eq!(g.degree(Dir::Out, src), cfg.fan);
+        assert_eq!(g.degree(Dir::In, dst), 1, "dst is fed only through the funnel");
         let needle = g.label_id("needle").unwrap();
         let spray = g.label_id("spray").unwrap();
-        assert!(!g.out_label_mask(src).contains(needle));
-        assert!(!g.in_label_mask(dst).contains(spray));
+        assert!(!g.label_mask(Dir::Out, src).contains(needle));
+        assert!(!g.label_mask(Dir::In, dst).contains(spray));
         // The whole point of the fixture: the canonical label set is
         // mask-selective, so both of UIS's endpoint sides expand through
         // the masks.
@@ -143,11 +144,11 @@ mod tests {
         let g = generate(&cfg).unwrap();
         let src = g.vertex_id("src").unwrap();
         let dst = g.vertex_id("dst").unwrap();
-        assert_eq!(g.out_degree(src), 1, "src exits only through the funnel");
-        assert_eq!(g.in_degree(dst), cfg.fan);
+        assert_eq!(g.degree(Dir::Out, src), 1, "src exits only through the funnel");
+        assert_eq!(g.degree(Dir::In, dst), cfg.fan);
         // Marker edges kept their direction: the constraint still holds.
         assert!(g.vertex_id("anchor").is_some());
-        assert_eq!(g.out_degree(g.vertex_id("gate0").unwrap()), 2); // chain + marker
+        assert_eq!(g.degree(Dir::Out, g.vertex_id("gate0").unwrap()), 2); // chain + marker
         assert!(g.expansion_selective(g.label_set(&["spray", "needle"])));
     }
 

@@ -266,7 +266,7 @@ pub fn emit(config: &LubmConfig, b: &mut GraphBuilder) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgreach_graph::GraphStats;
+    use kgreach_graph::{Dir, GraphStats};
 
     fn small() -> Graph {
         generate(&LubmConfig { universities: 2, departments: 4, seed: 7 }).unwrap()
@@ -381,6 +381,6 @@ mod tests {
     fn exactly_one_s5_professor() {
         let g = small();
         let email = g.vertex_id("FullProfessor0@Department0.University0.edu").unwrap();
-        assert_eq!(g.in_degree(email), 1);
+        assert_eq!(g.degree(Dir::In, email), 1);
     }
 }

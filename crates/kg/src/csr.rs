@@ -3,9 +3,11 @@
 //! Every search algorithm in the paper is dominated by the inner loop
 //! "for each edge `(u, l, v)` with `l ∈ L` incident to `u`". CSR stores all
 //! edges in two flat arrays (offsets + targets), so that loop is a
-//! contiguous slice scan with no pointer chasing. We keep one CSR for
-//! out-edges and, because the SPARQL evaluator also matches patterns by
-//! object, one for in-edges.
+//! contiguous slice scan with no pointer chasing. A `Graph` keeps one CSR
+//! per [`Dir`](crate::Dir): out-edges for the forward searches, and
+//! in-edges for UIS's backward sides and the SPARQL evaluator's
+//! patterns entered by object. Every accessor over them is written once,
+//! over the direction (`Graph::expansion`, `Graph::neighbors`, …).
 //!
 //! # Hot-path layout: label runs and incident-label masks
 //!
@@ -27,6 +29,11 @@
 //! skipped comes back as its whole adjacency slice and the caller's inline
 //! per-edge label test filters: a flat scan beats any per-label search on
 //! the short slices of scale-free graphs.
+//!
+//! The kernels reach it through `Graph::expansion`: one predictable branch
+//! on the overlay pointer, then this method. Every search call site passes
+//! its [`Dir`](crate::Dir) as a constant into that `#[inline(always)]`
+//! accessor, so picking the CSR folds to a fixed field offset.
 //!
 //! The masks are derived from the targets, never persisted: snapshot
 //! decoding rebuilds them (in the crate-internal `Csr::from_parts`) with

@@ -19,8 +19,9 @@
 //!   deltas) keep reading straight from the base CSR.
 //!
 //! Because a patched vertex exposes the same *flat slice + mask* shape as
-//! a frozen one, the whole traversal surface — `out_expansion`,
-//! per-label runs and binary search, mask statistics — works
+//! a frozen one, the whole traversal surface — `Graph::expansion` and
+//! `Graph::neighbors` in either [`Dir`], per-label runs and
+//! binary search, mask statistics — works
 //! identically over a live graph; search algorithms cannot tell the
 //! difference. Once the delta grows past a threshold,
 //! [`Graph::compact`](crate::Graph::compact) re-freezes the merged view
@@ -49,7 +50,7 @@
 
 use crate::csr::{slice_has_edge, Csr, LabeledTarget};
 use crate::fxhash::FxHashMap;
-use crate::ids::VertexId;
+use crate::ids::{Dir, VertexId};
 use crate::labelset::LabelSet;
 use crate::triples::Triple;
 
@@ -200,23 +201,17 @@ impl PatchedAdjacency {
 }
 
 /// The incident-label mask transitions `(old, new)` one edge change
-/// caused: the source's out-mask and the target's in-mask. The graph
-/// folds them into its per-label vertex counts.
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct MaskChange {
-    pub(crate) out: (LabelSet, LabelSet),
-    pub(crate) inn: (LabelSet, LabelSet),
-}
+/// caused, per [`Dir`]: the source's out-mask and the target's in-mask.
+/// The graph folds them into its per-label vertex counts.
+pub(crate) type MaskChange = [(LabelSet, LabelSet); 2];
 
 /// The delta layered over one frozen CSR pair: per-vertex patched
 /// adjacencies in both directions, plus the counters the compaction
 /// policy reads. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub(crate) struct DeltaOverlay {
-    /// Patched out-adjacencies, keyed by raw vertex id.
-    out: FxHashMap<u32, PatchedAdjacency>,
-    /// Patched in-adjacencies, keyed by raw vertex id.
-    inn: FxHashMap<u32, PatchedAdjacency>,
+    /// Patched adjacencies per [`Dir`], keyed by raw vertex id.
+    patches: [FxHashMap<u32, PatchedAdjacency>; 2],
     /// `|V|` of the base CSR (vertices at or past this id are new).
     base_vertices: usize,
     /// Net edges present in the merged view but not in the base.
@@ -227,138 +222,64 @@ pub(crate) struct DeltaOverlay {
 
 impl DeltaOverlay {
     pub(crate) fn new(base_vertices: usize) -> DeltaOverlay {
-        DeltaOverlay {
-            out: FxHashMap::default(),
-            inn: FxHashMap::default(),
-            base_vertices,
-            inserted: 0,
-            deleted: 0,
-        }
+        DeltaOverlay { patches: Default::default(), base_vertices, inserted: 0, deleted: 0 }
     }
 
-    /// The adjacency slice of `v` in the out direction, merged view.
+    /// `(slice, mask)` of `v` in direction `dir`, merged view over `base`,
+    /// the frozen CSR of that direction.
     #[inline]
-    pub(crate) fn out_slice<'a>(&'a self, v: VertexId, base: &'a Csr) -> &'a [LabeledTarget] {
-        match self.out.get(&v.0) {
-            Some(p) => &p.edges,
-            None if v.index() < base.num_vertices() => base.neighbors(v),
-            None => &[],
-        }
-    }
-
-    /// The adjacency slice of `v` in the in direction, merged view.
-    #[inline]
-    pub(crate) fn in_slice<'a>(&'a self, v: VertexId, base: &'a Csr) -> &'a [LabeledTarget] {
-        match self.inn.get(&v.0) {
-            Some(p) => &p.edges,
-            None if v.index() < base.num_vertices() => base.neighbors(v),
-            None => &[],
-        }
-    }
-
-    /// `(slice, mask)` of `v` in the out direction, merged view.
-    #[inline]
-    pub(crate) fn out_view<'a>(
+    pub(crate) fn view<'a>(
         &'a self,
+        dir: Dir,
         v: VertexId,
         base: &'a Csr,
     ) -> (&'a [LabeledTarget], LabelSet) {
-        match self.out.get(&v.0) {
+        match self.patches[dir].get(&v.0) {
             Some(p) => (&p.edges, p.mask),
             None if v.index() < base.num_vertices() => (base.neighbors(v), base.label_mask(v)),
             None => (&[], LabelSet::EMPTY),
         }
     }
 
-    /// `(slice, mask)` of `v` in the in direction, merged view.
-    #[inline]
-    pub(crate) fn in_view<'a>(
-        &'a self,
-        v: VertexId,
-        base: &'a Csr,
-    ) -> (&'a [LabeledTarget], LabelSet) {
-        match self.inn.get(&v.0) {
-            Some(p) => (&p.edges, p.mask),
-            None if v.index() < base.num_vertices() => (base.neighbors(v), base.label_mask(v)),
-            None => (&[], LabelSet::EMPTY),
-        }
-    }
-
-    /// Whether the frozen base (not the merged view) contains the edge —
-    /// the drift counters track *net* divergence from the base, so each
-    /// change needs to know which side of the base it lands on.
-    fn base_has_edge(base_out: &Csr, src: VertexId, t: LabeledTarget) -> bool {
-        src.index() < base_out.num_vertices()
-            && slice_has_edge(base_out.neighbors(src), t.label, t.vertex)
-    }
-
-    /// Applies one edge insertion; returns the mask transitions of the
-    /// source and the target if the edge was actually new.
-    pub(crate) fn insert_edge(
+    /// Applies one edge insertion (`insert`) or deletion to the patches of
+    /// both directions: `t` joins or leaves `src`'s out-adjacency, and its
+    /// mirror `(label, src)` the target's in-adjacency. Returns the mask
+    /// transitions if the edge was actually new or present.
+    pub(crate) fn change_edge(
         &mut self,
-        base_out: &Csr,
-        base_in: &Csr,
+        base: &[std::sync::Arc<Csr>; 2],
         src: VertexId,
         t: LabeledTarget,
+        insert: bool,
     ) -> Option<MaskChange> {
-        let patch =
-            self.out.entry(src.0).or_insert_with(|| PatchedAdjacency::from_base(base_out, src));
-        let old_mask = patch.mask;
-        if !patch.insert(t) {
-            return None;
+        let ends = [(src, t), (t.vertex, LabeledTarget { label: t.label, vertex: src })];
+        let mut change = [(LabelSet::EMPTY, LabelSet::EMPTY); 2];
+        for dir in Dir::BOTH {
+            let (v, t) = ends[dir];
+            let patch = self.patches[dir]
+                .entry(v.0)
+                .or_insert_with(|| PatchedAdjacency::from_base(&base[dir], v));
+            let old_mask = patch.mask;
+            let changed = if insert { patch.insert(t) } else { patch.remove(t) };
+            if !changed {
+                debug_assert!(dir == Dir::Out, "out/in patches disagree on edge presence");
+                return None;
+            }
+            change[dir] = (old_mask, patch.mask);
         }
-        let new_mask = patch.mask;
-        let back = LabeledTarget { label: t.label, vertex: src };
-        let in_patch = self
-            .inn
-            .entry(t.vertex.0)
-            .or_insert_with(|| PatchedAdjacency::from_base(base_in, t.vertex));
-        let old_in_mask = in_patch.mask;
-        let fresh = in_patch.insert(back);
-        debug_assert!(fresh, "out/in patches disagree on edge presence");
-        let change = MaskChange { out: (old_mask, new_mask), inn: (old_in_mask, in_patch.mask) };
-        // Net drift: re-asserting a base edge cancels its earlier delete
-        // instead of counting as new divergence, so churn that returns to
-        // base content cannot creep toward the compaction threshold.
-        if Self::base_has_edge(base_out, src, t) {
-            self.deleted -= 1;
-        } else {
-            self.inserted += 1;
-        }
-        Some(change)
-    }
-
-    /// Applies one edge deletion; returns the mask transitions of the
-    /// source and the target if the edge was actually present.
-    pub(crate) fn delete_edge(
-        &mut self,
-        base_out: &Csr,
-        base_in: &Csr,
-        src: VertexId,
-        t: LabeledTarget,
-    ) -> Option<MaskChange> {
-        let patch =
-            self.out.entry(src.0).or_insert_with(|| PatchedAdjacency::from_base(base_out, src));
-        let old_mask = patch.mask;
-        if !patch.remove(t) {
-            return None;
-        }
-        let new_mask = patch.mask;
-        let back = LabeledTarget { label: t.label, vertex: src };
-        let in_patch = self
-            .inn
-            .entry(t.vertex.0)
-            .or_insert_with(|| PatchedAdjacency::from_base(base_in, t.vertex));
-        let old_in_mask = in_patch.mask;
-        let removed = in_patch.remove(back);
-        debug_assert!(removed, "out/in patches disagree on edge presence");
-        let change = MaskChange { out: (old_mask, new_mask), inn: (old_in_mask, in_patch.mask) };
-        // Net drift: removing an overlay-only insert cancels it rather
-        // than counting as a base deletion.
-        if Self::base_has_edge(base_out, src, t) {
-            self.deleted += 1;
-        } else {
-            self.inserted -= 1;
+        // Net drift: each change is counted against the frozen base (not
+        // the merged view), so re-asserting a deleted base edge cancels
+        // its delete and removing an overlay-only insert cancels the
+        // insert. Churn that returns to base content cannot creep toward
+        // the compaction threshold.
+        let out = &base[Dir::Out];
+        let in_base = src.index() < out.num_vertices()
+            && slice_has_edge(out.neighbors(src), t.label, t.vertex);
+        match (insert, in_base) {
+            (true, true) => self.deleted -= 1,
+            (true, false) => self.inserted += 1,
+            (false, true) => self.deleted += 1,
+            (false, false) => self.inserted -= 1,
         }
         Some(change)
     }
@@ -367,8 +288,8 @@ impl DeltaOverlay {
     pub(crate) fn stats(&self, num_vertices: usize) -> DeltaStats {
         // Union of the two patch-key sets: a vertex counts once however
         // many directions touch it.
-        let patched_vertices =
-            self.out.len() + self.inn.keys().filter(|v| !self.out.contains_key(v)).count();
+        let [out, inn] = &self.patches;
+        let patched_vertices = out.len() + inn.keys().filter(|v| !out.contains_key(v)).count();
         DeltaStats {
             patched_vertices,
             added_vertices: num_vertices.saturating_sub(self.base_vertices),
@@ -387,7 +308,7 @@ impl DeltaOverlay {
                 })
                 .sum::<usize>()
         };
-        per_patch(&self.out) + per_patch(&self.inn)
+        self.patches.iter().map(per_patch).sum()
     }
 }
 

@@ -21,7 +21,7 @@ use crate::delta::{DeltaOverlay, DeltaStats, MaskChange, UpdateBatch, UpdateOp, 
 use crate::dict::Dict;
 use crate::error::{GraphError, Result};
 use crate::fxhash::fx_set_with_capacity;
-use crate::ids::{Edge, LabelId, VertexId};
+use crate::ids::{Dir, Edge, LabelId, VertexId};
 use crate::labelset::{LabelSet, MAX_LABELS};
 use crate::schema::Schema;
 use crate::triples::Triple;
@@ -101,14 +101,14 @@ impl Eq for Lineage {}
 pub struct Graph {
     vertex_dict: Dict,
     label_dict: Dict,
-    out: std::sync::Arc<Csr>,
-    inn: std::sync::Arc<Csr>,
+    /// The frozen adjacency, one CSR per [`Dir`].
+    csr: [std::sync::Arc<Csr>; 2],
     /// Applied-but-not-compacted updates; `None` for a compact graph, in
     /// which case every accessor takes the overlay-free fast path (one
     /// predictable branch on a pointer-sized field — boxed so the hot
     /// check loads one word, not an inline two-hashmap struct).
     overlay: Option<Box<DeltaOverlay>>,
-    /// Live edge count — `out.num_edges()` for a compact graph, adjusted
+    /// Live edge count — the CSRs' edge count for a compact graph, adjusted
     /// per actual insert/delete while an overlay is active.
     num_edges: usize,
     /// Content version: bumped by every [`apply_update`](Self::apply_update)
@@ -121,17 +121,11 @@ pub struct Graph {
     lineage: Lineage,
     schema: Schema,
     label_histogram: Vec<usize>,
-    /// Per label, the number of vertices with at least one *out*-edge
-    /// carrying it — derived from the CSR incident-label masks at freeze
-    /// and on snapshot load (never persisted), consumed by the
-    /// expansion-region estimate.
-    label_vertex_counts: Vec<usize>,
-    /// The in-direction mirror of `label_vertex_counts`: per label, the
-    /// number of vertices with at least one *in*-edge carrying it. With
-    /// the histogram it gives the SPARQL planner a label's average
-    /// fan-in (`histogram[l] / label_in_vertex_counts[l]`); derived and
-    /// maintained exactly like its out-direction twin.
-    label_in_vertex_counts: Vec<usize>,
+    /// Per direction and label, the number of vertices with at least one
+    /// edge in that direction carrying the label — derived from the CSR
+    /// incident-label masks at freeze and on snapshot load (never
+    /// persisted). See [`label_vertex_counts`](Self::label_vertex_counts).
+    label_vertex_counts: [Vec<usize>; 2],
     /// Vertices with a non-empty out-adjacency (non-sinks) — the baseline
     /// the expansion-selectivity test compares the expandable region
     /// against (KGs are full of sink literals that no constraint could
@@ -148,8 +142,7 @@ impl Graph {
     pub(crate) fn from_parts(
         mut vertex_dict: Dict,
         mut label_dict: Dict,
-        out: Csr,
-        inn: Csr,
+        csr: [Csr; 2],
         schema: Schema,
         label_histogram: Vec<usize>,
     ) -> Graph {
@@ -158,22 +151,20 @@ impl Graph {
         // subsequent clones copy only update-interned names.
         vertex_dict.freeze();
         label_dict.freeze();
-        let vertices_per_label = |masks: &[LabelSet]| {
+        let label_vertex_counts = Dir::BOTH.map(|dir| {
             let mut counts = vec![0usize; label_dict.len()];
-            for l in masks.iter().flat_map(|mask| mask.iter()) {
+            for l in csr[dir].label_masks().iter().flat_map(|mask| mask.iter()) {
                 counts[l.index()] += 1;
             }
             counts
-        };
-        let label_vertex_counts = vertices_per_label(out.label_masks());
-        let label_in_vertex_counts = vertices_per_label(inn.label_masks());
-        let non_sink_vertices = out.label_masks().iter().filter(|m| !m.is_empty()).count();
-        let num_edges = out.num_edges();
+        });
+        let non_sink_vertices =
+            csr[Dir::Out].label_masks().iter().filter(|m| !m.is_empty()).count();
+        let num_edges = csr[Dir::Out].num_edges();
         Graph {
             vertex_dict,
             label_dict,
-            out: std::sync::Arc::new(out),
-            inn: std::sync::Arc::new(inn),
+            csr: csr.map(std::sync::Arc::new),
             overlay: None,
             num_edges,
             epoch: 0,
@@ -181,22 +172,15 @@ impl Graph {
             schema,
             label_histogram,
             label_vertex_counts,
-            label_in_vertex_counts,
             non_sink_vertices,
         }
     }
 
-    /// The out-edge CSR (snapshot encoding; the caller must have
+    /// The CSR of one direction (snapshot encoding; the caller must have
     /// compacted first — see `snapshot::write_graph_sections`).
-    pub(crate) fn out_csr(&self) -> &Csr {
+    pub(crate) fn csr(&self, dir: Dir) -> &Csr {
         debug_assert!(self.overlay.is_none(), "raw CSR access on a live graph");
-        &self.out
-    }
-
-    /// The in-edge CSR (snapshot encoding).
-    pub(crate) fn in_csr(&self) -> &Csr {
-        debug_assert!(self.overlay.is_none(), "raw CSR access on a live graph");
-        &self.inn
+        &self.csr[dir]
     }
 
     /// The vertex dictionary (snapshot encoding).
@@ -246,93 +230,62 @@ impl Graph {
         (0..self.num_vertices() as u32).map(VertexId)
     }
 
-    /// Out-edges of `v` as `(label, target)` pairs sorted by label.
+    /// The edges of `v` in direction `dir` as `(label, vertex)` pairs
+    /// sorted by label.
     ///
     /// Like every adjacency accessor, the overlay-free fast path is a
     /// single predictable branch; the live-graph arm is outlined and
     /// `#[cold]` so compact-graph callers keep their tight pre-dynamic
     /// codegen.
     #[inline(always)]
-    pub fn out_neighbors(&self, v: VertexId) -> &[LabeledTarget] {
+    pub fn neighbors(&self, dir: Dir, v: VertexId) -> &[LabeledTarget] {
         if self.overlay.is_none() {
-            return self.out.neighbors(v);
+            return self.csr[dir].neighbors(v);
         }
-        self.out_neighbors_live(v)
+        self.view_live(dir, v).0
     }
 
-    #[cold]
-    fn out_neighbors_live(&self, v: VertexId) -> &[LabeledTarget] {
-        self.overlay.as_ref().expect("live path").out_slice(v, &self.out)
+    /// Out-edges of `v`: `neighbors(Dir::Out, v)`.
+    #[inline(always)]
+    pub fn out_neighbors(&self, v: VertexId) -> &[LabeledTarget] {
+        self.neighbors(Dir::Out, v)
     }
 
-    /// In-edges of `v` as `(label, source)` pairs sorted by label.
+    /// In-edges of `v`: `neighbors(Dir::In, v)`.
     #[inline(always)]
     pub fn in_neighbors(&self, v: VertexId) -> &[LabeledTarget] {
-        if self.overlay.is_none() {
-            return self.inn.neighbors(v);
-        }
-        self.in_neighbors_live(v)
+        self.neighbors(Dir::In, v)
     }
 
+    /// `(slice, mask)` of `v` in direction `dir` on a live graph.
     #[cold]
-    fn in_neighbors_live(&self, v: VertexId) -> &[LabeledTarget] {
-        self.overlay.as_ref().expect("live path").in_slice(v, &self.inn)
+    fn view_live(&self, dir: Dir, v: VertexId) -> (&[LabeledTarget], LabelSet) {
+        self.overlay.as_ref().expect("live path").view(dir, v, &self.csr[dir])
     }
 
-    #[cold]
-    fn out_view_live(&self, v: VertexId) -> (&[LabeledTarget], LabelSet) {
-        self.overlay.as_ref().expect("live path").out_view(v, &self.out)
-    }
-
-    #[cold]
-    fn in_view_live(&self, v: VertexId) -> (&[LabeledTarget], LabelSet) {
-        self.overlay.as_ref().expect("live path").in_view(v, &self.inn)
-    }
-
-    /// The out-expansion of `v` under `constraint` — the flat-slice view
-    /// the search hot loops consume (see `Csr::expansion`). With
-    /// `selective = true` the incident-label mask can skip the whole
-    /// vertex; with `false` the mask is never even loaded, so broad-`L`
-    /// searches pay nothing for the machinery. Search algorithms compute
-    /// `selective` once per query via
-    /// [`expansion_selective`](Self::expansion_selective) instead of a
-    /// mask cache miss on every expanded vertex of a search that could
+    /// The expansion of `v` in direction `dir` under `constraint` — the
+    /// flat-slice view the search hot loops consume (see
+    /// `Csr::expansion`): out-expansions for the forward searches,
+    /// in-expansions for UIS's backward sides. With `selective = true`
+    /// the incident-label mask can skip the whole vertex (with `degree`
+    /// still exact for skipped-edge accounting); with `false` the mask is
+    /// never even loaded, so broad-`L` searches pay nothing for the
+    /// machinery. Search algorithms compute `selective` once per query
+    /// via [`expansion_selective`](Self::expansion_selective) instead of
+    /// a mask cache miss on every expanded vertex of a search that could
     /// never skip anything.
     #[inline(always)]
-    pub fn out_expansion(
+    pub fn expansion(
         &self,
+        dir: Dir,
         v: VertexId,
         constraint: LabelSet,
         selective: bool,
     ) -> Expansion<'_> {
         if self.overlay.is_none() {
-            return self.out.expansion(v, constraint, selective);
+            return self.csr[dir].expansion(v, constraint, selective);
         }
-        let (slice, mask) = self.out_view_live(v);
-        if selective && mask.intersection(constraint).is_empty() {
-            Expansion { edges: &[], degree: slice.len() }
-        } else {
-            Expansion { edges: slice, degree: slice.len() }
-        }
-    }
-
-    /// The in-expansion of `v` under `constraint` — the reverse-direction
-    /// mirror of [`out_expansion`](Self::out_expansion), consumed by
-    /// UIS's backward frontier. Same contract:
-    /// `selective` lets the in-incident-label mask skip the whole vertex
-    /// (with `degree` still exact for skipped-edge accounting), and the
-    /// overlay-merged view is presented when delta edits are live.
-    #[inline(always)]
-    pub fn in_expansion(
-        &self,
-        v: VertexId,
-        constraint: LabelSet,
-        selective: bool,
-    ) -> Expansion<'_> {
-        if self.overlay.is_none() {
-            return self.inn.expansion(v, constraint, selective);
-        }
-        let (slice, mask) = self.in_view_live(v);
+        let (slice, mask) = self.view_live(dir, v);
         if selective && mask.intersection(constraint).is_empty() {
             Expansion { edges: &[], degree: slice.len() }
         } else {
@@ -342,13 +295,13 @@ impl Graph {
 
     /// Upper bound on the number of vertices a search can *expand* under
     /// `constraint`: Σ over `l ∈ L` of
-    /// [`label_vertex_counts`](Self::label_vertex_counts)`[l]`, capped at
+    /// [`label_vertex_counts`](Self::label_vertex_counts)`(Dir::Out)[l]`, capped at
     /// `|V|`. O(|L|), no per-vertex work — the estimate behind
     /// [`expansion_selective`](Self::expansion_selective).
     pub(crate) fn expandable_region(&self, constraint: LabelSet) -> usize {
         constraint
             .iter()
-            .map(|l| self.label_vertex_counts.get(l.index()).copied().unwrap_or(0))
+            .map(|l| self.label_vertex_counts[Dir::Out].get(l.index()).copied().unwrap_or(0))
             .sum::<usize>()
             .min(self.num_vertices())
     }
@@ -367,42 +320,34 @@ impl Graph {
         2 * expandable <= self.non_sink_vertices || 4 * constraint.len() <= self.num_labels()
     }
 
-    /// Out-edges of `v` grouped into `(label, run)` pairs (no constraint)
-    /// — lets per-label work be hoisted out of the per-edge loop, e.g. by
-    /// the local-index BFS.
+    /// The edges of `v` in direction `dir` grouped into `(label, run)`
+    /// pairs (no constraint) — lets per-label work be hoisted out of the
+    /// per-edge loop, e.g. by the local-index BFS.
     #[inline]
-    pub fn out_label_runs(&self, v: VertexId) -> PerLabelRuns<'_> {
+    pub fn label_runs(&self, dir: Dir, v: VertexId) -> PerLabelRuns<'_> {
         if self.overlay.is_none() {
-            return self.out.label_runs(v);
+            return self.csr[dir].label_runs(v);
         }
-        PerLabelRuns::over(self.out_neighbors_live(v))
+        PerLabelRuns::over(self.view_live(dir, v).0)
     }
 
-    /// The union of the labels on `v`'s out-edges, in one load.
+    /// The union of the labels on `v`'s edges in direction `dir`, in one
+    /// load.
     #[inline(always)]
-    pub fn out_label_mask(&self, v: VertexId) -> LabelSet {
+    pub fn label_mask(&self, dir: Dir, v: VertexId) -> LabelSet {
         if self.overlay.is_none() {
-            return self.out.label_mask(v);
+            return self.csr[dir].label_mask(v);
         }
-        self.out_view_live(v).1
+        self.view_live(dir, v).1
     }
 
-    /// The union of the labels on `v`'s in-edges, in one load.
-    #[inline(always)]
-    pub fn in_label_mask(&self, v: VertexId) -> LabelSet {
-        if self.overlay.is_none() {
-            return self.inn.label_mask(v);
-        }
-        self.in_view_live(v).1
-    }
-
-    /// Out-edges of `v` with label `l`.
+    /// The edges of `v` in direction `dir` with label `l`.
     #[inline]
-    pub fn out_neighbors_with_label(&self, v: VertexId, l: LabelId) -> &[LabeledTarget] {
+    pub fn neighbors_with_label(&self, dir: Dir, v: VertexId, l: LabelId) -> &[LabeledTarget] {
         if self.overlay.is_none() {
-            return self.out.neighbors_with_label(v, l);
+            return self.csr[dir].neighbors_with_label(v, l);
         }
-        let (slice, mask) = self.out_view_live(v);
+        let (slice, mask) = self.view_live(dir, v);
         if mask.contains(l) {
             label_run_in(slice, l)
         } else {
@@ -410,42 +355,13 @@ impl Graph {
         }
     }
 
-    /// In-edges of `v` with label `l`.
+    /// The number of edges of `v` in direction `dir`.
     #[inline]
-    pub fn in_neighbors_with_label(&self, v: VertexId, l: LabelId) -> &[LabeledTarget] {
+    pub fn degree(&self, dir: Dir, v: VertexId) -> usize {
         if self.overlay.is_none() {
-            return self.inn.neighbors_with_label(v, l);
+            return self.csr[dir].degree(v);
         }
-        let (slice, mask) = self.in_view_live(v);
-        if mask.contains(l) {
-            label_run_in(slice, l)
-        } else {
-            &[]
-        }
-    }
-
-    /// Out-degree of `v`.
-    #[inline]
-    pub fn out_degree(&self, v: VertexId) -> usize {
-        if self.overlay.is_none() {
-            return self.out.degree(v);
-        }
-        self.out_neighbors_live(v).len()
-    }
-
-    /// In-degree of `v`.
-    #[inline]
-    pub fn in_degree(&self, v: VertexId) -> usize {
-        if self.overlay.is_none() {
-            return self.inn.degree(v);
-        }
-        self.in_neighbors_live(v).len()
-    }
-
-    /// Total degree (in + out) of `v`.
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.out_degree(v) + self.in_degree(v)
+        self.view_live(dir, v).0.len()
     }
 
     /// Whether the concrete edge `(s, l, t)` exists: one binary search
@@ -454,7 +370,7 @@ impl Graph {
     /// probe against a hub costs O(log d) of the *other* side's degree.
     /// Merged view while an overlay is active.
     pub fn has_edge(&self, s: VertexId, l: LabelId, t: VertexId) -> bool {
-        let (out, inn) = (self.out_neighbors(s), self.in_neighbors(t));
+        let (out, inn) = (self.neighbors(Dir::Out, s), self.neighbors(Dir::In, t));
         if out.len() <= inn.len() {
             slice_has_edge(out, l, t)
         } else {
@@ -482,25 +398,18 @@ impl Graph {
         &self.label_histogram
     }
 
-    /// Per-label count of vertices with at least one out-edge carrying
-    /// that label, indexed by label id — derived from the incident-label
-    /// masks when the graph freezes (or a snapshot loads). Summed over a
-    /// query's label constraint `L`, it upper-bounds the number of
-    /// vertices a search can *expand* under `L`, which is a sharper
-    /// selectivity signal than `|L| / |𝓛|`.
-    pub fn label_vertex_counts(&self) -> &[usize] {
-        &self.label_vertex_counts
-    }
-
-    /// Per-label count of vertices with at least one *in*-edge carrying
-    /// that label — the mirror of
-    /// [`label_vertex_counts`](Self::label_vertex_counts). A label's
-    /// average fan-out is `label_histogram[l] / label_vertex_counts[l]`
-    /// and its average fan-in `label_histogram[l] /
-    /// label_in_vertex_counts[l]`: what the SPARQL planner charges a
-    /// pattern it enters through an already-bound variable.
-    pub fn label_in_vertex_counts(&self) -> &[usize] {
-        &self.label_in_vertex_counts
+    /// Per-label count of vertices with at least one edge in direction
+    /// `dir` carrying that label, indexed by label id — derived from the
+    /// incident-label masks when the graph freezes (or a snapshot loads).
+    /// Summed over a query's label constraint `L`, the out-direction
+    /// counts upper-bound the number of vertices a search can *expand*
+    /// under `L`, which is a sharper selectivity signal than `|L| / |𝓛|`.
+    /// A label's average fan-out is `label_histogram[l] /
+    /// label_vertex_counts(Dir::Out)[l]` and its average fan-in the same
+    /// over `Dir::In`: what the SPARQL planner charges a pattern it
+    /// enters through an already-bound variable.
+    pub fn label_vertex_counts(&self, dir: Dir) -> &[usize] {
+        &self.label_vertex_counts[dir]
     }
 
     /// Resolves a vertex name to its id.
@@ -566,14 +475,13 @@ impl Graph {
     /// Approximate total heap footprint in bytes (adjacency + dictionaries
     /// + schema), used for the index/graph size columns in the evaluation.
     pub fn heap_bytes(&self) -> usize {
-        self.out.heap_bytes()
-            + self.inn.heap_bytes()
+        let per_label = |counts: &Vec<usize>| counts.capacity() * std::mem::size_of::<usize>();
+        self.csr.iter().map(|csr| csr.heap_bytes()).sum::<usize>()
             + self.vertex_dict.heap_bytes()
             + self.label_dict.heap_bytes()
             + self.schema.heap_bytes()
-            + self.label_histogram.capacity() * std::mem::size_of::<usize>()
-            + self.label_vertex_counts.capacity() * std::mem::size_of::<usize>()
-            + self.label_in_vertex_counts.capacity() * std::mem::size_of::<usize>()
+            + per_label(&self.label_histogram)
+            + self.label_vertex_counts.iter().map(per_label).sum::<usize>()
             + self.overlay.as_deref().map_or(0, DeltaOverlay::heap_bytes)
     }
 
@@ -675,72 +583,61 @@ impl Graph {
         let labels_before = self.label_dict.len();
         let had_overlay = self.overlay.is_some();
         if !had_overlay {
-            self.overlay = Some(Box::new(DeltaOverlay::new(self.out.num_vertices())));
+            self.overlay = Some(Box::new(DeltaOverlay::new(self.csr[Dir::Out].num_vertices())));
         }
         let mut summary = UpdateSummary::default();
         let mut touched = fx_set_with_capacity::<VertexId>(batch.len());
 
         for op in batch.ops() {
-            match op {
+            // An insert interns its names; a delete naming one that was
+            // never interned is a no-op.
+            let (insert, ids) = match op {
                 UpdateOp::Insert(t) => {
                     let s = VertexId(self.vertex_dict.intern(&t.subject));
                     let p = self.intern_update_label(&t.predicate);
-                    let o = VertexId(self.vertex_dict.intern(&t.object));
-                    let target = LabeledTarget { label: p, vertex: o };
-                    let change = self
-                        .overlay
-                        .as_mut()
-                        .expect("overlay installed above")
-                        .insert_edge(&self.out, &self.inn, s, target);
-                    match change {
-                        Some(masks) => {
-                            self.label_histogram[p.index()] += 1;
-                            self.num_edges += 1;
-                            self.note_mask_change(masks);
-                            summary.edges_inserted += 1;
-                            touched.insert(s);
-                            if self.schema.type_label == Some(p) {
-                                self.schema.add_instance(o, s);
-                            }
-                            if self.schema.subclass_label == Some(p) {
-                                self.schema.add_class(s);
-                                self.schema.add_class(o);
-                            }
-                        }
-                        None => summary.noop_inserts += 1,
-                    }
+                    (true, Some((s, p, VertexId(self.vertex_dict.intern(&t.object)))))
                 }
                 UpdateOp::Delete(t) => {
-                    let ids = (
-                        self.vertex_dict.get(&t.subject),
-                        self.label_dict.get(&t.predicate),
-                        self.vertex_dict.get(&t.object),
-                    );
-                    let (Some(s), Some(p), Some(o)) = ids else {
-                        summary.noop_deletes += 1;
-                        continue;
-                    };
-                    let (s, p, o) = (VertexId(s), LabelId(p as u16), VertexId(o));
-                    let target = LabeledTarget { label: p, vertex: o };
-                    let change = self
-                        .overlay
-                        .as_mut()
-                        .expect("overlay installed above")
-                        .delete_edge(&self.out, &self.inn, s, target);
-                    match change {
-                        Some(masks) => {
-                            self.label_histogram[p.index()] -= 1;
-                            self.num_edges -= 1;
-                            self.note_mask_change(masks);
-                            summary.edges_deleted += 1;
-                            touched.insert(s);
-                            if self.schema.type_label == Some(p) {
-                                self.schema.remove_instance(o, s);
-                            }
-                        }
-                        None => summary.noop_deletes += 1,
-                    }
+                    let s = self.vertex_dict.get(&t.subject).map(VertexId);
+                    let p = self.label_dict.get(&t.predicate).map(|p| LabelId(p as u16));
+                    let o = self.vertex_dict.get(&t.object).map(VertexId);
+                    (false, s.zip(p).zip(o).map(|((s, p), o)| (s, p, o)))
                 }
+            };
+            let overlay = self.overlay.as_mut().expect("overlay installed above");
+            let changed = ids.and_then(|(s, p, o)| {
+                let target = LabeledTarget { label: p, vertex: o };
+                Some((s, p, o, overlay.change_edge(&self.csr, s, target, insert)?))
+            });
+            let Some((s, p, o, masks)) = changed else {
+                if insert {
+                    summary.noop_inserts += 1;
+                } else {
+                    summary.noop_deletes += 1;
+                }
+                continue;
+            };
+            if insert {
+                self.label_histogram[p.index()] += 1;
+                self.num_edges += 1;
+                summary.edges_inserted += 1;
+            } else {
+                self.label_histogram[p.index()] -= 1;
+                self.num_edges -= 1;
+                summary.edges_deleted += 1;
+            }
+            self.note_mask_change(masks);
+            touched.insert(s);
+            if self.schema.type_label == Some(p) {
+                if insert {
+                    self.schema.add_instance(o, s);
+                } else {
+                    self.schema.remove_instance(o, s);
+                }
+            }
+            if insert && self.schema.subclass_label == Some(p) {
+                self.schema.add_class(s);
+                self.schema.add_class(o);
             }
         }
 
@@ -787,8 +684,7 @@ impl Graph {
         *self = Graph::from_parts(
             std::mem::take(&mut self.vertex_dict),
             std::mem::take(&mut self.label_dict),
-            out,
-            inn,
+            [out, inn],
             std::mem::take(&mut self.schema),
             std::mem::take(&mut self.label_histogram),
         );
@@ -816,8 +712,9 @@ impl Graph {
         let id = self.label_dict.intern(name);
         debug_assert!(id <= u16::MAX as u32, "label id overflows u16");
         self.label_histogram.push(0);
-        self.label_vertex_counts.push(0);
-        self.label_in_vertex_counts.push(0);
+        for counts in &mut self.label_vertex_counts {
+            counts.push(0);
+        }
         let l = LabelId(id as u16);
         self.schema.note_label(l, name);
         l
@@ -825,9 +722,10 @@ impl Graph {
 
     /// Folds the mask transitions of one edge change into the
     /// mask-derived statistics (`label_vertex_counts`,
-    /// `label_in_vertex_counts`, `non_sink_vertices`).
+    /// `non_sink_vertices`).
     fn note_mask_change(&mut self, masks: MaskChange) {
-        fn fold(counts: &mut [usize], (old, new): (LabelSet, LabelSet)) {
+        for dir in Dir::BOTH {
+            let ((old, new), counts) = (masks[dir], &mut self.label_vertex_counts[dir]);
             for l in new.difference(old).iter() {
                 counts[l.index()] += 1;
             }
@@ -835,9 +733,7 @@ impl Graph {
                 counts[l.index()] -= 1;
             }
         }
-        fold(&mut self.label_vertex_counts, masks.out);
-        fold(&mut self.label_in_vertex_counts, masks.inn);
-        let (old, new) = masks.out;
+        let (old, new) = masks[Dir::Out];
         match (old.is_empty(), new.is_empty()) {
             (true, false) => self.non_sink_vertices += 1,
             (false, true) => self.non_sink_vertices -= 1,
@@ -1031,7 +927,7 @@ impl GraphBuilder {
         let inn = Csr::from_key_sorted(n, num_edges, edges.iter().map(|e| (e.dst, e.label, e.src)));
         drop(edges);
 
-        Ok(Graph::from_parts(vertex_dict, label_dict, out, inn, schema, label_histogram))
+        Ok(Graph::from_parts(vertex_dict, label_dict, [out, inn], schema, label_histogram))
     }
 }
 
@@ -1088,11 +984,12 @@ mod tests {
         assert!(g.has_edge(v0, friend, v1));
         assert!(!g.has_edge(v1, friend, v0));
         // v3's in-edges: friendOf from v1 and v2
-        let ins: Vec<_> = g.in_neighbors_with_label(v3, friend).iter().map(|t| t.vertex).collect();
+        let ins: Vec<_> =
+            g.neighbors_with_label(Dir::In, v3, friend).iter().map(|t| t.vertex).collect();
         assert_eq!(ins.len(), 2);
-        assert_eq!(g.in_degree(v3), 2);
-        assert_eq!(g.out_degree(v0), 3);
-        assert_eq!(g.degree(v0), 3);
+        assert_eq!(g.degree(Dir::In, v3), 2);
+        assert_eq!(g.degree(Dir::Out, v0), 3);
+        assert_eq!(g.degree(Dir::In, v0), 0);
     }
 
     #[test]
@@ -1271,16 +1168,16 @@ mod tests {
     fn label_masks_and_vertex_counts() {
         let g = figure3_graph();
         let v0 = g.vertex_id("v0").unwrap();
-        assert_eq!(g.out_label_mask(v0), g.label_set(&["friendOf", "likes", "advisorOf"]));
-        assert_eq!(g.in_label_mask(v0), crate::LabelSet::EMPTY);
+        assert_eq!(g.label_mask(Dir::Out, v0), g.label_set(&["friendOf", "likes", "advisorOf"]));
+        assert_eq!(g.label_mask(Dir::In, v0), crate::LabelSet::EMPTY);
         // friendOf is on the out-edges of v0, v1 and v2.
         let friend = g.label_id("friendOf").unwrap();
-        assert_eq!(g.label_vertex_counts()[friend.index()], 3);
+        assert_eq!(g.label_vertex_counts(Dir::Out)[friend.index()], 3);
         // ... and on the in-edges of v1 and v3 (v3 twice, counted once).
-        assert_eq!(g.label_in_vertex_counts()[friend.index()], 2);
+        assert_eq!(g.label_vertex_counts(Dir::In)[friend.index()], 2);
         // Each count is bounded by the histogram (a vertex counts once per
         // label however many such edges it has).
-        for (c, h) in g.label_vertex_counts().iter().zip(g.label_histogram()) {
+        for (c, h) in g.label_vertex_counts(Dir::Out).iter().zip(g.label_histogram()) {
             assert!(c <= h);
         }
         // expandable_region sums the counts, capped at |V|.
@@ -1331,9 +1228,71 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Everything one vertex's adjacency shows in one direction, by name
+    /// (ids differ between a live graph and its rebuild), so that two
+    /// graphs' views compare with `==`. Entries that would be empty are
+    /// left out, so a vertex the other graph lacks reads as the default.
+    #[derive(Debug, Default, PartialEq)]
+    struct AdjacencyView {
+        neighbors: Named,
+        degree: usize,
+        mask: Vec<String>,
+        per_label: Vec<(String, Named)>,
+        /// `(constraint, selective, edges, degree)` for each single label
+        /// and for the whole alphabet (`"*"`).
+        expansions: Vec<(String, bool, Named, usize)>,
+        runs: Vec<(String, Named)>,
+    }
+
+    /// `(label, vertex)` name pairs, sorted.
+    type Named = Vec<(String, String)>;
+
+    fn adjacency_view(g: &Graph, v: Option<VertexId>, dir: Dir, labels: &[&str]) -> AdjacencyView {
+        let Some(v) = v else { return AdjacencyView::default() };
+        let named = |ts: &[LabeledTarget]| {
+            let mut pairs: Named = ts
+                .iter()
+                .map(|t| (g.label_name(t.label).to_owned(), g.vertex_name(t.vertex).to_owned()))
+                .collect();
+            pairs.sort();
+            pairs
+        };
+        let mut mask: Vec<String> =
+            g.label_mask(dir, v).iter().map(|l| g.label_name(l).to_owned()).collect();
+        mask.sort();
+        let mut runs: Vec<_> =
+            g.label_runs(dir, v).map(|(l, run)| (g.label_name(l).to_owned(), named(run))).collect();
+        runs.sort();
+        let mut view = AdjacencyView {
+            neighbors: named(g.neighbors(dir, v)),
+            degree: g.degree(dir, v),
+            mask,
+            runs,
+            ..AdjacencyView::default()
+        };
+        let singletons = labels.iter().map(|&name| (name, g.label_set(&[name])));
+        for (name, constraint) in singletons.chain([("*", g.label_set(labels))]) {
+            if let (Some(l), false) = (constraint.iter().next(), name == "*") {
+                let run = g.neighbors_with_label(dir, v, l);
+                if !run.is_empty() {
+                    view.per_label.push((name.to_owned(), named(run)));
+                }
+            }
+            for selective in [true, false] {
+                let exp = g.expansion(dir, v, constraint, selective);
+                if exp.degree > 0 {
+                    let entry = (name.to_owned(), selective, named(exp.edges), exp.degree);
+                    view.expansions.push(entry);
+                }
+            }
+        }
+        view
+    }
+
     /// Asserts that the live graph and a from-scratch rebuild of its
-    /// triples agree on every per-vertex view (by name, since ids can
-    /// differ) and on all derived statistics.
+    /// triples agree on every per-vertex adjacency view in both
+    /// directions (by name, since ids can differ) and on all derived
+    /// statistics.
     fn assert_equivalent(live: &Graph, reference: &Graph) {
         assert_eq!(live.num_edges(), reference.num_edges());
         let mut live_triples: Vec<(String, String, String)> =
@@ -1343,68 +1302,27 @@ mod tests {
         live_triples.sort();
         ref_triples.sort();
         assert_eq!(live_triples, ref_triples);
+        let labels: Vec<&str> =
+            (0..live.num_labels() as u16).map(|i| live.label_name(LabelId(i))).collect();
         // Mask-derived statistics must be maintained exactly.
-        for (id, name) in (0..live.num_labels() as u16).map(|i| (i, live.label_name(LabelId(i)))) {
-            let l = LabelId(id);
-            let (hist, counts, in_counts) = (
-                live.label_histogram()[l.index()],
-                live.label_vertex_counts()[l.index()],
-                live.label_in_vertex_counts()[l.index()],
-            );
-            match reference.label_id(name) {
-                Some(rl) => {
-                    assert_eq!(hist, reference.label_histogram()[rl.index()], "hist[{name}]");
-                    assert_eq!(
-                        counts,
-                        reference.label_vertex_counts()[rl.index()],
-                        "vertex_counts[{name}]"
-                    );
-                    assert_eq!(
-                        in_counts,
-                        reference.label_in_vertex_counts()[rl.index()],
-                        "in_vertex_counts[{name}]"
-                    );
-                }
-                None => {
-                    assert_eq!(hist, 0, "label {name} has no edges in the reference");
-                    assert_eq!((counts, in_counts), (0, 0));
-                }
-            }
+        let stats = |g: &Graph, name: &str| {
+            let at = |counts: &[usize]| g.label_id(name).map_or(0, |l| counts[l.index()]);
+            (at(g.label_histogram()), Dir::BOTH.map(|dir| at(g.label_vertex_counts(dir))))
+        };
+        for name in &labels {
+            assert_eq!(stats(live, name), stats(reference, name), "{name}");
         }
         // Per-vertex adjacency views agree by name.
         for v in live.vertices() {
-            let name = live.vertex_name(v).to_owned();
-            // Adjacency slices sort by *label id*, and ids intern in
-            // different orders in the two graphs — compare as sets of
-            // name pairs.
-            let mut out_live: Vec<(String, String)> = live
-                .out_neighbors(v)
-                .iter()
-                .map(|t| (live.label_name(t.label).into(), live.vertex_name(t.vertex).into()))
-                .collect();
-            let mut out_ref: Vec<(String, String)> = match reference.vertex_id(&name) {
-                Some(rv) => reference
-                    .out_neighbors(rv)
-                    .iter()
-                    .map(|t| {
-                        (
-                            reference.label_name(t.label).into(),
-                            reference.vertex_name(t.vertex).into(),
-                        )
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-            out_live.sort();
-            out_ref.sort();
-            assert_eq!(out_live, out_ref, "out({name})");
-            assert_eq!(live.out_degree(v), out_live.len());
-            assert_eq!(live.out_label_mask(v).len(), {
-                let mut ls: Vec<&String> = out_live.iter().map(|(l, _)| l).collect();
-                ls.sort();
-                ls.dedup();
-                ls.len()
-            });
+            let name = live.vertex_name(v);
+            let rv = reference.vertex_id(name);
+            for dir in Dir::BOTH {
+                assert_eq!(
+                    adjacency_view(live, Some(v), dir, &labels),
+                    adjacency_view(reference, rv, dir, &labels),
+                    "{name}, {dir:?}"
+                );
+            }
         }
     }
 
@@ -1435,8 +1353,8 @@ mod tests {
         let v4 = g.vertex_id("v4").unwrap();
         let likes = g.label_id("likes").unwrap();
         assert!(g.has_edge(v0, likes, v4));
-        assert_eq!(g.out_degree(v4), 0, "v4's only out-edge was deleted");
-        assert!(g.out_label_mask(v4).is_empty());
+        assert_eq!(g.degree(Dir::Out, v4), 0, "v4's only out-edge was deleted");
+        assert!(g.label_mask(Dir::Out, v4).is_empty());
         assert_equivalent(&g, &rebuilt(&g));
         // touched_sources: v0 (insert) and v4 (delete), deduped + sorted.
         assert_eq!(s.touched_sources, vec![v0, v4]);
@@ -1486,15 +1404,18 @@ mod tests {
         assert_eq!(s.edges_inserted, 2);
         let newbie = g.vertex_id("newbie").unwrap();
         let mentors = g.label_id("mentors").unwrap();
-        assert_eq!(g.out_degree(newbie), 1);
-        assert_eq!(g.in_degree(newbie), 1);
+        assert_eq!(g.degree(Dir::Out, newbie), 1);
+        assert_eq!(g.degree(Dir::In, newbie), 1);
         assert_eq!(g.label_histogram()[mentors.index()], 2);
-        assert_eq!(g.label_vertex_counts()[mentors.index()], 2);
+        assert_eq!(g.label_vertex_counts(Dir::Out)[mentors.index()], 2);
         assert!(g.has_edge(newbie, mentors, g.vertex_id("v0").unwrap()));
         assert_equivalent(&g, &rebuilt(&g));
         // Per-label and expansion views work on the new vertex.
-        assert_eq!(g.out_neighbors_with_label(newbie, mentors).len(), 1);
-        assert_eq!(g.out_expansion(newbie, LabelSet::singleton(mentors), true).edges.len(), 1);
+        assert_eq!(g.neighbors_with_label(Dir::Out, newbie, mentors).len(), 1);
+        assert_eq!(
+            g.expansion(Dir::Out, newbie, LabelSet::singleton(mentors), true).edges.len(),
+            1
+        );
     }
 
     #[test]

@@ -94,6 +94,43 @@ impl From<u16> for LabelId {
     }
 }
 
+/// A direction along a vertex's edges: its out-edges, where each
+/// [`LabeledTarget`](crate::LabeledTarget)'s `vertex` is the edge's
+/// target, or its in-edges, where it is the edge's source.
+///
+/// Every adjacency accessor of [`Graph`](crate::Graph) takes one, and a
+/// per-direction pair `[T; 2]` is indexed by it. The search kernels pass a
+/// constant into `#[inline(always)]` accessors, so the choice folds away
+/// at compile time.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub enum Dir {
+    /// Edges leaving the vertex.
+    Out,
+    /// Edges entering the vertex.
+    In,
+}
+
+impl Dir {
+    /// Both directions, in the order of a per-direction pair.
+    pub const BOTH: [Dir; 2] = [Dir::Out, Dir::In];
+}
+
+impl<T> std::ops::Index<Dir> for [T; 2] {
+    type Output = T;
+
+    #[inline(always)]
+    fn index(&self, dir: Dir) -> &T {
+        &self[dir as usize]
+    }
+}
+
+impl<T> std::ops::IndexMut<Dir> for [T; 2] {
+    #[inline(always)]
+    fn index_mut(&mut self, dir: Dir) -> &mut T {
+        &mut self[dir as usize]
+    }
+}
+
 /// A directed labeled edge `(source, label, target)`, the paper's
 /// `e = (s, l, t)`.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -147,6 +184,14 @@ mod tests {
         assert_eq!(std::mem::size_of::<VertexId>(), 4);
         assert_eq!(std::mem::size_of::<LabelId>(), 2);
         assert_eq!(std::mem::size_of::<Edge>(), 12);
+    }
+
+    #[test]
+    fn a_pair_is_indexed_by_direction() {
+        let mut pair = ["out", "in"];
+        assert_eq!(Dir::BOTH.map(|dir| pair[dir]), pair);
+        pair[Dir::In] = "into";
+        assert_eq!(pair, ["out", "into"]);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use csr::{Expansion, LabeledTarget, PerLabelRuns};
 pub use delta::{DeltaStats, UpdateBatch, UpdateOp, UpdateSummary};
 pub use error::{GraphError, Result};
 pub use graph::{Graph, GraphBuilder, GraphFingerprint, Lineage};
-pub use ids::{Edge, LabelId, VertexId};
+pub use ids::{Dir, Edge, LabelId, VertexId};
 pub use labelset::{Cms, LabelSet, MAX_LABELS};
 pub use schema::Schema;
 pub use stats::GraphStats;

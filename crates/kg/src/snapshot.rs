@@ -71,7 +71,7 @@ use crate::csr::{Csr, LabeledTarget};
 use crate::dict::Dict;
 use crate::error::{GraphError, Result};
 use crate::graph::{Graph, GraphFingerprint};
-use crate::ids::{LabelId, VertexId};
+use crate::ids::{Dir, LabelId, VertexId};
 use crate::labelset::MAX_LABELS;
 use crate::schema::Schema;
 use std::fs::File;
@@ -722,8 +722,8 @@ pub fn write_graph_sections<W: Write>(g: &Graph, w: &mut SectionWriter<W>) -> Re
 
     w.section(TAG_GRAPH_VERTICES, encode_dict(g.vertex_dict()).as_slice())?;
     w.section(TAG_GRAPH_LABELS, encode_dict(g.label_dict()).as_slice())?;
-    w.section(TAG_GRAPH_OUT, encode_csr(g.out_csr()).as_slice())?;
-    w.section(TAG_GRAPH_IN, encode_csr(g.in_csr()).as_slice())?;
+    w.section(TAG_GRAPH_OUT, encode_csr(g.csr(Dir::Out)).as_slice())?;
+    w.section(TAG_GRAPH_IN, encode_csr(g.csr(Dir::In)).as_slice())?;
     w.section(TAG_GRAPH_SCHEMA, encode_schema(g.schema()).as_slice())?;
 
     let histogram = g.label_histogram();
@@ -792,7 +792,7 @@ pub fn read_graph_sections(r: &mut SectionReader<'_>) -> Result<Graph> {
     }
     hist.finish()?;
 
-    let g = Graph::from_parts(vertex_dict, label_dict, out, inn, schema, histogram);
+    let g = Graph::from_parts(vertex_dict, label_dict, [out, inn], schema, histogram);
     let actual = g.fingerprint();
     if actual != stored {
         return Err(GraphError::SnapshotCorrupt {

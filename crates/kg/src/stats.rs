@@ -18,6 +18,7 @@
 //! ```
 
 use crate::graph::Graph;
+use crate::ids::Dir;
 use std::fmt;
 
 /// Summary statistics of a [`Graph`].
@@ -52,8 +53,7 @@ impl GraphStats {
         let mut isolated = 0usize;
         let mut label_histogram = vec![0usize; g.num_labels()];
         for v in g.vertices() {
-            let out = g.out_degree(v);
-            let inn = g.in_degree(v);
+            let [out, inn] = Dir::BOTH.map(|dir| g.degree(dir, v));
             max_out = max_out.max(out);
             max_in = max_in.max(inn);
             if out == 0 && inn == 0 {

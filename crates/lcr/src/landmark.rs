@@ -23,7 +23,7 @@ use crate::budget::{Budget, BudgetExceeded};
 use crate::tc::cms_from;
 use kgreach_graph::fxhash::FxHashMap;
 use kgreach_graph::traverse::EpochMask;
-use kgreach_graph::{Cms, Graph, LabelSet, VertexId};
+use kgreach_graph::{Cms, Dir, Graph, LabelSet, VertexId};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -77,7 +77,9 @@ impl LandmarkIndex {
         // Highest-degree landmark selection (the strategy §5.1.2 criticizes
         // for KGs, kept faithful to [19]).
         let mut by_degree: Vec<VertexId> = g.vertices().collect();
-        by_degree.sort_unstable_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+        by_degree.sort_unstable_by_key(|&v| {
+            std::cmp::Reverse(g.degree(Dir::Out, v) + g.degree(Dir::In, v))
+        });
         let landmarks: Vec<VertexId> = by_degree[..k].to_vec();
         let mut landmark_ordinal = vec![u32::MAX; n];
         for (i, &v) in landmarks.iter().enumerate() {

@@ -24,7 +24,9 @@
 //! for open-loop pacing (default closed-loop); `--algorithm
 //! uis|uis*|ins|auto`; `--batch N` to add `/query_batch` rows with
 //! windows of `N`; `--addr HOST:PORT` for an external server; `--out
-//! PATH` (empty to skip writing).
+//! PATH` (empty to skip writing). An unknown flag or a malformed value
+//! exits with status 2, naming the flag, before anything runs or is
+//! written.
 //!
 //! Back-pressure: a `429`/`503` answer is not a failure — the request is
 //! retried with capped exponential backoff (honoring the server's
@@ -44,7 +46,7 @@ use kgreach::{Algorithm, Graph, LscrEngine, SubstructureConstraint};
 use kgreach_datagen::constraints::{s1, s2, s3};
 use kgreach_datagen::lubm::{self, LubmConfig};
 use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
-use kgreach_serve::cli::Args;
+use kgreach_serve::cli::{parses, Args, Flags};
 use kgreach_serve::protocol::parse_algorithm;
 use kgreach_serve::{serve, HttpClient, HttpResponse, Json, ServerConfig};
 use std::sync::Arc;
@@ -393,8 +395,19 @@ fn run_update_stream(addr: std::net::SocketAddr, count: usize, label: &str) -> u
     acked
 }
 
+/// Every flag kg-loadgen reads, with the test its value must pass.
+const FLAGS: &Flags = &[
+    (&["out", "chaos-label"], |_| true),
+    (&["addr"], parses::<std::net::SocketAddr>),
+    (&["algorithm"], |v| parse_algorithm(v).is_some()),
+    (&["concurrency"], |v| v.split(',').all(|n| parses::<usize>(n.trim()))),
+    (&["update-stream", "universities", "departments", "queries", "batch"], parses::<usize>),
+    (&["seed"], parses::<u64>),
+    (&["rate"], parses::<f64>),
+];
+
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(FLAGS);
     if let Some(count) = args.get_opt::<usize>("update-stream") {
         let Some(addr) = args.get_str("addr") else {
             eprintln!("error: --update-stream needs --addr HOST:PORT (an external server)");

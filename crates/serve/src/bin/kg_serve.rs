@@ -79,11 +79,7 @@ fn build_engine(args: &Args) -> LscrEngine {
 }
 
 fn main() {
-    let args = Args::parse();
-    if let Err(e) = args.check(FLAGS) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    let args = Args::parse(FLAGS);
     let defaults = BatchConfig::default();
     let max_step_budget = match args.get("max-step-budget", defaults.max_step_budget.unwrap_or(0)) {
         0 => None,

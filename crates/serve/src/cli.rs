@@ -1,11 +1,11 @@
 //! Tiny `--flag value` argument parsing shared by `kg-serve`,
 //! `kg-loadgen` and the bench harness's experiment binaries (no external
-//! parser crate). A binary that calls [`Args::check`] refuses unknown
-//! flags and malformed values; the others ignore unknown flags, and a
-//! malformed value falls back to the default.
+//! parser crate). Each binary names its [`Flags`], and [`Args::parse`],
+//! the one way in, refuses an unknown flag or a malformed value with exit
+//! status 2 before the binary does anything.
 
 /// Flags a binary accepts, each of which takes a value, and the test
-/// their values must pass (see [`Args::check`]).
+/// their values must pass (see [`Args::parse`]).
 pub type Flags = [(&'static [&'static str], fn(&str) -> bool)];
 
 /// Whether `value` parses as a `T`: the value test of numeric [`Flags`].
@@ -19,20 +19,23 @@ pub struct Args {
 }
 
 impl Args {
-    /// Captures the process arguments (skipping the program name).
-    pub fn parse() -> Self {
-        Args { raw: std::env::args().skip(1).collect() }
-    }
-
-    /// Builds from an explicit list (tests).
-    pub fn from_vec(raw: Vec<String>) -> Self {
-        Args { raw }
+    /// Captures the process arguments (skipping the program name) and
+    /// checks them against `flags`. An unknown flag, a flag without a
+    /// value, or a value that fails its test is printed, naming the flag,
+    /// and the process exits with status 2.
+    pub fn parse(flags: &Flags) -> Self {
+        let args = Args { raw: std::env::args().skip(1).collect() };
+        if let Err(e) = args.check(flags) {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+        args
     }
 
     /// Checks that the arguments are pairs of a `--name` from `flags` and
     /// a value that passes its test. The error names the first flag that
     /// is unknown, or whose value is missing or does not parse.
-    pub fn check(&self, flags: &Flags) -> Result<(), String> {
+    fn check(&self, flags: &Flags) -> Result<(), String> {
         for pair in self.raw.chunks(2) {
             let name = pair[0].strip_prefix("--").unwrap_or_default();
             let Some((_, valid)) = flags.iter().find(|(names, _)| names.contains(&name)) else {
@@ -57,12 +60,6 @@ impl Args {
         self.get_str(name).and_then(|v| v.parse().ok())
     }
 
-    /// Whether the bare flag `--name` is present.
-    pub fn has(&self, name: &str) -> bool {
-        let flag = format!("--{name}");
-        self.raw.iter().any(|a| a == &flag)
-    }
-
     /// The value after `--name` as a string, if present.
     pub fn get_str(&self, name: &str) -> Option<&str> {
         let flag = format!("--{name}");
@@ -78,27 +75,24 @@ impl Args {
 mod tests {
     use super::*;
 
+    fn args(raw: &[&str]) -> Args {
+        Args { raw: raw.iter().map(|s| s.to_string()).collect() }
+    }
+
     #[test]
     fn flags_parse_with_defaults() {
-        let a = Args::from_vec(
-            ["--workers", "3", "--verbose", "--addr", "0.0.0.0:80"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        );
+        let a = args(&["--workers", "3", "--addr", "0.0.0.0:80"]);
         assert_eq!(a.get("workers", 8usize), 3);
         assert_eq!(a.get("missing", 8usize), 8);
         assert_eq!(a.get_opt::<u64>("workers"), Some(3));
         assert_eq!(a.get_opt::<u64>("missing"), None);
-        assert!(a.has("verbose") && !a.has("quiet"));
         assert_eq!(a.get_str("addr"), Some("0.0.0.0:80"));
     }
 
     #[test]
     fn check_names_the_first_bad_flag() {
         const FLAGS: &Flags = &[(&["addr"], |_| true), (&["workers"], parses::<usize>)];
-        let check =
-            |raw: &[&str]| Args::from_vec(raw.iter().map(|s| s.to_string()).collect()).check(FLAGS);
+        let check = |raw: &[&str]| args(raw).check(FLAGS);
         assert_eq!(check(&[]), Ok(()));
         assert_eq!(check(&["--workers", "3", "--addr", "x"]), Ok(()));
         assert_eq!(check(&["--data_dir", "x"]), Err("unknown flag '--data_dir'".into()));

@@ -1,7 +1,8 @@
 //! `kg-serve` refuses a flag it does not know, and a value that does not
 //! parse, with exit status 2 before it binds a socket or creates a data
 //! directory: a misspelt `--data_dir` must not start a server without
-//! durability that acknowledges updates a restart loses.
+//! durability that acknowledges updates a restart loses. `kg-loadgen`
+//! refuses the same way before it writes its artifact.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -67,5 +68,23 @@ fn unknown_flags_and_malformed_values_exit_2_before_touching_anything() {
     assert!(child.try_wait().expect("wait").is_none(), "kg-serve --data-dir x exited");
     let _ = child.kill();
     let _ = child.wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn kg_loadgen_refuses_a_misspelt_flag_before_writing_its_artifact() {
+    let dir = scratch("loadgen");
+    let artifact = dir.join("x.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_kg-loadgen"))
+        .args(["--universites", "1", "--out"])
+        .arg(&artifact)
+        .current_dir(&dir)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run kg-loadgen");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--universites"), "the error does not name the flag: {stderr}");
+    assert!(!artifact.exists(), "kg-loadgen wrote {artifact:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -28,7 +28,7 @@
 
 use crate::plan::{NodeRef, Plan, PredRef, ResolvedPattern};
 use kgreach_graph::fxhash::FxHashSet;
-use kgreach_graph::{Graph, LabelId, VertexId};
+use kgreach_graph::{Dir, Graph, LabelId, VertexId};
 
 /// Node variables a [`Bindings`] holds without touching the heap (the
 /// paper's largest constraint, S4, has eight).
@@ -243,6 +243,11 @@ impl<'a, V: Visitor> Join<'a, V> {
             PredRef::Const(l) => Some(l),
             PredRef::Var(i) => self.preds[i as usize],
         };
+        // A vertex's edges in one direction, label-filtered when possible.
+        let edges = |dir, v| match p {
+            Some(l) => g.neighbors_with_label(dir, v, l),
+            None => g.neighbors(dir, v),
+        };
         match (self.slot(pat.s), self.slot(pat.o), p) {
             // Everything known: an existence probe, nothing to bind.
             (Slot::Bound(sv), Slot::Bound(ov), Some(l)) => {
@@ -252,13 +257,9 @@ impl<'a, V: Visitor> Join<'a, V> {
                     Control::Continue
                 }
             }
-            // Subject known: scan its out-edges (label-filtered when possible).
+            // Subject known: scan its out-edges.
             (Slot::Bound(sv), _, _) => {
-                let edges = match p {
-                    Some(l) => g.out_neighbors_with_label(sv, l),
-                    None => g.out_neighbors(sv),
-                };
-                for t in edges {
+                for t in edges(Dir::Out, sv) {
                     if self.extend(depth, pat, sv, t.label, t.vertex) == Control::Stop {
                         return Control::Stop;
                     }
@@ -267,11 +268,7 @@ impl<'a, V: Visitor> Join<'a, V> {
             }
             // Object known: scan its in-edges.
             (Slot::Free(_), Slot::Bound(ov), _) => {
-                let edges = match p {
-                    Some(l) => g.in_neighbors_with_label(ov, l),
-                    None => g.in_neighbors(ov),
-                };
-                for t in edges {
+                for t in edges(Dir::In, ov) {
                     if self.extend(depth, pat, t.vertex, t.label, ov) == Control::Stop {
                         return Control::Stop;
                     }
@@ -282,11 +279,7 @@ impl<'a, V: Visitor> Join<'a, V> {
             // first only when no constant or earlier pattern connects).
             (Slot::Free(_), Slot::Free(_), _) => {
                 for sv in g.vertices() {
-                    let edges = match p {
-                        Some(l) => g.out_neighbors_with_label(sv, l),
-                        None => g.out_neighbors(sv),
-                    };
-                    for t in edges {
+                    for t in edges(Dir::Out, sv) {
                         if self.extend(depth, pat, sv, t.label, t.vertex) == Control::Stop {
                             return Control::Stop;
                         }

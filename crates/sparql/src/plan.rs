@@ -28,7 +28,7 @@
 //! |---|---|
 //! | both bound (constants or placed variables) | nothing — a filter, placed at once |
 //! | one constant, other unbound | the exact label-run length at that vertex (`rdf:type <C>` is `C`'s in-run); its degree under a predicate variable |
-//! | one placed variable, other unbound | the label's average fan-out `histogram[l] / label_vertex_counts[l]` (fan-in through the object); `|E| / |V|` under a predicate variable |
+//! | one placed variable, other unbound | the label's average fan-out `histogram[l] / label_vertex_counts(Dir::Out)[l]` (fan-in through the object); `|E| / |V|` under a predicate variable |
 //! | nothing bound | `histogram[l]` (`|E|` under a predicate variable) — a full scan, the last resort |
 //!
 //! Connectivity dominates cost: a pattern with a bound endpoint always
@@ -40,7 +40,7 @@
 
 use crate::ast::{SelectQuery, Term};
 use crate::error::{Result, SparqlError};
-use kgreach_graph::{Graph, LabelId, VertexId};
+use kgreach_graph::{Dir, Graph, LabelId, VertexId};
 
 /// A subject/object slot in a resolved pattern.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -283,25 +283,23 @@ fn cost(g: &Graph, p: ResolvedPattern, bound: &[bool]) -> Cost {
         PredRef::Const(l) => Some(l),
         PredRef::Var(_) => None,
     };
-    // Edges carrying the label, and the average number of them per vertex
-    // that has any, in the direction given by `per_vertex`.
+    // Edges carrying the label; a constant's number of them in one
+    // direction; and the average number per vertex that has any.
     let edges = label.map_or(g.num_edges(), |l| g.label_histogram()[l.index()]) as f64;
-    let fan = |per_vertex: &[usize]| match label {
-        Some(l) => edges / per_vertex[l.index()].max(1) as f64,
+    let degree = |dir, v| match label {
+        Some(l) => g.neighbors_with_label(dir, v, l).len(),
+        None => g.degree(dir, v),
+    } as f64;
+    let fan = |dir| match label {
+        Some(l) => edges / g.label_vertex_counts(dir)[l.index()].max(1) as f64,
         None => edges / g.num_vertices().max(1) as f64,
     };
     match (end(p.s), end(p.o)) {
         (End::Free, End::Free) => Cost::Scan(edges),
-        (End::Const(s), End::Free) => Cost::Connected(match label {
-            Some(l) => g.out_neighbors_with_label(s, l).len(),
-            None => g.out_degree(s),
-        } as f64),
-        (End::Free, End::Const(o)) => Cost::Connected(match label {
-            Some(l) => g.in_neighbors_with_label(o, l).len(),
-            None => g.in_degree(o),
-        } as f64),
-        (End::BoundVar, End::Free) => Cost::Connected(fan(g.label_vertex_counts())),
-        (End::Free, End::BoundVar) => Cost::Connected(fan(g.label_in_vertex_counts())),
+        (End::Const(s), End::Free) => Cost::Connected(degree(Dir::Out, s)),
+        (End::Free, End::Const(o)) => Cost::Connected(degree(Dir::In, o)),
+        (End::BoundVar, End::Free) => Cost::Connected(fan(Dir::Out)),
+        (End::Free, End::BoundVar) => Cost::Connected(fan(Dir::In)),
         _ => Cost::Filter,
     }
 }

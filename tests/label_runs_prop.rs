@@ -6,7 +6,7 @@
 //! firing.
 
 use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions};
-use kgreach_graph::{LabelSet, VertexId};
+use kgreach_graph::{Dir, LabelSet, VertexId};
 use kgreach_integration::matrix::{Form, Matrix, Run};
 use kgreach_integration::{answer, random_graph, random_typed_graph};
 use proptest::prelude::*;
@@ -31,23 +31,17 @@ proptest! {
     ) {
         let g = random_graph(n, n * density, labels, seed);
         let l = LabelSet::from_bits(label_bits).intersection(g.all_labels());
-        for v in g.vertices() {
-            let views = [
-                (g.out_neighbors(v), g.out_label_mask(v), g.out_expansion(v, l, true)),
-                (g.in_neighbors(v), g.in_label_mask(v), g.in_expansion(v, l, true)),
-            ];
-            for (slice, mask, selective) in views {
-                let expected_mask: LabelSet = slice.iter().map(|t| t.label).collect();
-                prop_assert_eq!(mask, expected_mask);
-                prop_assert_eq!(selective.degree, slice.len());
-                if expected_mask.intersection(l).is_empty() {
-                    prop_assert!(selective.edges.is_empty(), "skippable vertex yielded edges");
-                } else {
-                    prop_assert_eq!(selective.edges, slice);
-                }
+        for (v, dir) in g.vertices().flat_map(|v| Dir::BOTH.map(|dir| (v, dir))) {
+            let (slice, selective) = (g.neighbors(dir, v), g.expansion(dir, v, l, true));
+            let expected_mask: LabelSet = slice.iter().map(|t| t.label).collect();
+            prop_assert_eq!(g.label_mask(dir, v), expected_mask);
+            prop_assert_eq!(selective.degree, slice.len());
+            if expected_mask.intersection(l).is_empty() {
+                prop_assert!(selective.edges.is_empty(), "skippable vertex yielded edges");
+            } else {
+                prop_assert_eq!(selective.edges, slice);
             }
-            prop_assert_eq!(g.out_expansion(v, l, false).edges, g.out_neighbors(v));
-            prop_assert_eq!(g.in_expansion(v, l, false).edges, g.in_neighbors(v));
+            prop_assert_eq!(g.expansion(dir, v, l, false).edges, slice);
         }
     }
 
@@ -136,7 +130,7 @@ fn narrow_label_lubm_queries_skip_edges() {
     let c = kgreach_datagen::constraints::s1();
     // Sources with real fan-out, so the search actually expands a region.
     let mut sources: Vec<VertexId> = g.vertices().collect();
-    sources.sort_unstable_by_key(|&v| std::cmp::Reverse(g.out_degree(v)));
+    sources.sort_unstable_by_key(|&v| std::cmp::Reverse(g.degree(Dir::Out, v)));
     let pairs = sources.iter().take(4).zip([7u32, 950, 402, 88]);
     let queries: Vec<_> =
         pairs.map(|(&s, t)| LscrQuery::new(s, VertexId(t), narrow, c.clone())).collect();

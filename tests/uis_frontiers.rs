@@ -17,7 +17,7 @@ use kgreach_datagen::constraints::{s1, s2, s3, s4, s5};
 use kgreach_datagen::funnel::{self, FunnelConfig};
 use kgreach_datagen::{lubm, top_label_set, LubmConfig};
 use kgreach_graph::snapshot::xxh64;
-use kgreach_graph::{GraphBuilder, LabelId, VertexId};
+use kgreach_graph::{Dir, GraphBuilder, LabelId, VertexId};
 use kgreach_integration::matrix::{
     all_pairs, assert_witness, figure3_pairs, gate, lubm_draws, random_batches, small_funnel_pairs,
     Form, Matrix, Outcome, Run, ALGORITHMS,
@@ -171,8 +171,8 @@ fn lubm_witness_lengths_are_pinned() {
     );
 }
 
-/// Both frontiers read the delta overlay (`out_expansion` and
-/// `in_expansion` over patched adjacencies) while an edit script is
+/// Both frontiers read the delta overlay (`Graph::expansion` in both
+/// directions over patched adjacencies) while an edit script is
 /// half-applied.
 #[test]
 fn overlay_graph_mid_update_script() {
@@ -365,10 +365,10 @@ fn narrow_l_routes_to_uis() {
     let satisfying: Vec<Vec<VertexId>> =
         constraints.iter().map(|c| c.compile(&g).unwrap().satisfying_vertices(&g)).collect();
     let mut rng = SmallRng::seed_from_u64(0x24_0A17_0015);
-    // Up to `steps` edges of `L` away from `v`, along or against them.
-    let walk = |mut v: VertexId, against: bool, steps: usize, rng: &mut SmallRng| {
+    // Up to `steps` edges of `L` away from `v` in direction `dir`.
+    let walk = |mut v: VertexId, dir: Dir, steps: usize, rng: &mut SmallRng| {
         for _ in 0..steps {
-            let edges = if against { g.in_neighbors(v) } else { g.out_neighbors(v) };
+            let edges = g.neighbors(dir, v);
             let usable: Vec<_> = edges.iter().filter(|e| narrow.contains(e.label)).collect();
             let Some(e) = usable.choose(rng) else { break };
             v = e.vertex;
@@ -383,7 +383,7 @@ fn narrow_l_routes_to_uis() {
             let (s, t) = if i % 2 == 0 {
                 let v = *satisfying[i % 3].choose(&mut rng).unwrap();
                 let (back, forth) = (rng.gen_range(0..=2), rng.gen_range(0..=3));
-                (walk(v, true, back, &mut rng), walk(v, false, forth, &mut rng))
+                (walk(v, Dir::In, back, &mut rng), walk(v, Dir::Out, forth, &mut rng))
             } else {
                 let n = g.num_vertices() as u32;
                 (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n)))

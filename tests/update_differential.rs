@@ -42,7 +42,7 @@ proptest! {
         // Half the alphabet, id-deterministic on the rebuilt graph; and
         // one narrow label: |L| ≪ alphabet is always mask-selective, so
         // both of UIS's frontiers expand through the masks and the
-        // overlay's *reverse* expansion view (`in_expansion`) gets
+        // overlay's *reverse* expansion view (`expansion(Dir::In, ..)`) gets
         // differentially tested against the rebuilt CSR too.
         let half: LabelSet = g.all_labels().iter().step_by(2).collect();
         let label_sets = [g.all_labels(), half, g.label_set(&["l0"])];
@@ -69,7 +69,7 @@ proptest! {
                 assert_eq!(out.stats.edges_scanned, 0, "query {}", case.query);
             }
         });
-        // The sweep reached `in_expansion` on the live side — over the
+        // The sweep reached `expansion(Dir::In, ..)` on the live side — over the
         // overlay, whenever the live graph carries one.
         prop_assert!(backward_over_live > 0, "UIS's backward frontier never stepped");
     }

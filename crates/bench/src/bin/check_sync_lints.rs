@@ -2,7 +2,7 @@
 //!
 //! Clippy sees types; it cannot enforce *project policy* about which
 //! synchronization primitives are reachable from product code. This tool
-//! closes that gap with six rules, each motivated by a real hazard in
+//! closes that gap with seven rules, each motivated by a real hazard in
 //! this codebase:
 //!
 //! * **R1 — no raw `std::sync` primitives.** Every atomic, mutex,
@@ -43,8 +43,14 @@
 //!   caller. Product sources are everything but `crates/kgbench/` and
 //!   `tests/`, `benches/` and `examples/` directories, up to a file's
 //!   column-0 `#[cfg(test)]` tail; a chain split over lines counts.
+//! * **R7 — every file is put on disk through `kgreach_graph::fsio`.**
+//!   Product sources, outside that module and up to the same tail, hold no
+//!   `File::create(`, `fs::write(`, `fs::rename(` or `.truncate(true)`:
+//!   each truncates or replaces a file in place, where a crash or a full
+//!   disk leaves a reader half a file, and `fsio::install` writes a temp
+//!   file, fsyncs it and renames it over the destination instead.
 //!
-//! Comment-only lines are skipped for R1/R2/R4/R5/R6 so prose may
+//! Comment-only lines are skipped for R1/R2/R4/R5/R6/R7 so prose may
 //! *discuss* the banned constructs; R3 is the one rule that reads comments.
 //!
 //! Exempt from all rules: `target/`, `vendor/` (third-party stand-ins),
@@ -83,6 +89,13 @@ const LOCK_CALLS: &[(&str, bool)] = &[
     (".into_inner(", false),
     (".wait(", true),
 ];
+
+/// Calls that create or replace a file in place, which R7 bans outside
+/// [`INSTALL_MODULE`].
+const FILE_WRITES: &[&str] = &["File::create(", "fs::write(", "fs::rename(", ".truncate(true)"];
+
+/// The one module that puts files on disk (R7).
+const INSTALL_MODULE: &str = "crates/kg/src/fsio.rs";
 
 /// `std::sync` paths that must be reached through `kgreach-sync` (R1).
 /// `std::sync::Arc`, `Weak`, `LockResult` and `PoisonError` are absent
@@ -140,7 +153,7 @@ fn main() {
     }
 
     if offenses.is_empty() {
-        println!("check_sync_lints: {scanned} files clean (R1 shim-only sync, R2 no SeqCst, R3 relaxed justified, R4 kernels clock-free, R5 request path timer-free, R6 locks through accessors)");
+        println!("check_sync_lints: {scanned} files clean (R1 shim-only sync, R2 no SeqCst, R3 relaxed justified, R4 kernels clock-free, R5 request path timer-free, R6 locks through accessors, R7 files through fsio)");
     } else {
         eprintln!("check_sync_lints: {} violations:", offenses.len());
         for o in &offenses {
@@ -210,11 +223,14 @@ fn code_part(line: &str) -> &str {
     }
 }
 
-/// Runs all six rules over one file and returns formatted offenses.
+/// Runs all seven rules over one file and returns formatted offenses.
 fn lint_source(rel: &str, content: &str) -> Vec<String> {
     let lines: Vec<&str> = content.lines().collect();
     let is_kernel = KERNEL_FILES.contains(&rel);
     let is_request_path = REQUEST_PATH_FILES.contains(&rel);
+    // R6 and R7 read product code: up to the column-0 `#[cfg(test)]` tail.
+    let tail = lines.iter().position(|l| l.trim_end() == "#[cfg(test)]").unwrap_or(lines.len());
+    let bans_file_writes = is_product(rel) && rel != INSTALL_MODULE;
     let mut offenses = Vec::new();
     for (idx, raw) in lines.iter().enumerate() {
         let lineno = idx + 1;
@@ -253,10 +269,16 @@ fn lint_source(rel: &str, content: &str) -> Vec<String> {
                 }
             }
         }
+        if bans_file_writes && idx < tail {
+            for call in FILE_WRITES.iter().filter(|call| code.contains(*call)) {
+                offenses.push(format!(
+                    "{rel}:{lineno}: [R7] `{call}` writes a file in place — put it on disk through `kgreach_graph::fsio::install`"
+                ));
+            }
+        }
     }
     if is_product(rel) {
-        let tail = lines.iter().position(|l| l.trim_end() == "#[cfg(test)]");
-        for (idx, call) in unwrapped_lock_calls(&lines[..tail.unwrap_or(lines.len())]) {
+        for (idx, call) in unwrapped_lock_calls(&lines[..tail]) {
             offenses.push(format!(
                 "{rel}:{}: [R6] `{call}…)` unwrapped in place — take the lock through its accessor, which states its poison rule",
                 idx + 1
@@ -266,8 +288,8 @@ fn lint_source(rel: &str, content: &str) -> Vec<String> {
     offenses
 }
 
-/// True for the sources R6 covers: all but the benchmark crate and the
-/// test, bench and example trees.
+/// True for the sources R6 and R7 cover: all but the benchmark crate and
+/// the test, bench and example trees.
 fn is_product(rel: &str) -> bool {
     !rel.starts_with("crates/kgbench/")
         && !rel.split('/').any(|dir| matches!(dir, "tests" | "benches" | "examples"))
@@ -471,6 +493,34 @@ mod tests {
             ["tests/model_check.rs", "crates/serve/tests/serving.rs", "crates/kgbench/src/main.rs"]
         {
             assert!(lint_source(file, src).is_empty(), "{file}");
+        }
+    }
+
+    #[test]
+    fn file_writes_in_place_are_r7() {
+        for src in [
+            "let f = File::create(path)?;\n",
+            "std::fs::write(&out, body).expect(\"write\");\n",
+            "fs::rename(&tmp, &dst)?;\n",
+            "OpenOptions::new().write(true).create(true).truncate(true).open(p)?;\n",
+        ] {
+            let offenses = lint_source("crates/x/src/lib.rs", src);
+            assert!(offenses.iter().any(|o| o.contains("[R7]")), "{src}: {offenses:?}");
+        }
+    }
+
+    #[test]
+    fn the_install_module_tests_and_prose_are_not_r7() {
+        let src = "let f = File::create(&tmp)?;\n";
+        for file in [INSTALL_MODULE, "tests/serving.rs", "crates/kgbench/src/main.rs"] {
+            assert!(lint_source(file, src).is_empty(), "{file}");
+        }
+        for src in [
+            "// unlike File::create(dst), install never truncates\n",
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { std::fs::write(p, b\"x\").unwrap(); }\n}\n",
+            "let f = File::open(path)?;\n",
+        ] {
+            assert!(lint_source("crates/x/src/lib.rs", src).is_empty(), "{src}");
         }
     }
 

@@ -5,26 +5,30 @@
 //! `heap_bytes`-style accounting.
 //!
 //! ```text
-//! cargo run --release -p kgreach-bench --bin mem_audit [target_edges] [landmarks]
+//! cargo run --release -p kgreach-bench --bin mem_audit [--edges N] [--landmarks K]
 //! ```
 //!
-//! Defaults: 1,000,000 edges, 64 landmarks. The committed regression
+//! Defaults: 1,000,000 edges, 64 landmarks. An unknown flag or a value
+//! that does not parse exits 2, naming the flag. The committed regression
 //! budgets live in `tests/memory_audit.rs`; this binary is the
 //! exploratory side of the same harness.
 
 use kgreach::{LocalIndex, LocalIndexConfig};
 use kgreach_datagen::{lubm, LubmConfig};
 use kgreach_graph::GraphBuilder;
+use kgreach_serve::cli::{parses, Args, Flags};
 use kgreach_sync::alloc::CountingAlloc;
 use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
+const FLAGS: &Flags = &[(&["edges"], parses::<usize>), (&["landmarks"], parses::<usize>)];
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let target: usize = args.next().map_or(1_000_000, |a| a.parse().expect("target_edges"));
-    let landmarks: usize = args.next().map_or(64, |a| a.parse().expect("landmarks"));
+    let args = Args::parse(FLAGS);
+    let target: usize = args.get("edges", 1_000_000);
+    let landmarks: usize = args.get("landmarks", 64);
 
     let config = LubmConfig::sized_edges(target, 0xA0D17);
     println!(

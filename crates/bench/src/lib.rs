@@ -57,44 +57,39 @@ pub fn lubm_datasets(scale: f64) -> Vec<DatasetSpec> {
 /// because cargo runs benches from the package dir but `cargo run` from
 /// wherever the user stands. CI caches this directory keyed by
 /// [`kgreach_datagen::DATAGEN_VERSION`].
-pub fn snapshot_cache_dir() -> PathBuf {
+fn snapshot_cache_dir() -> PathBuf {
     std::env::var_os("KGREACH_SNAPSHOT_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/kg-snapshots"))
 }
 
-/// Loads the graph memoized under `key` in `dir`, or generates it with
-/// `build` and writes the snapshot through for the next run.
+/// Loads the graph memoized under `key` in the snapshot cache directory
+/// (`$KGREACH_SNAPSHOT_DIR`, else `target/kg-snapshots` at the workspace
+/// root), or generates it with `build` and writes the snapshot through for
+/// the next run.
 ///
 /// The cache is strictly best-effort: an unreadable/corrupt snapshot is
 /// discarded and regenerated, and a failed write never fails the caller.
-/// Files are written to a temp name and renamed so concurrently running
-/// experiment binaries cannot observe half-written snapshots. Keys embed
+/// The save is atomic, so concurrently running experiment binaries cannot
+/// observe half-written snapshots. Keys embed
 /// [`kgreach_datagen::DATAGEN_VERSION`], so bumping a generator
 /// invalidates every cached graph.
-pub fn cached_graph_in(dir: &Path, key: &str, build: impl FnOnce() -> Graph) -> Graph {
-    let file = format!("{key}-dgv{}.kgsnap", kgreach_datagen::DATAGEN_VERSION);
-    let path = dir.join(&file);
+pub fn cached_graph(key: &str, build: impl FnOnce() -> Graph) -> Graph {
+    cached_graph_in(&snapshot_cache_dir(), key, build)
+}
+
+/// [`cached_graph`] in `dir`.
+fn cached_graph_in(dir: &Path, key: &str, build: impl FnOnce() -> Graph) -> Graph {
+    let path = dir.join(format!("{key}-dgv{}.kgsnap", kgreach_datagen::DATAGEN_VERSION));
     match snapshot::load_graph_snapshot(&path) {
         Ok(g) => return g,
         Err(kgreach_graph::GraphError::Io(_)) => {} // cache miss
         Err(e) => eprintln!("# discarding stale snapshot cache {}: {e}", path.display()),
     }
     let g = build();
-    if std::fs::create_dir_all(dir).is_ok() {
-        let tmp = dir.join(format!(".{file}.{}.tmp", std::process::id()));
-        if snapshot::save_graph_snapshot(&g, &tmp).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
-    }
+    let _ = std::fs::create_dir_all(dir);
+    let _ = snapshot::save_graph_snapshot(&g, &path);
     g
-}
-
-/// [`cached_graph_in`] under the default [`snapshot_cache_dir`].
-pub fn cached_graph(key: &str, build: impl FnOnce() -> Graph) -> Graph {
-    cached_graph_in(&snapshot_cache_dir(), key, build)
 }
 
 /// Generates the LUBM replica for a spec — generated once, memoized on

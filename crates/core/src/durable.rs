@@ -32,15 +32,16 @@
 //! a ready [`DurableEngine`].
 //!
 //! Crash windows are closed by ordering, not luck: a checkpoint is
-//! written to a temp file, fsynced, renamed, and the directory fsynced
-//! *before* the log rotates, so the newest checkpoint on disk always
-//! covers at least the rotated log's base sequence; a crash between the
-//! two leaves the old log in place, and replay's sequence-number skip
-//! makes re-applying its prefix a no-op.
+//! installed whole (`kgreach_graph::fsio::install`: a temp file, fsynced,
+//! renamed, and the directory fsynced) *before* the log rotates, so the
+//! newest checkpoint on disk always covers at least the rotated log's base
+//! sequence; a crash between the two leaves the old log in place, and
+//! replay's sequence-number skip makes re-applying its prefix a no-op. A
+//! crash mid-install can leave a `*.tmp` file; recovery removes it.
 
 use crate::engine::{LscrEngine, UpdateOutcome};
 use crate::query::QueryError;
-use kgreach_graph::wal::{fsync_parent_dir, FsyncPolicy, Wal};
+use kgreach_graph::wal::{FsyncPolicy, Wal, WalReplay};
 use kgreach_graph::{GraphError, UpdateBatch};
 use kgreach_sync::{Arc, Mutex, MutexGuard};
 use std::fs;
@@ -183,19 +184,11 @@ impl DurableRecovery {
             Wal::open(&wal_path, self.config.fsync)?
         } else {
             // Only an init crash (or operator deletion) leaves no log;
-            // root a fresh one at the checkpoint. Create under a temp
-            // name + rename so a crash here can't leave a torn header at
-            // the log's real path (which would need operator surgery).
-            let tmp = self.dir.join("wal.log.tmp");
-            let created = Wal::create(&tmp, self.checkpoint_seq, self.config.fsync);
-            let wal = install_tmp(&tmp, &wal_path, created.map_err(QueryError::from))?;
-            fsync_parent_dir(&wal_path)?;
-            let replay = kgreach_graph::WalReplay {
-                base_seq: self.checkpoint_seq,
-                records: Vec::new(),
-                truncated_bytes: 0,
-            };
-            (wal, replay)
+            // root a fresh one at the checkpoint. `Wal::create` installs
+            // it whole, so a crash here can't leave a torn header at the
+            // log's path (which would need operator surgery).
+            let wal = Wal::create(&wal_path, self.checkpoint_seq, self.config.fsync)?;
+            (wal, WalReplay { base_seq: self.checkpoint_seq, ..WalReplay::default() })
         };
         let mut applied_seq = self.checkpoint_seq;
         let mut replayed = 0u64;
@@ -277,11 +270,18 @@ impl DurableEngine {
         let started = Instant::now();
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(GraphError::from)?;
+        // A crash mid-install leaves its temp file; nothing else here ends
+        // in `.tmp`. Directories are left alone.
+        for entry in fs::read_dir(&dir).map_err(GraphError::from)?.flatten() {
+            if entry.file_name().to_string_lossy().ends_with(".tmp") {
+                let _ = fs::remove_file(entry.path());
+            }
+        }
         let (engine, checkpoint_seq) = match newest_checkpoint(&dir)? {
             Some((seq, path)) => (LscrEngine::from_snapshot_file(path)?, seq),
             None => {
                 let engine = init()?;
-                write_checkpoint(&dir, &engine, 0)?;
+                engine.save_snapshot_file(dir.join(checkpoint_name(0)))?;
                 (engine, 0)
             }
         };
@@ -352,7 +352,7 @@ impl DurableEngine {
         let (mut st, writable) = self.state();
         writable?;
         let started = Instant::now();
-        write_checkpoint(&self.dir, &staged, st.applied_seq)?;
+        staged.save_snapshot_file(self.dir.join(checkpoint_name(st.applied_seq)))?;
         // The newest checkpoint is the reloaded state now, rotated log or
         // not: replay skips every record the old log holds.
         let epoch = self.engine.install(staged);
@@ -430,7 +430,7 @@ impl DurableEngine {
 
     fn checkpoint_locked(&self, st: &mut DurableState) -> Result<CheckpointReport, QueryError> {
         let started = Instant::now();
-        write_checkpoint(&self.dir, &self.engine, st.applied_seq)?;
+        self.engine.save_snapshot_file(self.dir.join(checkpoint_name(st.applied_seq)))?;
         self.rotate_locked(st, started)
     }
 
@@ -443,17 +443,19 @@ impl DurableEngine {
     ) -> Result<CheckpointReport, QueryError> {
         let seq = st.applied_seq;
         let retired_wal_bytes = st.wal.len_bytes();
-        // The new checkpoint is durable; now rotate the log under a temp
-        // name + rename so a crash at any point leaves either the old
-        // complete log (prefix re-replay is a sequence-number no-op) or
-        // the new empty one.
-        let tmp = self.dir.join("wal.log.tmp");
-        let created = Wal::create(&tmp, seq, self.config.fsync).map_err(QueryError::from);
-        let new_wal = install_tmp(&tmp, &self.dir.join(WAL_FILE), created)?;
-        // The new log is the one on disk from here: appends go to it even
-        // if the directory sync below fails.
-        st.wal = new_wal;
-        fsync_parent_dir(&self.dir.join(WAL_FILE))?;
+        // The new checkpoint is durable; now replace the log. A crash at
+        // any point leaves either the old complete log (prefix re-replay
+        // is a sequence-number no-op) or the new empty one.
+        let wal_path = self.dir.join(WAL_FILE);
+        let created = Wal::create(&wal_path, seq, self.config.fsync);
+        if created.is_err() {
+            // A failed directory sync comes after the rename: appends go
+            // to whichever log the path names now.
+            if let Ok((wal, _)) = Wal::open(&wal_path, self.config.fsync) {
+                st.wal = wal;
+            }
+        }
+        st.wal = created?;
         st.checkpoint_seq = seq;
         st.checkpoints += 1;
         let elapsed = started.elapsed();
@@ -496,36 +498,6 @@ fn checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, QueryError> {
 /// The newest checkpoint in `dir`, if any.
 fn newest_checkpoint(dir: &Path) -> Result<Option<(u64, PathBuf)>, QueryError> {
     Ok(checkpoints(dir)?.into_iter().max_by_key(|(seq, _)| *seq))
-}
-
-/// Writes the engine as `checkpoint-<seq>.kgsnap` via temp file + fsync +
-/// rename + directory fsync, so the entry is either fully there or not
-/// there at all.
-fn write_checkpoint(dir: &Path, engine: &LscrEngine, seq: u64) -> Result<(), QueryError> {
-    let tmp = dir.join("checkpoint.tmp");
-    let dst = dir.join(checkpoint_name(seq));
-    let mut file = fs::File::create(&tmp).map_err(GraphError::from)?;
-    let written = engine
-        .save_snapshot(&mut file)
-        .and_then(|()| Ok(file.sync_all().map_err(GraphError::from)?));
-    drop(file);
-    install_tmp(&tmp, &dst, written)?;
-    fsync_parent_dir(&dst)?;
-    Ok(())
-}
-
-/// Renames `tmp`, a file this process just wrote, to `dst` if `written`
-/// is `Ok`. On any failure `tmp` is removed, best effort, and the first
-/// error is returned, so a failed write leaves no partial file holding
-/// the disk space the log needs.
-fn install_tmp<T>(tmp: &Path, dst: &Path, written: Result<T, QueryError>) -> Result<T, QueryError> {
-    let installed = written.and_then(|value| {
-        fs::rename(tmp, dst).map(|()| value).map_err(|e| GraphError::from(e).into())
-    });
-    if installed.is_err() {
-        let _ = fs::remove_file(tmp);
-    }
-    installed
 }
 
 #[cfg(test)]
@@ -674,7 +646,7 @@ mod tests {
         // Simulate the crash window: a checkpoint covering seq 3 lands,
         // but the log still holds records 1..=3.
         let wal_before = fs::read(dir.join(WAL_FILE)).expect("read log");
-        write_checkpoint(&dir, &d.engine(), 3).expect("manual checkpoint");
+        d.engine().save_snapshot_file(dir.join(checkpoint_name(3))).expect("manual checkpoint");
         drop(d);
         fs::write(dir.join(WAL_FILE), &wal_before).expect("restore pre-rotation log");
 
@@ -764,19 +736,30 @@ mod tests {
         assert_eq!(triples(&d.engine()), served, "recovered a state that was never served");
     }
 
-    // A directory where the checkpoint's temp file goes fails its write
+    // A directory where a checkpoint's temp file goes fails its write
     // (`EISDIR`, root included); one where the new log's goes fails the
     // rotation after the checkpoint has landed.
 
+    /// The temp file name `fsio::install` writes `file` under.
+    fn tmp_name(file: &str) -> String {
+        format!("{file}.{}.tmp", std::process::id())
+    }
+
     #[test]
     fn size_triggered_checkpoint_failure_still_acks_the_update() {
-        for blocked in ["checkpoint.tmp", "wal.log.tmp"] {
+        // Each trigger checkpoints at its own sequence number, under its
+        // own temp name: block every one the run reaches.
+        let checkpoint_tmps = (1..=17).map(|seq| tmp_name(&checkpoint_name(seq))).collect();
+        for blocks in [checkpoint_tmps, vec![tmp_name(WAL_FILE)]] {
+            let blocked = &blocks[0];
             let dir = tmp_dir(&format!("ack-{blocked}"));
             let config = WalConfig { fsync: FsyncPolicy::Off, checkpoint_bytes: 256 };
             let (d, _) =
                 DurableEngine::open(&dir, config.clone(), || Ok(LscrEngine::new(figure3())))
                     .expect("init");
-            fs::create_dir(dir.join(blocked)).expect("block");
+            for block in &blocks {
+                fs::create_dir(dir.join(block)).expect("block");
+            }
             for i in 0..16 {
                 let out = d.apply_update(&batch(i)).expect("logged, so acknowledged");
                 assert_eq!(out.seq, Some(i + 1), "{blocked}");
@@ -790,7 +773,9 @@ mod tests {
                 .expect("recover");
             assert_eq!(triples(&d.engine()), served, "{blocked}: an acknowledged update was lost");
             // Unblocked, the next trigger rotates.
-            fs::remove_dir(dir.join(blocked)).expect("unblock");
+            for block in &blocks {
+                fs::remove_dir(dir.join(block)).expect("unblock");
+            }
             d.apply_update(&batch(16)).expect("apply");
             assert_eq!(d.stats().checkpoints, 1, "{blocked}");
         }
@@ -800,14 +785,16 @@ mod tests {
     fn reload_reports_success_past_its_checkpoint() {
         // A failed checkpoint write fails the reload; a failed rotation
         // after the checkpoint does not.
-        for (blocked, reloads) in [("checkpoint.tmp", false), ("wal.log.tmp", true)] {
+        for (blocked, reloads) in
+            [(tmp_name(&checkpoint_name(1)), false), (tmp_name(WAL_FILE), true)]
+        {
             let dir = tmp_dir(&format!("reload-{blocked}"));
             let (d, _) =
                 DurableEngine::open(&dir, small_config(), || Ok(LscrEngine::new(figure3())))
                     .expect("init");
             d.apply_update(&batch(0)).expect("pre-reload update");
             let before = triples(&d.engine());
-            fs::create_dir(dir.join(blocked)).expect("block");
+            fs::create_dir(dir.join(&blocked)).expect("block");
             assert_eq!(d.reload_from_snapshot(&one_edge_snapshot()).is_ok(), reloads, "{blocked}");
             d.apply_update(&batch(1)).expect("post-reload update");
             let served = triples(&d.engine());
@@ -883,9 +870,8 @@ mod tests {
     fn a_failed_checkpoint_or_rotation_leaves_no_temp_file() {
         // A directory at the checkpoint's final name fails its rename; one
         // at the log's fails the rotation's.
-        for (blocked, tmp) in
-            [(checkpoint_name(1), "checkpoint.tmp"), (WAL_FILE.into(), "wal.log.tmp")]
-        {
+        for blocked in [checkpoint_name(1), WAL_FILE.into()] {
+            let tmp = tmp_name(&blocked);
             let dir = tmp_dir(&format!("tmp-{tmp}"));
             let (d, _) =
                 DurableEngine::open(&dir, small_config(), || Ok(LscrEngine::new(figure3())))
@@ -894,7 +880,33 @@ mod tests {
             let _ = fs::remove_file(dir.join(&blocked));
             fs::create_dir(dir.join(&blocked)).expect("block");
             assert!(d.checkpoint().is_err(), "{blocked}");
-            assert!(!dir.join(tmp).exists(), "{tmp} left behind");
+            assert!(!dir.join(&tmp).exists(), "{tmp} left behind");
+        }
+    }
+
+    #[test]
+    fn a_reopen_removes_the_temp_files_a_crash_left() {
+        let dir = tmp_dir("strays");
+        let (d, _) = DurableEngine::open(&dir, small_config(), || Ok(LscrEngine::new(figure3())))
+            .expect("init");
+        d.apply_update(&batch(0)).expect("apply");
+        drop(d);
+        // What a crash mid-install leaves, from this process or another.
+        let strays = [
+            tmp_name(&checkpoint_name(1)),
+            format!("{WAL_FILE}.4194304.tmp"),
+            "checkpoint.tmp".to_string(),
+        ];
+        for stray in &strays {
+            fs::write(dir.join(stray), b"torn").expect("plant");
+        }
+        let (d, report) =
+            DurableEngine::open(&dir, small_config(), || panic!("init must not rerun"))
+                .expect("recover");
+        assert_eq!(report.replayed, 1);
+        assert!(d.engine().graph().vertex_id("wal-s0").is_some());
+        for stray in &strays {
+            assert!(!dir.join(stray).exists(), "{stray} survived a reopen");
         }
     }
 }

@@ -4,11 +4,11 @@
 use super::{EngineState, LscrEngine};
 use crate::local_index::LocalIndex;
 use crate::query::QueryError;
+use kgreach_graph::fsio;
 use kgreach_graph::snapshot::{
     self, ArtifactKind, PayloadBuf, PayloadCursor, SectionReader, SectionWriter,
 };
 use kgreach_sync::{Arc, PoisonError};
-use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
@@ -103,10 +103,12 @@ impl LscrEngine {
         epoch
     }
 
-    /// Saves an engine snapshot to a file path.
+    /// Saves an engine snapshot to a file path through [`fsio::install`]:
+    /// the file is written under a temp name, fsynced and renamed over
+    /// `path`, so a reader of `path` sees the old snapshot or the new one,
+    /// whole.
     pub fn save_snapshot_file(&self, path: impl AsRef<Path>) -> Result<(), QueryError> {
-        let file = File::create(path).map_err(kgreach_graph::GraphError::from)?;
-        self.save_snapshot(file)
+        fsio::install(path.as_ref(), |file| self.save_snapshot(file)).map(drop)
     }
 
     /// Restores an engine snapshot from a file path: one bulk read, then

@@ -46,6 +46,7 @@
 use crate::partition::{
     default_num_landmarks, partition_graph, select_landmarks, Partition, NO_PARTITION,
 };
+use kgreach_graph::fsio;
 use kgreach_graph::fxhash::FxHashMap;
 use kgreach_graph::snapshot::{
     ArtifactKind, PayloadBuf, PayloadCursor, SectionReader, SectionWriter,
@@ -54,7 +55,6 @@ use kgreach_graph::{Cms, Dir, Graph, GraphFingerprint, LabelSet, VertexId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -689,11 +689,12 @@ impl LocalIndex {
         Ok(index)
     }
 
-    /// Saves a local-index snapshot to a file path.
+    /// Saves a local-index snapshot to a file path, atomically
+    /// ([`fsio::install`]).
     ///
     /// Kept only for `crates/kgbench/src/api.rs`; ROADMAP item 1(c) deletes it.
     pub fn save_file(&self, path: impl AsRef<Path>) -> kgreach_graph::Result<()> {
-        self.save(File::create(path)?)
+        fsio::install(path.as_ref(), |file| self.save(file)).map(drop)
     }
 
     /// Loads a local-index snapshot from a file path: one bulk read, then

@@ -5,6 +5,7 @@
 //! never issue one syscall per triple).
 
 use crate::error::Result;
+use crate::fsio;
 use crate::graph::{Graph, GraphBuilder};
 use crate::triples::parse_line;
 use std::fs::File;
@@ -53,9 +54,9 @@ pub fn write_graph<W: Write>(g: &Graph, writer: W) -> Result<()> {
     Ok(())
 }
 
-/// Saves a graph to a file path.
+/// Saves a graph to a file path, atomically ([`fsio::install`]).
 pub fn save_graph(g: &Graph, path: impl AsRef<Path>) -> Result<()> {
-    write_graph(g, File::create(path)?)
+    fsio::install(path.as_ref(), |file| write_graph(g, file)).map(drop)
 }
 
 #[cfg(test)]

@@ -19,6 +19,8 @@
 //! * [`wal`] — a write-ahead update log: sequence-numbered, checksum-chained
 //!   [`UpdateBatch`] records with configurable fsync policy, replayed over
 //!   the last snapshot on crash recovery;
+//! * [`fsio`] — the one way a file is put on disk: written to a temp
+//!   name, fsynced, renamed over its destination;
 //! * [`GraphStats`] — dataset summary statistics;
 //! * [`fxhash`] — a vendored fast hasher (dependency policy: no external
 //!   hashing crates).
@@ -48,6 +50,7 @@ mod csr;
 pub mod delta;
 mod dict;
 mod error;
+pub mod fsio;
 pub mod fxhash;
 mod ids;
 pub mod io;

@@ -70,11 +70,11 @@
 use crate::csr::{Csr, LabeledTarget};
 use crate::dict::Dict;
 use crate::error::{GraphError, Result};
+use crate::fsio;
 use crate::graph::{Graph, GraphFingerprint};
 use crate::ids::{Dir, LabelId, VertexId};
 use crate::labelset::MAX_LABELS;
 use crate::schema::Schema;
-use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
@@ -821,9 +821,9 @@ pub fn read_graph_snapshot(bytes: &[u8]) -> Result<Graph> {
     Ok(g)
 }
 
-/// Saves a graph snapshot to a file path.
+/// Saves a graph snapshot to a file path, atomically ([`fsio::install`]).
 pub fn save_graph_snapshot(g: &Graph, path: impl AsRef<Path>) -> Result<()> {
-    write_graph_snapshot(g, File::create(path)?)
+    fsio::install(path.as_ref(), |file| write_graph_snapshot(g, file)).map(drop)
 }
 
 /// Loads a graph snapshot from a file path: one bulk read, then

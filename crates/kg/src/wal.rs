@@ -51,6 +51,7 @@
 
 use crate::delta::{UpdateBatch, UpdateOp};
 use crate::error::{GraphError, Result};
+use crate::fsio;
 use crate::snapshot::{xxh64, PayloadBuf, PayloadCursor};
 use crate::triples::Triple;
 use std::fs::{File, OpenOptions};
@@ -129,7 +130,7 @@ pub struct WalAppend {
 }
 
 /// Everything [`Wal::open`] recovered from an existing log.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WalReplay {
     /// Sequence number covered by the checkpoint this log starts after.
     pub base_seq: u64,
@@ -159,20 +160,14 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Creates a fresh log at `path` (truncating any existing file) rooted
-    /// at checkpoint sequence `base_seq`; the header is written and synced
-    /// before this returns.
+    /// Creates a fresh log at `path` rooted at checkpoint sequence
+    /// `base_seq`, replacing any existing file through [`fsio::install`]:
+    /// a crash leaves either the old file or the new log with its header
+    /// written and synced, never a torn header.
     pub fn create(path: &Path, base_seq: u64, policy: FsyncPolicy) -> Result<Wal> {
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        let mut header = Vec::with_capacity(WAL_HEADER_BYTES as usize);
-        header.extend_from_slice(&WAL_MAGIC);
-        header.extend_from_slice(&WAL_FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&[0u8; 6]);
-        header.extend_from_slice(&base_seq.to_le_bytes());
-        file.write_all(&header)?;
-        file.sync_all()?;
-        fsync_parent_dir(path)?;
+        let version = WAL_FORMAT_VERSION.to_le_bytes();
+        let header = [&WAL_MAGIC[..], &version, &[0; 6], &base_seq.to_le_bytes()].concat();
+        let file = fsio::install(path, |file| Ok::<_, GraphError>(file.write_all(&header)?))?;
         Ok(Wal {
             file,
             policy,
@@ -476,15 +471,6 @@ fn decode_batch(payload: &[u8], offset: u64) -> Result<UpdateBatch> {
     }
     c.finish().map_err(corrupt)?;
     Ok(batch)
-}
-
-/// Fsyncs the directory containing `path`, making a freshly created or
-/// renamed entry itself durable (file data syncs don't cover the dirent).
-pub fn fsync_parent_dir(path: &Path) -> Result<()> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        File::open(dir)?.sync_all()?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

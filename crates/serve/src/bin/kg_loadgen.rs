@@ -46,9 +46,11 @@ use kgreach::{Algorithm, Graph, LscrEngine, SubstructureConstraint};
 use kgreach_datagen::constraints::{s1, s2, s3};
 use kgreach_datagen::lubm::{self, LubmConfig};
 use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
+use kgreach_graph::{fsio, GraphError};
 use kgreach_serve::cli::{parses, Args, Flags};
 use kgreach_serve::protocol::parse_algorithm;
 use kgreach_serve::{serve, HttpClient, HttpResponse, Json, ServerConfig};
+use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -535,14 +537,12 @@ fn main() {
         if let Some(dir) = std::path::Path::new(&out_path).parent() {
             std::fs::create_dir_all(dir).expect("create output directory");
         }
-        let mut body = String::from("[\n");
-        for (i, row) in rows.iter().enumerate() {
-            body.push_str("  ");
-            body.push_str(&row.to_string());
-            body.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-        }
-        body.push_str("]\n");
-        std::fs::write(&out_path, body).expect("write results");
+        let lines: Vec<String> = rows.iter().map(|row| format!("  {row}")).collect();
+        let body = format!("[\n{}\n]\n", lines.join(",\n"));
+        fsio::install(out_path.as_ref(), |file| {
+            Ok::<_, GraphError>(file.write_all(body.as_bytes())?)
+        })
+        .expect("write results");
         eprintln!("wrote {} rows to {out_path}", rows.len());
     }
 

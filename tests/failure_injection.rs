@@ -372,6 +372,46 @@ fn file_loaders_report_missing_files_as_io() {
     ));
 }
 
+/// A snapshot that is being re-saved loads whole: one thread saves two
+/// engines over one path in turn while this one loads it, and every load
+/// is one of the two. A save that truncated the path in place would hand
+/// a load an empty or half-written file.
+#[test]
+fn a_snapshot_being_re_saved_always_loads_whole() {
+    let engines = [LscrEngine::new(small_lubm(7)), LscrEngine::new(small_lubm(8))];
+    let saved = engines.each_ref().map(|e| e.graph().fingerprint());
+    assert_ne!(saved[0], saved[1]);
+    let dir = std::env::temp_dir().join(format!("kgfail-resave-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("engine.kgsnap");
+    engines[0].save_snapshot_file(&path).unwrap();
+    let (loads, failures) = std::thread::scope(|s| {
+        let saver = s.spawn(|| {
+            for i in 0..100 {
+                engines[i % 2].save_snapshot_file(&path).expect("save");
+            }
+        });
+        let (mut loads, mut failures) = (0usize, Vec::new());
+        while !saver.is_finished() || loads < 100 {
+            match LscrEngine::from_snapshot_file(&path) {
+                Ok(e) if saved.contains(&e.graph().fingerprint()) => {}
+                Ok(_) => failures.push(format!("load {loads}: a graph never saved")),
+                Err(e) => failures.push(format!("load {loads}: {e}")),
+            }
+            loads += 1;
+        }
+        saver.join().expect("saver");
+        (loads, failures)
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        failures.is_empty(),
+        "{} of {loads} loads failed: {:?}",
+        failures.len(),
+        &failures[..1]
+    );
+}
+
 #[test]
 fn index_snapshot_from_different_graph_is_rejected() {
     // Persist an index for graph A, restart against graph B: the embedded

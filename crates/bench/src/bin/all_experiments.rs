@@ -9,12 +9,13 @@
 //! "Benchmarks and the paper's experiments"). Any other argument exits
 //! with status 2.
 
+use kgreach_bench::outln;
 use std::process::Command;
 
 fn run(bin: &str, args: &[&str]) {
-    println!("\n════════════════════════════════════════════════════════");
-    println!("▶ {bin} {}", args.join(" "));
-    println!("════════════════════════════════════════════════════════");
+    outln!("\n════════════════════════════════════════════════════════");
+    outln!("▶ {bin} {}", args.join(" "));
+    outln!("════════════════════════════════════════════════════════");
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir");
     let status = Command::new(dir.join(bin))
@@ -45,5 +46,5 @@ fn main() {
         run("fig10_14", &[]);
         run("fig15", &[]);
     }
-    println!("\nAll experiments completed.");
+    outln!("\nAll experiments completed.");
 }

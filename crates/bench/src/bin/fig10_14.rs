@@ -16,9 +16,12 @@
 //! Usage: `cargo run -p kgreach-bench --release --bin fig10_14 --
 //!         [--constraint s1|s2|s3|s4|s5|all] [--queries 15] [--scale 1.0]
 //!         [--datasets 5]`
+//!
+//! Every answer is checked against the workload's ground truth. After
+//! printing its tables the program exits 1 if any row's `wrong` is not 0.
 
 use kgreach_bench::{
-    build_local_index, build_workload, engine_with_index, figure_rows, lubm_datasets, ms,
+    build_local_index, build_workload, engine_with_index, figure_rows, lubm_datasets, ms, outln,
     print_header, print_row, run_group,
 };
 use kgreach_datagen::constraints;
@@ -52,9 +55,10 @@ fn main() {
     let datasets: Vec<_> = lubm_datasets(scale).into_iter().skip(1).take(num_datasets).collect();
 
     // Figure number bookkeeping: S1 → Fig 10 … S5 → Fig 14.
+    let mut wrong = 0;
     for (name, constraint) in &selected {
         let fig = 10 + name[1..].parse::<usize>().unwrap_or(1) - 1;
-        println!("\n# Figure {fig} — substructure constraint {name}: {}", constraint.to_sparql());
+        outln!("\n# Figure {fig} — substructure constraint {name}: {}", constraint.to_sparql());
         print_header(&[
             "Dataset",
             "|V|",
@@ -79,6 +83,7 @@ fn main() {
             for (group_name, group) in [("true", &w.true_queries), ("false", &w.false_queries)] {
                 for (row, alg, opts) in figure_rows() {
                     let r = run_group(&engine, group, alg, &opts);
+                    wrong += r.wrong;
                     print_row(&[
                         spec.name.clone(),
                         format!("{}", g.num_vertices()),
@@ -95,7 +100,11 @@ fn main() {
             }
         }
     }
-    println!("\n# expected shape: linear growth in dataset scale; INS fastest;");
-    println!("# UIS* worst on true queries (random V(S,G) order); wrong must be 0;");
-    println!("# Auto should track the best manual column per constraint.");
+    outln!("\n# expected shape: linear growth in dataset scale; INS fastest;");
+    outln!("# UIS* worst on true queries (random V(S,G) order); wrong must be 0;");
+    outln!("# Auto should track the best manual column per constraint.");
+    if wrong > 0 {
+        eprintln!("fig10_14: {wrong} answers disagree with the ground truth");
+        std::process::exit(1);
+    }
 }

@@ -11,9 +11,13 @@
 //! Usage: `cargo run -p kgreach-bench --release --bin fig15 --
 //!         [--entities 30000] [--queries 15] [--max-magnitude 4]
 //!         [--constraints-per-magnitude 4]`
+//!
+//! Every answer is checked against the workload's ground truth. After
+//! printing its table the program exits 1 if any row's `wrong` is not 0.
 
 use kgreach_bench::{
-    build_local_index, engine_with_index, figure_rows, mib, ms, print_header, print_row, run_group,
+    build_local_index, engine_with_index, figure_rows, mib, ms, outln, print_header, print_row,
+    run_group,
 };
 use kgreach_datagen::queries::{generate_workload, QueryGenConfig};
 use kgreach_datagen::{random_constraint_with_magnitude, yago::YagoConfig};
@@ -48,7 +52,7 @@ fn main() {
     let g = kgreach_bench::cached_graph(&key, || {
         kgreach_datagen::yago::generate(&config).expect("generation fits")
     });
-    println!(
+    outln!(
         "# YAGO-like graph: |V|={} |E|={} |L|={}",
         g.num_vertices(),
         g.num_edges(),
@@ -56,7 +60,7 @@ fn main() {
     );
 
     let (index, build_time) = build_local_index(&g, 7);
-    println!(
+    outln!(
         "# local index on YAGO-like graph: {:.2}s, {} MB, {} landmarks",
         build_time.as_secs_f64(),
         mib(index.stats().bytes),
@@ -65,7 +69,7 @@ fn main() {
     let engine = engine_with_index(g, index);
     let g = engine.graph();
 
-    println!("\n# Figure 15 — random constraints by |V(S,G)| magnitude\n");
+    outln!("\n# Figure 15 — random constraints by |V(S,G)| magnitude\n");
     print_header(&[
         "magnitude",
         "avg |V(S,G)|",
@@ -77,6 +81,7 @@ fn main() {
         "wrong",
     ]);
 
+    let mut wrong = 0;
     for mag in 1..=max_mag {
         let m = 10usize.pow(mag);
         if m * 2 > g.num_vertices() {
@@ -125,6 +130,7 @@ fn main() {
         for (group_name, group) in [("true", &true_queries), ("false", &false_queries)] {
             for (row, alg, opts) in figure_rows() {
                 let r = run_group(&engine, group, alg, &opts);
+                wrong += r.wrong;
                 print_row(&[
                     format!("10^{mag}"),
                     format!("{avg_vsg:.0}"),
@@ -138,6 +144,10 @@ fn main() {
             }
         }
     }
-    println!("\n# expected shape: UIS true-time drifts down with magnitude; false flat;");
-    println!("# INS far below both; wrong must be 0.");
+    outln!("\n# expected shape: UIS true-time drifts down with magnitude; false flat;");
+    outln!("# INS far below both; wrong must be 0.");
+    if wrong > 0 {
+        eprintln!("fig15: {wrong} answers disagree with the ground truth");
+        std::process::exit(1);
+    }
 }

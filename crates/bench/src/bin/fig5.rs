@@ -10,7 +10,7 @@
 //!         [--vertices 4000] [--labels 8] [--budget-secs 120]
 //!         [--sweep-base 1000]`
 
-use kgreach_bench::{print_header, print_row};
+use kgreach_bench::{outln, print_header, print_row};
 use kgreach_datagen::yago::{self, YagoConfig};
 use kgreach_lcr::{Budget, SamplingTreeIndex};
 use kgreach_serve::cli::{parses, Args, Flags};
@@ -26,7 +26,7 @@ fn main() {
     let labels: usize = args.get("labels", 8);
     let budget = Duration::from_secs(args.get("budget-secs", 120));
 
-    println!("# Figure 5(a) — Sampling-Tree indexing time vs density, |V| = {fixed_v}\n");
+    outln!("# Figure 5(a) — Sampling-Tree indexing time vs density, |V| = {fixed_v}\n");
     print_header(&["D=|E|/|V|", "|V|", "|E|", "Indexing time(s)"]);
     for density_x2 in 4..=10 {
         // density 2.0, 2.5, …, 5.0 — the paper's sweep.
@@ -51,7 +51,7 @@ fn main() {
         ]);
     }
 
-    println!("\n# Figure 5(b) — Sampling-Tree indexing time vs |V|, D = 1.5\n");
+    outln!("\n# Figure 5(b) — Sampling-Tree indexing time vs |V|, D = 1.5\n");
     print_header(&["|V| target", "|V|", "|E|", "Indexing time(s)"]);
     let base: usize = args.get("sweep-base", 1_000);
     for step in 0..5 {
@@ -80,6 +80,6 @@ fn main() {
             row,
         ]);
     }
-    println!("\n# expected shape: (a) ~linear growth in density;");
-    println!("# (b) super-linear growth in |V| (log-scale blow-up in the paper).");
+    outln!("\n# expected shape: (a) ~linear growth in density;");
+    outln!("# (b) super-linear growth in |V| (log-scale blow-up in the paper).");
 }

@@ -14,6 +14,7 @@
 //! exploratory side of the same harness.
 
 use kgreach::{LocalIndex, LocalIndexConfig};
+use kgreach_bench::outln;
 use kgreach_datagen::{lubm, LubmConfig};
 use kgreach_graph::GraphBuilder;
 use kgreach_serve::cli::{parses, Args, Flags};
@@ -31,7 +32,7 @@ fn main() {
     let landmarks: usize = args.get("landmarks", 64);
 
     let config = LubmConfig::sized_edges(target, 0xA0D17);
-    println!(
+    outln!(
         "mem_audit: target {target} edges ({} universities x {} departments), {landmarks} landmarks",
         config.universities, config.departments
     );
@@ -48,28 +49,28 @@ fn main() {
     let graph_peak = ALLOC.peak_bytes().saturating_sub(live_before);
     let e = g.num_edges() as f64;
 
-    println!(
+    outln!(
         "graph: |V| = {}, |E| = {}, built in {:.2?}",
         g.num_vertices(),
         g.num_edges(),
         build_time
     );
-    println!(
+    outln!(
         "  live after build:      {:>12} bytes  {:>7.1} B/edge",
         graph_live,
         graph_live as f64 / e
     );
-    println!(
+    outln!(
         "  construction peak:     {:>12} bytes  {:>7.1} B/edge",
         graph_peak,
         graph_peak as f64 / e
     );
-    println!(
+    outln!(
         "  edge-buffer peak:      {:>12} bytes  {:>7.1} B/edge",
         buffer_peak,
         buffer_peak as f64 / e
     );
-    println!(
+    outln!(
         "  self-reported heap:    {:>12} bytes  {:>7.1} B/edge",
         g.heap_bytes(),
         g.heap_bytes() as f64 / e
@@ -83,22 +84,18 @@ fn main() {
     );
     let index_time = t.elapsed();
     let idx_live = ALLOC.live_bytes().saturating_sub(idx_before);
-    println!(
+    outln!(
         "index: {} landmarks, {} II pairs, {} EIT pairs, built in {:.2?}",
         idx.stats().num_landmarks,
         idx.stats().ii_pairs,
         idx.stats().eit_pairs,
         index_time
     );
-    println!(
-        "  live after build:      {:>12} bytes  {:>7.1} B/edge",
-        idx_live,
-        idx_live as f64 / e
-    );
-    println!(
+    outln!("  live after build:      {:>12} bytes  {:>7.1} B/edge", idx_live, idx_live as f64 / e);
+    outln!(
         "  self-reported size:    {:>12} bytes  {:>7.1} B/edge",
         idx.stats().bytes,
         idx.stats().bytes as f64 / e
     );
-    println!("total: {:.1} B/edge live for graph + index", (graph_live + idx_live) as f64 / e);
+    outln!("total: {:.1} B/edge live for graph + index", (graph_live + idx_live) as f64 / e);
 }

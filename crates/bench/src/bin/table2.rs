@@ -11,7 +11,7 @@
 //! Usage: `cargo run -p kgreach-bench --release --bin table2 --
 //!         [--scale 1.0] [--budget-secs 30]`
 
-use kgreach_bench::{build_local_index, lubm_datasets, mib, print_header, print_row};
+use kgreach_bench::{build_local_index, lubm_datasets, mib, outln, print_header, print_row};
 use kgreach_lcr::{Budget, LandmarkConfig, LandmarkIndex};
 use kgreach_serve::cli::{parses, Args, Flags};
 use std::time::Duration;
@@ -24,8 +24,8 @@ fn main() {
     let scale: f64 = args.get("scale", 1.0);
     let budget_secs: u64 = args.get("budget-secs", 30);
 
-    println!("# Table 2 — synthetic datasets: indexing time (IT) and space (IS)");
-    println!("# traditional budget: {budget_secs}s (scaled stand-in for the paper's 8h cap)\n");
+    outln!("# Table 2 — synthetic datasets: indexing time (IT) and space (IS)");
+    outln!("# traditional budget: {budget_secs}s (scaled stand-in for the paper's 8h cap)\n");
     print_header(&[
         "Dataset",
         "Vertex",
@@ -64,6 +64,6 @@ fn main() {
             trad_is,
         ]);
     }
-    println!("\n# expected shape: local IT/IS grow ~linearly with |V|;");
-    println!("# traditional succeeds only on D0' and hits the budget ('-') beyond it.");
+    outln!("\n# expected shape: local IT/IS grow ~linearly with |V|;");
+    outln!("# traditional succeeds only on D0' and hits the budget ('-') beyond it.");
 }

@@ -15,6 +15,9 @@
 //! density and the same linear progression — pass `--scale` to grow them).
 //! Absolute numbers differ from the paper's testbed; the *shapes* (who
 //! wins, growth trends, budget blow-ups) are the reproduction target.
+//!
+//! The binaries print through [`outln!`], so piping one into a reader
+//! that stops early (`fig10_14 | head -5`) ends it with exit status 0.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -23,6 +26,7 @@ use kgreach::{Algorithm, LocalIndex, LocalIndexConfig, LscrEngine, QueryOptions,
 use kgreach_datagen::lubm::{self, LubmConfig};
 use kgreach_datagen::queries::{GeneratedQuery, QueryGenConfig, Workload};
 use kgreach_graph::{snapshot, Graph};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -213,15 +217,36 @@ pub fn mib(bytes: usize) -> String {
     format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
 }
 
+/// Writes one line to stdout: every line the experiment binaries print
+/// goes through here. A reader that has gone (`table2 | head -1`) ends
+/// the program with exit status 0, since it read what it wanted; any
+/// other write error panics, as `println!` does.
+pub fn write_line(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(io::stdout().lock(), "{line}") {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `println!` through [`write_line`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_line(format_args!($($arg)*))
+    };
+}
+
 /// Prints a markdown-style table row.
 pub fn print_row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
+    outln!("| {} |", cells.join(" | "));
 }
 
 /// Prints a markdown-style table header (with separator line).
 pub fn print_header(cells: &[&str]) {
-    println!("| {} |", cells.join(" | "));
-    println!("|{}|", cells.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
+    outln!("| {} |", cells.join(" | "));
+    outln!("|{}|", cells.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
 }
 
 #[cfg(test)]

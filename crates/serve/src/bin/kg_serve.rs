@@ -100,18 +100,19 @@ fn main() {
             max_timeout,
         },
         http: Default::default(),
-        max_connections: args.get("max-connections", 256),
+        max_connections: args.get("max-connections", ServerConfig::default().max_connections),
     };
     let workers = config.batch.workers;
 
     let server = match args.get_str("data-dir") {
         Some(dir) => {
             let dir = dir.to_owned();
+            let wal_defaults = WalConfig::default();
             let fsync =
-                args.get_str("fsync").and_then(FsyncPolicy::parse).unwrap_or(FsyncPolicy::Always);
+                args.get_str("fsync").and_then(FsyncPolicy::parse).unwrap_or(wal_defaults.fsync);
             let wal_config = WalConfig {
                 fsync,
-                checkpoint_bytes: args.get("wal-checkpoint-bytes", 64u64 << 20),
+                checkpoint_bytes: args.get("wal-checkpoint-bytes", wal_defaults.checkpoint_bytes),
             };
             eprintln!("recovering durable state from {dir} (fsync={fsync}) ...");
             let recovery = DurableEngine::recover(&dir, wal_config, || Ok(build_engine(&args)));

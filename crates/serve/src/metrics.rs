@@ -9,6 +9,7 @@
 //! `docs/OPERATIONS.md`.
 
 use kgreach_sync::atomic::{AtomicU64, Ordering};
+use std::fmt::{self, Write};
 use std::time::{Duration, Instant};
 
 /// A monotone counter / settable gauge cell.
@@ -23,11 +24,6 @@ use std::time::{Duration, Instant};
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// Creates a zeroed cell.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds `n` to the cell.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -103,48 +99,80 @@ impl LatencyHistogram {
         self.sum_ns.load(Ordering::Relaxed)
     }
 
-    /// Renders the histogram in text exposition format under `name`, with
-    /// an optional `{label="value"}` pair on every series.
-    fn render(&self, name: &str, label: Option<(&str, &str)>, out: &mut String) {
-        let fmt_labels = |extra: Option<(&str, String)>| -> String {
-            let mut parts = Vec::new();
-            if let Some((k, v)) = label {
-                parts.push(format!("{k}=\"{v}\""));
-            }
-            if let Some((k, v)) = extra {
-                parts.push(format!("{k}=\"{v}\""));
-            }
-            if parts.is_empty() {
-                String::new()
-            } else {
-                format!("{{{}}}", parts.join(","))
-            }
-        };
+    /// Writes the histogram's series in text exposition format under
+    /// `name`.
+    fn render(&self, name: &str, out: &mut String) -> fmt::Result {
         let mut cumulative = 0u64;
         for (i, bucket) in self.buckets.iter().enumerate() {
             // relaxed: cumulative counts stay monotone per bucket; skew
             // against a concurrent record is acceptable in an exposition.
             cumulative += bucket.load(Ordering::Relaxed);
-            let le = if i < BUCKET_COUNT {
-                let ns = 1u64 << (BUCKET_LOW_POW2 + i as u32);
-                format!("{}", ns as f64 / 1e9)
+            if i < BUCKET_COUNT {
+                let le = (1u64 << (BUCKET_LOW_POW2 + i as u32)) as f64 / 1e9;
+                writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}")?;
             } else {
-                "+Inf".into()
-            };
-            out.push_str(&format!("{name}_bucket{} {cumulative}\n", fmt_labels(Some(("le", le)))));
+                writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}")?;
+            }
         }
-        out.push_str(&format!("{name}_sum{} {}\n", fmt_labels(None), self.sum_ns() as f64 / 1e9));
-        out.push_str(&format!("{name}_count{} {}\n", fmt_labels(None), self.count()));
+        writeln!(out, "{name}_sum {}", self.sum_ns() as f64 / 1e9)?;
+        writeln!(out, "{name}_count {}", self.count())
     }
+}
+
+/// When the server started: the zero of `kg_uptime_seconds`.
+#[derive(Debug)]
+struct Started(Instant);
+
+impl Default for Started {
+    fn default() -> Self {
+        Started(Instant::now())
+    }
+}
+
+/// What one family of the exposition shows.
+enum Sample<'a> {
+    Counter(u64),
+    Gauge(f64),
+    /// A counter per value of one label: the label's name, then each value
+    /// with its count.
+    Labelled(&'static str, Vec<(&'static str, u64)>),
+    Histogram(&'a LatencyHistogram),
+}
+
+/// One family of the exposition: its name, its help text and its sample.
+type Family<'a> = (&'static str, &'static str, Sample<'a>);
+
+/// Writes `families` in text exposition format, in order: the one place
+/// that writes a family's HELP and TYPE lines.
+fn write_families(families: Vec<Family<'_>>, out: &mut String) -> fmt::Result {
+    for (name, help, sample) in families {
+        let kind = match sample {
+            Sample::Counter(_) | Sample::Labelled(..) => "counter",
+            Sample::Gauge(_) => "gauge",
+            Sample::Histogram(_) => "histogram",
+        };
+        writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}")?;
+        match sample {
+            Sample::Counter(v) => writeln!(out, "{name} {v}")?,
+            Sample::Gauge(v) => writeln!(out, "{name} {v}")?,
+            Sample::Labelled(label, values) => {
+                for (value, v) in values {
+                    writeln!(out, "{name}{{{label}=\"{value}\"}} {v}")?;
+                }
+            }
+            Sample::Histogram(h) => h.render(name, out)?,
+        }
+    }
+    Ok(())
 }
 
 /// All counters the server exposes on `/metrics`.
 ///
 /// Counter semantics (`_total` suffix: monotone since process start):
 /// see `docs/OPERATIONS.md` for the full field reference.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServerMetrics {
-    started: Instant,
+    started: Started,
     /// Requests received, by endpoint.
     pub requests_query: Counter,
     /// Requests received on `/query_batch`.
@@ -226,45 +254,6 @@ pub struct ServerMetrics {
     pub update_latency: LatencyHistogram,
 }
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        ServerMetrics {
-            started: Instant::now(),
-            requests_query: Counter::new(),
-            requests_query_batch: Counter::new(),
-            requests_update: Counter::new(),
-            requests_reload: Counter::new(),
-            requests_introspection: Counter::new(),
-            requests_other: Counter::new(),
-            responses_by_class: Default::default(),
-            queries_total: Counter::new(),
-            query_errors_total: Counter::new(),
-            queries_interrupted_total: Counter::new(),
-            constraint_parses_total: Counter::new(),
-            shed_queue_full_total: Counter::new(),
-            shed_draining_total: Counter::new(),
-            shed_connections_total: Counter::new(),
-            queue_depth: Counter::new(),
-            batch_windows_total: Counter::new(),
-            batched_queries_total: Counter::new(),
-            panics_total: Counter::new(),
-            edges_scanned_total: Counter::new(),
-            edges_skipped_total: Counter::new(),
-            scck_calls_total: Counter::new(),
-            scck_cache_hits_total: Counter::new(),
-            negative_terminations_total: Counter::new(),
-            backward_edges_scanned_total: Counter::new(),
-            candidate_seeded_total: Counter::new(),
-            updates_total: Counter::new(),
-            reloads_total: Counter::new(),
-            connections_total: Counter::new(),
-            query_latency: LatencyHistogram::new(),
-            request_latency: LatencyHistogram::new(),
-            update_latency: LatencyHistogram::new(),
-        }
-    }
-}
-
 impl ServerMetrics {
     /// Creates zeroed metrics with the uptime clock started now.
     pub fn new() -> Self {
@@ -300,258 +289,223 @@ impl ServerMetrics {
     /// Renders the text exposition, folding in the engine's own state
     /// summary (graph size, epoch, cache occupancy) and — on a durable
     /// server — the WAL/checkpoint/recovery counters.
+    ///
+    /// Every family is one row of the ordered list below, so a new series
+    /// is one row here and one row of the `/metrics` table in
+    /// `docs/OPERATIONS.md`.
     pub fn render(
         &self,
         info: &kgreach::EngineInfo,
         durable: Option<&kgreach::DurableStats>,
     ) -> String {
-        let mut out = String::with_capacity(4096);
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"));
-        };
-        let gauge = |out: &mut String, name: &str, help: &str, v: f64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"));
-        };
-        let load = |c: &Counter| c.get();
-
-        gauge(&mut out, "kg_uptime_seconds", "Seconds since server start.", {
-            self.started.elapsed().as_secs_f64()
-        });
-
-        out.push_str(
-            "# HELP kg_requests_total Requests received, by endpoint.\n\
-             # TYPE kg_requests_total counter\n",
-        );
-        for (ep, v) in [
-            ("query", load(&self.requests_query)),
-            ("query_batch", load(&self.requests_query_batch)),
-            ("update", load(&self.requests_update)),
-            ("snapshot_reload", load(&self.requests_reload)),
-            ("introspection", load(&self.requests_introspection)),
-            ("other", load(&self.requests_other)),
-        ] {
-            out.push_str(&format!("kg_requests_total{{endpoint=\"{ep}\"}} {v}\n"));
-        }
-
-        out.push_str(
-            "# HELP kg_responses_total Responses sent, by status class.\n\
-             # TYPE kg_responses_total counter\n",
-        );
-        for (class, v) in ["2xx", "4xx", "5xx"].iter().zip(&self.responses_by_class) {
-            out.push_str(&format!("kg_responses_total{{class=\"{class}\"}} {}\n", load(v)));
-        }
-
-        counter(&mut out, "kg_queries_total", "LSCR queries answered.", load(&self.queries_total));
-        counter(
-            &mut out,
-            "kg_query_errors_total",
-            "Queries rejected with a typed error.",
-            load(&self.query_errors_total),
-        );
-        counter(
-            &mut out,
-            "kg_queries_interrupted_total",
-            "Queries stopped early by the step budget or timeout.",
-            load(&self.queries_interrupted_total),
-        );
-        counter(
-            &mut out,
-            "kg_constraint_parses_total",
-            "Constraint texts parsed because no cached plan had them as its key.",
-            load(&self.constraint_parses_total),
-        );
-
-        out.push_str(
-            "# HELP kg_shed_total Requests shed by admission control, by reason.\n\
-             # TYPE kg_shed_total counter\n",
-        );
-        for (reason, v) in [
-            ("queue_full", load(&self.shed_queue_full_total)),
-            ("draining", load(&self.shed_draining_total)),
-            ("connection_limit", load(&self.shed_connections_total)),
-        ] {
-            out.push_str(&format!("kg_shed_total{{reason=\"{reason}\"}} {v}\n"));
-        }
-
-        gauge(
-            &mut out,
-            "kg_queue_depth",
-            "Threads waiting for a search slot right now.",
-            load(&self.queue_depth) as f64,
-        );
-        counter(
-            &mut out,
-            "kg_batch_windows_total",
-            "Search slots taken (one query each).",
-            load(&self.batch_windows_total),
-        );
-        counter(
-            &mut out,
-            "kg_batched_queries_total",
-            "Queries answered in a search slot, on either route.",
-            load(&self.batched_queries_total),
-        );
-        counter(
-            &mut out,
-            "kg_panics_total",
-            "Answers that panicked (each a 500; the thread survived).",
-            load(&self.panics_total),
-        );
-        counter(
-            &mut out,
-            "kg_edges_scanned_total",
-            "Edges scanned across all searches.",
-            load(&self.edges_scanned_total),
-        );
-        counter(
-            &mut out,
-            "kg_edges_skipped_total",
-            "Edges skipped by incident-label masks and the per-edge label test.",
-            load(&self.edges_skipped_total),
-        );
-        counter(
-            &mut out,
-            "kg_scck_calls_total",
-            "SCck constraint checks invoked.",
-            load(&self.scck_calls_total),
-        );
-        counter(
-            &mut out,
-            "kg_scck_cache_hits_total",
-            "SCck checks answered from the result cache.",
-            load(&self.scck_cache_hits_total),
-        );
-        counter(
-            &mut out,
-            "kg_negative_terminations_total",
-            "Searches that proved false early (mask precheck, emptied backward side, empty V(S,G)).",
-            load(&self.negative_terminations_total),
-        );
-        counter(
-            &mut out,
-            "kg_backward_edges_scanned_total",
-            "Edges scanned by UIS's backward sides (part of kg_edges_scanned_total).",
-            load(&self.backward_edges_scanned_total),
-        );
-        counter(
-            &mut out,
-            "kg_candidate_seeded_total",
-            "UIS searches whose candidate sides seeded from V(S,G).",
-            load(&self.candidate_seeded_total),
-        );
-        counter(&mut out, "kg_updates_total", "Update batches applied.", load(&self.updates_total));
-        counter(
-            &mut out,
-            "kg_snapshot_reloads_total",
-            "Snapshot hot reloads completed.",
-            load(&self.reloads_total),
-        );
-        counter(
-            &mut out,
-            "kg_connections_total",
-            "TCP connections accepted.",
-            load(&self.connections_total),
-        );
-
-        // Engine-side state.
-        gauge(&mut out, "kg_graph_vertices", "Vertices in the served graph.", {
-            info.num_vertices as f64
-        });
-        gauge(&mut out, "kg_graph_edges", "Edges in the served graph.", info.num_edges as f64);
-        gauge(&mut out, "kg_graph_epoch", "Content epoch of the served graph.", info.epoch as f64);
-        gauge(&mut out, "kg_graph_heap_bytes", "Heap footprint of the served graph.", {
-            info.graph_heap_bytes as f64
-        });
-        gauge(&mut out, "kg_graph_overlay_live", "1 when un-compacted delta edits are live.", {
-            f64::from(u8::from(info.has_overlay))
-        });
-        gauge(&mut out, "kg_index_built", "1 when the local index is installed.", {
-            f64::from(u8::from(info.index_built))
-        });
-        gauge(&mut out, "kg_cached_plans", "Constraint plans in the engine cache.", {
-            info.cached_plans as f64
-        });
-
+        use Sample::{Counter as C, Gauge as G, Histogram as H, Labelled as L};
+        let mut families: Vec<Family<'_>> = vec![
+            (
+                "kg_uptime_seconds",
+                "Seconds since server start.",
+                G(self.started.0.elapsed().as_secs_f64()),
+            ),
+            (
+                "kg_requests_total",
+                "Requests received, by endpoint.",
+                L(
+                    "endpoint",
+                    vec![
+                        ("query", self.requests_query.get()),
+                        ("query_batch", self.requests_query_batch.get()),
+                        ("update", self.requests_update.get()),
+                        ("snapshot_reload", self.requests_reload.get()),
+                        ("introspection", self.requests_introspection.get()),
+                        ("other", self.requests_other.get()),
+                    ],
+                ),
+            ),
+            (
+                "kg_responses_total",
+                "Responses sent, by status class.",
+                L(
+                    "class",
+                    vec![
+                        ("2xx", self.responses_by_class[0].get()),
+                        ("4xx", self.responses_by_class[1].get()),
+                        ("5xx", self.responses_by_class[2].get()),
+                    ],
+                ),
+            ),
+            ("kg_queries_total", "LSCR queries answered.", C(self.queries_total.get())),
+            (
+                "kg_query_errors_total",
+                "Queries rejected with a typed error.",
+                C(self.query_errors_total.get()),
+            ),
+            (
+                "kg_queries_interrupted_total",
+                "Queries stopped early by the step budget or timeout.",
+                C(self.queries_interrupted_total.get()),
+            ),
+            (
+                "kg_constraint_parses_total",
+                "Constraint texts parsed because no cached plan had them as its key.",
+                C(self.constraint_parses_total.get()),
+            ),
+            (
+                "kg_shed_total",
+                "Requests shed by admission control, by reason.",
+                L(
+                    "reason",
+                    vec![
+                        ("queue_full", self.shed_queue_full_total.get()),
+                        ("draining", self.shed_draining_total.get()),
+                        ("connection_limit", self.shed_connections_total.get()),
+                    ],
+                ),
+            ),
+            (
+                "kg_queue_depth",
+                "Threads waiting for a search slot right now.",
+                G(self.queue_depth.get() as f64),
+            ),
+            (
+                "kg_batch_windows_total",
+                "Search slots taken (one query each).",
+                C(self.batch_windows_total.get()),
+            ),
+            (
+                "kg_batched_queries_total",
+                "Queries answered in a search slot, on either route.",
+                C(self.batched_queries_total.get()),
+            ),
+            (
+                "kg_panics_total",
+                "Answers that panicked (each a 500; the thread survived).",
+                C(self.panics_total.get()),
+            ),
+            (
+                "kg_edges_scanned_total",
+                "Edges scanned across all searches.",
+                C(self.edges_scanned_total.get()),
+            ),
+            (
+                "kg_edges_skipped_total",
+                "Edges skipped by incident-label masks and the per-edge label test.",
+                C(self.edges_skipped_total.get()),
+            ),
+            (
+                "kg_scck_calls_total",
+                "SCck constraint checks invoked.",
+                C(self.scck_calls_total.get()),
+            ),
+            (
+                "kg_scck_cache_hits_total",
+                "SCck checks answered from the result cache.",
+                C(self.scck_cache_hits_total.get()),
+            ),
+            (
+                "kg_negative_terminations_total",
+                "Searches that proved false early \
+                 (mask precheck, emptied backward side, empty V(S,G)).",
+                C(self.negative_terminations_total.get()),
+            ),
+            (
+                "kg_backward_edges_scanned_total",
+                "Edges scanned by UIS's backward sides (part of kg_edges_scanned_total).",
+                C(self.backward_edges_scanned_total.get()),
+            ),
+            (
+                "kg_candidate_seeded_total",
+                "UIS searches whose candidate sides seeded from V(S,G).",
+                C(self.candidate_seeded_total.get()),
+            ),
+            ("kg_updates_total", "Update batches applied.", C(self.updates_total.get())),
+            (
+                "kg_snapshot_reloads_total",
+                "Snapshot hot reloads completed.",
+                C(self.reloads_total.get()),
+            ),
+            ("kg_connections_total", "TCP connections accepted.", C(self.connections_total.get())),
+            // Engine-side state.
+            ("kg_graph_vertices", "Vertices in the served graph.", G(info.num_vertices as f64)),
+            ("kg_graph_edges", "Edges in the served graph.", G(info.num_edges as f64)),
+            ("kg_graph_epoch", "Content epoch of the served graph.", G(info.epoch as f64)),
+            (
+                "kg_graph_heap_bytes",
+                "Heap footprint of the served graph.",
+                G(info.graph_heap_bytes as f64),
+            ),
+            (
+                "kg_graph_overlay_live",
+                "1 when un-compacted delta edits are live.",
+                G(f64::from(u8::from(info.has_overlay))),
+            ),
+            (
+                "kg_index_built",
+                "1 when the local index is installed.",
+                G(f64::from(u8::from(info.index_built))),
+            ),
+            (
+                "kg_cached_plans",
+                "Constraint plans in the engine cache.",
+                G(info.cached_plans as f64),
+            ),
+        ];
         // Durability subsystem (present only with a data directory).
         if let Some(d) = durable {
-            counter(
-                &mut out,
-                "kg_wal_appends_total",
-                "Update records appended to the write-ahead log.",
-                d.wal_appends,
-            );
-            counter(
-                &mut out,
-                "kg_wal_fsyncs_total",
-                "Fsyncs issued on the write-ahead log.",
-                d.wal_fsyncs,
-            );
-            gauge(
-                &mut out,
-                "kg_wal_bytes",
-                "Current size of the write-ahead log.",
-                d.wal_bytes as f64,
-            );
-            gauge(
-                &mut out,
-                "kg_wal_last_seq",
-                "Sequence number of the last logged update.",
-                d.last_seq as f64,
-            );
-            counter(
-                &mut out,
-                "kg_checkpoints_total",
-                "Checkpoints rolled since startup.",
-                d.checkpoints,
-            );
-            gauge(
-                &mut out,
-                "kg_checkpoint_seq",
-                "Sequence number the current checkpoint covers.",
-                d.checkpoint_seq as f64,
-            );
-            gauge(
-                &mut out,
-                "kg_checkpoint_last_seconds",
-                "Duration of the most recent checkpoint.",
-                d.last_checkpoint_nanos as f64 / 1e9,
-            );
-            gauge(
-                &mut out,
-                "kg_recovery_replayed_records",
-                "Log records replayed by startup recovery.",
-                d.recovery_replayed as f64,
-            );
-            gauge(
-                &mut out,
-                "kg_recovery_truncated_bytes",
-                "Torn-tail bytes truncated by startup recovery.",
-                d.recovery_truncated_bytes as f64,
-            );
-            gauge(
-                &mut out,
-                "kg_recovery_seconds",
-                "Wall-clock startup recovery time.",
-                d.recovery_nanos as f64 / 1e9,
-            );
+            families.extend([
+                (
+                    "kg_wal_appends_total",
+                    "Update records appended to the write-ahead log.",
+                    C(d.wal_appends),
+                ),
+                ("kg_wal_fsyncs_total", "Fsyncs issued on the write-ahead log.", C(d.wal_fsyncs)),
+                ("kg_wal_bytes", "Current size of the write-ahead log.", G(d.wal_bytes as f64)),
+                (
+                    "kg_wal_last_seq",
+                    "Sequence number of the last logged update.",
+                    G(d.last_seq as f64),
+                ),
+                ("kg_checkpoints_total", "Checkpoints rolled since startup.", C(d.checkpoints)),
+                (
+                    "kg_checkpoint_seq",
+                    "Sequence number the current checkpoint covers.",
+                    G(d.checkpoint_seq as f64),
+                ),
+                (
+                    "kg_checkpoint_last_seconds",
+                    "Duration of the most recent checkpoint.",
+                    G(d.last_checkpoint_nanos as f64 / 1e9),
+                ),
+                (
+                    "kg_recovery_replayed_records",
+                    "Log records replayed by startup recovery.",
+                    G(d.recovery_replayed as f64),
+                ),
+                (
+                    "kg_recovery_truncated_bytes",
+                    "Torn-tail bytes truncated by startup recovery.",
+                    { G(d.recovery_truncated_bytes as f64) },
+                ),
+                (
+                    "kg_recovery_seconds",
+                    "Wall-clock startup recovery time.",
+                    G(d.recovery_nanos as f64 / 1e9),
+                ),
+            ]);
         }
-
-        for (name, help, h) in [
+        families.extend([
             (
                 "kg_query_latency_seconds",
                 "Per-query latency, admission to answered.",
-                &self.query_latency,
+                H(&self.query_latency),
             ),
             (
                 "kg_request_latency_seconds",
                 "Whole-request latency on the query endpoints.",
-                &self.request_latency,
+                H(&self.request_latency),
             ),
-            ("kg_update_latency_seconds", "Update request latency.", &self.update_latency),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-            h.render(name, None, &mut out);
-        }
+            ("kg_update_latency_seconds", "Update request latency.", H(&self.update_latency)),
+        ]);
+        let mut out = String::with_capacity(4096);
+        write_families(families, &mut out).expect("a String takes every write");
         out
     }
 }
@@ -570,7 +524,7 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert!(h.sum_ns() > 60_000_000_000);
         let mut out = String::new();
-        h.render("t", Some(("endpoint", "query")), &mut out);
+        h.render("t", &mut out).unwrap();
         // Cumulative counts are monotone and end at the total.
         let counts: Vec<u64> = out
             .lines()
@@ -580,7 +534,134 @@ mod tests {
         assert_eq!(counts.len(), BUCKET_COUNT + 1);
         assert!(counts.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*counts.last().unwrap(), 4, "+Inf bucket covers everything");
-        assert!(out.contains("t_count{endpoint=\"query\"} 4"));
+        assert!(out.contains("t_count 4"));
+    }
+
+    /// The rendered exposition of one fixed scenario, with the uptime
+    /// value masked: every counter set to a distinct value, samples in all
+    /// three histograms (one past the last bucket), figure 3's engine and a
+    /// durable server whose every statistic is non-zero.
+    fn golden_render() -> String {
+        let m = ServerMetrics::new();
+        let counters = [
+            &m.requests_query,
+            &m.requests_query_batch,
+            &m.requests_update,
+            &m.requests_reload,
+            &m.requests_introspection,
+            &m.requests_other,
+            &m.responses_by_class[0],
+            &m.responses_by_class[1],
+            &m.responses_by_class[2],
+            &m.queries_total,
+            &m.query_errors_total,
+            &m.queries_interrupted_total,
+            &m.constraint_parses_total,
+            &m.shed_queue_full_total,
+            &m.shed_draining_total,
+            &m.shed_connections_total,
+            &m.queue_depth,
+            &m.batch_windows_total,
+            &m.batched_queries_total,
+            &m.panics_total,
+            &m.edges_scanned_total,
+            &m.edges_skipped_total,
+            &m.scck_calls_total,
+            &m.scck_cache_hits_total,
+            &m.negative_terminations_total,
+            &m.backward_edges_scanned_total,
+            &m.candidate_seeded_total,
+            &m.updates_total,
+            &m.reloads_total,
+            &m.connections_total,
+        ];
+        for (i, c) in counters.into_iter().enumerate() {
+            c.add(i as u64 + 1);
+        }
+        m.query_latency.record(Duration::from_nanos(700));
+        m.query_latency.record(Duration::from_micros(45));
+        m.request_latency.record(Duration::from_micros(90));
+        m.request_latency.record(Duration::from_millis(3));
+        m.update_latency.record(Duration::from_secs(40)); // past the last bucket
+        let engine = kgreach::LscrEngine::new(kgreach::fixtures::figure3());
+        let mut info = engine.info();
+        // Pinned so that a change to the graph's own layout does not move
+        // this exposition.
+        info.graph_heap_bytes = 4096;
+        let durable = kgreach::DurableStats {
+            last_seq: 11,
+            checkpoint_seq: 8,
+            wal_bytes: 2048,
+            wal_appends: 11,
+            wal_fsyncs: 5,
+            checkpoints: 2,
+            last_checkpoint_nanos: 1_500_000,
+            recovery_replayed: 3,
+            recovery_truncated_bytes: 17,
+            recovery_nanos: 250_000_000,
+        };
+        let text = m.render(&info, Some(&durable));
+        let mut masked = String::new();
+        for line in text.lines() {
+            let line = if line.starts_with("kg_uptime_seconds ") {
+                "kg_uptime_seconds <masked>"
+            } else {
+                line
+            };
+            masked.push_str(line);
+            masked.push('\n');
+        }
+        masked
+    }
+
+    #[test]
+    fn exposition_matches_golden() {
+        let golden = include_str!("../tests/fixtures/metrics.golden");
+        let rendered = golden_render();
+        if rendered != golden {
+            let line = rendered.lines().zip(golden.lines()).position(|(a, b)| a != b);
+            panic!("exposition differs from the golden at line {line:?}; rendered:\n{rendered}");
+        }
+    }
+
+    /// The `/metrics` table of `docs/OPERATIONS.md` names every rendered family with
+    /// its type, and nothing else.
+    #[test]
+    fn operations_table_matches_rendered_families() {
+        let doc = include_str!("../../../docs/OPERATIONS.md");
+        let table = doc
+            .split("## Watching it: the /metrics reference")
+            .nth(1)
+            .expect("OPERATIONS.md has the /metrics section")
+            .lines()
+            .skip_while(|l| !l.starts_with("| Series |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'));
+        let mut documented = std::collections::BTreeSet::new();
+        for row in table {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let (series, kind) = (cells[1], cells[2]);
+            for name in series.split(" / ") {
+                let name = name.trim_matches('`');
+                let name = name.split('{').next().unwrap();
+                documented.insert((name.to_owned(), kind.to_owned()));
+            }
+        }
+        let rendered: std::collections::BTreeSet<(String, String)> = golden_render()
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|l| {
+                let (name, kind) = l.split_once(' ').unwrap();
+                (name.to_owned(), kind.to_owned())
+            })
+            .collect();
+        let undocumented: Vec<_> = rendered.difference(&documented).collect();
+        let unrendered: Vec<_> = documented.difference(&rendered).collect();
+        assert!(
+            undocumented.is_empty() && unrendered.is_empty(),
+            "rendered but not in OPERATIONS.md: {undocumented:?}; \
+             in OPERATIONS.md but not rendered: {unrendered:?}"
+        );
     }
 
     #[test]

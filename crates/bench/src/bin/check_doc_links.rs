@@ -21,6 +21,10 @@
 //!    exists nowhere: the name resolves against the source file's
 //!    directory or any directory above it, so `README.md` in a crate
 //!    finds the crate's README and `docs/…` the repo's.
+//! 4. A doc-link destination in a Rust comment that names a workspace
+//!    crate (`kgreach::…`, `kgreach_graph::…`): the order-dependent case of
+//!    1, refused at the source whether or not this build happened to
+//!    resolve it.
 //!
 //! Each argument is a file or a directory: directories are walked
 //! recursively (skipping `target`), collecting `.html` (audited as rustdoc
@@ -73,6 +77,14 @@ fn main() {
             Some("rs") => extract_rs_md_citations(&content),
             _ => extract_targets(&content),
         };
+        if ext == Some("rs") {
+            for dest in extract_crate_link_destinations(&content) {
+                broken.insert(format!(
+                    "{} -> {dest} (another crate's item: name it in code font)",
+                    file.display()
+                ));
+            }
+        }
         for target in targets {
             checked += 1;
             let resolves = |d: &Path| d.join(&target).exists();
@@ -203,6 +215,27 @@ fn extract_rs_md_citations(src: &str) -> Vec<String> {
     names
 }
 
+/// Pulls every doc-link destination that starts with a workspace crate's
+/// name and a path separator out of the comments of one Rust source file.
+fn extract_crate_link_destinations(src: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    for line in src.lines() {
+        let Some(pos) = line.find("//") else { continue };
+        let mut rest = &line[pos..];
+        while let Some(at) = rest.find("](kgreach") {
+            rest = &rest[at + 2..];
+            let dest = &rest[..rest.find(')').unwrap_or(rest.len())];
+            let krate = dest.split("::").next().unwrap_or(dest);
+            if dest.len() > krate.len()
+                && krate.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
+            {
+                found.push(dest.to_owned());
+            }
+        }
+    }
+    found
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,5 +251,21 @@ mod tests {
             c = "/".repeat(2)
         );
         assert_eq!(extract_rs_md_citations(&src), ["DESIGN.md", "docs/PROTOCOL.md", "README.md"]);
+    }
+
+    #[test]
+    fn a_link_into_a_workspace_crate_is_refused() {
+        // Built with `{c}` for the comment marker, so this file links to
+        // none of these destinations itself.
+        let src = format!(
+            "{c}/ Re-frozen past ([`f`](kgreach_graph::DeltaStats::delta_fraction) > 0.5),\n\
+             {c}! by [`Graph`](crate::Graph), [`E`](kgreach::LscrEngine) or [`g`](kgreach_graph),\n\
+             let s = \"](kgreach::NotAComment)\";\n",
+            c = "/".repeat(2)
+        );
+        assert_eq!(
+            extract_crate_link_destinations(&src),
+            ["kgreach_graph::DeltaStats::delta_fraction", "kgreach::LscrEngine"]
+        );
     }
 }

@@ -354,9 +354,9 @@ impl LscrEngine {
     /// index build, and block no reader while the heavy work runs.
     ///
     /// When the overlay's changed edges pass half the graph's edge count
-    /// ([`DeltaStats::delta_fraction`](kgreach_graph::DeltaStats::delta_fraction) > 0.5),
-    /// the graph is re-frozen ([`Graph::compact`]), so long-running update
-    /// streams cannot degrade query performance unboundedly.
+    /// (`DeltaStats::delta_fraction` > 0.5), the graph is re-frozen
+    /// ([`Graph::compact`]), so long-running update streams cannot degrade
+    /// query performance unboundedly.
     ///
     /// ```
     /// use kgreach::{Algorithm, LscrEngine, LscrQuery, QueryOptions};

@@ -59,9 +59,8 @@ pub enum QueryError {
         found: GraphFingerprint,
     },
     /// A compiled query's ids belong to another graph's id space
-    /// ([`Graph::lineage`](kgreach_graph::Graph::lineage)): it was compiled
-    /// before a snapshot reload, or by another engine. Compile it again
-    /// from names.
+    /// (`Graph::lineage`): it was compiled before a snapshot reload, or by
+    /// another engine. Compile it again from names.
     IdSpaceMismatch,
 }
 

@@ -83,19 +83,6 @@ pub enum HttpError {
 }
 
 impl HttpError {
-    /// The response status this error maps to (`None`: drop silently).
-    pub fn status(&self) -> Option<u16> {
-        match self {
-            HttpError::ConnectionClosed => None,
-            HttpError::BadRequest(_) => Some(400),
-            HttpError::BodyTooLarge { .. } => Some(413),
-            HttpError::HeadTooLarge => Some(431),
-            HttpError::UnsupportedTransferEncoding => Some(501),
-            HttpError::Timeout => Some(408),
-            HttpError::Io(_) => None,
-        }
-    }
-
     /// Human-readable description for the error envelope.
     pub fn message(&self) -> String {
         match self {
@@ -171,6 +158,10 @@ pub fn read_request(
     let request_line = lines.next().unwrap_or(b"");
     let request_line = std::str::from_utf8(request_line)
         .map_err(|_| HttpError::BadRequest("request line is not UTF-8".into()))?;
+    #[cfg(test)]
+    if request_line.starts_with("PANIC ") {
+        panic!("seeded panic while a request is read");
+    }
     let mut parts = request_line.split(' ');
     let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -358,6 +349,9 @@ pub fn write_response(stream: &mut impl Write, resp: &Response) -> std::io::Resu
     if let Some(secs) = resp.retry_after {
         write!(message, "Retry-After: {secs}\r\n")?;
     }
+    if let Some(methods) = resp.allow {
+        write!(message, "Allow: {methods}\r\n")?;
+    }
     message.extend_from_slice(if resp.close {
         b"Connection: close\r\n\r\n"
     } else {
@@ -369,7 +363,7 @@ pub fn write_response(stream: &mut impl Write, resp: &Response) -> std::io::Resu
 }
 
 /// One response to serialize.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Response {
     /// Status code.
     pub status: u16,
@@ -379,6 +373,8 @@ pub struct Response {
     pub body: Vec<u8>,
     /// Optional `Retry-After` (seconds) — set on shed responses.
     pub retry_after: Option<u32>,
+    /// Optional `Allow` — on a `405`, the method its path takes.
+    pub allow: Option<&'static str>,
     /// Close the connection after this response.
     pub close: bool,
 }
@@ -386,24 +382,14 @@ pub struct Response {
 impl Response {
     /// A JSON response.
     pub fn json(status: u16, body: String) -> Response {
-        Response {
-            status,
-            content_type: "application/json",
-            body: body.into_bytes(),
-            retry_after: None,
-            close: false,
-        }
+        let content_type = "application/json";
+        Response { status, content_type, body: body.into_bytes(), ..Default::default() }
     }
 
     /// A plain-text response.
     pub fn text(status: u16, body: String) -> Response {
-        Response {
-            status,
-            content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: body.into_bytes(),
-            retry_after: None,
-            close: false,
-        }
+        let content_type = "text/plain; version=0.0.4; charset=utf-8";
+        Response { status, content_type, body: body.into_bytes(), ..Default::default() }
     }
 }
 
@@ -499,7 +485,7 @@ pub(crate) mod tests {
                 assert_eq!(read_request(&mut reader, &at_limit).unwrap().path, "/healthz");
                 let under = HttpLimits { max_head_bytes: head.len() - 1, ..at_limit };
                 let err = read_request(&mut loopback(head.as_bytes(), capacity), &under);
-                assert_eq!(err.unwrap_err().status(), Some(431), "capacity {capacity}");
+                assert!(matches!(err, Err(HttpError::HeadTooLarge)), "capacity {capacity}");
             }
         }
     }

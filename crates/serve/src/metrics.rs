@@ -166,6 +166,31 @@ fn write_families(families: Vec<Family<'_>>, out: &mut String) -> fmt::Result {
     Ok(())
 }
 
+/// The `endpoint` label values of `kg_requests_total`, in the order of
+/// [`ServerMetrics::requests`]. `introspection` is `/healthz` and
+/// `/metrics`; `other` is an unknown path or method, an unreadable
+/// request, and a data request refused while a gated server recovers.
+pub(crate) const ENDPOINTS: [&str; 6] =
+    ["query", "query_batch", "update", "snapshot_reload", "introspection", "other"];
+
+/// The index of `label` in `ENDPOINTS`, for a constant: a label not in it
+/// fails the build.
+pub(crate) const fn endpoint(label: &str) -> usize {
+    let mut i = 0;
+    while !same(ENDPOINTS[i].as_bytes(), label.as_bytes()) {
+        i += 1;
+    }
+    i
+}
+
+/// `a == b`, which a `const fn` cannot write as such.
+const fn same(a: &[u8], b: &[u8]) -> bool {
+    match (a, b) {
+        ([x, a @ ..], [y, b @ ..]) => *x == *y && same(a, b),
+        _ => a.is_empty() && b.is_empty(),
+    }
+}
+
 /// All counters the server exposes on `/metrics`.
 ///
 /// Counter semantics (`_total` suffix: monotone since process start):
@@ -173,18 +198,8 @@ fn write_families(families: Vec<Family<'_>>, out: &mut String) -> fmt::Result {
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     started: Started,
-    /// Requests received, by endpoint.
-    pub requests_query: Counter,
-    /// Requests received on `/query_batch`.
-    pub requests_query_batch: Counter,
-    /// Requests received on `/update`.
-    pub requests_update: Counter,
-    /// Requests received on `/snapshot/reload`.
-    pub requests_reload: Counter,
-    /// Requests received on `/healthz` + `/metrics`.
-    pub requests_introspection: Counter,
-    /// Requests for unknown paths/methods or with malformed HTTP.
-    pub requests_other: Counter,
+    /// Requests received, by endpoint: indexed like `ENDPOINTS`.
+    pub requests: [Counter; 6],
     /// Responses sent, by status class (2xx, 4xx, 5xx → index 0, 1, 2).
     pub responses_by_class: [Counter; 3],
     /// Individual LSCR queries answered (batch members count singly).
@@ -310,14 +325,7 @@ impl ServerMetrics {
                 "Requests received, by endpoint.",
                 L(
                     "endpoint",
-                    vec![
-                        ("query", self.requests_query.get()),
-                        ("query_batch", self.requests_query_batch.get()),
-                        ("update", self.requests_update.get()),
-                        ("snapshot_reload", self.requests_reload.get()),
-                        ("introspection", self.requests_introspection.get()),
-                        ("other", self.requests_other.get()),
-                    ],
+                    ENDPOINTS.into_iter().zip(self.requests.iter().map(Counter::get)).collect(),
                 ),
             ),
             (
@@ -543,16 +551,7 @@ mod tests {
     /// durable server whose every statistic is non-zero.
     fn golden_render() -> String {
         let m = ServerMetrics::new();
-        let counters = [
-            &m.requests_query,
-            &m.requests_query_batch,
-            &m.requests_update,
-            &m.requests_reload,
-            &m.requests_introspection,
-            &m.requests_other,
-            &m.responses_by_class[0],
-            &m.responses_by_class[1],
-            &m.responses_by_class[2],
+        let counters = m.requests.iter().chain(&m.responses_by_class).chain([
             &m.queries_total,
             &m.query_errors_total,
             &m.queries_interrupted_total,
@@ -574,8 +573,8 @@ mod tests {
             &m.updates_total,
             &m.reloads_total,
             &m.connections_total,
-        ];
-        for (i, c) in counters.into_iter().enumerate() {
+        ]);
+        for (i, c) in counters.enumerate() {
             c.add(i as u64 + 1);
         }
         m.query_latency.record(Duration::from_nanos(700));

@@ -397,12 +397,6 @@ pub fn render_update(out: &UpdateOutcome, seq: Option<u64>, durable: bool) -> Js
     ])
 }
 
-/// Renders the `/healthz` body while the server is still replaying its
-/// write-ahead log (served with `503` so load balancers hold traffic).
-pub(crate) fn render_health_recovering() -> Json {
-    Json::Obj(vec![("status".into(), Json::str("recovering"))])
-}
-
 /// Renders the `/healthz` body from the engine's state summary.
 pub(crate) fn render_health(info: &EngineInfo) -> Json {
     Json::Obj(vec![
